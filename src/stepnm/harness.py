@@ -49,6 +49,23 @@ def _take(section: dict, name: str, required=(), optional=()) -> dict:
     return section
 
 
+def _number(value, key: str) -> float:
+    """A finite float from a number or a numeric string.
+
+    YAML 1.1 reads exponent floats without a dot, such as ``1e-08`` from
+    ``json.dumps``, as strings; they are accepted here.
+    """
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class DataConfig:
     kind: str  # regression | blobs | csv
@@ -183,7 +200,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     o = _take(doc["optimizer"], "optimizer", required=(),
               optional=("beta1", "beta2", "eps", "lr", "lr_schedule"))
-    optimizer = OptimizerConfig(**o)
+    optimizer = OptimizerConfig(**{
+        key: value if key == "lr_schedule" else _number(value, f"optimizer.{key}")
+        for key, value in o.items()
+    })
 
     plan_ratios = {}
     for layer, ratio in (doc.get("sparsity") or {}).items():

@@ -1,9 +1,10 @@
-"""Small differentiable models on a minimal reverse-mode tape.
+"""Linear regression and MLP classifiers with an explicit forward/backward pass.
 
-The tape supports exactly what the two model kinds need: matrix multiply,
-transpose, bias add, relu/tanh, softmax cross-entropy and squared error.
-Weights are stored (out_features, in_features) so that N:M groups along the
-innermost axis run over each output's reduction dimension.
+One pass serves both model kinds: affine layers with relu/tanh between them,
+then softmax cross-entropy or half squared error; the backward pass walks the
+layers in reverse.  Weights are stored (out_features, in_features) so that
+N:M groups along the innermost axis run over each output's reduction
+dimension.
 """
 
 from __future__ import annotations
@@ -20,127 +21,6 @@ ParamSet = dict[str, np.ndarray]
 MODEL_KINDS = ("linear_regression", "mlp_classifier")
 ACTIVATIONS = ("relu", "tanh")
 DATA_KINDS = ("regression", "blobs")
-
-
-# ---------------------------------------------------------------------------
-# reverse-mode tape
-# ---------------------------------------------------------------------------
-
-
-class _Node:
-    __slots__ = ("value", "grad", "parents", "backward_fn")
-
-    def __init__(self, value, parents=()):
-        self.value = value
-        self.grad = None
-        self.parents = parents
-        self.backward_fn = None
-
-
-def _matmul(a: _Node, b: _Node) -> _Node:
-    out = _Node(a.value @ b.value, (a, b))
-
-    def bw(g):
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
-
-    out.backward_fn = bw
-    return out
-
-
-def _transpose(a: _Node) -> _Node:
-    out = _Node(a.value.T, (a,))
-
-    def bw(g):
-        a.grad += g.T
-
-    out.backward_fn = bw
-    return out
-
-
-def _add_bias(x: _Node, b: _Node) -> _Node:
-    out = _Node(x.value + b.value, (x, b))
-
-    def bw(g):
-        x.grad += g
-        b.grad += g.sum(axis=0)
-
-    out.backward_fn = bw
-    return out
-
-
-def _relu(x: _Node) -> _Node:
-    out = _Node(np.maximum(x.value, 0.0), (x,))
-
-    def bw(g):
-        # subgradient at exactly 0 is 0
-        x.grad += g * (x.value > 0.0)
-
-    out.backward_fn = bw
-    return out
-
-
-def _tanh(x: _Node) -> _Node:
-    t = np.tanh(x.value)
-    out = _Node(t, (x,))
-
-    def bw(g):
-        x.grad += g * (1.0 - t * t)
-
-    out.backward_fn = bw
-    return out
-
-
-def _softmax_cross_entropy(logits: _Node, labels: np.ndarray) -> _Node:
-    z = logits.value - logits.value.max(axis=1, keepdims=True)
-    expz = np.exp(z)
-    sumexp = expz.sum(axis=1, keepdims=True)
-    probs = expz / sumexp
-    n = logits.value.shape[0]
-    picked = z[np.arange(n), labels] - np.log(sumexp[:, 0])
-    out = _Node(np.float64(-picked.mean()), (logits,))
-
-    def bw(g):
-        d = probs.copy()
-        d[np.arange(n), labels] -= 1.0
-        logits.grad += g * d / n
-
-    out.backward_fn = bw
-    return out
-
-
-def _squared_error(pred: _Node, target: np.ndarray) -> _Node:
-    r = pred.value - target
-    n = pred.value.shape[0]
-    out = _Node(np.float64(0.5 * np.sum(r * r) / n), (pred,))
-
-    def bw(g):
-        pred.grad += g * r / n
-
-    out.backward_fn = bw
-    return out
-
-
-def _backprop(root: _Node) -> None:
-    topo, seen = [], set()
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            stack.append((p, False))
-    for node in topo:
-        node.grad = np.zeros_like(node.value)
-    root.grad = np.ones_like(root.value)
-    for node in reversed(topo):
-        if node.backward_fn is not None:
-            node.backward_fn(node.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +95,12 @@ def _check_batch(spec: ModelSpec, inputs: np.ndarray, targets: np.ndarray) -> np
         labels = np.asarray(targets)
         if labels.ndim != 1 or labels.shape[0] != inputs.shape[0]:
             raise DimensionError("classifier targets must be a [batch] vector of class ids")
-        labels = labels.astype(np.int64)
+        # NaN fails this compare; +-inf fails the range check below
+        if np.any(np.floor(labels) != labels):
+            raise DomainError("classifier targets must be integral class ids")
         if labels.min(initial=0) < 0 or labels.max(initial=0) >= spec.layer_sizes[-1]:
             raise DimensionError("class id outside the output range")
-        return labels
+        return labels.astype(np.int64)
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim == 1:
         t = t[:, None]
@@ -229,35 +111,61 @@ def _check_batch(spec: ModelSpec, inputs: np.ndarray, targets: np.ndarray) -> np
     return t
 
 
-def _forward(spec: ModelSpec, params: ParamSet, batch) -> tuple[_Node, dict[str, _Node]]:
+def _pass(spec: ModelSpec, params: ParamSet, batch, backward: bool):
+    """Mean batch loss, plus every parameter's gradient when ``backward``.
+
+    The forward pass keeps each layer's input; the backward pass walks the
+    layers in reverse, forming dW = g.T @ h and db = sum(g) per layer and
+    skipping the gradient of the input batch.
+    """
     inputs, targets = batch
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = _check_batch(spec, inputs, targets)
     _check_params(spec, params)
-    nodes = {name: _Node(np.asarray(value, dtype=np.float64)) for name, value in params.items()}
-    h = _Node(inputs)
-    for i in range(1, spec.n_layers + 1):
-        h = _add_bias(_matmul(h, _transpose(nodes[f"fc{i}.weight"])), nodes[f"fc{i}.bias"])
-        if i < spec.n_layers:
-            h = _relu(h) if spec.activation == "relu" else _tanh(h)
+    n_layers = spec.n_layers
+    weights = [np.asarray(params[f"fc{i}.weight"], dtype=np.float64)
+               for i in range(1, n_layers + 1)]
+    layer_inputs = [inputs]
+    for i, w in enumerate(weights, 1):
+        out = layer_inputs[-1] @ w.T + np.asarray(params[f"fc{i}.bias"], dtype=np.float64)
+        if i < n_layers:
+            layer_inputs.append(np.maximum(out, 0.0) if spec.activation == "relu" else np.tanh(out))
+    n = out.shape[0]
     if spec.kind == "mlp_classifier":
-        loss = _softmax_cross_entropy(h, targets)
+        z = out - out.max(axis=1, keepdims=True)
+        expz = np.exp(z)
+        sumexp = expz.sum(axis=1, keepdims=True)
+        rows = np.arange(n)
+        loss = -(z[rows, targets] - np.log(sumexp[:, 0])).mean()
+        if backward:
+            g = expz / sumexp
+            g[rows, targets] -= 1.0
     else:
-        loss = _squared_error(h, targets)
-    return loss, nodes
+        g = out - targets
+        loss = 0.5 * np.sum(g * g) / n
+    if not backward:
+        return float(loss), None
+    g = g / n
+    grads: ParamSet = {}
+    for i in range(n_layers, 0, -1):
+        h = layer_inputs[i - 1]
+        grads[f"fc{i}.weight"] = g.T @ h
+        grads[f"fc{i}.bias"] = g.sum(axis=0)
+        if i > 1:
+            g = g @ weights[i - 1]
+            # the relu subgradient at exactly 0 is +0.0
+            g = np.where(h > 0.0, g, 0.0) if spec.activation == "relu" else g * (1.0 - h * h)
+    return float(loss), {name: grads[name] for name in params}
 
 
 def forward_loss(spec: ModelSpec, params: ParamSet, batch) -> float:
     """Mean loss over the batch: softmax cross-entropy or half squared error."""
-    loss, _ = _forward(spec, params, batch)
-    return float(loss.value)
+    return _pass(spec, params, batch, backward=False)[0]
 
 
 def loss_and_grad(spec: ModelSpec, params: ParamSet, batch) -> tuple[float, ParamSet]:
     """Loss plus gradients for every parameter, in one forward/backward pass."""
-    loss, nodes = _forward(spec, params, batch)
-    _backprop(loss)
-    return float(loss.value), {name: node.grad for name, node in nodes.items()}
+    return _pass(spec, params, batch, backward=True)
 
 
 def grad(spec: ModelSpec, params: ParamSet, batch) -> ParamSet:

@@ -147,12 +147,12 @@ def _ste_loss_and_grad(spec, params, ratios: dict[str, NMRatio], batch, lam: flo
     return grads, masks, loss
 
 
-def _masked_phase_step(state, hyper, params, grads, v_star, update_variance: bool):
+def _masked_phase_step(state, hyper, params, grads, frozen_denom: ParamSet | None):
     """Mask-learning update: momentum as usual, raw variance in the denominator.
 
-    With ``update_variance`` False the denominator uses the frozen v_star and
-    the accumulator is left untouched; otherwise the accumulator keeps running
-    and its current raw value scales the step.
+    ``frozen_denom`` holds sqrt(v_star + eps) per parameter, computed once at
+    the switch; the accumulator is then left untouched.  With None the
+    accumulator keeps running and its current raw value scales the step.
     """
     k = state.t + 1
     _check_grads(params, grads, k)
@@ -163,13 +163,13 @@ def _masked_phase_step(state, hyper, params, grads, v_star, update_variance: boo
     for name, w in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         m = b1 * state.m[name] + (1.0 - b1) * g
-        if update_variance:
+        if frozen_denom is None:
             v = b2 * state.v[name] + (1.0 - b2) * g * g
-            denom = v
+            denom = np.sqrt(v + hyper.eps)
         else:
             v = state.v[name]
-            denom = v_star[name]
-        new_p[name] = w - gamma * (m / m_corr) / np.sqrt(denom + hyper.eps)
+            denom = frozen_denom[name]
+        new_p[name] = w - gamma * (m / m_corr) / denom
         new_m[name], new_v[name] = m, v
     return AdamState(new_m, new_v, k), new_p
 
@@ -296,6 +296,7 @@ def recipe_train(
     masked_from_start = recipe.kind in ("ste", "srste")
     switched_at: int | None = None
     v_star: ParamSet | None = None
+    frozen_denom: ParamSet | None = None
     records: list[StepRecord] = []
     snapshots: dict[int, tuple[ParamSet, AdamState]] = {}
     snapshot_steps = set(int(s) for s in snapshot_steps)
@@ -313,19 +314,17 @@ def recipe_train(
             loss, grads = models.loss_and_grad(spec, params, batch)
 
         if two_phase and switched_at is not None:
-            state, params = _masked_phase_step(
-                state, hyper, params, grads, v_star,
-                update_variance=recipe.kind == "step_updated_variance",
-            )
-            v_changed = recipe.kind == "step_updated_variance"
+            state, params = _masked_phase_step(state, hyper, params, grads, frozen_denom)
+            v_changed = frozen_denom is None
         else:
             state, params = adam_step(state, hyper, params, grads)
             v_changed = True
 
         z = z_geom = z_bar = None
         if v_changed:
+            # a frozen variance keeps the statistics of the step that froze it
             z, z_geom = _packed_change(state.v, prev_v)
-        v_l1, v_l2 = _packed_stats(state.v)
+            v_l1, v_l2 = _packed_stats(state.v)
 
         fired_now = None
         if detector is not None and switched_at is None:
@@ -336,6 +335,8 @@ def recipe_train(
                 switched_at = t
                 fired_now = t
                 v_star = {name: arr.copy() for name, arr in state.v.items()}
+                if recipe.kind == "step":
+                    frozen_denom = {name: np.sqrt(arr + hyper.eps) for name, arr in v_star.items()}
 
         phase = "mask_learning" if (masked_from_start or
                                     (switched_at is not None and t > switched_at)) else "precondition"

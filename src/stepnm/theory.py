@@ -21,6 +21,10 @@ STREAM_KINDS = ("constant", "uniform", "bernoulli", "trunc_gauss_sq")
 
 PER_STEP_SLACK = 1e-12
 
+# steps drawn at a time per trial by validate_theorem; consecutive draws from
+# one generator give the same stream as a single draw
+CHUNK = 1024
+
 
 def azuma_bound(bound_g: float, beta2: float, t: int, t0: int, delta: float) -> float:
     """High-probability bound on |vhat_t - vhat_t0| per coordinate.
@@ -199,23 +203,26 @@ def validate_theorem(
     step_bound = per_step_bound(stream.bound, beta2)
     seed = stream.seed if master_seed is None else master_seed
 
-    # all trials advance in lockstep: one (trials, dim) state per step
-    draws = np.stack(
-        [stream.draw(np.random.default_rng((seed, i)), t) for i in range(trials)],
-        axis=1,
-    )
+    # all trials advance in lockstep: one (trials, dim) state per step, with
+    # the draws held CHUNK steps at a time
+    rngs = [np.random.default_rng((seed, i)) for i in range(trials)]
+    draws = np.empty((min(CHUNK, t), trials, stream.dim))
     v = np.zeros((trials, stream.dim))
     vhat_prev = None
     vhat_t0 = None
     max_step_dev = 0.0
-    for k in range(1, t + 1):
-        v = beta2 * v + (1.0 - beta2) * draws[k - 1]
-        vhat = v / (1.0 - beta2**k)
-        if k > t0:
-            max_step_dev = max(max_step_dev, float(np.max(np.abs(vhat - vhat_prev))))
-        if k == t0:
-            vhat_t0 = vhat.copy()
-        vhat_prev = vhat
+    for first in range(1, t + 1, CHUNK):
+        steps = min(CHUNK, t + 1 - first)
+        for i, rng in enumerate(rngs):
+            draws[:steps, i] = stream.draw(rng, steps)
+        for k in range(first, first + steps):
+            v = beta2 * v + (1.0 - beta2) * draws[k - first]
+            vhat = v / (1.0 - beta2**k)
+            if k > t0:
+                max_step_dev = max(max_step_dev, float(np.max(np.abs(vhat - vhat_prev))))
+            if k == t0:
+                vhat_t0 = vhat.copy()
+            vhat_prev = vhat
 
     deviation = np.abs(vhat_prev - vhat_t0)
     per_trial_max = deviation.max(axis=1)

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from stepnm import harness, models
 from stepnm.autoswitch import SwitchCriterion
+from stepnm.cli import entry as cli_entry
 from stepnm.cli import main as cli_main
 from stepnm.errors import ConfigError
 
@@ -86,6 +87,34 @@ class TestConfigParsing:
         path, _ = make_config(tmp_path, switch={"kind": "fixed", "step_ratio": 0.25})
         config = harness.load_config(path)
         assert config.criterion().step == 30
+
+
+class TestOptimizerNumbers:
+    def test_json_dumps_exponent_floats_load_and_run(self, tmp_path):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc.update(seeds=[1], total_steps=30,
+                   optimizer={"lr": 5e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert '"eps": 1e-08' in path.read_text()
+        config = harness.load_config(path)
+        assert config.optimizer.eps == 1e-8 and config.optimizer.lr == 5e-3
+        harness.run(config, output_dir=tmp_path / "out")
+        assert (tmp_path / "out" / "trajectory_seed1.jsonl").exists()
+
+    def test_non_numeric_lr_is_config_error(self, tmp_path):
+        path, _ = make_config(tmp_path, optimizer={"lr": "big"})
+        with pytest.raises(ConfigError, match="optimizer.lr"):
+            harness.load_config(path)
+
+    def test_cli_exits_2_on_non_numeric_lr(self, tmp_path, monkeypatch, capsys):
+        path, _ = make_config(tmp_path, optimizer={"lr": "big"})
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path),
+                                         "--out", str(tmp_path / "out")])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert "optimizer.lr" in capsys.readouterr().err
 
 
 class TestRun:

@@ -152,6 +152,20 @@ class TestGrad:
         for k in g1:
             np.testing.assert_array_equal(g1[k], g2[k])
 
+    def test_non_integral_class_ids_rejected(self):
+        spec = mlp((3, 4, 2))
+        params = models.init_params(spec, 0)
+        inputs = np.zeros((3, 3))
+        for bad in (0.7, np.nan):
+            with pytest.raises(DomainError, match="integral"):
+                models.loss_and_grad(spec, params, (inputs, np.array([0.0, bad, 1.0])))
+        with pytest.raises(DimensionError):
+            models.forward_loss(spec, params, (inputs, np.array([0.0, np.inf, 1.0])))
+        # integral floats and integer arrays are class ids
+        a = models.forward_loss(spec, params, (inputs, np.array([0.0, 1.0, 1.0])))
+        b = models.forward_loss(spec, params, (inputs, np.array([0, 1, 1])))
+        assert a == b
+
     def test_relu_subgradient_at_zero_is_zero(self):
         spec = ModelSpec("mlp_classifier", (1, 1, 2), activation="relu")
         params = {
@@ -160,9 +174,107 @@ class TestGrad:
             "fc2.weight": np.array([[1.0], [-1.0]]),
             "fc2.bias": np.array([0.0, 0.0]),
         }
-        # pre-activation is exactly 0, so nothing flows back to fc1
+        # pre-activation is exactly 0, so nothing flows back to fc1: +0.0,
+        # although the gradient arriving from fc2 is negative
         grads = models.grad(spec, params, (np.array([[0.0]]), np.array([0.0])))
         np.testing.assert_array_equal(grads["fc1.weight"], [[0.0]])
+        np.testing.assert_array_equal(grads["fc1.bias"], [0.0])
+        assert not np.signbit(grads["fc1.weight"]).any()
+        assert not np.signbit(grads["fc1.bias"]).any()
+
+
+def reference_loss_and_grad(spec, params, inputs, targets):
+    """Per-sample backprop with outer products, averaged over the batch.
+
+    Written independently of models.py: one sample at a time, a
+    log-sum-exp loss, and the relu subgradient 0 at a zero pre-activation.
+    """
+    n_layers = spec.n_layers
+    weights = [params[f"fc{i}.weight"] for i in range(1, n_layers + 1)]
+    biases = [params[f"fc{i}.bias"] for i in range(1, n_layers + 1)]
+    grads = {name: np.zeros(np.shape(value)) for name, value in params.items()}
+    total = 0.0
+    n = inputs.shape[0]
+    for x, y in zip(inputs, targets):
+        acts, pres = [x], []
+        for i in range(n_layers):
+            pre = weights[i] @ acts[-1] + biases[i]
+            pres.append(pre)
+            if i < n_layers - 1:
+                acts.append(np.maximum(pre, 0.0) if spec.activation == "relu" else np.tanh(pre))
+        out = pres[-1]
+        if spec.kind == "mlp_classifier":
+            top = out.max()
+            log_norm = top + math.log(np.exp(out - top).sum())
+            total += log_norm - out[int(y)]
+            delta = np.exp(out - log_norm)
+            delta[int(y)] -= 1.0
+        else:
+            residual = out - np.atleast_1d(y)
+            total += 0.5 * float(residual @ residual)
+            delta = residual
+        for i in reversed(range(n_layers)):
+            grads[f"fc{i + 1}.weight"] += np.outer(delta, acts[i]) / n
+            grads[f"fc{i + 1}.bias"] += delta / n
+            if i > 0:
+                if spec.activation == "relu":
+                    slope = (pres[i - 1] > 0.0).astype(float)
+                else:
+                    slope = 1.0 - np.tanh(pres[i - 1]) ** 2
+                delta = (weights[i].T @ delta) * slope
+    return total / n, grads
+
+
+def reference_cases():
+    """(spec, params, batch) over activations, model kinds and 0-3 hidden layers."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for activation in ("relu", "tanh"):
+        cases.append(ModelSpec("linear_regression", (4, 3), activation=activation))
+        for hidden in ((), (5,), (6, 4), (5, 7, 3)):
+            cases.append(ModelSpec("mlp_classifier", (4, *hidden, 3), activation=activation))
+    out = []
+    for spec in cases:
+        for zero_pre_activations in (False, True):
+            params = models.init_params(spec, int(rng.integers(1 << 31)))
+            params = {k: v + 0.1 * rng.standard_normal(v.shape) for k, v in params.items()}
+            inputs, targets = random_batch(spec, 7, int(rng.integers(1 << 31)))
+            if zero_pre_activations:
+                # a zero input row and zero first-layer biases give exact zeros
+                # in layer 1; zero rows of a hidden weight do the same further up
+                inputs[0] = 0.0
+                params["fc1.bias"][:] = 0.0
+                for i in range(2, spec.n_layers):
+                    params[f"fc{i}.weight"][0] = 0.0
+                    params[f"fc{i}.bias"][0] = 0.0
+            out.append((spec, params, (inputs, targets)))
+    return out
+
+
+class TestReferenceGradient:
+    @pytest.mark.parametrize("case", range(len(reference_cases())))
+    def test_matches_reference(self, case):
+        spec, params, (inputs, targets) = reference_cases()[case]
+        before = {k: v.copy() for k, v in params.items()}
+        loss, grads = models.loss_and_grad(spec, params, (inputs, targets))
+        ref_loss, ref_grads = reference_loss_and_grad(spec, params, inputs, targets)
+        assert math.isclose(loss, ref_loss, rel_tol=1e-12)
+        assert models.forward_loss(spec, params, (inputs, targets)) == loss
+        assert set(grads) == set(params)
+        for name, g in grads.items():
+            assert isinstance(g, np.ndarray) and g.dtype == np.float64
+            assert g.shape == params[name].shape
+            assert g.flags.c_contiguous
+            # atol covers entries that cancel to ~1e-17 in either summation order
+            np.testing.assert_allclose(g, ref_grads[name], rtol=1e-12, atol=1e-14)
+        for name, value in params.items():
+            np.testing.assert_array_equal(value, before[name])
+
+    def test_cases_hit_zero_pre_activations(self):
+        spec, params, (inputs, _) = reference_cases()[-1]
+        assert spec.n_layers == 4
+        pre = inputs @ params["fc1.weight"].T + params["fc1.bias"]
+        assert np.any(pre == 0.0)
 
 
 class TestFiniteDifference:

@@ -237,6 +237,34 @@ class TestTwoPhaseTraining:
         assert len(phase2) == 60
         assert len({r.v_l1 for r in phase2}) == 1
 
+    def test_masked_phase_divides_by_raw_frozen_variance(self):
+        # pins the current convention: after the switch, step divides by
+        # sqrt(v* + eps) with the raw frozen v*, not v* / (1 - beta2**t0)
+        from stepnm.masks import compute_nm_mask
+
+        spec, ds, plan = blob_setup()
+        lr, t0, seed = 5e-3, 40, 5
+        crit = SwitchCriterion(kind="fixed", step=t0)
+        run = optim.step_train(spec, ds, default_hyper(lr), plan, crit, t0 + 2, seed=seed,
+                               snapshot_steps={t0, t0 + 1, t0 + 2})
+        batches = models.batch_iterator(ds, (seed, 1))  # the trainer's batch stream
+        for _ in range(t0):
+            next(batches)
+        for k in (t0 + 1, t0 + 2):
+            params, state = run.snapshots[k - 1]
+            masked = dict(params)
+            masked["fc2.weight"] = params["fc2.weight"] * compute_nm_mask(
+                params["fc2.weight"], NMRatio(1, 4))
+            _, grads = models.loss_and_grad(spec, masked, next(batches))
+            after, after_state = run.snapshots[k]
+            for name, w in params.items():
+                m_hat = (0.9 * state.m[name] + 0.1 * grads[name]) / (1.0 - 0.9**k)
+                raw = w - lr * m_hat / np.sqrt(run.v_star[name] + 1e-8)
+                corrected = w - lr * m_hat / np.sqrt(run.v_star[name] / (1.0 - 0.999**t0) + 1e-8)
+                np.testing.assert_allclose(after[name], raw, rtol=1e-12, atol=0.0)
+                assert not np.allclose(after[name], corrected, rtol=1e-9, atol=0.0)
+                np.testing.assert_array_equal(after_state.v[name], run.v_star[name])
+
     def test_degenerate_switch_at_end_equals_dense_plus_mask(self):
         spec, ds, plan = blob_setup()
         hyper = default_hyper(5e-3)

@@ -151,3 +151,37 @@ class TestValidateTheorem:
         assert a.max_observed_deviation == b.max_observed_deviation
         c = theory.validate_theorem(stream, 0.99, 150, 400, 0.05, trials=25, master_seed=99)
         assert c.max_observed_deviation != a.max_observed_deviation
+
+
+def one_shot_validate(stream, beta2, t0, t, trials, seed):
+    """Every draw held at once: (max drift per trial, max per-step move)."""
+    draws = np.stack(
+        [stream.draw(np.random.default_rng((seed, i)), t) for i in range(trials)], axis=1
+    )
+    v = np.zeros((trials, stream.dim))
+    vhat_prev = vhat_t0 = None
+    max_step_dev = 0.0
+    for k in range(1, t + 1):
+        v = beta2 * v + (1.0 - beta2) * draws[k - 1]
+        vhat = v / (1.0 - beta2**k)
+        if k > t0:
+            max_step_dev = max(max_step_dev, float(np.max(np.abs(vhat - vhat_prev))))
+        if k == t0:
+            vhat_t0 = vhat.copy()
+        vhat_prev = vhat
+    return np.abs(vhat_prev - vhat_t0).max(axis=1), max_step_dev
+
+
+class TestChunkedDraws:
+    @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
+    @pytest.mark.parametrize("chunk", [theory.CHUNK, 7])
+    def test_chunked_equals_one_shot(self, kind, chunk, monkeypatch):
+        monkeypatch.setattr(theory, "CHUNK", chunk)
+        stream = StationaryStream(kind=kind, bound=1.0, dim=2, seed=4, level=0.3)
+        t = 1300  # spans two default chunks and is a multiple of neither size
+        assert t % chunk != 0 and t > chunk
+        report = theory.validate_theorem(stream, 0.99, t0=150, t=t, delta=0.05, trials=9)
+        per_trial_max, max_step_dev = one_shot_validate(stream, 0.99, 150, t, 9, seed=4)
+        assert report.max_observed_deviation == float(per_trial_max.max())
+        assert report.violations == int(np.count_nonzero(per_trial_max >= report.bound_value))
+        assert report.max_per_step_deviation == max_step_dev
