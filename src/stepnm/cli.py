@@ -30,7 +30,8 @@ def main():
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", "seeds", multiple=True, type=int, help="Override config seeds.")
 @click.option("--out", type=click.Path(), default=None, help="Override output directory.")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker processes, capped at the task and CPU counts.")
 def run_cmd(config_path, seeds, out, jobs):
     """Train every seed of a config and write trajectories plus a summary."""
     config, out_dir = _load(config_path, seeds, out)
@@ -71,7 +72,8 @@ def compare_switch_cmd(config_path, out, criteria):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--kind", required=True, type=click.Choice(harness.ABLATION_KINDS))
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker processes, capped at the task and CPU counts.")
 def ablate_cmd(config_path, kind, out, jobs):
     """Run one ablation matrix over the config's seeds."""
     config, out_dir = _load(config_path, (), out)

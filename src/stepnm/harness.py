@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -66,6 +68,31 @@ def _number(value, key: str) -> float:
     return number
 
 
+def _int(value, key: str) -> int:
+    """An integer from an int, an integral float or an integer string."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    if isinstance(value, float) and number != value:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return number
+
+
+def _each(convert, value, key: str) -> tuple:
+    """``convert`` applied to every item of a list."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return tuple(convert(item, f"{key}[{i}]") for i, item in enumerate(value))
+
+
+def _optional(convert, section: dict, key: str, name: str):
+    value = section.get(key)
+    return None if value is None else convert(value, f"{name}.{key}")
+
+
 @dataclass(frozen=True)
 class DataConfig:
     kind: str  # regression | blobs | csv
@@ -77,6 +104,15 @@ class DataConfig:
     batch_size: int = 32
     path: str | None = None
     n_targets: int = 1
+
+    def __post_init__(self):
+        for key in ("n_samples", "n_features", "n_classes", "batch_size", "n_targets"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"data.{key} must be >= 1, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"data.seed must be >= 0, got {self.seed}")
+        if self.noise_std < 0:
+            raise ConfigError(f"data.noise_std must be >= 0, got {self.noise_std}")
 
     def build(self, model_kind: str) -> models.Dataset:
         if self.kind == "csv":
@@ -130,6 +166,8 @@ class SwitchConfig:
         if self.step_ratio is not None:
             if step is not None:
                 raise ConfigError("give either step or step_ratio, not both")
+            if not 0.0 < self.step_ratio <= 1.0:
+                raise ConfigError(f"switch.step_ratio must be in (0, 1], got {self.step_ratio}")
             step = max(1, int(math.floor(self.step_ratio * total_steps)))
         return SwitchCriterion(
             kind=self.kind, option=self.option, threshold=self.threshold,
@@ -185,7 +223,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     m = _take(doc["model"], "model", required=("kind", "layer_sizes"), optional=("activation",))
     spec = models.ModelSpec(
-        kind=m["kind"], layer_sizes=tuple(m["layer_sizes"]),
+        kind=m["kind"], layer_sizes=_each(_int, m["layer_sizes"], "model.layer_sizes"),
         activation=m.get("activation", "relu"),
     )
 
@@ -196,7 +234,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown data kind {d['kind']!r}")
     if d["kind"] == "csv" and not d.get("path"):
         raise ConfigError("csv data needs a path")
-    data = DataConfig(**d)
+    data = DataConfig(**{
+        key: _coerce_data(key, value) for key, value in d.items()
+    })
 
     o = _take(doc["optimizer"], "optimizer", required=(),
               optional=("beta1", "beta2", "eps", "lr", "lr_schedule"))
@@ -206,15 +246,19 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     })
 
     plan_ratios = {}
-    for layer, ratio in (doc.get("sparsity") or {}).items():
-        r = _take(ratio, f"sparsity.{layer}", required=("n", "m"))
-        plan_ratios[str(layer)] = NMRatio(int(r["n"]), int(r["m"]))
+    sparsity = doc.get("sparsity") or {}
+    if not isinstance(sparsity, dict):
+        raise ConfigError("section 'sparsity' must be a mapping")
+    for layer, ratio in sparsity.items():
+        key = f"sparsity.{layer}"
+        r = _take(ratio, key, required=("n", "m"))
+        plan_ratios[str(layer)] = NMRatio(_int(r["n"], f"{key}.n"), _int(r["m"], f"{key}.m"))
     plan = SparsityPlan(plan_ratios)
 
     r = _take(doc["recipe"], "recipe", required=("kind",), optional=("lam",))
     if r["kind"] not in optim.RECIPE_KINDS:
         raise ConfigError(f"unknown recipe kind {r['kind']!r}")
-    lam = float(r.get("lam", 0.0))
+    lam = _number(r.get("lam", 0.0), "recipe.lam")
     if lam != 0.0 and r["kind"] != "srste":
         raise ConfigError("recipe.lam only applies to the srste recipe")
 
@@ -225,11 +269,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         clip_ratios = None
         if s.get("clip") is not None:
             c = _take(s["clip"], "switch.clip", required=("t_min_ratio", "t_max_ratio"))
-            clip_ratios = (float(c["t_min_ratio"]), float(c["t_max_ratio"]))
+            clip_ratios = (_number(c["t_min_ratio"], "switch.clip.t_min_ratio"),
+                           _number(c["t_max_ratio"], "switch.clip.t_max_ratio"))
         switch = SwitchConfig(
-            kind=s["kind"], option=s.get("option", "arithmetic"),
-            threshold=s.get("threshold"), clip_ratios=clip_ratios,
-            step=s.get("step"), step_ratio=s.get("step_ratio"),
+            kind=s["kind"], option=s.get("option", "arithmetic"), clip_ratios=clip_ratios,
+            threshold=_optional(_number, s, "threshold", "switch"),
+            step=_optional(_int, s, "step", "switch"),
+            step_ratio=_optional(_number, s, "step_ratio", "switch"),
         )
 
     ablation = AblationConfig()
@@ -239,21 +285,33 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         decay_m, decay_boundaries = None, ()
         if a.get("decay") is not None:
             dd = _take(a["decay"], "ablation.decay", required=("m",), optional=("stage_boundaries",))
-            decay_m = int(dd["m"])
-            decay_boundaries = tuple(int(b) for b in dd.get("stage_boundaries", ()))
+            decay_m = _int(dd["m"], "ablation.decay.m")
+            decay_boundaries = _each(_int, dd.get("stage_boundaries", ()),
+                                     "ablation.decay.stage_boundaries")
         ablation = AblationConfig(
-            precondition_ratios=tuple(float(x) for x in a.get("precondition_ratios", ())),
+            precondition_ratios=_each(_number, a.get("precondition_ratios", ()),
+                                         "ablation.precondition_ratios"),
             decay_m=decay_m, decay_boundaries=decay_boundaries,
         )
 
     return ExperimentConfig(
         model=spec, data=data, optimizer=optimizer, plan=plan,
         recipe_kind=r["kind"], lam=lam, switch=switch,
-        total_steps=int(doc["total_steps"]),
-        seeds=tuple(doc["seeds"]),
+        total_steps=_int(doc["total_steps"], "total_steps"),
+        seeds=_each(_int, doc["seeds"], "seeds"),
         output_dir=str(doc.get("output_dir", "runs")),
         ablation=ablation,
     )
+
+
+def _coerce_data(key: str, value):
+    if key == "kind":
+        return value
+    if key == "path":
+        return None if value is None else str(value)
+    if key == "noise_std":
+        return _number(value, "data.noise_std")
+    return _int(value, f"data.{key}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -287,13 +345,41 @@ def write_trajectory(path, result: TrainResult) -> None:
         }) + "\n")
 
 
-def _train_for_config(config: ExperimentConfig, seed: int) -> TrainResult:
+def _train_for_config(config: ExperimentConfig, seed: int, recipe: Recipe | None = None,
+                      criterion: SwitchCriterion | None = None) -> TrainResult:
+    """Train one seed; without a recipe, the config's own recipe and criterion.
+
+    The dataset and hyperparameters are rebuilt here so the call can run in a
+    worker process.
+    """
+    if recipe is None:
+        recipe = Recipe(kind=config.recipe_kind, lam=config.lam, decay=_decay_of(config))
+        criterion = config.criterion()
     dataset = config.data.build(config.model.kind)
-    recipe = Recipe(kind=config.recipe_kind, lam=config.lam, decay=_decay_of(config))
     return recipe_train(
         config.model, dataset, config.hyper(), config.plan, recipe,
-        config.criterion(), config.total_steps, seed,
+        criterion, config.total_steps, seed,
     )
+
+
+def pool_size(jobs: int, n_tasks: int, cpus: int | None) -> int:
+    """Worker processes for n_tasks tasks: at most jobs, n_tasks and cpus (>= 1)."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    return max(1, min(jobs, n_tasks, cpus or 1))
+
+
+def _map_tasks(fn, tasks: list[tuple], workers: int) -> list:
+    """[fn(*task) for task in tasks], in order, over ``workers`` processes.
+
+    Workers are spawned, not forked, so none inherits the BLAS threads of
+    this process.
+    """
+    if workers == 1:
+        return [fn(*task) for task in tasks]
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def _decay_of(config: ExperimentConfig) -> DecaySchedule | None:
@@ -327,14 +413,11 @@ class RunSummary:
 
 def run(config: ExperimentConfig, output_dir=None, jobs: int = 1) -> RunSummary:
     """Train every seed of the config, writing trajectories and a summary."""
+    seeds = config.seeds
+    workers = pool_size(jobs, len(seeds), os.cpu_count())
     out = Path(output_dir if output_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = config.seeds
-    if jobs > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_train_for_config, [config] * len(seeds), seeds))
-    else:
-        results = [_train_for_config(config, seed) for seed in seeds]
+    results = _map_tasks(_train_for_config, [(config, seed) for seed in seeds], workers)
 
     files = []
     for seed, result in zip(seeds, results):
@@ -395,15 +478,11 @@ def compare_switch(
     row.
     """
     criteria = criteria if criteria is not None else default_comparison_criteria(config.total_steps)
-    dataset = config.data.build(config.model.kind)
     hyper = config.hyper()
     d = sum(int(np.prod(shape)) for shape in models.param_shapes(config.model).values())
     rows = []
     for seed in config.seeds:
-        profile = recipe_train(
-            config.model, dataset, hyper, config.plan, Recipe("dense"),
-            None, config.total_steps, seed,
-        )
+        profile = _train_for_config(config, seed, Recipe("dense"), None)
         stats, diffs = _profile_stats(profile.records, d)
         for criterion in criteria:
             t0 = evaluate_offline(criterion, stats, hyper.beta2, hyper.eps)
@@ -474,22 +553,12 @@ def ablation(kind: str, config: ExperimentConfig, output_dir=None, jobs: int = 1
         cells.append(("with_dense_phase", Recipe("step_updated_variance", decay=decay), criterion))
         cells.append(("without_dense_phase", Recipe("ste", decay=decay), None))
 
-    jobs_list = [(label, recipe, criterion, seed)
-                 for label, recipe, criterion in cells for seed in config.seeds]
-    if jobs > 1 and len(jobs_list) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                _ablation_cell,
-                [config] * len(jobs_list),
-                [j[1] for j in jobs_list],
-                [j[2] for j in jobs_list],
-                [j[3] for j in jobs_list],
-            ))
-    else:
-        results = [_ablation_cell(config, recipe, criterion, seed)
-                   for _, recipe, criterion, seed in jobs_list]
+    labels = [(label, seed) for label, _, _ in cells for seed in config.seeds]
+    tasks = [(config, seed, recipe, criterion)
+             for _, recipe, criterion in cells for seed in config.seeds]
+    results = _map_tasks(_train_for_config, tasks, pool_size(jobs, len(tasks), os.cpu_count()))
     rows = []
-    for (label, _, _, seed), result in zip(jobs_list, results):
+    for (label, seed), result in zip(labels, results):
         rows.append({
             "cell": label, "seed": seed,
             "sparse_eval_loss": result.sparse_eval_loss,
@@ -502,16 +571,6 @@ def ablation(kind: str, config: ExperimentConfig, output_dir=None, jobs: int = 1
         _write_rows_csv(out / f"ablation_{kind}.csv", rows,
                         ("cell", "seed", "sparse_eval_loss", "dense_eval_loss", "switched_at"))
     return rows
-
-
-def _ablation_cell(config: ExperimentConfig, recipe: Recipe,
-                   criterion: SwitchCriterion | None, seed: int) -> TrainResult:
-    # dataset and hyper are rebuilt here so the cell can run in a worker process
-    dataset = config.data.build(config.model.kind)
-    return recipe_train(
-        config.model, dataset, config.hyper(), config.plan, recipe,
-        criterion, config.total_steps, seed,
-    )
 
 
 def _write_rows_csv(path, rows, columns) -> None:

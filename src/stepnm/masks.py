@@ -1,4 +1,14 @@
-"""N:M mask computation, per-layer sparsity plans and the stagewise decay schedule."""
+"""N:M mask computation, per-layer sparsity plans and the stagewise decay schedule.
+
+The mask is a sort-free rank.  Within a group, slot i outranks a later slot
+j when |w_i| >= |w_j| (a later slot needs a strictly larger magnitude), so
+ties go to the lower index.  A slot is kept when fewer than n slots outrank
+it.  The magnitudes are laid out slot-major, (m, groups), so each compare of
+slot i against the block of slots after it runs over long contiguous rows:
+m - 1 vectorised compares per call whatever the tensor size.  NaN magnitudes
+are mapped below zero first, which reproduces numpy's stable argsort order
+(NaN last) exactly.
+"""
 
 from __future__ import annotations
 
@@ -27,18 +37,32 @@ class NMRatio:
 def compute_nm_mask(weights, ratio: NMRatio) -> np.ndarray:
     """Binary mask keeping the n largest-magnitude entries of every m-group.
 
-    Ties break toward the lower flat index so masks are reproducible.
+    Ties break toward the lower index, and NaN ranks below every number
+    (NaNs among themselves also by lower index), so a mask equals the first
+    n slots of the stable sort on (-|w|, index).  See the module docstring
+    for the rank that computes it.
     """
     w = np.ascontiguousarray(weights, dtype=np.float64)
     if w.ndim == 0 or w.shape[-1] % ratio.m != 0:
         extent = w.shape[-1] if w.ndim else 0
         raise DimensionError(f"innermost extent {extent} not divisible by m={ratio.m}")
-    groups = np.abs(w).reshape(-1, ratio.m)
-    # stable sort on negated magnitudes: equal magnitudes keep index order
-    order = np.argsort(-groups, axis=1, kind="stable")
-    mask = np.zeros_like(groups)
-    np.put_along_axis(mask, order[:, : ratio.n], 1.0, axis=1)
-    out = mask.reshape(w.shape)
+    m = ratio.m
+    groups = w.size // m
+    # slot-major magnitudes: row i holds slot i of every group, contiguously
+    mags = np.empty((m, groups))
+    np.abs(w.reshape(groups, m).T, out=mags)
+    np.fmax(mags, -1.0, out=mags)  # NaN -> -1, below every magnitude
+    count = np.min_scalar_type(m)
+    # outranked[j] counts the slots that outrank slot j; it starts by assuming
+    # every later slot does and corrects that as each slot is compared
+    outranked = np.empty((m, groups), dtype=count)
+    outranked[...] = np.arange(m - 1, -1, -1, dtype=count)[:, None]
+    for i in range(m - 1):
+        wins = np.greater_equal(mags[i], mags[i + 1:])
+        outranked[i + 1:] += wins
+        outranked[i] -= wins.sum(axis=0, dtype=count)
+    out = np.empty(w.shape)
+    np.less(outranked.T, ratio.n, out=out.reshape(groups, m))
     out.setflags(write=False)
     return out
 

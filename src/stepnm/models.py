@@ -331,7 +331,18 @@ def load_csv(path, n_targets: int = 1, batch_size: int = 32, target_kind: str = 
         header = next(reader, None)
         if header is None or len(header) <= n_targets:
             raise ConfigError(f"CSV {path} needs a header and at least one feature column")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ConfigError(
+                    f"CSV {path} line {reader.line_num}: {len(row)} cells, header has {len(header)}"
+                )
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise ConfigError(f"CSV {path} line {reader.line_num}: non-numeric cell") from None
     if not rows:
         raise ConfigError(f"CSV {path} has no data rows")
     data = np.asarray(rows, dtype=np.float64)

@@ -88,7 +88,7 @@ def _check_grads(params: ParamSet, grads: ParamSet, step: int) -> None:
         g = grads.get(name)
         if g is None or np.shape(g) != np.shape(w):
             raise DimensionError(f"gradient for {name!r} missing or misshapen")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for {name!r} at step {step}")
 
 
@@ -108,11 +108,36 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: ParamSet, grads: Param
     new_m, new_v, new_p = {}, {}, {}
     for name, w in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * g * g
-        new_p[name] = w - gamma * (m / m_corr) / np.sqrt(v / v_corr + hyper.eps)
+        m = _ema(state.m[name], b1, g)
+        v = _ema(state.v[name], b2, g, square=True)
+        denom = np.divide(v, v_corr)
+        denom += hyper.eps
+        np.sqrt(denom, out=denom)
+        new_p[name] = _step(w, gamma, m, m_corr, denom)
         new_m[name], new_v[name] = m, v
     return AdamState(new_m, new_v, k), new_p
+
+
+def _ema(old, beta, g, square=False):
+    """beta * old + (1 - beta) * g, times g again when ``square``, as a fresh array.
+
+    The operations run in the order of that plain expression, so the result
+    is bit-identical to it; ``old`` and ``g`` are left untouched.
+    """
+    new = np.multiply(old, beta)
+    term = np.multiply(g, 1.0 - beta)
+    if square:
+        term *= g
+    new += term
+    return new
+
+
+def _step(w, gamma, m, m_corr, denom):
+    """w - gamma * (m / m_corr) / denom as one fresh array, in that operation order."""
+    update = np.divide(m, m_corr)
+    update *= gamma
+    update /= denom
+    return np.subtract(w, update, out=update)
 
 
 def ste_grad(spec, params: ParamSet, plan: SparsityPlan, batch):
@@ -162,14 +187,15 @@ def _masked_phase_step(state, hyper, params, grads, frozen_denom: ParamSet | Non
     new_m, new_v, new_p = {}, {}, {}
     for name, w in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
-        m = b1 * state.m[name] + (1.0 - b1) * g
+        m = _ema(state.m[name], b1, g)
         if frozen_denom is None:
-            v = b2 * state.v[name] + (1.0 - b2) * g * g
-            denom = np.sqrt(v + hyper.eps)
+            v = _ema(state.v[name], b2, g, square=True)
+            denom = np.add(v, hyper.eps)
+            np.sqrt(denom, out=denom)
         else:
             v = state.v[name]
             denom = frozen_denom[name]
-        new_p[name] = w - gamma * (m / m_corr) / denom
+        new_p[name] = _step(w, gamma, m, m_corr, denom)
         new_m[name], new_v[name] = m, v
     return AdamState(new_m, new_v, k), new_p
 
@@ -236,8 +262,8 @@ def _packed_stats(v: ParamSet) -> tuple[float, float]:
     l1 = 0.0
     sq = 0.0
     for arr in v.values():
-        l1 += float(np.sum(np.abs(arr)))
-        sq += float(np.sum(np.square(arr)))
+        l1 += float(np.abs(arr).sum())
+        sq += float(np.square(arr).sum())
     return l1, math.sqrt(sq)
 
 
@@ -247,9 +273,12 @@ def _packed_change(v: ParamSet, v_prev: ParamSet) -> tuple[float, float]:
     total_log = 0.0
     count = 0
     for name, arr in v.items():
-        delta = np.abs(arr - v_prev[name])
-        total_abs += float(np.sum(delta))
-        total_log += float(np.sum(np.log(np.maximum(delta, GEOMETRIC_FLOOR))))
+        delta = np.subtract(arr, v_prev[name])
+        np.abs(delta, out=delta)
+        total_abs += float(delta.sum())
+        np.maximum(delta, GEOMETRIC_FLOOR, out=delta)
+        np.log(delta, out=delta)
+        total_log += float(delta.sum())
         count += delta.size
     return total_abs / count, math.exp(total_log / count)
 
@@ -350,6 +379,7 @@ def recipe_train(
                 AdamState(dict(state.m), dict(state.v), state.t),
             )
 
+    frozen_denom = None  # a parameter-sized set, not needed for the full-batch evaluation
     final_ratios = _effective_ratios(plan, recipe.decay, total_steps) if plan else {}
     final_masks = {name: compute_nm_mask(params[name], ratio) for name, ratio in final_ratios.items()}
     masked_params = dict(params)

@@ -1,14 +1,18 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from stepnm import harness, models
 from stepnm.autoswitch import SwitchCriterion
 from stepnm.cli import entry as cli_entry
 from stepnm.cli import main as cli_main
-from stepnm.errors import ConfigError
+from stepnm.errors import ConfigError, ToolkitError
 
 BASE_CONFIG = {
     "model": {"kind": "mlp_classifier", "layer_sizes": [2, 16, 2], "activation": "relu"},
@@ -354,3 +358,150 @@ class TestCSVDataConfig:
         config = harness.config_from_dict(doc)
         summary = harness.run(config, output_dir=tmp_path / "out")
         assert summary.switched_at == (20,)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestShippedCompareSwitchConfig:
+    def test_every_criterion_gets_a_metric(self, tmp_path):
+        config = dataclasses.replace(harness.load_config(CONFIGS / "compare_switch.yaml"),
+                                     seeds=(1,))
+        rows = harness.compare_switch(config, output_dir=tmp_path / "cmp")
+        criteria = harness.default_comparison_criteria(config.total_steps)
+        assert [r["criterion"] for r in rows] == [c.label() for c in criteria]
+        assert all(r["t0"] is not None and r["avg_change_metric"] is not None for r in rows)
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("jobs,tasks,cpus,expected", [
+        (1, 5, 8, 1), (4, 5, 8, 4), (10000, 3, 8, 3), (10000, 50, 2, 2),
+        (4, 1, 8, 1), (4, 0, 8, 1), (3, 5, None, 1),
+    ])
+    def test_clamp(self, jobs, tasks, cpus, expected):
+        assert harness.pool_size(jobs, tasks, cpus) == expected
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            harness.pool_size(jobs, 4, 4)
+
+    def test_run_rejects_jobs_before_writing(self, tmp_path):
+        path, _ = make_config(tmp_path, seeds=[1])
+        with pytest.raises(ConfigError, match="jobs"):
+            harness.run(harness.load_config(path), output_dir=tmp_path / "out", jobs=0)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["ablate", "--kind", "fixed_vs_updated_variance"]])
+    def test_cli_exits_2_on_jobs_zero(self, tmp_path, command):
+        path, _ = make_config(tmp_path, seeds=[1])
+        result = CliRunner().invoke(cli_main, command + ["--config", str(path), "--jobs", "0",
+                                                         "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "--jobs" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_parallel_ablation_matches_serial(self):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc.update(seeds=[1, 2], total_steps=60, switch={"kind": "fixed", "step": 20})
+        config = harness.config_from_dict(doc)
+        serial = harness.ablation("fixed_vs_updated_variance", config, jobs=1)
+        parallel = harness.ablation("fixed_vs_updated_variance", config, jobs=3)
+        assert serial == parallel
+
+
+class TestTypedInputErrors:
+    @pytest.mark.parametrize("overrides,key", [
+        ({"model": {"kind": "mlp_classifier", "layer_sizes": "ab"}}, "model.layer_sizes"),
+        ({"model": {"kind": "mlp_classifier", "layer_sizes": [2, "x", 2]}}, "model.layer_sizes"),
+        ({"seeds": 5}, "seeds"),
+        ({"seeds": [1, 2.5]}, "seeds"),
+        ({"total_steps": "many"}, "total_steps"),
+        ({"sparsity": ["fc2.weight"]}, "sparsity"),
+        ({"sparsity": {"fc2.weight": {"n": "one", "m": 4}}}, "sparsity.fc2.weight.n"),
+        ({"recipe": {"kind": "srste", "lam": "x"}}, "recipe.lam"),
+        ({"switch": {"kind": "fixed", "step": "soon"}}, "switch.step"),
+        ({"switch": {"kind": "relative", "threshold": "low"}}, "switch.threshold"),
+        ({"data": {"kind": "blobs", "n_samples": -4}}, "data.n_samples"),
+        ({"data": {"kind": "blobs", "batch_size": "big"}}, "data.batch_size"),
+    ])
+    def test_config_error(self, tmp_path, overrides, key):
+        path, _ = make_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            harness.load_config(path)
+
+    @pytest.mark.parametrize("ratio", [1e308, -0.5, 0.0, 1.5])
+    def test_step_ratio_outside_unit_interval(self, tmp_path, ratio):
+        path, _ = make_config(tmp_path, switch={"kind": "fixed", "step_ratio": ratio})
+        with pytest.raises(ConfigError, match="switch.step_ratio"):
+            harness.load_config(path).criterion()
+
+    @pytest.mark.parametrize("body,message", [
+        ("x0,x1,y0\n1.0,2.0,0\n3.0,0\n", "line 3"),
+        ("x0,x1,y0\n1.0,2.0,0\n3.0,abc,1\n", "non-numeric"),
+    ])
+    def test_csv_error(self, tmp_path, body, message):
+        path = tmp_path / "data.csv"
+        path.write_text(body)
+        with pytest.raises(ConfigError, match=message):
+            models.load_csv(path, n_targets=1)
+
+    @pytest.mark.parametrize("case", ["layer_sizes", "seeds", "ragged_csv", "text_csv"])
+    def test_cli_exits_2(self, tmp_path, monkeypatch, capsys, case):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("x0,x1,y0\n1.0,2.0,0\n" +
+                            ("3.0,0\n" if case == "ragged_csv" else "3.0,abc,1\n"))
+        overrides = {
+            "layer_sizes": {"model": {"kind": "mlp_classifier", "layer_sizes": "ab"}},
+            "seeds": {"seeds": 5},
+        }.get(case, {"data": {"kind": "csv", "path": str(csv_path), "batch_size": 1}})
+        path, _ = make_config(tmp_path, **overrides)
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path),
+                                         "--out", str(tmp_path / "out")])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# arbitrary YAML-like values to drop into any slot of a valid config
+_yaml_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats(allow_nan=True)
+    | st.sampled_from([0, -1, 0.5, 1.5, 1e308, -1e308, 2**64, "1e-08"]) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(doc, prefix=()):
+    """Paths to every value of a nested config document."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _slots(value, prefix + (key,))
+
+
+_FUZZ_BASE = {**json.loads(json.dumps(BASE_CONFIG)),
+              "ablation": {"precondition_ratios": [0.5], "decay": {"m": 4, "stage_boundaries": [60]}}}
+_FUZZ_SLOTS = sorted(_slots(_FUZZ_BASE))
+
+
+class TestConfigFuzz:
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(_FUZZ_SLOTS), _yaml_values), min_size=1, max_size=3))
+    def test_only_toolkit_errors(self, edits):
+        doc = json.loads(json.dumps(_FUZZ_BASE))
+        for path, value in edits:
+            section = doc
+            for key in path[:-1]:
+                if not isinstance(section.get(key), dict):
+                    break
+                section = section[key]
+            else:
+                section[path[-1]] = value
+        try:
+            config = harness.config_from_dict(doc)
+            config.hyper()
+            config.criterion()
+        except ToolkitError:
+            pass

@@ -91,6 +91,93 @@ class TestComputeMask:
             np.testing.assert_array_equal(mask, again)
 
 
+def sort_reference(weights, ratio):
+    """Mask from a lexicographic sort on (-|w|, slot), with NaN magnitudes last."""
+    w = np.asarray(weights, dtype=np.float64)
+    mags = np.abs(w).reshape(-1, ratio.m)
+    slots = np.broadcast_to(np.arange(ratio.m), mags.shape)
+    nan = np.isnan(mags)
+    order = np.lexsort((slots, -np.where(nan, 0.0, mags), nan), axis=-1)
+    mask = np.zeros(mags.shape)
+    np.put_along_axis(mask, order[:, : ratio.n], 1.0, axis=1)
+    return mask.reshape(w.shape)
+
+
+class TestRankAgainstSortReference:
+    """The sort-free rank against a sort, beyond the m <= 8 of the training configs."""
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32])
+    def test_every_n(self, m):
+        rng = np.random.default_rng(m)
+        w = rng.standard_normal((48, 4 * m))
+        quantized = np.round(w, 0)  # few distinct magnitudes: many ties
+        for n in range(1, m + 1):
+            ratio = NMRatio(n, m)
+            for x in (w, quantized):
+                np.testing.assert_array_equal(compute_nm_mask(x, ratio), sort_reference(x, ratio))
+
+    @pytest.mark.parametrize("n,m", [(2, 4), (1, 4), (3, 8), (7, 32)])
+    def test_1024_by_1024(self, n, m):
+        rng = np.random.default_rng(n * 100 + m)
+        w = rng.standard_normal((1024, 1024))
+        ratio = NMRatio(n, m)
+        mask = compute_nm_mask(w, ratio)
+        np.testing.assert_array_equal(mask, sort_reference(w, ratio))
+        assert mask_sparsity(mask) == 1 - n / m
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32])
+    def test_all_equal_groups_keep_the_first_n(self, m):
+        for value in (0.0, -0.0, 0.5, -2.0, np.inf):
+            for n in range(1, m + 1):
+                mask = compute_nm_mask(np.full((3, 2 * m), value), NMRatio(n, m))
+                expected = np.tile(np.arange(m) < n, (3, 2)).astype(float)
+                np.testing.assert_array_equal(mask, expected)
+
+    def test_signed_zeros_tie(self):
+        w = np.array([-0.0, 0.0, -0.0, 0.0, 0.0, -0.0, 1.0, -0.0])
+        mask = compute_nm_mask(w, NMRatio(2, 4))
+        np.testing.assert_array_equal(mask, [1, 1, 0, 0, 1, 0, 1, 0])
+        rng = np.random.default_rng(5)
+        signed = np.where(rng.random((16, 32)) < 0.5, -0.0, 0.0)
+        signed[rng.random((16, 32)) < 0.3] = 1.0
+        for n, m in [(1, 2), (2, 4), (3, 8), (5, 16), (9, 32)]:
+            ratio = NMRatio(n, m)
+            np.testing.assert_array_equal(compute_nm_mask(signed, ratio), sort_reference(signed, ratio))
+
+    def test_nan_ranks_below_every_number(self):
+        # a NaN in a later slot must not win: NaN compares false both ways
+        np.testing.assert_array_equal(
+            compute_nm_mask([1.0, 2.0, 3.0, np.nan], NMRatio(3, 4)), [1, 1, 1, 0])
+        np.testing.assert_array_equal(
+            compute_nm_mask([np.nan, 0.0, np.nan, -0.0], NMRatio(2, 4)), [0, 1, 0, 1])
+        np.testing.assert_array_equal(
+            compute_nm_mask([np.nan, 5.0, np.nan, 1.0], NMRatio(3, 4)), [1, 1, 0, 1])
+        # NaNs among themselves: lower index first
+        np.testing.assert_array_equal(
+            compute_nm_mask([np.nan] * 4, NMRatio(2, 4)), [1, 1, 0, 0])
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32])
+    def test_nan_and_inf_against_reference(self, m):
+        rng = np.random.default_rng(10 + m)
+        w = np.round(rng.standard_normal((32, 2 * m)), 0)
+        w[rng.random(w.shape) < 0.2] = np.nan
+        w[rng.random(w.shape) < 0.05] = -np.inf
+        for n in range(1, m + 1):
+            ratio = NMRatio(n, m)
+            mask = compute_nm_mask(w, ratio)
+            np.testing.assert_array_equal(mask, sort_reference(w, ratio))
+
+    def test_output_is_fresh_read_only_float64(self):
+        w = np.arange(32.0).reshape(8, 4)[:, ::-1]  # non-contiguous input
+        before = w.copy()
+        mask = compute_nm_mask(w, NMRatio(1, 4))
+        np.testing.assert_array_equal(mask, np.tile([1.0, 0, 0, 0], (8, 1)))
+        assert mask.dtype == np.float64 and mask.flags.c_contiguous
+        assert not mask.flags.writeable
+        np.testing.assert_array_equal(w, before)
+        np.testing.assert_array_equal(compute_nm_mask([3, 1, 2, 5], NMRatio(2, 4)), [1, 0, 0, 1])
+
+
 class TestApplyMask:
     def test_basic(self):
         np.testing.assert_array_equal(apply_mask([2.0, 3.0], [1.0, 0.0]), [2.0, 0.0])

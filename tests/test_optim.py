@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stepnm import models, optim
-from stepnm.autoswitch import SwitchCriterion
+from stepnm.autoswitch import GEOMETRIC_FLOOR, SwitchCriterion
 from stepnm.errors import ConfigError, NumericalError
 from stepnm.masks import DecaySchedule, NMRatio, SparsityPlan
 from stepnm.optim import AdamHyper, Recipe, adam_step, constant_lr, init_adam_state
@@ -93,6 +93,72 @@ class TestAdamStep:
         np.testing.assert_array_equal(state.m["w"], m_before)
         assert state.t == 0
         assert params["w"][0] == 1.0
+
+    def test_bitwise_equal_to_plain_expressions(self):
+        # the update writes into fresh buffers in place; every bit must match
+        # the plain numpy expression, and no input may change
+        rng = np.random.default_rng(11)
+        hyper = AdamHyper(beta1=0.85, beta2=0.995, eps=1e-7, lr_schedule=constant_lr(3e-3))
+        shapes = {"a": (64, 32), "b": (7,), "c": (1, 1)}
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        state = init_adam_state(params)
+        for k in range(1, 6):
+            grads = {n: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for n, s in shapes.items()}
+            before = [{n: a.copy() for n, a in d.items()} for d in (params, grads, state.m, state.v)]
+            new_state, new_params = adam_step(state, hyper, params, grads)
+            for d, copy in zip((params, grads, state.m, state.v), before):
+                for n in d:
+                    np.testing.assert_array_equal(d[n], copy[n])
+            b1, b2, gamma = 0.85, 0.995, 3e-3
+            for n, w in params.items():
+                g = grads[n]
+                m = b1 * state.m[n] + (1.0 - b1) * g
+                v = b2 * state.v[n] + (1.0 - b2) * g * g
+                p = w - gamma * (m / (1.0 - b1**k)) / np.sqrt(v / (1.0 - b2**k) + 1e-7)
+                assert new_state.m[n].tobytes() == m.tobytes()
+                assert new_state.v[n].tobytes() == v.tobytes()
+                assert new_params[n].tobytes() == p.tobytes()
+            state, params = new_state, new_params
+
+    def test_masked_phase_bitwise_equal_to_plain_expressions(self):
+        rng = np.random.default_rng(12)
+        hyper = AdamHyper(lr_schedule=constant_lr(2e-3))
+        params = {"a": rng.standard_normal((16, 8)), "b": rng.standard_normal(8)}
+        state = optim.AdamState(
+            m={n: rng.standard_normal(w.shape) * 1e-2 for n, w in params.items()},
+            v={n: rng.random(w.shape) * 1e-3 for n, w in params.items()}, t=9)
+        grads = {n: rng.standard_normal(w.shape) for n, w in params.items()}
+        frozen = {n: np.sqrt(v + 1e-8) for n, v in state.v.items()}
+        before = {n: (params[n].copy(), state.m[n].copy(), state.v[n].copy()) for n in params}
+        for denom in (frozen, None):
+            new_state, new_params = optim._masked_phase_step(state, hyper, params, grads, denom)
+            for n, w in params.items():
+                g = grads[n]
+                m = 0.9 * state.m[n] + (1.0 - 0.9) * g
+                v = state.v[n] if denom else 0.999 * state.v[n] + (1.0 - 0.999) * g * g
+                p = w - 2e-3 * (m / (1.0 - 0.9**10)) / np.sqrt(v + 1e-8)
+                assert new_state.m[n].tobytes() == m.tobytes()
+                assert new_state.v[n].tobytes() == v.tobytes()
+                assert new_params[n].tobytes() == p.tobytes()
+                np.testing.assert_array_equal(params[n], before[n][0])
+                np.testing.assert_array_equal(state.m[n], before[n][1])
+                np.testing.assert_array_equal(state.v[n], before[n][2])
+
+    def test_variance_statistics_bitwise(self):
+        rng = np.random.default_rng(13)
+        v = {"a": rng.random((32, 16)) * 1e-4, "b": rng.random(5) * 1e-9}
+        prev = {"a": v["a"].copy(), "b": rng.random(5) * 1e-9}
+        prev["a"][:4] *= 0.5
+        z, z_geom = optim._packed_change(v, prev)
+        deltas = [np.abs(v[n] - prev[n]) for n in v]
+        count = sum(d.size for d in deltas)
+        assert z == sum(float(np.sum(d)) for d in deltas) / count
+        logs = sum(float(np.sum(np.log(np.maximum(d, GEOMETRIC_FLOOR)))) for d in deltas)
+        assert z_geom == math.exp(logs / count)
+        np.testing.assert_array_equal(prev["a"][4:], v["a"][4:])  # inputs kept
+        l1, l2 = optim._packed_stats(v)
+        assert l1 == sum(float(np.sum(np.abs(a))) for a in v.values())
+        assert l2 == math.sqrt(sum(float(np.sum(np.square(a))) for a in v.values()))
 
     def test_v_nonnegative_over_run(self):
         rng = np.random.default_rng(5)
