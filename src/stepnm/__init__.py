@@ -1,12 +1,11 @@
 """Learning N:M structured sparsity masks under Adam.
 
-A desk-scale toolkit: dense tensors with grouped views, small differentiable
-models, N:M mask computation, the two-phase preconditioned training recipe
-with automatic phase switching, and a Monte Carlo validator for the variance
-concentration bound.
+A desk-scale toolkit: small differentiable models, N:M mask computation, the
+two-phase preconditioned training recipe with automatic phase switching, and
+a Monte Carlo validator for the variance concentration bound.
 """
 
-from . import autoswitch, harness, masks, models, optim, tensor, theory
+from . import autoswitch, harness, masks, models, optim, theory
 
 __version__ = "0.1.0"
 
@@ -16,7 +15,6 @@ __all__ = [
     "masks",
     "models",
     "optim",
-    "tensor",
     "theory",
     "__version__",
 ]

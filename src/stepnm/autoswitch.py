@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError, RangeError, StateError
+from .errors import ConfigError, DomainError, RangeError, StateError
 
 SAMPLER_OPTIONS = ("arithmetic", "geometric")
 CRITERION_KINDS = ("autoswitch", "relative", "staleness", "fixed")
@@ -37,23 +37,27 @@ def mixing_window(beta2: float) -> int:
     return max(1, int(math.floor(1.0 / (1.0 - beta2) + 1e-9)))
 
 
-def variance_change_sample(v_t, v_prev, option: str = "arithmetic") -> float:
-    """Scalar sample of the per-coordinate variance change between two steps.
+def variance_stats(v: dict, v_prev: dict) -> tuple[float, float, float, float]:
+    """Per-step variance statistics over every parameter: (z, z_geom, v_l1, v_l2).
 
-    The arithmetic option is the mean absolute coordinate change; the
-    geometric option is the geometric mean of absolute changes, floored at
-    a tiny constant so zero changes stay defined.
+    z is the mean absolute per-coordinate change from ``v_prev`` to ``v``;
+    z_geom is the geometric mean of those changes, floored at a tiny constant
+    so zero changes stay defined; v_l1 and v_l2 are the norms of ``v``.  Each
+    sum is accumulated per array as a Python float; the inputs are untouched.
     """
-    a = np.asarray(v_t, dtype=np.float64)
-    b = np.asarray(v_prev, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    delta = np.abs(a - b)
-    if option == "arithmetic":
-        return float(delta.mean())
-    if option == "geometric":
-        return float(np.exp(np.mean(np.log(np.maximum(delta, GEOMETRIC_FLOOR)))))
-    raise DomainError(f"unknown sampler option {option!r}")
+    total_abs = total_log = l1 = sq = 0.0
+    count = 0
+    for name, arr in v.items():
+        delta = np.subtract(arr, v_prev[name])
+        np.abs(delta, out=delta)
+        total_abs += float(delta.sum())
+        np.maximum(delta, GEOMETRIC_FLOOR, out=delta)
+        np.log(delta, out=delta)
+        total_log += float(delta.sum())
+        count += delta.size
+        l1 += float(np.abs(arr).sum())
+        sq += float(np.square(arr).sum())
+    return total_abs / count, math.exp(total_log / count), l1, math.sqrt(sq)
 
 
 @dataclass
@@ -265,30 +269,14 @@ def evaluate_offline(criterion: SwitchCriterion, stats_seq, beta2: float, eps: f
 # ---------------------------------------------------------------------------
 
 
-def avg_change_metric(v_by_step, t0: int) -> float:
+def avg_change_metric_from_diffs(l1_diffs_by_step, t0: int) -> float:
     """Scaled total l1 variance change over the 1001 steps following t0.
 
-    ``v_by_step[t]`` is the variance tensor after step t (index 0 holds the
-    initial all-zero variance).  The sum runs from t0 to t0 + 1000 inclusive,
-    as the comparison is defined, so it covers 1001 one-step differences
-    against the 1e-3 scale.
+    Entry t of ``l1_diffs_by_step`` is ||v_t - v_{t-1}||_1 (entry 0 is
+    unused).  The sum runs over the changes from v_t0 to v_{t0 + 1001}, as
+    the comparison is defined, so it covers 1001 one-step differences against
+    the 1e-3 scale.
     """
-    if t0 < 0:
-        raise RangeError("t0 must be >= 0")
-    if len(v_by_step) <= t0 + 1001:
-        raise RangeError(
-            f"trajectory must contain steps up to {t0 + 1001}, has {len(v_by_step) - 1}"
-        )
-    total = 0.0
-    for t in range(t0, t0 + 1001):
-        a = np.asarray(v_by_step[t + 1], dtype=np.float64)
-        b = np.asarray(v_by_step[t], dtype=np.float64)
-        total += float(np.sum(np.abs(a - b)))
-    return 1e-3 * total
-
-
-def avg_change_metric_from_diffs(l1_diffs_by_step, t0: int) -> float:
-    """Same metric from recorded l1 changes, where entry t is ||v_t - v_{t-1}||_1."""
     if t0 < 0:
         raise RangeError("t0 must be >= 0")
     if len(l1_diffs_by_step) <= t0 + 1001:

@@ -122,14 +122,14 @@ def validate_theorem_cmd(stream, bound_g, dim, level, p, sigma, beta2, t0, t, de
 @click.option("--kind", type=click.Choice(models.MODEL_KINDS), default="mlp_classifier", show_default=True)
 @click.option("--layer-sizes", default="3,5,3", show_default=True)
 @click.option("--activation", type=click.Choice(models.ACTIVATIONS), default="tanh", show_default=True)
-@click.option("--batch", type=int, default=8, show_default=True)
-@click.option("--instances", type=int, default=20, show_default=True)
+@click.option("--batch", type=click.IntRange(min=1), default=8, show_default=True)
+@click.option("--instances", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--h", type=float, default=1e-5, show_default=True)
 @click.option("--tol", type=float, default=1e-5, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def fd_check_cmd(kind, layer_sizes, activation, batch, instances, h, tol, seed):
     """Finite-difference check of the gradient engine on random instances."""
-    sizes = tuple(int(s) for s in layer_sizes.split(","))
+    sizes = harness._each(harness._int, layer_sizes.split(","), "--layer-sizes")
     spec = models.ModelSpec(kind=kind, layer_sizes=sizes, activation=activation)
     rng = np.random.default_rng(seed)
     worst = 0.0

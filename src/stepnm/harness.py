@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import models, optim
+from . import models
 from .autoswitch import (
     SwitchCriterion,
     StepStats,
@@ -106,6 +106,10 @@ class DataConfig:
     n_targets: int = 1
 
     def __post_init__(self):
+        if self.kind not in ("regression", "blobs", "csv"):
+            raise ConfigError(f"unknown data kind {self.kind!r}")
+        if self.kind == "csv" and not self.path:
+            raise ConfigError("csv data needs a path")
         for key in ("n_samples", "n_features", "n_classes", "batch_size", "n_targets"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"data.{key} must be >= 1, got {getattr(self, key)}")
@@ -188,8 +192,7 @@ class ExperimentConfig:
     data: DataConfig
     optimizer: OptimizerConfig
     plan: SparsityPlan
-    recipe_kind: str
-    lam: float
+    recipe: Recipe
     switch: SwitchConfig | None
     total_steps: int
     seeds: tuple[int, ...]
@@ -230,10 +233,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     d = _take(doc["data"], "data", required=("kind",),
               optional=("n_samples", "n_features", "n_classes", "noise_std",
                         "seed", "batch_size", "path", "n_targets"))
-    if d["kind"] not in ("regression", "blobs", "csv"):
-        raise ConfigError(f"unknown data kind {d['kind']!r}")
-    if d["kind"] == "csv" and not d.get("path"):
-        raise ConfigError("csv data needs a path")
     data = DataConfig(**{
         key: _coerce_data(key, value) for key, value in d.items()
     })
@@ -254,13 +253,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         r = _take(ratio, key, required=("n", "m"))
         plan_ratios[str(layer)] = NMRatio(_int(r["n"], f"{key}.n"), _int(r["m"], f"{key}.m"))
     plan = SparsityPlan(plan_ratios)
-
-    r = _take(doc["recipe"], "recipe", required=("kind",), optional=("lam",))
-    if r["kind"] not in optim.RECIPE_KINDS:
-        raise ConfigError(f"unknown recipe kind {r['kind']!r}")
-    lam = _number(r.get("lam", 0.0), "recipe.lam")
-    if lam != 0.0 and r["kind"] != "srste":
-        raise ConfigError("recipe.lam only applies to the srste recipe")
 
     switch = None
     if doc.get("switch") is not None:
@@ -294,9 +286,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             decay_m=decay_m, decay_boundaries=decay_boundaries,
         )
 
+    r = _take(doc["recipe"], "recipe", required=("kind",), optional=("lam",))
+    decay = None
+    if ablation.decay_m is not None and r["kind"] != "dense":
+        decay = DecaySchedule(ablation.decay_m, ablation.decay_boundaries)
+    recipe = Recipe(r["kind"], _number(r.get("lam", 0.0), "recipe.lam"), decay)
+
     return ExperimentConfig(
-        model=spec, data=data, optimizer=optimizer, plan=plan,
-        recipe_kind=r["kind"], lam=lam, switch=switch,
+        model=spec, data=data, optimizer=optimizer, plan=plan, recipe=recipe, switch=switch,
         total_steps=_int(doc["total_steps"], "total_steps"),
         seeds=_each(_int, doc["seeds"], "seeds"),
         output_dir=str(doc.get("output_dir", "runs")),
@@ -353,7 +350,7 @@ def _train_for_config(config: ExperimentConfig, seed: int, recipe: Recipe | None
     worker process.
     """
     if recipe is None:
-        recipe = Recipe(kind=config.recipe_kind, lam=config.lam, decay=_decay_of(config))
+        recipe = config.recipe
         criterion = config.criterion()
     dataset = config.data.build(config.model.kind)
     return recipe_train(
@@ -380,12 +377,6 @@ def _map_tasks(fn, tasks: list[tuple], workers: int) -> list:
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return list(pool.map(fn, *zip(*tasks)))
-
-
-def _decay_of(config: ExperimentConfig) -> DecaySchedule | None:
-    if config.ablation.decay_m is None or config.recipe_kind == "dense":
-        return None
-    return DecaySchedule(config.ablation.decay_m, config.ablation.decay_boundaries)
 
 
 @dataclass(frozen=True)

@@ -195,8 +195,8 @@ def finite_difference_check(
     the two magnitudes, floored at one so near-zero coordinates are judged on
     absolute error.  Offenders above ``tol`` are listed by (name, flat index).
     """
-    if h <= 0:
-        raise DomainError("finite-difference step h must be positive")
+    if not (h > 0 and np.isfinite(h)):
+        raise DomainError(f"finite-difference step h must be positive and finite, got {h}")
     analytic = grad(spec, params, batch)
     max_rel = 0.0
     offenders: list[tuple[str, int, float]] = []

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .autoswitch import GEOMETRIC_FLOOR, StepStats, SwitchCriterion, make_detector
+from .autoswitch import StepStats, SwitchCriterion, make_detector, variance_stats
 from .errors import ConfigError, DimensionError, NumericalError
 from .masks import DecaySchedule, NMRatio, SparsityPlan, apply_mask, compute_nm_mask, mask_sparsity
 
@@ -33,16 +33,16 @@ def constant_lr(gamma: float) -> LRSchedule:
     return lambda t: gamma
 
 
-def cosine_lr(gamma: float, total_steps: int, floor: float = 0.0) -> LRSchedule:
-    """Cosine decay from gamma to floor over total_steps."""
-    if gamma <= 0 or floor < 0 or floor >= gamma:
-        raise ConfigError("cosine schedule needs gamma > floor >= 0")
+def cosine_lr(gamma: float, total_steps: int) -> LRSchedule:
+    """Cosine decay from gamma to 0 over total_steps."""
+    if gamma <= 0:
+        raise ConfigError("cosine schedule needs gamma > 0")
     if total_steps < 1:
         raise ConfigError("cosine schedule needs total_steps >= 1")
 
     def schedule(t: int) -> float:
         frac = min(max(t, 0), total_steps) / total_steps
-        return floor + 0.5 * (gamma - floor) * (1.0 + math.cos(math.pi * frac))
+        return 0.5 * gamma * (1.0 + math.cos(math.pi * frac))
 
     return schedule
 
@@ -92,27 +92,37 @@ def _check_grads(params: ParamSet, grads: ParamSet, step: int) -> None:
             raise NumericalError(f"non-finite gradient for {name!r} at step {step}")
 
 
-def adam_step(state: AdamState, hyper: AdamHyper, params: ParamSet, grads: ParamSet):
+def adam_step(state: AdamState, hyper: AdamHyper, params: ParamSet, grads: ParamSet,
+              frozen_denom: ParamSet | None = None, bias_correct_v: bool = True):
     """One Adam update; returns new (state, params) without mutating the inputs.
 
     Bias correction divides by 1 - beta**k where k counts the gradients
     accumulated so far, so the first step divides by 1 - beta (never zero).
-    Epsilon sits inside the square root.
+    Epsilon sits inside the square root.  The denominator is one of three:
+
+    * sqrt(v / (1 - beta2**k) + eps) with the running v (the dense update);
+    * sqrt(v + eps) with the raw running v when ``bias_correct_v`` is False
+      (the masked phase of step_updated_variance);
+    * ``frozen_denom``, sqrt(v* + eps) per parameter computed once at the
+      switch, in which case the accumulator is left untouched (step).
     """
     k = state.t + 1
     _check_grads(params, grads, k)
     gamma = hyper.lr_schedule(state.t)
     b1, b2 = hyper.beta1, hyper.beta2
     m_corr = 1.0 - b1**k
-    v_corr = 1.0 - b2**k
+    v_corr = 1.0 - b2**k if bias_correct_v else 1.0  # v / 1.0 is exact
     new_m, new_v, new_p = {}, {}, {}
     for name, w in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         m = _ema(state.m[name], b1, g)
-        v = _ema(state.v[name], b2, g, square=True)
-        denom = np.divide(v, v_corr)
-        denom += hyper.eps
-        np.sqrt(denom, out=denom)
+        if frozen_denom is None:
+            v = _ema(state.v[name], b2, g, square=True)
+            denom = np.divide(v, v_corr)
+            denom += hyper.eps
+            np.sqrt(denom, out=denom)
+        else:
+            v, denom = state.v[name], frozen_denom[name]
         new_p[name] = _step(w, gamma, m, m_corr, denom)
         new_m[name], new_v[name] = m, v
     return AdamState(new_m, new_v, k), new_p
@@ -140,26 +150,15 @@ def _step(w, gamma, m, m_corr, denom):
     return np.subtract(w, update, out=update)
 
 
-def ste_grad(spec, params: ParamSet, plan: SparsityPlan, batch):
-    """Dense gradient evaluated at the masked point (straight-through).
+def ste_loss_and_grad(spec, params: ParamSet, ratios, batch, lam: float = 0.0):
+    """Straight-through loss and gradient at the masked point; returns (grads, masks, loss).
 
-    The forward pass sees mask * weights for every planned layer; the
+    ``ratios`` maps layer names to N:M ratios (a dict or a SparsityPlan).
+    The forward pass sees mask * weights for every listed layer; the
     returned gradients are exactly the gradients at that masked point,
-    applied to all coordinates.  Also returns the masks used.
+    applied to all coordinates.  With lam > 0 (SR-STE) they also get
+    lam * (1 - mask) * weights on the listed layers.
     """
-    grads, masks, _ = _ste_loss_and_grad(spec, params, dict(plan.items()), batch)
-    return grads, masks
-
-
-def srste_grad(spec, params: ParamSet, plan: SparsityPlan, batch, lam: float):
-    """STE gradient plus lam * (1 - mask) * weights on planned layers."""
-    if lam < 0:
-        raise ConfigError("the sparse-refinement coefficient lam must be >= 0")
-    grads, masks, _ = _ste_loss_and_grad(spec, params, dict(plan.items()), batch, lam=lam)
-    return grads, masks
-
-
-def _ste_loss_and_grad(spec, params, ratios: dict[str, NMRatio], batch, lam: float = 0.0):
     masks = {name: compute_nm_mask(params[name], ratio) for name, ratio in ratios.items()}
     masked = dict(params)
     for name, mask in masks.items():
@@ -170,34 +169,6 @@ def _ste_loss_and_grad(spec, params, ratios: dict[str, NMRatio], batch, lam: flo
         for name, mask in masks.items():
             grads[name] = grads[name] + lam * (1.0 - mask) * np.asarray(params[name])
     return grads, masks, loss
-
-
-def _masked_phase_step(state, hyper, params, grads, frozen_denom: ParamSet | None):
-    """Mask-learning update: momentum as usual, raw variance in the denominator.
-
-    ``frozen_denom`` holds sqrt(v_star + eps) per parameter, computed once at
-    the switch; the accumulator is then left untouched.  With None the
-    accumulator keeps running and its current raw value scales the step.
-    """
-    k = state.t + 1
-    _check_grads(params, grads, k)
-    gamma = hyper.lr_schedule(state.t)
-    b1, b2 = hyper.beta1, hyper.beta2
-    m_corr = 1.0 - b1**k
-    new_m, new_v, new_p = {}, {}, {}
-    for name, w in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        m = _ema(state.m[name], b1, g)
-        if frozen_denom is None:
-            v = _ema(state.v[name], b2, g, square=True)
-            denom = np.add(v, hyper.eps)
-            np.sqrt(denom, out=denom)
-        else:
-            v = state.v[name]
-            denom = frozen_denom[name]
-        new_p[name] = _step(w, gamma, m, m_corr, denom)
-        new_m[name], new_v[name] = m, v
-    return AdamState(new_m, new_v, k), new_p
 
 
 @dataclass(frozen=True)
@@ -258,31 +229,6 @@ def _effective_ratios(plan: SparsityPlan, decay: DecaySchedule | None, step: int
     return {name: ratio for name, _ in plan.items()}
 
 
-def _packed_stats(v: ParamSet) -> tuple[float, float]:
-    l1 = 0.0
-    sq = 0.0
-    for arr in v.values():
-        l1 += float(np.abs(arr).sum())
-        sq += float(np.square(arr).sum())
-    return l1, math.sqrt(sq)
-
-
-def _packed_change(v: ParamSet, v_prev: ParamSet) -> tuple[float, float]:
-    """Arithmetic and geometric per-coordinate change samples over all parameters."""
-    total_abs = 0.0
-    total_log = 0.0
-    count = 0
-    for name, arr in v.items():
-        delta = np.subtract(arr, v_prev[name])
-        np.abs(delta, out=delta)
-        total_abs += float(delta.sum())
-        np.maximum(delta, GEOMETRIC_FLOOR, out=delta)
-        np.log(delta, out=delta)
-        total_log += float(delta.sum())
-        count += delta.size
-    return total_abs / count, math.exp(total_log / count)
-
-
 def recipe_train(
     spec: models.ModelSpec,
     dataset: models.Dataset,
@@ -337,23 +283,18 @@ def recipe_train(
 
         if in_masked_phase and plan:
             ratios = _effective_ratios(plan, recipe.decay, t)
-            lam = recipe.lam if recipe.kind == "srste" else 0.0
-            grads, _, loss = _ste_loss_and_grad(spec, params, ratios, batch, lam=lam)
+            grads, _, loss = ste_loss_and_grad(spec, params, ratios, batch, lam=recipe.lam)
         else:
             loss, grads = models.loss_and_grad(spec, params, batch)
 
-        if two_phase and switched_at is not None:
-            state, params = _masked_phase_step(state, hyper, params, grads, frozen_denom)
-            v_changed = frozen_denom is None
-        else:
-            state, params = adam_step(state, hyper, params, grads)
-            v_changed = True
+        # after the switch the masked phase divides by the raw variance
+        state, params = adam_step(state, hyper, params, grads, frozen_denom,
+                                  bias_correct_v=switched_at is None)
 
         z = z_geom = z_bar = None
-        if v_changed:
+        if frozen_denom is None:
             # a frozen variance keeps the statistics of the step that froze it
-            z, z_geom = _packed_change(state.v, prev_v)
-            v_l1, v_l2 = _packed_stats(state.v)
+            z, z_geom, v_l1, v_l2 = variance_stats(state.v, prev_v)
 
         fired_now = None
         if detector is not None and switched_at is None:

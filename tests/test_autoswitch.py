@@ -10,16 +10,15 @@ from stepnm.autoswitch import (
     SwitchCriterion,
     WindowSampler,
     autoswitch_decide,
-    avg_change_metric,
     avg_change_metric_from_diffs,
     evaluate_offline,
     make_detector,
     mixing_window,
     relative_criterion,
     staleness_criterion,
-    variance_change_sample,
+    variance_stats,
 )
-from stepnm.errors import ConfigError, DimensionError, DomainError, RangeError, StateError
+from stepnm.errors import ConfigError, DomainError, RangeError, StateError
 
 
 class TestMixingWindow:
@@ -40,26 +39,19 @@ class TestMixingWindow:
 
 class TestVarianceChangeSample:
     def test_arithmetic(self):
-        z = variance_change_sample([0.002, 0.001], [0.001, 0.004])
+        z, _, _, _ = variance_stats({"w": np.array([0.002, 0.001])}, {"w": np.array([0.001, 0.004])})
         assert math.isclose(z, 0.002, rel_tol=1e-15)
 
     def test_equal_coordinates_both_options(self):
-        v_prev = np.array([1.0, 2.0, 3.0])
-        v = v_prev + 0.005
-        assert math.isclose(variance_change_sample(v, v_prev, "arithmetic"), 0.005, rel_tol=1e-12)
-        assert math.isclose(variance_change_sample(v, v_prev, "geometric"), 0.005, rel_tol=1e-12)
+        v_prev = {"a": np.array([1.0, 2.0]), "b": np.array([[3.0]])}
+        v = {name: arr + 0.005 for name, arr in v_prev.items()}
+        z, z_geom, _, _ = variance_stats(v, v_prev)
+        assert math.isclose(z, 0.005, rel_tol=1e-12)
+        assert math.isclose(z_geom, 0.005, rel_tol=1e-12)
 
     def test_geometric_floor(self):
-        z = variance_change_sample([1.0, 1.004], [1.0, 1.0], "geometric")
-        assert math.isclose(z, math.sqrt(GEOMETRIC_FLOOR * 0.004), rel_tol=1e-9)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            variance_change_sample([1.0], [1.0, 2.0])
-
-    def test_unknown_option(self):
-        with pytest.raises(DomainError):
-            variance_change_sample([1.0], [1.0], "harmonic")
+        _, z_geom, _, _ = variance_stats({"w": np.array([1.0, 1.004])}, {"w": np.array([1.0, 1.0])})
+        assert math.isclose(z_geom, math.sqrt(GEOMETRIC_FLOOR * 0.004), rel_tol=1e-9)
 
 
 class TestWindowSampler:
@@ -235,6 +227,8 @@ class TestSwitchCriterionValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             SwitchCriterion(kind="oracle")
+        with pytest.raises(ConfigError):  # and an unknown sampler option
+            SwitchCriterion(kind="autoswitch", option="harmonic")
 
     def test_fixed_needs_step(self):
         with pytest.raises(ConfigError):
@@ -250,39 +244,48 @@ class TestSwitchCriterionValidation:
         assert "0.96" in SwitchCriterion(kind="staleness").label()
 
 
+def _l1_diffs(v_by_step):
+    """Entry t is ||v_t - v_{t-1}||_1 as the profile records it: z times the size."""
+    diffs = [0.0]
+    for t in range(1, len(v_by_step)):
+        z, _, _, _ = variance_stats({"v": v_by_step[t]}, {"v": v_by_step[t - 1]})
+        diffs.append(z * v_by_step[t].size)
+    return diffs
+
+
 class TestAvgChangeMetric:
     def test_constant_change_recovers_rate(self):
         # each step changes one coordinate by c in l1: 1001 terms * c * 1e-3
         c = 0.004
-        v_by_step = [np.array([c * t]) for t in range(0, 1200)]
-        metric = avg_change_metric(v_by_step, t0=50)
+        metric = avg_change_metric_from_diffs([0.0] + [c] * 1199, t0=50)
         assert math.isclose(metric, 1.001 * c, rel_tol=1e-9)
 
     def test_frozen_variance_gives_zero(self):
         v_by_step = [np.array([1.0, 2.0])] * 1200
-        assert avg_change_metric(v_by_step, t0=10) == 0.0
+        assert avg_change_metric_from_diffs(_l1_diffs(v_by_step), t0=10) == 0.0
 
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(0)
-        vals = np.cumsum(rng.random(1200))
-        v_by_step = [np.array([v]) for v in vals]
-        scaled = [3.0 * v for v in v_by_step]
-        m1 = avg_change_metric(v_by_step, t0=5)
-        m2 = avg_change_metric(scaled, t0=5)
+        diffs = [0.0] + list(rng.random(1199))
+        m1 = avg_change_metric_from_diffs(diffs, t0=5)
+        m2 = avg_change_metric_from_diffs([3.0 * d for d in diffs], t0=5)
         assert math.isclose(m2, 3.0 * m1, rel_tol=1e-12)
 
     def test_too_short_raises(self):
         with pytest.raises(RangeError):
-            avg_change_metric([np.zeros(1)] * 500, t0=0)
+            avg_change_metric_from_diffs([0.0] * 500, t0=0)
+        with pytest.raises(RangeError):
+            avg_change_metric_from_diffs([0.0] * 2000, t0=-1)
 
     def test_diffs_variant_agrees(self):
+        # the metric over recorded statistics equals the direct sum of
+        # ||v_{t+1} - v_t||_1 for t = t0 .. t0 + 1000 over the variance itself
         rng = np.random.default_rng(1)
-        vals = np.abs(np.cumsum(rng.standard_normal(1300)))
-        v_by_step = [np.array([v]) for v in vals]
-        diffs = [0.0] + [abs(vals[t] - vals[t - 1]) for t in range(1, len(vals))]
-        a = avg_change_metric(v_by_step, t0=100)
-        b = avg_change_metric_from_diffs(diffs, t0=100)
-        assert math.isclose(a, b, rel_tol=1e-12)
+        v_by_step = list(np.abs(np.cumsum(rng.standard_normal((1300, 3)), axis=0)))
+        direct = 1e-3 * sum(float(np.sum(np.abs(v_by_step[t + 1] - v_by_step[t])))
+                            for t in range(100, 1101))
+        metric = avg_change_metric_from_diffs(_l1_diffs(v_by_step), t0=100)
+        assert math.isclose(metric, direct, rel_tol=1e-12)
 
     def test_diffs_variant_too_short(self):
         with pytest.raises(RangeError):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -8,8 +9,9 @@ import yaml
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from stepnm import harness, models
+from stepnm import harness, models, optim, theory
 from stepnm.autoswitch import SwitchCriterion
+from stepnm.masks import DecaySchedule
 from stepnm.cli import entry as cli_entry
 from stepnm.cli import main as cli_main
 from stepnm.errors import ConfigError, ToolkitError
@@ -91,6 +93,28 @@ class TestConfigParsing:
         path, _ = make_config(tmp_path, switch={"kind": "fixed", "step_ratio": 0.25})
         config = harness.load_config(path)
         assert config.criterion().step == 30
+
+
+class TestRecipeConfig:
+    def test_recipe_built_at_load(self, tmp_path):
+        decay = {"decay": {"m": 4, "stage_boundaries": [60]}}
+        path, _ = make_config(tmp_path, ablation=decay)
+        assert harness.load_config(path).recipe == optim.Recipe("step", decay=DecaySchedule(4, (60,)))
+        path, _ = make_config(tmp_path, recipe={"kind": "dense"}, ablation=decay)
+        assert harness.load_config(path).recipe == optim.Recipe("dense")
+        path, _ = make_config(tmp_path, recipe={"kind": "srste", "lam": 0.01})
+        assert harness.load_config(path).recipe == optim.Recipe("srste", lam=0.01)
+
+    @pytest.mark.parametrize("recipe", [{"kind": "srste", "lam": -0.1}, {"kind": "ste", "lam": 0.1}])
+    def test_bad_lam_fails_at_load(self, tmp_path, recipe):
+        path, _ = make_config(tmp_path, recipe=recipe)
+        with pytest.raises(ConfigError, match="lam"):
+            harness.load_config(path)
+
+    def test_unknown_data_kind(self, tmp_path):
+        path, _ = make_config(tmp_path, data={"kind": "images"})
+        with pytest.raises(ConfigError, match="images"):
+            harness.load_config(path)
 
 
 class TestOptimizerNumbers:
@@ -317,6 +341,22 @@ class TestCLI:
         assert result.exit_code == 0, result.output
         assert "worst max_rel_error" in result.output
 
+    @pytest.mark.parametrize("flag", ["--batch", "--instances"])
+    def test_fd_check_rejects_zero_counts(self, flag):
+        result = CliRunner().invoke(cli_main, ["fd-check", flag, "0"])
+        assert result.exit_code == 2
+        assert flag in result.output
+        assert "ok" not in result.output
+
+    def test_fd_check_rejects_non_integer_layer_sizes(self, monkeypatch, capsys):
+        result = CliRunner().invoke(cli_main, ["fd-check", "--layer-sizes", "a,b"])
+        assert isinstance(result.exception, ConfigError)
+        monkeypatch.setattr("sys.argv", ["stepnm", "fd-check", "--layer-sizes", "a,b"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert "--layer-sizes[0]" in capsys.readouterr().err
+
     def test_ablate_command(self, tmp_path):
         doc = json.loads(json.dumps(BASE_CONFIG))
         doc.update(seeds=[1], total_steps=60, switch={"kind": "fixed", "step": 20})
@@ -505,3 +545,48 @@ class TestConfigFuzz:
             config.criterion()
         except ToolkitError:
             pass
+
+
+class TestBenchmarkHooks:
+    """perfbench/child.py times a run by rebinding these attributes by name."""
+
+    def test_wrapped_attributes_exist(self):
+        wrapped = [
+            (models, "batch_iterator"), (models, "loss_and_grad"), (models, "forward_loss"),
+            (optim, "compute_nm_mask"), (optim, "adam_step"), (optim, "make_detector"),
+            (harness, "write_trajectory"), (harness, "load_config"), (harness.DataConfig, "build"),
+            (harness, "recipe_train"), (theory.StationaryStream, "draw"),
+            (theory, "validate_theorem"),
+        ]
+        for owner, name in wrapped:
+            assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
+
+    def test_bound_parameter_names(self):
+        def params(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert {"dataset", "seed", "total_steps"} <= set(params(harness.recipe_train))
+        assert {"trials", "t"} <= set(params(theory.validate_theorem))
+        assert params(models.loss_and_grad)[0] == "spec"
+        assert params(models.loss_and_grad)[2] == "batch"
+        assert params(optim.compute_nm_mask)[0] == "weights"
+        assert params(harness.write_trajectory)[1] == "result"
+
+    def test_callers_look_them_up_at_call_time(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+        for owner, name in [(models, "batch_iterator"), (models, "loss_and_grad"),
+                            (models, "forward_loss"), (optim, "compute_nm_mask"),
+                            (optim, "adam_step"), (optim, "make_detector"),
+                            (harness, "write_trajectory"), (harness, "recipe_train")]:
+            spy(owner, name)
+        path, _ = make_config(tmp_path, seeds=[1], total_steps=4,
+                              switch={"kind": "fixed", "step": 2})
+        harness.run(harness.load_config(path), output_dir=tmp_path / "out")
+        assert set(calls) == {"batch_iterator", "loss_and_grad", "forward_loss", "compute_nm_mask",
+                              "adam_step", "make_detector", "write_trajectory", "recipe_train"}
+        assert calls.count("adam_step") == 4  # one update call per step, in both phases

@@ -310,8 +310,9 @@ class TestFiniteDifference:
     def test_bad_h(self):
         spec = mlp()
         params = models.init_params(spec, 0)
-        with pytest.raises(DomainError):
-            models.finite_difference_check(spec, params, random_batch(spec, 4, 0), h=0.0)
+        for h in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                models.finite_difference_check(spec, params, random_batch(spec, 4, 0), h=h)
 
 
 class TestCSV:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stepnm import models, optim
-from stepnm.autoswitch import GEOMETRIC_FLOOR, SwitchCriterion
+from stepnm.autoswitch import GEOMETRIC_FLOOR, SwitchCriterion, variance_stats
 from stepnm.errors import ConfigError, NumericalError
 from stepnm.masks import DecaySchedule, NMRatio, SparsityPlan
 from stepnm.optim import AdamHyper, Recipe, adam_step, constant_lr, init_adam_state
@@ -121,6 +121,8 @@ class TestAdamStep:
             state, params = new_state, new_params
 
     def test_masked_phase_bitwise_equal_to_plain_expressions(self):
+        # the two masked-phase denominators: the cached sqrt(v* + eps) with v
+        # left as is (step), and the raw running v (step_updated_variance)
         rng = np.random.default_rng(12)
         hyper = AdamHyper(lr_schedule=constant_lr(2e-3))
         params = {"a": rng.standard_normal((16, 8)), "b": rng.standard_normal(8)}
@@ -131,7 +133,8 @@ class TestAdamStep:
         frozen = {n: np.sqrt(v + 1e-8) for n, v in state.v.items()}
         before = {n: (params[n].copy(), state.m[n].copy(), state.v[n].copy()) for n in params}
         for denom in (frozen, None):
-            new_state, new_params = optim._masked_phase_step(state, hyper, params, grads, denom)
+            new_state, new_params = adam_step(state, hyper, params, grads, denom,
+                                              bias_correct_v=False)
             for n, w in params.items():
                 g = grads[n]
                 m = 0.9 * state.m[n] + (1.0 - 0.9) * g
@@ -149,14 +152,16 @@ class TestAdamStep:
         v = {"a": rng.random((32, 16)) * 1e-4, "b": rng.random(5) * 1e-9}
         prev = {"a": v["a"].copy(), "b": rng.random(5) * 1e-9}
         prev["a"][:4] *= 0.5
-        z, z_geom = optim._packed_change(v, prev)
+        before = {n: (v[n].copy(), prev[n].copy()) for n in v}
+        z, z_geom, l1, l2 = variance_stats(v, prev)
         deltas = [np.abs(v[n] - prev[n]) for n in v]
         count = sum(d.size for d in deltas)
         assert z == sum(float(np.sum(d)) for d in deltas) / count
         logs = sum(float(np.sum(np.log(np.maximum(d, GEOMETRIC_FLOOR)))) for d in deltas)
         assert z_geom == math.exp(logs / count)
-        np.testing.assert_array_equal(prev["a"][4:], v["a"][4:])  # inputs kept
-        l1, l2 = optim._packed_stats(v)
+        for n in v:  # inputs kept
+            np.testing.assert_array_equal(v[n], before[n][0])
+            np.testing.assert_array_equal(prev[n], before[n][1])
         assert l1 == sum(float(np.sum(np.abs(a))) for a in v.values())
         assert l2 == math.sqrt(sum(float(np.sum(np.square(a))) for a in v.values()))
 
@@ -198,7 +203,7 @@ class TestGradientTransforms:
         params = {"fc1.weight": np.array([[1.0, 2.0]]), "fc1.bias": np.array([0.0])}
         plan = SparsityPlan({"fc1.weight": NMRatio(1, 2)})
         batch = (np.array([[3.0, 4.0]]), np.array([[7.0]]))
-        grads, masks_used = optim.ste_grad(spec, params, plan, batch)
+        grads, masks_used = optim.ste_loss_and_grad(spec, params, plan, batch)[:2]
         np.testing.assert_array_equal(masks_used["fc1.weight"], [[0.0, 1.0]])
         np.testing.assert_allclose(grads["fc1.weight"], [[3.0, 4.0]], atol=1e-12)
 
@@ -208,15 +213,15 @@ class TestGradientTransforms:
         params = {"fc1.weight": np.array([[1.0, 2.0]]), "fc1.bias": np.array([0.0])}
         plan = SparsityPlan({"fc1.weight": NMRatio(1, 2)})
         batch = (np.array([[3.0, 4.0]]), np.array([[7.0]]))
-        grads, _ = optim.srste_grad(spec, params, plan, batch, lam=0.01)
+        grads, _, _ = optim.ste_loss_and_grad(spec, params, plan, batch, lam=0.01)
         np.testing.assert_allclose(grads["fc1.weight"], [[3.01, 4.0]], atol=1e-12)
 
     def test_srste_zero_lam_equals_ste(self):
         spec, ds, plan = blob_setup()
         params = models.init_params(spec, 1)
         batch = next(models.batch_iterator(ds, 2))
-        g1, _ = optim.ste_grad(spec, params, plan, batch)
-        g2, _ = optim.srste_grad(spec, params, plan, batch, lam=0.0)
+        g1, _ = optim.ste_loss_and_grad(spec, params, plan, batch)[:2]
+        g2, _, _ = optim.ste_loss_and_grad(spec, params, plan, batch, lam=0.0)
         for k in g1:
             np.testing.assert_array_equal(g1[k], g2[k])
 
@@ -225,7 +230,7 @@ class TestGradientTransforms:
         params = models.init_params(spec, 1)
         batch = next(models.batch_iterator(ds, 2))
         plan = SparsityPlan({"fc2.weight": NMRatio(4, 4)})  # keep everything
-        g1, masks_used = optim.ste_grad(spec, params, plan, batch)
+        g1, masks_used = optim.ste_loss_and_grad(spec, params, plan, batch)[:2]
         g2 = models.grad(spec, params, batch)
         assert np.all(masks_used["fc2.weight"] == 1.0)
         for k in g1:
@@ -241,18 +246,15 @@ class TestGradientTransforms:
         masked = dict(params)
         masked["fc2.weight"] = apply_mask(params["fc2.weight"], mask)
         expected = models.forward_loss(spec, masked, batch)
-        grads, masks_used = optim.ste_grad(spec, params, plan, batch)
+        grads, masks_used = optim.ste_loss_and_grad(spec, params, plan, batch)[:2]
         np.testing.assert_array_equal(masks_used["fc2.weight"], mask)
         # the trainer logs the masked loss; recompute it the same way here
         loss, _ = models.loss_and_grad(spec, masked, batch)
         assert loss == expected
 
     def test_negative_lam_rejected(self):
-        spec, ds, plan = blob_setup()
-        params = models.init_params(spec, 1)
-        batch = next(models.batch_iterator(ds, 2))
         with pytest.raises(ConfigError):
-            optim.srste_grad(spec, params, plan, batch, lam=-1e-3)
+            Recipe("srste", lam=-1e-3)
 
 
 class TestRecipeValidation:
@@ -330,6 +332,37 @@ class TestTwoPhaseTraining:
                 np.testing.assert_allclose(after[name], raw, rtol=1e-12, atol=0.0)
                 assert not np.allclose(after[name], corrected, rtol=1e-9, atol=0.0)
                 np.testing.assert_array_equal(after_state.v[name], run.v_star[name])
+
+    def test_updated_variance_divides_by_raw_running_variance(self):
+        # pins the convention of step_updated_variance: after the switch it
+        # divides by sqrt(v_t + eps) with the raw running v_t, not
+        # v_t / (1 - beta2**t)
+        from stepnm.masks import compute_nm_mask
+
+        spec, ds, plan = blob_setup()
+        lr, t0, seed = 5e-3, 40, 5
+        crit = SwitchCriterion(kind="fixed", step=t0)
+        run = optim.recipe_train(spec, ds, default_hyper(lr), plan, Recipe("step_updated_variance"),
+                                 crit, t0 + 2, seed=seed, snapshot_steps={t0, t0 + 1, t0 + 2})
+        batches = models.batch_iterator(ds, (seed, 1))  # the trainer's batch stream
+        for _ in range(t0):
+            next(batches)
+        for k in (t0 + 1, t0 + 2):
+            params, state = run.snapshots[k - 1]
+            masked = dict(params)
+            masked["fc2.weight"] = params["fc2.weight"] * compute_nm_mask(
+                params["fc2.weight"], NMRatio(1, 4))
+            _, grads = models.loss_and_grad(spec, masked, next(batches))
+            after, after_state = run.snapshots[k]
+            for name, w in params.items():
+                g = grads[name]
+                m_hat = (0.9 * state.m[name] + 0.1 * g) / (1.0 - 0.9**k)
+                v = 0.999 * state.v[name] + 0.001 * g * g
+                raw = w - lr * m_hat / np.sqrt(v + 1e-8)
+                corrected = w - lr * m_hat / np.sqrt(v / (1.0 - 0.999**k) + 1e-8)
+                np.testing.assert_allclose(after_state.v[name], v, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(after[name], raw, rtol=1e-12, atol=0.0)
+                assert not np.allclose(after[name], corrected, rtol=1e-9, atol=0.0)
 
     def test_degenerate_switch_at_end_equals_dense_plus_mask(self):
         spec, ds, plan = blob_setup()
