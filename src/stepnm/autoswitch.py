@@ -1,8 +1,9 @@
 """Phase-switch detection from recorded variance dynamics.
 
-The windowed detector watches per-coordinate variance changes and fires once
-their sliding-window mean drops below the optimizer epsilon, optionally
-clamped into a step budget.  Two norm-based baseline criteria and the
+One detector class per criterion kind.  The windowed autoswitch keeps the
+last floor(1 / (1 - beta2)) per-coordinate variance changes and fires once
+their mean drops below the optimizer epsilon, optionally clamped into a step
+budget.  Two norm-based baselines, a fixed switch step and the
 switch-quality metric used to compare them live here too.
 """
 
@@ -10,17 +11,16 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, RangeError, StateError
+from .errors import ConfigError, RangeError
 
 SAMPLER_OPTIONS = ("arithmetic", "geometric")
 CRITERION_KINDS = ("autoswitch", "relative", "staleness", "fixed")
 
-RELATIVE_DEFAULT_THRESHOLD = 0.5
-STALENESS_DEFAULT_THRESHOLD = 0.96
+DEFAULT_THRESHOLDS = {"relative": 0.5, "staleness": 0.96}
 
 # keeps zero coordinates inside the log domain for the geometric option
 GEOMETRIC_FLOOR = 1e-30
@@ -30,11 +30,10 @@ def mixing_window(beta2: float) -> int:
     """Effective memory of the variance EMA: floor(1 / (1 - beta2)).
 
     A tiny nudge compensates the float representation of 1 - beta2, so e.g.
-    beta2 = 0.999 yields 1000 rather than 999.
+    beta2 = 0.999 yields 1000 rather than 999.  ``beta2`` lies in [0, 1), as
+    AdamHyper checks, so the window holds at least one sample.
     """
-    if not 0.0 <= beta2 < 1.0:
-        raise DomainError(f"beta2 must be in [0, 1), got {beta2}")
-    return max(1, int(math.floor(1.0 / (1.0 - beta2) + 1e-9)))
+    return int(math.floor(1.0 / (1.0 - beta2) + 1e-9))
 
 
 def variance_stats(v: dict, v_prev: dict) -> tuple[float, float, float, float]:
@@ -60,75 +59,6 @@ def variance_stats(v: dict, v_prev: dict) -> tuple[float, float, float, float]:
     return total_abs / count, math.exp(total_log / count), l1, math.sqrt(sq)
 
 
-@dataclass
-class WindowSampler:
-    """Ring buffer of the most recent variance-change samples."""
-
-    option: str = "arithmetic"
-    capacity: int = 1
-    window: deque = field(init=False)
-
-    def __post_init__(self):
-        if self.option not in SAMPLER_OPTIONS:
-            raise ConfigError(f"unknown sampler option {self.option!r}")
-        if self.capacity < 1:
-            raise ConfigError("sampler window capacity must be >= 1")
-        self.window = deque(maxlen=self.capacity)
-
-    def add(self, z: float) -> None:
-        self.window.append(float(z))
-
-    def mean(self) -> float:
-        if not self.window:
-            raise StateError("no variance-change samples recorded yet")
-        return math.fsum(self.window) / len(self.window)
-
-    def __len__(self) -> int:
-        return len(self.window)
-
-
-def autoswitch_decide(
-    sampler: WindowSampler,
-    t: int,
-    eps: float,
-    clip: tuple[int, int] | None = None,
-) -> bool:
-    """Decide whether step t ends the precondition phase.
-
-    Unclipped, the rule is "windowed mean below the optimizer epsilon", held
-    back until the window is full so a short sample cannot fire spuriously.
-    With clipping, the budget cap fires at T_max regardless of the window,
-    and the epsilon path additionally requires t > T_min.
-    """
-    if len(sampler) == 0:
-        raise StateError("no variance-change samples recorded yet")
-    if clip is not None:
-        t_min, t_max = clip
-        if not t_min < t_max:
-            raise ConfigError(f"clipping needs T_min < T_max, got {clip}")
-    full = len(sampler) >= sampler.capacity
-    below = full and sampler.mean() < eps
-    if clip is None:
-        return below
-    if t >= t_max:
-        return True
-    return below and t > t_min
-
-
-def relative_criterion(norm_t: float, norm_prev: float, threshold: float = RELATIVE_DEFAULT_THRESHOLD) -> bool:
-    """Fire when the relative change of the variance norm falls under the threshold."""
-    if norm_prev <= 0.0:
-        raise DomainError("previous variance norm must be positive")
-    return abs(norm_t - norm_prev) / norm_prev < threshold
-
-
-def staleness_criterion(l1_t: float, l1_lagged: float, threshold: float = STALENESS_DEFAULT_THRESHOLD) -> bool:
-    """Fire when the l1 variance norm stays close to its value one window ago."""
-    if l1_lagged <= 0.0:
-        raise DomainError("lagged variance norm must be positive")
-    return l1_t / l1_lagged > threshold
-
-
 # ---------------------------------------------------------------------------
 # criterion configuration and stateful detectors
 # ---------------------------------------------------------------------------
@@ -139,8 +69,8 @@ class SwitchCriterion:
     """Configured phase-switch detector.
 
     kind "autoswitch" uses ``option`` and optional absolute-step ``clip``;
-    "relative" and "staleness" take an optional ``threshold`` override;
-    "fixed" forces the switch at ``step``.
+    "relative" and "staleness" take a ``threshold``, which defaults to
+    DEFAULT_THRESHOLDS; "fixed" forces the switch at ``step``.
     """
 
     kind: str
@@ -156,6 +86,8 @@ class SwitchCriterion:
             raise ConfigError(f"unknown sampler option {self.option!r}")
         if self.threshold is not None and self.threshold <= 0:
             raise ConfigError("criterion threshold must be positive")
+        if self.threshold is None and self.kind in DEFAULT_THRESHOLDS:
+            object.__setattr__(self, "threshold", DEFAULT_THRESHOLDS[self.kind])
         if self.clip is not None:
             t_min, t_max = (int(self.clip[0]), int(self.clip[1]))
             if not 0 <= t_min < t_max:
@@ -168,11 +100,9 @@ class SwitchCriterion:
     def label(self) -> str:
         if self.kind == "autoswitch":
             return f"autoswitch[{self.option}]" + ("+clip" if self.clip else "")
-        if self.kind == "relative":
-            return f"relative[{self.threshold if self.threshold is not None else RELATIVE_DEFAULT_THRESHOLD}]"
-        if self.kind == "staleness":
-            return f"staleness[{self.threshold if self.threshold is not None else STALENESS_DEFAULT_THRESHOLD}]"
-        return f"fixed[{self.step}]"
+        if self.kind == "fixed":
+            return f"fixed[{self.step}]"
+        return f"{self.kind}[{self.threshold}]"
 
 
 @dataclass(frozen=True)
@@ -186,25 +116,37 @@ class StepStats:
     v_l2: float
 
 
-class _AutoSwitchDetector:
+class _WindowDetector:
+    """The autoswitch: the mean of the last mixing_window(beta2) samples below eps.
+
+    The mean is exact (``math.fsum``) and becomes ``last_mean``.  It fires
+    only once the window is full, so a short sample cannot fire spuriously.
+    With ``clip`` = (T_min, T_max) the budget cap fires at T_max whatever the
+    window, and the epsilon path also needs t > T_min.
+    """
+
     def __init__(self, criterion: SwitchCriterion, beta2: float, eps: float):
-        self.sampler = WindowSampler(criterion.option, mixing_window(beta2))
+        self.window: deque = deque(maxlen=mixing_window(beta2))
+        self.geometric = criterion.option == "geometric"
         self.eps = eps
         self.clip = criterion.clip
         self.last_mean: float | None = None
 
     def observe(self, stats: StepStats) -> bool:
-        z = stats.z_arith if self.sampler.option == "arithmetic" else stats.z_geom
-        self.sampler.add(z)
-        self.last_mean = self.sampler.mean()
-        return autoswitch_decide(self.sampler, stats.step, self.eps, self.clip)
+        self.window.append(stats.z_geom if self.geometric else stats.z_arith)
+        self.last_mean = math.fsum(self.window) / len(self.window)
+        below = len(self.window) == self.window.maxlen and self.last_mean < self.eps
+        if self.clip is None:
+            return below
+        t_min, t_max = self.clip
+        return stats.step >= t_max or (below and stats.step > t_min)
 
 
 class _RelativeDetector:
+    """Fires when the l2 variance norm moved by under ``threshold`` of its last value."""
+
     def __init__(self, criterion: SwitchCriterion):
-        self.threshold = (
-            criterion.threshold if criterion.threshold is not None else RELATIVE_DEFAULT_THRESHOLD
-        )
+        self.threshold = criterion.threshold
         self.prev: float | None = None
         self.last_mean = None
 
@@ -213,26 +155,24 @@ class _RelativeDetector:
         if prev is None or prev <= 0.0:
             # not comparable yet (start of run, or identically-zero gradients)
             return False
-        return relative_criterion(stats.v_l2, prev, self.threshold)
+        return abs(stats.v_l2 - prev) / prev < self.threshold
 
 
 class _StalenessDetector:
+    """Fires when the l1 variance norm is above ``threshold`` times its value a window ago."""
+
     def __init__(self, criterion: SwitchCriterion, beta2: float):
-        self.threshold = (
-            criterion.threshold if criterion.threshold is not None else STALENESS_DEFAULT_THRESHOLD
-        )
-        lag = mixing_window(beta2)
-        self.history: deque = deque(maxlen=lag + 1)
+        self.threshold = criterion.threshold
+        self.history: deque = deque(maxlen=mixing_window(beta2) + 1)
         self.last_mean = None
 
     def observe(self, stats: StepStats) -> bool:
         self.history.append(stats.v_l1)
-        if len(self.history) < self.history.maxlen:
-            return False
         lagged = self.history[0]
-        if lagged <= 0.0:
+        if len(self.history) < self.history.maxlen or lagged <= 0.0:
+            # no lagged value yet, or identically-zero gradients
             return False
-        return staleness_criterion(stats.v_l1, lagged, self.threshold)
+        return stats.v_l1 / lagged > self.threshold
 
 
 class _FixedDetector:
@@ -247,7 +187,7 @@ class _FixedDetector:
 def make_detector(criterion: SwitchCriterion, beta2: float, eps: float):
     """Stateful detector for one training run (single-owner, not shareable)."""
     if criterion.kind == "autoswitch":
-        return _AutoSwitchDetector(criterion, beta2, eps)
+        return _WindowDetector(criterion, beta2, eps)
     if criterion.kind == "relative":
         return _RelativeDetector(criterion)
     if criterion.kind == "staleness":
@@ -281,6 +221,7 @@ def avg_change_metric_from_diffs(l1_diffs_by_step, t0: int) -> float:
         raise RangeError("t0 must be >= 0")
     if len(l1_diffs_by_step) <= t0 + 1001:
         raise RangeError(
-            f"need per-step changes up to step {t0 + 1001}, have {len(l1_diffs_by_step) - 1}"
+            f"profile too short for the metric window: a switch at step {t0} needs "
+            f"per-step changes up to step {t0 + 1001}, have {len(l1_diffs_by_step) - 1}"
         )
     return 1e-3 * math.fsum(l1_diffs_by_step[t0 + 1 : t0 + 1002])

@@ -55,6 +55,8 @@ def compare_switch_cmd(config_path, out, criteria):
     """Profile dense runs and score switch criteria by later variance change."""
     config, out_dir = _load(config_path, (), out)
     wanted = [c.strip() for c in criteria.split(",") if c.strip()]
+    if not wanted:
+        raise click.BadParameter("name at least one criterion", param_hint="--criteria")
     defaults = {c.kind: c for c in harness.default_comparison_criteria(config.total_steps)}
     chosen = []
     for kind in wanted:

@@ -23,7 +23,3 @@ class NumericalError(ToolkitError, ArithmeticError):
 
 class RangeError(ToolkitError, ValueError):
     """An index or window falls outside the available data."""
-
-
-class StateError(ToolkitError, RuntimeError):
-    """An operation was called on state that is not ready for it."""

@@ -29,7 +29,7 @@ from .autoswitch import (
     avg_change_metric_from_diffs,
     evaluate_offline,
 )
-from .errors import ConfigError, RangeError
+from .errors import ConfigError
 from .masks import DecaySchedule, NMRatio, SparsityPlan
 from .optim import AdamHyper, Recipe, TrainResult, constant_lr, cosine_lr, recipe_train
 
@@ -106,17 +106,17 @@ class DataConfig:
     n_targets: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("regression", "blobs", "csv"):
-            raise ConfigError(f"unknown data kind {self.kind!r}")
-        if self.kind == "csv" and not self.path:
-            raise ConfigError("csv data needs a path")
-        for key in ("n_samples", "n_features", "n_classes", "batch_size", "n_targets"):
+        if self.kind == "csv":
+            if not self.path:
+                raise ConfigError("csv data needs a path")
+        else:
+            models.check_synthetic(self.kind, self.n_samples, self.n_classes, self.noise_std,
+                                   prefix="data.")
+        for key in ("n_features", "n_classes", "batch_size", "n_targets"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"data.{key} must be >= 1, got {getattr(self, key)}")
         if self.seed < 0:
             raise ConfigError(f"data.seed must be >= 0, got {self.seed}")
-        if self.noise_std < 0:
-            raise ConfigError(f"data.noise_std must be >= 0, got {self.noise_std}")
 
     def build(self, model_kind: str) -> models.Dataset:
         if self.kind == "csv":
@@ -160,23 +160,29 @@ class SwitchConfig:
     step_ratio: float | None = None
 
     def build(self, total_steps: int) -> SwitchCriterion:
+        """The criterion with its budget ratios turned into steps of ``total_steps``."""
         clip = None
         if self.clip_ratios is not None:
-            lo, hi = self.clip_ratios
-            if not 0.0 <= lo < hi <= 1.0:
-                raise ConfigError(f"clip ratios must satisfy 0 <= lo < hi <= 1, got {self.clip_ratios}")
+            lo, hi = self.clip_ratios  # SwitchCriterion checks the clip steps they give
+            if not hi <= 1.0:
+                raise ConfigError(f"switch.clip.t_max_ratio must be <= 1, got {hi}")
             clip = (int(math.floor(lo * total_steps)), int(math.floor(hi * total_steps)))
         step = self.step
         if self.step_ratio is not None:
             if step is not None:
                 raise ConfigError("give either step or step_ratio, not both")
-            if not 0.0 < self.step_ratio <= 1.0:
-                raise ConfigError(f"switch.step_ratio must be in (0, 1], got {self.step_ratio}")
-            step = max(1, int(math.floor(self.step_ratio * total_steps)))
+            step = _ratio_step(self.step_ratio, total_steps, "switch.step_ratio")
         return SwitchCriterion(
             kind=self.kind, option=self.option, threshold=self.threshold,
             clip=clip, step=step,
         )
+
+
+def _ratio_step(ratio: float, total_steps: int, key: str) -> int:
+    """The step a ``ratio`` in (0, 1] of the budget falls on, at least 1; ``key`` names it."""
+    if not 0.0 < ratio <= 1.0:
+        raise ConfigError(f"{key} must be in (0, 1], got {ratio}")
+    return max(1, int(math.floor(ratio * total_steps)))
 
 
 @dataclass(frozen=True)
@@ -207,8 +213,11 @@ class ExperimentConfig:
         if any(int(s) < 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative integers")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        # fail on unknown layers / bad group sizes before any compute
+        # fail on unknown layers, bad group sizes, a bad schedule or switch
+        # before any compute; the trainer takes them as checked
         self.plan.validate(models.param_shapes(self.model))
+        self.hyper()
+        self.criterion()
 
     def hyper(self) -> AdamHyper:
         return self.optimizer.build(self.total_steps)
@@ -435,10 +444,8 @@ def run(config: ExperimentConfig, output_dir=None, jobs: int = 1) -> RunSummary:
 
 
 def default_comparison_criteria(total_steps: int) -> list[SwitchCriterion]:
-    lo, hi = DEFAULT_CLIP_RATIOS
-    clip = (int(math.floor(lo * total_steps)), int(math.floor(hi * total_steps)))
     return [
-        SwitchCriterion(kind="autoswitch", option="arithmetic", clip=clip),
+        SwitchConfig(kind="autoswitch", clip_ratios=DEFAULT_CLIP_RATIOS).build(total_steps),
         SwitchCriterion(kind="relative"),
         SwitchCriterion(kind="staleness"),
     ]
@@ -468,7 +475,10 @@ def compare_switch(
     1001 steps (lower is better).  Criteria that never fire get a no-switch
     row.
     """
-    criteria = criteria if criteria is not None else default_comparison_criteria(config.total_steps)
+    if criteria is None:
+        criteria = default_comparison_criteria(config.total_steps)
+    elif not criteria:
+        raise ConfigError("compare_switch needs at least one criterion")
     hyper = config.hyper()
     d = sum(int(np.prod(shape)) for shape in models.param_shapes(config.model).values())
     rows = []
@@ -481,12 +491,6 @@ def compare_switch(
                 rows.append({"seed": seed, "criterion": criterion.label(),
                              "t0": None, "avg_change_metric": None, "note": "no-switch"})
                 continue
-            if len(diffs) <= t0 + 1001:
-                raise RangeError(
-                    f"profile too short for the metric window: criterion "
-                    f"{criterion.label()} fired at {t0}, need {t0 + 1001} steps, "
-                    f"have {config.total_steps}"
-                )
             metric = avg_change_metric_from_diffs(diffs, t0)
             rows.append({"seed": seed, "criterion": criterion.label(),
                          "t0": t0, "avg_change_metric": metric, "note": ""})
@@ -520,14 +524,8 @@ def ablation(kind: str, config: ExperimentConfig, output_dir=None, jobs: int = 1
         if not ratios:
             raise ConfigError("precondition_length needs ablation.precondition_ratios")
         for ratio in ratios:
-            if not 0.0 < ratio <= 1.0:
-                raise ConfigError(f"forced-switch ratio must be in (0, 1], got {ratio}")
-            t0 = max(1, int(math.floor(ratio * config.total_steps)))
-            cells.append((
-                f"ratio={ratio}",
-                Recipe("step"),
-                SwitchCriterion(kind="fixed", step=t0),
-            ))
+            t0 = _ratio_step(ratio, config.total_steps, "ablation.precondition_ratios")
+            cells.append((f"ratio={ratio}", Recipe("step"), SwitchCriterion(kind="fixed", step=t0)))
     elif kind == "fixed_vs_updated_variance":
         criterion = config.criterion()
         if criterion is None:

@@ -120,12 +120,6 @@ class SparsityPlan:
     def items(self):
         return self.ratios.items()
 
-    def get(self, name: str):
-        return self.ratios.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.ratios
-
     def __bool__(self) -> bool:
         return bool(self.ratios)
 

@@ -168,11 +168,6 @@ def loss_and_grad(spec: ModelSpec, params: ParamSet, batch) -> tuple[float, Para
     return _pass(spec, params, batch, backward=True)
 
 
-def grad(spec: ModelSpec, params: ParamSet, batch) -> ParamSet:
-    """Gradients of the mean batch loss with respect to every parameter."""
-    return loss_and_grad(spec, params, batch)[1]
-
-
 @dataclass(frozen=True)
 class FDReport:
     """Finite-difference comparison across parameter coordinates."""
@@ -197,7 +192,9 @@ def finite_difference_check(
     """
     if not (h > 0 and np.isfinite(h)):
         raise DomainError(f"finite-difference step h must be positive and finite, got {h}")
-    analytic = grad(spec, params, batch)
+    if not 0.0 <= tol < np.inf:
+        raise DomainError(f"tolerance tol must be non-negative and finite, got {tol}")
+    analytic = loss_and_grad(spec, params, batch)[1]
     max_rel = 0.0
     offenders: list[tuple[str, int, float]] = []
     for name, base in params.items():
@@ -259,6 +256,22 @@ class Dataset:
         return self.inputs, self.targets
 
 
+def check_synthetic(kind: str, n_samples: int, n_classes: int, noise_std: float,
+                    prefix: str = "") -> None:
+    """Raise ConfigError unless gen_synthetic can draw data from these arguments.
+
+    ``prefix`` goes before each argument name in the message, e.g. "data.".
+    """
+    if kind not in DATA_KINDS:
+        raise ConfigError(f"unknown data kind {kind!r}")
+    if n_samples < 1:
+        raise ConfigError(f"{prefix}n_samples must be >= 1, got {n_samples}")
+    if kind == "blobs" and n_classes < 2:
+        raise ConfigError(f"{prefix}n_classes must be >= 2 for blobs, got {n_classes}")
+    if noise_std < 0:
+        raise ConfigError(f"{prefix}noise_std must be >= 0, got {noise_std}")
+
+
 def gen_synthetic(
     kind: str,
     n_samples: int,
@@ -269,16 +282,9 @@ def gen_synthetic(
     batch_size: int = 32,
 ) -> Dataset:
     """Deterministic synthetic data: Gaussian blobs or a hidden linear map."""
-    if kind not in DATA_KINDS:
-        raise ConfigError(f"unknown synthetic data kind {kind!r}")
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
-    if noise_std < 0:
-        raise ConfigError("noise_std must be >= 0")
+    check_synthetic(kind, n_samples, n_classes, noise_std)
     rng = np.random.default_rng(seed)
     if kind == "blobs":
-        if n_classes < 2:
-            raise ConfigError("blobs needs n_classes >= 2")
         centers = 3.0 * rng.standard_normal((n_classes, n_features))
         labels = np.arange(n_samples) % n_classes
         inputs = centers[labels] + noise_std * rng.standard_normal((n_samples, n_features))

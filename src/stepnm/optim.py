@@ -34,11 +34,9 @@ def constant_lr(gamma: float) -> LRSchedule:
 
 
 def cosine_lr(gamma: float, total_steps: int) -> LRSchedule:
-    """Cosine decay from gamma to 0 over total_steps."""
+    """Cosine decay from gamma to 0 over total_steps (>= 1)."""
     if gamma <= 0:
         raise ConfigError("cosine schedule needs gamma > 0")
-    if total_steps < 1:
-        raise ConfigError("cosine schedule needs total_steps >= 1")
 
     def schedule(t: int) -> float:
         frac = min(max(t, 0), total_steps) / total_steps
@@ -219,7 +217,6 @@ class TrainResult:
     sparse_eval_loss: float
     dense_eval_loss: float
     layer_sparsity: dict[str, float]
-    snapshots: dict[int, tuple[ParamSet, AdamState]]
 
 
 def _effective_ratios(plan: SparsityPlan, decay: DecaySchedule | None, step: int) -> dict[str, NMRatio]:
@@ -238,7 +235,6 @@ def recipe_train(
     switch: SwitchCriterion | None,
     total_steps: int,
     seed: int,
-    snapshot_steps=(),
 ) -> TrainResult:
     """Train for total_steps with the given recipe; fully deterministic per seed.
 
@@ -246,13 +242,12 @@ def recipe_train(
     freeze the variance when it fires; if it never fires the run stays dense
     throughout and the trajectory simply reports no switch.  Single-phase
     recipes (dense, ste, srste) ignore the criterion.  The returned weights
-    are always evaluated both densely and under the final mask.
+    are always evaluated both densely and under the final mask.  The plan is
+    taken as valid for the spec and total_steps as >= 1, as ExperimentConfig
+    checks them.
     """
-    if total_steps < 1:
-        raise ConfigError("total_steps must be >= 1")
-    shapes = models.param_shapes(spec)
-    plan.validate(shapes)
     if recipe.decay is not None:
+        shapes = models.param_shapes(spec)
         for name, _ in plan.items():
             if shapes[name][-1] % recipe.decay.m != 0:
                 raise ConfigError(
@@ -273,8 +268,6 @@ def recipe_train(
     v_star: ParamSet | None = None
     frozen_denom: ParamSet | None = None
     records: list[StepRecord] = []
-    snapshots: dict[int, tuple[ParamSet, AdamState]] = {}
-    snapshot_steps = set(int(s) for s in snapshot_steps)
 
     for t in range(1, total_steps + 1):
         batch = next(batches)
@@ -300,7 +293,7 @@ def recipe_train(
         if detector is not None and switched_at is None:
             stats = StepStats(step=t, z_arith=z, z_geom=z_geom, v_l1=v_l1, v_l2=v_l2)
             fired = detector.observe(stats)
-            z_bar = getattr(detector, "last_mean", None)
+            z_bar = detector.last_mean
             if fired:
                 switched_at = t
                 fired_now = t
@@ -314,11 +307,6 @@ def recipe_train(
             step=t, phase=phase, loss=loss, v_l1=v_l1, v_l2=v_l2,
             z=z, z_geom=z_geom, z_bar=z_bar, switched_at=fired_now,
         ))
-        if t in snapshot_steps:
-            snapshots[t] = (
-                dict(params),
-                AdamState(dict(state.m), dict(state.v), state.t),
-            )
 
     frozen_denom = None  # a parameter-sized set, not needed for the full-batch evaluation
     final_ratios = _effective_ratios(plan, recipe.decay, total_steps) if plan else {}
@@ -339,21 +327,4 @@ def recipe_train(
         sparse_eval_loss=models.forward_loss(spec, masked_params, full),
         dense_eval_loss=models.forward_loss(spec, params, full),
         layer_sparsity={name: mask_sparsity(mask) for name, mask in final_masks.items()},
-        snapshots=snapshots,
-    )
-
-
-def step_train(
-    spec: models.ModelSpec,
-    dataset: models.Dataset,
-    hyper: AdamHyper,
-    plan: SparsityPlan,
-    switch: SwitchCriterion,
-    total_steps: int,
-    seed: int,
-    **kwargs,
-) -> TrainResult:
-    """Two-phase training: dense preconditioning, then frozen-variance mask learning."""
-    return recipe_train(
-        spec, dataset, hyper, plan, Recipe("step"), switch, total_steps, seed, **kwargs
     )

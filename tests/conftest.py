@@ -1,0 +1,50 @@
+"""Shared test helpers: a reference accumulator and mid-run snapshots of training."""
+
+import numpy as np
+import pytest
+
+from stepnm import optim
+from stepnm.errors import RangeError
+
+
+def simulate_vhat(stream, beta2, steps, seed=None):
+    """Trajectory of the bias-corrected accumulator over one stream, shape (steps, dim).
+
+    A plain per-step recursion from v_0 = 0: row t-1 holds v_t / (1 - beta2**t).
+    The draws come from ``default_rng(seed)``, or from the stream's own seed.
+    """
+    if steps < 1:
+        raise RangeError("steps must be >= 1")
+    rng = np.random.default_rng(stream.seed if seed is None else seed)
+    draws = stream.draw(rng, steps)
+    v = np.zeros(stream.dim)
+    out = np.empty((steps, stream.dim))
+    for t in range(1, steps + 1):
+        v = beta2 * v + (1.0 - beta2) * draws[t - 1]
+        out[t - 1] = v / (1.0 - beta2**t)
+    return out
+
+
+@pytest.fixture
+def train_with_snapshots(monkeypatch):
+    """recipe_train that also returns {t: (params, state)} after each step t asked for.
+
+    recipe_train looks ``optim.adam_step`` up once per step, so a wrapper
+    there sees every update.  ``adam_step`` returns fresh arrays that the run
+    never writes to again, so the snapshots need no copies.
+    """
+    real = optim.adam_step
+
+    def train(steps, *args, **kwargs):
+        taken = {}
+
+        def recording(*step_args, **step_kwargs):
+            state, params = real(*step_args, **step_kwargs)
+            if state.t in steps:
+                taken[state.t] = (params, state)
+            return state, params
+
+        monkeypatch.setattr(optim, "adam_step", recording)
+        return optim.recipe_train(*args, **kwargs), taken
+
+    return train

@@ -11,13 +11,9 @@ from statistics import fmean
 
 import numpy as np
 
+from conftest import simulate_vhat
 from stepnm import harness, models, optim, theory
-from stepnm.autoswitch import (
-    SwitchCriterion,
-    WindowSampler,
-    autoswitch_decide,
-    mixing_window,
-)
+from stepnm.autoswitch import StepStats, SwitchCriterion, make_detector, mixing_window
 from stepnm.masks import NMRatio, SparsityPlan, compute_nm_mask
 from stepnm.optim import AdamHyper, Recipe, adam_step, constant_lr, init_adam_state
 from stepnm.theory import StationaryStream
@@ -96,18 +92,20 @@ def test_adam_single_step_oracle():
     assert ok
 
 
-def test_phase_one_bitwise_equivalence():
+def test_phase_one_bitwise_equivalence(train_with_snapshots):
     """Forced switch at 500: identical to plain Adam through step 500, bitwise."""
     spec, ds = _blob_mlp()
     plan = SparsityPlan({"fc2.weight": NMRatio(1, 4)})
     hyper = AdamHyper(lr_schedule=constant_lr(5e-3))
     crit = SwitchCriterion(kind="fixed", step=500)
-    step_run = optim.step_train(spec, ds, hyper, plan, crit, 800, seed=42, snapshot_steps={500})
-    dense_run = optim.recipe_train(
-        spec, ds, hyper, plan, Recipe("dense"), None, 800, seed=42, snapshot_steps={500}
+    step_run, step_snaps = train_with_snapshots(
+        {500}, spec, ds, hyper, plan, Recipe("step"), crit, 800, seed=42
     )
-    p1, s1 = step_run.snapshots[500]
-    p2, s2 = dense_run.snapshots[500]
+    dense_run, dense_snaps = train_with_snapshots(
+        {500}, spec, ds, hyper, plan, Recipe("dense"), None, 800, seed=42
+    )
+    p1, s1 = step_snaps[500]
+    p2, s2 = dense_snaps[500]
     bitwise = all(np.array_equal(p1[k], p2[k]) for k in p1)
     bitwise &= all(np.array_equal(s1.m[k], s2.m[k]) for k in s1.m)
     bitwise &= all(np.array_equal(s1.v[k], s2.v[k]) for k in s1.v)
@@ -129,7 +127,7 @@ def test_frozen_variance_exact():
         (2, SwitchCriterion(kind="autoswitch", clip=(60, 300))),
         (3, SwitchCriterion(kind="fixed", step=37)),
     ]:
-        run = optim.step_train(spec, ds, hyper, plan, crit, 600, seed=seed)
+        run = optim.recipe_train(spec, ds, hyper, plan, Recipe("step"), crit, 600, seed=seed)
         assert run.switched_at is not None
         for k, frozen in run.v_star.items():
             worst = max(worst, float(np.max(np.abs(run.state.v[k] - frozen))))
@@ -163,7 +161,7 @@ def test_theorem_monte_carlo():
 def test_stationarity_identity():
     """Mean of v_1000 over 10^4 iid replicas of a mean-1 stream within 2% of 0.63230."""
     stream = StationaryStream(kind="bernoulli", bound=2.0, dim=10_000, seed=7)
-    vhat = theory.simulate_vhat(stream, 0.999, 1000)
+    vhat = simulate_vhat(stream, 0.999, 1000)
     v_raw = vhat[999] * (1.0 - 0.999**1000)
     target = 1.0 - 0.999**1000  # 0.63230...
     rel = abs(float(v_raw.mean()) - target) / target
@@ -271,11 +269,11 @@ def test_autoswitch_mechanics():
     for total in (1000, 4000):
         t_min, t_max = int(0.1 * total), int(0.5 * total)
         for z_value in (1e6, 0.0):  # adversarial constant streams, high and low
-            sampler = WindowSampler("arithmetic", mixing_window(0.999))
+            criterion = SwitchCriterion(kind="autoswitch", clip=(t_min, t_max))
+            detector = make_detector(criterion, beta2=0.999, eps=1e-8)
             fired_at = None
             for t in range(1, total + 1):
-                sampler.add(z_value)
-                if autoswitch_decide(sampler, t, eps=1e-8, clip=(t_min, t_max)):
+                if detector.observe(StepStats(t, z_value, z_value, 1.0, 1.0)):
                     fired_at = t
                     break
             if fired_at is None or fired_at <= t_min:

@@ -8,17 +8,14 @@ from stepnm.autoswitch import (
     GEOMETRIC_FLOOR,
     StepStats,
     SwitchCriterion,
-    WindowSampler,
-    autoswitch_decide,
     avg_change_metric_from_diffs,
     evaluate_offline,
     make_detector,
     mixing_window,
-    relative_criterion,
-    staleness_criterion,
     variance_stats,
 )
-from stepnm.errors import ConfigError, DomainError, RangeError, StateError
+from stepnm.errors import ConfigError, RangeError
+from stepnm.harness import SwitchConfig
 
 
 class TestMixingWindow:
@@ -31,10 +28,6 @@ class TestMixingWindow:
 
     def test_at_least_one(self):
         assert mixing_window(0.0) == 1
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            mixing_window(1.0)
 
 
 class TestVarianceChangeSample:
@@ -54,64 +47,58 @@ class TestVarianceChangeSample:
         assert math.isclose(z_geom, math.sqrt(GEOMETRIC_FLOOR * 0.004), rel_tol=1e-9)
 
 
+def autoswitch(clip=None, beta2=0.9):
+    """The windowed detector; beta2 = 0.9 gives a window of 10."""
+    return make_detector(SwitchCriterion(kind="autoswitch", clip=clip), beta2=beta2, eps=1e-8)
+
+
+def feed(detector, zs, step):
+    """Observe every change in ``zs`` at ``step``; the last decision."""
+    fired = False
+    for z in zs:
+        fired = detector.observe(StepStats(step, z, z, 1.0, 1.0))
+    return fired
+
+
 class TestWindowSampler:
+    """The autoswitch detector's window of recent changes."""
+
     def test_mean_of_identical_values(self):
-        sampler = WindowSampler("arithmetic", 1000)
-        for _ in range(1000):
-            sampler.add(0.002)
-        assert sampler.mean() == 0.002
+        det = autoswitch(beta2=0.999)
+        feed(det, [0.002] * 1000, step=1)
+        assert det.last_mean == 0.002
 
     def test_window_keeps_most_recent(self):
-        sampler = WindowSampler("arithmetic", 3)
-        for z in (10.0, 1.0, 2.0, 3.0):
-            sampler.add(z)
-        assert len(sampler) == 3
-        assert sampler.mean() == 2.0
-
-    def test_empty_mean_raises(self):
-        with pytest.raises(StateError):
-            WindowSampler("arithmetic", 5).mean()
-
-    def test_capacity_validation(self):
-        with pytest.raises(ConfigError):
-            WindowSampler("arithmetic", 0)
+        det = autoswitch(beta2=2.0 / 3.0)  # window 3
+        feed(det, (10.0, 1.0, 2.0, 3.0), step=1)
+        assert len(det.window) == 3
+        assert det.last_mean == 2.0
 
 
 class TestAutoswitchDecide:
-    def _full_sampler(self, value, capacity=10):
-        sampler = WindowSampler("arithmetic", capacity)
-        for _ in range(capacity):
-            sampler.add(value)
-        return sampler
+    """The autoswitch detector's decision, with and without a clip."""
 
     def test_zero_changes_fire_unclipped(self):
-        assert autoswitch_decide(self._full_sampler(0.0), t=50, eps=1e-8)
+        assert feed(autoswitch(), [0.0] * 10, step=50)
 
     def test_above_eps_does_not_fire(self):
-        assert not autoswitch_decide(self._full_sampler(1.0), t=50, eps=1e-8)
+        assert not feed(autoswitch(), [1.0] * 10, step=50)
 
     def test_partial_window_is_suppressed(self):
-        sampler = WindowSampler("arithmetic", 10)
-        sampler.add(0.0)
-        assert not autoswitch_decide(sampler, t=1, eps=1e-8)
-
-    def test_empty_sampler_raises(self):
-        with pytest.raises(StateError):
-            autoswitch_decide(WindowSampler("arithmetic", 5), t=1, eps=1e-8)
+        assert not feed(autoswitch(), [0.0], step=1)
 
     def test_budget_cap_fires_regardless_of_window(self):
-        sampler = WindowSampler("arithmetic", 10)
-        sampler.add(1e6)
-        assert autoswitch_decide(sampler, t=501, eps=1e-8, clip=(100, 500))
-        assert autoswitch_decide(sampler, t=500, eps=1e-8, clip=(100, 500))
+        assert feed(autoswitch(clip=(100, 500)), [1e6], step=501)
+        assert feed(autoswitch(clip=(100, 500)), [1e6], step=500)
 
     def test_lower_clamp_blocks_early_fire(self):
-        assert not autoswitch_decide(self._full_sampler(0.0), t=100, eps=1e-8, clip=(100, 500))
-        assert autoswitch_decide(self._full_sampler(0.0), t=101, eps=1e-8, clip=(100, 500))
+        assert not feed(autoswitch(clip=(100, 500)), [0.0] * 10, step=100)
+        assert feed(autoswitch(clip=(100, 500)), [0.0] * 10, step=101)
 
     def test_bad_clip(self):
+        # a reversed clip from a config is refused before any detector exists
         with pytest.raises(ConfigError):
-            autoswitch_decide(self._full_sampler(0.0), t=5, eps=1e-8, clip=(500, 100))
+            SwitchConfig(kind="autoswitch", clip_ratios=(0.5, 0.1)).build(1000)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -120,43 +107,49 @@ class TestAutoswitchDecide:
     )
     def test_clip_invariants_over_random_streams(self, zs, t):
         t_min, t_max = 20, 120
-        sampler = WindowSampler("arithmetic", 10)
-        for z in zs:
-            sampler.add(z)
-        fired = autoswitch_decide(sampler, t, eps=1e-8, clip=(t_min, t_max))
+        fired = feed(autoswitch(clip=(t_min, t_max)), zs, step=t)
         if t <= t_min:
             assert not fired
         if t >= t_max:
             assert fired
 
 
+def relative_fires(norm, prev):
+    det = make_detector(SwitchCriterion(kind="relative"), beta2=0.9, eps=1e-8)
+    det.observe(StepStats(1, 0.0, 0.0, 1.0, prev))
+    return det.observe(StepStats(2, 0.0, 0.0, 1.0, norm))
+
+
+def staleness_fires(l1, lagged):
+    det = make_detector(SwitchCriterion(kind="staleness"), beta2=0.0, eps=1e-8)  # lag 1
+    det.observe(StepStats(1, 0.0, 0.0, lagged, 1.0))
+    return det.observe(StepStats(2, 0.0, 0.0, l1, 1.0))
+
+
 class TestBaselineCriteria:
     def test_relative_fires_under_half(self):
-        assert relative_criterion(1.4, 1.0)
+        assert relative_fires(1.4, 1.0)
 
     def test_relative_does_not_fire_at_or_above_half(self):
-        assert not relative_criterion(2.0, 1.0)
-        assert not relative_criterion(1.5, 1.0)
+        assert not relative_fires(2.0, 1.0)
+        assert not relative_fires(1.5, 1.0)
 
     def test_relative_equal_norms_fire(self):
-        assert relative_criterion(3.7, 3.7)
-
-    def test_relative_zero_prev_raises(self):
-        with pytest.raises(DomainError):
-            relative_criterion(1.0, 0.0)
+        assert relative_fires(3.7, 3.7)
 
     def test_staleness_fires_above_threshold(self):
-        assert staleness_criterion(0.97, 1.0)
+        assert staleness_fires(0.97, 1.0)
 
     def test_staleness_does_not_fire_when_decayed(self):
-        assert not staleness_criterion(0.5, 1.0)
+        assert not staleness_fires(0.5, 1.0)
 
     def test_staleness_equal_norms_fire(self):
-        assert staleness_criterion(2.5, 2.5)
+        assert staleness_fires(2.5, 2.5)
 
-    def test_staleness_zero_lagged_raises(self):
-        with pytest.raises(DomainError):
-            staleness_criterion(1.0, 0.0)
+    def test_zero_norms_never_fire(self):
+        # identically-zero gradients leave nothing to compare against
+        assert not relative_fires(1.0, 0.0)
+        assert not staleness_fires(1.0, 0.0)
 
 
 def make_stats(values_by_step):

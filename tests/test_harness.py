@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
@@ -50,7 +51,7 @@ class TestConfigParsing:
         config = harness.load_config(path)
         assert config.total_steps == 120
         assert config.seeds == (1, 2)
-        assert config.plan.get("fc2.weight").m == 4
+        assert config.plan.ratios["fc2.weight"].m == 4
         assert config.switch.clip_ratios == (0.1, 0.5)
 
     def test_unknown_top_level_key(self, tmp_path):
@@ -236,6 +237,14 @@ class TestCompareSwitch:
         with pytest.raises(RangeError, match="profile too short"):
             harness.compare_switch(config, [SwitchCriterion(kind="relative")])
 
+    def test_empty_criteria_rejected_before_training(self, tmp_path, monkeypatch):
+        path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None)
+        config = harness.load_config(path)
+        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ConfigError, match="at least one criterion"):
+            harness.compare_switch(config, [], output_dir=tmp_path / "cmp")
+        assert not (tmp_path / "cmp").exists()
+
     def test_criteria_list_length_matches_rows(self, tmp_path):
         path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None,
                               total_steps=1200, optimizer={"lr": 0.005, "beta2": 0.99})
@@ -341,6 +350,29 @@ class TestCLI:
         assert result.exit_code == 0, result.output
         assert "worst max_rel_error" in result.output
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_fd_check_rejects_bad_tol(self, tol, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["stepnm", "fd-check", "--instances", "1", "--tol", tol])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "tol" in captured.err
+        assert "instance" not in captured.out
+
+    @pytest.mark.parametrize("args", [
+        ["--g", "inf"], ["--g", "nan"], ["--stream", "trunc_gauss_sq", "--sigma", "nan"],
+    ])
+    def test_validate_theorem_rejects_non_finite_stream(self, args, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["stepnm", "validate-theorem", "--trials", "2",
+                                         "--t", "2100", *args])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert "violations" not in captured.out
+
     @pytest.mark.parametrize("flag", ["--batch", "--instances"])
     def test_fd_check_rejects_zero_counts(self, flag):
         result = CliRunner().invoke(cli_main, ["fd-check", flag, "0"])
@@ -382,6 +414,15 @@ class TestCLI:
                                           "--out", str(tmp_path / "cmp")])
         assert result.exit_code == 0, result.output
         assert "relative" in result.output
+
+    def test_compare_switch_needs_a_criterion(self, tmp_path, monkeypatch):
+        path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None)
+        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
+        result = CliRunner().invoke(cli_main, ["compare-switch", "--config", str(path),
+                                               "--criteria", ",", "--out", str(tmp_path / "cmp")])
+        assert result.exit_code == 2
+        assert "--criteria" in result.output
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestCSVDataConfig:
@@ -511,6 +552,8 @@ _yaml_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
 )
+# small in-range numbers, so that more fuzzed configs load and go on to train
+_numbers = st.integers(-2, 300) | st.floats(-1.0, 2.0)
 
 
 def _slots(doc, prefix=()):
@@ -524,11 +567,14 @@ def _slots(doc, prefix=()):
 _FUZZ_BASE = {**json.loads(json.dumps(BASE_CONFIG)),
               "ablation": {"precondition_ratios": [0.5], "decay": {"m": 4, "stage_boundaries": [60]}}}
 _FUZZ_SLOTS = sorted(_slots(_FUZZ_BASE))
+# largest parameter count or data array a fuzzed config may train on
+_FUZZ_TRAIN_CAP = 100_000
 
 
 class TestConfigFuzz:
     @settings(deadline=None, max_examples=300, derandomize=True)
-    @given(st.lists(st.tuples(st.sampled_from(_FUZZ_SLOTS), _yaml_values), min_size=1, max_size=3))
+    @given(st.lists(st.tuples(st.sampled_from(_FUZZ_SLOTS), _yaml_values | _numbers),
+                    min_size=1, max_size=3))
     def test_only_toolkit_errors(self, edits):
         doc = json.loads(json.dumps(_FUZZ_BASE))
         for path, value in edits:
@@ -541,8 +587,18 @@ class TestConfigFuzz:
                 section[path[-1]] = value
         try:
             config = harness.config_from_dict(doc)
-            config.hyper()
-            config.criterion()
+        except ToolkitError:
+            return
+        # a config that loads builds its data and trains, or fails as a ToolkitError
+        data = config.data
+        n_params = sum(math.prod(shape) for shape in models.param_shapes(config.model).values())
+        if max(n_params, data.n_samples * data.n_features,
+               data.n_classes * data.n_features) > _FUZZ_TRAIN_CAP:
+            return
+        try:
+            dataset = data.build(config.model.kind)
+            optim.recipe_train(config.model, dataset, config.hyper(), config.plan, config.recipe,
+                               config.criterion(), 3, config.seeds[0])
         except ToolkitError:
             pass
 

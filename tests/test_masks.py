@@ -252,8 +252,8 @@ class TestSparsityPlan:
 
     def test_absent_layers_are_dense(self):
         plan = SparsityPlan({"fc1.weight": NMRatio(1, 4)})
-        assert "fc1.weight" in plan
-        assert "fc2.weight" not in plan
+        assert "fc1.weight" in plan.ratios
+        assert "fc2.weight" not in plan.ratios
 
 
 class TestDecaySchedule:

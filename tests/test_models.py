@@ -116,7 +116,7 @@ class TestForwardLoss:
         params = models.init_params(spec, 0)
         before = {k: v.copy() for k, v in params.items()}
         models.forward_loss(spec, params, random_batch(spec, 4, 0))
-        models.grad(spec, params, random_batch(spec, 4, 0))
+        models.loss_and_grad(spec, params, random_batch(spec, 4, 0))
         for k in params:
             np.testing.assert_array_equal(params[k], before[k])
 
@@ -130,7 +130,7 @@ class TestGrad:
         W = np.array([[0.3, -0.7]])
         b = np.array([0.1])
         params = {"fc1.weight": W, "fc1.bias": b}
-        grads = models.grad(spec, params, (X, y))
+        grads = models.loss_and_grad(spec, params, (X, y))[1]
         residual = X @ W.T + b - y
         np.testing.assert_allclose(grads["fc1.weight"], residual.T @ X / 3.0, atol=1e-12)
         np.testing.assert_allclose(grads["fc1.bias"], residual.sum(axis=0) / 3.0, atol=1e-12)
@@ -140,15 +140,15 @@ class TestGrad:
         hidden, *_ = np.linalg.lstsq(ds.inputs, ds.targets, rcond=None)
         spec = ModelSpec("linear_regression", (3, 1))
         params = {"fc1.weight": hidden.T, "fc1.bias": np.zeros(1)}
-        grads = models.grad(spec, params, ds.full_batch())
+        grads = models.loss_and_grad(spec, params, ds.full_batch())[1]
         assert max(np.max(np.abs(g)) for g in grads.values()) < 1e-10
 
     def test_deterministic(self):
         spec = mlp()
         params = models.init_params(spec, 3)
         batch = random_batch(spec, 5, 4)
-        g1 = models.grad(spec, params, batch)
-        g2 = models.grad(spec, params, batch)
+        g1 = models.loss_and_grad(spec, params, batch)[1]
+        g2 = models.loss_and_grad(spec, params, batch)[1]
         for k in g1:
             np.testing.assert_array_equal(g1[k], g2[k])
 
@@ -176,7 +176,7 @@ class TestGrad:
         }
         # pre-activation is exactly 0, so nothing flows back to fc1: +0.0,
         # although the gradient arriving from fc2 is negative
-        grads = models.grad(spec, params, (np.array([[0.0]]), np.array([0.0])))
+        grads = models.loss_and_grad(spec, params, (np.array([[0.0]]), np.array([0.0])))[1]
         np.testing.assert_array_equal(grads["fc1.weight"], [[0.0]])
         np.testing.assert_array_equal(grads["fc1.bias"], [0.0])
         assert not np.signbit(grads["fc1.weight"]).any()

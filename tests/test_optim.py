@@ -231,7 +231,7 @@ class TestGradientTransforms:
         batch = next(models.batch_iterator(ds, 2))
         plan = SparsityPlan({"fc2.weight": NMRatio(4, 4)})  # keep everything
         g1, masks_used = optim.ste_loss_and_grad(spec, params, plan, batch)[:2]
-        g2 = models.grad(spec, params, batch)
+        g2 = models.loss_and_grad(spec, params, batch)[1]
         assert np.all(masks_used["fc2.weight"] == 1.0)
         for k in g1:
             np.testing.assert_array_equal(g1[k], g2[k])
@@ -277,16 +277,18 @@ class TestRecipeValidation:
 
 
 class TestTwoPhaseTraining:
-    def test_phase_one_bitwise_equals_dense(self):
+    def test_phase_one_bitwise_equals_dense(self, train_with_snapshots):
         spec, ds, plan = blob_setup()
         hyper = default_hyper(5e-3)
         crit = SwitchCriterion(kind="fixed", step=50)
-        step_run = optim.step_train(spec, ds, hyper, plan, crit, 80, seed=1, snapshot_steps={50})
-        dense_run = optim.recipe_train(
-            spec, ds, hyper, plan, Recipe("dense"), None, 80, seed=1, snapshot_steps={50}
+        step_run, step_snaps = train_with_snapshots(
+            {50}, spec, ds, hyper, plan, Recipe("step"), crit, 80, seed=1
         )
-        p1, s1 = step_run.snapshots[50]
-        p2, s2 = dense_run.snapshots[50]
+        dense_run, dense_snaps = train_with_snapshots(
+            {50}, spec, ds, hyper, plan, Recipe("dense"), None, 80, seed=1
+        )
+        p1, s1 = step_snaps[50]
+        p2, s2 = dense_snaps[50]
         for k in p1:
             np.testing.assert_array_equal(p1[k], p2[k])
             np.testing.assert_array_equal(s1.m[k], s2.m[k])
@@ -297,7 +299,7 @@ class TestTwoPhaseTraining:
     def test_frozen_variance_exact(self):
         spec, ds, plan = blob_setup()
         crit = SwitchCriterion(kind="fixed", step=30)
-        run = optim.step_train(spec, ds, default_hyper(5e-3), plan, crit, 90, seed=2)
+        run = optim.recipe_train(spec, ds, default_hyper(5e-3), plan, Recipe("step"), crit, 90, 2)
         assert run.switched_at == 30
         for k, frozen in run.v_star.items():
             assert float(np.max(np.abs(run.state.v[k] - frozen))) == 0.0
@@ -305,7 +307,7 @@ class TestTwoPhaseTraining:
         assert len(phase2) == 60
         assert len({r.v_l1 for r in phase2}) == 1
 
-    def test_masked_phase_divides_by_raw_frozen_variance(self):
+    def test_masked_phase_divides_by_raw_frozen_variance(self, train_with_snapshots):
         # pins the current convention: after the switch, step divides by
         # sqrt(v* + eps) with the raw frozen v*, not v* / (1 - beta2**t0)
         from stepnm.masks import compute_nm_mask
@@ -313,18 +315,18 @@ class TestTwoPhaseTraining:
         spec, ds, plan = blob_setup()
         lr, t0, seed = 5e-3, 40, 5
         crit = SwitchCriterion(kind="fixed", step=t0)
-        run = optim.step_train(spec, ds, default_hyper(lr), plan, crit, t0 + 2, seed=seed,
-                               snapshot_steps={t0, t0 + 1, t0 + 2})
+        run, snapshots = train_with_snapshots({t0, t0 + 1, t0 + 2}, spec, ds, default_hyper(lr),
+                                              plan, Recipe("step"), crit, t0 + 2, seed=seed)
         batches = models.batch_iterator(ds, (seed, 1))  # the trainer's batch stream
         for _ in range(t0):
             next(batches)
         for k in (t0 + 1, t0 + 2):
-            params, state = run.snapshots[k - 1]
+            params, state = snapshots[k - 1]
             masked = dict(params)
             masked["fc2.weight"] = params["fc2.weight"] * compute_nm_mask(
                 params["fc2.weight"], NMRatio(1, 4))
             _, grads = models.loss_and_grad(spec, masked, next(batches))
-            after, after_state = run.snapshots[k]
+            after, after_state = snapshots[k]
             for name, w in params.items():
                 m_hat = (0.9 * state.m[name] + 0.1 * grads[name]) / (1.0 - 0.9**k)
                 raw = w - lr * m_hat / np.sqrt(run.v_star[name] + 1e-8)
@@ -333,7 +335,7 @@ class TestTwoPhaseTraining:
                 assert not np.allclose(after[name], corrected, rtol=1e-9, atol=0.0)
                 np.testing.assert_array_equal(after_state.v[name], run.v_star[name])
 
-    def test_updated_variance_divides_by_raw_running_variance(self):
+    def test_updated_variance_divides_by_raw_running_variance(self, train_with_snapshots):
         # pins the convention of step_updated_variance: after the switch it
         # divides by sqrt(v_t + eps) with the raw running v_t, not
         # v_t / (1 - beta2**t)
@@ -342,18 +344,19 @@ class TestTwoPhaseTraining:
         spec, ds, plan = blob_setup()
         lr, t0, seed = 5e-3, 40, 5
         crit = SwitchCriterion(kind="fixed", step=t0)
-        run = optim.recipe_train(spec, ds, default_hyper(lr), plan, Recipe("step_updated_variance"),
-                                 crit, t0 + 2, seed=seed, snapshot_steps={t0, t0 + 1, t0 + 2})
+        run, snapshots = train_with_snapshots({t0, t0 + 1, t0 + 2}, spec, ds, default_hyper(lr),
+                                              plan, Recipe("step_updated_variance"), crit, t0 + 2,
+                                              seed=seed)
         batches = models.batch_iterator(ds, (seed, 1))  # the trainer's batch stream
         for _ in range(t0):
             next(batches)
         for k in (t0 + 1, t0 + 2):
-            params, state = run.snapshots[k - 1]
+            params, state = snapshots[k - 1]
             masked = dict(params)
             masked["fc2.weight"] = params["fc2.weight"] * compute_nm_mask(
                 params["fc2.weight"], NMRatio(1, 4))
             _, grads = models.loss_and_grad(spec, masked, next(batches))
-            after, after_state = run.snapshots[k]
+            after, after_state = snapshots[k]
             for name, w in params.items():
                 g = grads[name]
                 m_hat = (0.9 * state.m[name] + 0.1 * g) / (1.0 - 0.9**k)
@@ -368,7 +371,7 @@ class TestTwoPhaseTraining:
         spec, ds, plan = blob_setup()
         hyper = default_hyper(5e-3)
         crit = SwitchCriterion(kind="fixed", step=60)
-        a = optim.step_train(spec, ds, hyper, plan, crit, 60, seed=3)
+        a = optim.recipe_train(spec, ds, hyper, plan, Recipe("step"), crit, 60, seed=3)
         b = optim.recipe_train(spec, ds, hyper, plan, Recipe("dense"), None, 60, seed=3)
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
@@ -378,25 +381,24 @@ class TestTwoPhaseTraining:
         spec, ds, plan = blob_setup()
         # forced switch beyond the budget can never fire inside the run
         crit = SwitchCriterion(kind="fixed", step=10_000)
-        run = optim.step_train(spec, ds, default_hyper(5e-3), plan, crit, 40, seed=4)
+        run = optim.recipe_train(spec, ds, default_hyper(5e-3), plan, Recipe("step"), crit, 40, 4)
         assert run.switched_at is None
         assert all(r.phase == "precondition" for r in run.records)
         assert run.final_masks  # final mask still applied for sparse eval
 
-    def test_updated_variance_differs_first_at_t0_plus_1(self):
+    def test_updated_variance_differs_first_at_t0_plus_1(self, train_with_snapshots):
         spec, ds, plan = blob_setup()
         hyper = default_hyper(5e-3)
         crit = SwitchCriterion(kind="fixed", step=20)
-        a = optim.recipe_train(spec, ds, hyper, plan, Recipe("step"), crit, 40, seed=5,
-                               snapshot_steps={20, 21})
-        b = optim.recipe_train(spec, ds, hyper, plan, Recipe("step_updated_variance"), crit, 40,
-                               seed=5, snapshot_steps={20, 21})
-        _, sa20 = a.snapshots[20]
-        _, sb20 = b.snapshots[20]
+        _, a = train_with_snapshots({20, 21}, spec, ds, hyper, plan, Recipe("step"), crit, 40, 5)
+        _, b = train_with_snapshots({20, 21}, spec, ds, hyper, plan,
+                                    Recipe("step_updated_variance"), crit, 40, 5)
+        _, sa20 = a[20]
+        _, sb20 = b[20]
         for k in sa20.v:
             np.testing.assert_array_equal(sa20.v[k], sb20.v[k])
-        _, sa21 = a.snapshots[21]
-        _, sb21 = b.snapshots[21]
+        _, sa21 = a[21]
+        _, sb21 = b[21]
         assert any(not np.array_equal(sa21.v[k], sb21.v[k]) for k in sa21.v)
 
     def test_srste_lam_zero_trajectory_equals_ste(self):
@@ -442,8 +444,8 @@ class TestTwoPhaseTraining:
     def test_reproducible_across_calls(self):
         spec, ds, plan = blob_setup()
         crit = SwitchCriterion(kind="fixed", step=25)
-        a = optim.step_train(spec, ds, default_hyper(5e-3), plan, crit, 50, seed=10)
-        b = optim.step_train(spec, ds, default_hyper(5e-3), plan, crit, 50, seed=10)
+        a = optim.recipe_train(spec, ds, default_hyper(5e-3), plan, Recipe("step"), crit, 50, 10)
+        b = optim.recipe_train(spec, ds, default_hyper(5e-3), plan, Recipe("step"), crit, 50, 10)
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
         assert [r.loss for r in a.records] == [r.loss for r in b.records]

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import simulate_vhat
 from stepnm import theory
 from stepnm.errors import ConfigError, DomainError, RangeError
-from stepnm.theory import StationaryStream, azuma_bound, min_precondition_step, simulate_vhat
+from stepnm.theory import StationaryStream, azuma_bound, min_precondition_step
 
 
 class TestAzumaBound:
@@ -73,9 +74,16 @@ class TestStationaryStream:
             StationaryStream(kind="constant", bound=1.0, level=2.0)
         with pytest.raises(ConfigError):
             StationaryStream(kind="bernoulli", bound=1.0, p=1.5)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConfigError, match="finite"):
+                StationaryStream(kind="uniform", bound=bad)
+            with pytest.raises(ConfigError, match="finite"):
+                StationaryStream(kind="trunc_gauss_sq", bound=1.0, sigma=bad)
 
 
 class TestSimulateVhat:
+    """The reference accumulator that the validator is checked against."""
+
     def test_constant_stream_is_fixed_point(self):
         # mathematically vhat == c for every step; float rounding wobbles at ~1e-14
         stream = StationaryStream(kind="constant", bound=1.0, level=0.7, dim=3, seed=0)
@@ -151,6 +159,23 @@ class TestValidateTheorem:
         assert a.max_observed_deviation == b.max_observed_deviation
         c = theory.validate_theorem(stream, 0.99, 150, 400, 0.05, trials=25, master_seed=99)
         assert c.max_observed_deviation != a.max_observed_deviation
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
+    def test_bitwise_equal_to_per_trial_recursion(self, kind):
+        # each trial i is simulate_vhat on the generator (seed, i) the validator uses
+        stream = StationaryStream(kind=kind, bound=1.0, dim=2, seed=5, level=0.3)
+        t0, t, trials = 1300, 1500, 3
+        report = theory.validate_theorem(stream, 0.999, t0, t, delta=0.01, trials=trials)
+        drifts, step_devs = [], []
+        for i in range(trials):
+            vhat = simulate_vhat(stream, 0.999, t, seed=(stream.seed, i))
+            drifts.append(float(np.max(np.abs(vhat[t - 1] - vhat[t0 - 1]))))
+            step_devs.append(float(np.max(np.abs(np.diff(vhat[t0 - 1:], axis=0)))))
+        assert report.max_observed_deviation == max(drifts)
+        assert report.max_per_step_deviation == max(step_devs)
+        assert report.violations == sum(d >= report.bound_value for d in drifts)
 
 
 def one_shot_validate(stream, beta2, t0, t, trials, seed):
