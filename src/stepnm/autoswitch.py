@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RangeError
+from .models import pack
 
 SAMPLER_OPTIONS = ("arithmetic", "geometric")
 CRITERION_KINDS = ("autoswitch", "relative", "staleness", "fixed")
@@ -41,22 +42,33 @@ def variance_stats(v: dict, v_prev: dict) -> tuple[float, float, float, float]:
 
     z is the mean absolute per-coordinate change from ``v_prev`` to ``v``;
     z_geom is the geometric mean of those changes, floored at a tiny constant
-    so zero changes stay defined; v_l1 and v_l2 are the norms of ``v``.  Each
-    sum is accumulated per array as a Python float; the inputs are untouched.
+    so zero changes stay defined; v_l1 and v_l2 are the norms of ``v``.  The
+    elementwise work runs once over the flat buffers (plain dicts are copied
+    into ParamBuffers first); each sum is then taken per parameter and added
+    up as Python floats in layout order.  The inputs are untouched.
     """
-    total_abs = total_log = l1 = sq = 0.0
-    count = 0
-    for name, arr in v.items():
-        delta = np.subtract(arr, v_prev[name])
-        np.abs(delta, out=delta)
-        total_abs += float(delta.sum())
-        np.maximum(delta, GEOMETRIC_FLOOR, out=delta)
-        np.log(delta, out=delta)
-        total_log += float(delta.sum())
-        count += delta.size
-        l1 += float(np.abs(arr).sum())
-        sq += float(np.square(arr).sum())
+    v = pack(v)
+    v_prev = pack(v_prev, v.shapes)
+    work = np.subtract(v.flat, v_prev.flat)
+    np.abs(work, out=work)
+    total_abs = _layer_sum(work, v.bounds)
+    np.maximum(work, GEOMETRIC_FLOOR, out=work)
+    np.log(work, out=work)
+    total_log = _layer_sum(work, v.bounds)
+    np.abs(v.flat, out=work)
+    l1 = _layer_sum(work, v.bounds)
+    np.square(v.flat, out=work)
+    sq = _layer_sum(work, v.bounds)
+    count = work.size
     return total_abs / count, math.exp(total_log / count), l1, math.sqrt(sq)
+
+
+def _layer_sum(values: np.ndarray, bounds) -> float:
+    """The sum of each (start, stop) segment's ``.sum()``, added as Python floats in order."""
+    total = 0.0
+    for start, stop in bounds:
+        total += float(values[start:stop].sum())
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,7 @@ class DataConfig:
         if self.kind == "csv":
             if not self.path:
                 raise ConfigError("csv data needs a path")
+            models.open_csv(self.path).close()  # fail at load, before any output is made
         else:
             models.check_synthetic(self.kind, self.n_samples, self.n_classes, self.noise_std,
                                    prefix="data.")

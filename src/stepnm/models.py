@@ -4,12 +4,15 @@ One pass serves both model kinds: affine layers with relu/tanh between them,
 then softmax cross-entropy or half squared error; the backward pass walks the
 layers in reverse.  Weights are stored (out_features, in_features) so that
 N:M groups along the innermost axis run over each output's reduction
-dimension.
+dimension.  Training keeps the parameters, their gradients and the optimizer
+moments in ParamBuffers: one flat float64 array each, whose named views are
+the per-layer arrays.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,15 +66,65 @@ def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(spec: ModelSpec, seed) -> ParamSet:
+class ParamBuffer(dict):
+    """One contiguous float64 array, ``flat``, and its named views.
+
+    The views take the names and shapes of ``shapes``, laid out back to back
+    in that order; ``bounds`` holds each one's (start, stop) in ``flat``.
+    Writing through a view writes ``flat`` and the reverse.  ``copy`` copies
+    the data into a new buffer.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray | None = None):
+        super().__init__()
+        self.shapes = shapes
+        self.bounds = []
+        stop = 0
+        for shape in shapes.values():
+            start, stop = stop, stop + math.prod(shape)
+            self.bounds.append((start, stop))
+        self.flat = np.zeros(stop) if flat is None else flat
+        for (name, shape), (start, stop) in zip(shapes.items(), self.bounds):
+            self[name] = self.flat[start:stop].reshape(shape)
+
+    def copy(self) -> "ParamBuffer":
+        return ParamBuffer(self.shapes, self.flat.copy())
+
+    def __reduce__(self):
+        # pickle the buffer once, not once more per view
+        return ParamBuffer, (self.shapes, self.flat)
+
+
+def pack(arrays: ParamSet, shapes: dict[str, tuple[int, ...]] | None = None,
+         what: str = "array") -> ParamBuffer:
+    """``arrays`` as a ParamBuffer laid out as ``shapes`` (by default their own).
+
+    A ParamBuffer with that layout is returned as it is; anything else is
+    copied into a new one.  A name of ``shapes`` that ``arrays`` lacks, or
+    holds in another shape, raises DimensionError naming the ``what``.
+    """
+    if shapes is None:
+        if isinstance(arrays, ParamBuffer):
+            return arrays
+        shapes = {name: np.shape(a) for name, a in arrays.items()}
+    elif isinstance(arrays, ParamBuffer) and arrays.shapes == shapes:
+        return arrays
+    buffer = ParamBuffer(shapes)
+    for name, shape in shapes.items():
+        a = arrays.get(name)
+        if a is None or np.shape(a) != shape:
+            raise DimensionError(f"{what} for {name!r} missing or misshapen")
+        buffer[name][...] = a
+    return buffer
+
+
+def init_params(spec: ModelSpec, seed) -> ParamBuffer:
     """Seeded scaled-normal weights, zero biases."""
     rng = np.random.default_rng(seed)
-    params: ParamSet = {}
-    for name, shape in param_shapes(spec).items():
-        if name.endswith(".bias"):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[1]), shape)
+    params = ParamBuffer(param_shapes(spec))
+    for name, shape in params.shapes.items():
+        if not name.endswith(".bias"):
+            params[name][...] = rng.normal(0.0, 1.0 / np.sqrt(shape[1]), shape)
     return params
 
 
@@ -111,12 +164,13 @@ def _check_batch(spec: ModelSpec, inputs: np.ndarray, targets: np.ndarray) -> np
     return t
 
 
-def _pass(spec: ModelSpec, params: ParamSet, batch, backward: bool):
+def _pass(spec: ModelSpec, params: ParamSet, batch, backward: bool, out: ParamSet | None = None):
     """Mean batch loss, plus every parameter's gradient when ``backward``.
 
     The forward pass keeps each layer's input; the backward pass walks the
     layers in reverse, forming dW = g.T @ h and db = sum(g) per layer and
-    skipping the gradient of the input batch.
+    skipping the gradient of the input batch.  The gradients are written
+    into the arrays of ``out`` when it is given, into fresh ones otherwise.
     """
     inputs, targets = batch
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -127,12 +181,12 @@ def _pass(spec: ModelSpec, params: ParamSet, batch, backward: bool):
                for i in range(1, n_layers + 1)]
     layer_inputs = [inputs]
     for i, w in enumerate(weights, 1):
-        out = layer_inputs[-1] @ w.T + np.asarray(params[f"fc{i}.bias"], dtype=np.float64)
+        pred = layer_inputs[-1] @ w.T + np.asarray(params[f"fc{i}.bias"], dtype=np.float64)
         if i < n_layers:
-            layer_inputs.append(np.maximum(out, 0.0) if spec.activation == "relu" else np.tanh(out))
-    n = out.shape[0]
+            layer_inputs.append(np.maximum(pred, 0.0) if spec.activation == "relu" else np.tanh(pred))
+    n = pred.shape[0]
     if spec.kind == "mlp_classifier":
-        z = out - out.max(axis=1, keepdims=True)
+        z = pred - pred.max(axis=1, keepdims=True)
         expz = np.exp(z)
         sumexp = expz.sum(axis=1, keepdims=True)
         rows = np.arange(n)
@@ -141,21 +195,22 @@ def _pass(spec: ModelSpec, params: ParamSet, batch, backward: bool):
             g = expz / sumexp
             g[rows, targets] -= 1.0
     else:
-        g = out - targets
+        g = pred - targets
         loss = 0.5 * np.sum(g * g) / n
     if not backward:
         return float(loss), None
     g = g / n
-    grads: ParamSet = {}
+    grads: ParamSet = {} if out is None else out
     for i in range(n_layers, 0, -1):
         h = layer_inputs[i - 1]
-        grads[f"fc{i}.weight"] = g.T @ h
-        grads[f"fc{i}.bias"] = g.sum(axis=0)
+        weight, bias = f"fc{i}.weight", f"fc{i}.bias"
+        grads[weight] = np.matmul(g.T, h, out=grads.get(weight))
+        grads[bias] = g.sum(axis=0, out=grads.get(bias))
         if i > 1:
             g = g @ weights[i - 1]
             # the relu subgradient at exactly 0 is +0.0
             g = np.where(h > 0.0, g, 0.0) if spec.activation == "relu" else g * (1.0 - h * h)
-    return float(loss), {name: grads[name] for name in params}
+    return float(loss), grads if out is not None else {name: grads[name] for name in params}
 
 
 def forward_loss(spec: ModelSpec, params: ParamSet, batch) -> float:
@@ -163,9 +218,14 @@ def forward_loss(spec: ModelSpec, params: ParamSet, batch) -> float:
     return _pass(spec, params, batch, backward=False)[0]
 
 
-def loss_and_grad(spec: ModelSpec, params: ParamSet, batch) -> tuple[float, ParamSet]:
-    """Loss plus gradients for every parameter, in one forward/backward pass."""
-    return _pass(spec, params, batch, backward=True)
+def loss_and_grad(spec: ModelSpec, params: ParamSet, batch,
+                  out: ParamSet | None = None) -> tuple[float, ParamSet]:
+    """Loss plus gradients for every parameter, in one forward/backward pass.
+
+    With ``out``, a ParamSet of arrays shaped as ``param_shapes(spec)``, the
+    gradients are written into its arrays and ``out`` is returned.
+    """
+    return _pass(spec, params, batch, backward=True, out=out)
 
 
 @dataclass(frozen=True)
@@ -323,6 +383,14 @@ def save_csv(dataset: Dataset, path) -> None:
             writer.writerow([repr(float(v)) for v in row_x] + [repr(float(v)) for v in row_y])
 
 
+def open_csv(path):
+    """The CSV file at ``path``, open for reading; ConfigError if it cannot be opened."""
+    try:
+        return open(path, newline="")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot read CSV {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def load_csv(path, n_targets: int = 1, batch_size: int = 32, target_kind: str = "value") -> Dataset:
     """Read a CSV dataset written by :func:`save_csv` (targets are the last columns).
 
@@ -332,7 +400,7 @@ def load_csv(path, n_targets: int = 1, batch_size: int = 32, target_kind: str = 
         raise ConfigError("n_targets must be >= 1")
     if target_kind not in ("value", "class"):
         raise ConfigError(f"unknown target kind {target_kind!r}")
-    with open(path, newline="") as fh:
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) <= n_targets:

@@ -5,6 +5,13 @@ freezes the variance accumulator at that point, and then learns masks with
 straight-through gradients while the frozen variance keeps scaling the
 learning rate.  Single-phase baselines (dense, ste, srste) and the
 updated-variance variant share the same driver.
+
+A run holds its parameters, gradients and Adam moments in ParamBuffers (see
+``models``): one flat float64 array each, laid out from
+``models.param_shapes``, whose named (out, in) views are the ParamSets that
+the model, the masks and TrainResult see.  Each step writes the gradients
+into their buffer and ``adam_step`` updates the others in place, running
+each numpy operation once over all coordinates.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from . import models
 from .autoswitch import StepStats, SwitchCriterion, make_detector, variance_stats
-from .errors import ConfigError, DimensionError, NumericalError
+from .errors import ConfigError, NumericalError
 from .masks import DecaySchedule, NMRatio, SparsityPlan, apply_mask, compute_nm_mask, mask_sparsity
 
 ParamSet = models.ParamSet
@@ -65,34 +72,54 @@ class AdamHyper:
 
 @dataclass
 class AdamState:
-    """Per-parameter moment accumulators plus the completed-step counter."""
+    """Moment accumulators, update scratch and the completed-step counter.
+
+    ``m`` and ``v`` are ParamBuffers (plain dicts are copied into new ones),
+    which ``adam_step`` updates in place.  The rest is scratch, made on first
+    use and dropped by setting it to None: ``spare`` receives the next v, so
+    that the previous v stays readable until the step after; ``scratch`` and
+    ``denom`` hold the update's temporaries.
+    """
 
     m: ParamSet
     v: ParamSet
     t: int = 0
+    spare: ParamSet | None = None
+    scratch: np.ndarray | None = None
+    denom: ParamSet | None = None
+
+    def __post_init__(self):
+        self.m = models.pack(self.m, what="first moment")
+        self.v = models.pack(self.v, self.m.shapes, what="second moment")
+
+    def release(self) -> None:
+        """Drop the scratch buffers; the next update makes them again."""
+        self.spare = self.scratch = self.denom = None
 
 
 def init_adam_state(params: ParamSet) -> AdamState:
-    zeros = lambda p: np.zeros_like(np.asarray(p, dtype=np.float64))
-    return AdamState(
-        m={name: zeros(p) for name, p in params.items()},
-        v={name: zeros(p) for name, p in params.items()},
-        t=0,
-    )
+    """Zero moments laid out as ``params``."""
+    shapes = models.pack(params).shapes
+    return AdamState(m=models.ParamBuffer(shapes), v=models.ParamBuffer(shapes), t=0)
 
 
-def _check_grads(params: ParamSet, grads: ParamSet, step: int) -> None:
-    for name, w in params.items():
-        g = grads.get(name)
-        if g is None or np.shape(g) != np.shape(w):
-            raise DimensionError(f"gradient for {name!r} missing or misshapen")
-        if not np.isfinite(g).all():
-            raise NumericalError(f"non-finite gradient for {name!r} at step {step}")
+def _check_grads(grads: models.ParamBuffer, step: int) -> None:
+    if not np.isfinite(grads.flat).all():
+        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise NumericalError(f"non-finite gradient for {name!r} at step {step}")
 
 
 def adam_step(state: AdamState, hyper: AdamHyper, params: ParamSet, grads: ParamSet,
               frozen_denom: ParamSet | None = None, bias_correct_v: bool = True):
-    """One Adam update; returns new (state, params) without mutating the inputs.
+    """One Adam update over the whole flat buffer, in place; returns (state, params).
+
+    ``params``, ``state.m`` and the step counter are updated where they are,
+    and v is written into ``state.spare`` and swapped with it, so the
+    previous ``state.v`` keeps its values until the next update.  Params,
+    grads or ``frozen_denom`` that are not ParamBuffers laid out as
+    ``state.m`` are copied into one first; the returned params are then that
+    copy.  Each operation runs over all coordinates at once, in the order of
+    the plain per-parameter expressions, so every bit is theirs.
 
     Bias correction divides by 1 - beta**k where k counts the gradients
     accumulated so far, so the first step divides by 1 - beta (never zero).
@@ -105,67 +132,72 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: ParamSet, grads: Param
       switch, in which case the accumulator is left untouched (step).
     """
     k = state.t + 1
-    _check_grads(params, grads, k)
+    shapes = state.m.shapes
+    params = models.pack(params, shapes, what="parameter")
+    grads = models.pack(grads, shapes, what="gradient")
+    _check_grads(grads, k)
     gamma = hyper.lr_schedule(state.t)
     b1, b2 = hyper.beta1, hyper.beta2
     m_corr = 1.0 - b1**k
     v_corr = 1.0 - b2**k if bias_correct_v else 1.0  # v / 1.0 is exact
-    new_m, new_v, new_p = {}, {}, {}
-    for name, w in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        m = _ema(state.m[name], b1, g)
-        if frozen_denom is None:
-            v = _ema(state.v[name], b2, g, square=True)
-            denom = np.divide(v, v_corr)
-            denom += hyper.eps
-            np.sqrt(denom, out=denom)
-        else:
-            v, denom = state.v[name], frozen_denom[name]
-        new_p[name] = _step(w, gamma, m, m_corr, denom)
-        new_m[name], new_v[name] = m, v
-    return AdamState(new_m, new_v, k), new_p
+    g, m = grads.flat, state.m.flat
+    if state.scratch is None:
+        state.scratch = np.empty_like(m)
+    scratch = state.scratch
+
+    # m = b1 * m + (1 - b1) * g
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=scratch)
+    m += scratch
+    if frozen_denom is None:
+        # v = b2 * v + (1 - b2) * g * g, into the spare buffer
+        if state.spare is None:
+            state.spare = models.ParamBuffer(shapes)
+        if state.denom is None:
+            state.denom = models.ParamBuffer(shapes)
+        v, denom = state.spare.flat, state.denom.flat
+        np.multiply(state.v.flat, b2, out=v)
+        np.multiply(g, 1.0 - b2, out=scratch)
+        scratch *= g
+        v += scratch
+        state.v, state.spare = state.spare, state.v
+        np.divide(v, v_corr, out=denom)
+        denom += hyper.eps
+        np.sqrt(denom, out=denom)
+    else:
+        denom = models.pack(frozen_denom, shapes, what="frozen denominator").flat
+    # params = params - gamma * (m / m_corr) / denom
+    np.divide(m, m_corr, out=scratch)
+    scratch *= gamma
+    scratch /= denom
+    params.flat -= scratch
+    state.t = k
+    return state, params
 
 
-def _ema(old, beta, g, square=False):
-    """beta * old + (1 - beta) * g, times g again when ``square``, as a fresh array.
-
-    The operations run in the order of that plain expression, so the result
-    is bit-identical to it; ``old`` and ``g`` are left untouched.
-    """
-    new = np.multiply(old, beta)
-    term = np.multiply(g, 1.0 - beta)
-    if square:
-        term *= g
-    new += term
-    return new
-
-
-def _step(w, gamma, m, m_corr, denom):
-    """w - gamma * (m / m_corr) / denom as one fresh array, in that operation order."""
-    update = np.divide(m, m_corr)
-    update *= gamma
-    update /= denom
-    return np.subtract(w, update, out=update)
-
-
-def ste_loss_and_grad(spec, params: ParamSet, ratios, batch, lam: float = 0.0):
+def ste_loss_and_grad(spec, params: ParamSet, ratios, batch, lam: float = 0.0,
+                      out: ParamSet | None = None):
     """Straight-through loss and gradient at the masked point; returns (grads, masks, loss).
 
     ``ratios`` maps layer names to N:M ratios (a dict or a SparsityPlan).
     The forward pass sees mask * weights for every listed layer; the
     returned gradients are exactly the gradients at that masked point,
     applied to all coordinates.  With lam > 0 (SR-STE) they also get
-    lam * (1 - mask) * weights on the listed layers.
+    lam * (1 - mask) * weights on the listed layers.  The gradients go into
+    ``out`` when it is given, as in ``models.loss_and_grad``.
     """
     masks = {name: compute_nm_mask(params[name], ratio) for name, ratio in ratios.items()}
     masked = dict(params)
     for name, mask in masks.items():
         masked[name] = np.asarray(params[name], dtype=np.float64) * mask
-    loss, grads = models.loss_and_grad(spec, masked, batch)
+    loss, grads = models.loss_and_grad(spec, masked, batch, out=out)
     if lam > 0.0:
-        grads = dict(grads)
         for name, mask in masks.items():
-            grads[name] = grads[name] + lam * (1.0 - mask) * np.asarray(params[name])
+            # lam * (1 - mask) * w, added in place
+            penalty = np.subtract(1.0, mask)
+            penalty *= lam
+            penalty *= params[name]
+            grads[name] += penalty
     return grads, masks, loss
 
 
@@ -259,6 +291,7 @@ def recipe_train(
         raise ConfigError(f"recipe {recipe.kind!r} needs a switch criterion")
 
     params = models.init_params(spec, (seed, 0))
+    grads = models.ParamBuffer(params.shapes)
     state = init_adam_state(params)
     batches = models.batch_iterator(dataset, (seed, 1))
     detector = make_detector(switch, hyper.beta2, hyper.eps) if two_phase else None
@@ -276,9 +309,10 @@ def recipe_train(
 
         if in_masked_phase and plan:
             ratios = _effective_ratios(plan, recipe.decay, t)
-            grads, _, loss = ste_loss_and_grad(spec, params, ratios, batch, lam=recipe.lam)
+            grads, _, loss = ste_loss_and_grad(spec, params, ratios, batch, lam=recipe.lam,
+                                               out=grads)
         else:
-            loss, grads = models.loss_and_grad(spec, params, batch)
+            loss, grads = models.loss_and_grad(spec, params, batch, out=grads)
 
         # after the switch the masked phase divides by the raw variance
         state, params = adam_step(state, hyper, params, grads, frozen_denom,
@@ -286,7 +320,8 @@ def recipe_train(
 
         z = z_geom = z_bar = None
         if frozen_denom is None:
-            # a frozen variance keeps the statistics of the step that froze it
+            # a frozen variance keeps the statistics of the step that froze it;
+            # adam_step wrote the new v elsewhere, so prev_v still holds the old one
             z, z_geom, v_l1, v_l2 = variance_stats(state.v, prev_v)
 
         fired_now = None
@@ -297,9 +332,13 @@ def recipe_train(
             if fired:
                 switched_at = t
                 fired_now = t
-                v_star = {name: arr.copy() for name, arr in state.v.items()}
+                v_star = state.v.copy()
                 if recipe.kind == "step":
-                    frozen_denom = {name: np.sqrt(arr + hyper.eps) for name, arr in v_star.items()}
+                    # sqrt(v* + eps) goes into the denominator scratch, which
+                    # the frozen update no longer needs, nor the spare v
+                    frozen_denom, state.denom, state.spare = state.denom, None, None
+                    np.add(v_star.flat, hyper.eps, out=frozen_denom.flat)
+                    np.sqrt(frozen_denom.flat, out=frozen_denom.flat)
 
         phase = "mask_learning" if (masked_from_start or
                                     (switched_at is not None and t > switched_at)) else "precondition"
@@ -308,7 +347,9 @@ def recipe_train(
             z=z, z_geom=z_geom, z_bar=z_bar, switched_at=fired_now,
         ))
 
-    frozen_denom = None  # a parameter-sized set, not needed for the full-batch evaluation
+    # the gradients and the update's scratch are not needed for the full-batch evaluation
+    grads = prev_v = frozen_denom = None
+    state.release()
     final_ratios = _effective_ratios(plan, recipe.decay, total_steps) if plan else {}
     final_masks = {name: compute_nm_mask(params[name], ratio) for name, ratio in final_ratios.items()}
     masked_params = dict(params)

@@ -30,8 +30,9 @@ def train_with_snapshots(monkeypatch):
     """recipe_train that also returns {t: (params, state)} after each step t asked for.
 
     recipe_train looks ``optim.adam_step`` up once per step, so a wrapper
-    there sees every update.  ``adam_step`` returns fresh arrays that the run
-    never writes to again, so the snapshots need no copies.
+    there sees every update.  ``adam_step`` updates the parameter and moment
+    buffers in place, and the run goes on writing them, so each snapshot
+    holds copies.
     """
     real = optim.adam_step
 
@@ -41,7 +42,8 @@ def train_with_snapshots(monkeypatch):
         def recording(*step_args, **step_kwargs):
             state, params = real(*step_args, **step_kwargs)
             if state.t in steps:
-                taken[state.t] = (params, state)
+                taken[state.t] = (params.copy(),
+                                  optim.AdamState(state.m.copy(), state.v.copy(), state.t))
             return state, params
 
         monkeypatch.setattr(optim, "adam_step", recording)

@@ -545,6 +545,21 @@ class TestTypedInputErrors:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_csv_exits_2_before_any_output(self, tmp_path, monkeypatch, capsys, where):
+        csv_path = tmp_path / "missing.csv" if where == "missing" else tmp_path
+        path, _ = make_config(tmp_path, data={"kind": "csv", "path": str(csv_path)})
+        with pytest.raises(ConfigError, match="cannot read CSV"):
+            harness.load_config(path)
+        out = tmp_path / "out"
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith("error: cannot read CSV")
+        assert not out.exists()
+
+
 # arbitrary YAML-like values to drop into any slot of a valid config
 _yaml_values = st.recursive(
     st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats(allow_nan=True)

@@ -121,6 +121,41 @@ class TestForwardLoss:
             np.testing.assert_array_equal(params[k], before[k])
 
 
+class TestParamBuffer:
+    def test_views_share_the_flat_buffer(self):
+        shapes = models.param_shapes(mlp((3, 5, 2)))
+        buf = models.ParamBuffer(shapes)
+        assert list(buf) == list(shapes) and buf.flat.size == 3 * 5 + 5 + 5 * 2 + 2
+        for (name, shape), (start, stop) in zip(shapes.items(), buf.bounds):
+            assert buf[name].shape == shape and np.shares_memory(buf[name], buf.flat)
+            buf[name][...] = start
+            assert np.all(buf.flat[start:stop] == start)
+
+    def test_copy_and_pickle_keep_views(self):
+        import pickle
+
+        buf = models.init_params(mlp(), 1)
+        for other in (buf.copy(), pickle.loads(pickle.dumps(buf))):
+            assert isinstance(other, models.ParamBuffer)
+            assert not np.shares_memory(other.flat, buf.flat)
+            np.testing.assert_array_equal(other.flat, buf.flat)
+            other.flat[0] += 1.0
+            assert other["fc1.weight"].flat[0] == buf["fc1.weight"].flat[0] + 1.0
+
+    def test_pack(self):
+        shapes = {"a": (2, 2), "b": (3,)}
+        buf = models.ParamBuffer(shapes)
+        assert models.pack(buf) is buf and models.pack(buf, dict(shapes)) is buf
+        plain = {"b": np.arange(3.0), "a": np.ones((2, 2))}
+        packed = models.pack(plain, shapes)
+        assert list(packed) == ["a", "b"] and not np.shares_memory(packed["b"], plain["b"])
+        np.testing.assert_array_equal(packed.flat, [1, 1, 1, 1, 0, 1, 2])
+        with pytest.raises(DimensionError, match="gradient for 'b'"):
+            models.pack({"a": np.ones((2, 2)), "b": np.ones(4)}, shapes, what="gradient")
+        with pytest.raises(DimensionError, match="'b'"):
+            models.pack({"a": np.ones((2, 2))}, shapes)
+
+
 class TestGrad:
     def test_linear_closed_form_3x2(self):
         # f = ||X W^T + b - y||^2 / (2 n)  =>  dW = ((X W^T + b - y)^T X) / n
@@ -165,6 +200,19 @@ class TestGrad:
         a = models.forward_loss(spec, params, (inputs, np.array([0.0, 1.0, 1.0])))
         b = models.forward_loss(spec, params, (inputs, np.array([0, 1, 1])))
         assert a == b
+
+    @pytest.mark.parametrize("sizes", [(3, 5, 3), (64, 128, 128, 10)])
+    def test_out_buffer_gets_the_same_bits(self, sizes):
+        spec = mlp(sizes)
+        params = models.init_params(spec, 5)
+        batch = random_batch(spec, 64, 6)
+        loss, fresh = models.loss_and_grad(spec, params, batch)
+        out = models.ParamBuffer(models.param_shapes(spec))
+        out.flat[...] = np.nan
+        loss_out, grads = models.loss_and_grad(spec, params, batch, out=out)
+        assert grads is out and loss_out == loss
+        for name, g in fresh.items():
+            assert out[name].tobytes() == g.tobytes()
 
     def test_relu_subgradient_at_zero_is_zero(self):
         spec = ModelSpec("mlp_classifier", (1, 1, 2), activation="relu")
@@ -331,6 +379,11 @@ class TestCSV:
         loaded = models.load_csv(path, n_targets=1, target_kind="class")
         np.testing.assert_array_equal(loaded.targets, ds.targets)
         assert loaded.targets.ndim == 1
+
+    def test_unreadable_file(self, tmp_path):
+        for path in (tmp_path / "missing.csv", tmp_path):
+            with pytest.raises(ConfigError, match="cannot read CSV"):
+                models.load_csv(path)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -84,15 +84,30 @@ class TestAdamStep:
         with pytest.raises(NumericalError, match="step 2"):
             adam_step(state, hyper, params, {"w": np.array([float("nan")])})
 
-    def test_inputs_not_mutated(self):
+    def test_non_finite_gradient_names_the_parameter(self):
         hyper = default_hyper()
-        params = {"w": np.array([1.0])}
-        state = init_adam_state(params)
-        m_before = state.m["w"].copy()
-        adam_step(state, hyper, params, {"w": np.array([2.0])})
-        np.testing.assert_array_equal(state.m["w"], m_before)
-        assert state.t == 0
-        assert params["w"][0] == 1.0
+        params = {"a": np.ones((2, 3)), "b": np.ones(4), "c": np.ones(2)}
+        grads = {name: np.ones_like(p) for name, p in params.items()}
+        state, params = adam_step(init_adam_state(params), hyper, params, grads)
+        grads["b"][2] = np.nan
+        with pytest.raises(NumericalError, match=r"gradient for 'b' at step 2$"):
+            adam_step(state, hyper, params, grads)
+
+    def test_updates_in_place(self):
+        hyper = default_hyper()
+        plain = {"w": np.array([1.0])}
+        state = init_adam_state(plain)
+        m, v = state.m, state.v
+        same, params = adam_step(state, hyper, plain, {"w": np.array([2.0])})
+        assert same is state and state.t == 1
+        assert plain["w"][0] == 1.0  # a plain dict is copied into a buffer
+        assert params["w"][0] < 1.0
+        assert state.m is m and m["w"][0] == (1.0 - 0.9) * 2.0
+        # the new v went into the spare buffer; the previous v is still there
+        assert state.spare is v and v["w"][0] == 0.0 and state.v["w"][0] > 0.0
+        _, again = adam_step(state, hyper, params, {"w": np.array([2.0])})
+        assert again is params  # a ParamBuffer is updated where it is
+        assert state.v is v and state.t == 2
 
     def test_bitwise_equal_to_plain_expressions(self):
         # the update writes into fresh buffers in place; every bit must match
@@ -104,16 +119,17 @@ class TestAdamStep:
         state = init_adam_state(params)
         for k in range(1, 6):
             grads = {n: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for n, s in shapes.items()}
-            before = [{n: a.copy() for n, a in d.items()} for d in (params, grads, state.m, state.v)]
+            # the update writes params, m and v in place: expect from copies
+            old_p, old_g, old_m, old_v = [{n: a.copy() for n, a in d.items()}
+                                          for d in (params, grads, state.m, state.v)]
             new_state, new_params = adam_step(state, hyper, params, grads)
-            for d, copy in zip((params, grads, state.m, state.v), before):
-                for n in d:
-                    np.testing.assert_array_equal(d[n], copy[n])
+            for n in grads:
+                np.testing.assert_array_equal(grads[n], old_g[n])
             b1, b2, gamma = 0.85, 0.995, 3e-3
-            for n, w in params.items():
+            for n, w in old_p.items():
                 g = grads[n]
-                m = b1 * state.m[n] + (1.0 - b1) * g
-                v = b2 * state.v[n] + (1.0 - b2) * g * g
+                m = b1 * old_m[n] + (1.0 - b1) * g
+                v = b2 * old_v[n] + (1.0 - b2) * g * g
                 p = w - gamma * (m / (1.0 - b1**k)) / np.sqrt(v / (1.0 - b2**k) + 1e-7)
                 assert new_state.m[n].tobytes() == m.tobytes()
                 assert new_state.v[n].tobytes() == v.tobytes()
@@ -126,26 +142,26 @@ class TestAdamStep:
         rng = np.random.default_rng(12)
         hyper = AdamHyper(lr_schedule=constant_lr(2e-3))
         params = {"a": rng.standard_normal((16, 8)), "b": rng.standard_normal(8)}
-        state = optim.AdamState(
-            m={n: rng.standard_normal(w.shape) * 1e-2 for n, w in params.items()},
-            v={n: rng.random(w.shape) * 1e-3 for n, w in params.items()}, t=9)
+        m0 = {n: rng.standard_normal(w.shape) * 1e-2 for n, w in params.items()}
+        v0 = {n: rng.random(w.shape) * 1e-3 for n, w in params.items()}
         grads = {n: rng.standard_normal(w.shape) for n, w in params.items()}
-        frozen = {n: np.sqrt(v + 1e-8) for n, v in state.v.items()}
-        before = {n: (params[n].copy(), state.m[n].copy(), state.v[n].copy()) for n in params}
+        frozen = {n: np.sqrt(v + 1e-8) for n, v in v0.items()}
         for denom in (frozen, None):
+            # the update writes the state in place, so each denominator
+            # starts from a state of its own, and expects from copies
+            state = optim.AdamState(m=m0, v=v0, t=9)
+            old_p, old_m, old_v = [{n: a.copy() for n, a in d.items()}
+                                   for d in (params, state.m, state.v)]
             new_state, new_params = adam_step(state, hyper, params, grads, denom,
                                               bias_correct_v=False)
-            for n, w in params.items():
+            for n, w in old_p.items():
                 g = grads[n]
-                m = 0.9 * state.m[n] + (1.0 - 0.9) * g
-                v = state.v[n] if denom else 0.999 * state.v[n] + (1.0 - 0.999) * g * g
+                m = 0.9 * old_m[n] + (1.0 - 0.9) * g
+                v = old_v[n] if denom else 0.999 * old_v[n] + (1.0 - 0.999) * g * g
                 p = w - 2e-3 * (m / (1.0 - 0.9**10)) / np.sqrt(v + 1e-8)
                 assert new_state.m[n].tobytes() == m.tobytes()
                 assert new_state.v[n].tobytes() == v.tobytes()
                 assert new_params[n].tobytes() == p.tobytes()
-                np.testing.assert_array_equal(params[n], before[n][0])
-                np.testing.assert_array_equal(state.m[n], before[n][1])
-                np.testing.assert_array_equal(state.v[n], before[n][2])
 
     def test_variance_statistics_bitwise(self):
         rng = np.random.default_rng(13)
@@ -366,6 +382,18 @@ class TestTwoPhaseTraining:
                 np.testing.assert_allclose(after_state.v[name], v, rtol=1e-12, atol=0.0)
                 np.testing.assert_allclose(after[name], raw, rtol=1e-12, atol=0.0)
                 assert not np.allclose(after[name], corrected, rtol=1e-9, atol=0.0)
+
+    def test_updated_variance_v_star_is_a_copy(self, train_with_snapshots):
+        # v keeps moving after the switch; v_star must keep its value at the switch
+        spec, ds, plan = blob_setup()
+        crit = SwitchCriterion(kind="fixed", step=20)
+        run, snapshots = train_with_snapshots({20}, spec, ds, default_hyper(5e-3), plan,
+                                              Recipe("step_updated_variance"), crit, 40, 5)
+        _, at_switch = snapshots[20]
+        for name in run.v_star:
+            np.testing.assert_array_equal(run.v_star[name], at_switch.v[name])
+            assert not np.array_equal(run.v_star[name], run.state.v[name])
+            assert not np.shares_memory(run.v_star[name], run.state.v[name])
 
     def test_degenerate_switch_at_end_equals_dense_plus_mask(self):
         spec, ds, plan = blob_setup()
