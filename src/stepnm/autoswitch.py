@@ -2,9 +2,10 @@
 
 One detector class per criterion kind.  The windowed autoswitch keeps the
 last floor(1 / (1 - beta2)) per-coordinate variance changes and fires once
-their mean drops below the optimizer epsilon, optionally clamped into a step
-budget.  Two norm-based baselines, a fixed switch step and the
-switch-quality metric used to compare them live here too.
+their mean, exact and kept as a running exact sum, drops below the optimizer
+epsilon, optionally clamped into a step budget.  Two norm-based baselines, a
+fixed switch step and the switch-quality metric used to compare them live
+here too.
 """
 
 from __future__ import annotations
@@ -43,32 +44,40 @@ def variance_stats(v: dict, v_prev: dict) -> tuple[float, float, float, float]:
     z is the mean absolute per-coordinate change from ``v_prev`` to ``v``;
     z_geom is the geometric mean of those changes, floored at a tiny constant
     so zero changes stay defined; v_l1 and v_l2 are the norms of ``v``.  The
-    elementwise work runs once over the flat buffers (plain dicts are copied
-    into ParamBuffers first); each sum is then taken per parameter and added
-    up as Python floats in layout order.  The inputs are untouched.
+    elementwise work runs over the flat buffers (plain dicts are copied into
+    ParamBuffers first) into the two rows of one work array, in two rounds:
+    |dv| and its log, then |v| and v**2.  Each round sums both rows per
+    parameter at once and adds the sums up as Python floats in layout order.
+    The inputs are untouched.
     """
     v = pack(v)
     v_prev = pack(v_prev, v.shapes)
-    work = np.subtract(v.flat, v_prev.flat)
-    np.abs(work, out=work)
-    total_abs = _layer_sum(work, v.bounds)
-    np.maximum(work, GEOMETRIC_FLOOR, out=work)
-    np.log(work, out=work)
-    total_log = _layer_sum(work, v.bounds)
-    np.abs(v.flat, out=work)
-    l1 = _layer_sum(work, v.bounds)
-    np.square(v.flat, out=work)
-    sq = _layer_sum(work, v.bounds)
-    count = work.size
+    work = np.empty((2, v.flat.size))
+    first, second = work
+    np.subtract(v.flat, v_prev.flat, out=first)
+    np.abs(first, out=first)
+    np.maximum(first, GEOMETRIC_FLOOR, out=second)
+    np.log(second, out=second)
+    total_abs, total_log = _layer_sums(work, v.bounds)
+    np.abs(v.flat, out=first)
+    np.square(v.flat, out=second)
+    l1, sq = _layer_sums(work, v.bounds)
+    count = v.flat.size
     return total_abs / count, math.exp(total_log / count), l1, math.sqrt(sq)
 
 
-def _layer_sum(values: np.ndarray, bounds) -> float:
-    """The sum of each (start, stop) segment's ``.sum()``, added as Python floats in order."""
-    total = 0.0
+def _layer_sums(work: np.ndarray, bounds) -> tuple[float, float]:
+    """Per row of ``work``, each (start, stop) segment's sum, added up as Python floats in order.
+
+    ``work[:, start:stop].sum(axis=1)`` gives each row's segment the bits of
+    its own ``.sum()``.
+    """
+    first = second = 0.0
     for start, stop in bounds:
-        total += float(values[start:stop].sum())
-    return total
+        a, b = work[:, start:stop].sum(axis=1).tolist()
+        first += a
+        second += b
+    return first, second
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +137,37 @@ class StepStats:
     v_l2: float
 
 
+def _add_exact(partials: list, x: float) -> bool:
+    """Add ``x`` to the exact sum that ``partials`` holds; False if that sum overflowed.
+
+    ``partials`` are Shewchuk's non-overlapping floats, smallest first, whose
+    exact sum is the running total, as inside ``math.fsum``.
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+    return math.isfinite(x)
+
+
 class _WindowDetector:
     """The autoswitch: the mean of the last mixing_window(beta2) samples below eps.
 
-    The mean is exact (``math.fsum``) and becomes ``last_mean``.  It fires
-    only once the window is full, so a short sample cannot fire spuriously.
-    With ``clip`` = (T_min, T_max) the budget cap fires at T_max whatever the
-    window, and the epsilon path also needs t > T_min.
+    ``last_mean`` is ``math.fsum(window) / len(window)`` to the bit.  The
+    window's exact sum is kept as partials that each step adds the new sample
+    to and the evicted one from, and ``math.fsum`` of them is correctly
+    rounded, like that of the window.  While the window holds a non-finite
+    sample, or once that running sum has overflowed, the mean is taken from
+    ``math.fsum(window)`` itself.  The detector fires only once the window
+    is full, so a short sample cannot fire spuriously.  With ``clip`` = (T_min, T_max) the budget cap fires at
+    T_max whatever the window, and the epsilon path also needs t > T_min.
     """
 
     def __init__(self, criterion: SwitchCriterion, beta2: float, eps: float):
@@ -143,10 +176,28 @@ class _WindowDetector:
         self.eps = eps
         self.clip = criterion.clip
         self.last_mean: float | None = None
+        self._partials: list | None = []  # the finite samples' sum; None once it overflowed
+        self._nonfinite = 0  # non-finite samples in the window
+
+    def _track(self, x: float, sign: int) -> None:
+        """Count sample ``x`` into the running sum (sign 1) or out of it (sign -1)."""
+        if not math.isfinite(x):
+            self._nonfinite += sign
+        elif self._partials is not None and not _add_exact(self._partials, sign * x):
+            self._partials = None
 
     def observe(self, stats: StepStats) -> bool:
-        self.window.append(stats.z_geom if self.geometric else stats.z_arith)
-        self.last_mean = math.fsum(self.window) / len(self.window)
+        window = self.window
+        if len(window) == window.maxlen:
+            self._track(window[0], -1)
+        sample = stats.z_geom if self.geometric else stats.z_arith
+        window.append(sample)
+        self._track(sample, 1)
+        if self._nonfinite or self._partials is None:
+            total = math.fsum(window)
+        else:
+            total = math.fsum(self._partials)
+        self.last_mean = total / len(window)
         below = len(self.window) == self.window.maxlen and self.last_mean < self.eps
         if self.clip is None:
             return below

@@ -376,17 +376,21 @@ def pool_size(jobs: int, n_tasks: int, cpus: int | None) -> int:
     return max(1, min(jobs, n_tasks, cpus or 1))
 
 
-def _map_tasks(fn, tasks: list[tuple], workers: int) -> list:
-    """[fn(*task) for task in tasks], in order, over ``workers`` processes.
+def _map_tasks(fn, tasks: list[tuple], workers: int):
+    """fn(*task) for each task, yielded in order, over ``workers`` processes.
 
-    Workers are spawned, not forked, so none inherits the BLAS threads of
-    this process.
+    One worker computes each result when the caller asks for it, so a
+    caller that drops each result before taking the next holds one at a
+    time.  Workers are spawned, not forked, so none inherits the BLAS
+    threads of this process.
     """
     if workers == 1:
-        return [fn(*task) for task in tasks]
+        for task in tasks:
+            yield fn(*task)
+        return
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
+        yield from pool.map(fn, *zip(*tasks))
 
 
 @dataclass(frozen=True)
@@ -413,25 +417,31 @@ class RunSummary:
 
 
 def run(config: ExperimentConfig, output_dir=None, jobs: int = 1) -> RunSummary:
-    """Train every seed of the config, writing trajectories and a summary."""
+    """Train every seed of the config, writing trajectories and a summary.
+
+    Each seed's trajectory is written as soon as its result arrives, and only
+    the figures of the summary are kept from it.
+    """
     seeds = config.seeds
     workers = pool_size(jobs, len(seeds), os.cpu_count())
     out = Path(output_dir if output_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = _map_tasks(_train_for_config, [(config, seed) for seed in seeds], workers)
 
-    files = []
-    for seed, result in zip(seeds, results):
+    def keep(result: TrainResult, seed: int) -> tuple:
         path = out / f"trajectory_seed{seed}.jsonl"
         write_trajectory(path, result)
-        files.append(str(path))
+        return str(path), result.sparse_eval_loss, result.dense_eval_loss, result.switched_at
 
+    # map, unlike zip, keeps no reference to a result once keep has returned;
+    # with the results first, it runs _map_tasks to its end, closing the pool
+    results = _map_tasks(_train_for_config, [(config, seed) for seed in seeds], workers)
+    files, sparse, dense, switched = zip(*map(keep, results, seeds))
     summary = RunSummary(
         seeds=seeds,
-        sparse_eval_losses=tuple(r.sparse_eval_loss for r in results),
-        dense_eval_losses=tuple(r.dense_eval_loss for r in results),
-        switched_at=tuple(r.switched_at for r in results),
-        trajectory_files=tuple(files),
+        sparse_eval_losses=sparse,
+        dense_eval_losses=dense,
+        switched_at=switched,
+        trajectory_files=files,
     )
     with open(out / "summary.json", "w") as fh:
         json.dump(summary.to_flat_dict(), fh, indent=2, sort_keys=True)
@@ -546,15 +556,18 @@ def ablation(kind: str, config: ExperimentConfig, output_dir=None, jobs: int = 1
     labels = [(label, seed) for label, _, _ in cells for seed in config.seeds]
     tasks = [(config, seed, recipe, criterion)
              for _, recipe, criterion in cells for seed in config.seeds]
-    results = _map_tasks(_train_for_config, tasks, pool_size(jobs, len(tasks), os.cpu_count()))
-    rows = []
-    for (label, seed), result in zip(labels, results):
-        rows.append({
-            "cell": label, "seed": seed,
+
+    def row(result: TrainResult, cell: tuple[str, int]) -> dict:
+        return {
+            "cell": cell[0], "seed": cell[1],
             "sparse_eval_loss": result.sparse_eval_loss,
             "dense_eval_loss": result.dense_eval_loss,
             "switched_at": result.switched_at,
-        })
+        }
+
+    # as in run: one result at a time, and _map_tasks runs to its end
+    results = _map_tasks(_train_for_config, tasks, pool_size(jobs, len(tasks), os.cpu_count()))
+    rows = list(map(row, results, labels))
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -7,13 +7,20 @@ N:M groups along the innermost axis run over each output's reduction
 dimension.  Training keeps the parameters, their gradients and the optimizer
 moments in ParamBuffers: one flat float64 array each, whose named views are
 the per-layer arrays.
+
+``forward_loss`` and ``loss_and_grad`` check every call against the spec:
+batch shapes, class ids, and parameter names and shapes (the layout is built
+once per spec).  ``optim.recipe_train`` checks its dataset's targets once per
+run with ``check_targets``, which makes class ids int64 for every step.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -56,14 +63,19 @@ class ModelSpec:
         return len(self.layer_sizes) - 1
 
 
-def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-    """Parameter names and shapes, weights stored (out, in)."""
+@functools.lru_cache(maxsize=64)  # a process trains few specs
+def param_shapes(spec: ModelSpec) -> MappingProxyType:
+    """Parameter names and shapes, weights stored (out, in), layer by layer.
+
+    The layout is built once per spec and shared: it is a read-only mapping,
+    so no caller can change what a later call returns.
+    """
     shapes: dict[str, tuple[int, ...]] = {}
     sizes = spec.layer_sizes
     for i in range(1, len(sizes)):
         shapes[f"fc{i}.weight"] = (sizes[i], sizes[i - 1])
         shapes[f"fc{i}.bias"] = (sizes[i],)
-    return shapes
+    return MappingProxyType(shapes)
 
 
 class ParamBuffer(dict):
@@ -91,8 +103,9 @@ class ParamBuffer(dict):
         return ParamBuffer(self.shapes, self.flat.copy())
 
     def __reduce__(self):
-        # pickle the buffer once, not once more per view
-        return ParamBuffer, (self.shapes, self.flat)
+        # pickle the buffer once, not once more per view; a read-only layout
+        # does not pickle, its items do
+        return ParamBuffer, (dict(self.shapes), self.flat)
 
 
 def pack(arrays: ParamSet, shapes: dict[str, tuple[int, ...]] | None = None,
@@ -128,36 +141,38 @@ def init_params(spec: ModelSpec, seed) -> ParamBuffer:
     return params
 
 
-def _check_params(spec: ModelSpec, params: ParamSet) -> None:
-    expected = param_shapes(spec)
-    if set(params) != set(expected):
-        raise DimensionError(
-            f"parameter names {sorted(params)} do not match spec {sorted(expected)}"
-        )
-    for name, shape in expected.items():
-        if tuple(np.shape(params[name])) != shape:
-            raise DimensionError(f"{name}: expected shape {shape}, got {np.shape(params[name])}")
+def check_targets(spec: ModelSpec, targets, rows: int) -> np.ndarray:
+    """``rows`` targets checked against ``spec``, in the form the loss reads them.
 
-
-def _check_batch(spec: ModelSpec, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    if inputs.ndim != 2 or inputs.shape[1] != spec.layer_sizes[0]:
-        raise DimensionError(
-            f"inputs must be [batch, {spec.layer_sizes[0]}], got {inputs.shape}"
-        )
+    A classifier's targets are a [rows] vector of integral class ids in
+    [0, n_classes), returned as int64; an int64 vector needs no integrality
+    test and is returned as it is.  Regression targets are returned as
+    float64 [rows, n_outputs], a vector taken as one column.  Raises
+    DimensionError for a misshapen target or an id out of range, and
+    DomainError for an id that is not integral.
+    """
     if spec.kind == "mlp_classifier":
         labels = np.asarray(targets)
-        if labels.ndim != 1 or labels.shape[0] != inputs.shape[0]:
+        if labels.shape != (rows,):
             raise DimensionError("classifier targets must be a [batch] vector of class ids")
-        # NaN fails this compare; +-inf fails the range check below
-        if np.any(np.floor(labels) != labels):
-            raise DomainError("classifier targets must be integral class ids")
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= spec.layer_sizes[-1]:
-            raise DimensionError("class id outside the output range")
-        return labels.astype(np.int64)
+        if labels.dtype != np.int64:
+            # NaN fails this compare; +-inf fails the range check below
+            fractional = np.floor(labels) != labels
+            if fractional.any():
+                raise DomainError(
+                    f"classifier targets must be integral class ids, got {labels[fractional][0]}"
+                )
+        n_classes = spec.layer_sizes[-1]
+        low, high = labels.min(initial=0), labels.max(initial=0)
+        if low < 0 or high >= n_classes:
+            raise DimensionError(
+                f"class id {low if low < 0 else high} outside the output range [0, {n_classes})"
+            )
+        return labels.astype(np.int64, copy=False)
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim == 1:
         t = t[:, None]
-    if t.shape != (inputs.shape[0], spec.layer_sizes[-1]):
+    if t.shape != (rows, spec.layer_sizes[-1]):
         raise DimensionError(
             f"regression targets must be [batch, {spec.layer_sizes[-1]}], got {t.shape}"
         )
@@ -167,47 +182,68 @@ def _check_batch(spec: ModelSpec, inputs: np.ndarray, targets: np.ndarray) -> np
 def _pass(spec: ModelSpec, params: ParamSet, batch, backward: bool, out: ParamSet | None = None):
     """Mean batch loss, plus every parameter's gradient when ``backward``.
 
-    The forward pass keeps each layer's input; the backward pass walks the
-    layers in reverse, forming dW = g.T @ h and db = sum(g) per layer and
-    skipping the gradient of the input batch.  The gradients are written
-    into the arrays of ``out`` when it is given, into fresh ones otherwise.
+    The batch goes through ``check_targets``, and every parameter must have
+    its name and shape in ``param_shapes(spec)``.  The forward pass keeps
+    each layer's input; the backward pass walks the layers in reverse,
+    forming dW = g.T @ h and db = sum(g) per layer and skipping the gradient
+    of the input batch.  The gradients are written into the arrays of
+    ``out`` when it is given, into fresh ones otherwise.
     """
     inputs, targets = batch
     inputs = np.asarray(inputs, dtype=np.float64)
-    targets = _check_batch(spec, inputs, targets)
-    _check_params(spec, params)
+    if inputs.ndim != 2 or inputs.shape[1] != spec.layer_sizes[0]:
+        raise DimensionError(
+            f"inputs must be [batch, {spec.layer_sizes[0]}], got {inputs.shape}"
+        )
+    n = inputs.shape[0]
+    targets = check_targets(spec, targets, n)
+    shapes = param_shapes(spec)
+    if params.keys() != shapes.keys():
+        raise DimensionError(
+            f"parameter names {sorted(params)} do not match spec {sorted(shapes)}"
+        )
+    arrays = []  # weight, bias, weight, bias, ... in layer order
+    for name, shape in shapes.items():
+        a = np.asarray(params[name], dtype=np.float64)
+        if a.shape != shape:
+            raise DimensionError(f"{name}: expected shape {shape}, got {a.shape}")
+        arrays.append(a)
+    # the in-place forms below do the operations of the plain expressions
+    # (x @ W.T + b, pred - max, expz / sumexp, g / n) on fresh arrays
     n_layers = spec.n_layers
-    weights = [np.asarray(params[f"fc{i}.weight"], dtype=np.float64)
-               for i in range(1, n_layers + 1)]
     layer_inputs = [inputs]
-    for i, w in enumerate(weights, 1):
-        pred = layer_inputs[-1] @ w.T + np.asarray(params[f"fc{i}.bias"], dtype=np.float64)
-        if i < n_layers:
+    for i in range(n_layers):
+        pred = layer_inputs[-1] @ arrays[2 * i].T
+        pred += arrays[2 * i + 1]
+        if i < n_layers - 1:
             layer_inputs.append(np.maximum(pred, 0.0) if spec.activation == "relu" else np.tanh(pred))
-    n = pred.shape[0]
     if spec.kind == "mlp_classifier":
-        z = pred - pred.max(axis=1, keepdims=True)
+        z = pred
+        z -= pred.max(axis=1, keepdims=True)
         expz = np.exp(z)
         sumexp = expz.sum(axis=1, keepdims=True)
         rows = np.arange(n)
-        loss = -(z[rows, targets] - np.log(sumexp[:, 0])).mean()
+        # sum / n is the bits of mean()
+        loss = -(z[rows, targets] - np.log(sumexp[:, 0])).sum() / n
         if backward:
-            g = expz / sumexp
+            g = expz
+            g /= sumexp
             g[rows, targets] -= 1.0
     else:
         g = pred - targets
         loss = 0.5 * np.sum(g * g) / n
     if not backward:
         return float(loss), None
-    g = g / n
+    g /= n
     grads: ParamSet = {} if out is None else out
-    for i in range(n_layers, 0, -1):
-        h = layer_inputs[i - 1]
-        weight, bias = f"fc{i}.weight", f"fc{i}.bias"
+    names = list(shapes)
+    for i in range(n_layers - 1, -1, -1):
+        h = layer_inputs[i]
+        weight, bias = names[2 * i], names[2 * i + 1]
         grads[weight] = np.matmul(g.T, h, out=grads.get(weight))
         grads[bias] = g.sum(axis=0, out=grads.get(bias))
-        if i > 1:
-            g = g @ weights[i - 1]
+        if i > 0:
+            g = g @ arrays[2 * i]
             # the relu subgradient at exactly 0 is +0.0
             g = np.where(h > 0.0, g, 0.0) if spec.activation == "relu" else g * (1.0 - h * h)
     return float(loss), grads if out is not None else {name: grads[name] for name in params}
@@ -292,7 +328,9 @@ class Dataset:
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.float64)
+        targets = np.asarray(self.targets)
+        if targets.dtype != np.int64:  # int64 class ids, as check_targets makes them, stay
+            targets = targets.astype(np.float64, copy=False)
         if inputs.ndim != 2:
             raise DimensionError(f"inputs must be 2-d, got shape {inputs.shape}")
         if targets.shape[0] != inputs.shape[0]:

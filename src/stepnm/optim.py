@@ -12,6 +12,9 @@ A run holds its parameters, gradients and Adam moments in ParamBuffers (see
 the model, the masks and TrainResult see.  Each step writes the gradients
 into their buffer and ``adam_step`` updates the others in place, running
 each numpy operation once over all coordinates.
+
+``recipe_train`` checks its dataset's targets once, before the first step,
+and trains on int64 class ids, whose range alone each step then checks.
 """
 
 from __future__ import annotations
@@ -289,6 +292,12 @@ def recipe_train(
     two_phase = recipe.kind in TWO_PHASE_KINDS
     if two_phase and switch is None:
         raise ConfigError(f"recipe {recipe.kind!r} needs a switch criterion")
+    # the targets are checked once, before any step; class ids become int64,
+    # which each step's batch then carries
+    dataset = models.Dataset(
+        dataset.inputs, models.check_targets(spec, dataset.targets, dataset.n_samples),
+        dataset.batch_size,
+    )
 
     params = models.init_params(spec, (seed, 0))
     grads = models.ParamBuffer(params.shapes)

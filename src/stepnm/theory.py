@@ -184,25 +184,36 @@ def validate_theorem(
     seed = stream.seed if master_seed is None else master_seed
 
     # all trials advance in lockstep: one (trials, dim) state per step, with
-    # the draws held CHUNK steps at a time
+    # the draws held CHUNK steps at a time.  The state lives in preallocated
+    # buffers; each operation is the one of the plain expressions
+    # v = beta2 * v + (1 - beta2) * draw and vhat = v / (1 - beta2**k), so
+    # every bit is theirs.  vhat is formed from t0 on, and the largest
+    # per-step move of each coordinate is kept, to be reduced once at the end.
     rngs = [np.random.default_rng((seed, i)) for i in range(trials)]
-    draws = np.empty((min(CHUNK, t), trials, stream.dim))
-    v = np.zeros((trials, stream.dim))
-    vhat_prev = None
-    vhat_t0 = None
-    max_step_dev = 0.0
+    shape = (trials, stream.dim)
+    draws = np.empty((min(CHUNK, t),) + shape)
+    v = np.zeros(shape)
+    vhat, vhat_prev, move = np.empty(shape), np.empty(shape), np.empty(shape)
+    max_move = np.zeros(shape)
     for first in range(1, t + 1, CHUNK):
         steps = min(CHUNK, t + 1 - first)
         for i, rng in enumerate(rngs):
             draws[:steps, i] = stream.draw(rng, steps)
+        draws[:steps] *= 1.0 - beta2
         for k in range(first, first + steps):
-            v = beta2 * v + (1.0 - beta2) * draws[k - first]
-            vhat = v / (1.0 - beta2**k)
-            if k > t0:
-                max_step_dev = max(max_step_dev, float(np.max(np.abs(vhat - vhat_prev))))
+            v *= beta2
+            v += draws[k - first]
+            if k < t0:
+                continue
+            np.divide(v, 1.0 - beta2**k, out=vhat)
             if k == t0:
                 vhat_t0 = vhat.copy()
-            vhat_prev = vhat
+            else:
+                np.subtract(vhat, vhat_prev, out=move)
+                np.abs(move, out=move)
+                np.fmax(max_move, move, out=max_move)
+            vhat, vhat_prev = vhat_prev, vhat
+    max_step_dev = float(max_move.max())
 
     deviation = np.abs(vhat_prev - vhat_t0)
     per_trial_max = deviation.max(axis=1)

@@ -1,4 +1,6 @@
+import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from stepnm.autoswitch import (
     GEOMETRIC_FLOOR,
+    SAMPLER_OPTIONS,
     StepStats,
     SwitchCriterion,
     avg_change_metric_from_diffs,
@@ -73,6 +76,74 @@ class TestWindowSampler:
         feed(det, (10.0, 1.0, 2.0, 3.0), step=1)
         assert len(det.window) == 3
         assert det.last_mean == 2.0
+
+
+def observe_option(detector, option, step, z):
+    """Observe ``z`` in the field that ``option`` reads, -1 in the other."""
+    zs = (z, -1.0) if option == "arithmetic" else (-1.0, z)
+    return detector.observe(StepStats(step, *zs, 1.0, 1.0))
+
+
+def assert_exact_mean(detector):
+    expected = math.fsum(detector.window) / len(detector.window)
+    assert detector.last_mean.hex() == expected.hex()
+
+
+# beta2 -> window: 0.0 -> 1, 2/3 -> 3, 0.9 -> 10, 0.99 -> 100
+WINDOW_BETA2 = (0.0, 2.0 / 3.0, 0.9, 0.99)
+_tiny_to_huge = st.floats(min_value=1e-300, max_value=1e300)
+_samples = st.one_of(
+    _tiny_to_huge, _tiny_to_huge.map(lambda x: -x), st.sampled_from([0.0, -0.0]),
+    st.sampled_from([1e-8, 0.1, 3.0, 7e299, 2e-300]),  # repeats
+)
+
+
+class TestExactWindowMean:
+    """last_mean is math.fsum(window) / len(window), to the bit, after every observe."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(_samples, min_size=1, max_size=400),
+           st.sampled_from(WINDOW_BETA2), st.sampled_from(SAMPLER_OPTIONS))
+    def test_matches_fsum_of_the_window(self, zs, beta2, option):
+        det = make_detector(SwitchCriterion(kind="autoswitch", option=option), beta2, 1e-8)
+        for step, z in enumerate(zs, 1):
+            observe_option(det, option, step, z)
+            assert det.window[-1] == z
+            assert_exact_mean(det)
+
+    @pytest.mark.parametrize("option", SAMPLER_OPTIONS)
+    def test_many_evictions_across_all_magnitudes(self, option):
+        rng = np.random.default_rng(3)
+        signs = rng.choice([-1.0, 1.0], 5000)
+        zs = signs * 10.0 ** rng.uniform(-300, 300, 5000)
+        zs[::7] = 0.0
+        det = make_detector(SwitchCriterion(kind="autoswitch", option=option), 0.99, 1e-8)
+        for step, z in enumerate(zs.tolist(), 1):
+            observe_option(det, option, step, z)
+            assert_exact_mean(det)
+
+    @pytest.mark.parametrize("zs", [
+        [1.0, 1e-300, math.inf, 2.0, math.inf, 3.0, 4.0, 5.0, 1e300, 6.0],
+        [1.0, -math.inf, 2.0, 3.0, 4.0, -math.inf, 5.0, 6.0, 7.0],
+        [1.0, math.nan, 2.0, math.inf, 3.0, 4.0, 5.0, 6.0],
+        # -inf + inf raises ValueError, as long as both are in the window
+        [math.inf, -math.inf, 1.0, 2.0, 3.0, 4.0],
+        # a sum past the float range raises OverflowError while it lasts
+        [1e308, 1e308, 1.0, 2.0, -1e308, -1e308, 3.0, 4.0, 5.0],
+    ])
+    def test_non_finite_and_overflowing_samples_act_as_fsum(self, zs):
+        det = autoswitch(beta2=2.0 / 3.0)  # window 3
+        for step, z in enumerate(zs, 1):
+            window = collections.deque(det.window, maxlen=det.window.maxlen)
+            window.append(z)
+            try:
+                expected = math.fsum(window) / len(window)
+            except (ValueError, OverflowError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    det.observe(StepStats(step, z, z, 1.0, 1.0))
+                continue
+            det.observe(StepStats(step, z, z, 1.0, 1.0))
+            assert det.last_mean.hex() == expected.hex()
 
 
 class TestAutoswitchDecide:

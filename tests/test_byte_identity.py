@@ -4,7 +4,8 @@ Each case trains once and hashes two things: the trajectory JSONL that
 ``harness.write_trajectory`` writes (every per-step loss, variance norm and
 switch sample, plus the final evaluation record), and the final parameters'
 bytes in ``models.param_shapes`` order.  A change to the training loop that
-moves any bit of a run fails here.
+moves any bit of a run fails here.  The theorem validator's cases hash its
+report, as the ``validate-theorem`` command writes it, for each stream kind.
 
 The digests were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, 64-bit ints, DYNAMIC_ARCH, Haswell kernels), x86-64,
@@ -14,11 +15,12 @@ outputs are trusted before comparing another one against them.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from stepnm import harness, models, optim
+from stepnm import harness, models, optim, theory
 from stepnm.autoswitch import SwitchCriterion
 from stepnm.masks import DecaySchedule, NMRatio, SparsityPlan
 from stepnm.optim import AdamHyper, Recipe, constant_lr
@@ -117,3 +119,21 @@ def test_wide_mlp_run(tmp_path):
                              SwitchCriterion(kind="fixed", step=5), 10, seed=7)
     assert run.switched_at == 5
     assert _digests(spec, run, tmp_path) == DIGESTS["wide"]
+
+
+# stream kind: sha256 of the report's JSON
+THEOREM_DIGESTS = {
+    "constant": "68b7f145b09e2dd7e38be2c562732c4a3b9b17e037f53695d0945091a64e6884",
+    "uniform": "b7bed2b354d8cbd0a2b198daf5abccace38e245a6cec7ee5bc56a95dedd6f999",
+    "bernoulli": "ee95064da984c9d4cdb9a9234520e3660ecc7887375c554f3badf8cdc9204f8e",
+    "trunc_gauss_sq": "6995ade2f1d83e33d3abc30ee1733145f09f78014b2ab9c9066b11b270317482",
+}
+
+
+@pytest.mark.parametrize("kind", theory.STREAM_KINDS)
+def test_validate_theorem(kind):
+    # 1500 steps cross a draw-chunk boundary; the window after t0 is 1200 steps
+    stream = theory.StationaryStream(kind=kind, bound=1.0, dim=3, seed=5)
+    report = theory.validate_theorem(stream, 0.99, t0=300, t=1500, delta=0.05, trials=20)
+    doc = json.dumps(report.to_flat_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == THEOREM_DIGESTS[kind]

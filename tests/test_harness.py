@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,28 @@ class TestRun:
             a = (tmp_path / "serial" / f"trajectory_seed{seed}.jsonl").read_bytes()
             b = (tmp_path / "parallel" / f"trajectory_seed{seed}.jsonl").read_bytes()
             assert a == b
+
+    def test_one_result_alive_at_a_time(self, tmp_path, monkeypatch):
+        alive = []
+        real = harness.recipe_train
+
+        def spy(*args, **kwargs):
+            # every earlier seed's result is gone before the next one trains
+            assert all(ref() is None for ref in alive)
+            result = real(*args, **kwargs)
+            alive.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(harness, "recipe_train", spy)
+        path, _ = make_config(tmp_path, seeds=[1, 2, 3], total_steps=30,
+                              switch={"kind": "fixed", "step": 10},
+                              ablation={"precondition_ratios": [0.2, 0.5]})
+        config = harness.load_config(path)
+        summary = harness.run(config, output_dir=tmp_path / "out", jobs=1)
+        assert len(alive) == 3 and summary.switched_at == (10, 10, 10)
+        rows = harness.ablation("precondition_length", config, jobs=1)
+        assert len(alive) == 3 + 6 and [row["switched_at"] for row in rows] == [6] * 3 + [15] * 3
+        assert all(ref() is None for ref in alive)
 
     def test_summary_written(self, tmp_path):
         path, _ = make_config(tmp_path, seeds=[1])
@@ -426,6 +449,24 @@ class TestCLI:
 
 
 class TestCSVDataConfig:
+    @pytest.mark.parametrize("label,message", [
+        ("2.5", "classifier targets must be integral class ids, got 2.5"),
+        ("7", "class id 7.0 outside the output range [0, 2)"),
+    ])
+    def test_bad_class_id_exits_2_before_any_step(self, tmp_path, monkeypatch, capsys,
+                                                  label, message):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("x0,x1,y0\n1.0,2.0,0\n3.0,1.0,1\n0.5,0.5," + label + "\n")
+        path, _ = make_config(tmp_path, data={"kind": "csv", "path": str(csv_path),
+                                              "batch_size": 1})
+        monkeypatch.setattr(models, "batch_iterator", lambda *a: pytest.fail("a step ran"))
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path),
+                                         "--out", str(tmp_path / "out")])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_run_from_csv(self, tmp_path):
         ds = models.gen_synthetic("blobs", 64, 2, n_classes=2, noise_std=0.4, seed=1, batch_size=16)
         csv_path = tmp_path / "data.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ class TestModelSpec:
             "fc2.weight": (2, 16),
             "fc2.bias": (2,),
         }
+
+    def test_param_shapes_is_built_once_and_read_only(self):
+        shapes = models.param_shapes(mlp((2, 16, 2)))
+        assert models.param_shapes(mlp((2, 16, 2))) is shapes
+        with pytest.raises(TypeError):
+            shapes["fc3.weight"] = (1, 1)
+        with pytest.raises(TypeError):
+            del shapes["fc1.bias"]
+        assert list(models.param_shapes(mlp((2, 16, 2)))) == [
+            "fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias"]
 
 
 class TestSynthetic:
@@ -136,7 +147,7 @@ class TestParamBuffer:
 
         buf = models.init_params(mlp(), 1)
         for other in (buf.copy(), pickle.loads(pickle.dumps(buf))):
-            assert isinstance(other, models.ParamBuffer)
+            assert isinstance(other, models.ParamBuffer) and other.shapes == buf.shapes
             assert not np.shares_memory(other.flat, buf.flat)
             np.testing.assert_array_equal(other.flat, buf.flat)
             other.flat[0] += 1.0
@@ -200,6 +211,33 @@ class TestGrad:
         a = models.forward_loss(spec, params, (inputs, np.array([0.0, 1.0, 1.0])))
         b = models.forward_loss(spec, params, (inputs, np.array([0, 1, 1])))
         assert a == b
+
+    def test_int64_class_ids_are_range_checked(self):
+        spec = mlp((3, 4, 2))
+        params = models.init_params(spec, 0)
+        inputs = np.zeros((3, 3))
+        for bad in (-1, 2, 2**62, -(2**63)):
+            targets = np.array([0, bad, 1], dtype=np.int64)
+            with pytest.raises(DimensionError, match="outside the output range"):
+                models.loss_and_grad(spec, params, (inputs, targets))
+            with pytest.raises(DimensionError, match="outside the output range"):
+                models.forward_loss(spec, params, (inputs, targets))
+
+    def test_check_targets(self):
+        spec = mlp((3, 4, 2))
+        labels = models.check_targets(spec, np.array([0.0, 1.0, 1.0]), 3)
+        assert labels.dtype == np.int64 and labels.tolist() == [0, 1, 1]
+        assert models.check_targets(spec, labels, 3) is labels
+        with pytest.raises(DomainError, match="integral class ids, got 2.5"):
+            models.check_targets(spec, np.array([0.0, 2.5, 1.0]), 3)
+        with pytest.raises(DimensionError, match=re.escape("class id 7.0 outside the output range [0, 2)")):
+            models.check_targets(spec, np.array([0.0, 7.0, 1.0]), 3)
+        with pytest.raises(DimensionError, match="vector of class ids"):
+            models.check_targets(spec, labels, 4)
+        reg = ModelSpec("linear_regression", (3, 1))
+        assert models.check_targets(reg, np.arange(3), 3).shape == (3, 1)
+        with pytest.raises(DimensionError, match="regression targets"):
+            models.check_targets(reg, np.zeros((3, 2)), 3)
 
     @pytest.mark.parametrize("sizes", [(3, 5, 3), (64, 128, 128, 10)])
     def test_out_buffer_gets_the_same_bits(self, sizes):

@@ -165,8 +165,10 @@ class TestAdamStep:
 
     def test_variance_statistics_bitwise(self):
         rng = np.random.default_rng(13)
-        v = {"a": rng.random((32, 16)) * 1e-4, "b": rng.random(5) * 1e-9}
-        prev = {"a": v["a"].copy(), "b": rng.random(5) * 1e-9}
+        # "c" is long enough for numpy's pairwise summation to split it
+        v = {"a": rng.random((32, 16)) * 1e-4, "b": rng.random(5) * 1e-9,
+             "c": rng.random((300, 700)) * 1e-6}
+        prev = {"a": v["a"].copy(), "b": rng.random(5) * 1e-9, "c": rng.random((300, 700)) * 1e-6}
         prev["a"][:4] *= 0.5
         before = {n: (v[n].copy(), prev[n].copy()) for n in v}
         z, z_geom, l1, l2 = variance_stats(v, prev)
@@ -468,6 +470,24 @@ class TestTwoPhaseTraining:
         )
         # final stage is 2:4 regardless of the plan's 1:4
         assert run.layer_sparsity == {"fc2.weight": 0.5}
+
+    def test_class_ids_checked_and_converted_once_per_run(self, monkeypatch):
+        spec, ds, plan = blob_setup()
+        seen = []
+        real = models.check_targets
+
+        def spy(spec, targets, rows):
+            seen.append((np.asarray(targets).dtype, rows))
+            return real(spec, targets, rows)
+
+        monkeypatch.setattr(models, "check_targets", spy)
+        optim.recipe_train(spec, ds, default_hyper(), plan, Recipe("step"),
+                           SwitchCriterion(kind="fixed", step=20), 40, seed=0)
+        # the dataset's float ids are checked and made int64 once, at entry;
+        # every step and both evaluations then read int64 ids, which need
+        # only their range checked
+        assert seen[0] == (np.float64, ds.n_samples)
+        assert [dtype for dtype, _ in seen[1:]] == [np.int64] * (40 + 2)
 
     def test_reproducible_across_calls(self):
         spec, ds, plan = blob_setup()
