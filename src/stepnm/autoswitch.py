@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RangeError
-from .models import pack
+from .models import ParamBuffer, check_layout
 
 SAMPLER_OPTIONS = ("arithmetic", "geometric")
 CRITERION_KINDS = ("autoswitch", "relative", "staleness", "fixed")
@@ -38,20 +38,20 @@ def mixing_window(beta2: float) -> int:
     return int(math.floor(1.0 / (1.0 - beta2) + 1e-9))
 
 
-def variance_stats(v: dict, v_prev: dict) -> tuple[float, float, float, float]:
+def variance_stats(v: ParamBuffer, v_prev: ParamBuffer) -> tuple[float, float, float, float]:
     """Per-step variance statistics over every parameter: (z, z_geom, v_l1, v_l2).
 
     z is the mean absolute per-coordinate change from ``v_prev`` to ``v``;
     z_geom is the geometric mean of those changes, floored at a tiny constant
-    so zero changes stay defined; v_l1 and v_l2 are the norms of ``v``.  The
-    elementwise work runs over the flat buffers (plain dicts are copied into
-    ParamBuffers first) into the two rows of one work array, in two rounds:
-    |dv| and its log, then |v| and v**2.  Each round sums both rows per
-    parameter at once and adds the sums up as Python floats in layout order.
-    The inputs are untouched.
+    so zero changes stay defined; v_l1 and v_l2 are the norms of ``v``.  Both
+    are ParamBuffers of one layout (DimensionError otherwise).  The
+    elementwise work runs over the flat buffers into the two rows of one work
+    array, in two rounds: |dv| and its log, then |v| and v**2.  Each round
+    sums both rows per parameter at once and adds the sums up as Python
+    floats in layout order.  The inputs are untouched.
     """
-    v = pack(v)
-    v_prev = pack(v_prev, v.shapes)
+    check_layout(v, "variance")
+    check_layout(v_prev, "previous variance", v.shapes)
     work = np.empty((2, v.flat.size))
     first, second = work
     np.subtract(v.flat, v_prev.flat, out=first)

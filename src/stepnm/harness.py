@@ -2,9 +2,11 @@
 comparison/ablation drivers.
 
 Configs are YAML (or JSON) documents with nested sections; unknown keys are
-hard errors so typos fail before any compute.  Each run writes one JSONL
-trajectory per seed plus a flat summary document; all outputs are
-byte-reproducible for a fixed (config, seed).
+hard errors so typos fail before any compute.  ``config_from_dict`` checks
+each section once and builds the objects the trainer takes, which the
+ExperimentConfig holds.  Each run writes one JSONL trajectory per seed plus a
+flat summary document; all outputs are byte-reproducible for a fixed (config,
+seed).
 """
 
 from __future__ import annotations
@@ -133,52 +135,6 @@ class DataConfig:
         )
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    lr: float = 1e-3
-    lr_schedule: str = "constant"  # constant | cosine
-
-    def build(self, total_steps: int) -> AdamHyper:
-        if self.lr_schedule == "constant":
-            schedule = constant_lr(self.lr)
-        elif self.lr_schedule == "cosine":
-            schedule = cosine_lr(self.lr, total_steps)
-        else:
-            raise ConfigError(f"unknown lr schedule {self.lr_schedule!r}")
-        return AdamHyper(beta1=self.beta1, beta2=self.beta2, eps=self.eps, lr_schedule=schedule)
-
-
-@dataclass(frozen=True)
-class SwitchConfig:
-    kind: str
-    option: str = "arithmetic"
-    threshold: float | None = None
-    clip_ratios: tuple[float, float] | None = None
-    step: int | None = None
-    step_ratio: float | None = None
-
-    def build(self, total_steps: int) -> SwitchCriterion:
-        """The criterion with its budget ratios turned into steps of ``total_steps``."""
-        clip = None
-        if self.clip_ratios is not None:
-            lo, hi = self.clip_ratios  # SwitchCriterion checks the clip steps they give
-            if not hi <= 1.0:
-                raise ConfigError(f"switch.clip.t_max_ratio must be <= 1, got {hi}")
-            clip = (int(math.floor(lo * total_steps)), int(math.floor(hi * total_steps)))
-        step = self.step
-        if self.step_ratio is not None:
-            if step is not None:
-                raise ConfigError("give either step or step_ratio, not both")
-            step = _ratio_step(self.step_ratio, total_steps, "switch.step_ratio")
-        return SwitchCriterion(
-            kind=self.kind, option=self.option, threshold=self.threshold,
-            clip=clip, step=step,
-        )
-
-
 def _ratio_step(ratio: float, total_steps: int, key: str) -> int:
     """The step a ``ratio`` in (0, 1] of the budget falls on, at least 1; ``key`` names it."""
     if not 0.0 < ratio <= 1.0:
@@ -186,47 +142,51 @@ def _ratio_step(ratio: float, total_steps: int, key: str) -> int:
     return max(1, int(math.floor(ratio * total_steps)))
 
 
+def _clip_steps(ratios: tuple[float, float], total_steps: int) -> tuple[int, int]:
+    """The (T_min, T_max) steps that clip ratios in [0, 1] of the budget fall on.
+
+    SwitchCriterion checks that the steps are ordered.
+    """
+    for key, ratio in zip(("t_min_ratio", "t_max_ratio"), ratios):
+        if not 0.0 <= ratio <= 1.0:
+            raise ConfigError(f"switch.clip.{key} must be in [0, 1], got {ratio}")
+    lo, hi = ratios
+    return int(math.floor(lo * total_steps)), int(math.floor(hi * total_steps))
+
+
 @dataclass(frozen=True)
 class AblationConfig:
     precondition_ratios: tuple[float, ...] = ()
-    decay_m: int | None = None
-    decay_boundaries: tuple[int, ...] = ()
+    decay: DecaySchedule | None = None
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """What ``config_from_dict`` built; ``hyper`` and ``criterion`` hold its ``total_steps``."""
+
     model: models.ModelSpec
     data: DataConfig
-    optimizer: OptimizerConfig
+    hyper: AdamHyper
     plan: SparsityPlan
     recipe: Recipe
-    switch: SwitchConfig | None
+    criterion: SwitchCriterion | None
     total_steps: int
     seeds: tuple[int, ...]
     output_dir: str
     ablation: AblationConfig = field(default_factory=AblationConfig)
 
     def __post_init__(self):
-        if self.total_steps < 1:
-            raise ConfigError("total_steps must be >= 1")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        if any(int(s) < 0 for s in self.seeds):
+        if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative integers")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        # fail on unknown layers, bad group sizes, a bad schedule or switch
-        # before any compute; the trainer takes them as checked
-        self.plan.validate(models.param_shapes(self.model))
-        self.hyper()
-        self.criterion()
-
-    def hyper(self) -> AdamHyper:
-        return self.optimizer.build(self.total_steps)
-
-    def criterion(self) -> SwitchCriterion | None:
-        if self.switch is None:
-            return None
-        return self.switch.build(self.total_steps)
+        # fail on unknown layers and bad group sizes before any compute; the
+        # trainer takes them as checked.  Every stage of a decay keeps its m.
+        shapes = models.param_shapes(self.model)
+        self.plan.validate(shapes)
+        decay = self.ablation.decay
+        if decay is not None:
+            SparsityPlan(dict.fromkeys(self.plan.ratios, decay.ratio_at(0))).validate(shapes)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -247,11 +207,22 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         key: _coerce_data(key, value) for key, value in d.items()
     })
 
+    total_steps = _int(doc["total_steps"], "total_steps")
+    if total_steps < 1:
+        raise ConfigError("total_steps must be >= 1")
+
     o = _take(doc["optimizer"], "optimizer", required=(),
               optional=("beta1", "beta2", "eps", "lr", "lr_schedule"))
-    optimizer = OptimizerConfig(**{
-        key: value if key == "lr_schedule" else _number(value, f"optimizer.{key}")
-        for key, value in o.items()
+    lr = _number(o.get("lr", 1e-3), "optimizer.lr")
+    lr_schedule = o.get("lr_schedule", "constant")
+    if lr_schedule == "constant":
+        schedule = constant_lr(lr)
+    elif lr_schedule == "cosine":
+        schedule = cosine_lr(lr, total_steps)
+    else:
+        raise ConfigError(f"unknown lr schedule {lr_schedule!r}")
+    hyper = AdamHyper(lr_schedule=schedule, **{
+        key: _number(o[key], f"optimizer.{key}") for key in ("beta1", "beta2", "eps") if key in o
     })
 
     plan_ratios = {}
@@ -264,47 +235,49 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         plan_ratios[str(layer)] = NMRatio(_int(r["n"], f"{key}.n"), _int(r["m"], f"{key}.m"))
     plan = SparsityPlan(plan_ratios)
 
-    switch = None
+    criterion = None
     if doc.get("switch") is not None:
         s = _take(doc["switch"], "switch", required=("kind",),
                   optional=("option", "threshold", "clip", "step", "step_ratio"))
-        clip_ratios = None
+        clip = None
         if s.get("clip") is not None:
             c = _take(s["clip"], "switch.clip", required=("t_min_ratio", "t_max_ratio"))
-            clip_ratios = (_number(c["t_min_ratio"], "switch.clip.t_min_ratio"),
-                           _number(c["t_max_ratio"], "switch.clip.t_max_ratio"))
-        switch = SwitchConfig(
-            kind=s["kind"], option=s.get("option", "arithmetic"), clip_ratios=clip_ratios,
-            threshold=_optional(_number, s, "threshold", "switch"),
-            step=_optional(_int, s, "step", "switch"),
-            step_ratio=_optional(_number, s, "step_ratio", "switch"),
+            clip = _clip_steps((_number(c["t_min_ratio"], "switch.clip.t_min_ratio"),
+                                _number(c["t_max_ratio"], "switch.clip.t_max_ratio")), total_steps)
+        step = _optional(_int, s, "step", "switch")
+        step_ratio = _optional(_number, s, "step_ratio", "switch")
+        if step_ratio is not None:
+            if step is not None:
+                raise ConfigError("give either step or step_ratio, not both")
+            step = _ratio_step(step_ratio, total_steps, "switch.step_ratio")
+        criterion = SwitchCriterion(
+            kind=s["kind"], option=s.get("option", "arithmetic"),
+            threshold=_optional(_number, s, "threshold", "switch"), clip=clip, step=step,
         )
 
     ablation = AblationConfig()
     if doc.get("ablation") is not None:
         a = _take(doc["ablation"], "ablation", required=(),
                   optional=("precondition_ratios", "decay"))
-        decay_m, decay_boundaries = None, ()
+        decay = None
         if a.get("decay") is not None:
             dd = _take(a["decay"], "ablation.decay", required=("m",), optional=("stage_boundaries",))
-            decay_m = _int(dd["m"], "ablation.decay.m")
-            decay_boundaries = _each(_int, dd.get("stage_boundaries", ()),
-                                     "ablation.decay.stage_boundaries")
+            decay = DecaySchedule(_int(dd["m"], "ablation.decay.m"),
+                                  _each(_int, dd.get("stage_boundaries", ()),
+                                        "ablation.decay.stage_boundaries"))
         ablation = AblationConfig(
             precondition_ratios=_each(_number, a.get("precondition_ratios", ()),
                                          "ablation.precondition_ratios"),
-            decay_m=decay_m, decay_boundaries=decay_boundaries,
+            decay=decay,
         )
 
     r = _take(doc["recipe"], "recipe", required=("kind",), optional=("lam",))
-    decay = None
-    if ablation.decay_m is not None and r["kind"] != "dense":
-        decay = DecaySchedule(ablation.decay_m, ablation.decay_boundaries)
-    recipe = Recipe(r["kind"], _number(r.get("lam", 0.0), "recipe.lam"), decay)
+    recipe = Recipe(r["kind"], _number(r.get("lam", 0.0), "recipe.lam"),
+                    None if r["kind"] == "dense" else ablation.decay)
 
     return ExperimentConfig(
-        model=spec, data=data, optimizer=optimizer, plan=plan, recipe=recipe, switch=switch,
-        total_steps=_int(doc["total_steps"], "total_steps"),
+        model=spec, data=data, hyper=hyper, plan=plan, recipe=recipe, criterion=criterion,
+        total_steps=total_steps,
         seeds=_each(_int, doc["seeds"], "seeds"),
         output_dir=str(doc.get("output_dir", "runs")),
         ablation=ablation,
@@ -354,19 +327,28 @@ def write_trajectory(path, result: TrainResult) -> None:
 
 def _train_for_config(config: ExperimentConfig, seed: int, recipe: Recipe | None = None,
                       criterion: SwitchCriterion | None = None) -> TrainResult:
-    """Train one seed; without a recipe, the config's own recipe and criterion.
-
-    The dataset and hyperparameters are rebuilt here so the call can run in a
-    worker process.
-    """
+    """Train one seed, building its dataset here; without a recipe, the config's own."""
     if recipe is None:
-        recipe = config.recipe
-        criterion = config.criterion()
+        recipe, criterion = config.recipe, config.criterion
     dataset = config.data.build(config.model.kind)
     return recipe_train(
-        config.model, dataset, config.hyper(), config.plan, recipe,
+        config.model, dataset, config.hyper, config.plan, recipe,
         criterion, config.total_steps, seed,
     )
+
+
+def _train_task(config: ExperimentConfig, seed: int, recipe: Recipe | None,
+                criterion: SwitchCriterion | None, path: Path | None) -> tuple:
+    """Train one seed, write its trajectory to ``path`` if given; returns its figures.
+
+    The figures, (sparse_eval_loss, dense_eval_loss, switched_at), are all a
+    worker sends back.  The directory of ``path`` is made only after training.
+    """
+    result = _train_for_config(config, seed, recipe, criterion)
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_trajectory(path, result)
+    return result.sparse_eval_loss, result.dense_eval_loss, result.switched_at
 
 
 def pool_size(jobs: int, n_tasks: int, cpus: int | None) -> int:
@@ -419,29 +401,21 @@ class RunSummary:
 def run(config: ExperimentConfig, output_dir=None, jobs: int = 1) -> RunSummary:
     """Train every seed of the config, writing trajectories and a summary.
 
-    Each seed's trajectory is written as soon as its result arrives, and only
-    the figures of the summary are kept from it.
+    Each seed's trajectory is written where it trained, as soon as it has
+    trained, and only the figures of the summary are kept from it.
     """
     seeds = config.seeds
     workers = pool_size(jobs, len(seeds), os.cpu_count())
     out = Path(output_dir if output_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def keep(result: TrainResult, seed: int) -> tuple:
-        path = out / f"trajectory_seed{seed}.jsonl"
-        write_trajectory(path, result)
-        return str(path), result.sparse_eval_loss, result.dense_eval_loss, result.switched_at
-
-    # map, unlike zip, keeps no reference to a result once keep has returned;
-    # with the results first, it runs _map_tasks to its end, closing the pool
-    results = _map_tasks(_train_for_config, [(config, seed) for seed in seeds], workers)
-    files, sparse, dense, switched = zip(*map(keep, results, seeds))
+    paths = [out / f"trajectory_seed{seed}.jsonl" for seed in seeds]
+    tasks = [(config, seed, None, None, path) for seed, path in zip(seeds, paths)]
+    sparse, dense, switched = zip(*_map_tasks(_train_task, tasks, workers))
     summary = RunSummary(
         seeds=seeds,
         sparse_eval_losses=sparse,
         dense_eval_losses=dense,
         switched_at=switched,
-        trajectory_files=files,
+        trajectory_files=tuple(map(str, paths)),
     )
     with open(out / "summary.json", "w") as fh:
         json.dump(summary.to_flat_dict(), fh, indent=2, sort_keys=True)
@@ -456,7 +430,7 @@ def run(config: ExperimentConfig, output_dir=None, jobs: int = 1) -> RunSummary:
 
 def default_comparison_criteria(total_steps: int) -> list[SwitchCriterion]:
     return [
-        SwitchConfig(kind="autoswitch", clip_ratios=DEFAULT_CLIP_RATIOS).build(total_steps),
+        SwitchCriterion(kind="autoswitch", clip=_clip_steps(DEFAULT_CLIP_RATIOS, total_steps)),
         SwitchCriterion(kind="relative"),
         SwitchCriterion(kind="staleness"),
     ]
@@ -490,21 +464,17 @@ def compare_switch(
         criteria = default_comparison_criteria(config.total_steps)
     elif not criteria:
         raise ConfigError("compare_switch needs at least one criterion")
-    hyper = config.hyper()
     d = sum(int(np.prod(shape)) for shape in models.param_shapes(config.model).values())
     rows = []
     for seed in config.seeds:
         profile = _train_for_config(config, seed, Recipe("dense"), None)
         stats, diffs = _profile_stats(profile.records, d)
         for criterion in criteria:
-            t0 = evaluate_offline(criterion, stats, hyper.beta2, hyper.eps)
-            if t0 is None:
-                rows.append({"seed": seed, "criterion": criterion.label(),
-                             "t0": None, "avg_change_metric": None, "note": "no-switch"})
-                continue
-            metric = avg_change_metric_from_diffs(diffs, t0)
-            rows.append({"seed": seed, "criterion": criterion.label(),
-                         "t0": t0, "avg_change_metric": metric, "note": ""})
+            t0 = evaluate_offline(criterion, stats, config.hyper.beta2, config.hyper.eps)
+            metric = None if t0 is None else avg_change_metric_from_diffs(diffs, t0)
+            rows.append({"seed": seed, "criterion": criterion.label(), "t0": t0,
+                         "avg_change_metric": metric,
+                         "note": "no-switch" if t0 is None else ""})
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -538,41 +508,31 @@ def ablation(kind: str, config: ExperimentConfig, output_dir=None, jobs: int = 1
             t0 = _ratio_step(ratio, config.total_steps, "ablation.precondition_ratios")
             cells.append((f"ratio={ratio}", Recipe("step"), SwitchCriterion(kind="fixed", step=t0)))
     elif kind == "fixed_vs_updated_variance":
-        criterion = config.criterion()
+        criterion = config.criterion
         if criterion is None:
             raise ConfigError("fixed_vs_updated_variance needs a switch criterion")
         cells.append(("fixed_variance", Recipe("step"), criterion))
         cells.append(("updated_variance", Recipe("step_updated_variance"), criterion))
     else:
-        if config.ablation.decay_m is None:
+        decay = config.ablation.decay
+        if decay is None:
             raise ConfigError("decaying_mask needs ablation.decay")
-        decay = DecaySchedule(config.ablation.decay_m, config.ablation.decay_boundaries)
-        criterion = config.criterion()
+        criterion = config.criterion
         if criterion is None:
             raise ConfigError("decaying_mask needs a switch criterion for the dense-phase variant")
         cells.append(("with_dense_phase", Recipe("step_updated_variance", decay=decay), criterion))
         cells.append(("without_dense_phase", Recipe("ste", decay=decay), None))
 
+    columns = ("cell", "seed", "sparse_eval_loss", "dense_eval_loss", "switched_at")
     labels = [(label, seed) for label, _, _ in cells for seed in config.seeds]
-    tasks = [(config, seed, recipe, criterion)
+    tasks = [(config, seed, recipe, criterion, None)
              for _, recipe, criterion in cells for seed in config.seeds]
-
-    def row(result: TrainResult, cell: tuple[str, int]) -> dict:
-        return {
-            "cell": cell[0], "seed": cell[1],
-            "sparse_eval_loss": result.sparse_eval_loss,
-            "dense_eval_loss": result.dense_eval_loss,
-            "switched_at": result.switched_at,
-        }
-
-    # as in run: one result at a time, and _map_tasks runs to its end
-    results = _map_tasks(_train_for_config, tasks, pool_size(jobs, len(tasks), os.cpu_count()))
-    rows = list(map(row, results, labels))
+    figures = _map_tasks(_train_task, tasks, pool_size(jobs, len(tasks), os.cpu_count()))
+    rows = [dict(zip(columns, label + cell_figures)) for label, cell_figures in zip(labels, figures)]
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_rows_csv(out / f"ablation_{kind}.csv", rows,
-                        ("cell", "seed", "sparse_eval_loss", "dense_eval_loss", "switched_at"))
+        _write_rows_csv(out / f"ablation_{kind}.csv", rows, columns)
     return rows
 
 

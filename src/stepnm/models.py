@@ -6,12 +6,12 @@ layers in reverse.  Weights are stored (out_features, in_features) so that
 N:M groups along the innermost axis run over each output's reduction
 dimension.  Training keeps the parameters, their gradients and the optimizer
 moments in ParamBuffers: one flat float64 array each, whose named views are
-the per-layer arrays.
+the per-layer arrays.  ``loss_and_grad`` fills one, and ``check_layout`` is
+the one test that a buffer has a given layout; nothing converts a dict.
 
 ``forward_loss`` and ``loss_and_grad`` check every call against the spec:
 batch shapes, class ids, and parameter names and shapes (the layout is built
-once per spec).  ``optim.recipe_train`` checks its dataset's targets once per
-run with ``check_targets``, which makes class ids int64 for every step.
+once per spec and shared).
 """
 
 from __future__ import annotations
@@ -108,27 +108,16 @@ class ParamBuffer(dict):
         return ParamBuffer, (dict(self.shapes), self.flat)
 
 
-def pack(arrays: ParamSet, shapes: dict[str, tuple[int, ...]] | None = None,
-         what: str = "array") -> ParamBuffer:
-    """``arrays`` as a ParamBuffer laid out as ``shapes`` (by default their own).
+def check_layout(buffer, what: str, shapes=None) -> None:
+    """Raise DimensionError unless ``buffer`` is a ParamBuffer laid out as ``shapes``.
 
-    A ParamBuffer with that layout is returned as it is; anything else is
-    copied into a new one.  A name of ``shapes`` that ``arrays`` lacks, or
-    holds in another shape, raises DimensionError naming the ``what``.
+    A layout is the names and shapes in order; without ``shapes`` any passes.
     """
-    if shapes is None:
-        if isinstance(arrays, ParamBuffer):
-            return arrays
-        shapes = {name: np.shape(a) for name, a in arrays.items()}
-    elif isinstance(arrays, ParamBuffer) and arrays.shapes == shapes:
-        return arrays
-    buffer = ParamBuffer(shapes)
-    for name, shape in shapes.items():
-        a = arrays.get(name)
-        if a is None or np.shape(a) != shape:
-            raise DimensionError(f"{what} for {name!r} missing or misshapen")
-        buffer[name][...] = a
-    return buffer
+    if not isinstance(buffer, ParamBuffer):
+        raise DimensionError(f"{what} must be a ParamBuffer, got {type(buffer).__name__}")
+    if shapes is not None and buffer.shapes is not shapes and (
+            list(buffer.shapes.items()) != list(shapes.items())):
+        raise DimensionError(f"{what} laid out as {dict(buffer.shapes)}, not {dict(shapes)}")
 
 
 def init_params(spec: ModelSpec, seed) -> ParamBuffer:
@@ -179,15 +168,15 @@ def check_targets(spec: ModelSpec, targets, rows: int) -> np.ndarray:
     return t
 
 
-def _pass(spec: ModelSpec, params: ParamSet, batch, backward: bool, out: ParamSet | None = None):
+def _pass(spec: ModelSpec, params: ParamSet, batch, backward: bool,
+          out: ParamBuffer | None = None):
     """Mean batch loss, plus every parameter's gradient when ``backward``.
 
     The batch goes through ``check_targets``, and every parameter must have
     its name and shape in ``param_shapes(spec)``.  The forward pass keeps
     each layer's input; the backward pass walks the layers in reverse,
-    forming dW = g.T @ h and db = sum(g) per layer and skipping the gradient
-    of the input batch.  The gradients are written into the arrays of
-    ``out`` when it is given, into fresh ones otherwise.
+    forming dW = g.T @ h and db = sum(g) per layer, into ``out`` as
+    ``loss_and_grad`` says, and skipping the gradient of the input batch.
     """
     inputs, targets = batch
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -235,18 +224,18 @@ def _pass(spec: ModelSpec, params: ParamSet, batch, backward: bool, out: ParamSe
     if not backward:
         return float(loss), None
     g /= n
-    grads: ParamSet = {} if out is None else out
-    names = list(shapes)
+    out = ParamBuffer(shapes) if out is None else out
+    check_layout(out, "gradient buffer", shapes)
+    grads = list(out.values())  # weight, bias, weight, bias, ... in layer order
     for i in range(n_layers - 1, -1, -1):
         h = layer_inputs[i]
-        weight, bias = names[2 * i], names[2 * i + 1]
-        grads[weight] = np.matmul(g.T, h, out=grads.get(weight))
-        grads[bias] = g.sum(axis=0, out=grads.get(bias))
+        np.matmul(g.T, h, out=grads[2 * i])
+        g.sum(axis=0, out=grads[2 * i + 1])
         if i > 0:
             g = g @ arrays[2 * i]
             # the relu subgradient at exactly 0 is +0.0
             g = np.where(h > 0.0, g, 0.0) if spec.activation == "relu" else g * (1.0 - h * h)
-    return float(loss), grads if out is not None else {name: grads[name] for name in params}
+    return float(loss), out
 
 
 def forward_loss(spec: ModelSpec, params: ParamSet, batch) -> float:
@@ -255,11 +244,11 @@ def forward_loss(spec: ModelSpec, params: ParamSet, batch) -> float:
 
 
 def loss_and_grad(spec: ModelSpec, params: ParamSet, batch,
-                  out: ParamSet | None = None) -> tuple[float, ParamSet]:
+                  out: ParamBuffer | None = None) -> tuple[float, ParamBuffer]:
     """Loss plus gradients for every parameter, in one forward/backward pass.
 
-    With ``out``, a ParamSet of arrays shaped as ``param_shapes(spec)``, the
-    gradients are written into its arrays and ``out`` is returned.
+    The gradients fill ``out``, a ParamBuffer laid out as ``param_shapes(spec)``
+    (DimensionError otherwise), or a new one; that buffer is returned.
     """
     return _pass(spec, params, batch, backward=True, out=out)
 

@@ -11,7 +11,9 @@ A run holds its parameters, gradients and Adam moments in ParamBuffers (see
 ``models.param_shapes``, whose named (out, in) views are the ParamSets that
 the model, the masks and TrainResult see.  Each step writes the gradients
 into their buffer and ``adam_step`` updates the others in place, running
-each numpy operation once over all coordinates.
+each numpy operation once over all coordinates.  The update takes
+ParamBuffers only, laid out as its state; anything else is a DimensionError,
+never a copy.
 
 ``recipe_train`` checks its dataset's targets once, before the first step,
 and trains on int64 class ids, whose range alone each step then checks.
@@ -19,6 +21,7 @@ and trains on int64 class ids, whose range alone each step then checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -37,22 +40,27 @@ RECIPE_KINDS = ("dense", "ste", "srste", "step", "step_updated_variance")
 TWO_PHASE_KINDS = ("step", "step_updated_variance")
 
 
+# schedules are partials of module functions, so that a config pickles into spawned workers
+def _constant(gamma: float, t: int) -> float:
+    return gamma
+
+
+def _cosine(gamma: float, total_steps: int, t: int) -> float:
+    frac = min(max(t, 0), total_steps) / total_steps
+    return 0.5 * gamma * (1.0 + math.cos(math.pi * frac))
+
+
 def constant_lr(gamma: float) -> LRSchedule:
     if gamma <= 0:
         raise ConfigError("learning rate must be positive")
-    return lambda t: gamma
+    return functools.partial(_constant, gamma)
 
 
 def cosine_lr(gamma: float, total_steps: int) -> LRSchedule:
     """Cosine decay from gamma to 0 over total_steps (>= 1)."""
     if gamma <= 0:
         raise ConfigError("cosine schedule needs gamma > 0")
-
-    def schedule(t: int) -> float:
-        frac = min(max(t, 0), total_steps) / total_steps
-        return 0.5 * gamma * (1.0 + math.cos(math.pi * frac))
-
-    return schedule
+    return functools.partial(_cosine, gamma, total_steps)
 
 
 @dataclass(frozen=True)
@@ -77,33 +85,33 @@ class AdamHyper:
 class AdamState:
     """Moment accumulators, update scratch and the completed-step counter.
 
-    ``m`` and ``v`` are ParamBuffers (plain dicts are copied into new ones),
-    which ``adam_step`` updates in place.  The rest is scratch, made on first
-    use and dropped by setting it to None: ``spare`` receives the next v, so
-    that the previous v stays readable until the step after; ``scratch`` and
-    ``denom`` hold the update's temporaries.
+    ``m`` and ``v`` are ParamBuffers of one layout (DimensionError
+    otherwise), which ``adam_step`` updates in place.  The rest is scratch,
+    made on first use and dropped by setting it to None: ``spare`` receives
+    the next v, so that the previous v stays readable until the step after;
+    ``scratch`` and ``denom`` hold the update's temporaries.
     """
 
-    m: ParamSet
-    v: ParamSet
+    m: models.ParamBuffer
+    v: models.ParamBuffer
     t: int = 0
-    spare: ParamSet | None = None
+    spare: models.ParamBuffer | None = None
     scratch: np.ndarray | None = None
-    denom: ParamSet | None = None
+    denom: models.ParamBuffer | None = None
 
     def __post_init__(self):
-        self.m = models.pack(self.m, what="first moment")
-        self.v = models.pack(self.v, self.m.shapes, what="second moment")
+        models.check_layout(self.m, "first moment")
+        models.check_layout(self.v, "second moment", self.m.shapes)
 
     def release(self) -> None:
         """Drop the scratch buffers; the next update makes them again."""
         self.spare = self.scratch = self.denom = None
 
 
-def init_adam_state(params: ParamSet) -> AdamState:
-    """Zero moments laid out as ``params``."""
-    shapes = models.pack(params).shapes
-    return AdamState(m=models.ParamBuffer(shapes), v=models.ParamBuffer(shapes), t=0)
+def init_adam_state(params: models.ParamBuffer) -> AdamState:
+    """Zero moments laid out as ``params``, a ParamBuffer."""
+    models.check_layout(params, "parameters")
+    return AdamState(m=models.ParamBuffer(params.shapes), v=models.ParamBuffer(params.shapes))
 
 
 def _check_grads(grads: models.ParamBuffer, step: int) -> None:
@@ -112,17 +120,18 @@ def _check_grads(grads: models.ParamBuffer, step: int) -> None:
         raise NumericalError(f"non-finite gradient for {name!r} at step {step}")
 
 
-def adam_step(state: AdamState, hyper: AdamHyper, params: ParamSet, grads: ParamSet,
-              frozen_denom: ParamSet | None = None, bias_correct_v: bool = True):
+def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
+              grads: models.ParamBuffer, frozen_denom: models.ParamBuffer | None = None,
+              bias_correct_v: bool = True):
     """One Adam update over the whole flat buffer, in place; returns (state, params).
 
     ``params``, ``state.m`` and the step counter are updated where they are,
     and v is written into ``state.spare`` and swapped with it, so the
     previous ``state.v`` keeps its values until the next update.  Params,
-    grads or ``frozen_denom`` that are not ParamBuffers laid out as
-    ``state.m`` are copied into one first; the returned params are then that
-    copy.  Each operation runs over all coordinates at once, in the order of
-    the plain per-parameter expressions, so every bit is theirs.
+    grads and ``frozen_denom`` must be ParamBuffers laid out as ``state.m``;
+    anything else raises DimensionError.  Each operation runs over all
+    coordinates at once, in the order of the plain per-parameter
+    expressions, so every bit is theirs.
 
     Bias correction divides by 1 - beta**k where k counts the gradients
     accumulated so far, so the first step divides by 1 - beta (never zero).
@@ -136,8 +145,10 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: ParamSet, grads: Param
     """
     k = state.t + 1
     shapes = state.m.shapes
-    params = models.pack(params, shapes, what="parameter")
-    grads = models.pack(grads, shapes, what="gradient")
+    models.check_layout(params, "parameters", shapes)
+    models.check_layout(grads, "gradients", shapes)
+    if frozen_denom is not None:
+        models.check_layout(frozen_denom, "frozen denominator", shapes)
     _check_grads(grads, k)
     gamma = hyper.lr_schedule(state.t)
     b1, b2 = hyper.beta1, hyper.beta2
@@ -168,7 +179,7 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: ParamSet, grads: Param
         denom += hyper.eps
         np.sqrt(denom, out=denom)
     else:
-        denom = models.pack(frozen_denom, shapes, what="frozen denominator").flat
+        denom = frozen_denom.flat
     # params = params - gamma * (m / m_corr) / denom
     np.divide(m, m_corr, out=scratch)
     scratch *= gamma
@@ -179,7 +190,7 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: ParamSet, grads: Param
 
 
 def ste_loss_and_grad(spec, params: ParamSet, ratios, batch, lam: float = 0.0,
-                      out: ParamSet | None = None):
+                      out: models.ParamBuffer | None = None):
     """Straight-through loss and gradient at the masked point; returns (grads, masks, loss).
 
     ``ratios`` maps layer names to N:M ratios (a dict or a SparsityPlan).
@@ -255,10 +266,7 @@ class TrainResult:
 
 
 def _effective_ratios(plan: SparsityPlan, decay: DecaySchedule | None, step: int) -> dict[str, NMRatio]:
-    if decay is None:
-        return dict(plan.items())
-    ratio = decay.ratio_at(step)
-    return {name: ratio for name, _ in plan.items()}
+    return plan.ratios if decay is None else dict.fromkeys(plan.ratios, decay.ratio_at(step))
 
 
 def recipe_train(
@@ -277,18 +285,10 @@ def recipe_train(
     freeze the variance when it fires; if it never fires the run stays dense
     throughout and the trajectory simply reports no switch.  Single-phase
     recipes (dense, ste, srste) ignore the criterion.  The returned weights
-    are always evaluated both densely and under the final mask.  The plan is
-    taken as valid for the spec and total_steps as >= 1, as ExperimentConfig
-    checks them.
+    are always evaluated both densely and under the final mask.  The plan and
+    the recipe's decay are taken as valid for the spec, and total_steps as
+    >= 1, as ExperimentConfig checks them.
     """
-    if recipe.decay is not None:
-        shapes = models.param_shapes(spec)
-        for name, _ in plan.items():
-            if shapes[name][-1] % recipe.decay.m != 0:
-                raise ConfigError(
-                    f"layer {name!r}: innermost extent {shapes[name][-1]} "
-                    f"not divisible by decay m={recipe.decay.m}"
-                )
     two_phase = recipe.kind in TWO_PHASE_KINDS
     if two_phase and switch is None:
         raise ConfigError(f"recipe {recipe.kind!r} needs a switch criterion")

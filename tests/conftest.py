@@ -1,10 +1,18 @@
-"""Shared test helpers: a reference accumulator and mid-run snapshots of training."""
+"""Shared test helpers: parameter buffers, a reference accumulator and mid-run snapshots of training."""
 
 import numpy as np
 import pytest
 
-from stepnm import optim
+from stepnm import models, optim
 from stepnm.errors import RangeError
+
+
+def buffer(**arrays) -> models.ParamBuffer:
+    """A ParamBuffer holding copies of ``arrays``, laid out in keyword order."""
+    out = models.ParamBuffer({name: np.shape(a) for name, a in arrays.items()})
+    for name, a in arrays.items():
+        out[name][...] = a
+    return out
 
 
 def simulate_vhat(stream, beta2, steps, seed=None):

@@ -11,7 +11,7 @@ from statistics import fmean
 
 import numpy as np
 
-from conftest import simulate_vhat
+from conftest import buffer, simulate_vhat
 from stepnm import harness, models, optim, theory
 from stepnm.autoswitch import StepStats, SwitchCriterion, make_detector, mixing_window
 from stepnm.masks import NMRatio, SparsityPlan, compute_nm_mask
@@ -64,9 +64,9 @@ def test_mask_structure_exhaustive():
 def test_adam_single_step_oracle():
     """Hand-computed step to 1e-12; 100 random cases against a scalar oracle."""
     hyper = AdamHyper(lr_schedule=constant_lr(1e-3))
-    params = {"w": np.array([0.5])}
+    params = buffer(w=np.array([0.5]))
     state = init_adam_state(params)
-    state, params = adam_step(state, hyper, params, {"w": np.array([2.0])})
+    state, params = adam_step(state, hyper, params, buffer(w=np.array([2.0])))
     hand_ok = abs(params["w"][0] - 0.49900000000125) < 1e-12
 
     rng = np.random.default_rng(77)
@@ -79,9 +79,9 @@ def test_adam_single_step_oracle():
         eps = float(rng.uniform(1e-9, 1e-6))
         gamma = float(rng.uniform(1e-4, 1e-2))
         case_hyper = AdamHyper(beta1=b1, beta2=b2, eps=eps, lr_schedule=constant_lr(gamma))
-        p = {"w": np.array([w0])}
+        p = buffer(w=np.array([w0]))
         s = init_adam_state(p)
-        s, p = adam_step(s, case_hyper, p, {"w": np.array([g])})
+        s, p = adam_step(s, case_hyper, p, buffer(w=np.array([g])))
         # independent scalar oracle in plain python floats
         m = (1 - b1) * g
         v = (1 - b2) * g * g

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import buffer
 from stepnm.autoswitch import (
     GEOMETRIC_FLOOR,
     SAMPLER_OPTIONS,
@@ -18,7 +19,7 @@ from stepnm.autoswitch import (
     variance_stats,
 )
 from stepnm.errors import ConfigError, RangeError
-from stepnm.harness import SwitchConfig
+from stepnm.harness import config_from_dict
 
 
 class TestMixingWindow:
@@ -35,18 +36,20 @@ class TestMixingWindow:
 
 class TestVarianceChangeSample:
     def test_arithmetic(self):
-        z, _, _, _ = variance_stats({"w": np.array([0.002, 0.001])}, {"w": np.array([0.001, 0.004])})
+        z, _, _, _ = variance_stats(buffer(w=np.array([0.002, 0.001])),
+                                    buffer(w=np.array([0.001, 0.004])))
         assert math.isclose(z, 0.002, rel_tol=1e-15)
 
     def test_equal_coordinates_both_options(self):
         v_prev = {"a": np.array([1.0, 2.0]), "b": np.array([[3.0]])}
         v = {name: arr + 0.005 for name, arr in v_prev.items()}
-        z, z_geom, _, _ = variance_stats(v, v_prev)
+        z, z_geom, _, _ = variance_stats(buffer(**v), buffer(**v_prev))
         assert math.isclose(z, 0.005, rel_tol=1e-12)
         assert math.isclose(z_geom, 0.005, rel_tol=1e-12)
 
     def test_geometric_floor(self):
-        _, z_geom, _, _ = variance_stats({"w": np.array([1.0, 1.004])}, {"w": np.array([1.0, 1.0])})
+        _, z_geom, _, _ = variance_stats(buffer(w=np.array([1.0, 1.004])),
+                                         buffer(w=np.array([1.0, 1.0])))
         assert math.isclose(z_geom, math.sqrt(GEOMETRIC_FLOOR * 0.004), rel_tol=1e-9)
 
 
@@ -168,8 +171,12 @@ class TestAutoswitchDecide:
 
     def test_bad_clip(self):
         # a reversed clip from a config is refused before any detector exists
-        with pytest.raises(ConfigError):
-            SwitchConfig(kind="autoswitch", clip_ratios=(0.5, 0.1)).build(1000)
+        doc = {"model": {"kind": "mlp_classifier", "layer_sizes": [2, 4, 2]},
+               "data": {"kind": "blobs"}, "optimizer": {}, "recipe": {"kind": "step"},
+               "switch": {"kind": "autoswitch", "clip": {"t_min_ratio": 0.5, "t_max_ratio": 0.1}},
+               "total_steps": 1000, "seeds": [0]}
+        with pytest.raises(ConfigError, match="clipping"):
+            config_from_dict(doc)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -312,7 +319,7 @@ def _l1_diffs(v_by_step):
     """Entry t is ||v_t - v_{t-1}||_1 as the profile records it: z times the size."""
     diffs = [0.0]
     for t in range(1, len(v_by_step)):
-        z, _, _, _ = variance_stats({"v": v_by_step[t]}, {"v": v_by_step[t - 1]})
+        z, _, _, _ = variance_stats(buffer(v=v_by_step[t]), buffer(v=v_by_step[t - 1]))
         diffs.append(z * v_by_step[t].size)
     return diffs
 

@@ -53,7 +53,7 @@ class TestConfigParsing:
         assert config.total_steps == 120
         assert config.seeds == (1, 2)
         assert config.plan.ratios["fc2.weight"].m == 4
-        assert config.switch.clip_ratios == (0.1, 0.5)
+        assert config.criterion.clip == (12, 60)  # the clip ratios 0.1 and 0.5 of 120 steps
 
     def test_unknown_top_level_key(self, tmp_path):
         path, _ = make_config(tmp_path, optimiser={"lr": 0.1})
@@ -94,7 +94,7 @@ class TestConfigParsing:
     def test_switch_step_ratio(self, tmp_path):
         path, _ = make_config(tmp_path, switch={"kind": "fixed", "step_ratio": 0.25})
         config = harness.load_config(path)
-        assert config.criterion().step == 30
+        assert config.criterion.step == 30
 
 
 class TestRecipeConfig:
@@ -118,6 +118,28 @@ class TestRecipeConfig:
         with pytest.raises(ConfigError, match="images"):
             harness.load_config(path)
 
+    @pytest.mark.parametrize("recipe", ["step", "dense"])
+    def test_decay_m_must_divide_every_planned_layer_at_load(self, tmp_path, recipe):
+        # fc2.weight is (2, 16): a decay over groups of 3 cannot mask it
+        path, _ = make_config(tmp_path, recipe={"kind": recipe},
+                              ablation={"decay": {"m": 3, "stage_boundaries": [60]}})
+        with pytest.raises(ConfigError, match="fc2.weight"):
+            harness.load_config(path)
+
+    def test_loaded_config_pickles_for_spawned_workers(self, tmp_path):
+        import pickle
+
+        path, _ = make_config(tmp_path, optimizer={"lr": 0.005, "lr_schedule": "cosine"},
+                              ablation={"decay": {"m": 4, "stage_boundaries": [60]}})
+        config = harness.load_config(path)
+        again = pickle.loads(pickle.dumps(config))
+        assert again.criterion == config.criterion and again.criterion.clip == (12, 60)
+        assert again.recipe == config.recipe and again.recipe.decay == DecaySchedule(4, (60,))
+        assert again.ablation == config.ablation
+        for t in (0, 1, 37, 60, 119, 120, 500):
+            assert again.hyper.lr_schedule(t).hex() == config.hyper.lr_schedule(t).hex()
+        assert config.hyper.lr_schedule(60) != config.hyper.lr_schedule(0)  # it is the cosine
+
 
 class TestOptimizerNumbers:
     def test_json_dumps_exponent_floats_load_and_run(self, tmp_path):
@@ -128,7 +150,7 @@ class TestOptimizerNumbers:
         path.write_text(json.dumps(doc))
         assert '"eps": 1e-08' in path.read_text()
         config = harness.load_config(path)
-        assert config.optimizer.eps == 1e-8 and config.optimizer.lr == 5e-3
+        assert config.hyper.eps == 1e-8 and config.hyper.lr_schedule(0) == 5e-3
         harness.run(config, output_dir=tmp_path / "out")
         assert (tmp_path / "out" / "trajectory_seed1.jsonl").exists()
 
@@ -227,6 +249,20 @@ class TestRun:
         rows = harness.ablation("precondition_length", config, jobs=1)
         assert len(alive) == 3 + 6 and [row["switched_at"] for row in rows] == [6] * 3 + [15] * 3
         assert all(ref() is None for ref in alive)
+
+    def test_task_writes_the_trajectory_and_returns_only_figures(self, tmp_path):
+        path, _ = make_config(tmp_path, seeds=[1], total_steps=30)
+        config = harness.load_config(path)
+        result = harness._train_for_config(config, 1)
+        harness.write_trajectory(tmp_path / "expected.jsonl", result)
+        figures = (result.sparse_eval_loss, result.dense_eval_loss, result.switched_at)
+        written = tmp_path / "not" / "yet" / "made.jsonl"
+        assert harness._train_task(config, 1, None, None, written) == figures
+        assert written.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+        dense = harness._train_for_config(config, 1, optim.Recipe("dense"))
+        assert harness._train_task(config, 1, optim.Recipe("dense"), None, None) == (
+            dense.sparse_eval_loss, dense.dense_eval_loss, None)
+        assert sorted(p.name for p in tmp_path.rglob("*.jsonl")) == ["expected.jsonl", "made.jsonl"]
 
     def test_summary_written(self, tmp_path):
         path, _ = make_config(tmp_path, seeds=[1])
@@ -466,6 +502,7 @@ class TestCSVDataConfig:
             cli_entry()
         assert exit_info.value.code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_run_from_csv(self, tmp_path):
         ds = models.gen_synthetic("blobs", 64, 2, n_classes=2, noise_std=0.4, seed=1, batch_size=16)
@@ -556,7 +593,16 @@ class TestTypedInputErrors:
     def test_step_ratio_outside_unit_interval(self, tmp_path, ratio):
         path, _ = make_config(tmp_path, switch={"kind": "fixed", "step_ratio": ratio})
         with pytest.raises(ConfigError, match="switch.step_ratio"):
-            harness.load_config(path).criterion()
+            harness.load_config(path)
+
+    @pytest.mark.parametrize("key,ratio", [
+        ("t_min_ratio", 1e308), ("t_min_ratio", -0.5), ("t_max_ratio", 1.5), ("t_max_ratio", -1e308),
+    ])
+    def test_clip_ratio_outside_unit_interval(self, tmp_path, key, ratio):
+        clip = {"t_min_ratio": 0.1, "t_max_ratio": 0.5, key: ratio}
+        path, _ = make_config(tmp_path, switch={"kind": "autoswitch", "clip": clip})
+        with pytest.raises(ConfigError, match=f"switch.clip.{key}"):
+            harness.load_config(path)
 
     @pytest.mark.parametrize("body,message", [
         ("x0,x1,y0\n1.0,2.0,0\n3.0,0\n", "line 3"),
@@ -653,8 +699,8 @@ class TestConfigFuzz:
             return
         try:
             dataset = data.build(config.model.kind)
-            optim.recipe_train(config.model, dataset, config.hyper(), config.plan, config.recipe,
-                               config.criterion(), 3, config.seeds[0])
+            optim.recipe_train(config.model, dataset, config.hyper, config.plan, config.recipe,
+                               config.criterion, 3, config.seeds[0])
         except ToolkitError:
             pass
 

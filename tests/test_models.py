@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from stepnm import models
+from conftest import buffer
+from stepnm import models, optim
+from stepnm.autoswitch import variance_stats
 from stepnm.errors import ConfigError, DimensionError, DomainError
 from stepnm.models import Dataset, ModelSpec
 
@@ -153,18 +155,31 @@ class TestParamBuffer:
             other.flat[0] += 1.0
             assert other["fc1.weight"].flat[0] == buf["fc1.weight"].flat[0] + 1.0
 
-    def test_pack(self):
-        shapes = {"a": (2, 2), "b": (3,)}
-        buf = models.ParamBuffer(shapes)
-        assert models.pack(buf) is buf and models.pack(buf, dict(shapes)) is buf
-        plain = {"b": np.arange(3.0), "a": np.ones((2, 2))}
-        packed = models.pack(plain, shapes)
-        assert list(packed) == ["a", "b"] and not np.shares_memory(packed["b"], plain["b"])
-        np.testing.assert_array_equal(packed.flat, [1, 1, 1, 1, 0, 1, 2])
-        with pytest.raises(DimensionError, match="gradient for 'b'"):
-            models.pack({"a": np.ones((2, 2)), "b": np.ones(4)}, shapes, what="gradient")
-        with pytest.raises(DimensionError, match="'b'"):
-            models.pack({"a": np.ones((2, 2))}, shapes)
+    def test_only_buffers_of_the_state_layout_are_taken(self):
+        # a plain dict, or a buffer with other names, order or shapes, is
+        # refused before anything is written, never copied into a buffer
+        hyper = optim.AdamHyper()
+        params = buffer(a=np.ones((2, 2)), b=np.ones(3))
+        grads = buffer(a=np.ones((2, 2)), b=np.ones(3))
+        state = optim.init_adam_state(params)
+        plain = {"a": np.ones((2, 2)), "b": np.ones(3)}
+        for bad in (plain, buffer(b=np.ones(3), a=np.ones((2, 2))),
+                    buffer(a=np.ones((2, 2)), b=np.ones((3, 1))), buffer(a=np.ones((2, 2)))):
+            for args in ((bad, grads), (params, bad), (params, grads, bad)):
+                with pytest.raises(DimensionError):
+                    optim.adam_step(state, hyper, *args)
+            with pytest.raises(DimensionError):
+                optim.AdamState(m=state.m, v=bad)
+            with pytest.raises(DimensionError):
+                variance_stats(state.v, bad)
+        for call in (lambda: optim.AdamState(m=plain, v=state.v), lambda: optim.init_adam_state(plain),
+                     lambda: variance_stats(plain, state.v)):
+            with pytest.raises(DimensionError, match="must be a ParamBuffer, got dict"):
+                call()
+        assert state.t == 0 and not state.m.flat.any() and (params.flat == 1.0).all()
+        spec = mlp()
+        with pytest.raises(DimensionError, match="gradient buffer"):
+            models.loss_and_grad(spec, models.init_params(spec, 0), random_batch(spec, 2, 0), out={})
 
 
 class TestGrad:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import buffer
 from stepnm import models, optim
 from stepnm.autoswitch import GEOMETRIC_FLOOR, SwitchCriterion, variance_stats
 from stepnm.errors import ConfigError, NumericalError
@@ -36,9 +37,9 @@ def blob_setup(hidden=16, noise=0.6, seed=0, batch=32):
 class TestAdamStep:
     def test_hand_oracle_single_step(self):
         hyper = default_hyper()
-        params = {"w": np.array([0.5])}
+        params = buffer(w=np.array([0.5]))
         state = init_adam_state(params)
-        state, params = adam_step(state, hyper, params, {"w": np.array([2.0])})
+        state, params = adam_step(state, hyper, params, buffer(w=np.array([2.0])))
         assert abs(params["w"][0] - 0.49900000000125) < 1e-12
         assert abs(state.m["w"][0] - 0.2) < 1e-15
         assert abs(state.v["w"][0] - 0.004) < 1e-15
@@ -50,10 +51,10 @@ class TestAdamStep:
         for _ in range(100):
             w0 = float(rng.standard_normal())
             g_seq = [float(g) for g in rng.standard_normal(3)]
-            params = {"w": np.array([w0])}
+            params = buffer(w=np.array([w0]))
             state = init_adam_state(params)
             for g in g_seq:
-                state, params = adam_step(state, hyper, params, {"w": np.array([g])})
+                state, params = adam_step(state, hyper, params, buffer(w=np.array([g])))
             w_ref, m_ref, v_ref = scalar_adam_oracle(w0, g_seq, 0.9, 0.999, 1e-8, 1e-3)
             assert abs(params["w"][0] - w_ref) < 1e-12
             assert abs(state.m["w"][0] - m_ref) < 1e-12
@@ -61,33 +62,33 @@ class TestAdamStep:
 
     def test_zero_gradient_is_noop(self):
         hyper = default_hyper()
-        params = {"w": np.array([1.0, -2.0])}
+        params = buffer(w=np.array([1.0, -2.0]))
         state = init_adam_state(params)
-        state, params2 = adam_step(state, hyper, params, {"w": np.zeros(2)})
-        np.testing.assert_array_equal(params2["w"], params["w"])
+        state, params2 = adam_step(state, hyper, params, buffer(w=np.zeros(2)))
+        np.testing.assert_array_equal(params2["w"], [1.0, -2.0])
         np.testing.assert_array_equal(state.m["w"], np.zeros(2))
         np.testing.assert_array_equal(state.v["w"], np.zeros(2))
 
     def test_identical_histories_identical_updates(self):
         hyper = default_hyper()
-        params = {"w": np.array([0.3, 0.3])}
+        params = buffer(w=np.array([0.3, 0.3]))
         state = init_adam_state(params)
         for g in (1.0, -0.5, 0.25):
-            state, params = adam_step(state, hyper, params, {"w": np.array([g, g])})
+            state, params = adam_step(state, hyper, params, buffer(w=np.array([g, g])))
         assert params["w"][0] == params["w"][1]
 
     def test_non_finite_gradient_reports_step(self):
         hyper = default_hyper()
-        params = {"w": np.array([1.0])}
+        params = buffer(w=np.array([1.0]))
         state = init_adam_state(params)
-        state, params = adam_step(state, hyper, params, {"w": np.array([1.0])})
+        state, params = adam_step(state, hyper, params, buffer(w=np.array([1.0])))
         with pytest.raises(NumericalError, match="step 2"):
-            adam_step(state, hyper, params, {"w": np.array([float("nan")])})
+            adam_step(state, hyper, params, buffer(w=np.array([float("nan")])))
 
     def test_non_finite_gradient_names_the_parameter(self):
         hyper = default_hyper()
-        params = {"a": np.ones((2, 3)), "b": np.ones(4), "c": np.ones(2)}
-        grads = {name: np.ones_like(p) for name, p in params.items()}
+        params = buffer(a=np.ones((2, 3)), b=np.ones(4), c=np.ones(2))
+        grads = buffer(**{name: np.ones_like(p) for name, p in params.items()})
         state, params = adam_step(init_adam_state(params), hyper, params, grads)
         grads["b"][2] = np.nan
         with pytest.raises(NumericalError, match=r"gradient for 'b' at step 2$"):
@@ -95,18 +96,17 @@ class TestAdamStep:
 
     def test_updates_in_place(self):
         hyper = default_hyper()
-        plain = {"w": np.array([1.0])}
-        state = init_adam_state(plain)
+        params = buffer(w=np.array([1.0]))
+        state = init_adam_state(params)
         m, v = state.m, state.v
-        same, params = adam_step(state, hyper, plain, {"w": np.array([2.0])})
+        same, updated = adam_step(state, hyper, params, buffer(w=np.array([2.0])))
         assert same is state and state.t == 1
-        assert plain["w"][0] == 1.0  # a plain dict is copied into a buffer
-        assert params["w"][0] < 1.0
+        assert updated is params and params["w"][0] < 1.0  # updated where it is
         assert state.m is m and m["w"][0] == (1.0 - 0.9) * 2.0
         # the new v went into the spare buffer; the previous v is still there
         assert state.spare is v and v["w"][0] == 0.0 and state.v["w"][0] > 0.0
-        _, again = adam_step(state, hyper, params, {"w": np.array([2.0])})
-        assert again is params  # a ParamBuffer is updated where it is
+        _, again = adam_step(state, hyper, params, buffer(w=np.array([2.0])))
+        assert again is params
         assert state.v is v and state.t == 2
 
     def test_bitwise_equal_to_plain_expressions(self):
@@ -115,10 +115,11 @@ class TestAdamStep:
         rng = np.random.default_rng(11)
         hyper = AdamHyper(beta1=0.85, beta2=0.995, eps=1e-7, lr_schedule=constant_lr(3e-3))
         shapes = {"a": (64, 32), "b": (7,), "c": (1, 1)}
-        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        params = buffer(**{k: rng.standard_normal(s) for k, s in shapes.items()})
         state = init_adam_state(params)
         for k in range(1, 6):
-            grads = {n: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for n, s in shapes.items()}
+            grads = buffer(**{n: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)
+                              for n, s in shapes.items()})
             # the update writes params, m and v in place: expect from copies
             old_p, old_g, old_m, old_v = [{n: a.copy() for n, a in d.items()}
                                           for d in (params, grads, state.m, state.v)]
@@ -146,14 +147,14 @@ class TestAdamStep:
         v0 = {n: rng.random(w.shape) * 1e-3 for n, w in params.items()}
         grads = {n: rng.standard_normal(w.shape) for n, w in params.items()}
         frozen = {n: np.sqrt(v + 1e-8) for n, v in v0.items()}
-        for denom in (frozen, None):
-            # the update writes the state in place, so each denominator
-            # starts from a state of its own, and expects from copies
-            state = optim.AdamState(m=m0, v=v0, t=9)
+        for denom in (buffer(**frozen), None):
+            # the update writes the state and the parameters in place, so each
+            # denominator starts from buffers of its own, and expects from copies
+            state = optim.AdamState(m=buffer(**m0), v=buffer(**v0), t=9)
             old_p, old_m, old_v = [{n: a.copy() for n, a in d.items()}
                                    for d in (params, state.m, state.v)]
-            new_state, new_params = adam_step(state, hyper, params, grads, denom,
-                                              bias_correct_v=False)
+            new_state, new_params = adam_step(state, hyper, buffer(**params), buffer(**grads),
+                                              denom, bias_correct_v=False)
             for n, w in old_p.items():
                 g = grads[n]
                 m = 0.9 * old_m[n] + (1.0 - 0.9) * g
@@ -170,6 +171,7 @@ class TestAdamStep:
              "c": rng.random((300, 700)) * 1e-6}
         prev = {"a": v["a"].copy(), "b": rng.random(5) * 1e-9, "c": rng.random((300, 700)) * 1e-6}
         prev["a"][:4] *= 0.5
+        v, prev = buffer(**v), buffer(**prev)
         before = {n: (v[n].copy(), prev[n].copy()) for n in v}
         z, z_geom, l1, l2 = variance_stats(v, prev)
         deltas = [np.abs(v[n] - prev[n]) for n in v]
@@ -186,10 +188,10 @@ class TestAdamStep:
     def test_v_nonnegative_over_run(self):
         rng = np.random.default_rng(5)
         hyper = default_hyper()
-        params = {"w": rng.standard_normal(16)}
+        params = buffer(w=rng.standard_normal(16))
         state = init_adam_state(params)
         for _ in range(200):
-            state, params = adam_step(state, hyper, params, {"w": rng.standard_normal(16)})
+            state, params = adam_step(state, hyper, params, buffer(w=rng.standard_normal(16)))
             assert np.all(state.v["w"] >= 0.0)
 
     def test_v_recursion_unbiasedness_identity(self):
@@ -197,10 +199,10 @@ class TestAdamStep:
         rng = np.random.default_rng(6)
         hyper = default_hyper()
         d = 4000
-        params = {"w": np.zeros(d)}
+        params = buffer(w=np.zeros(d))
         state = init_adam_state(params)
         for _ in range(1000):
-            state, params = adam_step(state, hyper, params, {"w": rng.standard_normal(d)})
+            state, params = adam_step(state, hyper, params, buffer(w=rng.standard_normal(d)))
         target = 1.0 - 0.999**1000  # = 0.63230...
         assert abs(float(state.v["w"].mean()) - target) / target < 0.02
 
