@@ -33,7 +33,8 @@ from .autoswitch import (
 )
 from .errors import ConfigError
 from .masks import DecaySchedule, NMRatio, SparsityPlan
-from .optim import AdamHyper, Recipe, TrainResult, constant_lr, cosine_lr, recipe_train
+from .optim import (TWO_PHASE_KINDS, AdamHyper, Recipe, TrainResult, constant_lr, cosine_lr,
+                    recipe_train)
 
 ABLATION_KINDS = ("precondition_length", "fixed_vs_updated_variance", "decaying_mask")
 
@@ -180,6 +181,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative integers")
+        if self.recipe.kind in TWO_PHASE_KINDS and self.criterion is None:
+            raise ConfigError(f"recipe {self.recipe.kind!r} needs a switch section")
         # fail on unknown layers and bad group sizes before any compute; the
         # trainer takes them as checked.  Every stage of a decay keeps its m.
         shapes = models.param_shapes(self.model)

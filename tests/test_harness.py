@@ -126,6 +126,20 @@ class TestRecipeConfig:
         with pytest.raises(ConfigError, match="fc2.weight"):
             harness.load_config(path)
 
+    @pytest.mark.parametrize("recipe", optim.TWO_PHASE_KINDS)
+    def test_two_phase_recipe_needs_a_switch_at_load(self, tmp_path, monkeypatch, capsys, recipe):
+        path, _ = make_config(tmp_path, recipe={"kind": recipe}, switch=None)
+        with pytest.raises(ConfigError, match=f"recipe '{recipe}' needs a switch section"):
+            harness.load_config(path)
+        out = tmp_path / "out"
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out),
+                                         "--jobs", "2"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert "needs a switch section" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_loaded_config_pickles_for_spawned_workers(self, tmp_path):
         import pickle
 
@@ -748,3 +762,21 @@ class TestBenchmarkHooks:
         assert set(calls) == {"batch_iterator", "loss_and_grad", "forward_loss", "compute_nm_mask",
                               "adam_step", "make_detector", "write_trajectory", "recipe_train"}
         assert calls.count("adam_step") == 4  # one update call per step, in both phases
+
+    def test_validator_draws_each_trial_chunk_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+        spy(theory, "validate_theorem")
+        spy(theory.StationaryStream, "draw")
+        trials, t = 7, 1300
+        result = CliRunner().invoke(cli_main, [
+            "validate-theorem", "--stream", "uniform", "--dim", "2", "--beta2", "0.99",
+            "--t0", "300", "--t", str(t), "--trials", str(trials), "--out", str(tmp_path / "thm"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert calls.count("validate_theorem") == 1
+        assert calls.count("draw") == trials * math.ceil(t / theory.CHUNK)

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import test_byte_identity
 from conftest import simulate_vhat
 from stepnm import theory
-from stepnm.errors import ConfigError, DomainError, RangeError
+from stepnm.errors import ConfigError, DimensionError, DomainError, RangeError
 from stepnm.theory import StationaryStream, azuma_bound, min_precondition_step
 
 
@@ -79,6 +81,51 @@ class TestStationaryStream:
                 StationaryStream(kind="uniform", bound=bad)
             with pytest.raises(ConfigError, match="finite"):
                 StationaryStream(kind="trunc_gauss_sq", bound=1.0, sigma=bad)
+
+
+def plain_draw(stream, rng, steps):
+    """The stream's draws as plain numpy expressions, each making a new array."""
+    shape = (steps, stream.dim)
+    if stream.kind == "constant":
+        return np.full(shape, stream.bound if stream.level is None else stream.level)
+    if stream.kind == "uniform":
+        return rng.uniform(0.0, stream.bound, shape)
+    if stream.kind == "bernoulli":
+        return np.where(rng.random(shape) < stream.p, stream.bound, 0.0)
+    sigma = stream.sigma if stream.sigma is not None else math.sqrt(stream.bound) / 2.0
+    return np.minimum(np.square(rng.normal(0.0, sigma, shape)), stream.bound)
+
+
+class TestDrawInPlace:
+    @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
+    def test_out_matches_a_fresh_draw_and_the_plain_expressions(self, kind):
+        stream = StationaryStream(kind=kind, bound=1.5, dim=3, seed=0, level=0.4)
+        out = np.full((257, 3), np.nan)
+        assert stream.draw(np.random.default_rng(8), 257, out=out) is out
+        fresh = stream.draw(np.random.default_rng(8), 257)
+        plain = plain_draw(stream, np.random.default_rng(8), 257)
+        assert out.tobytes() == fresh.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
+    def test_consecutive_draws_equal_one_draw(self, kind):
+        stream = StationaryStream(kind=kind, bound=1.0, dim=2, seed=0, level=0.3)
+        rng = np.random.default_rng(17)
+        buf = np.empty((300, 2))
+        stream.draw(rng, 123, out=buf[:123])
+        stream.draw(rng, 177, out=buf[123:])
+        assert buf.tobytes() == stream.draw(np.random.default_rng(17), 300).tobytes()
+
+    @pytest.mark.parametrize("out", [
+        np.empty((10, 3)), np.empty((9, 2)), np.empty(20), np.empty((10, 2), dtype=np.float32),
+        np.empty((10, 4))[:, :2], np.empty((20, 2))[::2], np.empty((2, 10)).T,
+    ], ids=["columns", "rows", "flat", "float32", "column-slice", "row-stride", "transposed"])
+    def test_bad_out_fails_before_the_generator_moves(self, out):
+        stream = StationaryStream(kind="uniform", bound=1.0, dim=2, seed=0)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(DimensionError, match="out"):
+            stream.draw(rng, 10, out=out)
+        assert rng.bit_generator.state == state
 
 
 class TestSimulateVhat:
@@ -199,14 +246,54 @@ def one_shot_validate(stream, beta2, t0, t, trials, seed):
 
 class TestChunkedDraws:
     @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
-    @pytest.mark.parametrize("chunk", [theory.CHUNK, 7])
+    @pytest.mark.parametrize("chunk", [theory.CHUNK, 1024, 7])  # the default, longer, shorter
     def test_chunked_equals_one_shot(self, kind, chunk, monkeypatch):
         monkeypatch.setattr(theory, "CHUNK", chunk)
         stream = StationaryStream(kind=kind, bound=1.0, dim=2, seed=4, level=0.3)
-        t = 1300  # spans two default chunks and is a multiple of neither size
+        t = 1300  # spans three default chunks and is a multiple of no chunk size
         assert t % chunk != 0 and t > chunk
         report = theory.validate_theorem(stream, 0.99, t0=150, t=t, delta=0.05, trials=9)
         per_trial_max, max_step_dev = one_shot_validate(stream, 0.99, 150, t, 9, seed=4)
         assert report.max_observed_deviation == float(per_trial_max.max())
         assert report.violations == int(np.count_nonzero(per_trial_max >= report.bound_value))
         assert report.max_per_step_deviation == max_step_dev
+
+
+class TestDrawBudget:
+    @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
+    @pytest.mark.parametrize("budget,shapes", [
+        # 20 trials in blocks of 7, 7 and 6
+        (7 * theory.CHUNK * 24, {(7, theory.CHUNK, 3), (6, theory.CHUNK, 3)}),
+        (theory.CHUNK * 24, {(1, theory.CHUNK, 3)}),  # one trial per block
+        (37 * 24 + 5, {(1, 37, 3)}),                  # chunks shrunk to 37 steps
+    ], ids=["multi-trial", "one-trial", "shrunk-chunk"])
+    def test_blocking_keeps_the_pinned_reports(self, kind, budget, shapes, monkeypatch):
+        # the pinned case has dim 3, so one step of one trial is 24 bytes
+        seen = set()
+        run_block = theory._run_block
+
+        def spy(stream, rngs, beta2, t0, t, draws):
+            seen.add(draws.shape)
+            return run_block(stream, rngs, beta2, t0, t, draws)
+
+        monkeypatch.setattr(theory, "DRAW_BUDGET", budget)
+        monkeypatch.setattr(theory, "_run_block", spy)
+        test_byte_identity.test_validate_theorem(kind)
+        assert seen == shapes
+
+    def test_peak_is_the_draw_buffer(self):
+        # 500 trials at dim 4 fit the budget as one block: the peak is that
+        # buffer, plus the trials' generators (under 1 KB each) and the
+        # (trials, dim) state, with no per-trial temporaries and no second buffer
+        trials, dim = 500, 4
+        buffer = trials * theory.CHUNK * dim * 8
+        assert buffer <= theory.DRAW_BUDGET
+        stream = StationaryStream(kind="bernoulli", bound=1.0, dim=dim, seed=3)
+        theory.validate_theorem(stream, 0.99, t0=300, t=400, delta=0.05, trials=2)  # warm-up
+        tracemalloc.start()
+        try:
+            theory.validate_theorem(stream, 0.99, t0=300, t=1500, delta=0.05, trials=trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert buffer <= peak <= buffer + 2**20
