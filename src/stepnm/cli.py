@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
-from pathlib import Path
 
 import click
 import numpy as np
@@ -30,12 +29,12 @@ def main():
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", "seeds", multiple=True, type=int, help="Override config seeds.")
 @click.option("--out", type=click.Path(), default=None, help="Override output directory.")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Worker processes, capped at the task and CPU counts.")
-def run_cmd(config_path, seeds, out, jobs):
+# perfbench/run.py is the only caller that still passes --jobs 1
+@click.option("--jobs", type=click.IntRange(1, 1), default=1, hidden=True, expose_value=False)
+def run_cmd(config_path, seeds, out):
     """Train every seed of a config and write trajectories plus a summary."""
     config, out_dir = _load(config_path, seeds, out)
-    summary = harness.run(config, output_dir=out_dir, jobs=jobs)
+    summary = harness.run(config, output_dir=out_dir)
     flat = summary.to_flat_dict()
     click.echo(f"seeds: {flat['seeds']}")
     click.echo(f"sparse eval loss: {flat['sparse_eval_loss_mean']:.6f} "
@@ -74,12 +73,10 @@ def compare_switch_cmd(config_path, out, criteria):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--kind", required=True, type=click.Choice(harness.ABLATION_KINDS))
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Worker processes, capped at the task and CPU counts.")
-def ablate_cmd(config_path, kind, out, jobs):
+def ablate_cmd(config_path, kind, out):
     """Run one ablation matrix over the config's seeds."""
     config, out_dir = _load(config_path, (), out)
-    rows = harness.ablation(kind, config, output_dir=out_dir, jobs=jobs)
+    rows = harness.ablation(kind, config, output_dir=out_dir)
     for row in rows:
         click.echo(f"{row['cell']:<24} seed={row['seed']} "
                    f"sparse={row['sparse_eval_loss']:.6f} dense={row['dense_eval_loss']:.6f} "
@@ -110,8 +107,7 @@ def validate_theorem_cmd(stream, bound_g, dim, level, p, sigma, beta2, t0, t, de
     for key, value in flat.items():
         click.echo(f"{key}: {value}")
     if out:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = harness.make_output_dir(out)
         with open(out_dir / "bound_report.json", "w") as fh:
             json.dump(flat, fh, indent=2, sort_keys=True)
             fh.write("\n")

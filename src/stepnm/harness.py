@@ -14,10 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import multiprocessing
-import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -181,6 +178,9 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative integers")
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:
+            raise ConfigError(f"seed {repeated[0]} is given more than once")
         if self.recipe.kind in TWO_PHASE_KINDS and self.criterion is None:
             raise ConfigError(f"recipe {self.recipe.kind!r} needs a switch section")
         # fail on unknown layers and bad group sizes before any compute; the
@@ -340,42 +340,28 @@ def _train_for_config(config: ExperimentConfig, seed: int, recipe: Recipe | None
     )
 
 
+def make_output_dir(path) -> Path:
+    """Make the directory ``path`` and its parents; ConfigError if it cannot be one."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output directory {out}: {exc.strerror or exc}") from None
+    return out
+
+
 def _train_task(config: ExperimentConfig, seed: int, recipe: Recipe | None,
                 criterion: SwitchCriterion | None, path: Path | None) -> tuple:
     """Train one seed, write its trajectory to ``path`` if given; returns its figures.
 
-    The figures, (sparse_eval_loss, dense_eval_loss, switched_at), are all a
-    worker sends back.  The directory of ``path`` is made only after training.
+    Only the figures, (sparse_eval_loss, dense_eval_loss, switched_at), outlive
+    the call.  The directory of ``path`` is made only after training.
     """
     result = _train_for_config(config, seed, recipe, criterion)
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        make_output_dir(path.parent)
         write_trajectory(path, result)
     return result.sparse_eval_loss, result.dense_eval_loss, result.switched_at
-
-
-def pool_size(jobs: int, n_tasks: int, cpus: int | None) -> int:
-    """Worker processes for n_tasks tasks: at most jobs, n_tasks and cpus (>= 1)."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    return max(1, min(jobs, n_tasks, cpus or 1))
-
-
-def _map_tasks(fn, tasks: list[tuple], workers: int):
-    """fn(*task) for each task, yielded in order, over ``workers`` processes.
-
-    One worker computes each result when the caller asks for it, so a
-    caller that drops each result before taking the next holds one at a
-    time.  Workers are spawned, not forked, so none inherits the BLAS
-    threads of this process.
-    """
-    if workers == 1:
-        for task in tasks:
-            yield fn(*task)
-        return
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        yield from pool.map(fn, *zip(*tasks))
 
 
 @dataclass(frozen=True)
@@ -401,18 +387,17 @@ class RunSummary:
         }
 
 
-def run(config: ExperimentConfig, output_dir=None, jobs: int = 1) -> RunSummary:
-    """Train every seed of the config, writing trajectories and a summary.
+def run(config: ExperimentConfig, output_dir=None) -> RunSummary:
+    """Train every seed of the config in turn, writing trajectories and a summary.
 
-    Each seed's trajectory is written where it trained, as soon as it has
-    trained, and only the figures of the summary are kept from it.
+    Each seed's trajectory is written as soon as it has trained, and only the
+    figures of the summary are kept from it.
     """
     seeds = config.seeds
-    workers = pool_size(jobs, len(seeds), os.cpu_count())
     out = Path(output_dir if output_dir is not None else config.output_dir)
     paths = [out / f"trajectory_seed{seed}.jsonl" for seed in seeds]
-    tasks = [(config, seed, None, None, path) for seed, path in zip(seeds, paths)]
-    sparse, dense, switched = zip(*_map_tasks(_train_task, tasks, workers))
+    sparse, dense, switched = zip(*(_train_task(config, seed, None, None, path)
+                                    for seed, path in zip(seeds, paths)))
     summary = RunSummary(
         seeds=seeds,
         sparse_eval_losses=sparse,
@@ -479,9 +464,7 @@ def compare_switch(
                          "avg_change_metric": metric,
                          "note": "no-switch" if t0 is None else ""})
     if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_rows_csv(out / "compare_switch.csv", rows,
+        _write_rows_csv(make_output_dir(output_dir) / "compare_switch.csv", rows,
                         ("seed", "criterion", "t0", "avg_change_metric", "note"))
     return rows
 
@@ -491,7 +474,7 @@ def compare_switch(
 # ---------------------------------------------------------------------------
 
 
-def ablation(kind: str, config: ExperimentConfig, output_dir=None, jobs: int = 1) -> list[dict]:
+def ablation(kind: str, config: ExperimentConfig, output_dir=None) -> list[dict]:
     """Run one ablation matrix over the config's seeds.
 
     precondition_length forces switch points at the configured ratios of the
@@ -527,15 +510,10 @@ def ablation(kind: str, config: ExperimentConfig, output_dir=None, jobs: int = 1
         cells.append(("without_dense_phase", Recipe("ste", decay=decay), None))
 
     columns = ("cell", "seed", "sparse_eval_loss", "dense_eval_loss", "switched_at")
-    labels = [(label, seed) for label, _, _ in cells for seed in config.seeds]
-    tasks = [(config, seed, recipe, criterion, None)
-             for _, recipe, criterion in cells for seed in config.seeds]
-    figures = _map_tasks(_train_task, tasks, pool_size(jobs, len(tasks), os.cpu_count()))
-    rows = [dict(zip(columns, label + cell_figures)) for label, cell_figures in zip(labels, figures)]
+    rows = [dict(zip(columns, (label, seed) + _train_task(config, seed, recipe, criterion, None)))
+            for label, recipe, criterion in cells for seed in config.seeds]
     if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_rows_csv(out / f"ablation_{kind}.csv", rows, columns)
+        _write_rows_csv(make_output_dir(output_dir) / f"ablation_{kind}.csv", rows, columns)
     return rows
 
 

@@ -102,11 +102,6 @@ class ParamBuffer(dict):
     def copy(self) -> "ParamBuffer":
         return ParamBuffer(self.shapes, self.flat.copy())
 
-    def __reduce__(self):
-        # pickle the buffer once, not once more per view; a read-only layout
-        # does not pickle, its items do
-        return ParamBuffer, (dict(self.shapes), self.flat)
-
 
 def check_layout(buffer, what: str, shapes=None) -> None:
     """Raise DimensionError unless ``buffer`` is a ParamBuffer laid out as ``shapes``.

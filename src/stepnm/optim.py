@@ -40,7 +40,7 @@ RECIPE_KINDS = ("dense", "ste", "srste", "step", "step_updated_variance")
 TWO_PHASE_KINDS = ("step", "step_updated_variance")
 
 
-# schedules are partials of module functions, so that a config pickles into spawned workers
+# schedules are partials of module functions, so that a config pickles
 def _constant(gamma: float, t: int) -> float:
     return gamma
 

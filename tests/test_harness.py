@@ -132,8 +132,7 @@ class TestRecipeConfig:
         with pytest.raises(ConfigError, match=f"recipe '{recipe}' needs a switch section"):
             harness.load_config(path)
         out = tmp_path / "out"
-        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out),
-                                         "--jobs", "2"])
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
         with pytest.raises(SystemExit) as exit_info:
             cli_entry()
         assert exit_info.value.code == 2
@@ -232,16 +231,6 @@ class TestRun:
         assert all(r["phase"] == "precondition" for r in records)
         assert all(r["switched_at"] is None for r in records)
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        path, _ = make_config(tmp_path, seeds=[1, 2])
-        config = harness.load_config(path)
-        harness.run(config, output_dir=tmp_path / "serial", jobs=1)
-        harness.run(config, output_dir=tmp_path / "parallel", jobs=2)
-        for seed in (1, 2):
-            a = (tmp_path / "serial" / f"trajectory_seed{seed}.jsonl").read_bytes()
-            b = (tmp_path / "parallel" / f"trajectory_seed{seed}.jsonl").read_bytes()
-            assert a == b
-
     def test_one_result_alive_at_a_time(self, tmp_path, monkeypatch):
         alive = []
         real = harness.recipe_train
@@ -258,9 +247,9 @@ class TestRun:
                               switch={"kind": "fixed", "step": 10},
                               ablation={"precondition_ratios": [0.2, 0.5]})
         config = harness.load_config(path)
-        summary = harness.run(config, output_dir=tmp_path / "out", jobs=1)
+        summary = harness.run(config, output_dir=tmp_path / "out")
         assert len(alive) == 3 and summary.switched_at == (10, 10, 10)
-        rows = harness.ablation("precondition_length", config, jobs=1)
+        rows = harness.ablation("precondition_length", config)
         assert len(alive) == 3 + 6 and [row["switched_at"] for row in rows] == [6] * 3 + [15] * 3
         assert all(ref() is None for ref in alive)
 
@@ -488,6 +477,63 @@ class TestCLI:
         assert result.exit_code == 0, result.output
         assert "relative" in result.output
 
+    @pytest.mark.parametrize("command", [["run", "--jobs", "2"],
+                                         ["ablate", "--kind", "fixed_vs_updated_variance",
+                                          "--jobs", "1"]], ids=["run", "ablate"])
+    def test_jobs_other_than_run_one_exits_2(self, tmp_path, command):
+        path, _ = make_config(tmp_path, seeds=[1])
+        result = CliRunner().invoke(cli_main, command + ["--config", str(path),
+                                                         "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "--jobs" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_jobs_is_hidden_or_gone(self):
+        for command in ("run", "ablate"):
+            result = CliRunner().invoke(cli_main, [command, "--help"])
+            assert result.exit_code == 0 and "--jobs" not in result.output
+
+    def test_repeated_seed_fails_at_load_and_exits_2_before_training(self, tmp_path, monkeypatch,
+                                                                     capsys):
+        path, _ = make_config(tmp_path, seeds=[1, 2, 1])
+        with pytest.raises(ConfigError, match="seed 1 is given more than once"):
+            harness.load_config(path)
+        path, _ = make_config(tmp_path, seeds=[1])
+        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "out"
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--seed", "3",
+                                         "--seed", "3", "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert "seed 3 is given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["ablate", "--kind", "fixed_vs_updated_variance"],
+        ["compare-switch", "--criteria", "relative"],
+        ["validate-theorem", "--beta2", "0.9", "--t0", "50", "--t", "100", "--trials", "2"],
+    ], ids=["run", "ablate", "compare-switch", "validate-theorem"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                    command, under):
+        if command[0] != "validate-theorem":
+            # compare-switch scores a switch by the 1001 steps after it
+            steps = 1100 if command[0] == "compare-switch" else 30
+            path, _ = make_config(tmp_path, seeds=[1], total_steps=steps,
+                                  switch={"kind": "fixed", "step": 10})
+            command = command + ["--config", str(path)]
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken / "out" if under else taken
+        monkeypatch.setattr("sys.argv", ["stepnm", *command, "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert f"cannot write to output directory {out}" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory\n"
+
     def test_compare_switch_needs_a_criterion(self, tmp_path, monkeypatch):
         path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None)
         monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
@@ -544,43 +590,6 @@ class TestShippedCompareSwitchConfig:
         criteria = harness.default_comparison_criteria(config.total_steps)
         assert [r["criterion"] for r in rows] == [c.label() for c in criteria]
         assert all(r["t0"] is not None and r["avg_change_metric"] is not None for r in rows)
-
-
-class TestPoolSize:
-    @pytest.mark.parametrize("jobs,tasks,cpus,expected", [
-        (1, 5, 8, 1), (4, 5, 8, 4), (10000, 3, 8, 3), (10000, 50, 2, 2),
-        (4, 1, 8, 1), (4, 0, 8, 1), (3, 5, None, 1),
-    ])
-    def test_clamp(self, jobs, tasks, cpus, expected):
-        assert harness.pool_size(jobs, tasks, cpus) == expected
-
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(ConfigError, match="jobs"):
-            harness.pool_size(jobs, 4, 4)
-
-    def test_run_rejects_jobs_before_writing(self, tmp_path):
-        path, _ = make_config(tmp_path, seeds=[1])
-        with pytest.raises(ConfigError, match="jobs"):
-            harness.run(harness.load_config(path), output_dir=tmp_path / "out", jobs=0)
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command", [["run"], ["ablate", "--kind", "fixed_vs_updated_variance"]])
-    def test_cli_exits_2_on_jobs_zero(self, tmp_path, command):
-        path, _ = make_config(tmp_path, seeds=[1])
-        result = CliRunner().invoke(cli_main, command + ["--config", str(path), "--jobs", "0",
-                                                         "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
-        assert "--jobs" in result.output
-        assert not (tmp_path / "out").exists()
-
-    def test_parallel_ablation_matches_serial(self):
-        doc = json.loads(json.dumps(BASE_CONFIG))
-        doc.update(seeds=[1, 2], total_steps=60, switch={"kind": "fixed", "step": 20})
-        config = harness.config_from_dict(doc)
-        serial = harness.ablation("fixed_vs_updated_variance", config, jobs=1)
-        parallel = harness.ablation("fixed_vs_updated_variance", config, jobs=3)
-        assert serial == parallel
 
 
 class TestTypedInputErrors:
@@ -762,6 +771,16 @@ class TestBenchmarkHooks:
         assert set(calls) == {"batch_iterator", "loss_and_grad", "forward_loss", "compute_nm_mask",
                               "adam_step", "make_detector", "write_trajectory", "recipe_train"}
         assert calls.count("adam_step") == 4  # one update call per step, in both phases
+
+    def test_perfbench_run_argv(self, tmp_path):
+        # the argv perfbench/run.py builds for its training workloads
+        path, _ = make_config(tmp_path, seeds=[1], total_steps=4,
+                              switch={"kind": "fixed", "step": 2})
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli_main, ["run", "--config", str(path), "--out", str(out),
+                                               "--jobs", "1"])
+        assert result.exit_code == 0, result.output
+        assert (out / "summary.json").exists()
 
     def test_validator_draws_each_trial_chunk_once(self, tmp_path, monkeypatch):
         calls = []

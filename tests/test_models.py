@@ -144,16 +144,14 @@ class TestParamBuffer:
             buf[name][...] = start
             assert np.all(buf.flat[start:stop] == start)
 
-    def test_copy_and_pickle_keep_views(self):
-        import pickle
-
+    def test_copy_keeps_views(self):
         buf = models.init_params(mlp(), 1)
-        for other in (buf.copy(), pickle.loads(pickle.dumps(buf))):
-            assert isinstance(other, models.ParamBuffer) and other.shapes == buf.shapes
-            assert not np.shares_memory(other.flat, buf.flat)
-            np.testing.assert_array_equal(other.flat, buf.flat)
-            other.flat[0] += 1.0
-            assert other["fc1.weight"].flat[0] == buf["fc1.weight"].flat[0] + 1.0
+        other = buf.copy()
+        assert isinstance(other, models.ParamBuffer) and other.shapes == buf.shapes
+        assert not np.shares_memory(other.flat, buf.flat)
+        np.testing.assert_array_equal(other.flat, buf.flat)
+        other.flat[0] += 1.0
+        assert other["fc1.weight"].flat[0] == buf["fc1.weight"].flat[0] + 1.0
 
     def test_only_buffers_of_the_state_layout_are_taken(self):
         # a plain dict, or a buffer with other names, order or shapes, is
