@@ -126,15 +126,23 @@ class SwitchCriterion:
         return f"{self.kind}[{self.threshold}]"
 
 
-@dataclass(frozen=True)
-class StepStats:
-    """Per-step variance statistics handed to a detector."""
+@dataclass
+class StepRecord:
+    """One trajectory line: losses, variance norms and switch samples.
+
+    Detectors read a step's record as the trainer builds it, before it sets
+    ``z_bar`` and ``switched_at``; the trajectory writes the fields in order.
+    """
 
     step: int
-    z_arith: float
-    z_geom: float
+    phase: str
+    loss: float
     v_l1: float
     v_l2: float
+    z: float | None
+    z_geom: float | None
+    z_bar: float | None = None
+    switched_at: int | None = None
 
 
 def _add_exact(partials: list, x: float) -> bool:
@@ -186,11 +194,11 @@ class _WindowDetector:
         elif self._partials is not None and not _add_exact(self._partials, sign * x):
             self._partials = None
 
-    def observe(self, stats: StepStats) -> bool:
+    def observe(self, record: StepRecord) -> bool:
         window = self.window
         if len(window) == window.maxlen:
             self._track(window[0], -1)
-        sample = stats.z_geom if self.geometric else stats.z_arith
+        sample = record.z_geom if self.geometric else record.z
         window.append(sample)
         self._track(sample, 1)
         if self._nonfinite or self._partials is None:
@@ -202,7 +210,7 @@ class _WindowDetector:
         if self.clip is None:
             return below
         t_min, t_max = self.clip
-        return stats.step >= t_max or (below and stats.step > t_min)
+        return record.step >= t_max or (below and record.step > t_min)
 
 
 class _RelativeDetector:
@@ -213,12 +221,12 @@ class _RelativeDetector:
         self.prev: float | None = None
         self.last_mean = None
 
-    def observe(self, stats: StepStats) -> bool:
-        prev, self.prev = self.prev, stats.v_l2
+    def observe(self, record: StepRecord) -> bool:
+        prev, self.prev = self.prev, record.v_l2
         if prev is None or prev <= 0.0:
             # not comparable yet (start of run, or identically-zero gradients)
             return False
-        return abs(stats.v_l2 - prev) / prev < self.threshold
+        return abs(record.v_l2 - prev) / prev < self.threshold
 
 
 class _StalenessDetector:
@@ -229,13 +237,13 @@ class _StalenessDetector:
         self.history: deque = deque(maxlen=mixing_window(beta2) + 1)
         self.last_mean = None
 
-    def observe(self, stats: StepStats) -> bool:
-        self.history.append(stats.v_l1)
+    def observe(self, record: StepRecord) -> bool:
+        self.history.append(record.v_l1)
         lagged = self.history[0]
         if len(self.history) < self.history.maxlen or lagged <= 0.0:
             # no lagged value yet, or identically-zero gradients
             return False
-        return stats.v_l1 / lagged > self.threshold
+        return record.v_l1 / lagged > self.threshold
 
 
 class _FixedDetector:
@@ -243,8 +251,8 @@ class _FixedDetector:
         self.step = criterion.step
         self.last_mean = None
 
-    def observe(self, stats: StepStats) -> bool:
-        return stats.step >= self.step
+    def observe(self, record: StepRecord) -> bool:
+        return record.step >= self.step
 
 
 def make_detector(criterion: SwitchCriterion, beta2: float, eps: float):
@@ -258,12 +266,12 @@ def make_detector(criterion: SwitchCriterion, beta2: float, eps: float):
     return _FixedDetector(criterion)
 
 
-def evaluate_offline(criterion: SwitchCriterion, stats_seq, beta2: float, eps: float) -> int | None:
-    """First firing step of a criterion over recorded per-step statistics."""
+def evaluate_offline(criterion: SwitchCriterion, records, beta2: float, eps: float) -> int | None:
+    """First firing step of a criterion replayed over recorded StepRecords."""
     detector = make_detector(criterion, beta2, eps)
-    for stats in stats_seq:
-        if detector.observe(stats):
-            return stats.step
+    for record in records:
+        if detector.observe(record):
+            return record.step
     return None
 
 

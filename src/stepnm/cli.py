@@ -35,13 +35,12 @@ def run_cmd(config_path, seeds, out):
     """Train every seed of a config and write trajectories plus a summary."""
     config, out_dir = _load(config_path, seeds, out)
     summary = harness.run(config, output_dir=out_dir)
-    flat = summary.to_flat_dict()
-    click.echo(f"seeds: {flat['seeds']}")
-    click.echo(f"sparse eval loss: {flat['sparse_eval_loss_mean']:.6f} "
-               f"+/- {flat['sparse_eval_loss_std']:.6f}")
-    click.echo(f"dense eval loss:  {flat['dense_eval_loss_mean']:.6f} "
-               f"+/- {flat['dense_eval_loss_std']:.6f}")
-    click.echo(f"switched at: {flat['switched_at']}")
+    click.echo(f"seeds: {summary['seeds']}")
+    click.echo(f"sparse eval loss: {summary['sparse_eval_loss_mean']:.6f} "
+               f"+/- {summary['sparse_eval_loss_std']:.6f}")
+    click.echo(f"dense eval loss:  {summary['dense_eval_loss_mean']:.6f} "
+               f"+/- {summary['dense_eval_loss_std']:.6f}")
+    click.echo(f"switched at: {summary['switched_at']}")
     click.echo(f"outputs in {out_dir}")
 
 
@@ -102,6 +101,8 @@ def validate_theorem_cmd(stream, bound_g, dim, level, p, sigma, beta2, t0, t, de
     """Monte Carlo check of the variance-drift concentration bound."""
     s = theory.StationaryStream(kind=stream, bound=bound_g, dim=dim, seed=seed,
                                 level=level, p=p, sigma=sigma)
+    if out:
+        harness.check_output_dir(out)
     report = theory.validate_theorem(s, beta2, t0, t, delta, trials)
     flat = report.to_flat_dict()
     for key, value in flat.items():

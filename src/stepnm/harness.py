@@ -22,12 +22,7 @@ import numpy as np
 import yaml
 
 from . import models
-from .autoswitch import (
-    SwitchCriterion,
-    StepStats,
-    avg_change_metric_from_diffs,
-    evaluate_offline,
-)
+from .autoswitch import SwitchCriterion, avg_change_metric_from_diffs, evaluate_offline
 from .errors import ConfigError
 from .masks import DecaySchedule, NMRatio, SparsityPlan
 from .optim import (TWO_PHASE_KINDS, AdamHyper, Recipe, TrainResult, constant_lr, cosine_lr,
@@ -311,14 +306,13 @@ def load_config(path) -> ExperimentConfig:
 
 
 def write_trajectory(path, result: TrainResult) -> None:
-    """One self-describing JSON record per step, then a final evaluation record."""
+    """One self-describing JSON record per step, then a final evaluation record.
+
+    A step line holds "kind" and then the StepRecord's fields, in order.
+    """
     with open(path, "w") as fh:
         for r in result.records:
-            fh.write(json.dumps({
-                "kind": "step", "step": r.step, "phase": r.phase, "loss": r.loss,
-                "v_l1": r.v_l1, "v_l2": r.v_l2, "z": r.z, "z_geom": r.z_geom,
-                "z_bar": r.z_bar, "switched_at": r.switched_at,
-            }) + "\n")
+            fh.write(json.dumps({"kind": "step", **vars(r)}) + "\n")
         fh.write(json.dumps({
             "kind": "final",
             "sparse_eval_loss": result.sparse_eval_loss,
@@ -338,6 +332,14 @@ def _train_for_config(config: ExperimentConfig, seed: int, recipe: Recipe | None
         config.model, dataset, config.hyper, config.plan, recipe,
         criterion, config.total_steps, seed,
     )
+
+
+def check_output_dir(path) -> None:
+    """ConfigError if ``path``, or its nearest existing ancestor, is not a directory; makes nothing."""
+    out = Path(path)
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"cannot write to output directory {out}: {existing} is not a directory")
 
 
 def make_output_dir(path) -> Path:
@@ -364,49 +366,31 @@ def _train_task(config: ExperimentConfig, seed: int, recipe: Recipe | None,
     return result.sparse_eval_loss, result.dense_eval_loss, result.switched_at
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    seeds: tuple[int, ...]
-    sparse_eval_losses: tuple[float, ...]
-    dense_eval_losses: tuple[float, ...]
-    switched_at: tuple[int | None, ...]
-    trajectory_files: tuple[str, ...]
-
-    def to_flat_dict(self) -> dict:
-        mean = statistics.fmean
-        std = statistics.pstdev if len(self.seeds) > 1 else lambda _: 0.0
-        return {
-            "n_seeds": len(self.seeds),
-            "seeds": list(self.seeds),
-            "sparse_eval_loss_mean": mean(self.sparse_eval_losses),
-            "sparse_eval_loss_std": std(self.sparse_eval_losses),
-            "dense_eval_loss_mean": mean(self.dense_eval_losses),
-            "dense_eval_loss_std": std(self.dense_eval_losses),
-            "switched_at": list(self.switched_at),
-            "trajectory_files": list(self.trajectory_files),
-        }
-
-
-def run(config: ExperimentConfig, output_dir=None) -> RunSummary:
-    """Train every seed of the config in turn, writing trajectories and a summary.
+def run(config: ExperimentConfig, output_dir=None) -> dict:
+    """Train every seed of the config in turn; write trajectories and a summary, and return it.
 
     Each seed's trajectory is written as soon as it has trained, and only the
     figures of the summary are kept from it.
     """
     seeds = config.seeds
     out = Path(output_dir if output_dir is not None else config.output_dir)
+    check_output_dir(out)
     paths = [out / f"trajectory_seed{seed}.jsonl" for seed in seeds]
     sparse, dense, switched = zip(*(_train_task(config, seed, None, None, path)
                                     for seed, path in zip(seeds, paths)))
-    summary = RunSummary(
-        seeds=seeds,
-        sparse_eval_losses=sparse,
-        dense_eval_losses=dense,
-        switched_at=switched,
-        trajectory_files=tuple(map(str, paths)),
-    )
+    std = statistics.pstdev if len(seeds) > 1 else lambda _: 0.0
+    summary = {
+        "n_seeds": len(seeds),
+        "seeds": list(seeds),
+        "sparse_eval_loss_mean": statistics.fmean(sparse),
+        "sparse_eval_loss_std": std(sparse),
+        "dense_eval_loss_mean": statistics.fmean(dense),
+        "dense_eval_loss_std": std(dense),
+        "switched_at": list(switched),
+        "trajectory_files": list(map(str, paths)),
+    }
     with open(out / "summary.json", "w") as fh:
-        json.dump(summary.to_flat_dict(), fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
 
@@ -424,18 +408,6 @@ def default_comparison_criteria(total_steps: int) -> list[SwitchCriterion]:
     ]
 
 
-def _profile_stats(records, d: int):
-    stats = [
-        StepStats(step=r.step, z_arith=r.z, z_geom=r.z_geom, v_l1=r.v_l1, v_l2=r.v_l2)
-        for r in records
-    ]
-    # entry t is ||v_t - v_{t-1}||_1, reconstructed from the mean-change sample
-    diffs = [0.0] * (len(records) + 1)
-    for r in records:
-        diffs[r.step] = r.z * d
-    return stats, diffs
-
-
 def compare_switch(
     config: ExperimentConfig,
     criteria: list[SwitchCriterion] | None = None,
@@ -448,6 +420,8 @@ def compare_switch(
     1001 steps (lower is better).  Criteria that never fire get a no-switch
     row.
     """
+    if output_dir is not None:
+        check_output_dir(output_dir)
     if criteria is None:
         criteria = default_comparison_criteria(config.total_steps)
     elif not criteria:
@@ -455,10 +429,11 @@ def compare_switch(
     d = sum(int(np.prod(shape)) for shape in models.param_shapes(config.model).values())
     rows = []
     for seed in config.seeds:
-        profile = _train_for_config(config, seed, Recipe("dense"), None)
-        stats, diffs = _profile_stats(profile.records, d)
+        records = _train_for_config(config, seed, Recipe("dense"), None).records
+        # entry t is ||v_t - v_{t-1}||_1, reconstructed from the mean-change sample
+        diffs = [0.0] + [r.z * d for r in records]
         for criterion in criteria:
-            t0 = evaluate_offline(criterion, stats, config.hyper.beta2, config.hyper.eps)
+            t0 = evaluate_offline(criterion, records, config.hyper.beta2, config.hyper.eps)
             metric = None if t0 is None else avg_change_metric_from_diffs(diffs, t0)
             rows.append({"seed": seed, "criterion": criterion.label(), "t0": t0,
                          "avg_change_metric": metric,
@@ -482,6 +457,8 @@ def ablation(kind: str, config: ExperimentConfig, output_dir=None) -> list[dict]
     the masked phase; decaying_mask contrasts the stagewise-decay recipe with
     and without its dense warmup.
     """
+    if output_dir is not None:
+        check_output_dir(output_dir)
     if kind not in ABLATION_KINDS:
         raise ConfigError(f"unknown ablation kind {kind!r}")
     cells: list[tuple[str, Recipe, SwitchCriterion | None]] = []

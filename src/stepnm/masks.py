@@ -30,9 +30,6 @@ class NMRatio:
         if not (1 <= self.n <= self.m):
             raise ConfigError(f"need 1 <= n <= m, got {self.n}:{self.m}")
 
-    def __str__(self):
-        return f"{self.n}:{self.m}"
-
 
 def compute_nm_mask(weights, ratio: NMRatio) -> np.ndarray:
     """Binary mask keeping the n largest-magnitude entries of every m-group.

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .autoswitch import StepStats, SwitchCriterion, make_detector, variance_stats
+from .autoswitch import StepRecord, SwitchCriterion, make_detector, variance_stats
 from .errors import ConfigError, NumericalError
 from .masks import DecaySchedule, NMRatio, SparsityPlan, apply_mask, compute_nm_mask, mask_sparsity
 
@@ -189,6 +189,15 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     return state, params
 
 
+def _masked_point(params: ParamSet, ratios) -> tuple[dict[str, np.ndarray], ParamSet]:
+    """The N:M masks of the listed layers, and the params with those masks applied."""
+    masks = {name: compute_nm_mask(params[name], ratio) for name, ratio in ratios.items()}
+    masked = dict(params)
+    for name, mask in masks.items():
+        masked[name] = apply_mask(params[name], mask)
+    return masks, masked
+
+
 def ste_loss_and_grad(spec, params: ParamSet, ratios, batch, lam: float = 0.0,
                       out: models.ParamBuffer | None = None):
     """Straight-through loss and gradient at the masked point; returns (grads, masks, loss).
@@ -200,10 +209,7 @@ def ste_loss_and_grad(spec, params: ParamSet, ratios, batch, lam: float = 0.0,
     lam * (1 - mask) * weights on the listed layers.  The gradients go into
     ``out`` when it is given, as in ``models.loss_and_grad``.
     """
-    masks = {name: compute_nm_mask(params[name], ratio) for name, ratio in ratios.items()}
-    masked = dict(params)
-    for name, mask in masks.items():
-        masked[name] = np.asarray(params[name], dtype=np.float64) * mask
+    masks, masked = _masked_point(params, ratios)
     loss, grads = models.loss_and_grad(spec, masked, batch, out=out)
     if lam > 0.0:
         for name, mask in masks.items():
@@ -232,21 +238,6 @@ class Recipe:
             raise ConfigError("lam only applies to the srste recipe")
         if self.decay is not None and self.kind == "dense":
             raise ConfigError("the dense recipe cannot take a decay schedule")
-
-
-@dataclass
-class StepRecord:
-    """One trajectory line: losses, variance norms and switch samples."""
-
-    step: int
-    phase: str
-    loss: float
-    v_l1: float
-    v_l2: float
-    z: float | None
-    z_geom: float | None
-    z_bar: float | None
-    switched_at: int | None
 
 
 @dataclass
@@ -327,20 +318,20 @@ def recipe_train(
         state, params = adam_step(state, hyper, params, grads, frozen_denom,
                                   bias_correct_v=switched_at is None)
 
-        z = z_geom = z_bar = None
+        z = z_geom = None
         if frozen_denom is None:
             # a frozen variance keeps the statistics of the step that froze it;
             # adam_step wrote the new v elsewhere, so prev_v still holds the old one
             z, z_geom, v_l1, v_l2 = variance_stats(state.v, prev_v)
 
-        fired_now = None
+        record = StepRecord(t, "mask_learning" if in_masked_phase else "precondition", loss,
+                            v_l1, v_l2, z, z_geom)
+        records.append(record)
         if detector is not None and switched_at is None:
-            stats = StepStats(step=t, z_arith=z, z_geom=z_geom, v_l1=v_l1, v_l2=v_l2)
-            fired = detector.observe(stats)
-            z_bar = detector.last_mean
+            fired = detector.observe(record)
+            record.z_bar = detector.last_mean
             if fired:
-                switched_at = t
-                fired_now = t
+                switched_at = record.switched_at = t
                 v_star = state.v.copy()
                 if recipe.kind == "step":
                     # sqrt(v* + eps) goes into the denominator scratch, which
@@ -349,21 +340,11 @@ def recipe_train(
                     np.add(v_star.flat, hyper.eps, out=frozen_denom.flat)
                     np.sqrt(frozen_denom.flat, out=frozen_denom.flat)
 
-        phase = "mask_learning" if (masked_from_start or
-                                    (switched_at is not None and t > switched_at)) else "precondition"
-        records.append(StepRecord(
-            step=t, phase=phase, loss=loss, v_l1=v_l1, v_l2=v_l2,
-            z=z, z_geom=z_geom, z_bar=z_bar, switched_at=fired_now,
-        ))
-
     # the gradients and the update's scratch are not needed for the full-batch evaluation
     grads = prev_v = frozen_denom = None
     state.release()
     final_ratios = _effective_ratios(plan, recipe.decay, total_steps) if plan else {}
-    final_masks = {name: compute_nm_mask(params[name], ratio) for name, ratio in final_ratios.items()}
-    masked_params = dict(params)
-    for name, mask in final_masks.items():
-        masked_params[name] = apply_mask(params[name], mask)
+    final_masks, masked_params = _masked_point(params, final_ratios)
 
     full = dataset.full_batch()
     return TrainResult(

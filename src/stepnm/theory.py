@@ -18,7 +18,7 @@ steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -169,23 +169,7 @@ class BoundReport:
     proof_min_t0: float
 
     def to_flat_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "violations": self.violations,
-            "violation_rate": self.violation_rate,
-            "bound_value": self.bound_value,
-            "max_observed_deviation": self.max_observed_deviation,
-            "per_step_bound_value": self.per_step_bound_value,
-            "max_per_step_deviation": self.max_per_step_deviation,
-            "per_step_bound_ok": self.per_step_bound_ok,
-            "beta2": self.beta2,
-            "bound_g": self.bound_g,
-            "t0": self.t0,
-            "t": self.t,
-            "delta": self.delta,
-            "statement_min_t0": self.statement_min_t0,
-            "proof_min_t0": self.proof_min_t0,
-        }
+        return asdict(self)
 
 
 def _run_block(

@@ -1,9 +1,11 @@
-"""Shared test helpers: parameter buffers, a reference accumulator and mid-run snapshots of training."""
+"""Shared test helpers: parameter buffers, step records, a reference accumulator and mid-run
+snapshots of training."""
 
 import numpy as np
 import pytest
 
 from stepnm import models, optim
+from stepnm.autoswitch import StepRecord
 from stepnm.errors import RangeError
 
 
@@ -13,6 +15,12 @@ def buffer(**arrays) -> models.ParamBuffer:
     for name, a in arrays.items():
         out[name][...] = a
     return out
+
+
+def step_record(step, z, z_geom, v_l1, v_l2) -> StepRecord:
+    """A precondition-phase StepRecord carrying the statistics a detector reads."""
+    return StepRecord(step=step, phase="precondition", loss=0.0, v_l1=v_l1, v_l2=v_l2,
+                      z=z, z_geom=z_geom)
 
 
 def simulate_vhat(stream, beta2, steps, seed=None):

@@ -11,9 +11,9 @@ from statistics import fmean
 
 import numpy as np
 
-from conftest import buffer, simulate_vhat
+from conftest import buffer, simulate_vhat, step_record
 from stepnm import harness, models, optim, theory
-from stepnm.autoswitch import StepStats, SwitchCriterion, make_detector, mixing_window
+from stepnm.autoswitch import SwitchCriterion, make_detector, mixing_window
 from stepnm.masks import NMRatio, SparsityPlan, compute_nm_mask
 from stepnm.optim import AdamHyper, Recipe, adam_step, constant_lr, init_adam_state
 from stepnm.theory import StationaryStream
@@ -273,7 +273,7 @@ def test_autoswitch_mechanics():
             detector = make_detector(criterion, beta2=0.999, eps=1e-8)
             fired_at = None
             for t in range(1, total + 1):
-                if detector.observe(StepStats(t, z_value, z_value, 1.0, 1.0)):
+                if detector.observe(step_record(t, z_value, z_value, 1.0, 1.0)):
                     fired_at = t
                     break
             if fired_at is None or fired_at <= t_min:

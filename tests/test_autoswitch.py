@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import buffer
+from conftest import buffer, step_record
 from stepnm.autoswitch import (
     GEOMETRIC_FLOOR,
     SAMPLER_OPTIONS,
-    StepStats,
     SwitchCriterion,
     avg_change_metric_from_diffs,
     evaluate_offline,
@@ -62,7 +61,7 @@ def feed(detector, zs, step):
     """Observe every change in ``zs`` at ``step``; the last decision."""
     fired = False
     for z in zs:
-        fired = detector.observe(StepStats(step, z, z, 1.0, 1.0))
+        fired = detector.observe(step_record(step, z, z, 1.0, 1.0))
     return fired
 
 
@@ -84,7 +83,7 @@ class TestWindowSampler:
 def observe_option(detector, option, step, z):
     """Observe ``z`` in the field that ``option`` reads, -1 in the other."""
     zs = (z, -1.0) if option == "arithmetic" else (-1.0, z)
-    return detector.observe(StepStats(step, *zs, 1.0, 1.0))
+    return detector.observe(step_record(step, *zs, 1.0, 1.0))
 
 
 def assert_exact_mean(detector):
@@ -143,9 +142,9 @@ class TestExactWindowMean:
                 expected = math.fsum(window) / len(window)
             except (ValueError, OverflowError) as exc:
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    det.observe(StepStats(step, z, z, 1.0, 1.0))
+                    det.observe(step_record(step, z, z, 1.0, 1.0))
                 continue
-            det.observe(StepStats(step, z, z, 1.0, 1.0))
+            det.observe(step_record(step, z, z, 1.0, 1.0))
             assert det.last_mean.hex() == expected.hex()
 
 
@@ -194,14 +193,14 @@ class TestAutoswitchDecide:
 
 def relative_fires(norm, prev):
     det = make_detector(SwitchCriterion(kind="relative"), beta2=0.9, eps=1e-8)
-    det.observe(StepStats(1, 0.0, 0.0, 1.0, prev))
-    return det.observe(StepStats(2, 0.0, 0.0, 1.0, norm))
+    det.observe(step_record(1, 0.0, 0.0, 1.0, prev))
+    return det.observe(step_record(2, 0.0, 0.0, 1.0, norm))
 
 
 def staleness_fires(l1, lagged):
     det = make_detector(SwitchCriterion(kind="staleness"), beta2=0.0, eps=1e-8)  # lag 1
-    det.observe(StepStats(1, 0.0, 0.0, lagged, 1.0))
-    return det.observe(StepStats(2, 0.0, 0.0, l1, 1.0))
+    det.observe(step_record(1, 0.0, 0.0, lagged, 1.0))
+    return det.observe(step_record(2, 0.0, 0.0, l1, 1.0))
 
 
 class TestBaselineCriteria:
@@ -231,10 +230,10 @@ class TestBaselineCriteria:
 
 
 def make_stats(values_by_step):
-    """Build StepStats rows from dicts of per-step z/v values."""
+    """Build StepRecord rows from dicts of per-step z/v values."""
     rows = []
     for step, (z, l1, l2) in enumerate(values_by_step, start=1):
-        rows.append(StepStats(step=step, z_arith=z, z_geom=z, v_l1=l1, v_l2=l2))
+        rows.append(step_record(step=step, z=z, z_geom=z, v_l1=l1, v_l2=l2))
     return rows
 
 
@@ -251,7 +250,7 @@ class TestDetectors:
         det = make_detector(crit, beta2=0.9, eps=1e-8)  # lag 10
         fired_at = None
         for step in range(1, 30):
-            stats = StepStats(step=step, z_arith=0.1, z_geom=0.1, v_l1=5.0, v_l2=5.0)
+            stats = step_record(step=step, z=0.1, z_geom=0.1, v_l1=5.0, v_l2=5.0)
             if det.observe(stats):
                 fired_at = step
                 break
@@ -261,14 +260,14 @@ class TestDetectors:
     def test_fixed_detector(self):
         crit = SwitchCriterion(kind="fixed", step=7)
         det = make_detector(crit, beta2=0.999, eps=1e-8)
-        results = [det.observe(StepStats(t, 0.0, 0.0, 1.0, 1.0)) for t in range(1, 9)]
+        results = [det.observe(step_record(t, 0.0, 0.0, 1.0, 1.0)) for t in range(1, 9)]
         assert results == [False] * 6 + [True, True]
 
     def test_autoswitch_detector_tracks_mean(self):
         crit = SwitchCriterion(kind="autoswitch")
         det = make_detector(crit, beta2=0.5, eps=1e-8)  # window 2
-        det.observe(StepStats(1, 4.0, 4.0, 1.0, 1.0))
-        det.observe(StepStats(2, 2.0, 2.0, 1.0, 1.0))
+        det.observe(step_record(1, 4.0, 4.0, 1.0, 1.0))
+        det.observe(step_record(2, 2.0, 2.0, 1.0, 1.0))
         assert det.last_mean == 3.0
 
     def test_evaluate_offline_no_switch(self):

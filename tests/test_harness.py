@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from stepnm import harness, models, optim, theory
-from stepnm.autoswitch import SwitchCriterion
+from stepnm.autoswitch import StepRecord, SwitchCriterion
 from stepnm.masks import DecaySchedule
 from stepnm.cli import entry as cli_entry
 from stepnm.cli import main as cli_main
@@ -213,12 +213,19 @@ class TestRun:
         switches = [r["switched_at"] for r in records[:-1] if r["switched_at"] is not None]
         assert len(switches) <= 1
 
+    def test_step_line_keys_are_kind_then_the_record_fields_in_order(self, tmp_path):
+        path, _ = make_config(tmp_path, seeds=[1], total_steps=30)
+        harness.run(harness.load_config(path), output_dir=tmp_path / "out")
+        with open(tmp_path / "out" / "trajectory_seed1.jsonl") as fh:
+            first = json.loads(fh.readline())
+        assert list(first) == ["kind"] + [f.name for f in dataclasses.fields(StepRecord)]
+
     def test_clipped_switch_lands_in_budget_window(self, tmp_path):
         path, _ = make_config(tmp_path, seeds=[1, 2])
         config = harness.load_config(path)
         summary = harness.run(config, output_dir=tmp_path / "out")
         t = config.total_steps
-        for t0 in summary.switched_at:
+        for t0 in summary["switched_at"]:
             assert t0 is not None
             assert 0.1 * t < t0 <= 0.5 * t
 
@@ -248,7 +255,7 @@ class TestRun:
                               ablation={"precondition_ratios": [0.2, 0.5]})
         config = harness.load_config(path)
         summary = harness.run(config, output_dir=tmp_path / "out")
-        assert len(alive) == 3 and summary.switched_at == (10, 10, 10)
+        assert len(alive) == 3 and summary["switched_at"] == [10, 10, 10]
         rows = harness.ablation("precondition_length", config)
         assert len(alive) == 3 + 6 and [row["switched_at"] for row in rows] == [6] * 3 + [15] * 3
         assert all(ref() is None for ref in alive)
@@ -527,6 +534,9 @@ class TestCLI:
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")
         out = taken / "out" if under else taken
+        # the output directory is checked before any training or Monte Carlo
+        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
+        monkeypatch.setattr(theory, "validate_theorem", lambda *a, **k: pytest.fail("validated"))
         monkeypatch.setattr("sys.argv", ["stepnm", *command, "--out", str(out)])
         with pytest.raises(SystemExit) as exit_info:
             cli_entry()
@@ -576,7 +586,7 @@ class TestCSVDataConfig:
         )
         config = harness.config_from_dict(doc)
         summary = harness.run(config, output_dir=tmp_path / "out")
-        assert summary.switched_at == (20,)
+        assert summary["switched_at"] == [20]
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import buffer
 from stepnm import models, optim
-from stepnm.autoswitch import GEOMETRIC_FLOOR, SwitchCriterion, variance_stats
+from stepnm.autoswitch import GEOMETRIC_FLOOR, SwitchCriterion, evaluate_offline, variance_stats
 from stepnm.errors import ConfigError, NumericalError
 from stepnm.masks import DecaySchedule, NMRatio, SparsityPlan
 from stepnm.optim import AdamHyper, Recipe, adam_step, constant_lr, init_adam_state
@@ -490,6 +490,20 @@ class TestTwoPhaseTraining:
         # only their range checked
         assert seen[0] == (np.float64, ds.n_samples)
         assert [dtype for dtype, _ in seen[1:]] == [np.int64] * (40 + 2)
+
+    @pytest.mark.parametrize("criterion", [
+        SwitchCriterion(kind="fixed", step=25),
+        SwitchCriterion(kind="relative"),
+        SwitchCriterion(kind="staleness"),
+        SwitchCriterion(kind="autoswitch", clip=(20, 60)),
+    ], ids=lambda c: c.kind)
+    def test_offline_replay_of_the_records_finds_the_online_switch(self, criterion):
+        # the detector observes the very StepRecords that the run returns
+        spec, ds, plan = blob_setup()
+        hyper = AdamHyper(beta2=0.9, lr_schedule=constant_lr(5e-3))  # window / lag of 10
+        run = optim.recipe_train(spec, ds, hyper, plan, Recipe("step"), criterion, 120, seed=5)
+        assert run.switched_at is not None
+        assert evaluate_offline(criterion, run.records, hyper.beta2, hyper.eps) == run.switched_at
 
     def test_reproducible_across_calls(self):
         spec, ds, plan = blob_setup()
