@@ -31,18 +31,25 @@ class NMRatio:
             raise ConfigError(f"need 1 <= n <= m, got {self.n}:{self.m}")
 
 
-def compute_nm_mask(weights, ratio: NMRatio) -> np.ndarray:
+def compute_nm_mask(weights, ratio: NMRatio, out: np.ndarray | None = None) -> np.ndarray:
     """Binary mask keeping the n largest-magnitude entries of every m-group.
 
     Ties break toward the lower index, and NaN ranks below every number
     (NaNs among themselves also by lower index), so a mask equals the first
     n slots of the stable sort on (-|w|, index).  See the module docstring
-    for the rank that computes it.
+    for the rank that computes it.  A new mask is read-only; with ``out``, a
+    writable C-contiguous float64 array of the weights' shape
+    (DimensionError otherwise), the mask is written there.
     """
     w = np.ascontiguousarray(weights, dtype=np.float64)
     if w.ndim == 0 or w.shape[-1] % ratio.m != 0:
         extent = w.shape[-1] if w.ndim else 0
         raise DimensionError(f"innermost extent {extent} not divisible by m={ratio.m}")
+    if out is not None and not (isinstance(out, np.ndarray) and out.shape == w.shape
+                                and out.dtype == np.float64 and out.flags.c_contiguous
+                                and out.flags.writeable):
+        raise DimensionError(
+            f"mask output must be a writable C-contiguous float64 array of shape {w.shape}")
     m = ratio.m
     groups = w.size // m
     # slot-major magnitudes: row i holds slot i of every group, contiguously
@@ -58,21 +65,10 @@ def compute_nm_mask(weights, ratio: NMRatio) -> np.ndarray:
         wins = np.greater_equal(mags[i], mags[i + 1:])
         outranked[i + 1:] += wins
         outranked[i] -= wins.sum(axis=0, dtype=count)
-    out = np.empty(w.shape)
-    np.less(outranked.T, ratio.n, out=out.reshape(groups, m))
-    out.setflags(write=False)
-    return out
-
-
-def apply_mask(weights, mask) -> np.ndarray:
-    """Coordinate-wise product of weights and a binary mask."""
-    w = np.asarray(weights, dtype=np.float64)
-    p = np.asarray(mask, dtype=np.float64)
-    if w.shape != p.shape:
-        raise DimensionError(f"shape mismatch: {w.shape} vs {p.shape}")
-    out = w * p
-    out.setflags(write=False)
-    return out
+    mask = np.empty(w.shape) if out is None else out
+    np.less(outranked.T, ratio.n, out=mask.reshape(groups, m))
+    mask.flags.writeable = out is not None
+    return mask
 
 
 def decayed_n(m: int, s: int) -> int:

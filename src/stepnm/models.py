@@ -83,12 +83,13 @@ class ParamBuffer(dict):
 
     The views take the names and shapes of ``shapes``, laid out back to back
     in that order; ``bounds`` holds each one's (start, stop) in ``flat``.
-    Writing through a view writes ``flat`` and the reverse.  ``copy`` copies
-    the data into a new buffer.
+    Writing through a view (``buffer[name] += x`` too) writes ``flat`` and
+    the reverse.  Rebinding or removing an entry raises TypeError, since a
+    new array would not be part of ``flat``.  ``copy`` copies the data into
+    a new buffer; ``dict(buffer)`` is a plain dict of the views.
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray | None = None):
-        super().__init__()
         self.shapes = shapes
         self.bounds = []
         stop = 0
@@ -96,8 +97,18 @@ class ParamBuffer(dict):
             start, stop = stop, stop + math.prod(shape)
             self.bounds.append((start, stop))
         self.flat = np.zeros(stop) if flat is None else flat
-        for (name, shape), (start, stop) in zip(shapes.items(), self.bounds):
-            self[name] = self.flat[start:stop].reshape(shape)
+        super().__init__((name, self.flat[start:stop].reshape(shape))
+                         for (name, shape), (start, stop) in zip(shapes.items(), self.bounds))
+
+    def _fixed(self, *args, **kwargs):
+        raise TypeError("a ParamBuffer's entries are views of its flat array; "
+                        "write through them (buffer[name][...] = x) instead")
+
+    __delitem__ = __ior__ = update = pop = popitem = clear = setdefault = _fixed
+
+    def __setitem__(self, name, value):
+        if name not in self or self[name] is not value:  # += stores the same view back
+            self._fixed()
 
     def copy(self) -> "ParamBuffer":
         return ParamBuffer(self.shapes, self.flat.copy())
@@ -168,9 +179,10 @@ def _pass(spec: ModelSpec, params: ParamSet, batch, backward: bool,
     """Mean batch loss, plus every parameter's gradient when ``backward``.
 
     The batch goes through ``check_targets``, and every parameter must have
-    its name and shape in ``param_shapes(spec)``.  The forward pass keeps
-    each layer's input; the backward pass walks the layers in reverse,
-    forming dW = g.T @ h and db = sum(g) per layer, into ``out`` as
+    its name and shape in ``param_shapes(spec)``.  The forward pass applies
+    each activation in place, and keeps each layer's input only when
+    ``backward``; the backward pass walks the layers in reverse, forming
+    dW = g.T @ h and db = sum(g) per layer, into ``out`` as
     ``loss_and_grad`` says, and skipping the gradient of the input batch.
     """
     inputs, targets = batch
@@ -193,26 +205,31 @@ def _pass(spec: ModelSpec, params: ParamSet, batch, backward: bool,
             raise DimensionError(f"{name}: expected shape {shape}, got {a.shape}")
         arrays.append(a)
     # the in-place forms below do the operations of the plain expressions
-    # (x @ W.T + b, pred - max, expz / sumexp, g / n) on fresh arrays
+    # (x @ W.T + b, relu/tanh, pred - max, expz / sumexp, g / n) on fresh arrays
     n_layers = spec.n_layers
     layer_inputs = [inputs]
     for i in range(n_layers):
         pred = layer_inputs[-1] @ arrays[2 * i].T
         pred += arrays[2 * i + 1]
         if i < n_layers - 1:
-            layer_inputs.append(np.maximum(pred, 0.0) if spec.activation == "relu" else np.tanh(pred))
+            if not backward:  # the next layer's input is the only one needed
+                layer_inputs.clear()
+            layer_inputs.append(np.maximum(pred, 0.0, out=pred) if spec.activation == "relu"
+                                else np.tanh(pred, out=pred))
     if spec.kind == "mlp_classifier":
         z = pred
         z -= pred.max(axis=1, keepdims=True)
         expz = np.exp(z)
         sumexp = expz.sum(axis=1, keepdims=True)
-        rows = np.arange(n)
+        # row r's target logit, indexed in the flat (n * C) logits
+        at = np.arange(0, z.size, z.shape[1])
+        at += targets
         # sum / n is the bits of mean()
-        loss = -(z[rows, targets] - np.log(sumexp[:, 0])).sum() / n
+        loss = -(z.ravel().take(at) - np.log(sumexp[:, 0])).sum() / n
         if backward:
             g = expz
             g /= sumexp
-            g[rows, targets] -= 1.0
+            g.ravel()[at] -= 1.0
     else:
         g = pred - targets
         loss = 0.5 * np.sum(g * g) / n

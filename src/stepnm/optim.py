@@ -10,10 +10,9 @@ A run holds its parameters, gradients and Adam moments in ParamBuffers (see
 ``models``): one flat float64 array each, laid out from
 ``models.param_shapes``, whose named (out, in) views are the ParamSets that
 the model, the masks and TrainResult see.  Each step writes the gradients
-into their buffer and ``adam_step`` updates the others in place, running
-each numpy operation once over all coordinates.  The update takes
-ParamBuffers only, laid out as its state; anything else is a DimensionError,
-never a copy.
+into their buffer and ``adam_step`` updates the others in place, CHUNK
+coordinates at a time.  The update takes ParamBuffers only, laid out as its
+state; anything else is a DimensionError, never a copy.
 
 ``recipe_train`` checks its dataset's targets once, before the first step,
 and trains on int64 class ids, whose range alone each step then checks.
@@ -31,10 +30,12 @@ import numpy as np
 from . import models
 from .autoswitch import StepRecord, SwitchCriterion, make_detector, variance_stats
 from .errors import ConfigError, NumericalError
-from .masks import DecaySchedule, NMRatio, SparsityPlan, apply_mask, compute_nm_mask, mask_sparsity
+from .masks import DecaySchedule, NMRatio, SparsityPlan, compute_nm_mask, mask_sparsity
 
 ParamSet = models.ParamSet
 LRSchedule = Callable[[int], float]
+
+CHUNK = 2**15  # coordinates per pass of the Adam update's elementwise chain
 
 RECIPE_KINDS = ("dense", "ste", "srste", "step", "step_updated_variance")
 TWO_PHASE_KINDS = ("step", "step_updated_variance")
@@ -87,9 +88,10 @@ class AdamState:
 
     ``m`` and ``v`` are ParamBuffers of one layout (DimensionError
     otherwise), which ``adam_step`` updates in place.  The rest is scratch,
-    made on first use and dropped by setting it to None: ``spare`` receives
-    the next v, so that the previous v stays readable until the step after;
-    ``scratch`` and ``denom`` hold the update's temporaries.
+    made on first use and dropped by setting it to None: ``spare``, a
+    ParamBuffer, receives the next v, so that the previous v stays readable
+    until the step after; ``scratch`` and ``denom``, float64 arrays of at
+    most CHUNK entries, hold the update's temporaries for one chunk.
     """
 
     m: models.ParamBuffer
@@ -97,7 +99,7 @@ class AdamState:
     t: int = 0
     spare: models.ParamBuffer | None = None
     scratch: np.ndarray | None = None
-    denom: models.ParamBuffer | None = None
+    denom: np.ndarray | None = None
 
     def __post_init__(self):
         models.check_layout(self.m, "first moment")
@@ -129,9 +131,10 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     and v is written into ``state.spare`` and swapped with it, so the
     previous ``state.v`` keeps its values until the next update.  Params,
     grads and ``frozen_denom`` must be ParamBuffers laid out as ``state.m``;
-    anything else raises DimensionError.  Each operation runs over all
-    coordinates at once, in the order of the plain per-parameter
-    expressions, so every bit is theirs.
+    anything else raises DimensionError.  Once the whole gradient is found
+    finite, the operations run CHUNK coordinates at a time, with the
+    chunk-sized ``state.scratch`` and ``state.denom`` as temporaries, in the
+    order of the plain per-parameter expressions, so every bit is theirs.
 
     Bias correction divides by 1 - beta**k where k counts the gradients
     accumulated so far, so the first step divides by 1 - beta (never zero).
@@ -154,52 +157,69 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     b1, b2 = hyper.beta1, hyper.beta2
     m_corr = 1.0 - b1**k
     v_corr = 1.0 - b2**k if bias_correct_v else 1.0  # v / 1.0 is exact
-    g, m = grads.flat, state.m.flat
+    size = params.flat.size
     if state.scratch is None:
-        state.scratch = np.empty_like(m)
-    scratch = state.scratch
-
-    # m = b1 * m + (1 - b1) * g
-    m *= b1
-    np.multiply(g, 1.0 - b1, out=scratch)
-    m += scratch
+        state.scratch = np.empty(min(size, CHUNK))
     if frozen_denom is None:
-        # v = b2 * v + (1 - b2) * g * g, into the spare buffer
         if state.spare is None:
             state.spare = models.ParamBuffer(shapes)
         if state.denom is None:
-            state.denom = models.ParamBuffer(shapes)
-        v, denom = state.spare.flat, state.denom.flat
-        np.multiply(state.v.flat, b2, out=v)
-        np.multiply(g, 1.0 - b2, out=scratch)
-        scratch *= g
-        v += scratch
+            state.denom = np.empty(min(size, CHUNK))
+
+    for start in range(0, size, CHUNK):
+        chunk = slice(start, start + CHUNK)
+        g, m, p = grads.flat[chunk], state.m.flat[chunk], params.flat[chunk]
+        scratch = state.scratch[:g.size]
+        # m = b1 * m + (1 - b1) * g
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=scratch)
+        m += scratch
+        if frozen_denom is None:
+            # v = b2 * v + (1 - b2) * g * g, into the spare buffer
+            v, denom = state.spare.flat[chunk], state.denom[:g.size]
+            np.multiply(state.v.flat[chunk], b2, out=v)
+            np.multiply(g, 1.0 - b2, out=scratch)
+            scratch *= g
+            v += scratch
+            np.divide(v, v_corr, out=denom)
+            denom += hyper.eps
+            np.sqrt(denom, out=denom)
+        else:
+            denom = frozen_denom.flat[chunk]
+        # params = params - gamma * (m / m_corr) / denom
+        np.divide(m, m_corr, out=scratch)
+        scratch *= gamma
+        scratch /= denom
+        p -= scratch
+    if frozen_denom is None:
         state.v, state.spare = state.spare, state.v
-        np.divide(v, v_corr, out=denom)
-        denom += hyper.eps
-        np.sqrt(denom, out=denom)
-    else:
-        denom = frozen_denom.flat
-    # params = params - gamma * (m / m_corr) / denom
-    np.divide(m, m_corr, out=scratch)
-    scratch *= gamma
-    scratch /= denom
-    params.flat -= scratch
     state.t = k
     return state, params
 
 
-def _masked_point(params: ParamSet, ratios) -> tuple[dict[str, np.ndarray], ParamSet]:
-    """The N:M masks of the listed layers, and the params with those masks applied."""
-    masks = {name: compute_nm_mask(params[name], ratio) for name, ratio in ratios.items()}
-    masked = dict(params)
-    for name, mask in masks.items():
-        masked[name] = apply_mask(params[name], mask)
-    return masks, masked
+def _masked_point(params: ParamSet, ratios, point: models.ParamBuffer,
+                  keep_masks: bool) -> dict[str, np.ndarray]:
+    """Write the params, the listed layers times their N:M masks, into ``point``.
+
+    A mask is formed in ``point`` unless ``keep_masks``; returns the kept masks.
+    """
+    ratios, masks = dict(ratios.items()), {}  # mask * w has the bits of w * mask
+    for name, w in params.items():
+        target = point[name]
+        if name not in ratios:
+            target[...] = w
+        elif keep_masks:
+            masks[name] = mask = compute_nm_mask(w, ratios[name])
+            np.multiply(mask, w, out=target)
+        else:
+            compute_nm_mask(w, ratios[name], out=target)
+            target *= w
+    return masks
 
 
 def ste_loss_and_grad(spec, params: ParamSet, ratios, batch, lam: float = 0.0,
-                      out: models.ParamBuffer | None = None):
+                      out: models.ParamBuffer | None = None,
+                      point: models.ParamBuffer | None = None):
     """Straight-through loss and gradient at the masked point; returns (grads, masks, loss).
 
     ``ratios`` maps layer names to N:M ratios (a dict or a SparsityPlan).
@@ -207,10 +227,17 @@ def ste_loss_and_grad(spec, params: ParamSet, ratios, batch, lam: float = 0.0,
     returned gradients are exactly the gradients at that masked point,
     applied to all coordinates.  With lam > 0 (SR-STE) they also get
     lam * (1 - mask) * weights on the listed layers.  The gradients go into
-    ``out`` when it is given, as in ``models.loss_and_grad``.
+    ``out`` when it is given, as in ``models.loss_and_grad``, and the masked
+    point into ``point``, a ParamBuffer laid out as ``params`` (DimensionError
+    otherwise), or a new one.  With ``point`` and lam == 0, ``masks`` is empty.
     """
-    masks, masked = _masked_point(params, ratios)
-    loss, grads = models.loss_and_grad(spec, masked, batch, out=out)
+    layout = params.shapes if isinstance(params, models.ParamBuffer) else {
+        name: np.shape(w) for name, w in params.items()}
+    keep_masks = point is None or lam > 0.0
+    point = models.ParamBuffer(layout) if point is None else point
+    models.check_layout(point, "masked point", layout)
+    masks = _masked_point(params, ratios, point, keep_masks)
+    loss, grads = models.loss_and_grad(spec, point, batch, out=out)
     if lam > 0.0:
         for name, mask in masks.items():
             # lam * (1 - mask) * w, added in place
@@ -300,6 +327,7 @@ def recipe_train(
     switched_at: int | None = None
     v_star: ParamSet | None = None
     frozen_denom: ParamSet | None = None
+    point: models.ParamBuffer | None = None  # the masked weights, made on first use
     records: list[StepRecord] = []
 
     for t in range(1, total_steps + 1):
@@ -309,8 +337,9 @@ def recipe_train(
 
         if in_masked_phase and plan:
             ratios = _effective_ratios(plan, recipe.decay, t)
+            point = models.ParamBuffer(params.shapes) if point is None else point
             grads, _, loss = ste_loss_and_grad(spec, params, ratios, batch, lam=recipe.lam,
-                                               out=grads)
+                                               out=grads, point=point)
         else:
             loss, grads = models.loss_and_grad(spec, params, batch, out=grads)
 
@@ -334,9 +363,9 @@ def recipe_train(
                 switched_at = record.switched_at = t
                 v_star = state.v.copy()
                 if recipe.kind == "step":
-                    # sqrt(v* + eps) goes into the denominator scratch, which
-                    # the frozen update no longer needs, nor the spare v
-                    frozen_denom, state.denom, state.spare = state.denom, None, None
+                    # sqrt(v* + eps) goes into the spare buffer, the previous
+                    # v, which nothing reads any more, nor the chunk denominator
+                    frozen_denom, state.spare, state.denom = state.spare, None, None
                     np.add(v_star.flat, hyper.eps, out=frozen_denom.flat)
                     np.sqrt(frozen_denom.flat, out=frozen_denom.flat)
 
@@ -344,7 +373,8 @@ def recipe_train(
     grads = prev_v = frozen_denom = None
     state.release()
     final_ratios = _effective_ratios(plan, recipe.decay, total_steps) if plan else {}
-    final_masks, masked_params = _masked_point(params, final_ratios)
+    masked_params = models.ParamBuffer(params.shapes) if point is None else point
+    final_masks = _masked_point(params, final_ratios, masked_params, keep_masks=True)
 
     full = dataset.full_batch()
     return TrainResult(

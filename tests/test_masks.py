@@ -6,7 +6,6 @@ from stepnm.masks import (
     DecaySchedule,
     NMRatio,
     SparsityPlan,
-    apply_mask,
     compute_nm_mask,
     decayed_n,
     mask_sparsity,
@@ -87,7 +86,7 @@ class TestComputeMask:
             w = rng.standard_normal((3, 8))
             ratio = NMRatio(2, 4)
             mask = compute_nm_mask(w, ratio)
-            again = compute_nm_mask(apply_mask(w, mask), ratio)
+            again = compute_nm_mask(w * mask, ratio)
             np.testing.assert_array_equal(mask, again)
 
 
@@ -177,18 +176,24 @@ class TestRankAgainstSortReference:
         np.testing.assert_array_equal(w, before)
         np.testing.assert_array_equal(compute_nm_mask([3, 1, 2, 5], NMRatio(2, 4)), [1, 0, 0, 1])
 
-
-class TestApplyMask:
-    def test_basic(self):
-        np.testing.assert_array_equal(apply_mask([2.0, 3.0], [1.0, 0.0]), [2.0, 0.0])
-
-    def test_identity(self):
-        w = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(apply_mask(w, np.ones(3)), w)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            apply_mask([1.0, 2.0], [1.0])
+    def test_out_receives_the_mask(self):
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal((6, 8))
+        w[0, :4] = 0.5  # a tied group
+        ratio = NMRatio(2, 4)
+        buf = np.full(w.shape, np.nan)
+        assert compute_nm_mask(w, ratio, out=buf) is buf
+        assert buf.tobytes() == compute_nm_mask(w, ratio).tobytes()
+        assert buf.flags.writeable  # the caller's array keeps its flags
+        wide = np.empty((6, 16))
+        for bad in (np.empty((8, 6)), np.empty(48), np.empty((6, 8), dtype=np.float32),
+                    wide[:, ::2], np.zeros((6, 8), dtype=np.int64), [[0.0] * 8] * 6):
+            with pytest.raises(DimensionError, match="mask output"):
+                compute_nm_mask(w, ratio, out=bad)
+        frozen = np.empty(w.shape)
+        frozen.setflags(write=False)
+        with pytest.raises(DimensionError, match="writable"):
+            compute_nm_mask(w, ratio, out=frozen)
 
 
 class TestDecayedN:

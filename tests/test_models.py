@@ -153,6 +153,31 @@ class TestParamBuffer:
         other.flat[0] += 1.0
         assert other["fc1.weight"].flat[0] == buf["fc1.weight"].flat[0] + 1.0
 
+    def test_entries_cannot_be_rebound_or_removed(self):
+        # a rebound entry would no longer be a view of flat, so an update of
+        # flat would leave it behind
+        buf = models.init_params(mlp(), 1)
+        before = buf.flat.copy()
+        view = buf["fc1.weight"]
+        for change in (lambda: buf.__setitem__("fc1.weight", np.ones((5, 3))),
+                       lambda: buf.__setitem__("x", None),
+                       lambda: buf.__delitem__("fc1.bias"), lambda: buf.update(a=np.ones(1)),
+                       lambda: buf.pop("fc1.bias"), buf.popitem, buf.clear,
+                       lambda: buf.setdefault("x", np.ones(1)),
+                       lambda: buf.__ior__({"fc1.bias": np.ones(5)})):
+            with pytest.raises(TypeError, match="views of its flat array"):
+                change()
+        assert list(buf) == list(buf.shapes) and buf["fc1.weight"] is view
+        assert buf.flat.tobytes() == before.tobytes()
+        # writes through the views, augmented assignment included, reach flat
+        buf["fc1.weight"][...] = 2.0
+        buf["fc1.bias"] += 1.0
+        start, stop = buf.bounds[1]
+        assert np.all(buf.flat[:start] == 2.0) and np.all(buf.flat[start:stop] == 1.0)
+        plain = dict(buf)  # a plain dict of the views, free to rebind
+        plain["fc1.weight"] = np.ones((5, 3))
+        assert np.shares_memory(plain["fc1.bias"], buf.flat) and buf["fc1.weight"] is view
+
     def test_only_buffers_of_the_state_layout_are_taken(self):
         # a plain dict, or a buffer with other names, order or shapes, is
         # refused before anything is written, never copied into a buffer
@@ -264,6 +289,16 @@ class TestGrad:
         assert grads is out and loss_out == loss
         for name, g in fresh.items():
             assert out[name].tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_forward_loss_has_the_bits_of_the_gradient_pass(self, activation):
+        # the forward-only pass keeps no layer inputs; its loss is the same
+        spec = mlp((16, 32, 32, 5), activation)
+        params = models.init_params(spec, 7)
+        for seed in range(3):
+            batch = random_batch(spec, 48, seed)
+            loss = models.forward_loss(spec, params, batch)
+            assert loss.hex() == models.loss_and_grad(spec, params, batch)[0].hex()
 
     def test_relu_subgradient_at_zero_is_zero(self):
         spec = ModelSpec("mlp_classifier", (1, 1, 2), activation="relu")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from conftest import buffer
 from stepnm import models, optim
 from stepnm.autoswitch import GEOMETRIC_FLOOR, SwitchCriterion, evaluate_offline, variance_stats
-from stepnm.errors import ConfigError, NumericalError
+from stepnm.errors import ConfigError, DimensionError, NumericalError
 from stepnm.masks import DecaySchedule, NMRatio, SparsityPlan
 from stepnm.optim import AdamHyper, Recipe, adam_step, constant_lr, init_adam_state
 
@@ -164,6 +165,53 @@ class TestAdamStep:
                 assert new_state.v[n].tobytes() == v.tobytes()
                 assert new_params[n].tobytes() == p.tobytes()
 
+    def test_multi_chunk_update_bitwise_equal_to_plain_expressions(self):
+        # 3 * CHUNK + 17 coordinates: "b" straddles the first chunk boundary
+        # and the last chunk is 17 long; all three denominators
+        chunk = optim.CHUNK
+        shapes = {"a": (3, 1000), "b": (chunk,), "c": (2 * chunk + 17 - 3000,)}
+        rng = np.random.default_rng(14)
+        hyper = AdamHyper(beta1=0.8, beta2=0.99, eps=1e-7, lr_schedule=constant_lr(2e-3))
+        params = {n: rng.standard_normal(s) for n, s in shapes.items()}
+        grads = {n: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3, s) for n, s in shapes.items()}
+        m0 = {n: rng.standard_normal(s) * 1e-2 for n, s in shapes.items()}
+        v0 = {n: rng.random(s) * 1e-3 for n, s in shapes.items()}
+        frozen = {n: np.sqrt(v + 1e-7) for n, v in v0.items()}
+        k = 5
+        for denom, corrected in ((None, True), (None, False), (buffer(**frozen), True)):
+            state = optim.AdamState(m=buffer(**m0), v=buffer(**v0), t=k - 1)
+            new_state, new_params = adam_step(state, hyper, buffer(**params), buffer(**grads),
+                                              denom, bias_correct_v=corrected)
+            # the temporaries are one chunk long; a frozen denominator needs no other
+            assert state.scratch.shape == (chunk,)
+            assert state.denom is None if denom else state.denom.shape == (chunk,)
+            for n, w in params.items():
+                g = grads[n]
+                m = 0.8 * m0[n] + (1.0 - 0.8) * g
+                if denom is not None:
+                    v, d = v0[n], frozen[n]
+                else:
+                    v = 0.99 * v0[n] + (1.0 - 0.99) * g * g
+                    d = np.sqrt((v / (1.0 - 0.99**k) if corrected else v) + 1e-7)
+                p = w - 2e-3 * (m / (1.0 - 0.8**k)) / d
+                assert new_state.m[n].tobytes() == m.tobytes()
+                assert new_state.v[n].tobytes() == v.tobytes()
+                assert new_params[n].tobytes() == p.tobytes()
+
+    def test_non_finite_gradient_in_the_last_chunk_moves_nothing(self):
+        chunk = optim.CHUNK
+        shapes = {"a": (3, 1000), "b": (chunk,), "c": (2 * chunk + 17 - 3000,)}
+        params = buffer(**{n: np.ones(s) for n, s in shapes.items()})
+        grads = buffer(**{n: np.full(s, 0.5) for n, s in shapes.items()})
+        state = optim.AdamState(m=buffer(**{n: np.full(s, 0.1) for n, s in shapes.items()}),
+                                v=buffer(**{n: np.full(s, 0.2) for n, s in shapes.items()}), t=3)
+        grads.flat[-1] = np.inf
+        before = [b.flat.tobytes() for b in (params, state.m, state.v)]
+        with pytest.raises(NumericalError, match=r"gradient for 'c' at step 4$"):
+            adam_step(state, default_hyper(), params, grads)
+        assert [b.flat.tobytes() for b in (params, state.m, state.v)] == before
+        assert state.t == 3
+
     def test_variance_statistics_bitwise(self):
         rng = np.random.default_rng(13)
         # "c" is long enough for numpy's pairwise summation to split it
@@ -257,20 +305,41 @@ class TestGradientTransforms:
             np.testing.assert_array_equal(g1[k], g2[k])
 
     def test_masked_forward_loss_matches_apply_mask(self):
-        from stepnm.masks import apply_mask, compute_nm_mask
+        from stepnm.masks import compute_nm_mask
 
         spec, ds, plan = blob_setup()
         params = models.init_params(spec, 3)
         batch = next(models.batch_iterator(ds, 4))
         mask = compute_nm_mask(params["fc2.weight"], NMRatio(1, 4))
         masked = dict(params)
-        masked["fc2.weight"] = apply_mask(params["fc2.weight"], mask)
+        masked["fc2.weight"] = params["fc2.weight"] * mask
         expected = models.forward_loss(spec, masked, batch)
         grads, masks_used = optim.ste_loss_and_grad(spec, params, plan, batch)[:2]
         np.testing.assert_array_equal(masks_used["fc2.weight"], mask)
         # the trainer logs the masked loss; recompute it the same way here
         loss, _ = models.loss_and_grad(spec, masked, batch)
         assert loss == expected
+
+    def test_masked_point_buffer_gives_the_same_bits(self):
+        # the per-run buffer holds mask * w; the masks are kept only for SR-STE
+        spec, ds, plan = blob_setup()
+        params = models.init_params(spec, 3)
+        batch = next(models.batch_iterator(ds, 4))
+        point = models.ParamBuffer(params.shapes)
+        for lam in (0.0, 0.01):
+            fresh, masks, loss = optim.ste_loss_and_grad(spec, params, plan, batch, lam=lam)
+            point.flat[...] = np.nan
+            grads, kept, loss_point = optim.ste_loss_and_grad(spec, params, plan, batch, lam=lam,
+                                                             point=point)
+            assert loss_point == loss and grads.flat.tobytes() == fresh.flat.tobytes()
+            assert list(kept) == ([] if lam == 0.0 else ["fc2.weight"])
+            masked = params["fc2.weight"] * masks["fc2.weight"]
+            assert point["fc2.weight"].tobytes() == masked.tobytes()
+            assert point["fc1.weight"].tobytes() == params["fc1.weight"].tobytes()
+        other = models.ParamBuffer(models.param_shapes(models.ModelSpec("mlp_classifier", (2, 8, 2))))
+        for bad in (dict(point), other):
+            with pytest.raises(DimensionError):
+                optim.ste_loss_and_grad(spec, params, plan, batch, point=bad)
 
     def test_negative_lam_rejected(self):
         with pytest.raises(ConfigError):
@@ -513,6 +582,29 @@ class TestTwoPhaseTraining:
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
         assert [r.loss for r in a.records] == [r.loss for r in b.records]
+
+
+class TestTrainingMemory:
+    @pytest.mark.parametrize("kind, bound", [("step", 8.5), ("dense", 7.5)])
+    def test_allocation_peak_in_flat_buffers(self, kind, bound):
+        # step needs 7 P-sized buffers: params, grads, m, v, v*, sqrt(v* + eps)
+        # and the masked weights; dense 7 too: params, grads, m, v, the next v
+        # and the (2, P) statistics work array.  The Adam chunk scratch, the
+        # mask's rank scratch (0.9 P here) and the activations share the rest
+        spec = models.ModelSpec("mlp_classifier", (64, 512, 512, 10))
+        ds = models.gen_synthetic("blobs", 256, 64, n_classes=10, noise_std=1.0, seed=0,
+                                  batch_size=32)
+        plan = SparsityPlan({f"fc{i}.weight": NMRatio(2, 4) for i in (1, 2, 3)})
+        switch = SwitchCriterion("fixed", step=3) if kind == "step" else None
+        coords = sum(math.prod(s) for s in models.param_shapes(spec).values())
+        tracemalloc.start()
+        try:
+            run = optim.recipe_train(spec, ds, default_hyper(), plan, Recipe(kind), switch, 8, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.switched_at == (3 if kind == "step" else None)
+        assert peak <= bound * 8 * coords, f"peak {peak / (8 * coords):.2f} x 8P bytes"
 
 
 class TestLRSchedules:
