@@ -141,7 +141,7 @@ def fd_check_cmd(kind, layer_sizes, activation, batch, instances, h, tol, seed):
         else:
             targets = rng.standard_normal((batch, sizes[-1]))
         report = models.finite_difference_check(spec, params, (inputs, targets), h=h, tol=tol)
-        worst = max(worst, report.max_rel_error)
+        worst = float(np.maximum(worst, report.max_rel_error))  # a NaN error stays
         status = "ok" if report.passed else "FAIL"
         click.echo(f"instance {i}: max_rel_error={report.max_rel_error:.3e} {status}")
         if not report.passed:

@@ -293,8 +293,16 @@ def _coerce_data(key: str, value):
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    """The config in the YAML (or JSON) file at ``path``, checked and built.
+
+    A file that cannot be opened, decoded as UTF-8 or parsed raises ConfigError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+    except (OSError, ValueError, yaml.YAMLError) as exc:  # ValueError: not UTF-8, or a bad date
+        reason = getattr(exc, "strerror", None) or " ".join(str(exc).split())
+        raise ConfigError(f"cannot read config {path}: {reason}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a mapping document")
     return config_from_dict(doc)

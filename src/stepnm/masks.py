@@ -94,7 +94,7 @@ def mask_sparsity(mask) -> float:
 class SparsityPlan:
     """Per-layer N:M ratios; layers absent from the map stay dense.
 
-    Keys are parameter names as they appear in the ParamSet.  By convention
+    Keys are parameter names, as in ``models.param_shapes``.  By convention
     only weight tensors are listed; biases stay dense.
     """
 

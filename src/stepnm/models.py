@@ -4,14 +4,14 @@ One pass serves both model kinds: affine layers with relu/tanh between them,
 then softmax cross-entropy or half squared error; the backward pass walks the
 layers in reverse.  Weights are stored (out_features, in_features) so that
 N:M groups along the innermost axis run over each output's reduction
-dimension.  Training keeps the parameters, their gradients and the optimizer
-moments in ParamBuffers: one flat float64 array each, whose named views are
-the per-layer arrays.  ``loss_and_grad`` fills one, and ``check_layout`` is
-the one test that a buffer has a given layout; nothing converts a dict.
+dimension.  Parameters, their gradients and the optimizer moments are
+ParamBuffers: one flat float64 array each, whose named views are the
+per-layer arrays.  ``loss_and_grad`` fills one, and ``check_layout`` is the
+one test that a buffer has a given layout; nothing converts a dict.
 
-``forward_loss`` and ``loss_and_grad`` check every call against the spec:
-batch shapes, class ids, and parameter names and shapes (the layout is built
-once per spec and shared).
+``forward_loss``, ``loss_and_grad`` and ``finite_difference_check`` check
+every call against the spec: batch shapes, class ids, and the parameters'
+layout (built once per spec and shared).
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
-
-ParamSet = dict[str, np.ndarray]
 
 MODEL_KINDS = ("linear_regression", "mlp_classifier")
 ACTIVATIONS = ("relu", "tanh")
@@ -174,12 +172,12 @@ def check_targets(spec: ModelSpec, targets, rows: int) -> np.ndarray:
     return t
 
 
-def _pass(spec: ModelSpec, params: ParamSet, batch, backward: bool,
+def _pass(spec: ModelSpec, params: ParamBuffer, batch, backward: bool,
           out: ParamBuffer | None = None):
     """Mean batch loss, plus every parameter's gradient when ``backward``.
 
-    The batch goes through ``check_targets``, and every parameter must have
-    its name and shape in ``param_shapes(spec)``.  The forward pass applies
+    The batch goes through ``check_targets``, and ``params`` must be a
+    ParamBuffer laid out as ``param_shapes(spec)``.  The forward pass applies
     each activation in place, and keeps each layer's input only when
     ``backward``; the backward pass walks the layers in reverse, forming
     dW = g.T @ h and db = sum(g) per layer, into ``out`` as
@@ -194,16 +192,8 @@ def _pass(spec: ModelSpec, params: ParamSet, batch, backward: bool,
     n = inputs.shape[0]
     targets = check_targets(spec, targets, n)
     shapes = param_shapes(spec)
-    if params.keys() != shapes.keys():
-        raise DimensionError(
-            f"parameter names {sorted(params)} do not match spec {sorted(shapes)}"
-        )
-    arrays = []  # weight, bias, weight, bias, ... in layer order
-    for name, shape in shapes.items():
-        a = np.asarray(params[name], dtype=np.float64)
-        if a.shape != shape:
-            raise DimensionError(f"{name}: expected shape {shape}, got {a.shape}")
-        arrays.append(a)
+    check_layout(params, "parameters", shapes)
+    arrays = list(params.values())  # weight, bias, weight, bias, ... in layer order
     # the in-place forms below do the operations of the plain expressions
     # (x @ W.T + b, relu/tanh, pred - max, expz / sumexp, g / n) on fresh arrays
     n_layers = spec.n_layers
@@ -250,12 +240,12 @@ def _pass(spec: ModelSpec, params: ParamSet, batch, backward: bool,
     return float(loss), out
 
 
-def forward_loss(spec: ModelSpec, params: ParamSet, batch) -> float:
+def forward_loss(spec: ModelSpec, params: ParamBuffer, batch) -> float:
     """Mean loss over the batch: softmax cross-entropy or half squared error."""
     return _pass(spec, params, batch, backward=False)[0]
 
 
-def loss_and_grad(spec: ModelSpec, params: ParamSet, batch,
+def loss_and_grad(spec: ModelSpec, params: ParamBuffer, batch,
                   out: ParamBuffer | None = None) -> tuple[float, ParamBuffer]:
     """Loss plus gradients for every parameter, in one forward/backward pass.
 
@@ -276,7 +266,7 @@ class FDReport:
 
 def finite_difference_check(
     spec: ModelSpec,
-    params: ParamSet,
+    params: ParamBuffer,
     batch,
     h: float = 1e-5,
     tol: float = 1e-5,
@@ -285,33 +275,30 @@ def finite_difference_check(
 
     The per-coordinate error is |analytic - numeric| relative to the larger of
     the two magnitudes, floored at one so near-zero coordinates are judged on
-    absolute error.  Offenders above ``tol`` are listed by (name, flat index).
+    absolute error.  Offenders above ``tol`` are listed by (name, flat index);
+    a NaN error, as from a difference of infinite losses, is an offender and
+    the maximum, so the check fails.
     """
     if not (h > 0 and np.isfinite(h)):
         raise DomainError(f"finite-difference step h must be positive and finite, got {h}")
     if not 0.0 <= tol < np.inf:
         raise DomainError(f"tolerance tol must be non-negative and finite, got {tol}")
     analytic = loss_and_grad(spec, params, batch)[1]
-    max_rel = 0.0
-    offenders: list[tuple[str, int, float]] = []
-    for name, base in params.items():
-        flat = np.asarray(base, dtype=np.float64).ravel()
-        for idx in range(flat.size):
+    probe = params.copy()
+    errors: list[tuple[str, int, float]] = []
+    for name, (start, stop) in zip(params, params.bounds):
+        for i in range(start, stop):
             sides = []
             for sign in (1.0, -1.0):
-                shifted = flat.copy()
-                shifted[idx] += sign * h
-                probe = dict(params)
-                probe[name] = shifted.reshape(np.shape(base))
+                probe.flat[i] = params.flat[i] + sign * h
                 sides.append(forward_loss(spec, probe, batch))
+            probe.flat[i] = params.flat[i]
             numeric = (sides[0] - sides[1]) / (2.0 * h)
-            a = float(np.asarray(analytic[name]).ravel()[idx])
-            rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            if rel > max_rel:
-                max_rel = rel
-            if rel > tol:
-                offenders.append((name, idx, rel))
-    return FDReport(max_rel_error=max_rel, passed=max_rel <= tol, offenders=tuple(offenders))
+            a = float(analytic.flat[i])
+            errors.append((name, i - start, abs(a - numeric) / max(1.0, abs(a), abs(numeric))))
+    max_rel = float(np.max([rel for _, _, rel in errors]))  # NaN if any error is NaN
+    return FDReport(max_rel_error=max_rel, passed=max_rel <= tol,
+                    offenders=tuple(e for e in errors if not e[2] <= tol))
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,11 @@ learning rate.  Single-phase baselines (dense, ste, srste) and the
 updated-variance variant share the same driver.
 
 A run holds its parameters, gradients and Adam moments in ParamBuffers (see
-``models``): one flat float64 array each, laid out from
-``models.param_shapes``, whose named (out, in) views are the ParamSets that
-the model, the masks and TrainResult see.  Each step writes the gradients
-into their buffer and ``adam_step`` updates the others in place, CHUNK
-coordinates at a time.  The update takes ParamBuffers only, laid out as its
-state; anything else is a DimensionError, never a copy.
+``models``): one flat float64 array each, laid out as
+``models.param_shapes``, with named (out, in) views.  Each step writes the
+gradients into their buffer and ``adam_step`` updates the others in place,
+CHUNK coordinates at a time.  The model, the update and the STE gradient
+take ParamBuffers only; anything else is a DimensionError, never a copy.
 
 ``recipe_train`` checks its dataset's targets once, before the first step,
 and trains on int64 class ids, whose range alone each step then checks.
@@ -32,7 +31,6 @@ from .autoswitch import StepRecord, SwitchCriterion, make_detector, variance_sta
 from .errors import ConfigError, NumericalError
 from .masks import DecaySchedule, NMRatio, SparsityPlan, compute_nm_mask, mask_sparsity
 
-ParamSet = models.ParamSet
 LRSchedule = Callable[[int], float]
 
 CHUNK = 2**15  # coordinates per pass of the Adam update's elementwise chain
@@ -84,30 +82,22 @@ class AdamHyper:
 
 @dataclass
 class AdamState:
-    """Moment accumulators, update scratch and the completed-step counter.
+    """Moment accumulators and the completed-step counter.
 
     ``m`` and ``v`` are ParamBuffers of one layout (DimensionError
-    otherwise), which ``adam_step`` updates in place.  The rest is scratch,
-    made on first use and dropped by setting it to None: ``spare``, a
-    ParamBuffer, receives the next v, so that the previous v stays readable
-    until the step after; ``scratch`` and ``denom``, float64 arrays of at
-    most CHUNK entries, hold the update's temporaries for one chunk.
+    otherwise), which ``adam_step`` updates in place.  ``spare``, made by
+    the first running-v update, receives the next v, so that the previous v
+    stays readable until the step after.
     """
 
     m: models.ParamBuffer
     v: models.ParamBuffer
     t: int = 0
     spare: models.ParamBuffer | None = None
-    scratch: np.ndarray | None = None
-    denom: np.ndarray | None = None
 
     def __post_init__(self):
         models.check_layout(self.m, "first moment")
         models.check_layout(self.v, "second moment", self.m.shapes)
-
-    def release(self) -> None:
-        """Drop the scratch buffers; the next update makes them again."""
-        self.spare = self.scratch = self.denom = None
 
 
 def init_adam_state(params: models.ParamBuffer) -> AdamState:
@@ -132,9 +122,9 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     previous ``state.v`` keeps its values until the next update.  Params,
     grads and ``frozen_denom`` must be ParamBuffers laid out as ``state.m``;
     anything else raises DimensionError.  Once the whole gradient is found
-    finite, the operations run CHUNK coordinates at a time, with the
-    chunk-sized ``state.scratch`` and ``state.denom`` as temporaries, in the
-    order of the plain per-parameter expressions, so every bit is theirs.
+    finite, the operations run CHUNK coordinates at a time, on chunk-sized
+    temporaries made per call, in the order of the plain per-parameter
+    expressions, so every bit is theirs.
 
     Bias correction divides by 1 - beta**k where k counts the gradients
     accumulated so far, so the first step divides by 1 - beta (never zero).
@@ -158,25 +148,23 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     m_corr = 1.0 - b1**k
     v_corr = 1.0 - b2**k if bias_correct_v else 1.0  # v / 1.0 is exact
     size = params.flat.size
-    if state.scratch is None:
-        state.scratch = np.empty(min(size, CHUNK))
+    temp = np.empty(min(size, CHUNK))
     if frozen_denom is None:
+        temp_denom = np.empty_like(temp)
         if state.spare is None:
             state.spare = models.ParamBuffer(shapes)
-        if state.denom is None:
-            state.denom = np.empty(min(size, CHUNK))
 
     for start in range(0, size, CHUNK):
         chunk = slice(start, start + CHUNK)
         g, m, p = grads.flat[chunk], state.m.flat[chunk], params.flat[chunk]
-        scratch = state.scratch[:g.size]
+        scratch = temp[:g.size]
         # m = b1 * m + (1 - b1) * g
         m *= b1
         np.multiply(g, 1.0 - b1, out=scratch)
         m += scratch
         if frozen_denom is None:
             # v = b2 * v + (1 - b2) * g * g, into the spare buffer
-            v, denom = state.spare.flat[chunk], state.denom[:g.size]
+            v, denom = state.spare.flat[chunk], temp_denom[:g.size]
             np.multiply(state.v.flat[chunk], b2, out=v)
             np.multiply(g, 1.0 - b2, out=scratch)
             scratch *= g
@@ -197,7 +185,7 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     return state, params
 
 
-def _masked_point(params: ParamSet, ratios, point: models.ParamBuffer,
+def _masked_point(params: models.ParamBuffer, ratios, point: models.ParamBuffer,
                   keep_masks: bool) -> dict[str, np.ndarray]:
     """Write the params, the listed layers times their N:M masks, into ``point``.
 
@@ -217,7 +205,7 @@ def _masked_point(params: ParamSet, ratios, point: models.ParamBuffer,
     return masks
 
 
-def ste_loss_and_grad(spec, params: ParamSet, ratios, batch, lam: float = 0.0,
+def ste_loss_and_grad(spec, params: models.ParamBuffer, ratios, batch, lam: float = 0.0,
                       out: models.ParamBuffer | None = None,
                       point: models.ParamBuffer | None = None):
     """Straight-through loss and gradient at the masked point; returns (grads, masks, loss).
@@ -228,11 +216,12 @@ def ste_loss_and_grad(spec, params: ParamSet, ratios, batch, lam: float = 0.0,
     applied to all coordinates.  With lam > 0 (SR-STE) they also get
     lam * (1 - mask) * weights on the listed layers.  The gradients go into
     ``out`` when it is given, as in ``models.loss_and_grad``, and the masked
-    point into ``point``, a ParamBuffer laid out as ``params`` (DimensionError
-    otherwise), or a new one.  With ``point`` and lam == 0, ``masks`` is empty.
+    point into ``point``, or a new buffer.  ``params`` and ``point`` are
+    ParamBuffers laid out as ``models.param_shapes(spec)`` (DimensionError
+    otherwise).  With ``point`` and lam == 0, ``masks`` is empty.
     """
-    layout = params.shapes if isinstance(params, models.ParamBuffer) else {
-        name: np.shape(w) for name, w in params.items()}
+    layout = models.param_shapes(spec)
+    models.check_layout(params, "parameters", layout)
     keep_masks = point is None or lam > 0.0
     point = models.ParamBuffer(layout) if point is None else point
     models.check_layout(point, "masked point", layout)
@@ -269,13 +258,17 @@ class Recipe:
 
 @dataclass
 class TrainResult:
-    """Everything a run produces: final weights, masks, state and trajectory."""
+    """Everything a run produces: final weights, masks, state and trajectory.
 
-    params: ParamSet
-    masked_params: ParamSet
+    ``v_star``, the variance at the switch (None without one), is ``state.v``
+    itself for ``step``, and a copy for ``step_updated_variance``, whose v moves on.
+    """
+
+    params: models.ParamBuffer
+    masked_params: models.ParamBuffer
     final_masks: dict[str, np.ndarray]
     state: AdamState
-    v_star: ParamSet | None
+    v_star: models.ParamBuffer | None
     switched_at: int | None
     records: list[StepRecord]
     sparse_eval_loss: float
@@ -325,8 +318,8 @@ def recipe_train(
 
     masked_from_start = recipe.kind in ("ste", "srste")
     switched_at: int | None = None
-    v_star: ParamSet | None = None
-    frozen_denom: ParamSet | None = None
+    v_star: models.ParamBuffer | None = None
+    frozen_denom: models.ParamBuffer | None = None
     point: models.ParamBuffer | None = None  # the masked weights, made on first use
     records: list[StepRecord] = []
 
@@ -361,17 +354,16 @@ def recipe_train(
             record.z_bar = detector.last_mean
             if fired:
                 switched_at = record.switched_at = t
-                v_star = state.v.copy()
+                # step freezes v where it is; the running v of step_updated_variance moves on
+                v_star = state.v if recipe.kind == "step" else state.v.copy()
                 if recipe.kind == "step":
-                    # sqrt(v* + eps) goes into the spare buffer, the previous
-                    # v, which nothing reads any more, nor the chunk denominator
-                    frozen_denom, state.spare, state.denom = state.spare, None, None
+                    # sqrt(v* + eps) goes into the spare buffer, the previous v, which nothing reads
+                    frozen_denom, state.spare = state.spare, None
                     np.add(v_star.flat, hyper.eps, out=frozen_denom.flat)
                     np.sqrt(frozen_denom.flat, out=frozen_denom.flat)
 
-    # the gradients and the update's scratch are not needed for the full-batch evaluation
-    grads = prev_v = frozen_denom = None
-    state.release()
+    # the gradients and the spare v are not needed for the full-batch evaluation
+    grads = prev_v = frozen_denom = state.spare = None
     final_ratios = _effective_ratios(plan, recipe.decay, total_steps) if plan else {}
     masked_params = models.ParamBuffer(params.shapes) if point is None else point
     final_masks = _masked_point(params, final_ratios, masked_params, keep_masks=True)

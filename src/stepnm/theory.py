@@ -225,16 +225,15 @@ def validate_theorem(
     t: int,
     delta: float,
     trials: int,
-    master_seed: int | None = None,
 ) -> BoundReport:
     """Monte Carlo check of the drift bound over independent trials.
 
     A violation is a trial whose max-coordinate drift |vhat_t - vhat_t0|
     reaches the closed-form bound.  Every post-t0 increment is also checked
     against the deterministic per-step bound with a small float slack.
-    Each trial draws from a generator derived from (seed, trial index); the
-    aggregates are counts and maxima, so neither the order of the trials nor
-    their blocking can change them.
+    Each trial draws from a generator derived from (stream.seed, trial
+    index); the aggregates are counts and maxima, so neither the order of
+    the trials nor their blocking can change them.
     """
     statement_min = min_precondition_step(beta2)
     if t0 <= statement_min:
@@ -247,7 +246,6 @@ def validate_theorem(
         raise ConfigError("trials must be >= 1")
     bound = azuma_bound(stream.bound, beta2, t, t0, delta)
     step_bound = per_step_bound(stream.bound, beta2)
-    seed = stream.seed if master_seed is None else master_seed
 
     step_bytes = stream.dim * 8  # one step of one trial
     chunk = max(1, min(CHUNK, t, DRAW_BUDGET // step_bytes))
@@ -255,7 +253,8 @@ def validate_theorem(
     draws = np.empty((block, chunk, stream.dim))
     violations, max_dev, max_step_dev = 0, 0.0, 0.0
     for start in range(0, trials, block):
-        rngs = [np.random.default_rng((seed, i)) for i in range(start, min(start + block, trials))]
+        rngs = [np.random.default_rng((stream.seed, i))
+                for i in range(start, min(start + block, trials))]
         per_trial_max, block_step_dev = _run_block(stream, rngs, beta2, t0, t, draws[:len(rngs)])
         violations += int(np.count_nonzero(per_trial_max >= bound))
         max_dev = max(max_dev, float(per_trial_max.max()))

@@ -115,8 +115,11 @@ def test_phase_one_bitwise_equivalence(train_with_snapshots):
     assert ok
 
 
-def test_frozen_variance_exact():
-    """Across two-phase runs, max over mask-learning steps of ||v_t - v*||_inf == 0."""
+def test_frozen_variance_exact(train_with_snapshots):
+    """Across two-phase runs, max over mask-learning steps of ||v_t - v*||_inf == 0.
+
+    v* is ``state.v`` itself for step, so v is compared with a copy taken at the switch.
+    """
     spec, ds = _blob_mlp()
     plan = SparsityPlan({"fc2.weight": NMRatio(1, 4)})
     hyper = AdamHyper(lr_schedule=constant_lr(5e-3))
@@ -127,9 +130,13 @@ def test_frozen_variance_exact():
         (2, SwitchCriterion(kind="autoswitch", clip=(60, 300))),
         (3, SwitchCriterion(kind="fixed", step=37)),
     ]:
-        run = optim.recipe_train(spec, ds, hyper, plan, Recipe("step"), crit, 600, seed=seed)
+        # a copy after every step, since the autoswitch picks its own
+        run, snapshots = train_with_snapshots(range(1, 601), spec, ds, hyper, plan,
+                                              Recipe("step"), crit, 600, seed=seed)
         assert run.switched_at is not None
-        for k, frozen in run.v_star.items():
+        assert np.shares_memory(run.v_star.flat, run.state.v.flat)
+        _, at_switch = snapshots[run.switched_at]
+        for k, frozen in at_switch.v.items():
             worst = max(worst, float(np.max(np.abs(run.state.v[k] - frozen))))
         phase2_l1 = {r.v_l1 for r in run.records if r.phase == "mask_learning"}
         assert len(phase2_l1) == 1

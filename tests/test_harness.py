@@ -6,6 +6,7 @@ import re
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -543,6 +544,44 @@ class TestCLI:
         assert exit_info.value.code == 2
         assert f"cannot write to output directory {out}" in capsys.readouterr().err
         assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"model: [unclosed\n", "expected ',' or ']'"),
+        (None, "Is a directory"),
+        (b"model: \xff\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"seeds: 2001-13-45\n", "month must be in 1..12"),
+    ], ids=["malformed_yaml", "directory", "not_utf8", "bad_date"])
+    @pytest.mark.parametrize("command", [
+        ["run"], ["ablate", "--kind", "fixed_vs_updated_variance"], ["compare-switch"],
+    ], ids=["run", "ablate", "compare-switch"])
+    def test_unreadable_config_exits_2(self, tmp_path, monkeypatch, capsys, command, content,
+                                       reason):
+        path = tmp_path / "config.yaml"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read config {path}: ") + ".*"
+                           + re.escape(reason)):
+            harness.load_config(path)
+        out = tmp_path / "out"
+        monkeypatch.setattr("sys.argv", ["stepnm", *command, "--config", str(path),
+                                         "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert f"error: cannot read config {path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fd_check_fails_on_a_non_finite_difference(self):
+        # h = 1e300 overflows the loss: every central difference is inf - inf
+        with np.errstate(over="ignore"):
+            result = CliRunner().invoke(cli_main, ["fd-check", "--kind", "linear_regression",
+                                                   "--layer-sizes", "2,1", "--instances", "1",
+                                                   "--h", "1e300"])
+        assert result.exit_code == 1
+        assert "instance 0: max_rel_error=nan FAIL" in result.output
+        assert "worst max_rel_error over 1 instances: nan" in result.output
 
     def test_compare_switch_needs_a_criterion(self, tmp_path, monkeypatch):
         path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None)

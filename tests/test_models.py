@@ -8,6 +8,7 @@ from conftest import buffer
 from stepnm import models, optim
 from stepnm.autoswitch import variance_stats
 from stepnm.errors import ConfigError, DimensionError, DomainError
+from stepnm.masks import NMRatio
 from stepnm.models import Dataset, ModelSpec
 
 
@@ -95,17 +96,16 @@ class TestSynthetic:
 class TestForwardLoss:
     def test_zero_params_zero_targets(self):
         spec = ModelSpec("linear_regression", (2, 1))
-        params = {"fc1.weight": np.zeros((1, 2)), "fc1.bias": np.zeros(1)}
+        params = buffer(**{"fc1.weight": np.zeros((1, 2)), "fc1.bias": np.zeros(1)})
         batch = (np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros((2, 1)))
         assert models.forward_loss(spec, params, batch) == 0.0
 
     def test_uniform_logits_give_log_c(self):
         spec = mlp((2, 4, 3))
         params = models.init_params(spec, 0)
-        params = dict(params)
         # zero head makes every logit identical, hence a uniform softmax
-        params["fc2.weight"] = np.zeros_like(params["fc2.weight"])
-        params["fc2.bias"] = np.zeros_like(params["fc2.bias"])
+        params["fc2.weight"][...] = 0.0
+        params["fc2.bias"][...] = 0.0
         batch = random_batch(spec, 8, 1)
         assert math.isclose(models.forward_loss(spec, params, batch), math.log(3), rel_tol=1e-12)
 
@@ -204,6 +204,23 @@ class TestParamBuffer:
         with pytest.raises(DimensionError, match="gradient buffer"):
             models.loss_and_grad(spec, models.init_params(spec, 0), random_batch(spec, 2, 0), out={})
 
+    @pytest.mark.parametrize("call", [
+        lambda spec, params, batch: models.forward_loss(spec, params, batch),
+        lambda spec, params, batch: models.loss_and_grad(spec, params, batch),
+        lambda spec, params, batch: optim.ste_loss_and_grad(
+            spec, params, {"fc1.weight": NMRatio(1, 3)}, batch),
+        lambda spec, params, batch: models.finite_difference_check(spec, params, batch),
+    ], ids=["forward_loss", "loss_and_grad", "ste_loss_and_grad", "finite_difference_check"])
+    def test_model_passes_take_only_buffers_of_the_spec_layout(self, call):
+        # the values are right; a dict of them is refused, and so is another layout
+        spec = mlp()
+        params = models.init_params(spec, 0)
+        batch = random_batch(spec, 4, 0)
+        with pytest.raises(DimensionError, match="parameters must be a ParamBuffer, got dict"):
+            call(spec, dict(params), batch)
+        with pytest.raises(DimensionError, match="parameters laid out as"):
+            call(spec, buffer(**{name: params[name] for name in reversed(params)}), batch)
+
 
 class TestGrad:
     def test_linear_closed_form_3x2(self):
@@ -213,7 +230,7 @@ class TestGrad:
         y = np.array([[1.0], [-2.0], [0.0]])
         W = np.array([[0.3, -0.7]])
         b = np.array([0.1])
-        params = {"fc1.weight": W, "fc1.bias": b}
+        params = buffer(**{"fc1.weight": W, "fc1.bias": b})
         grads = models.loss_and_grad(spec, params, (X, y))[1]
         residual = X @ W.T + b - y
         np.testing.assert_allclose(grads["fc1.weight"], residual.T @ X / 3.0, atol=1e-12)
@@ -223,7 +240,7 @@ class TestGrad:
         ds = models.gen_synthetic("regression", 40, 3, noise_std=0.0, seed=11)
         hidden, *_ = np.linalg.lstsq(ds.inputs, ds.targets, rcond=None)
         spec = ModelSpec("linear_regression", (3, 1))
-        params = {"fc1.weight": hidden.T, "fc1.bias": np.zeros(1)}
+        params = buffer(**{"fc1.weight": hidden.T, "fc1.bias": np.zeros(1)})
         grads = models.loss_and_grad(spec, params, ds.full_batch())[1]
         assert max(np.max(np.abs(g)) for g in grads.values()) < 1e-10
 
@@ -302,12 +319,12 @@ class TestGrad:
 
     def test_relu_subgradient_at_zero_is_zero(self):
         spec = ModelSpec("mlp_classifier", (1, 1, 2), activation="relu")
-        params = {
+        params = buffer(**{
             "fc1.weight": np.array([[1.0]]),
             "fc1.bias": np.array([0.0]),
             "fc2.weight": np.array([[1.0], [-1.0]]),
             "fc2.bias": np.array([0.0, 0.0]),
-        }
+        })
         # pre-activation is exactly 0, so nothing flows back to fc1: +0.0,
         # although the gradient arriving from fc2 is negative
         grads = models.loss_and_grad(spec, params, (np.array([[0.0]]), np.array([0.0])))[1]
@@ -371,7 +388,7 @@ def reference_cases():
     for spec in cases:
         for zero_pre_activations in (False, True):
             params = models.init_params(spec, int(rng.integers(1 << 31)))
-            params = {k: v + 0.1 * rng.standard_normal(v.shape) for k, v in params.items()}
+            params = buffer(**{k: v + 0.1 * rng.standard_normal(v.shape) for k, v in params.items()})
             inputs, targets = random_batch(spec, 7, int(rng.integers(1 << 31)))
             if zero_pre_activations:
                 # a zero input row and zero first-layer biases give exact zeros
@@ -440,6 +457,17 @@ class TestFiniteDifference:
         # relu instances may or may not sit near a kink; the report just lists offenders
         assert isinstance(report.passed, bool)
         assert report.max_rel_error >= 0.0
+
+    def test_non_finite_difference_fails(self):
+        # h = 1e300 overflows every loss to inf; each difference is inf - inf
+        spec = ModelSpec("linear_regression", (2, 1))
+        params = models.init_params(spec, 0)
+        with np.errstate(over="ignore"):
+            report = models.finite_difference_check(spec, params, random_batch(spec, 8, 0),
+                                                    h=1e300)
+        assert math.isnan(report.max_rel_error) and not report.passed
+        assert [(name, idx) for name, idx, _ in report.offenders] == [
+            ("fc1.weight", 0), ("fc1.weight", 1), ("fc1.bias", 0)]
 
     def test_bad_h(self):
         spec = mlp()

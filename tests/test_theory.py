@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -204,7 +205,8 @@ class TestValidateTheorem:
         a = theory.validate_theorem(stream, 0.99, 150, 400, 0.05, trials=25)
         b = theory.validate_theorem(stream, 0.99, 150, 400, 0.05, trials=25)
         assert a.max_observed_deviation == b.max_observed_deviation
-        c = theory.validate_theorem(stream, 0.99, 150, 400, 0.05, trials=25, master_seed=99)
+        c = theory.validate_theorem(dataclasses.replace(stream, seed=99), 0.99, 150, 400, 0.05,
+                                    trials=25)
         assert c.max_observed_deviation != a.max_observed_deviation
 
 
