@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RangeError
+from .masks import CHUNK
 from .models import ParamBuffer, check_layout
 
 SAMPLER_OPTIONS = ("arithmetic", "geometric")
@@ -44,40 +45,45 @@ def variance_stats(v: ParamBuffer, v_prev: ParamBuffer) -> tuple[float, float, f
     z is the mean absolute per-coordinate change from ``v_prev`` to ``v``;
     z_geom is the geometric mean of those changes, floored at a tiny constant
     so zero changes stay defined; v_l1 and v_l2 are the norms of ``v``.  Both
-    are ParamBuffers of one layout (DimensionError otherwise).  The
-    elementwise work runs over the flat buffers into the two rows of one work
-    array, in two rounds: |dv| and its log, then |v| and v**2.  Each round
-    sums both rows per parameter at once and adds the sums up as Python
-    floats in layout order.  The inputs are untouched.
+    are ParamBuffers of one layout (DimensionError otherwise).  ``v`` is
+    untouched and ``v_prev`` is lost.  The passes |dv|, its log, v and v**2
+    are each summed per parameter, and the sums added up as Python floats
+    in layout order.  Up to CHUNK / 4 coordinates, where calls cost more
+    than work, the passes fill the rows of one scratch array and share the
+    sum calls; beyond that, each runs in place in ``v_prev``.
     """
     check_layout(v, "variance")
     check_layout(v_prev, "previous variance", v.shapes)
-    work = np.empty((2, v.flat.size))
-    first, second = work
-    np.subtract(v.flat, v_prev.flat, out=first)
-    np.abs(first, out=first)
-    np.maximum(first, GEOMETRIC_FLOOR, out=second)
-    np.log(second, out=second)
-    total_abs, total_log = _layer_sums(work, v.bounds)
-    np.abs(v.flat, out=first)
-    np.square(v.flat, out=second)
-    l1, sq = _layer_sums(work, v.bounds)
     count = v.flat.size
+    if 4 * count <= CHUNK:
+        dv, logs, v_copy, squares = work = np.empty((4, count))
+        np.subtract(v.flat, v_prev.flat, out=dv)
+        np.abs(dv, out=dv)
+        np.log(np.maximum(dv, GEOMETRIC_FLOOR, out=logs), out=logs)
+        np.copyto(v_copy, v.flat)
+        np.square(v.flat, out=squares)
+        total_abs, total_log, l1, sq = _layer_sums(work, v.bounds)
+    else:
+        work = v_prev.flat
+        np.subtract(v.flat, work, out=work)
+        np.abs(work, out=work)
+        total_abs, = _layer_sums(work[None], v.bounds)
+        np.log(np.maximum(work, GEOMETRIC_FLOOR, out=work), out=work)
+        total_log, = _layer_sums(work[None], v.bounds)
+        l1, = _layer_sums(v.flat[None], v.bounds)  # Adam's v is +0 or more everywhere
+        np.square(v.flat, out=work)
+        sq, = _layer_sums(work[None], v.bounds)
     return total_abs / count, math.exp(total_log / count), l1, math.sqrt(sq)
 
 
-def _layer_sums(work: np.ndarray, bounds) -> tuple[float, float]:
-    """Per row of ``work``, each (start, stop) segment's sum, added up as Python floats in order.
+def _layer_sums(work: np.ndarray, bounds) -> list[float]:
+    """Per row of ``work``, its (start, stop) segments' sums, added up as Python floats in order.
 
-    ``work[:, start:stop].sum(axis=1)`` gives each row's segment the bits of
-    its own ``.sum()``.
+    ``np.add.reduce(work[:, start:stop], axis=1)`` gives each row's segment
+    the bits of its own ``.sum()``.
     """
-    first = second = 0.0
-    for start, stop in bounds:
-        a, b = work[:, start:stop].sum(axis=1).tolist()
-        first += a
-        second += b
-    return first, second
+    per_segment = [np.add.reduce(work[:, start:stop], axis=1).tolist() for start, stop in bounds]
+    return [sum(row, 0.0) for row in zip(*per_segment)]
 
 
 # ---------------------------------------------------------------------------

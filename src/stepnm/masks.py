@@ -3,9 +3,9 @@
 The mask is a sort-free rank.  Within a group, slot i outranks a later slot
 j when |w_i| >= |w_j| (a later slot needs a strictly larger magnitude), so
 ties go to the lower index.  A slot is kept when fewer than n slots outrank
-it.  The magnitudes are laid out slot-major, (m, groups), so each compare of
-slot i against the block of slots after it runs over long contiguous rows:
-m - 1 vectorised compares per call whatever the tensor size.  NaN magnitudes
+it.  The magnitudes are laid out slot-major, (m, groups), a CHUNK of
+coordinates at a time, so each compare of slot i against the slots after it
+runs over contiguous rows: m - 1 vectorised compares per chunk.  NaN magnitudes
 are mapped below zero first, which reproduces numpy's stable argsort order
 (NaN last) exactly.
 """
@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError
+
+CHUNK = 2**15  # coordinates per pass of a chunked elementwise chain: masks, the Adam update
 
 
 @dataclass(frozen=True)
@@ -51,22 +53,24 @@ def compute_nm_mask(weights, ratio: NMRatio, out: np.ndarray | None = None) -> n
         raise DimensionError(
             f"mask output must be a writable C-contiguous float64 array of shape {w.shape}")
     m = ratio.m
-    groups = w.size // m
-    # slot-major magnitudes: row i holds slot i of every group, contiguously
-    mags = np.empty((m, groups))
-    np.abs(w.reshape(groups, m).T, out=mags)
-    np.fmax(mags, -1.0, out=mags)  # NaN -> -1, below every magnitude
+    groups, step = w.size // m, max(1, CHUNK // m)  # step: groups per chunk
     count = np.min_scalar_type(m)
-    # outranked[j] counts the slots that outrank slot j; it starts by assuming
-    # every later slot does and corrects that as each slot is compared
-    outranked = np.empty((m, groups), dtype=count)
-    outranked[...] = np.arange(m - 1, -1, -1, dtype=count)[:, None]
-    for i in range(m - 1):
-        wins = np.greater_equal(mags[i], mags[i + 1:])
-        outranked[i + 1:] += wins
-        outranked[i] -= wins.sum(axis=0, dtype=count)
+    mags, ranks = np.empty((m, min(groups, step))), np.empty((m, min(groups, step)), dtype=count)
     mask = np.empty(w.shape) if out is None else out
-    np.less(outranked.T, ratio.n, out=mask.reshape(groups, m))
+    for start in range(0, groups, step):
+        block = w.reshape(groups, m)[start:start + step]
+        # slot-major magnitudes: row i holds slot i of every group, contiguously
+        chunk, outranked = mags[:, :len(block)], ranks[:, :len(block)]
+        np.abs(block.T, out=chunk)
+        np.fmax(chunk, -1.0, out=chunk)  # NaN -> -1, below every magnitude
+        # outranked[j] counts the slots that outrank slot j; it starts by assuming
+        # every later slot does and corrects that as each slot is compared
+        outranked[...] = np.arange(m - 1, -1, -1, dtype=count)[:, None]
+        for i in range(m - 1):
+            wins = np.greater_equal(chunk[i], chunk[i + 1:])
+            outranked[i + 1:] += wins
+            outranked[i] -= wins.sum(axis=0, dtype=count)
+        np.less(outranked.T, ratio.n, out=mask.reshape(groups, m)[start:start + step])
     mask.flags.writeable = out is not None
     return mask
 

@@ -410,9 +410,9 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def open_csv(path):
-    """The CSV file at ``path``, open for reading; ConfigError if it cannot be opened."""
+    """The CSV file at ``path``, open for reading as UTF-8; ConfigError if it cannot be opened."""
     try:
-        return open(path, newline="")
+        return open(path, newline="", encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot read CSV {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
@@ -426,23 +426,26 @@ def load_csv(path, n_targets: int = 1, batch_size: int = 32, target_kind: str = 
         raise ConfigError("n_targets must be >= 1")
     if target_kind not in ("value", "class"):
         raise ConfigError(f"unknown target kind {target_kind!r}")
-    with open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) <= n_targets:
-            raise ConfigError(f"CSV {path} needs a header and at least one feature column")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ConfigError(
-                    f"CSV {path} line {reader.line_num}: {len(row)} cells, header has {len(header)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ConfigError(f"CSV {path} line {reader.line_num}: non-numeric cell") from None
+    try:
+        with open_csv(path) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or len(header) <= n_targets:
+                raise ConfigError(f"CSV {path} needs a header and at least one feature column")
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ConfigError(
+                        f"CSV {path} line {reader.line_num}: {len(row)} cells, header has {len(header)}"
+                    )
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError:
+                    raise ConfigError(f"CSV {path} line {reader.line_num}: non-numeric cell") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read CSV {path}: it is not UTF-8 text") from None
     if not rows:
         raise ConfigError(f"CSV {path} has no data rows")
     data = np.asarray(rows, dtype=np.float64)

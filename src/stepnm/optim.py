@@ -29,11 +29,9 @@ import numpy as np
 from . import models
 from .autoswitch import StepRecord, SwitchCriterion, make_detector, variance_stats
 from .errors import ConfigError, NumericalError
-from .masks import DecaySchedule, NMRatio, SparsityPlan, compute_nm_mask, mask_sparsity
+from .masks import CHUNK, DecaySchedule, NMRatio, SparsityPlan, compute_nm_mask, mask_sparsity
 
 LRSchedule = Callable[[int], float]
-
-CHUNK = 2**15  # coordinates per pass of the Adam update's elementwise chain
 
 RECIPE_KINDS = ("dense", "ste", "srste", "step", "step_updated_variance")
 TWO_PHASE_KINDS = ("step", "step_updated_variance")
@@ -87,7 +85,7 @@ class AdamState:
     ``m`` and ``v`` are ParamBuffers of one layout (DimensionError
     otherwise), which ``adam_step`` updates in place.  ``spare``, made by
     the first running-v update, receives the next v, so that the previous v
-    stays readable until the step after.
+    stays readable for the step's statistics, which use it as work space.
     """
 
     m: models.ParamBuffer
@@ -113,18 +111,17 @@ def _check_grads(grads: models.ParamBuffer, step: int) -> None:
 
 
 def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
-              grads: models.ParamBuffer, frozen_denom: models.ParamBuffer | None = None,
-              bias_correct_v: bool = True):
+              grads: models.ParamBuffer, freeze_v: bool = False, bias_correct_v: bool = True):
     """One Adam update over the whole flat buffer, in place; returns (state, params).
 
     ``params``, ``state.m`` and the step counter are updated where they are,
-    and v is written into ``state.spare`` and swapped with it, so the
-    previous ``state.v`` keeps its values until the next update.  Params,
-    grads and ``frozen_denom`` must be ParamBuffers laid out as ``state.m``;
-    anything else raises DimensionError.  Once the whole gradient is found
-    finite, the operations run CHUNK coordinates at a time, on chunk-sized
-    temporaries made per call, in the order of the plain per-parameter
-    expressions, so every bit is theirs.
+    and a running v is written into ``state.spare`` and swapped with it, so
+    the previous ``state.v`` keeps its values until the next update.  Params
+    and grads must be ParamBuffers laid out as ``state.m``; anything else
+    raises DimensionError.  Once the whole gradient is found finite, the
+    operations run CHUNK coordinates at a time, on chunk-sized temporaries
+    made per call, in the order of the plain per-parameter expressions, so
+    every bit is theirs.
 
     Bias correction divides by 1 - beta**k where k counts the gradients
     accumulated so far, so the first step divides by 1 - beta (never zero).
@@ -133,53 +130,50 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     * sqrt(v / (1 - beta2**k) + eps) with the running v (the dense update);
     * sqrt(v + eps) with the raw running v when ``bias_correct_v`` is False
       (the masked phase of step_updated_variance);
-    * ``frozen_denom``, sqrt(v* + eps) per parameter computed once at the
-      switch, in which case the accumulator is left untouched (step).
+    * sqrt(v* + eps) with ``freeze_v``, where v* is ``state.v``, left
+      untouched (step); it is formed per chunk, as v* / 1.0 (exact), so it
+      holds no P-sized buffer.
     """
     k = state.t + 1
     shapes = state.m.shapes
     models.check_layout(params, "parameters", shapes)
     models.check_layout(grads, "gradients", shapes)
-    if frozen_denom is not None:
-        models.check_layout(frozen_denom, "frozen denominator", shapes)
     _check_grads(grads, k)
     gamma = hyper.lr_schedule(state.t)
     b1, b2 = hyper.beta1, hyper.beta2
     m_corr = 1.0 - b1**k
-    v_corr = 1.0 - b2**k if bias_correct_v else 1.0  # v / 1.0 is exact
+    v_corr = 1.0 - b2**k if bias_correct_v and not freeze_v else 1.0  # v / 1.0 is exact
     size = params.flat.size
-    temp = np.empty(min(size, CHUNK))
-    if frozen_denom is None:
-        temp_denom = np.empty_like(temp)
-        if state.spare is None:
-            state.spare = models.ParamBuffer(shapes)
+    temp, temp_denom = np.empty(min(size, CHUNK)), np.empty(min(size, CHUNK))
+    if not freeze_v and state.spare is None:
+        state.spare = models.ParamBuffer(shapes)
 
     for start in range(0, size, CHUNK):
         chunk = slice(start, start + CHUNK)
         g, m, p = grads.flat[chunk], state.m.flat[chunk], params.flat[chunk]
-        scratch = temp[:g.size]
+        scratch, denom = temp[:g.size], temp_denom[:g.size]
         # m = b1 * m + (1 - b1) * g
         m *= b1
         np.multiply(g, 1.0 - b1, out=scratch)
         m += scratch
-        if frozen_denom is None:
+        if freeze_v:
+            v = state.v.flat[chunk]
+        else:
             # v = b2 * v + (1 - b2) * g * g, into the spare buffer
-            v, denom = state.spare.flat[chunk], temp_denom[:g.size]
+            v = state.spare.flat[chunk]
             np.multiply(state.v.flat[chunk], b2, out=v)
             np.multiply(g, 1.0 - b2, out=scratch)
             scratch *= g
             v += scratch
-            np.divide(v, v_corr, out=denom)
-            denom += hyper.eps
-            np.sqrt(denom, out=denom)
-        else:
-            denom = frozen_denom.flat[chunk]
+        np.divide(v, v_corr, out=denom)
+        denom += hyper.eps
+        np.sqrt(denom, out=denom)
         # params = params - gamma * (m / m_corr) / denom
         np.divide(m, m_corr, out=scratch)
         scratch *= gamma
         scratch /= denom
         p -= scratch
-    if frozen_denom is None:
+    if not freeze_v:
         state.v, state.spare = state.spare, state.v
     state.t = k
     return state, params
@@ -296,9 +290,9 @@ def recipe_train(
     freeze the variance when it fires; if it never fires the run stays dense
     throughout and the trajectory simply reports no switch.  Single-phase
     recipes (dense, ste, srste) ignore the criterion.  The returned weights
-    are always evaluated both densely and under the final mask.  The plan and
-    the recipe's decay are taken as valid for the spec, and total_steps as
-    >= 1, as ExperimentConfig checks them.
+    are evaluated both densely and under the final masks, which are made
+    after both evaluations.  The plan and the recipe's decay are taken as
+    valid for the spec, and total_steps as >= 1, as ExperimentConfig checks them.
     """
     two_phase = recipe.kind in TWO_PHASE_KINDS
     if two_phase and switch is None:
@@ -319,7 +313,7 @@ def recipe_train(
     masked_from_start = recipe.kind in ("ste", "srste")
     switched_at: int | None = None
     v_star: models.ParamBuffer | None = None
-    frozen_denom: models.ParamBuffer | None = None
+    frozen = False  # whether step has frozen v
     point: models.ParamBuffer | None = None  # the masked weights, made on first use
     records: list[StepRecord] = []
 
@@ -337,13 +331,14 @@ def recipe_train(
             loss, grads = models.loss_and_grad(spec, params, batch, out=grads)
 
         # after the switch the masked phase divides by the raw variance
-        state, params = adam_step(state, hyper, params, grads, frozen_denom,
+        state, params = adam_step(state, hyper, params, grads, freeze_v=frozen,
                                   bias_correct_v=switched_at is None)
 
         z = z_geom = None
-        if frozen_denom is None:
+        if not frozen:
             # a frozen variance keeps the statistics of the step that froze it;
-            # adam_step wrote the new v elsewhere, so prev_v still holds the old one
+            # adam_step wrote the new v elsewhere, so prev_v still holds the old
+            # one, which the statistics then overwrite
             z, z_geom, v_l1, v_l2 = variance_stats(state.v, prev_v)
 
         record = StepRecord(t, "mask_learning" if in_masked_phase else "precondition", loss,
@@ -354,21 +349,23 @@ def recipe_train(
             record.z_bar = detector.last_mean
             if fired:
                 switched_at = record.switched_at = t
-                # step freezes v where it is; the running v of step_updated_variance moves on
-                v_star = state.v if recipe.kind == "step" else state.v.copy()
-                if recipe.kind == "step":
-                    # sqrt(v* + eps) goes into the spare buffer, the previous v, which nothing reads
-                    frozen_denom, state.spare = state.spare, None
-                    np.add(v_star.flat, hyper.eps, out=frozen_denom.flat)
-                    np.sqrt(frozen_denom.flat, out=frozen_denom.flat)
+                # step freezes v where it is and drops the spare; the running
+                # v of step_updated_variance moves on
+                frozen = recipe.kind == "step"
+                v_star = state.v if frozen else state.v.copy()
+                if frozen:
+                    state.spare = None
 
-    # the gradients and the spare v are not needed for the full-batch evaluation
-    grads = prev_v = frozen_denom = state.spare = None
+    # neither the gradients nor the spare v is needed from here on
+    grads = prev_v = state.spare = None
     final_ratios = _effective_ratios(plan, recipe.decay, total_steps) if plan else {}
     masked_params = models.ParamBuffer(params.shapes) if point is None else point
-    final_masks = _masked_point(params, final_ratios, masked_params, keep_masks=True)
-
+    _masked_point(params, final_ratios, masked_params, keep_masks=False)
     full = dataset.full_batch()
+    sparse_eval_loss = models.forward_loss(spec, masked_params, full)
+    dense_eval_loss = models.forward_loss(spec, params, full)
+    final_masks = {name: compute_nm_mask(w, final_ratios[name])
+                   for name, w in params.items() if name in final_ratios}
     return TrainResult(
         params=params,
         masked_params=masked_params,
@@ -377,7 +374,7 @@ def recipe_train(
         v_star=v_star,
         switched_at=switched_at,
         records=records,
-        sparse_eval_loss=models.forward_loss(spec, masked_params, full),
-        dense_eval_loss=models.forward_loss(spec, params, full),
+        sparse_eval_loss=sparse_eval_loss,
+        dense_eval_loss=dense_eval_loss,
         layer_sparsity={name: mask_sparsity(mask) for name, mask in final_masks.items()},
     )

@@ -686,11 +686,12 @@ class TestTypedInputErrors:
         with pytest.raises(ConfigError, match=message):
             models.load_csv(path, n_targets=1)
 
-    @pytest.mark.parametrize("case", ["layer_sizes", "seeds", "ragged_csv", "text_csv"])
+    @pytest.mark.parametrize("case", ["layer_sizes", "seeds", "ragged_csv", "text_csv",
+                                      "non_utf8_csv"])
     def test_cli_exits_2(self, tmp_path, monkeypatch, capsys, case):
         csv_path = tmp_path / "data.csv"
-        csv_path.write_text("x0,x1,y0\n1.0,2.0,0\n" +
-                            ("3.0,0\n" if case == "ragged_csv" else "3.0,abc,1\n"))
+        last = {"ragged_csv": b"3.0,0\n", "non_utf8_csv": b"3.0,\xff,1\n"}.get(case, b"3.0,abc,1\n")
+        csv_path.write_bytes(b"x0,x1,y0\n1.0,2.0,0\n" + last)
         overrides = {
             "layer_sizes": {"model": {"kind": "mlp_classifier", "layer_sizes": "ab"}},
             "seeds": {"seeds": 5},
@@ -701,7 +702,10 @@ class TestTypedInputErrors:
         with pytest.raises(SystemExit) as exit_info:
             cli_entry()
         assert exit_info.value.code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if case == "non_utf8_csv":
+            assert err.startswith(f"error: cannot read CSV {csv_path}: it is not UTF-8 text")
 
 
     @pytest.mark.parametrize("where", ["missing", "directory"])

@@ -3,6 +3,7 @@ import pytest
 
 from stepnm.errors import ConfigError, DimensionError
 from stepnm.masks import (
+    CHUNK,
     DecaySchedule,
     NMRatio,
     SparsityPlan,
@@ -165,6 +166,26 @@ class TestRankAgainstSortReference:
             ratio = NMRatio(n, m)
             mask = compute_nm_mask(w, ratio)
             np.testing.assert_array_equal(mask, sort_reference(w, ratio))
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_chunk_boundaries(self, m):
+        # the rank runs CHUNK coordinates of groups at a time; here the last
+        # chunk is 5 groups, and special groups sit on both sides of each
+        # chunk boundary
+        step = CHUNK // m  # groups per chunk
+        rng = np.random.default_rng(20 + m)
+        w = np.round(rng.standard_normal((2 * step + 5, m)), 0)  # many ties
+        for b in (step, 2 * step):  # b: the first group of a chunk
+            w[b - 3] = w[b + 2] = 0.5 * (-1.0) ** np.arange(m)  # all-equal magnitudes
+            w[b - 2] = w[b + 1] = np.where(np.arange(m) % 2, -0.0, 0.0)
+            w[b - 1, ::2] = w[b, 1::2] = np.nan
+        for n in range(1, m + 1):
+            ratio = NMRatio(n, m)
+            expected = sort_reference(w, ratio)
+            np.testing.assert_array_equal(compute_nm_mask(w, ratio), expected)
+            out = np.full(w.shape, np.nan)
+            compute_nm_mask(w, ratio, out=out)
+            assert out.tobytes() == expected.tobytes()
 
     def test_output_is_fresh_read_only_float64(self):
         w = np.arange(32.0).reshape(8, 4)[:, ::-1]  # non-contiguous input

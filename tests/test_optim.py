@@ -139,27 +139,26 @@ class TestAdamStep:
             state, params = new_state, new_params
 
     def test_masked_phase_bitwise_equal_to_plain_expressions(self):
-        # the two masked-phase denominators: the cached sqrt(v* + eps) with v
-        # left as is (step), and the raw running v (step_updated_variance)
+        # the two masked-phase denominators: sqrt(v* + eps) with v frozen
+        # (step), and the raw running v (step_updated_variance)
         rng = np.random.default_rng(12)
         hyper = AdamHyper(lr_schedule=constant_lr(2e-3))
         params = {"a": rng.standard_normal((16, 8)), "b": rng.standard_normal(8)}
         m0 = {n: rng.standard_normal(w.shape) * 1e-2 for n, w in params.items()}
         v0 = {n: rng.random(w.shape) * 1e-3 for n, w in params.items()}
         grads = {n: rng.standard_normal(w.shape) for n, w in params.items()}
-        frozen = {n: np.sqrt(v + 1e-8) for n, v in v0.items()}
-        for denom in (buffer(**frozen), None):
+        for freeze in (True, False):
             # the update writes the state and the parameters in place, so each
             # denominator starts from buffers of its own, and expects from copies
             state = optim.AdamState(m=buffer(**m0), v=buffer(**v0), t=9)
             old_p, old_m, old_v = [{n: a.copy() for n, a in d.items()}
                                    for d in (params, state.m, state.v)]
             new_state, new_params = adam_step(state, hyper, buffer(**params), buffer(**grads),
-                                              denom, bias_correct_v=False)
+                                              freeze_v=freeze, bias_correct_v=False)
             for n, w in old_p.items():
                 g = grads[n]
                 m = 0.9 * old_m[n] + (1.0 - 0.9) * g
-                v = old_v[n] if denom else 0.999 * old_v[n] + (1.0 - 0.999) * g * g
+                v = old_v[n] if freeze else 0.999 * old_v[n] + (1.0 - 0.999) * g * g
                 p = w - 2e-3 * (m / (1.0 - 0.9**10)) / np.sqrt(v + 1e-8)
                 assert new_state.m[n].tobytes() == m.tobytes()
                 assert new_state.v[n].tobytes() == v.tobytes()
@@ -178,14 +177,14 @@ class TestAdamStep:
         v0 = {n: rng.random(s) * 1e-3 for n, s in shapes.items()}
         frozen = {n: np.sqrt(v + 1e-7) for n, v in v0.items()}
         k = 5
-        for denom, corrected in ((None, True), (None, False), (buffer(**frozen), True)):
+        for freeze, corrected in ((False, True), (False, False), (True, True)):
             state = optim.AdamState(m=buffer(**m0), v=buffer(**v0), t=k - 1)
             new_state, new_params = adam_step(state, hyper, buffer(**params), buffer(**grads),
-                                              denom, bias_correct_v=corrected)
+                                              freeze_v=freeze, bias_correct_v=corrected)
             for n, w in params.items():
                 g = grads[n]
                 m = 0.8 * m0[n] + (1.0 - 0.8) * g
-                if denom is not None:
+                if freeze:  # a frozen v is never bias-corrected
                     v, d = v0[n], frozen[n]
                 else:
                     v = 0.99 * v0[n] + (1.0 - 0.99) * g * g
@@ -211,24 +210,26 @@ class TestAdamStep:
 
     def test_variance_statistics_bitwise(self):
         rng = np.random.default_rng(13)
-        # "c" is long enough for numpy's pairwise summation to split it
-        v = {"a": rng.random((32, 16)) * 1e-4, "b": rng.random(5) * 1e-9,
-             "c": rng.random((300, 700)) * 1e-6}
-        prev = {"a": v["a"].copy(), "b": rng.random(5) * 1e-9, "c": rng.random((300, 700)) * 1e-6}
-        prev["a"][:4] *= 0.5
-        v, prev = buffer(**v), buffer(**prev)
-        before = {n: (v[n].copy(), prev[n].copy()) for n in v}
-        z, z_geom, l1, l2 = variance_stats(v, prev)
-        deltas = [np.abs(v[n] - prev[n]) for n in v]
-        count = sum(d.size for d in deltas)
-        assert z == sum(float(np.sum(d)) for d in deltas) / count
-        logs = sum(float(np.sum(np.log(np.maximum(d, GEOMETRIC_FLOOR)))) for d in deltas)
-        assert z_geom == math.exp(logs / count)
-        for n in v:  # inputs kept
-            np.testing.assert_array_equal(v[n], before[n][0])
-            np.testing.assert_array_equal(prev[n], before[n][1])
-        assert l1 == sum(float(np.sum(np.abs(a))) for a in v.values())
-        assert l2 == math.sqrt(sum(float(np.sum(np.square(a))) for a in v.values()))
+        # "c" is long enough for numpy's pairwise summation to split it; with
+        # 2617 coordinates the passes share a scratch array, with 210517 they
+        # run in place in v_prev (the bound is CHUNK / 4)
+        for c_shape in ((30, 70), (300, 700)):
+            v = {"a": rng.random((32, 16)) * 1e-4, "b": rng.random(5) * 1e-9,
+                 "c": rng.random(c_shape) * 1e-6}
+            prev = {"a": v["a"].copy(), "b": rng.random(5) * 1e-9, "c": rng.random(c_shape) * 1e-6}
+            prev["a"][:4] *= 0.5
+            v, prev = buffer(**v), buffer(**prev)
+            # the reference figures come from copies: v_prev is work space
+            v_before, prev_before = v.copy(), prev.copy()
+            z, z_geom, l1, l2 = variance_stats(v, prev)
+            deltas = [np.abs(v_before[n] - prev_before[n]) for n in v]
+            count = sum(d.size for d in deltas)
+            assert z == sum(float(np.sum(d)) for d in deltas) / count
+            logs = sum(float(np.sum(np.log(np.maximum(d, GEOMETRIC_FLOOR)))) for d in deltas)
+            assert z_geom == math.exp(logs / count)
+            assert v.flat.tobytes() == v_before.flat.tobytes()  # v untouched
+            assert l1 == sum(float(np.sum(np.abs(a))) for a in v_before.values())
+            assert l2 == math.sqrt(sum(float(np.sum(np.square(a))) for a in v_before.values()))
 
     def test_v_nonnegative_over_run(self):
         rng = np.random.default_rng(5)
@@ -514,11 +515,15 @@ class TestTwoPhaseTraining:
 
     def test_dense_recipe_never_masks_during_training(self, monkeypatch):
         spec, ds, plan = blob_setup()
-        calls = []
-        real = optim.compute_nm_mask
-        monkeypatch.setattr(optim, "compute_nm_mask", lambda w, r: calls.append(1) or real(w, r))
+        calls, steps = [], []  # per mask call, the gradients taken before it
+        real_mask, real_grad = optim.compute_nm_mask, models.loss_and_grad
+        monkeypatch.setattr(models, "loss_and_grad",
+                            lambda *a, **k: steps.append(1) or real_grad(*a, **k))
+        monkeypatch.setattr(optim, "compute_nm_mask",
+                            lambda w, r, out=None: calls.append(len(steps)) or real_mask(w, r, out))
         run = optim.recipe_train(spec, ds, default_hyper(), plan, Recipe("dense"), None, 30, seed=7)
-        assert len(calls) == 1  # only the final mask
+        # after the last step only: the final masked weights, then the kept final mask
+        assert calls == [30, 30]
         assert all(r.phase == "precondition" for r in run.records)
         assert run.switched_at is None
         assert run.layer_sparsity == {"fc2.weight": 0.75}
@@ -586,18 +591,23 @@ class TestTwoPhaseTraining:
 
 
 class TestTrainingMemory:
-    @pytest.mark.parametrize("kind, bound", [("step", 7.5), ("dense", 7.5)])
+    @pytest.mark.parametrize("kind, bound", [
+        ("step", 5.5), ("dense", 5.5), ("step_updated_variance", 7.5), ("ste", 6.5)])
     def test_allocation_peak_in_flat_buffers(self, kind, bound):
-        # step needs 6 P-sized buffers: params, grads, m, v (which is v*),
-        # sqrt(v* + eps) and the masked weights; dense 7: params, grads, m, v,
-        # the next v and the (2, P) statistics work array.  The Adam chunk
-        # temporaries, the mask's rank scratch (0.9 P here) and the
-        # activations share the rest
+        # P-sized buffers per phase.  Dense (and step before the switch): 5,
+        # params, grads, m, v and the next v, which the variance statistics
+        # then use as their work buffer.  Masked step: 5, params, grads, m, v
+        # (which is v*, divided by per chunk) and the masked weights.  Final
+        # evaluation: 4, params, m, v and the masked weights, then 5 with the
+        # final masks, made after it.  ste keeps the next v in its masked
+        # phase (6), and step_updated_variance also its copy of v* (7).  The
+        # chunk-sized scratch of the Adam update and the mask, and the
+        # activations, share the last 0.3
         spec = models.ModelSpec("mlp_classifier", (64, 512, 512, 10))
         ds = models.gen_synthetic("blobs", 256, 64, n_classes=10, noise_std=1.0, seed=0,
                                   batch_size=32)
         plan = SparsityPlan({f"fc{i}.weight": NMRatio(2, 4) for i in (1, 2, 3)})
-        switch = SwitchCriterion("fixed", step=3) if kind == "step" else None
+        switch = SwitchCriterion("fixed", step=3) if kind in optim.TWO_PHASE_KINDS else None
         coords = sum(math.prod(s) for s in models.param_shapes(spec).values())
         tracemalloc.start()
         try:
@@ -605,7 +615,7 @@ class TestTrainingMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert run.switched_at == (3 if kind == "step" else None)
+        assert run.switched_at == (3 if switch else None)
         assert peak <= bound * 8 * coords, f"peak {peak / (8 * coords):.2f} x 8P bytes"
 
 
