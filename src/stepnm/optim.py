@@ -86,6 +86,7 @@ class AdamState:
     otherwise), which ``adam_step`` updates in place.  ``spare``, made by
     the first running-v update, receives the next v, so that the previous v
     stays readable for the step's statistics, which use it as work space.
+    Once ``step`` freezes v, ``v`` holds sqrt(v* + eps) and ``spare`` is None.
     """
 
     m: models.ParamBuffer
@@ -130,9 +131,10 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     * sqrt(v / (1 - beta2**k) + eps) with the running v (the dense update);
     * sqrt(v + eps) with the raw running v when ``bias_correct_v`` is False
       (the masked phase of step_updated_variance);
-    * sqrt(v* + eps) with ``freeze_v``, where v* is ``state.v``, left
-      untouched (step); it is formed per chunk, as v* / 1.0 (exact), so it
-      holds no P-sized buffer.
+    * ``state.v`` as it stands with ``freeze_v`` (step): sqrt(v* / 1.0 + eps),
+      written once at the switch by ``recipe_train`` and never again, with
+      the raw v* (not bias-corrected) and eps inside the root.  Neither
+      convention was checked against the paper's algorithm: PAPER.md holds none.
     """
     k = state.t + 1
     shapes = state.m.shapes
@@ -142,32 +144,34 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     gamma = hyper.lr_schedule(state.t)
     b1, b2 = hyper.beta1, hyper.beta2
     m_corr = 1.0 - b1**k
-    v_corr = 1.0 - b2**k if bias_correct_v and not freeze_v else 1.0  # v / 1.0 is exact
+    v_corr = 1.0 - b2**k if bias_correct_v else 1.0  # v / 1.0 is exact
     size = params.flat.size
-    temp, temp_denom = np.empty(min(size, CHUNK)), np.empty(min(size, CHUNK))
-    if not freeze_v and state.spare is None:
-        state.spare = models.ParamBuffer(shapes)
+    temp = np.empty(min(size, CHUNK))
+    if not freeze_v:
+        temp_denom = np.empty(min(size, CHUNK))
+        if state.spare is None:
+            state.spare = models.ParamBuffer(shapes)
 
     for start in range(0, size, CHUNK):
         chunk = slice(start, start + CHUNK)
         g, m, p = grads.flat[chunk], state.m.flat[chunk], params.flat[chunk]
-        scratch, denom = temp[:g.size], temp_denom[:g.size]
+        scratch = temp[:g.size]
         # m = b1 * m + (1 - b1) * g
         m *= b1
         np.multiply(g, 1.0 - b1, out=scratch)
         m += scratch
         if freeze_v:
-            v = state.v.flat[chunk]
+            denom = state.v.flat[chunk]
         else:
             # v = b2 * v + (1 - b2) * g * g, into the spare buffer
-            v = state.spare.flat[chunk]
+            v, denom = state.spare.flat[chunk], temp_denom[:g.size]
             np.multiply(state.v.flat[chunk], b2, out=v)
             np.multiply(g, 1.0 - b2, out=scratch)
             scratch *= g
             v += scratch
-        np.divide(v, v_corr, out=denom)
-        denom += hyper.eps
-        np.sqrt(denom, out=denom)
+            np.divide(v, v_corr, out=denom)
+            denom += hyper.eps
+            np.sqrt(denom, out=denom)
         # params = params - gamma * (m / m_corr) / denom
         np.divide(m, m_corr, out=scratch)
         scratch *= gamma
@@ -252,17 +256,14 @@ class Recipe:
 
 @dataclass
 class TrainResult:
-    """Everything a run produces: final weights, masks, state and trajectory.
+    """What a run produces: final weights and masks, trajectory and evaluation.
 
-    ``v_star``, the variance at the switch (None without one), is ``state.v``
-    itself for ``step``, and a copy for ``step_updated_variance``, whose v moves on.
+    No Adam state: a frozen v holds sqrt(v* + eps), not v*, and m and v are
+    freed before the final evaluation.
     """
 
     params: models.ParamBuffer
-    masked_params: models.ParamBuffer
     final_masks: dict[str, np.ndarray]
-    state: AdamState
-    v_star: models.ParamBuffer | None
     switched_at: int | None
     records: list[StepRecord]
     sparse_eval_loss: float
@@ -312,7 +313,6 @@ def recipe_train(
 
     masked_from_start = recipe.kind in ("ste", "srste")
     switched_at: int | None = None
-    v_star: models.ParamBuffer | None = None
     frozen = False  # whether step has frozen v
     point: models.ParamBuffer | None = None  # the masked weights, made on first use
     records: list[StepRecord] = []
@@ -349,29 +349,28 @@ def recipe_train(
             record.z_bar = detector.last_mean
             if fired:
                 switched_at = record.switched_at = t
-                # step freezes v where it is and drops the spare; the running
-                # v of step_updated_variance moves on
+                # step freezes v and turns it, in its own buffer and once, into
+                # the denominator sqrt(v* / 1.0 + eps) (v* / 1.0 is exact), and
+                # drops the spare; the running v of step_updated_variance moves on
                 frozen = recipe.kind == "step"
-                v_star = state.v if frozen else state.v.copy()
                 if frozen:
+                    state.v.flat += hyper.eps
+                    np.sqrt(state.v.flat, out=state.v.flat)
                     state.spare = None
 
-    # neither the gradients nor the spare v is needed from here on
-    grads = prev_v = state.spare = None
+    # neither the gradients nor the Adam state is needed from here on
+    grads = prev_v = state = None
     final_ratios = _effective_ratios(plan, recipe.decay, total_steps) if plan else {}
-    masked_params = models.ParamBuffer(params.shapes) if point is None else point
-    _masked_point(params, final_ratios, masked_params, keep_masks=False)
+    point = models.ParamBuffer(params.shapes) if point is None else point
+    _masked_point(params, final_ratios, point, keep_masks=False)
     full = dataset.full_batch()
-    sparse_eval_loss = models.forward_loss(spec, masked_params, full)
+    sparse_eval_loss = models.forward_loss(spec, point, full)
     dense_eval_loss = models.forward_loss(spec, params, full)
     final_masks = {name: compute_nm_mask(w, final_ratios[name])
                    for name, w in params.items() if name in final_ratios}
     return TrainResult(
         params=params,
-        masked_params=masked_params,
         final_masks=final_masks,
-        state=state,
-        v_star=v_star,
         switched_at=switched_at,
         records=records,
         sparse_eval_loss=sparse_eval_loss,

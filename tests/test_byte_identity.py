@@ -4,8 +4,10 @@ Each case trains once and hashes two things: the trajectory JSONL that
 ``harness.write_trajectory`` writes (every per-step loss, variance norm and
 switch sample, plus the final evaluation record), and the final parameters'
 bytes in ``models.param_shapes`` order.  A change to the training loop that
-moves any bit of a run fails here.  The theorem validator's cases hash its
-report, as the ``validate-theorem`` command writes it, for each stream kind.
+moves any bit of a run fails here.  The wide case must also read the same
+digests with OpenBLAS on one thread and on two.  The theorem validator's
+cases hash its report, as the ``validate-theorem`` command writes it, for
+each stream kind.
 
 The digests were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, 64-bit ints, DYNAMIC_ARCH, Haswell kernels), x86-64,
@@ -16,10 +18,15 @@ outputs are trusted before comparing another one against them.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stepnm
 from stepnm import harness, models, optim, theory
 from stepnm.autoswitch import SwitchCriterion
 from stepnm.masks import DecaySchedule, NMRatio, SparsityPlan
@@ -109,7 +116,7 @@ def test_small_mlp_runs(name, tmp_path):
     assert _digests(spec, run, tmp_path) == DIGESTS[name]
 
 
-def test_wide_mlp_run(tmp_path):
+def _wide_run_digests(tmp_path):
     # large enough that every matmul goes through BLAS kernels
     spec = models.ModelSpec("mlp_classifier", (64, 128, 128, 10))
     ds = models.gen_synthetic("blobs", 512, 64, n_classes=10, noise_std=1.0, seed=4, batch_size=64)
@@ -118,7 +125,25 @@ def test_wide_mlp_run(tmp_path):
     run = optim.recipe_train(spec, ds, hyper, plan, Recipe("step"),
                              SwitchCriterion(kind="fixed", step=5), 10, seed=7)
     assert run.switched_at == 5
-    assert _digests(spec, run, tmp_path) == DIGESTS["wide"]
+    return _digests(spec, run, tmp_path)
+
+
+def test_wide_mlp_run(tmp_path):
+    assert _wide_run_digests(tmp_path) == DIGESTS["wide"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_wide_mlp_run_is_blas_thread_count_invariant(threads, tmp_path):
+    # OpenBLAS reads its thread count once, when it loads, so each count runs
+    # the wide case in a process of its own
+    code = ("import json, pathlib, sys, test_byte_identity as t; "
+            "print(json.dumps(t._wide_run_digests(pathlib.Path(sys.argv[1]))))")
+    path = os.pathsep.join([str(Path(__file__).parent), str(Path(stepnm.__file__).parents[1])])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert tuple(json.loads(done.stdout)) == DIGESTS["wide"]
 
 
 # stream kind: sha256 of the report's JSON

@@ -147,10 +147,12 @@ class TestAdamStep:
         m0 = {n: rng.standard_normal(w.shape) * 1e-2 for n, w in params.items()}
         v0 = {n: rng.random(w.shape) * 1e-3 for n, w in params.items()}
         grads = {n: rng.standard_normal(w.shape) for n, w in params.items()}
+        frozen = {n: np.sqrt(v + 1e-8) for n, v in v0.items()}
         for freeze in (True, False):
             # the update writes the state and the parameters in place, so each
-            # denominator starts from buffers of its own, and expects from copies
-            state = optim.AdamState(m=buffer(**m0), v=buffer(**v0), t=9)
+            # denominator starts from buffers of its own, and expects from copies;
+            # a frozen v already holds its denominator, which must stay untouched
+            state = optim.AdamState(m=buffer(**m0), v=buffer(**(frozen if freeze else v0)), t=9)
             old_p, old_m, old_v = [{n: a.copy() for n, a in d.items()}
                                    for d in (params, state.m, state.v)]
             new_state, new_params = adam_step(state, hyper, buffer(**params), buffer(**grads),
@@ -159,7 +161,7 @@ class TestAdamStep:
                 g = grads[n]
                 m = 0.9 * old_m[n] + (1.0 - 0.9) * g
                 v = old_v[n] if freeze else 0.999 * old_v[n] + (1.0 - 0.999) * g * g
-                p = w - 2e-3 * (m / (1.0 - 0.9**10)) / np.sqrt(v + 1e-8)
+                p = w - 2e-3 * (m / (1.0 - 0.9**10)) / np.sqrt((v0[n] if freeze else v) + 1e-8)
                 assert new_state.m[n].tobytes() == m.tobytes()
                 assert new_state.v[n].tobytes() == v.tobytes()
                 assert new_params[n].tobytes() == p.tobytes()
@@ -178,14 +180,16 @@ class TestAdamStep:
         frozen = {n: np.sqrt(v + 1e-7) for n, v in v0.items()}
         k = 5
         for freeze, corrected in ((False, True), (False, False), (True, True)):
-            state = optim.AdamState(m=buffer(**m0), v=buffer(**v0), t=k - 1)
+            # a frozen v holds its denominator, sqrt(v0 + eps), and is left untouched
+            v_in = frozen if freeze else v0
+            state = optim.AdamState(m=buffer(**m0), v=buffer(**v_in), t=k - 1)
             new_state, new_params = adam_step(state, hyper, buffer(**params), buffer(**grads),
                                               freeze_v=freeze, bias_correct_v=corrected)
             for n, w in params.items():
                 g = grads[n]
                 m = 0.8 * m0[n] + (1.0 - 0.8) * g
                 if freeze:  # a frozen v is never bias-corrected
-                    v, d = v0[n], frozen[n]
+                    v = d = frozen[n]
                 else:
                     v = 0.99 * v0[n] + (1.0 - 0.99) * g * g
                     d = np.sqrt((v / (1.0 - 0.99**k) if corrected else v) + 1e-7)
@@ -384,16 +388,18 @@ class TestTwoPhaseTraining:
             assert a.loss == b.loss
 
     def test_frozen_variance_exact(self, train_with_snapshots):
-        # v* is v itself, so the check is against a copy of v taken at the switch
+        # at the switch v* becomes sqrt(v* + eps) in v's own buffer; the
+        # snapshot of step 30 is copied inside adam_step, before that
         spec, ds, plan = blob_setup()
         crit = SwitchCriterion(kind="fixed", step=30)
-        run, snapshots = train_with_snapshots({30}, spec, ds, default_hyper(5e-3), plan,
+        run, snapshots = train_with_snapshots(range(30, 91), spec, ds, default_hyper(5e-3), plan,
                                               Recipe("step"), crit, 90, 2)
         assert run.switched_at == 30
-        assert np.shares_memory(run.v_star.flat, run.state.v.flat)
         _, at_switch = snapshots[30]
-        for k, frozen in at_switch.v.items():
-            assert float(np.max(np.abs(run.state.v[k] - frozen))) == 0.0
+        for t in range(31, 91):
+            _, later = snapshots[t]
+            for k, v_star in at_switch.v.items():
+                assert float(np.max(np.abs(later.v[k] - np.sqrt(v_star + 1e-8)))) == 0.0
         phase2 = [r for r in run.records if r.phase == "mask_learning"]
         assert len(phase2) == 60
         assert len({r.v_l1 for r in phase2}) == 1
@@ -411,6 +417,7 @@ class TestTwoPhaseTraining:
         batches = models.batch_iterator(ds, (seed, 1))  # the trainer's batch stream
         for _ in range(t0):
             next(batches)
+        v_star = snapshots[t0][1].v  # copied inside adam_step, before the switch
         for k in (t0 + 1, t0 + 2):
             params, state = snapshots[k - 1]
             masked = params.copy()
@@ -420,11 +427,11 @@ class TestTwoPhaseTraining:
             after, after_state = snapshots[k]
             for name, w in params.items():
                 m_hat = (0.9 * state.m[name] + 0.1 * grads[name]) / (1.0 - 0.9**k)
-                raw = w - lr * m_hat / np.sqrt(run.v_star[name] + 1e-8)
-                corrected = w - lr * m_hat / np.sqrt(run.v_star[name] / (1.0 - 0.999**t0) + 1e-8)
+                raw = w - lr * m_hat / np.sqrt(v_star[name] + 1e-8)
+                corrected = w - lr * m_hat / np.sqrt(v_star[name] / (1.0 - 0.999**t0) + 1e-8)
                 np.testing.assert_allclose(after[name], raw, rtol=1e-12, atol=0.0)
                 assert not np.allclose(after[name], corrected, rtol=1e-9, atol=0.0)
-                np.testing.assert_array_equal(after_state.v[name], run.v_star[name])
+                np.testing.assert_array_equal(after_state.v[name], np.sqrt(v_star[name] + 1e-8))
 
     def test_updated_variance_divides_by_raw_running_variance(self, train_with_snapshots):
         # pins the convention of step_updated_variance: after the switch it
@@ -458,18 +465,6 @@ class TestTwoPhaseTraining:
                 np.testing.assert_allclose(after[name], raw, rtol=1e-12, atol=0.0)
                 assert not np.allclose(after[name], corrected, rtol=1e-9, atol=0.0)
 
-    def test_updated_variance_v_star_is_a_copy(self, train_with_snapshots):
-        # v keeps moving after the switch; v_star must keep its value at the switch
-        spec, ds, plan = blob_setup()
-        crit = SwitchCriterion(kind="fixed", step=20)
-        run, snapshots = train_with_snapshots({20}, spec, ds, default_hyper(5e-3), plan,
-                                              Recipe("step_updated_variance"), crit, 40, 5)
-        _, at_switch = snapshots[20]
-        for name in run.v_star:
-            np.testing.assert_array_equal(run.v_star[name], at_switch.v[name])
-            assert not np.array_equal(run.v_star[name], run.state.v[name])
-            assert not np.shares_memory(run.v_star[name], run.state.v[name])
-
     def test_degenerate_switch_at_end_equals_dense_plus_mask(self):
         spec, ds, plan = blob_setup()
         hyper = default_hyper(5e-3)
@@ -478,7 +473,10 @@ class TestTwoPhaseTraining:
         b = optim.recipe_train(spec, ds, hyper, plan, Recipe("dense"), None, 60, seed=3)
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
-            np.testing.assert_array_equal(a.masked_params[k], b.masked_params[k])
+        assert a.final_masks.keys() == b.final_masks.keys()
+        for k in a.final_masks:
+            np.testing.assert_array_equal(a.final_masks[k], b.final_masks[k])
+        assert a.sparse_eval_loss == b.sparse_eval_loss
 
     def test_criterion_never_fires_runs_dense(self):
         spec, ds, plan = blob_setup()
@@ -592,17 +590,17 @@ class TestTwoPhaseTraining:
 
 class TestTrainingMemory:
     @pytest.mark.parametrize("kind, bound", [
-        ("step", 5.5), ("dense", 5.5), ("step_updated_variance", 7.5), ("ste", 6.5)])
+        ("step", 5.5), ("dense", 5.5), ("step_updated_variance", 6.5), ("ste", 6.5)])
     def test_allocation_peak_in_flat_buffers(self, kind, bound):
         # P-sized buffers per phase.  Dense (and step before the switch): 5,
         # params, grads, m, v and the next v, which the variance statistics
         # then use as their work buffer.  Masked step: 5, params, grads, m, v
-        # (which is v*, divided by per chunk) and the masked weights.  Final
-        # evaluation: 4, params, m, v and the masked weights, then 5 with the
-        # final masks, made after it.  ste keeps the next v in its masked
-        # phase (6), and step_updated_variance also its copy of v* (7).  The
-        # chunk-sized scratch of the Adam update and the mask, and the
-        # activations, share the last 0.3
+        # (which holds sqrt(v* + eps) from the switch on) and the masked
+        # weights.  Final evaluation, after grads, m and v are freed: 2,
+        # params and the masked weights, then 3 with the final masks.  ste
+        # and step_updated_variance keep the next v in their masked phase
+        # (6).  The chunk-sized scratch of the Adam update and the mask, and
+        # the activations, share the last 0.3
         spec = models.ModelSpec("mlp_classifier", (64, 512, 512, 10))
         ds = models.gen_synthetic("blobs", 256, 64, n_classes=10, noise_std=1.0, seed=0,
                                   batch_size=32)
