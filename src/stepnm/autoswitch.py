@@ -39,33 +39,32 @@ def mixing_window(beta2: float) -> int:
     return int(math.floor(1.0 / (1.0 - beta2) + 1e-9))
 
 
-def variance_stats(v: ParamBuffer, v_prev: ParamBuffer) -> tuple[float, float, float, float]:
+def variance_stats(v: ParamBuffer, dv: ParamBuffer) -> tuple[float, float, float, float]:
     """Per-step variance statistics over every parameter: (z, z_geom, v_l1, v_l2).
 
-    z is the mean absolute per-coordinate change from ``v_prev`` to ``v``;
-    z_geom is the geometric mean of those changes, floored at a tiny constant
-    so zero changes stay defined; v_l1 and v_l2 are the norms of ``v``.  Both
-    are ParamBuffers of one layout (DimensionError otherwise).  ``v`` is
-    untouched and ``v_prev`` is lost.  The passes |dv|, its log, v and v**2
+    ``dv`` holds the per-coordinate change v_t - v_{t-1} that led to ``v``,
+    as ``adam_step`` leaves it in the gradient buffer.  z is the mean of
+    |dv|; z_geom is the geometric mean of |dv|, floored at a tiny constant
+    so zero changes stay defined; v_l1 and v_l2 are the norms of ``v``.
+    Both are ParamBuffers of one layout (DimensionError otherwise).  ``v``
+    is untouched and ``dv`` is lost.  The passes |dv|, its log, v and v**2
     are each summed per parameter, and the sums added up as Python floats
     in layout order.  Up to CHUNK / 4 coordinates, where calls cost more
     than work, the passes fill the rows of one scratch array and share the
-    sum calls; beyond that, each runs in place in ``v_prev``.
+    sum calls; beyond that, each runs in place in ``dv``.
     """
     check_layout(v, "variance")
-    check_layout(v_prev, "previous variance", v.shapes)
+    check_layout(dv, "variance change", v.shapes)
     count = v.flat.size
     if 4 * count <= CHUNK:
-        dv, logs, v_copy, squares = work = np.empty((4, count))
-        np.subtract(v.flat, v_prev.flat, out=dv)
-        np.abs(dv, out=dv)
-        np.log(np.maximum(dv, GEOMETRIC_FLOOR, out=logs), out=logs)
+        changes, logs, v_copy, squares = work = np.empty((4, count))
+        np.abs(dv.flat, out=changes)
+        np.log(np.maximum(changes, GEOMETRIC_FLOOR, out=logs), out=logs)
         np.copyto(v_copy, v.flat)
         np.square(v.flat, out=squares)
         total_abs, total_log, l1, sq = _layer_sums(work, v.bounds)
     else:
-        work = v_prev.flat
-        np.subtract(v.flat, work, out=work)
+        work = dv.flat
         np.abs(work, out=work)
         total_abs, = _layer_sums(work[None], v.bounds)
         np.log(np.maximum(work, GEOMETRIC_FLOOR, out=work), out=work)

@@ -182,6 +182,7 @@ def _pass(spec: ModelSpec, params: ParamBuffer, batch, backward: bool,
     ``backward``; the backward pass walks the layers in reverse, forming
     dW = g.T @ h and db = sum(g) per layer, into ``out`` as
     ``loss_and_grad`` says, and skipping the gradient of the input batch.
+    Each layer's g @ W is formed before its dW, so ``out`` may be ``params``.
     """
     inputs, targets = batch
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -231,12 +232,12 @@ def _pass(spec: ModelSpec, params: ParamBuffer, batch, backward: bool,
     grads = list(out.values())  # weight, bias, weight, bias, ... in layer order
     for i in range(n_layers - 1, -1, -1):
         h = layer_inputs[i]
+        g_in = g @ arrays[2 * i] if i > 0 else None  # read W before dW overwrites it
         np.matmul(g.T, h, out=grads[2 * i])
         g.sum(axis=0, out=grads[2 * i + 1])
         if i > 0:
-            g = g @ arrays[2 * i]
             # the relu subgradient at exactly 0 is +0.0
-            g = np.where(h > 0.0, g, 0.0) if spec.activation == "relu" else g * (1.0 - h * h)
+            g = np.where(h > 0.0, g_in, 0.0) if spec.activation == "relu" else g_in * (1.0 - h * h)
     return float(loss), out
 
 
@@ -251,6 +252,7 @@ def loss_and_grad(spec: ModelSpec, params: ParamBuffer, batch,
 
     The gradients fill ``out``, a ParamBuffer laid out as ``param_shapes(spec)``
     (DimensionError otherwise), or a new one; that buffer is returned.
+    It may be ``params``, whose weights the gradients then overwrite.
     """
     return _pass(spec, params, batch, backward=True, out=out)
 

@@ -6,8 +6,8 @@ straight-through gradients while the frozen variance keeps scaling the
 learning rate.  Single-phase baselines (dense, ste, srste) and the
 updated-variance variant share the same driver.
 
-A run holds its parameters, gradients and Adam moments in ParamBuffers (see
-``models``): one flat float64 array each, laid out as
+A run holds its parameters, gradients and Adam moments in four ParamBuffers
+(see ``models``): one flat float64 array each, laid out as
 ``models.param_shapes``, with named (out, in) views.  Each step writes the
 gradients into their buffer and ``adam_step`` updates the others in place,
 CHUNK coordinates at a time.  The model, the update and the STE gradient
@@ -83,16 +83,13 @@ class AdamState:
     """Moment accumulators and the completed-step counter.
 
     ``m`` and ``v`` are ParamBuffers of one layout (DimensionError
-    otherwise), which ``adam_step`` updates in place.  ``spare``, made by
-    the first running-v update, receives the next v, so that the previous v
-    stays readable for the step's statistics, which use it as work space.
-    Once ``step`` freezes v, ``v`` holds sqrt(v* + eps) and ``spare`` is None.
+    otherwise), which ``adam_step`` updates in place.  Once ``step`` freezes
+    v, ``v`` holds sqrt(v* + eps).
     """
 
     m: models.ParamBuffer
     v: models.ParamBuffer
     t: int = 0
-    spare: models.ParamBuffer | None = None
 
     def __post_init__(self):
         models.check_layout(self.m, "first moment")
@@ -115,14 +112,14 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
               grads: models.ParamBuffer, freeze_v: bool = False, bias_correct_v: bool = True):
     """One Adam update over the whole flat buffer, in place; returns (state, params).
 
-    ``params``, ``state.m`` and the step counter are updated where they are,
-    and a running v is written into ``state.spare`` and swapped with it, so
-    the previous ``state.v`` keeps its values until the next update.  Params
-    and grads must be ParamBuffers laid out as ``state.m``; anything else
-    raises DimensionError.  Once the whole gradient is found finite, the
-    operations run CHUNK coordinates at a time, on chunk-sized temporaries
-    made per call, in the order of the plain per-parameter expressions, so
-    every bit is theirs.
+    ``params``, ``state.m``, a running ``state.v`` and the step counter are
+    updated where they are, and a running-v update leaves v_new - v_old in
+    ``grads``, for the step's statistics.  Params and grads must be
+    ParamBuffers laid out as ``state.m``; anything else raises
+    DimensionError.  Once the whole gradient is found finite, the
+    operations run CHUNK coordinates at a time, on two chunk-sized
+    temporaries made per call, in the order of the plain per-parameter
+    expressions, so every bit is theirs.
 
     Bias correction divides by 1 - beta**k where k counts the gradients
     accumulated so far, so the first step divides by 1 - beta (never zero).
@@ -149,8 +146,6 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     temp = np.empty(min(size, CHUNK))
     if not freeze_v:
         temp_denom = np.empty(min(size, CHUNK))
-        if state.spare is None:
-            state.spare = models.ParamBuffer(shapes)
 
     for start in range(0, size, CHUNK):
         chunk = slice(start, start + CHUNK)
@@ -163,13 +158,16 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
         if freeze_v:
             denom = state.v.flat[chunk]
         else:
-            # v = b2 * v + (1 - b2) * g * g, into the spare buffer
-            v, denom = state.spare.flat[chunk], temp_denom[:g.size]
-            np.multiply(state.v.flat[chunk], b2, out=v)
+            # v_new = b2 * v + (1 - b2) * g * g; the spent g takes v_new - v,
+            # v takes v_new, and v_new's scratch becomes the denominator
+            v, denom = state.v.flat[chunk], temp_denom[:g.size]
+            np.multiply(v, b2, out=denom)
             np.multiply(g, 1.0 - b2, out=scratch)
             scratch *= g
-            v += scratch
-            np.divide(v, v_corr, out=denom)
+            denom += scratch
+            np.subtract(denom, v, out=g)
+            v[...] = denom
+            denom /= v_corr
             denom += hyper.eps
             np.sqrt(denom, out=denom)
         # params = params - gamma * (m / m_corr) / denom
@@ -177,8 +175,6 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
         scratch *= gamma
         scratch /= denom
         p -= scratch
-    if not freeze_v:
-        state.v, state.spare = state.spare, state.v
     state.t = k
     return state, params
 
@@ -214,9 +210,10 @@ def ste_loss_and_grad(spec, params: models.ParamBuffer, ratios, batch, lam: floa
     applied to all coordinates.  With lam > 0 (SR-STE) they also get
     lam * (1 - mask) * weights on the listed layers.  The gradients go into
     ``out`` when it is given, as in ``models.loss_and_grad``, and the masked
-    point into ``point``, or a new buffer.  ``params`` and ``point`` are
-    ParamBuffers laid out as ``models.param_shapes(spec)`` (DimensionError
-    otherwise).  With ``point`` and lam == 0, ``masks`` is empty.
+    point into ``point``, or a new buffer; ``out`` may be ``point``.  Both
+    ``params`` and ``point`` are ParamBuffers laid out as
+    ``models.param_shapes(spec)`` (DimensionError otherwise).  With
+    ``point`` and lam == 0, ``masks`` is empty.
     """
     layout = models.param_shapes(spec)
     models.check_layout(params, "parameters", layout)
@@ -294,6 +291,9 @@ def recipe_train(
     are evaluated both densely and under the final masks, which are made
     after both evaluations.  The plan and the recipe's decay are taken as
     valid for the spec, and total_steps as >= 1, as ExperimentConfig checks them.
+    A run holds four ParamBuffers: params, grads, m and v.  ``grads`` holds
+    a masked step's masked weights, then every step's gradient, then
+    v_t - v_{t-1} for the statistics, and at the end the final masked weights.
     """
     two_phase = recipe.kind in TWO_PHASE_KINDS
     if two_phase and switch is None:
@@ -314,19 +314,17 @@ def recipe_train(
     masked_from_start = recipe.kind in ("ste", "srste")
     switched_at: int | None = None
     frozen = False  # whether step has frozen v
-    point: models.ParamBuffer | None = None  # the masked weights, made on first use
     records: list[StepRecord] = []
 
     for t in range(1, total_steps + 1):
         batch = next(batches)
         in_masked_phase = masked_from_start or switched_at is not None
-        prev_v = state.v
 
         if in_masked_phase and plan:
             ratios = _effective_ratios(plan, recipe.decay, t)
-            point = models.ParamBuffer(params.shapes) if point is None else point
-            grads, _, loss = ste_loss_and_grad(spec, params, ratios, batch, lam=recipe.lam,
-                                               out=grads, point=point)
+            # only the loss is kept: the step's masks go at once
+            loss = ste_loss_and_grad(spec, params, ratios, batch, lam=recipe.lam,
+                                     out=grads, point=grads)[2]
         else:
             loss, grads = models.loss_and_grad(spec, params, batch, out=grads)
 
@@ -337,9 +335,8 @@ def recipe_train(
         z = z_geom = None
         if not frozen:
             # a frozen variance keeps the statistics of the step that froze it;
-            # adam_step wrote the new v elsewhere, so prev_v still holds the old
-            # one, which the statistics then overwrite
-            z, z_geom, v_l1, v_l2 = variance_stats(state.v, prev_v)
+            # adam_step left v_t - v_{t-1} in grads, which the statistics overwrite
+            z, z_geom, v_l1, v_l2 = variance_stats(state.v, grads)
 
         record = StepRecord(t, "mask_learning" if in_masked_phase else "precondition", loss,
                             v_l1, v_l2, z, z_geom)
@@ -350,21 +347,19 @@ def recipe_train(
             if fired:
                 switched_at = record.switched_at = t
                 # step freezes v and turns it, in its own buffer and once, into
-                # the denominator sqrt(v* / 1.0 + eps) (v* / 1.0 is exact), and
-                # drops the spare; the running v of step_updated_variance moves on
+                # the denominator sqrt(v* / 1.0 + eps) (v* / 1.0 is exact); the
+                # running v of step_updated_variance moves on
                 frozen = recipe.kind == "step"
                 if frozen:
                     state.v.flat += hyper.eps
                     np.sqrt(state.v.flat, out=state.v.flat)
-                    state.spare = None
 
-    # neither the gradients nor the Adam state is needed from here on
-    grads = prev_v = state = None
+    # the Adam state is not needed from here on; grads takes the final masked weights
+    state = None
     final_ratios = _effective_ratios(plan, recipe.decay, total_steps) if plan else {}
-    point = models.ParamBuffer(params.shapes) if point is None else point
-    _masked_point(params, final_ratios, point, keep_masks=False)
+    _masked_point(params, final_ratios, grads, keep_masks=False)
     full = dataset.full_batch()
-    sparse_eval_loss = models.forward_loss(spec, point, full)
+    sparse_eval_loss = models.forward_loss(spec, grads, full)
     dense_eval_loss = models.forward_loss(spec, params, full)
     final_masks = {name: compute_nm_mask(w, final_ratios[name])
                    for name, w in params.items() if name in final_ratios}

@@ -33,22 +33,25 @@ class TestMixingWindow:
         assert mixing_window(0.0) == 1
 
 
+def change_stats(v, v_prev):
+    """variance_stats of ``v`` (a dict of arrays) reached from ``v_prev``: dv = v - v_prev."""
+    return variance_stats(buffer(**v), buffer(**{n: np.subtract(v[n], v_prev[n]) for n in v}))
+
+
 class TestVarianceChangeSample:
     def test_arithmetic(self):
-        z, _, _, _ = variance_stats(buffer(w=np.array([0.002, 0.001])),
-                                    buffer(w=np.array([0.001, 0.004])))
+        z, _, _, _ = change_stats({"w": np.array([0.002, 0.001])}, {"w": np.array([0.001, 0.004])})
         assert math.isclose(z, 0.002, rel_tol=1e-15)
 
     def test_equal_coordinates_both_options(self):
         v_prev = {"a": np.array([1.0, 2.0]), "b": np.array([[3.0]])}
         v = {name: arr + 0.005 for name, arr in v_prev.items()}
-        z, z_geom, _, _ = variance_stats(buffer(**v), buffer(**v_prev))
+        z, z_geom, _, _ = change_stats(v, v_prev)
         assert math.isclose(z, 0.005, rel_tol=1e-12)
         assert math.isclose(z_geom, 0.005, rel_tol=1e-12)
 
     def test_geometric_floor(self):
-        _, z_geom, _, _ = variance_stats(buffer(w=np.array([1.0, 1.004])),
-                                         buffer(w=np.array([1.0, 1.0])))
+        _, z_geom, _, _ = change_stats({"w": np.array([1.0, 1.004])}, {"w": np.array([1.0, 1.0])})
         assert math.isclose(z_geom, math.sqrt(GEOMETRIC_FLOOR * 0.004), rel_tol=1e-9)
 
 
@@ -318,7 +321,7 @@ def _l1_diffs(v_by_step):
     """Entry t is ||v_t - v_{t-1}||_1 as the profile records it: z times the size."""
     diffs = [0.0]
     for t in range(1, len(v_by_step)):
-        z, _, _, _ = variance_stats(buffer(v=v_by_step[t]), buffer(v=v_by_step[t - 1]))
+        z, _, _, _ = change_stats({"v": v_by_step[t]}, {"v": v_by_step[t - 1]})
         diffs.append(z * v_by_step[t].size)
     return diffs
 

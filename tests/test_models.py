@@ -26,6 +26,11 @@ def random_batch(spec, batch, seed):
     return inputs, targets
 
 
+# three-layer MLPs, whose inner layers pass a gradient through their weights, and a single layer
+ALIASING_SPECS = [mlp((6, 8, 8, 4), "relu"), mlp((6, 8, 8, 4), "tanh"),
+                  ModelSpec("linear_regression", (6, 2))]
+
+
 class TestModelSpec:
     def test_valid(self):
         ModelSpec("linear_regression", (4, 1))
@@ -306,6 +311,32 @@ class TestGrad:
         assert grads is out and loss_out == loss
         for name, g in fresh.items():
             assert out[name].tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("spec", ALIASING_SPECS, ids=["relu", "tanh", "linear"])
+    def test_gradients_may_overwrite_their_parameters(self, spec):
+        # out=params: each layer's g @ W is formed before its dW is written
+        params = models.init_params(spec, 8)
+        batch = random_batch(spec, 16, 9)
+        loss, fresh = models.loss_and_grad(spec, params, batch)
+        buf = params.copy()
+        loss_in_place, grads = models.loss_and_grad(spec, buf, batch, out=buf)
+        assert grads is buf and loss_in_place == loss
+        assert buf.flat.tobytes() == fresh.flat.tobytes()
+
+    @pytest.mark.parametrize("spec", ALIASING_SPECS, ids=["relu", "tanh", "linear"])
+    def test_ste_gradients_may_overwrite_their_masked_point(self, spec):
+        # out=point: the trainer's one work buffer holds the masked weights,
+        # then the gradients taken at them, with and without the SR-STE penalty
+        params = models.init_params(spec, 8)
+        batch = random_batch(spec, 16, 9)
+        ratios = {name: NMRatio(1, 2) for name in params if name.endswith(".weight")}
+        for lam in (0.0, 0.01):
+            fresh, _, loss = optim.ste_loss_and_grad(spec, params, ratios, batch, lam=lam)
+            buf = models.ParamBuffer(params.shapes)
+            grads, _, loss_in_place = optim.ste_loss_and_grad(spec, params, ratios, batch, lam=lam,
+                                                              out=buf, point=buf)
+            assert grads is buf and loss_in_place == loss
+            assert buf.flat.tobytes() == fresh.flat.tobytes()
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_forward_loss_has_the_bits_of_the_gradient_pass(self, activation):

@@ -92,8 +92,10 @@ class TestAdamStep:
         grads = buffer(**{name: np.ones_like(p) for name, p in params.items()})
         state, params = adam_step(init_adam_state(params), hyper, params, grads)
         grads["b"][2] = np.nan
+        before = [b.flat.tobytes() for b in (params, state.m, state.v, grads)]
         with pytest.raises(NumericalError, match=r"gradient for 'b' at step 2$"):
             adam_step(state, hyper, params, grads)
+        assert [b.flat.tobytes() for b in (params, state.m, state.v, grads)] == before
 
     def test_updates_in_place(self):
         hyper = default_hyper()
@@ -104,15 +106,18 @@ class TestAdamStep:
         assert same is state and state.t == 1
         assert updated is params and params["w"][0] < 1.0  # updated where it is
         assert state.m is m and m["w"][0] == (1.0 - 0.9) * 2.0
-        # the new v went into the spare buffer; the previous v is still there
-        assert state.spare is v and v["w"][0] == 0.0 and state.v["w"][0] > 0.0
+        # the new v is written over the previous one, in its own buffer
+        assert state.v is v and v["w"][0] == (1.0 - 0.999) * 2.0 * 2.0
+        assert vars(state).keys() == {"m", "v", "t"}  # no spare buffer
+        v_flat = v.flat
         _, again = adam_step(state, hyper, params, buffer(w=np.array([2.0])))
         assert again is params
-        assert state.v is v and state.t == 2
+        assert state.v is v and v.flat is v_flat and state.t == 2
+        assert v["w"][0] == 0.999 * ((1.0 - 0.999) * 2.0 * 2.0) + (1.0 - 0.999) * 2.0 * 2.0
 
     def test_bitwise_equal_to_plain_expressions(self):
         # the update writes into fresh buffers in place; every bit must match
-        # the plain numpy expression, and no input may change
+        # the plain numpy expression, and grads must hold v_new - v_old
         rng = np.random.default_rng(11)
         hyper = AdamHyper(beta1=0.85, beta2=0.995, eps=1e-7, lr_schedule=constant_lr(3e-3))
         shapes = {"a": (64, 32), "b": (7,), "c": (1, 1)}
@@ -125,17 +130,16 @@ class TestAdamStep:
             old_p, old_g, old_m, old_v = [{n: a.copy() for n, a in d.items()}
                                           for d in (params, grads, state.m, state.v)]
             new_state, new_params = adam_step(state, hyper, params, grads)
-            for n in grads:
-                np.testing.assert_array_equal(grads[n], old_g[n])
             b1, b2, gamma = 0.85, 0.995, 3e-3
             for n, w in old_p.items():
-                g = grads[n]
+                g = old_g[n]
                 m = b1 * old_m[n] + (1.0 - b1) * g
                 v = b2 * old_v[n] + (1.0 - b2) * g * g
                 p = w - gamma * (m / (1.0 - b1**k)) / np.sqrt(v / (1.0 - b2**k) + 1e-7)
                 assert new_state.m[n].tobytes() == m.tobytes()
                 assert new_state.v[n].tobytes() == v.tobytes()
                 assert new_params[n].tobytes() == p.tobytes()
+                assert grads[n].tobytes() == (v - old_v[n]).tobytes()
             state, params = new_state, new_params
 
     def test_masked_phase_bitwise_equal_to_plain_expressions(self):
@@ -199,34 +203,40 @@ class TestAdamStep:
                 assert new_params[n].tobytes() == p.tobytes()
 
     def test_non_finite_gradient_in_the_last_chunk_moves_nothing(self):
+        # with a running v as with a frozen one, a bad gradient writes no
+        # buffer: not params, m or v, nor grads, which a running v would
+        # otherwise overwrite with v_new - v_old
         chunk = optim.CHUNK
         shapes = {"a": (3, 1000), "b": (chunk,), "c": (2 * chunk + 17 - 3000,)}
-        params = buffer(**{n: np.ones(s) for n, s in shapes.items()})
-        grads = buffer(**{n: np.full(s, 0.5) for n, s in shapes.items()})
-        state = optim.AdamState(m=buffer(**{n: np.full(s, 0.1) for n, s in shapes.items()}),
-                                v=buffer(**{n: np.full(s, 0.2) for n, s in shapes.items()}), t=3)
-        grads.flat[-1] = np.inf
-        before = [b.flat.tobytes() for b in (params, state.m, state.v)]
-        with pytest.raises(NumericalError, match=r"gradient for 'c' at step 4$"):
-            adam_step(state, default_hyper(), params, grads)
-        assert [b.flat.tobytes() for b in (params, state.m, state.v)] == before
-        assert state.t == 3
+        for freeze_v in (False, True):
+            params = buffer(**{n: np.ones(s) for n, s in shapes.items()})
+            grads = buffer(**{n: np.full(s, 0.5) for n, s in shapes.items()})
+            state = optim.AdamState(m=buffer(**{n: np.full(s, 0.1) for n, s in shapes.items()}),
+                                    v=buffer(**{n: np.full(s, 0.2) for n, s in shapes.items()}),
+                                    t=3)
+            grads.flat[-1] = np.inf
+            before = [b.flat.tobytes() for b in (params, state.m, state.v, grads)]
+            with pytest.raises(NumericalError, match=r"gradient for 'c' at step 4$"):
+                adam_step(state, default_hyper(), params, grads, freeze_v=freeze_v)
+            assert [b.flat.tobytes() for b in (params, state.m, state.v, grads)] == before
+            assert state.t == 3
 
     def test_variance_statistics_bitwise(self):
         rng = np.random.default_rng(13)
         # "c" is long enough for numpy's pairwise summation to split it; with
         # 2617 coordinates the passes share a scratch array, with 210517 they
-        # run in place in v_prev (the bound is CHUNK / 4)
+        # run in place in dv (the bound is CHUNK / 4)
         for c_shape in ((30, 70), (300, 700)):
             v = {"a": rng.random((32, 16)) * 1e-4, "b": rng.random(5) * 1e-9,
                  "c": rng.random(c_shape) * 1e-6}
             prev = {"a": v["a"].copy(), "b": rng.random(5) * 1e-9, "c": rng.random(c_shape) * 1e-6}
             prev["a"][:4] *= 0.5
-            v, prev = buffer(**v), buffer(**prev)
-            # the reference figures come from copies: v_prev is work space
-            v_before, prev_before = v.copy(), prev.copy()
-            z, z_geom, l1, l2 = variance_stats(v, prev)
-            deltas = [np.abs(v_before[n] - prev_before[n]) for n in v]
+            dv = buffer(**{n: np.subtract(v[n], prev[n]) for n in v})
+            v = buffer(**v)
+            # the reference figures come from a copy of v and from prev: dv is work space
+            v_before = v.copy()
+            z, z_geom, l1, l2 = variance_stats(v, dv)
+            deltas = [np.abs(v_before[n] - prev[n]) for n in v]
             count = sum(d.size for d in deltas)
             assert z == sum(float(np.sum(d)) for d in deltas) / count
             logs = sum(float(np.sum(np.log(np.maximum(d, GEOMETRIC_FLOOR)))) for d in deltas)
@@ -590,30 +600,38 @@ class TestTwoPhaseTraining:
 
 class TestTrainingMemory:
     @pytest.mark.parametrize("kind, bound", [
-        ("step", 5.5), ("dense", 5.5), ("step_updated_variance", 6.5), ("ste", 6.5)])
-    def test_allocation_peak_in_flat_buffers(self, kind, bound):
-        # P-sized buffers per phase.  Dense (and step before the switch): 5,
-        # params, grads, m, v and the next v, which the variance statistics
-        # then use as their work buffer.  Masked step: 5, params, grads, m, v
-        # (which holds sqrt(v* + eps) from the switch on) and the masked
-        # weights.  Final evaluation, after grads, m and v are freed: 2,
-        # params and the masked weights, then 3 with the final masks.  ste
-        # and step_updated_variance keep the next v in their masked phase
-        # (6).  The chunk-sized scratch of the Adam update and the mask, and
-        # the activations, share the last 0.3
+        ("step", 4.5), ("dense", 4.5), ("step_updated_variance", 4.5), ("ste", 4.5),
+        ("srste", 6.5)])
+    def test_allocation_peak_in_flat_buffers(self, kind, bound, monkeypatch):
+        # Four P-sized buffers in every phase: params, grads, m and v.  grads
+        # holds a masked step's masked weights, then every step's gradient,
+        # then, after a running-v update, v_t - v_{t-1}, which the variance
+        # statistics use as their work buffer.  From the switch on, step's v
+        # holds sqrt(v* + eps).  Final evaluation, after m and v are freed: 2,
+        # params and grads (the final masked weights), then 3 with the final
+        # masks.  srste's masked steps also hold that step's masks, which its
+        # penalty reads (about 1), and one layer's penalty (0.87 for fc2).
+        # The chunk-sized scratch of the Adam update and the mask, and the
+        # activations, share the last 0.5
         spec = models.ModelSpec("mlp_classifier", (64, 512, 512, 10))
         ds = models.gen_synthetic("blobs", 256, 64, n_classes=10, noise_std=1.0, seed=0,
                                   batch_size=32)
         plan = SparsityPlan({f"fc{i}.weight": NMRatio(2, 4) for i in (1, 2, 3)})
         switch = SwitchCriterion("fixed", step=3) if kind in optim.TWO_PHASE_KINDS else None
+        recipe = Recipe(kind, lam=2e-4 if kind == "srste" else 0.0)
         coords = sum(math.prod(s) for s in models.param_shapes(spec).values())
+        made = []
+        real_init = models.ParamBuffer.__init__
+        monkeypatch.setattr(models.ParamBuffer, "__init__",
+                            lambda buf, *a, **k: made.append(1) or real_init(buf, *a, **k))
         tracemalloc.start()
         try:
-            run = optim.recipe_train(spec, ds, default_hyper(), plan, Recipe(kind), switch, 8, 0)
+            run = optim.recipe_train(spec, ds, default_hyper(), plan, recipe, switch, 8, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert run.switched_at == (3 if switch else None)
+        assert len(made) == 4  # params, grads, m and v
         assert peak <= bound * 8 * coords, f"peak {peak / (8 * coords):.2f} x 8P bytes"
 
 
