@@ -7,12 +7,15 @@ high-probability square-root bound.  This module evaluates the closed-form
 bound and checks both claims by Monte Carlo, running the accumulator over
 synthetic stationary streams.
 
-The Monte Carlo holds its draws trial-major: each trial's generator writes a
-chunk of its stream in place into its own contiguous row of one
-(trials, chunk, dim) buffer, and all trials then advance in lockstep through
-that chunk.  Trials run in blocks small enough for the buffer to stay within
-``DRAW_BUDGET`` bytes, so memory does not grow with the number of trials or
-steps.
+The Monte Carlo holds its draws trial-major in one (trials, chunk, dim)
+buffer: each trial's generator writes a chunk of its raw variates in place
+into its own contiguous row, the stream's map then runs once over the whole
+block, and all trials advance in lockstep through the chunk, one numpy call
+per step covering every trial.  The buffer stays within ``DRAW_BUDGET``
+bytes: trials share a block as long as each still gets ``CHUNK`` steps, and
+the chunk then grows to fill the budget, so memory does not grow with the
+number of trials or steps.  A stream whose single step outgrows the budget
+is refused.
 """
 
 from __future__ import annotations
@@ -28,15 +31,17 @@ STREAM_KINDS = ("constant", "uniform", "bernoulli", "trunc_gauss_sq")
 
 PER_STEP_SLACK = 1e-12
 
-# steps drawn at a time per trial by validate_theorem; consecutive draws from
-# one generator give the same stream as a single draw, so the chunk length
-# moves no bit of a report.  512 was the fastest length measured.
-CHUNK = 512
+# fewest steps a block's chunk may hold: validate_theorem puts trials in one
+# block first, since each lockstep step is one numpy call over the block, and
+# cuts the chunk for more trials only down to this length.  Consecutive draws
+# from one generator give the same stream as a single draw, so the chunk
+# length moves no bit of a report.
+CHUNK = 64
 
-# bytes validate_theorem's draw buffer may hold: trials run in blocks that fit
-# it, and a chunk too long for one trial is shortened (down to one step).  The
-# per-block results are maxima and counts, so the blocking moves no bit either.
-DRAW_BUDGET = 16 * 2**20
+# bytes validate_theorem's draw buffer may hold: 2 MiB, the L2 cache of one
+# core of the Xeon the blocking was measured on.  The per-block results are
+# maxima and counts, so the blocking moves no bit of a report either.
+DRAW_BUDGET = 2 * 2**20
 
 
 def _check_beta2(beta2: float) -> None:
@@ -112,36 +117,44 @@ class StationaryStream:
         if self.sigma is not None and not 0.0 < self.sigma < math.inf:
             raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
 
-    def draw(self, rng: np.random.Generator, steps: int, out: np.ndarray | None = None) -> np.ndarray:
-        """(steps, dim) array of i.i.d. squared-gradient draws.
+    def draw(self, rngs: list[np.random.Generator], steps: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """(len(rngs), steps, dim) block of i.i.d. squared-gradient draws.
 
-        The generator writes into ``out`` (a fresh array when it is None) and
-        the stream's map runs there, in place.  ``out`` must be a C-contiguous
-        float64 (steps, dim) array.  Each map is the one of the plain
-        expressions ``uniform(0, G)``, ``where(u < p, G, 0)`` and
+        Row i holds the next ``steps`` draws of ``rngs[i]``.  Each generator
+        writes its raw variates into its own row of ``out`` (a fresh array
+        when it is None), and the stream's map then runs once over the whole
+        block, in place.  ``out`` must be a float64 array of that shape with
+        C-contiguous rows, such as ``buffer[:, :steps]``; it is checked
+        before any generator moves.  The map acts on each element alone, so
+        a row is bitwise a one-generator draw, and each map is the one of the
+        plain expressions ``uniform(0, G)``, ``where(u < p, G, 0)`` and
         ``minimum(normal(0, sigma)**2, G)``, so every bit is theirs: adding
         the 0.0 location, which ``uniform`` and ``normal`` do, changes no
         value, at most the sign of a zero that the square then drops.
         """
-        shape = (steps, self.dim)
+        shape = (len(rngs), steps, self.dim)
         if out is None:
             out = np.empty(shape)
-        elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        elif out.shape != shape or out.dtype != np.float64 or not out[:1].flags.c_contiguous:
             raise DimensionError(
-                f"out must be a C-contiguous float64 array of shape {shape}, "
+                f"out must be a float64 array of shape {shape} with C-contiguous rows, "
                 f"got {out.dtype} {out.shape}"
             )
         if self.kind == "constant":
             out.fill(self.bound if self.level is None else self.level)
-        elif self.kind == "uniform":
-            rng.random(out=out)
+            return out
+        for rng, row in zip(rngs, out):
+            if self.kind == "trunc_gauss_sq":
+                rng.standard_normal(out=row)
+            else:
+                rng.random(out=row)
+        if self.kind == "uniform":
             out *= self.bound
         elif self.kind == "bernoulli":
-            rng.random(out=out)
             np.less(out, self.p, out=out)
             out *= self.bound
         else:
-            rng.standard_normal(out=out)
             out *= self.sigma if self.sigma is not None else math.sqrt(self.bound) / 2.0
             np.square(out, out=out)
             np.minimum(out, self.bound, out=out)
@@ -182,8 +195,8 @@ def _run_block(
 ) -> tuple[np.ndarray, float]:
     """(max-coordinate drift of each trial, largest per-step move) of one block.
 
-    ``draws`` is the block's (trials, chunk, dim) buffer; trial i's generator
-    fills row i, ``chunk`` steps at a time.
+    ``draws`` is the block's (trials, chunk, dim) buffer; one draw per chunk
+    fills row i from trial i's generator.
     """
     # the block's trials advance in lockstep, one step of every trial read
     # from a strided (trials, dim) slice of the draws.  The state lives in
@@ -199,8 +212,7 @@ def _run_block(
     max_move = np.zeros(shape)
     for first in range(1, t + 1, chunk):
         steps = min(chunk, t + 1 - first)
-        for i, rng in enumerate(rngs):
-            stream.draw(rng, steps, out=draws[i, :steps])
+        stream.draw(rngs, steps, out=draws[:, :steps])
         draws[:, :steps] *= 1.0 - beta2
         for k in range(first, first + steps):
             v *= beta2
@@ -233,7 +245,9 @@ def validate_theorem(
     against the deterministic per-step bound with a small float slack.
     Each trial draws from a generator derived from (stream.seed, trial
     index); the aggregates are counts and maxima, so neither the order of
-    the trials nor their blocking can change them.
+    the trials nor their blocking can change them.  A stream whose single
+    step of one trial (dim * 8 bytes) exceeds ``DRAW_BUDGET`` is a
+    ConfigError, raised before anything is allocated.
     """
     statement_min = min_precondition_step(beta2)
     if t0 <= statement_min:
@@ -244,12 +258,21 @@ def validate_theorem(
         )
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    step_bytes = stream.dim * 8  # one step of one trial
+    if step_bytes > DRAW_BUDGET:
+        raise ConfigError(
+            f"stream dimension {stream.dim} is too large: one step of one trial takes "
+            f"{step_bytes} bytes, more than the {DRAW_BUDGET}-byte draw buffer "
+            f"(dimension at most {DRAW_BUDGET // 8})"
+        )
     bound = azuma_bound(stream.bound, beta2, t, t0, delta)
     step_bound = per_step_bound(stream.bound, beta2)
 
-    step_bytes = stream.dim * 8  # one step of one trial
-    chunk = max(1, min(CHUNK, t, DRAW_BUDGET // step_bytes))
-    block = max(1, min(trials, DRAW_BUDGET // (chunk * step_bytes)))
+    # trials first, then the chunk grows to fill the budget: at least
+    # min(CHUNK, t) steps in a block of several trials, and at least one step
+    # in a block of one, since one step of one trial fits
+    block = max(1, min(trials, DRAW_BUDGET // (min(CHUNK, t) * step_bytes)))
+    chunk = min(t, DRAW_BUDGET // (block * step_bytes))
     draws = np.empty((block, chunk, stream.dim))
     violations, max_dev, max_step_dev = 0, 0.0, 0.0
     for start in range(0, trials, block):

@@ -32,7 +32,7 @@ def simulate_vhat(stream, beta2, steps, seed=None):
     if steps < 1:
         raise RangeError("steps must be >= 1")
     rng = np.random.default_rng(stream.seed if seed is None else seed)
-    draws = stream.draw(rng, steps)
+    draws = stream.draw([rng], steps)[0]
     v = np.zeros(stream.dim)
     out = np.empty((steps, stream.dim))
     for t in range(1, steps + 1):

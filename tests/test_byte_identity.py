@@ -157,7 +157,8 @@ THEOREM_DIGESTS = {
 
 @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
 def test_validate_theorem(kind):
-    # 1500 steps cross a draw-chunk boundary; the window after t0 is 1200 steps
+    # the window after t0 is 1200 steps; test_theory.py's TestDrawBudget runs
+    # this case again under budgets that cut it into blocks and chunks
     stream = theory.StationaryStream(kind=kind, bound=1.0, dim=3, seed=5)
     report = theory.validate_theorem(stream, 0.99, t0=300, t=1500, delta=0.05, trials=20)
     doc = json.dumps(report.to_flat_dict(), sort_keys=True)

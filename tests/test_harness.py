@@ -443,6 +443,29 @@ class TestCLI:
         assert "finite" in captured.err
         assert "violations" not in captured.out
 
+    def test_validate_theorem_rejects_a_step_beyond_the_draw_budget(self, monkeypatch, capsys):
+        # one step of one trial at dim 262145 is 2 MiB + 8 bytes
+        monkeypatch.setattr("sys.argv", ["stepnm", "validate-theorem", "--dim", "262145",
+                                         "--beta2", "0.9", "--t0", "12", "--t", "13",
+                                         "--trials", "1"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: stream dimension 262145 is too large" in captured.err
+        assert "at most 262144" in captured.err
+        assert "Traceback" not in captured.err
+        assert "violations" not in captured.out
+
+    def test_validate_theorem_runs_at_the_largest_dim(self, tmp_path):
+        result = CliRunner().invoke(cli_main, [
+            "validate-theorem", "--dim", "262144", "--beta2", "0.9", "--t0", "12", "--t", "13",
+            "--trials", "1", "--out", str(tmp_path / "thm"),
+        ])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "thm" / "bound_report.json").read_text())
+        assert report["trials"] == 1 and report["per_step_bound_ok"] is True
+
     @pytest.mark.parametrize("flag", ["--batch", "--instances"])
     def test_fd_check_rejects_zero_counts(self, flag):
         result = CliRunner().invoke(cli_main, ["fd-check", flag, "0"])
@@ -835,7 +858,7 @@ class TestBenchmarkHooks:
         assert result.exit_code == 0, result.output
         assert (out / "summary.json").exists()
 
-    def test_validator_draws_each_trial_chunk_once(self, tmp_path, monkeypatch):
+    def test_validator_draws_each_block_chunk_once(self, tmp_path, monkeypatch):
         calls = []
 
         def spy(owner, name):
@@ -844,11 +867,15 @@ class TestBenchmarkHooks:
 
         spy(theory, "validate_theorem")
         spy(theory.StationaryStream, "draw")
-        trials, t = 7, 1300
+        # at dim 2 one step of one trial is 16 bytes: 4000 bytes give 3 trials
+        # CHUNK steps each, so the 7 trials run in blocks of 3, 3 and 1, with
+        # 4000 // (3 * 16) = 83-step chunks
+        monkeypatch.setattr(theory, "DRAW_BUDGET", 4000)
+        trials, t, blocks, chunk = 7, 1300, 3, 83
         result = CliRunner().invoke(cli_main, [
             "validate-theorem", "--stream", "uniform", "--dim", "2", "--beta2", "0.99",
             "--t0", "300", "--t", str(t), "--trials", str(trials), "--out", str(tmp_path / "thm"),
         ])
         assert result.exit_code == 0, result.output
         assert calls.count("validate_theorem") == 1
-        assert calls.count("draw") == trials * math.ceil(t / theory.CHUNK)
+        assert calls.count("draw") == blocks * math.ceil(t / chunk)

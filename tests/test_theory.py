@@ -60,11 +60,11 @@ class TestMinPreconditionStep:
 
 class TestStationaryStream:
     def test_draws_bounded(self):
-        rng = np.random.default_rng(0)
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
         for kind in theory.STREAM_KINDS:
             stream = StationaryStream(kind=kind, bound=1.5, dim=4, seed=0)
-            draws = stream.draw(rng, 200)
-            assert draws.shape == (200, 4)
+            draws = stream.draw(rngs, 200)
+            assert draws.shape == (2, 200, 4)
             assert np.all(draws >= 0.0)
             assert np.all(draws <= 1.5)
 
@@ -97,36 +97,63 @@ def plain_draw(stream, rng, steps):
     return np.minimum(np.square(rng.normal(0.0, sigma, shape)), stream.bound)
 
 
+def fresh_rngs(*seeds):
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
 class TestDrawInPlace:
     @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
     def test_out_matches_a_fresh_draw_and_the_plain_expressions(self, kind):
         stream = StationaryStream(kind=kind, bound=1.5, dim=3, seed=0, level=0.4)
-        out = np.full((257, 3), np.nan)
-        assert stream.draw(np.random.default_rng(8), 257, out=out) is out
-        fresh = stream.draw(np.random.default_rng(8), 257)
-        plain = plain_draw(stream, np.random.default_rng(8), 257)
+        out = np.full((2, 257, 3), np.nan)
+        assert stream.draw(fresh_rngs(8, 9), 257, out=out) is out
+        fresh = stream.draw(fresh_rngs(8, 9), 257)
+        plain = np.stack([plain_draw(stream, rng, 257) for rng in fresh_rngs(8, 9)])
         assert out.tobytes() == fresh.tobytes() == plain.tobytes()
 
     @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
     def test_consecutive_draws_equal_one_draw(self, kind):
         stream = StationaryStream(kind=kind, bound=1.0, dim=2, seed=0, level=0.3)
-        rng = np.random.default_rng(17)
-        buf = np.empty((300, 2))
-        stream.draw(rng, 123, out=buf[:123])
-        stream.draw(rng, 177, out=buf[123:])
-        assert buf.tobytes() == stream.draw(np.random.default_rng(17), 300).tobytes()
+        rngs = fresh_rngs(17, 18)
+        buf = np.empty((2, 300, 2))
+        stream.draw(rngs, 123, out=buf[:, :123])
+        stream.draw(rngs, 177, out=buf[:, 123:])
+        assert buf.tobytes() == stream.draw(fresh_rngs(17, 18), 300).tobytes()
+
+    @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
+    def test_rows_equal_one_generator_draws(self, kind):
+        # a full 128-step chunk, then a short last chunk of 45 steps written
+        # into the non-contiguous view draws[:, :45] of the same buffer, as
+        # the validator does
+        stream = StationaryStream(kind=kind, bound=1.5, dim=3, seed=0, level=0.4)
+        seeds = [(2, i) for i in range(5)]
+        rngs = fresh_rngs(*seeds)
+        draws = np.full((5, 128, 3), np.nan)
+        first = stream.draw(rngs, 128, out=draws).copy()
+        last = draws[:, :45]
+        assert not last.flags.c_contiguous
+        assert stream.draw(rngs, 45, out=last) is last
+        assert draws[:, 45:].tobytes() == first[:, 45:].tobytes()
+        for i, rng in enumerate(fresh_rngs(*seeds)):
+            one = stream.draw([rng], 173)[0]
+            assert first[i].tobytes() == one[:128].tobytes()
+            assert last[i].tobytes() == one[128:].tobytes()
 
     @pytest.mark.parametrize("out", [
-        np.empty((10, 3)), np.empty((9, 2)), np.empty(20), np.empty((10, 2), dtype=np.float32),
-        np.empty((10, 4))[:, :2], np.empty((20, 2))[::2], np.empty((2, 10)).T,
-    ], ids=["columns", "rows", "flat", "float32", "column-slice", "row-stride", "transposed"])
+        np.empty((2, 10, 3)), np.empty((2, 9, 2)), np.empty(40),
+        np.empty((2, 10, 2), dtype=np.float32), np.empty((2, 10, 4))[:, :, :2],
+        np.empty((2, 20, 2))[:, ::2], np.empty((2, 2, 10)).transpose(0, 2, 1),
+        np.empty((3, 10, 2)), np.empty((10, 2)),
+    ], ids=["columns", "rows", "flat", "float32", "column-slice", "row-stride", "transposed",
+            "trials", "one-trial"])
     def test_bad_out_fails_before_the_generator_moves(self, out):
+        # the block is two generators' 10 steps at dim 2: shape (2, 10, 2)
         stream = StationaryStream(kind="uniform", bound=1.0, dim=2, seed=0)
-        rng = np.random.default_rng(3)
-        state = rng.bit_generator.state
+        rngs = fresh_rngs(3, 4)
+        states = [rng.bit_generator.state for rng in rngs]
         with pytest.raises(DimensionError, match="out"):
-            stream.draw(rng, 10, out=out)
-        assert rng.bit_generator.state == state
+            stream.draw(rngs, 10, out=out)
+        assert [rng.bit_generator.state for rng in rngs] == states
 
 
 class TestSimulateVhat:
@@ -230,7 +257,7 @@ class TestAgainstReference:
 def one_shot_validate(stream, beta2, t0, t, trials, seed):
     """Every draw held at once: (max drift per trial, max per-step move)."""
     draws = np.stack(
-        [stream.draw(np.random.default_rng((seed, i)), t) for i in range(trials)], axis=1
+        [stream.draw([np.random.default_rng((seed, i))], t)[0] for i in range(trials)], axis=1
     )
     v = np.zeros((trials, stream.dim))
     vhat_prev = vhat_t0 = None
@@ -246,16 +273,36 @@ def one_shot_validate(stream, beta2, t0, t, trials, seed):
     return np.abs(vhat_prev - vhat_t0).max(axis=1), max_step_dev
 
 
+def spy_block_shapes(monkeypatch):
+    """The set that collects the shape of every draw buffer _run_block is given."""
+    seen = set()
+    run_block = theory._run_block
+
+    def spy(stream, rngs, beta2, t0, t, draws):
+        seen.add(draws.shape)
+        return run_block(stream, rngs, beta2, t0, t, draws)
+
+    monkeypatch.setattr(theory, "_run_block", spy)
+    return seen
+
+
 class TestChunkedDraws:
     @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
-    @pytest.mark.parametrize("chunk", [theory.CHUNK, 1024, 7])  # the default, longer, shorter
+    @pytest.mark.parametrize("chunk", [theory.CHUNK, 512, 1024, 7])  # the default, two longer, shorter
     def test_chunked_equals_one_shot(self, kind, chunk, monkeypatch):
+        # CHUNK is the shortest chunk a block of trials is cut to, so a budget
+        # of exactly CHUNK steps of each of the 9 trials runs them as one
+        # block in CHUNK-step chunks
+        trials, dim = 9, 2
         monkeypatch.setattr(theory, "CHUNK", chunk)
-        stream = StationaryStream(kind=kind, bound=1.0, dim=2, seed=4, level=0.3)
-        t = 1300  # spans three default chunks and is a multiple of no chunk size
+        monkeypatch.setattr(theory, "DRAW_BUDGET", trials * chunk * dim * 8)
+        shapes = spy_block_shapes(monkeypatch)
+        stream = StationaryStream(kind=kind, bound=1.0, dim=dim, seed=4, level=0.3)
+        t = 1300  # a multiple of no chunk size
         assert t % chunk != 0 and t > chunk
-        report = theory.validate_theorem(stream, 0.99, t0=150, t=t, delta=0.05, trials=9)
-        per_trial_max, max_step_dev = one_shot_validate(stream, 0.99, 150, t, 9, seed=4)
+        report = theory.validate_theorem(stream, 0.99, t0=150, t=t, delta=0.05, trials=trials)
+        assert shapes == {(trials, chunk, dim)}
+        per_trial_max, max_step_dev = one_shot_validate(stream, 0.99, 150, t, trials, seed=4)
         assert report.max_observed_deviation == float(per_trial_max.max())
         assert report.violations == int(np.count_nonzero(per_trial_max >= report.bound_value))
         assert report.max_per_step_deviation == max_step_dev
@@ -264,32 +311,46 @@ class TestChunkedDraws:
 class TestDrawBudget:
     @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
     @pytest.mark.parametrize("budget,shapes", [
-        # 20 trials in blocks of 7, 7 and 6
-        (7 * theory.CHUNK * 24, {(7, theory.CHUNK, 3), (6, theory.CHUNK, 3)}),
-        (theory.CHUNK * 24, {(1, theory.CHUNK, 3)}),  # one trial per block
-        (37 * 24 + 5, {(1, 37, 3)}),                  # chunks shrunk to 37 steps
-    ], ids=["multi-trial", "one-trial", "shrunk-chunk"])
+        # the default: all 20 trials in one block, all 1500 steps in one chunk
+        (theory.DRAW_BUDGET, {(20, 1500, 3)}),
+        # 8 trials at CHUNK steps do not fit, so 20 trials run in blocks of
+        # 7, 7 and 6, and the chunk grows from CHUNK to 73 steps
+        (8 * theory.CHUNK * 24 - 1, {(7, 73, 3), (6, 73, 3)}),
+        # 2 trials do not fit: one trial per block, in 127-step chunks
+        (2 * theory.CHUNK * 24 - 1, {(1, 127, 3)}),
+        (37 * 24 + 5, {(1, 37, 3)}),  # not even one trial at CHUNK: chunks shrink to 37 steps
+    ], ids=["one-block", "multi-trial", "one-trial", "shrunk-chunk"])
     def test_blocking_keeps_the_pinned_reports(self, kind, budget, shapes, monkeypatch):
-        # the pinned case has dim 3, so one step of one trial is 24 bytes
-        seen = set()
-        run_block = theory._run_block
-
-        def spy(stream, rngs, beta2, t0, t, draws):
-            seen.add(draws.shape)
-            return run_block(stream, rngs, beta2, t0, t, draws)
-
+        # the pinned case has 20 trials, t = 1500 and dim 3, so one step of
+        # one trial is 24 bytes
         monkeypatch.setattr(theory, "DRAW_BUDGET", budget)
-        monkeypatch.setattr(theory, "_run_block", spy)
+        seen = spy_block_shapes(monkeypatch)
         test_byte_identity.test_validate_theorem(kind)
         assert seen == shapes
 
+    def test_oversized_step_is_refused_before_allocating(self, monkeypatch):
+        # one step of one trial at dim DRAW_BUDGET / 8 + 1 outgrows the budget
+        dim = theory.DRAW_BUDGET // 8 + 1
+        stream = StationaryStream(kind="bernoulli", bound=1.0, dim=dim, seed=0)
+        monkeypatch.setattr(theory, "_run_block", lambda *a: pytest.fail("ran a block"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"dimension {dim} is too large"):
+                theory.validate_theorem(stream, 0.9, t0=12, t=13, delta=0.05, trials=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
     def test_peak_is_the_draw_buffer(self):
-        # 500 trials at dim 4 fit the budget as one block: the peak is that
-        # buffer, plus the trials' generators (under 1 KB each) and the
-        # (trials, dim) state, with no per-trial temporaries and no second buffer
+        # 500 trials at dim 4 fit the budget as one block of 131-step chunks,
+        # the longest that fit: the peak is that buffer, plus the trials'
+        # generators and the (trials, dim) state, with no per-trial
+        # temporaries and no second buffer.  Measured 653 532 bytes above the
+        # buffer with numpy 2.4 (669 012 above the old 8 MB buffer).
         trials, dim = 500, 4
-        buffer = trials * theory.CHUNK * dim * 8
-        assert buffer <= theory.DRAW_BUDGET
+        buffer = trials * 131 * dim * 8
+        assert buffer <= theory.DRAW_BUDGET < buffer + trials * dim * 8
         stream = StationaryStream(kind="bernoulli", bound=1.0, dim=dim, seed=3)
         theory.validate_theorem(stream, 0.99, t0=300, t=400, delta=0.05, trials=2)  # warm-up
         tracemalloc.start()
