@@ -104,7 +104,7 @@ def validate_theorem_cmd(stream, bound_g, dim, level, p, sigma, beta2, t0, t, de
     if out:
         harness.check_output_dir(out)
     report = theory.validate_theorem(s, beta2, t0, t, delta, trials)
-    flat = report.to_flat_dict()
+    flat = dataclasses.asdict(report)
     for key, value in flat.items():
         click.echo(f"{key}: {value}")
     if out:

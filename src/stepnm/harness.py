@@ -24,7 +24,7 @@ import yaml
 from . import models
 from .autoswitch import SwitchCriterion, avg_change_metric_from_diffs, evaluate_offline
 from .errors import ConfigError
-from .masks import DecaySchedule, NMRatio, SparsityPlan
+from .masks import DecaySchedule, NMRatio, check_plan
 from .optim import (TWO_PHASE_KINDS, AdamHyper, Recipe, TrainResult, constant_lr, cosine_lr,
                     recipe_train)
 
@@ -160,7 +160,7 @@ class ExperimentConfig:
     model: models.ModelSpec
     data: DataConfig
     hyper: AdamHyper
-    plan: SparsityPlan
+    plan: dict[str, NMRatio]
     recipe: Recipe
     criterion: SwitchCriterion | None
     total_steps: int
@@ -181,10 +181,10 @@ class ExperimentConfig:
         # fail on unknown layers and bad group sizes before any compute; the
         # trainer takes them as checked.  Every stage of a decay keeps its m.
         shapes = models.param_shapes(self.model)
-        self.plan.validate(shapes)
+        check_plan(self.plan, shapes)
         decay = self.ablation.decay
         if decay is not None:
-            SparsityPlan(dict.fromkeys(self.plan.ratios, decay.ratio_at(0))).validate(shapes)
+            check_plan(dict.fromkeys(self.plan, decay.ratio_at(0)), shapes)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -223,15 +223,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         key: _number(o[key], f"optimizer.{key}") for key in ("beta1", "beta2", "eps") if key in o
     })
 
-    plan_ratios = {}
+    plan = {}
     sparsity = doc.get("sparsity") or {}
     if not isinstance(sparsity, dict):
         raise ConfigError("section 'sparsity' must be a mapping")
     for layer, ratio in sparsity.items():
         key = f"sparsity.{layer}"
         r = _take(ratio, key, required=("n", "m"))
-        plan_ratios[str(layer)] = NMRatio(_int(r["n"], f"{key}.n"), _int(r["m"], f"{key}.m"))
-    plan = SparsityPlan(plan_ratios)
+        plan[str(layer)] = NMRatio(_int(r["n"], f"{key}.n"), _int(r["m"], f"{key}.m"))
 
     criterion = None
     if doc.get("switch") is not None:
@@ -330,18 +329,6 @@ def write_trajectory(path, result: TrainResult) -> None:
         }) + "\n")
 
 
-def _train_for_config(config: ExperimentConfig, seed: int, recipe: Recipe | None = None,
-                      criterion: SwitchCriterion | None = None) -> TrainResult:
-    """Train one seed, building its dataset here; without a recipe, the config's own."""
-    if recipe is None:
-        recipe, criterion = config.recipe, config.criterion
-    dataset = config.data.build(config.model.kind)
-    return recipe_train(
-        config.model, dataset, config.hyper, config.plan, recipe,
-        criterion, config.total_steps, seed,
-    )
-
-
 def check_output_dir(path) -> None:
     """ConfigError if ``path``, or its nearest existing ancestor, is not a directory; makes nothing."""
     out = Path(path)
@@ -360,32 +347,42 @@ def make_output_dir(path) -> Path:
     return out
 
 
-def _train_task(config: ExperimentConfig, seed: int, recipe: Recipe | None,
-                criterion: SwitchCriterion | None, path: Path | None) -> tuple:
-    """Train one seed, write its trajectory to ``path`` if given; returns its figures.
+def _train_runs(config: ExperimentConfig, cells, trajectories=None):
+    """Train every seed of every (label, recipe, criterion) cell, in order, on one dataset.
 
-    Only the figures, (sparse_eval_loss, dense_eval_loss, switched_at), outlive
-    the call.  The directory of ``path`` is made only after training.
+    The dataset is built once, here.  Yields (label, seed, figures, records)
+    for each run, with figures (sparse_eval_loss, dense_eval_loss,
+    switched_at); the run's TrainResult is dropped before it is yielded, so no
+    two are alive at once.  With ``trajectories``, a directory, each run's
+    trajectory is written there as soon as it has trained, as
+    ``trajectory_seed<k>.jsonl``; the directory is made only then.
     """
-    result = _train_for_config(config, seed, recipe, criterion)
-    if path is not None:
-        make_output_dir(path.parent)
-        write_trajectory(path, result)
-    return result.sparse_eval_loss, result.dense_eval_loss, result.switched_at
+    dataset = config.data.build(config.model.kind)
+    for label, recipe, criterion in cells:
+        for seed in config.seeds:
+            result = recipe_train(config.model, dataset, config.hyper, config.plan, recipe,
+                                  criterion, config.total_steps, seed)
+            if trajectories is not None:
+                path = make_output_dir(trajectories) / f"trajectory_seed{seed}.jsonl"
+                write_trajectory(path, result)
+            figures = (result.sparse_eval_loss, result.dense_eval_loss, result.switched_at)
+            records = result.records
+            del result
+            yield label, seed, figures, records
 
 
 def run(config: ExperimentConfig, output_dir=None) -> dict:
     """Train every seed of the config in turn; write trajectories and a summary, and return it.
 
-    Each seed's trajectory is written as soon as it has trained, and only the
-    figures of the summary are kept from it.
+    Every seed trains on the one dataset the command builds.  Each seed's
+    trajectory is written as soon as it has trained, and only the figures of
+    the summary are kept from it.
     """
     seeds = config.seeds
     out = Path(output_dir if output_dir is not None else config.output_dir)
     check_output_dir(out)
-    paths = [out / f"trajectory_seed{seed}.jsonl" for seed in seeds]
-    sparse, dense, switched = zip(*(_train_task(config, seed, None, None, path)
-                                    for seed, path in zip(seeds, paths)))
+    runs = _train_runs(config, [("run", config.recipe, config.criterion)], out)
+    sparse, dense, switched = zip(*(figures for _, _, figures, _ in runs))
     std = statistics.pstdev if len(seeds) > 1 else lambda _: 0.0
     summary = {
         "n_seeds": len(seeds),
@@ -395,7 +392,7 @@ def run(config: ExperimentConfig, output_dir=None) -> dict:
         "dense_eval_loss_mean": statistics.fmean(dense),
         "dense_eval_loss_std": std(dense),
         "switched_at": list(switched),
-        "trajectory_files": list(map(str, paths)),
+        "trajectory_files": [str(out / f"trajectory_seed{seed}.jsonl") for seed in seeds],
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -423,10 +420,10 @@ def compare_switch(
 ) -> list[dict]:
     """Profile dense runs and score each criterion's switch point offline.
 
-    One dense profile per seed; every criterion is replayed over the recorded
-    statistics and scored by the average variance change over the following
-    1001 steps (lower is better).  Criteria that never fire get a no-switch
-    row.
+    One dense profile per seed, all on the one dataset the command builds;
+    every criterion is replayed over the recorded statistics and scored by
+    the average variance change over the following 1001 steps (lower is
+    better).  Criteria that never fire get a no-switch row.
     """
     if output_dir is not None:
         check_output_dir(output_dir)
@@ -436,8 +433,7 @@ def compare_switch(
         raise ConfigError("compare_switch needs at least one criterion")
     d = sum(int(np.prod(shape)) for shape in models.param_shapes(config.model).values())
     rows = []
-    for seed in config.seeds:
-        records = _train_for_config(config, seed, Recipe("dense"), None).records
+    for _, seed, _, records in _train_runs(config, [("dense", Recipe("dense"), None)]):
         # entry t is ||v_t - v_{t-1}||_1, reconstructed from the mean-change sample
         diffs = [0.0] + [r.z * d for r in records]
         for criterion in criteria:
@@ -458,12 +454,12 @@ def compare_switch(
 
 
 def ablation(kind: str, config: ExperimentConfig, output_dir=None) -> list[dict]:
-    """Run one ablation matrix over the config's seeds.
+    """Run one ablation matrix over the config's seeds, every cell on one dataset.
 
     precondition_length forces switch points at the configured ratios of the
     budget; fixed_vs_updated_variance contrasts frozen and running variance in
     the masked phase; decaying_mask contrasts the stagewise-decay recipe with
-    and without its dense warmup.
+    and without its dense warmup.  The cells train in turn, each over every seed.
     """
     if output_dir is not None:
         check_output_dir(output_dir)
@@ -495,8 +491,8 @@ def ablation(kind: str, config: ExperimentConfig, output_dir=None) -> list[dict]
         cells.append(("without_dense_phase", Recipe("ste", decay=decay), None))
 
     columns = ("cell", "seed", "sparse_eval_loss", "dense_eval_loss", "switched_at")
-    rows = [dict(zip(columns, (label, seed) + _train_task(config, seed, recipe, criterion, None)))
-            for label, recipe, criterion in cells for seed in config.seeds]
+    rows = [dict(zip(columns, (label, seed) + figures))
+            for label, seed, figures, _ in _train_runs(config, cells)]
     if output_dir is not None:
         _write_rows_csv(make_output_dir(output_dir) / f"ablation_{kind}.csv", rows, columns)
     return rows

@@ -1,4 +1,7 @@
-"""N:M mask computation, per-layer sparsity plans and the stagewise decay schedule.
+"""N:M mask computation, the check of an N:M plan and the stagewise decay schedule.
+
+An N:M plan is a dict from parameter names, as in ``models.param_shapes``, to
+NMRatios.  Layers absent from it stay dense; by convention only weights are listed.
 
 The mask is a sort-free rank.  Within a group, slot i outranks a later slot
 j when |w_i| >= |w_j| (a later slot needs a strictly larger magnitude), so
@@ -12,7 +15,7 @@ are mapped below zero first, which reproduces numpy's stable argsort order
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,31 +97,16 @@ def mask_sparsity(mask) -> float:
     return float(np.count_nonzero(p == 0.0) / p.size)
 
 
-@dataclass(frozen=True)
-class SparsityPlan:
-    """Per-layer N:M ratios; layers absent from the map stay dense.
-
-    Keys are parameter names, as in ``models.param_shapes``.  By convention
-    only weight tensors are listed; biases stay dense.
-    """
-
-    ratios: dict[str, NMRatio] = field(default_factory=dict)
-
-    def validate(self, param_shapes: dict[str, tuple[int, ...]]) -> None:
-        for name, ratio in self.ratios.items():
-            if name not in param_shapes:
-                raise ConfigError(f"sparsity plan references unknown layer {name!r}")
-            extent = param_shapes[name][-1]
-            if extent % ratio.m != 0:
-                raise ConfigError(
-                    f"layer {name!r}: innermost extent {extent} not divisible by m={ratio.m}"
-                )
-
-    def items(self):
-        return self.ratios.items()
-
-    def __bool__(self) -> bool:
-        return bool(self.ratios)
+def check_plan(ratios: dict[str, NMRatio], shapes: dict[str, tuple[int, ...]]) -> None:
+    """ConfigError unless each planned layer is in ``shapes`` with m dividing its last extent."""
+    for name, ratio in ratios.items():
+        if name not in shapes:
+            raise ConfigError(f"sparsity plan references unknown layer {name!r}")
+        extent = shapes[name][-1]
+        if extent % ratio.m != 0:
+            raise ConfigError(
+                f"layer {name!r}: innermost extent {extent} not divisible by m={ratio.m}"
+            )
 
 
 @dataclass(frozen=True)

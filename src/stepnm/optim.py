@@ -19,7 +19,6 @@ and trains on int64 class ids, whose range alone each step then checks.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -29,7 +28,7 @@ import numpy as np
 from . import models
 from .autoswitch import StepRecord, SwitchCriterion, make_detector, variance_stats
 from .errors import ConfigError, NumericalError
-from .masks import CHUNK, DecaySchedule, NMRatio, SparsityPlan, compute_nm_mask, mask_sparsity
+from .masks import CHUNK, DecaySchedule, NMRatio, compute_nm_mask, mask_sparsity
 
 LRSchedule = Callable[[int], float]
 
@@ -37,27 +36,21 @@ RECIPE_KINDS = ("dense", "ste", "srste", "step", "step_updated_variance")
 TWO_PHASE_KINDS = ("step", "step_updated_variance")
 
 
-# schedules are partials of module functions, so that a config pickles
-def _constant(gamma: float, t: int) -> float:
-    return gamma
-
-
-def _cosine(gamma: float, total_steps: int, t: int) -> float:
-    frac = min(max(t, 0), total_steps) / total_steps
-    return 0.5 * gamma * (1.0 + math.cos(math.pi * frac))
-
-
 def constant_lr(gamma: float) -> LRSchedule:
     if gamma <= 0:
         raise ConfigError("learning rate must be positive")
-    return functools.partial(_constant, gamma)
+    return lambda t: gamma
 
 
 def cosine_lr(gamma: float, total_steps: int) -> LRSchedule:
     """Cosine decay from gamma to 0 over total_steps (>= 1)."""
     if gamma <= 0:
         raise ConfigError("cosine schedule needs gamma > 0")
-    return functools.partial(_cosine, gamma, total_steps)
+
+    def schedule(t: int) -> float:
+        frac = min(max(t, 0), total_steps) / total_steps
+        return 0.5 * gamma * (1.0 + math.cos(math.pi * frac))
+    return schedule
 
 
 @dataclass(frozen=True)
@@ -179,13 +172,13 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     return state, params
 
 
-def _masked_point(params: models.ParamBuffer, ratios, point: models.ParamBuffer,
-                  keep_masks: bool) -> dict[str, np.ndarray]:
+def _masked_point(params: models.ParamBuffer, ratios: dict[str, NMRatio],
+                  point: models.ParamBuffer, keep_masks: bool) -> dict[str, np.ndarray]:
     """Write the params, the listed layers times their N:M masks, into ``point``.
 
     A mask is formed in ``point`` unless ``keep_masks``; returns the kept masks.
     """
-    ratios, masks = dict(ratios.items()), {}  # mask * w has the bits of w * mask
+    masks = {}  # mask * w has the bits of w * mask
     for name, w in params.items():
         target = point[name]
         if name not in ratios:
@@ -199,21 +192,20 @@ def _masked_point(params: models.ParamBuffer, ratios, point: models.ParamBuffer,
     return masks
 
 
-def ste_loss_and_grad(spec, params: models.ParamBuffer, ratios, batch, lam: float = 0.0,
-                      out: models.ParamBuffer | None = None,
+def ste_loss_and_grad(spec, params: models.ParamBuffer, ratios: dict[str, NMRatio], batch,
+                      lam: float = 0.0, out: models.ParamBuffer | None = None,
                       point: models.ParamBuffer | None = None):
     """Straight-through loss and gradient at the masked point; returns (grads, masks, loss).
 
-    ``ratios`` maps layer names to N:M ratios (a dict or a SparsityPlan).
-    The forward pass sees mask * weights for every listed layer; the
-    returned gradients are exactly the gradients at that masked point,
-    applied to all coordinates.  With lam > 0 (SR-STE) they also get
-    lam * (1 - mask) * weights on the listed layers.  The gradients go into
-    ``out`` when it is given, as in ``models.loss_and_grad``, and the masked
-    point into ``point``, or a new buffer; ``out`` may be ``point``.  Both
-    ``params`` and ``point`` are ParamBuffers laid out as
-    ``models.param_shapes(spec)`` (DimensionError otherwise).  With
-    ``point`` and lam == 0, ``masks`` is empty.
+    ``ratios`` is an N:M plan (see ``masks``).  The forward pass sees
+    mask * weights for every listed layer; the returned gradients are
+    exactly the gradients at that masked point, applied to all coordinates.
+    With lam > 0 (SR-STE) they also get lam * (1 - mask) * weights on the
+    listed layers.  The gradients go into ``out`` when it is given, as in
+    ``models.loss_and_grad``, and the masked point into ``point``, or a new
+    buffer; ``out`` may be ``point``.  Both ``params`` and ``point`` are
+    ParamBuffers laid out as ``models.param_shapes(spec)`` (DimensionError
+    otherwise).  With ``point`` and lam == 0, ``masks`` is empty.
     """
     layout = models.param_shapes(spec)
     models.check_layout(params, "parameters", layout)
@@ -268,15 +260,16 @@ class TrainResult:
     layer_sparsity: dict[str, float]
 
 
-def _effective_ratios(plan: SparsityPlan, decay: DecaySchedule | None, step: int) -> dict[str, NMRatio]:
-    return plan.ratios if decay is None else dict.fromkeys(plan.ratios, decay.ratio_at(step))
+def _effective_ratios(plan: dict[str, NMRatio], decay: DecaySchedule | None,
+                      step: int) -> dict[str, NMRatio]:
+    return plan if decay is None else dict.fromkeys(plan, decay.ratio_at(step))
 
 
 def recipe_train(
     spec: models.ModelSpec,
     dataset: models.Dataset,
     hyper: AdamHyper,
-    plan: SparsityPlan,
+    plan: dict[str, NMRatio],
     recipe: Recipe,
     switch: SwitchCriterion | None,
     total_steps: int,
@@ -289,8 +282,9 @@ def recipe_train(
     throughout and the trajectory simply reports no switch.  Single-phase
     recipes (dense, ste, srste) ignore the criterion.  The returned weights
     are evaluated both densely and under the final masks, which are made
-    after both evaluations.  The plan and the recipe's decay are taken as
-    valid for the spec, and total_steps as >= 1, as ExperimentConfig checks them.
+    after both evaluations.  ``plan`` is an N:M plan (see ``masks``); it and
+    the recipe's decay are taken as valid for the spec (``masks.check_plan``),
+    and total_steps as >= 1, as ExperimentConfig checks them.
     A run holds four ParamBuffers: params, grads, m and v.  ``grads`` holds
     a masked step's masked weights, then every step's gradient, then
     v_t - v_{t-1} for the statistics, and at the end the final masked weights.

@@ -21,7 +21,7 @@ is refused.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,9 +180,6 @@ class BoundReport:
     delta: float
     statement_min_t0: float
     proof_min_t0: float
-
-    def to_flat_dict(self) -> dict:
-        return asdict(self)
 
 
 def _run_block(

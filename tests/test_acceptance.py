@@ -14,7 +14,7 @@ import numpy as np
 from conftest import buffer, simulate_vhat, step_record
 from stepnm import harness, models, optim, theory
 from stepnm.autoswitch import SwitchCriterion, make_detector, mixing_window
-from stepnm.masks import NMRatio, SparsityPlan, compute_nm_mask
+from stepnm.masks import NMRatio, compute_nm_mask
 from stepnm.optim import AdamHyper, Recipe, adam_step, constant_lr, init_adam_state
 from stepnm.theory import StationaryStream
 
@@ -95,7 +95,7 @@ def test_adam_single_step_oracle():
 def test_phase_one_bitwise_equivalence(train_with_snapshots):
     """Forced switch at 500: identical to plain Adam through step 500, bitwise."""
     spec, ds = _blob_mlp()
-    plan = SparsityPlan({"fc2.weight": NMRatio(1, 4)})
+    plan = {"fc2.weight": NMRatio(1, 4)}
     hyper = AdamHyper(lr_schedule=constant_lr(5e-3))
     crit = SwitchCriterion(kind="fixed", step=500)
     step_run, step_snaps = train_with_snapshots(
@@ -122,7 +122,7 @@ def test_frozen_variance_exact(train_with_snapshots):
     snapshot of the switch step is copied inside adam_step, before that, so it holds v*.
     """
     spec, ds = _blob_mlp()
-    plan = SparsityPlan({"fc2.weight": NMRatio(1, 4)})
+    plan = {"fc2.weight": NMRatio(1, 4)}
     hyper = AdamHyper(lr_schedule=constant_lr(5e-3))
     worst = 0.0
     runs = 0
@@ -234,7 +234,7 @@ def test_recipe_gap_direction_soft():
     itself must complete with finite losses and valid switch points.
     """
     spec, ds = _blob_mlp(hidden=32, noise=0.6, activation="tanh")
-    plan = SparsityPlan({"fc2.weight": NMRatio(1, 4)})
+    plan = {"fc2.weight": NMRatio(1, 4)}
     hyper = AdamHyper(lr_schedule=constant_lr(5e-3))
     total = 2000
     crit = SwitchCriterion(kind="autoswitch", clip=(int(0.1 * total), int(0.5 * total)))

@@ -16,6 +16,7 @@ reads other digests; on such a build, record them afresh from a commit whose
 outputs are trusted before comparing another one against them.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -29,7 +30,7 @@ import pytest
 import stepnm
 from stepnm import harness, models, optim, theory
 from stepnm.autoswitch import SwitchCriterion
-from stepnm.masks import DecaySchedule, NMRatio, SparsityPlan
+from stepnm.masks import DecaySchedule, NMRatio
 from stepnm.optim import AdamHyper, Recipe, constant_lr
 
 SMALL_STEPS = 300
@@ -108,7 +109,7 @@ def test_small_mlp_runs(name, tmp_path):
     recipe, criterion, beta2 = SMALL_CASES[name]
     spec = models.ModelSpec("mlp_classifier", (2, 16, 2))
     ds = models.gen_synthetic("blobs", 256, 2, n_classes=2, noise_std=0.6, seed=0, batch_size=32)
-    plan = SparsityPlan({"fc2.weight": NMRatio(1, 4)})
+    plan = {"fc2.weight": NMRatio(1, 4)}
     hyper = AdamHyper(beta2=beta2, lr_schedule=constant_lr(5e-3))
     run = optim.recipe_train(spec, ds, hyper, plan, recipe, criterion, SMALL_STEPS, seed=3)
     if criterion is not None:
@@ -120,7 +121,7 @@ def _wide_run_digests(tmp_path):
     # large enough that every matmul goes through BLAS kernels
     spec = models.ModelSpec("mlp_classifier", (64, 128, 128, 10))
     ds = models.gen_synthetic("blobs", 512, 64, n_classes=10, noise_std=1.0, seed=4, batch_size=64)
-    plan = SparsityPlan({f"fc{i}.weight": NMRatio(2, 4) for i in (1, 2, 3)})
+    plan = {f"fc{i}.weight": NMRatio(2, 4) for i in (1, 2, 3)}
     hyper = AdamHyper(lr_schedule=constant_lr(1e-3))
     run = optim.recipe_train(spec, ds, hyper, plan, Recipe("step"),
                              SwitchCriterion(kind="fixed", step=5), 10, seed=7)
@@ -161,5 +162,5 @@ def test_validate_theorem(kind):
     # this case again under budgets that cut it into blocks and chunks
     stream = theory.StationaryStream(kind=kind, bound=1.0, dim=3, seed=5)
     report = theory.validate_theorem(stream, 0.99, t0=300, t=1500, delta=0.05, trials=20)
-    doc = json.dumps(report.to_flat_dict(), sort_keys=True)
+    doc = json.dumps(dataclasses.asdict(report), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == THEOREM_DIGESTS[kind]

@@ -53,7 +53,7 @@ class TestConfigParsing:
         config = harness.load_config(path)
         assert config.total_steps == 120
         assert config.seeds == (1, 2)
-        assert config.plan.ratios["fc2.weight"].m == 4
+        assert config.plan["fc2.weight"].m == 4
         assert config.criterion.clip == (12, 60)  # the clip ratios 0.1 and 0.5 of 120 steps
 
     def test_unknown_top_level_key(self, tmp_path):
@@ -140,18 +140,16 @@ class TestRecipeConfig:
         assert "needs a switch section" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_loaded_config_pickles_for_spawned_workers(self, tmp_path):
-        import pickle
-
+    def test_loaded_config_holds_the_validated_objects(self, tmp_path):
         path, _ = make_config(tmp_path, optimizer={"lr": 0.005, "lr_schedule": "cosine"},
                               ablation={"decay": {"m": 4, "stage_boundaries": [60]}})
         config = harness.load_config(path)
-        again = pickle.loads(pickle.dumps(config))
-        assert again.criterion == config.criterion and again.criterion.clip == (12, 60)
-        assert again.recipe == config.recipe and again.recipe.decay == DecaySchedule(4, (60,))
-        assert again.ablation == config.ablation
+        assert config.criterion.clip == (12, 60)
+        assert config.recipe == optim.Recipe("step", decay=DecaySchedule(4, (60,)))
+        assert config.ablation == harness.AblationConfig(decay=DecaySchedule(4, (60,)))
+        cosine = optim.cosine_lr(0.005, 120)
         for t in (0, 1, 37, 60, 119, 120, 500):
-            assert again.hyper.lr_schedule(t).hex() == config.hyper.lr_schedule(t).hex()
+            assert config.hyper.lr_schedule(t).hex() == cosine(t).hex()
         assert config.hyper.lr_schedule(60) != config.hyper.lr_schedule(0)  # it is the cosine
 
 
@@ -261,19 +259,66 @@ class TestRun:
         assert len(alive) == 3 + 6 and [row["switched_at"] for row in rows] == [6] * 3 + [15] * 3
         assert all(ref() is None for ref in alive)
 
-    def test_task_writes_the_trajectory_and_returns_only_figures(self, tmp_path):
+    def test_task_writes_the_trajectory_and_returns_only_figures(self, tmp_path, monkeypatch):
         path, _ = make_config(tmp_path, seeds=[1], total_steps=30)
         config = harness.load_config(path)
-        result = harness._train_for_config(config, 1)
+
+        def train(recipe, criterion):
+            return optim.recipe_train(config.model, config.data.build(config.model.kind),
+                                      config.hyper, config.plan, recipe, criterion, 30, 1)
+
+        result = train(config.recipe, config.criterion)
         harness.write_trajectory(tmp_path / "expected.jsonl", result)
-        figures = (result.sparse_eval_loss, result.dense_eval_loss, result.switched_at)
-        written = tmp_path / "not" / "yet" / "made.jsonl"
-        assert harness._train_task(config, 1, None, None, written) == figures
-        assert written.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
-        dense = harness._train_for_config(config, 1, optim.Recipe("dense"))
-        assert harness._train_task(config, 1, optim.Recipe("dense"), None, None) == (
-            dense.sparse_eval_loss, dense.dense_eval_loss, None)
-        assert sorted(p.name for p in tmp_path.rglob("*.jsonl")) == ["expected.jsonl", "made.jsonl"]
+        dense = train(optim.Recipe("dense"), None)
+        written = tmp_path / "not" / "yet"
+        real = harness.recipe_train
+
+        def spy(*args, **kwargs):
+            assert not written.exists()  # the directory is made only after training
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "recipe_train", spy)
+        cells = [("step", config.recipe, config.criterion), ("dense", optim.Recipe("dense"), None)]
+        (label, seed, figures, records), = harness._train_runs(config, cells[:1], written)
+        assert (label, seed, records) == ("step", 1, result.records)
+        assert figures == (result.sparse_eval_loss, result.dense_eval_loss, result.switched_at)
+        made = written / "trajectory_seed1.jsonl"
+        assert made.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+        monkeypatch.setattr(harness, "recipe_train", real)
+        assert [run[:3] for run in harness._train_runs(config, cells)] == [
+            ("step", 1, figures), ("dense", 1, (dense.sparse_eval_loss, dense.dense_eval_loss, None))]
+        assert sorted(p.name for p in tmp_path.rglob("*.jsonl")) == [
+            "expected.jsonl", "trajectory_seed1.jsonl"]
+
+    def test_each_command_trains_on_one_dataset(self, tmp_path, monkeypatch):
+        built = []
+        real = harness.DataConfig.build
+
+        def spy(data, model_kind):
+            built.append(real(data, model_kind))
+            return built[-1]
+
+        monkeypatch.setattr(harness.DataConfig, "build", spy)
+        path, _ = make_config(tmp_path, seeds=[1, 2, 3], total_steps=40,
+                              switch={"kind": "fixed", "step": 10})
+        config = harness.load_config(path)
+        two_seeds = dataclasses.replace(config, seeds=(1, 2))
+        commands = [
+            lambda: harness.run(config, output_dir=tmp_path / "out"),
+            lambda: harness.ablation("fixed_vs_updated_variance", two_seeds),
+            # a window of 1000 never fills in 40 steps: no switch, so no metric window
+            lambda: harness.compare_switch(two_seeds, [SwitchCriterion(kind="autoswitch")]),
+        ]
+        for command in commands:
+            built.clear()
+            command()
+            assert len(built) == 1
+            # every run read the arrays the command built, and none wrote to them
+            fresh = real(config.data, config.model.kind)
+            for name in ("inputs", "targets"):
+                used, expected = getattr(built[0], name), getattr(fresh, name)
+                assert used.dtype == expected.dtype and used.shape == expected.shape
+                assert used.tobytes() == expected.tobytes()
 
     def test_summary_written(self, tmp_path):
         path, _ = make_config(tmp_path, seeds=[1])
@@ -342,11 +387,9 @@ class TestAblation:
         doc.update(seeds=[5], ablation={"precondition_ratios": [1.0]})
         config = harness.config_from_dict(doc)
         rows = harness.ablation("precondition_length", config)
-        dense_doc = json.loads(json.dumps(BASE_CONFIG))
-        dense_doc.update(seeds=[5], recipe={"kind": "dense"})
-        dense_doc.pop("switch")
-        dense_config = harness.config_from_dict(dense_doc)
-        dense = harness._train_for_config(dense_config, 5)
+        dense = optim.recipe_train(config.model, config.data.build(config.model.kind),
+                                   config.hyper, config.plan, optim.Recipe("dense"), None,
+                                   config.total_steps, 5)
         assert rows[0]["sparse_eval_loss"] == dense.sparse_eval_loss
         assert rows[0]["dense_eval_loss"] == dense.dense_eval_loss
 

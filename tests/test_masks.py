@@ -6,7 +6,7 @@ from stepnm.masks import (
     CHUNK,
     DecaySchedule,
     NMRatio,
-    SparsityPlan,
+    check_plan,
     compute_nm_mask,
     decayed_n,
     mask_sparsity,
@@ -261,25 +261,17 @@ class TestMaskSparsity:
             assert mask_sparsity(compute_nm_mask(w, NMRatio(n, m))) == 1 - n / m
 
 
-class TestSparsityPlan:
+class TestCheckPlan:
     def test_validate_ok(self):
-        plan = SparsityPlan({"fc1.weight": NMRatio(1, 4)})
-        plan.validate({"fc1.weight": (2, 8), "fc1.bias": (2,)})
+        check_plan({"fc1.weight": NMRatio(1, 4)}, {"fc1.weight": (2, 8), "fc1.bias": (2,)})
 
     def test_unknown_layer(self):
-        plan = SparsityPlan({"nope.weight": NMRatio(1, 4)})
         with pytest.raises(ConfigError):
-            plan.validate({"fc1.weight": (2, 8)})
+            check_plan({"nope.weight": NMRatio(1, 4)}, {"fc1.weight": (2, 8)})
 
     def test_bad_divisibility(self):
-        plan = SparsityPlan({"fc1.weight": NMRatio(1, 4)})
         with pytest.raises(ConfigError):
-            plan.validate({"fc1.weight": (4, 6)})
-
-    def test_absent_layers_are_dense(self):
-        plan = SparsityPlan({"fc1.weight": NMRatio(1, 4)})
-        assert "fc1.weight" in plan.ratios
-        assert "fc2.weight" not in plan.ratios
+            check_plan({"fc1.weight": NMRatio(1, 4)}, {"fc1.weight": (4, 6)})
 
 
 class TestDecaySchedule:

@@ -8,7 +8,7 @@ from conftest import buffer
 from stepnm import models, optim
 from stepnm.autoswitch import GEOMETRIC_FLOOR, SwitchCriterion, evaluate_offline, variance_stats
 from stepnm.errors import ConfigError, DimensionError, NumericalError
-from stepnm.masks import DecaySchedule, NMRatio, SparsityPlan
+from stepnm.masks import DecaySchedule, NMRatio
 from stepnm.optim import AdamHyper, Recipe, adam_step, constant_lr, init_adam_state
 
 
@@ -31,7 +31,7 @@ def default_hyper(lr=1e-3):
 def blob_setup(hidden=16, noise=0.6, seed=0, batch=32):
     spec = models.ModelSpec("mlp_classifier", (2, hidden, 2), activation="relu")
     ds = models.gen_synthetic("blobs", 256, 2, n_classes=2, noise_std=noise, seed=seed, batch_size=batch)
-    plan = SparsityPlan({"fc2.weight": NMRatio(1, 4)})
+    plan = {"fc2.weight": NMRatio(1, 4)}
     return spec, ds, plan
 
 
@@ -281,7 +281,7 @@ class TestGradientTransforms:
         # prediction u.x = 8, target 7 leaves residual 1, so g = x = [3, 4]
         spec = models.ModelSpec("linear_regression", (2, 1))
         params = buffer(**{"fc1.weight": np.array([[1.0, 2.0]]), "fc1.bias": np.array([0.0])})
-        plan = SparsityPlan({"fc1.weight": NMRatio(1, 2)})
+        plan = {"fc1.weight": NMRatio(1, 2)}
         batch = (np.array([[3.0, 4.0]]), np.array([[7.0]]))
         grads, masks_used = optim.ste_loss_and_grad(spec, params, plan, batch)[:2]
         np.testing.assert_array_equal(masks_used["fc1.weight"], [[0.0, 1.0]])
@@ -291,7 +291,7 @@ class TestGradientTransforms:
         # same setup; pruned coordinate is w[0] = 1, so lam adds 0.01 * 1 there
         spec = models.ModelSpec("linear_regression", (2, 1))
         params = buffer(**{"fc1.weight": np.array([[1.0, 2.0]]), "fc1.bias": np.array([0.0])})
-        plan = SparsityPlan({"fc1.weight": NMRatio(1, 2)})
+        plan = {"fc1.weight": NMRatio(1, 2)}
         batch = (np.array([[3.0, 4.0]]), np.array([[7.0]]))
         grads, _, _ = optim.ste_loss_and_grad(spec, params, plan, batch, lam=0.01)
         np.testing.assert_allclose(grads["fc1.weight"], [[3.01, 4.0]], atol=1e-12)
@@ -309,7 +309,7 @@ class TestGradientTransforms:
         spec, ds, _ = blob_setup()
         params = models.init_params(spec, 1)
         batch = next(models.batch_iterator(ds, 2))
-        plan = SparsityPlan({"fc2.weight": NMRatio(4, 4)})  # keep everything
+        plan = {"fc2.weight": NMRatio(4, 4)}  # keep everything
         g1, masks_used = optim.ste_loss_and_grad(spec, params, plan, batch)[:2]
         g2 = models.loss_and_grad(spec, params, batch)[1]
         assert np.all(masks_used["fc2.weight"] == 1.0)
@@ -539,7 +539,7 @@ class TestTwoPhaseTraining:
     def test_single_stage_decay_equals_constant_ratio_ste(self):
         spec, ds, _ = blob_setup()
         hyper = default_hyper(5e-3)
-        plan_34 = SparsityPlan({"fc2.weight": NMRatio(3, 4)})
+        plan_34 = {"fc2.weight": NMRatio(3, 4)}
         decayed = optim.recipe_train(
             spec, ds, hyper, plan_34, Recipe("ste", decay=DecaySchedule(4)), None, 50, seed=8
         )
@@ -616,7 +616,7 @@ class TestTrainingMemory:
         spec = models.ModelSpec("mlp_classifier", (64, 512, 512, 10))
         ds = models.gen_synthetic("blobs", 256, 64, n_classes=10, noise_std=1.0, seed=0,
                                   batch_size=32)
-        plan = SparsityPlan({f"fc{i}.weight": NMRatio(2, 4) for i in (1, 2, 3)})
+        plan = {f"fc{i}.weight": NMRatio(2, 4) for i in (1, 2, 3)}
         switch = SwitchCriterion("fixed", step=3) if kind in optim.TWO_PHASE_KINDS else None
         recipe = Recipe(kind, lam=2e-4 if kind == "srste" else 0.0)
         coords = sum(math.prod(s) for s in models.param_shapes(spec).values())

@@ -224,7 +224,7 @@ class TestValidateTheorem:
         stream = StationaryStream(kind="bernoulli", bound=1.0, seed=0)
         report = theory.validate_theorem(stream, 0.99, t0=200, t=400, delta=0.05, trials=10)
         assert report.statement_min_t0 > report.proof_min_t0
-        flat = report.to_flat_dict()
+        flat = dataclasses.asdict(report)
         assert "statement_min_t0" in flat and "proof_min_t0" in flat
 
     def test_trial_rngs_independent_of_master_seed_only(self):
