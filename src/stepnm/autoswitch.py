@@ -1,11 +1,11 @@
 """Phase-switch detection from recorded variance dynamics.
 
-One detector class per criterion kind.  The windowed autoswitch keeps the
-last floor(1 / (1 - beta2)) per-coordinate variance changes and fires once
-their mean, exact and kept as a running exact sum, drops below the optimizer
-epsilon, optionally clamped into a step budget.  Two norm-based baselines, a
-fixed switch step and the switch-quality metric used to compare them live
-here too.
+One detector class per criterion kind, reading the settings CRITERION_KEYS
+lists for it.  The windowed autoswitch keeps the last floor(1 / (1 - beta2))
+per-coordinate variance changes and fires once their mean, exact and kept as
+a running exact sum, drops below the optimizer epsilon, optionally clamped
+into a step budget.  Two norm-based baselines, a fixed switch step and the
+switch-quality metric used to compare them live here too.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from .masks import CHUNK
 from .models import ParamBuffer, check_layout
 
 SAMPLER_OPTIONS = ("arithmetic", "geometric")
-CRITERION_KINDS = ("autoswitch", "relative", "staleness", "fixed")
+# the switch keys each criterion kind reads; a config may give a fixed step as a step_ratio
+CRITERION_KEYS = {"autoswitch": ("option", "clip"), "relative": ("threshold",),
+                  "staleness": ("threshold",), "fixed": ("step", "step_ratio")}
 
 DEFAULT_THRESHOLDS = {"relative": 0.5, "staleness": 0.96}
 
@@ -94,21 +96,27 @@ def _layer_sums(work: np.ndarray, bounds) -> list[float]:
 class SwitchCriterion:
     """Configured phase-switch detector.
 
-    kind "autoswitch" uses ``option`` and optional absolute-step ``clip``;
-    "relative" and "staleness" take a ``threshold``, which defaults to
-    DEFAULT_THRESHOLDS; "fixed" forces the switch at ``step``.
+    kind "autoswitch" uses ``option``, "arithmetic" by default, and optional
+    absolute-step ``clip``; "relative" and "staleness" take a ``threshold``,
+    which defaults to DEFAULT_THRESHOLDS; "fixed" forces the switch at
+    ``step``.  A field its kind does not read (CRITERION_KEYS) must stay unset.
     """
 
     kind: str
-    option: str = "arithmetic"
+    option: str | None = None
     threshold: float | None = None
     clip: tuple[int, int] | None = None
     step: int | None = None
 
     def __post_init__(self):
-        if self.kind not in CRITERION_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in CRITERION_KEYS:
             raise ConfigError(f"unknown switch criterion kind {self.kind!r}")
-        if self.option not in SAMPLER_OPTIONS:
+        for key in ("option", "threshold", "clip", "step"):
+            if getattr(self, key) is not None and key not in CRITERION_KEYS[self.kind]:
+                raise ConfigError(f"switch kind {self.kind!r} does not read {[key]}")
+        if self.kind == "autoswitch" and self.option is None:
+            object.__setattr__(self, "option", "arithmetic")
+        if self.option is not None and self.option not in SAMPLER_OPTIONS:
             raise ConfigError(f"unknown sampler option {self.option!r}")
         if self.threshold is not None and self.threshold <= 0:
             raise ConfigError("criterion threshold must be positive")

@@ -1,12 +1,12 @@
 """Experiment configuration, deterministic run orchestration and the
 comparison/ablation drivers.
 
-Configs are YAML (or JSON) documents with nested sections; unknown keys are
-hard errors so typos fail before any compute.  ``config_from_dict`` checks
-each section once and builds the objects the trainer takes, which the
-ExperimentConfig holds.  Each run writes one JSONL trajectory per seed plus a
-flat summary document; all outputs are byte-reproducible for a fixed (config,
-seed).
+Configs are YAML (or JSON) documents with nested sections; unknown keys, and
+``switch`` and ``data`` keys that their kind does not read, are hard errors so
+typos fail before any compute.  ``config_from_dict`` checks each section once
+and builds the objects the trainer takes, which the ExperimentConfig holds.
+Each run writes one JSONL trajectory per seed plus a flat summary document;
+all outputs are byte-reproducible for a fixed (config, seed).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import models
+from . import autoswitch, models
 from .autoswitch import SwitchCriterion, avg_change_metric_from_diffs, evaluate_offline
 from .errors import ConfigError
 from .masks import DecaySchedule, NMRatio, check_plan
@@ -31,6 +31,11 @@ from .optim import (TWO_PHASE_KINDS, AdamHyper, Recipe, TrainResult, constant_lr
 ABLATION_KINDS = ("precondition_length", "fixed_vs_updated_variance", "decaying_mask")
 
 DEFAULT_CLIP_RATIOS = (0.1, 0.5)
+
+# the data keys each data kind reads
+DATA_KEYS = {"blobs": ("n_samples", "n_features", "n_classes", "noise_std", "seed", "batch_size"),
+             "regression": ("n_samples", "n_features", "noise_std", "seed", "batch_size"),
+             "csv": ("path", "n_targets", "batch_size")}
 
 
 def _take(section: dict, name: str, required=(), optional=()) -> dict:
@@ -43,6 +48,15 @@ def _take(section: dict, name: str, required=(), optional=()) -> dict:
     missing = set(required) - set(section)
     if missing:
         raise ConfigError(f"missing key(s) in {name!r}: {sorted(missing)}")
+    return section
+
+
+def _take_kind(section, name: str, reads: dict) -> dict:
+    """``_take``, rejecting keys that ``reads`` does not list for the kind, if it lists the kind."""
+    kind = _take(section, name, required=("kind",), optional=set().union(*reads.values()))["kind"]
+    unread = isinstance(kind, str) and set(section) - {"kind", *reads.get(kind, section)}
+    if unread:
+        raise ConfigError(f"{name} kind {kind!r} does not read {sorted(unread)}")
     return section
 
 
@@ -188,6 +202,7 @@ class ExperimentConfig:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    """The checked config that ``doc`` describes; ``switch`` and ``data`` take their kind's keys."""
     doc = _take(doc, "config",
                 required=("model", "data", "optimizer", "recipe", "total_steps", "seeds"),
                 optional=("sparsity", "switch", "output_dir", "ablation"))
@@ -198,9 +213,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         activation=m.get("activation", "relu"),
     )
 
-    d = _take(doc["data"], "data", required=("kind",),
-              optional=("n_samples", "n_features", "n_classes", "noise_std",
-                        "seed", "batch_size", "path", "n_targets"))
+    d = _take_kind(doc["data"], "data", DATA_KEYS)
     data = DataConfig(**{
         key: _coerce_data(key, value) for key, value in d.items()
     })
@@ -234,8 +247,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     criterion = None
     if doc.get("switch") is not None:
-        s = _take(doc["switch"], "switch", required=("kind",),
-                  optional=("option", "threshold", "clip", "step", "step_ratio"))
+        s = _take_kind(doc["switch"], "switch", autoswitch.CRITERION_KEYS)
         clip = None
         if s.get("clip") is not None:
             c = _take(s["clip"], "switch.clip", required=("t_min_ratio", "t_max_ratio"))
@@ -248,7 +260,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 raise ConfigError("give either step or step_ratio, not both")
             step = _ratio_step(step_ratio, total_steps, "switch.step_ratio")
         criterion = SwitchCriterion(
-            kind=s["kind"], option=s.get("option", "arithmetic"),
+            kind=s["kind"], option=s.get("option"),
             threshold=_optional(_number, s, "threshold", "switch"), clip=clip, step=step,
         )
 

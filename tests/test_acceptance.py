@@ -198,7 +198,12 @@ def test_gradient_correctness_fd():
 
 
 def test_switch_quality_ordering():
-    """5-seed dense profiles: the windowed detector's t0 beats both baselines."""
+    """5-seed dense profiles: the clipped autoswitch's t0 beats both baselines.
+
+    The clip decides the autoswitch row, not the window: the windowed mean
+    stays above eps up to T_max, so every seed switches at T_max = 1300,
+    against steps 2-4 for ``relative`` and step 1001 for ``staleness``.
+    """
     doc = {
         "model": {"kind": "mlp_classifier", "layer_sizes": [2, 16, 2], "activation": "relu"},
         "data": {"kind": "blobs", "n_samples": 256, "n_features": 2, "n_classes": 2,

@@ -311,6 +311,23 @@ class TestSwitchCriterionValidation:
         with pytest.raises(ConfigError):
             SwitchCriterion(kind="autoswitch", clip=(500, 100))
 
+    # the fields each kind does not read, with a value that is valid for the kinds that do
+    @pytest.mark.parametrize("kind,field,value", [
+        ("autoswitch", "threshold", 0.5), ("autoswitch", "step", 7),
+        ("relative", "option", "arithmetic"), ("relative", "clip", (1, 5)), ("relative", "step", 7),
+        ("staleness", "option", "arithmetic"), ("staleness", "clip", (1, 5)),
+        ("staleness", "step", 7),
+        ("fixed", "option", "arithmetic"), ("fixed", "threshold", 0.5), ("fixed", "clip", (1, 5)),
+    ])
+    def test_a_field_its_kind_does_not_read_must_stay_unset(self, kind, field, value):
+        settings = {"step": 3} if kind == "fixed" else {}
+        with pytest.raises(ConfigError, match=rf"switch kind '{kind}' does not read \['{field}'\]"):
+            SwitchCriterion(kind=kind, **settings, **{field: value})
+
+    def test_autoswitch_option_defaults_to_arithmetic(self):
+        assert SwitchCriterion(kind="autoswitch").option == "arithmetic"
+        assert SwitchCriterion(kind="relative").option is None
+
     def test_labels(self):
         assert "autoswitch" in SwitchCriterion(kind="autoswitch").label()
         assert "0.5" in SwitchCriterion(kind="relative").label()

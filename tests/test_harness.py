@@ -153,6 +153,88 @@ class TestRecipeConfig:
         assert config.hyper.lr_schedule(60) != config.hyper.lr_schedule(0)  # it is the cosine
 
 
+# the (kind, key) pairs a switch or data section may not hold: each kind reads only
+# some of its section's keys
+UNREAD_SWITCH_KEYS = [
+    ("autoswitch", "threshold"), ("autoswitch", "step"), ("autoswitch", "step_ratio"),
+    *[(kind, key) for kind in ("relative", "staleness")
+      for key in ("option", "clip", "step", "step_ratio")],
+    ("fixed", "option"), ("fixed", "threshold"), ("fixed", "clip"),
+]
+UNREAD_DATA_KEYS = [
+    ("blobs", "path"), ("blobs", "n_targets"),
+    ("regression", "n_classes"), ("regression", "path"), ("regression", "n_targets"),
+    *[("csv", key) for key in ("n_samples", "n_features", "n_classes", "noise_std", "seed")],
+]
+# a value for each key that the kinds reading it accept
+SWITCH_VALUES = {"option": "arithmetic", "threshold": 0.5, "step": 30, "step_ratio": 0.25,
+                 "clip": {"t_min_ratio": 0.1, "t_max_ratio": 0.5}}
+DATA_VALUES = {"n_samples": 64, "n_features": 2, "n_classes": 2, "noise_std": 0.1, "seed": 0,
+               "n_targets": 1}
+
+
+def _blobs_csv(tmp_path) -> str:
+    path = tmp_path / "data.csv"
+    models.save_csv(models.gen_synthetic("blobs", 64, 2, n_classes=2, seed=1), path)
+    return str(path)
+
+
+class TestKeysByKind:
+    @pytest.mark.parametrize("kind,key", UNREAD_SWITCH_KEYS)
+    def test_switch_key_its_kind_does_not_read(self, kind, key):
+        switch = {"kind": kind, key: SWITCH_VALUES[key]}
+        if kind == "fixed":
+            switch["step"] = 30
+        doc = {**BASE_CONFIG, "switch": switch}
+        with pytest.raises(ConfigError, match=rf"switch kind '{kind}' does not read \['{key}'\]"):
+            harness.config_from_dict(doc)
+
+    @pytest.mark.parametrize("kind,key", UNREAD_DATA_KEYS)
+    def test_data_key_its_kind_does_not_read(self, tmp_path, kind, key):
+        data = {"kind": kind, key: _blobs_csv(tmp_path) if key == "path" else DATA_VALUES[key]}
+        if kind == "csv":
+            data["path"] = _blobs_csv(tmp_path)
+        doc = {**BASE_CONFIG, "data": data}
+        with pytest.raises(ConfigError, match=rf"data kind '{kind}' does not read \['{key}'\]"):
+            harness.config_from_dict(doc)
+
+    def test_each_kind_loads_the_keys_it_reads(self, tmp_path):
+        assert len(UNREAD_SWITCH_KEYS) == len(set(UNREAD_SWITCH_KEYS)) == 14
+        assert len(UNREAD_DATA_KEYS) == len(set(UNREAD_DATA_KEYS)) == 10
+        for kind in ("autoswitch", "relative", "staleness", "fixed"):
+            switch = {"kind": kind, **{key: value for key, value in SWITCH_VALUES.items()
+                                       if (kind, key) not in UNREAD_SWITCH_KEYS}}
+            if kind == "fixed":  # step and step_ratio are two ways to say one thing
+                del switch["step_ratio"]
+            assert harness.config_from_dict({**BASE_CONFIG, "switch": switch}).criterion.kind == kind
+        values = {**DATA_VALUES, "batch_size": 16, "path": _blobs_csv(tmp_path)}
+        for kind in ("blobs", "regression", "csv"):
+            data = {"kind": kind, **{key: value for key, value in values.items()
+                                     if (kind, key) not in UNREAD_DATA_KEYS}}
+            assert harness.config_from_dict({**BASE_CONFIG, "data": data}).data.kind == kind
+
+    @pytest.mark.parametrize("section", ["switch", "data"])
+    @pytest.mark.parametrize("kind", [[], {}, None, 3, "oracle"])
+    def test_a_bad_kind_fails_as_the_kind(self, section, kind):
+        doc = {**BASE_CONFIG, section: {"kind": kind}}
+        with pytest.raises(ConfigError, match=r"unknown (switch criterion|data) kind"):
+            harness.config_from_dict(doc)
+
+    def test_cli_exits_2_before_any_data_or_output(self, tmp_path, monkeypatch, capsys):
+        switch = {"kind": "autoswitch", "threshold": 1.0,
+                  "clip": {"t_min_ratio": 0.1, "t_max_ratio": 0.5}}
+        path, _ = make_config(tmp_path, switch=switch)
+        out = tmp_path / "out"
+        monkeypatch.setattr(models, "gen_synthetic", lambda *a, **k: pytest.fail("data was built"))
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: switch kind 'autoswitch' does not read ['threshold']\n")
+        assert not out.exists()
+
+
 class TestOptimizerNumbers:
     def test_json_dumps_exponent_floats_load_and_run(self, tmp_path):
         doc = json.loads(json.dumps(BASE_CONFIG))

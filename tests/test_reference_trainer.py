@@ -1,0 +1,105 @@
+"""``optim.recipe_train`` against the plain reference trainer, bit for bit.
+
+Every record field, both evaluation losses, the switch step, and the final
+parameters and masks must be equal.  The matrix covers the five recipes,
+the four switch criteria and the stagewise decay on a relu and a tanh MLP,
+with beta2 = 0.99 so that the 100-sample windows fill early, plus a few
+steps of the benchmark's wide model.
+"""
+
+import pytest
+
+import reference_trainer
+from stepnm import models, optim
+from stepnm.autoswitch import SwitchCriterion, mixing_window
+from stepnm.masks import DecaySchedule, NMRatio
+from stepnm.optim import AdamHyper, Recipe, constant_lr, cosine_lr
+
+STEPS = 160
+DECAY = (4, (60, 120))
+MODELS = {
+    "relu 2-16-2": ((2, 16, 2), "relu", {"fc2.weight": (1, 4)}),
+    "tanh 8-32-16-4": ((8, 32, 16, 4), "tanh",
+                       {"fc1.weight": (2, 4), "fc2.weight": (1, 4), "fc3.weight": (2, 4)}),
+}
+# name: (recipe, lam, decay, switch settings, cosine lr)
+CASES = {
+    "dense": ("dense", 0.0, None, None, False),
+    "ste+decay": ("ste", 0.0, DECAY, None, False),
+    "srste": ("srste", 2e-4, None, None, False),
+    "step/fixed": ("step", 0.0, None, {"kind": "fixed", "step": 80}, False),
+    "step/autoswitch+clip": ("step", 0.0, None,
+                             {"kind": "autoswitch", "option": "arithmetic", "clip": (40, 120)}, False),
+    "step/relative": ("step", 0.0, None, {"kind": "relative", "threshold": 0.5}, False),
+    "step/staleness+decay": ("step", 0.0, DECAY, {"kind": "staleness", "threshold": 0.96}, False),
+    "step_updated_variance/autoswitch+decay+cosine": (
+        "step_updated_variance", 0.0, DECAY,
+        {"kind": "autoswitch", "option": "geometric", "clip": (40, 140)}, True),
+}
+
+
+def _train_both(sizes, activation, plan, recipe, lam, decay, switch, cosine, *, steps, eps=1e-8,
+                beta2=0.99, lr=5e-3, batch_size=32, seed=1):
+    """(recipe_train's result, the reference's) for one run on blobs data."""
+    ds = models.gen_synthetic("blobs", 256, sizes[0], n_classes=sizes[-1],
+                              noise_std=0.6, seed=0, batch_size=batch_size)
+    spec = models.ModelSpec("mlp_classifier", sizes, activation)
+    hyper = AdamHyper(beta2=beta2, eps=eps,
+                      lr_schedule=cosine_lr(lr, steps) if cosine else constant_lr(lr))
+    criterion = None if switch is None else SwitchCriterion(
+        **{key: value for key, value in switch.items() if value is not None})
+    result = optim.recipe_train(
+        spec, ds, hyper, {name: NMRatio(*ratio) for name, ratio in plan.items()},
+        Recipe(recipe, lam, None if decay is None else DecaySchedule(*decay)),
+        criterion, steps, seed)
+    reference = reference_trainer.train(
+        sizes, activation, ds.inputs, ds.targets, ds.batch_size, recipe=recipe,
+        total_steps=steps, seed=seed, lr=lr, cosine=cosine, beta2=beta2, eps=eps, lam=lam,
+        plan=plan, decay=decay, switch=switch)
+    return result, reference
+
+
+def _assert_bitwise_equal(result, reference):
+    # repr tells -0.0 from 0.0 and writes each float's shortest round-trip
+    # digits, so equal reprs are equal bits
+    assert repr([vars(r) for r in result.records]) == repr(reference["records"])
+    assert repr((result.sparse_eval_loss, result.dense_eval_loss, result.switched_at)) == repr(
+        (reference["sparse_eval_loss"], reference["dense_eval_loss"], reference["switched_at"]))
+    assert list(result.params) == list(reference["params"])
+    for name, p in reference["params"].items():
+        assert result.params[name].tobytes() == p.tobytes(), name
+    assert list(result.final_masks) == list(reference["masks"])
+    for name, mask in reference["masks"].items():
+        assert result.final_masks[name].tobytes() == mask.tobytes(), name
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("model", MODELS)
+def test_recipe_train_matches_the_reference(model, case):
+    result, reference = _train_both(*MODELS[model], *CASES[case], steps=STEPS)
+    _assert_bitwise_equal(result, reference)
+    if CASES[case][3] is not None:  # every criterion fires inside the run
+        assert result.switched_at is not None
+
+
+def test_autoswitch_fires_by_its_window_before_the_clip():
+    """eps = 1e-5 puts the window's mean below eps a few steps after the window fills."""
+    sizes, activation, plan = MODELS["relu 2-16-2"]
+    t_max = 150
+    switch = {"kind": "autoswitch", "option": "arithmetic", "clip": (20, t_max)}
+    result, reference = _train_both(sizes, activation, plan, "step", 0.0, None, switch, False,
+                                    steps=STEPS, eps=1e-5)
+    _assert_bitwise_equal(result, reference)
+    t0 = result.switched_at
+    assert mixing_window(0.99) < t0 < t_max
+    assert result.records[t0 - 1].z_bar < 1e-5 <= result.records[t0 - 2].z_bar
+
+
+def test_wide_model_matches_the_reference():
+    """The benchmark's wide shape, 2:4 on every weight, for a few steps around a fixed switch."""
+    plan = {f"fc{i}.weight": (2, 4) for i in (1, 2, 3)}
+    result, reference = _train_both((256, 1024, 1024, 10), "relu", plan, "step", 0.0, None,
+                                    {"kind": "fixed", "step": 2}, False, steps=3, lr=1e-4,
+                                    batch_size=128)
+    _assert_bitwise_equal(result, reference)
+    assert result.switched_at == 2
