@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, RangeError
+from .errors import ConfigError, NumericalError, RangeError
 from .masks import CHUNK
 from .models import ParamBuffer, check_layout
 
@@ -182,44 +182,34 @@ class _WindowDetector:
     """The autoswitch: the mean of the last mixing_window(beta2) samples below eps.
 
     ``last_mean`` is ``math.fsum(window) / len(window)`` to the bit.  The
-    window's exact sum is kept as partials that each step adds the new sample
-    to and the evicted one from, and ``math.fsum`` of them is correctly
-    rounded, like that of the window.  While the window holds a non-finite
-    sample, or once that running sum has overflowed, the mean is taken from
-    ``math.fsum(window)`` itself.  The detector fires only once the window
-    is full, so a short sample cannot fire spuriously.  With ``clip`` = (T_min, T_max) the budget cap fires at
-    T_max whatever the window, and the epsilon path also needs t > T_min.
+    window's exact sum is kept as partials that each step subtracts the evicted
+    sample from and adds the new one to, and ``math.fsum`` of them is correctly
+    rounded, like that of the window.  A non-finite sample, or a running sum
+    that overflows, raises NumericalError; samples from training are never
+    negative, so theirs overflows only with the window's.  The detector fires
+    only once the window is full, so a short sample cannot fire spuriously.
+    With ``clip`` = (T_min, T_max) the budget cap fires at T_max whatever the
+    window, and the epsilon path also needs t > T_min.
     """
 
     def __init__(self, criterion: SwitchCriterion, beta2: float, eps: float):
         self.window: deque = deque(maxlen=mixing_window(beta2))
-        self.geometric = criterion.option == "geometric"
+        self.field = "z_geom" if criterion.option == "geometric" else "z"  # the sample
         self.eps = eps
         self.clip = criterion.clip
         self.last_mean: float | None = None
-        self._partials: list | None = []  # the finite samples' sum; None once it overflowed
-        self._nonfinite = 0  # non-finite samples in the window
-
-    def _track(self, x: float, sign: int) -> None:
-        """Count sample ``x`` into the running sum (sign 1) or out of it (sign -1)."""
-        if not math.isfinite(x):
-            self._nonfinite += sign
-        elif self._partials is not None and not _add_exact(self._partials, sign * x):
-            self._partials = None
+        self._partials: list = []  # the window's exact sum
 
     def observe(self, record: StepRecord) -> bool:
         window = self.window
         if len(window) == window.maxlen:
-            self._track(window[0], -1)
-        sample = record.z_geom if self.geometric else record.z
+            _add_exact(self._partials, -window[0])
+        sample = getattr(record, self.field)
         window.append(sample)
-        self._track(sample, 1)
-        if self._nonfinite or self._partials is None:
-            total = math.fsum(window)
-        else:
-            total = math.fsum(self._partials)
-        self.last_mean = total / len(window)
-        below = len(self.window) == self.window.maxlen and self.last_mean < self.eps
+        if not (math.isfinite(sample) and _add_exact(self._partials, sample)):
+            raise NumericalError(f"non-finite window sum of {self.field} at step {record.step}")
+        self.last_mean = math.fsum(self._partials) / len(window)
+        below = len(window) == window.maxlen and self.last_mean < self.eps
         if self.clip is None:
             return below
         t_min, t_max = self.clip

@@ -87,7 +87,7 @@ def ablate_cmd(config_path, kind, out):
 @click.option("--g", "bound_g", type=float, default=1.0, show_default=True)
 @click.option("--dim", type=int, default=1, show_default=True)
 @click.option("--level", type=float, default=None, help="Constant stream value.")
-@click.option("--p", type=float, default=0.5, show_default=True, help="Bernoulli keep probability.")
+@click.option("--p", type=float, default=None, help="Bernoulli keep probability (0.5 if unset).")
 @click.option("--sigma", type=float, default=None, help="Pre-truncation scale of the squared Gaussian.")
 @click.option("--beta2", type=float, default=0.999, show_default=True)
 @click.option("--t0", type=int, default=2000, show_default=True)

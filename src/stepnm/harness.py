@@ -2,8 +2,8 @@
 comparison/ablation drivers.
 
 Configs are YAML (or JSON) documents with nested sections; unknown keys, and
-``switch`` and ``data`` keys that their kind does not read, are hard errors so
-typos fail before any compute.  ``config_from_dict`` checks each section once
+keys that a section's kind does not read, are hard errors so typos fail
+before any compute.  ``config_from_dict`` checks each section once
 and builds the objects the trainer takes, which the ExperimentConfig holds.
 Each run writes one JSONL trajectory per seed plus a flat summary document;
 all outputs are byte-reproducible for a fixed (config, seed).
@@ -51,10 +51,10 @@ def _take(section: dict, name: str, required=(), optional=()) -> dict:
     return section
 
 
-def _take_kind(section, name: str, reads: dict) -> dict:
+def _take_kind(section, name: str, reads: dict, required=("kind",)) -> dict:
     """``_take``, rejecting keys that ``reads`` does not list for the kind, if it lists the kind."""
-    kind = _take(section, name, required=("kind",), optional=set().union(*reads.values()))["kind"]
-    unread = isinstance(kind, str) and set(section) - {"kind", *reads.get(kind, section)}
+    kind = _take(section, name, required, optional=set().union(*reads.values()))["kind"]
+    unread = isinstance(kind, str) and set(section) - {*required, *reads.get(kind, section)}
     if unread:
         raise ConfigError(f"{name} kind {kind!r} does not read {sorted(unread)}")
     return section
@@ -207,7 +207,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 required=("model", "data", "optimizer", "recipe", "total_steps", "seeds"),
                 optional=("sparsity", "switch", "output_dir", "ablation"))
 
-    m = _take(doc["model"], "model", required=("kind", "layer_sizes"), optional=("activation",))
+    m = _take_kind(doc["model"], "model", required=("kind", "layer_sizes"),
+                   reads={"linear_regression": (), "mlp_classifier": ("activation",)})
     spec = models.ModelSpec(
         kind=m["kind"], layer_sizes=_each(_int, m["layer_sizes"], "model.layer_sizes"),
         activation=m.get("activation", "relu"),
@@ -390,21 +391,19 @@ def run(config: ExperimentConfig, output_dir=None) -> dict:
     trajectory is written as soon as it has trained, and only the figures of
     the summary are kept from it.
     """
-    seeds = config.seeds
     out = Path(output_dir if output_dir is not None else config.output_dir)
     check_output_dir(out)
     runs = _train_runs(config, [("run", config.recipe, config.criterion)], out)
     sparse, dense, switched = zip(*(figures for _, _, figures, _ in runs))
-    std = statistics.pstdev if len(seeds) > 1 else lambda _: 0.0
     summary = {
-        "n_seeds": len(seeds),
-        "seeds": list(seeds),
+        "n_seeds": len(config.seeds),
+        "seeds": list(config.seeds),
         "sparse_eval_loss_mean": statistics.fmean(sparse),
-        "sparse_eval_loss_std": std(sparse),
+        "sparse_eval_loss_std": statistics.pstdev(sparse),
         "dense_eval_loss_mean": statistics.fmean(dense),
-        "dense_eval_loss_std": std(dense),
+        "dense_eval_loss_std": statistics.pstdev(dense),
         "switched_at": list(switched),
-        "trajectory_files": [str(out / f"trajectory_seed{seed}.jsonl") for seed in seeds],
+        "trajectory_files": [str(out / f"trajectory_seed{seed}.jsonl") for seed in config.seeds],
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

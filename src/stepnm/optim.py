@@ -101,6 +101,12 @@ def _check_grads(grads: models.ParamBuffer, step: int) -> None:
         raise NumericalError(f"non-finite gradient for {name!r} at step {step}")
 
 
+def _check_figures(step: int, **figures) -> None:
+    for name, value in figures.items():
+        if value is not None and not math.isfinite(value):
+            raise NumericalError(f"non-finite {name} at step {step}")
+
+
 def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
               grads: models.ParamBuffer, freeze_v: bool = False, bias_correct_v: bool = True):
     """One Adam update over the whole flat buffer, in place; returns (state, params).
@@ -288,6 +294,7 @@ def recipe_train(
     A run holds four ParamBuffers: params, grads, m and v.  ``grads`` holds
     a masked step's masked weights, then every step's gradient, then
     v_t - v_{t-1} for the statistics, and at the end the final masked weights.
+    A non-finite gradient, loss or statistic raises NumericalError naming it and the step.
     """
     two_phase = recipe.kind in TWO_PHASE_KINDS
     if two_phase and switch is None:
@@ -331,6 +338,7 @@ def recipe_train(
             # a frozen variance keeps the statistics of the step that froze it;
             # adam_step left v_t - v_{t-1} in grads, which the statistics overwrite
             z, z_geom, v_l1, v_l2 = variance_stats(state.v, grads)
+        _check_figures(t, loss=loss, z=z, z_geom=z_geom, v_l1=v_l1, v_l2=v_l2)
 
         record = StepRecord(t, "mask_learning" if in_masked_phase else "precondition", loss,
                             v_l1, v_l2, z, z_geom)
@@ -355,6 +363,7 @@ def recipe_train(
     full = dataset.full_batch()
     sparse_eval_loss = models.forward_loss(spec, grads, full)
     dense_eval_loss = models.forward_loss(spec, params, full)
+    _check_figures(total_steps, sparse_eval_loss=sparse_eval_loss, dense_eval_loss=dense_eval_loss)
     final_masks = {name: compute_nm_mask(w, final_ratios[name])
                    for name, w in params.items() if name in final_ratios}
     return TrainResult(

@@ -27,7 +27,9 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, RangeError
 
-STREAM_KINDS = ("constant", "uniform", "bernoulli", "trunc_gauss_sq")
+STREAM_PARAMS = {"constant": ("level",), "uniform": (), "bernoulli": ("p",),
+                 "trunc_gauss_sq": ("sigma",)}  # the parameters each kind reads
+STREAM_KINDS = tuple(STREAM_PARAMS)
 
 PER_STEP_SLACK = 1e-12
 
@@ -88,9 +90,9 @@ class StationaryStream:
     """I.i.d. draws of squared gradients with support inside [0, G].
 
     Coordinates are independent, so a d-dimensional stream is statistically
-    d replicas of the scalar one.  ``level`` is the constant kind's value,
-    ``p`` the bernoulli keep probability, ``sigma`` the pre-truncation scale
-    of the squared-Gaussian kind.
+    d replicas of the scalar one.  A kind reads only its STREAM_PARAMS, and
+    the others stay unset: ``level``, the constant value; ``p``, the bernoulli
+    keep probability (0.5 if unset); ``sigma``, the squared Gaussian's scale.
     """
 
     kind: str
@@ -98,12 +100,17 @@ class StationaryStream:
     dim: int = 1
     seed: int = 0
     level: float | None = None
-    p: float = 0.5
+    p: float | None = None
     sigma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in STREAM_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in STREAM_PARAMS:
             raise ConfigError(f"unknown stream kind {self.kind!r}")
+        for key in ("level", "p", "sigma"):
+            if getattr(self, key) is not None and key not in STREAM_PARAMS[self.kind]:
+                raise ConfigError(f"stream kind {self.kind!r} does not read {[key]}")
+        if self.kind == "bernoulli" and self.p is None:
+            object.__setattr__(self, "p", 0.5)
         if not 0.0 < self.bound < math.inf:
             raise ConfigError(f"stream bound G must be positive and finite, got {self.bound}")
         if self.dim < 1:
@@ -112,7 +119,7 @@ class StationaryStream:
             raise ConfigError("stream seed must be a non-negative integer")
         if self.level is not None and not 0.0 <= self.level <= self.bound:
             raise ConfigError("constant level must lie in [0, G]")
-        if not 0.0 <= self.p <= 1.0:
+        if self.p is not None and not 0.0 <= self.p <= 1.0:
             raise ConfigError("bernoulli probability must lie in [0, 1]")
         if self.sigma is not None and not 0.0 < self.sigma < math.inf:
             raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")

@@ -17,7 +17,7 @@ from stepnm.autoswitch import StepRecord, SwitchCriterion
 from stepnm.masks import DecaySchedule
 from stepnm.cli import entry as cli_entry
 from stepnm.cli import main as cli_main
-from stepnm.errors import ConfigError, ToolkitError
+from stepnm.errors import ConfigError, NumericalError, ToolkitError
 
 BASE_CONFIG = {
     "model": {"kind": "mlp_classifier", "layer_sizes": [2, 16, 2], "activation": "relu"},
@@ -220,6 +220,29 @@ class TestKeysByKind:
         with pytest.raises(ConfigError, match=r"unknown (switch criterion|data) kind"):
             harness.config_from_dict(doc)
 
+    def test_activation_only_on_the_classifier(self, tmp_path, monkeypatch, capsys):
+        model = {"kind": "linear_regression", "layer_sizes": [2, 1], "activation": "tanh"}
+        data = {"kind": "regression", "n_samples": 64, "n_features": 2}
+        with pytest.raises(ConfigError,
+                           match=r"^model kind 'linear_regression' does not read \['activation'\]$"):
+            harness.config_from_dict({**BASE_CONFIG, "model": model, "data": data})
+        del model["activation"]
+        doc = {**BASE_CONFIG, "model": model, "data": data, "sparsity": None}
+        assert harness.config_from_dict(doc).model.kind == "linear_regression"
+        classifier = {"kind": "mlp_classifier", "layer_sizes": [2, 16, 2]}
+        assert harness.config_from_dict({**BASE_CONFIG, "model": classifier}).model.activation == "relu"
+        path, _ = make_config(tmp_path, model={**model, "activation": "relu"}, data=data,
+                              sparsity=None)
+        out = tmp_path / "out"
+        monkeypatch.setattr(models, "gen_synthetic", lambda *a, **k: pytest.fail("data was built"))
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: model kind 'linear_regression' does not read ['activation']\n")
+        assert not out.exists()
+
     def test_cli_exits_2_before_any_data_or_output(self, tmp_path, monkeypatch, capsys):
         switch = {"kind": "autoswitch", "threshold": 1.0,
                   "clip": {"t_min_ratio": 0.1, "t_max_ratio": 0.5}}
@@ -402,6 +425,21 @@ class TestRun:
                 assert used.dtype == expected.dtype and used.shape == expected.shape
                 assert used.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("seeds", [[1], [1, 2]])
+    def test_outputs_are_strict_json(self, tmp_path, seeds):
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        path, _ = make_config(tmp_path, seeds=seeds, total_steps=40)
+        harness.run(harness.load_config(path), output_dir=tmp_path / "out")
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                             parse_constant=refuse)
+        if len(seeds) == 1:
+            assert summary["sparse_eval_loss_std"] == summary["dense_eval_loss_std"] == 0.0
+        for seed in seeds:
+            text = (tmp_path / "out" / f"trajectory_seed{seed}.jsonl").read_text()
+            assert len([json.loads(line, parse_constant=refuse) for line in text.splitlines()]) == 41
+
     def test_summary_written(self, tmp_path):
         path, _ = make_config(tmp_path, seeds=[1])
         config = harness.load_config(path)
@@ -567,6 +605,21 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "finite" in captured.err
         assert "violations" not in captured.out
+
+    @pytest.mark.parametrize("stream,option", [("uniform", "--level"), ("constant", "--p"),
+                                               ("bernoulli", "--sigma"), ("trunc_gauss_sq", "--p")])
+    def test_validate_theorem_rejects_a_parameter_its_stream_does_not_read(
+            self, stream, option, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "thm"
+        monkeypatch.setattr(theory, "validate_theorem", lambda *a: pytest.fail("the Monte Carlo ran"))
+        monkeypatch.setattr("sys.argv", ["stepnm", "validate-theorem", "--stream", stream,
+                                         option, "0.3", "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: stream kind '{stream}' does not read ['{option[2:]}']\n")
+        assert not out.exists()
 
     def test_validate_theorem_rejects_a_step_beyond_the_draw_budget(self, monkeypatch, capsys):
         # one step of one trial at dim 262145 is 2 MiB + 8 bytes
@@ -759,6 +812,36 @@ class TestCSVDataConfig:
             cli_entry()
         assert exit_info.value.code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_regression_targets_exit_2_naming_the_loss(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(0)
+        csv_path = tmp_path / "data.csv"
+        models.save_csv(models.Dataset(rng.standard_normal((64, 3)),
+                                       1e160 * rng.standard_normal((64, 1)), 32), csv_path)
+        path, _ = make_config(
+            tmp_path, model={"kind": "linear_regression", "layer_sizes": [3, 1]},
+            data={"kind": "csv", "path": str(csv_path)}, optimizer={"lr": 1e-3},
+            recipe={"kind": "dense"}, sparsity=None, switch=None, total_steps=20, seeds=[1, 2])
+        out = tmp_path / "out"
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith("error: non-finite loss at step 1\n")
+        assert not out.exists()
+
+    def test_huge_classifier_features_stop_naming_v_l2(self, tmp_path):
+        rng = np.random.default_rng(0)
+        csv_path = tmp_path / "data.csv"
+        models.save_csv(models.Dataset(1e155 * rng.standard_normal((64, 3)),
+                                       rng.integers(0, 2, 64).astype(float), 32), csv_path)
+        doc = {**BASE_CONFIG, "model": {"kind": "mlp_classifier", "layer_sizes": [3, 8, 2]},
+               "data": {"kind": "csv", "path": str(csv_path)}, "optimizer": {"lr": 1e-3},
+               "recipe": {"kind": "dense"}, "sparsity": None, "switch": None, "seeds": [1],
+               "total_steps": 20}
+        with pytest.raises(NumericalError, match=r"^non-finite v_l2 at step 1$"):
+            harness.run(harness.config_from_dict(doc), output_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_run_from_csv(self, tmp_path):

@@ -598,6 +598,71 @@ class TestTwoPhaseTraining:
         assert [r.loss for r in a.records] == [r.loss for r in b.records]
 
 
+class TestNonFiniteFigures:
+    """A non-finite loss, statistic or evaluation loss stops the run at the step that made it."""
+
+    def test_the_gradient_check_comes_first(self):
+        # the loss and the gradient both overflow at step 1; the gradient is named
+        rng = np.random.default_rng(0)
+        spec = models.ModelSpec("linear_regression", (3, 1))
+        ds = models.Dataset(1e10 * rng.standard_normal((64, 3)),
+                            1e300 * rng.standard_normal((64, 1)), 32)
+        with pytest.raises(NumericalError, match=r"^non-finite gradient for 'fc1.weight' at step 1$"):
+            optim.recipe_train(spec, ds, default_hyper(), {}, Recipe("dense"), None, 20, 1)
+
+    @pytest.mark.parametrize("figure", ["loss", "z", "z_geom", "v_l1", "v_l2"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_named_before_the_record_is_kept_or_observed(self, figure, value, monkeypatch):
+        real_stats, real_loss = optim.variance_stats, models.loss_and_grad
+        calls = {"stats": 0, "loss": 0}
+
+        def stats(*args):
+            calls["stats"] += 1
+            figures = list(real_stats(*args))  # z, z_geom, v_l1, v_l2
+            if calls["stats"] == 3 and figure != "loss":
+                figures[["z", "z_geom", "v_l1", "v_l2"].index(figure)] = value
+            return tuple(figures)
+
+        def loss_and_grad(*args, **kwargs):
+            calls["loss"] += 1
+            loss, grads = real_loss(*args, **kwargs)
+            return (value if figure == "loss" and calls["loss"] == 3 else loss), grads
+
+        observed = []
+        real_detector = optim.make_detector
+
+        def make_detector(*args):
+            detector = real_detector(*args)
+            observe = detector.observe
+            detector.observe = lambda record: observed.append(record.step) or observe(record)
+            return detector
+
+        monkeypatch.setattr(optim, "variance_stats", stats)
+        monkeypatch.setattr(models, "loss_and_grad", loss_and_grad)
+        monkeypatch.setattr(optim, "make_detector", make_detector)
+        spec, ds, plan = blob_setup()
+        with pytest.raises(NumericalError, match=rf"^non-finite {figure} at step 3$"):
+            optim.recipe_train(spec, ds, default_hyper(), plan, Recipe("step"),
+                               SwitchCriterion(kind="autoswitch"), 10, 0)
+        assert observed == [1, 2]
+
+    @pytest.mark.parametrize("figure", ["sparse_eval_loss", "dense_eval_loss"])
+    def test_non_finite_evaluation_loss(self, figure, monkeypatch):
+        real = models.forward_loss
+        losses = []
+
+        def forward_loss(spec, params, batch):
+            losses.append(real(spec, params, batch))
+            bad = len(losses) == ("sparse_eval_loss", "dense_eval_loss").index(figure) + 1
+            return math.nan if bad else losses[-1]
+
+        monkeypatch.setattr(models, "forward_loss", forward_loss)
+        spec, ds, plan = blob_setup()
+        with pytest.raises(NumericalError, match=rf"^non-finite {figure} at step 12$"):
+            optim.recipe_train(spec, ds, default_hyper(), plan, Recipe("dense"), None, 12, 0)
+        assert len(losses) == 2
+
+
 class TestTrainingMemory:
     @pytest.mark.parametrize("kind, bound", [
         ("step", 4.5), ("dense", 4.5), ("step_updated_variance", 4.5), ("ste", 4.5),

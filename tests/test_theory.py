@@ -84,6 +84,23 @@ class TestStationaryStream:
                 StationaryStream(kind="trunc_gauss_sq", bound=1.0, sigma=bad)
 
 
+    @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
+    def test_each_kind_takes_only_the_parameters_it_reads(self, kind):
+        values = {"level": 0.3, "p": 0.3, "sigma": 0.3}
+        for key, value in values.items():
+            if key in theory.STREAM_PARAMS[kind]:
+                assert getattr(StationaryStream(kind=kind, bound=1.0, **{key: value}), key) == value
+            else:
+                with pytest.raises(ConfigError,
+                                   match=rf"^stream kind '{kind}' does not read \['{key}'\]$"):
+                    StationaryStream(kind=kind, bound=1.0, **{key: value})
+
+    def test_p_is_unset_but_for_bernoulli(self):
+        assert StationaryStream(kind="bernoulli", bound=1.0).p == 0.5
+        for kind in ("constant", "uniform", "trunc_gauss_sq"):
+            assert StationaryStream(kind=kind, bound=1.0).p is None
+
+
 def plain_draw(stream, rng, steps):
     """The stream's draws as plain numpy expressions, each making a new array."""
     shape = (steps, stream.dim)
@@ -104,7 +121,8 @@ def fresh_rngs(*seeds):
 class TestDrawInPlace:
     @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
     def test_out_matches_a_fresh_draw_and_the_plain_expressions(self, kind):
-        stream = StationaryStream(kind=kind, bound=1.5, dim=3, seed=0, level=0.4)
+        stream = StationaryStream(kind=kind, bound=1.5, dim=3, seed=0,
+                                  level=0.4 if kind == "constant" else None)
         out = np.full((2, 257, 3), np.nan)
         assert stream.draw(fresh_rngs(8, 9), 257, out=out) is out
         fresh = stream.draw(fresh_rngs(8, 9), 257)
@@ -113,7 +131,8 @@ class TestDrawInPlace:
 
     @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
     def test_consecutive_draws_equal_one_draw(self, kind):
-        stream = StationaryStream(kind=kind, bound=1.0, dim=2, seed=0, level=0.3)
+        stream = StationaryStream(kind=kind, bound=1.0, dim=2, seed=0,
+                                  level=0.3 if kind == "constant" else None)
         rngs = fresh_rngs(17, 18)
         buf = np.empty((2, 300, 2))
         stream.draw(rngs, 123, out=buf[:, :123])
@@ -125,7 +144,8 @@ class TestDrawInPlace:
         # a full 128-step chunk, then a short last chunk of 45 steps written
         # into the non-contiguous view draws[:, :45] of the same buffer, as
         # the validator does
-        stream = StationaryStream(kind=kind, bound=1.5, dim=3, seed=0, level=0.4)
+        stream = StationaryStream(kind=kind, bound=1.5, dim=3, seed=0,
+                                  level=0.4 if kind == "constant" else None)
         seeds = [(2, i) for i in range(5)]
         rngs = fresh_rngs(*seeds)
         draws = np.full((5, 128, 3), np.nan)
@@ -241,7 +261,8 @@ class TestAgainstReference:
     @pytest.mark.parametrize("kind", theory.STREAM_KINDS)
     def test_bitwise_equal_to_per_trial_recursion(self, kind):
         # each trial i is simulate_vhat on the generator (seed, i) the validator uses
-        stream = StationaryStream(kind=kind, bound=1.0, dim=2, seed=5, level=0.3)
+        stream = StationaryStream(kind=kind, bound=1.0, dim=2, seed=5,
+                                  level=0.3 if kind == "constant" else None)
         t0, t, trials = 1300, 1500, 3
         report = theory.validate_theorem(stream, 0.999, t0, t, delta=0.01, trials=trials)
         drifts, step_devs = [], []
@@ -297,7 +318,8 @@ class TestChunkedDraws:
         monkeypatch.setattr(theory, "CHUNK", chunk)
         monkeypatch.setattr(theory, "DRAW_BUDGET", trials * chunk * dim * 8)
         shapes = spy_block_shapes(monkeypatch)
-        stream = StationaryStream(kind=kind, bound=1.0, dim=dim, seed=4, level=0.3)
+        stream = StationaryStream(kind=kind, bound=1.0, dim=dim, seed=4,
+                                  level=0.3 if kind == "constant" else None)
         t = 1300  # a multiple of no chunk size
         assert t % chunk != 0 and t > chunk
         report = theory.validate_theorem(stream, 0.99, t0=150, t=t, delta=0.05, trials=trials)
