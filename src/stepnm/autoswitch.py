@@ -14,11 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, NumericalError, RangeError
-from .masks import CHUNK
-from .models import ParamBuffer, check_layout
 
 SAMPLER_OPTIONS = ("arithmetic", "geometric")
 # the switch keys each criterion kind reads; a config may give a fixed step as a step_ratio
@@ -26,9 +22,6 @@ CRITERION_KEYS = {"autoswitch": ("option", "clip"), "relative": ("threshold",),
                   "staleness": ("threshold",), "fixed": ("step", "step_ratio")}
 
 DEFAULT_THRESHOLDS = {"relative": 0.5, "staleness": 0.96}
-
-# keeps zero coordinates inside the log domain for the geometric option
-GEOMETRIC_FLOOR = 1e-30
 
 
 def mixing_window(beta2: float) -> int:
@@ -39,52 +32,6 @@ def mixing_window(beta2: float) -> int:
     AdamHyper checks, so the window holds at least one sample.
     """
     return int(math.floor(1.0 / (1.0 - beta2) + 1e-9))
-
-
-def variance_stats(v: ParamBuffer, dv: ParamBuffer) -> tuple[float, float, float, float]:
-    """Per-step variance statistics over every parameter: (z, z_geom, v_l1, v_l2).
-
-    ``dv`` holds the per-coordinate change v_t - v_{t-1} that led to ``v``,
-    as ``adam_step`` leaves it in the gradient buffer.  z is the mean of
-    |dv|; z_geom is the geometric mean of |dv|, floored at a tiny constant
-    so zero changes stay defined; v_l1 and v_l2 are the norms of ``v``.
-    Both are ParamBuffers of one layout (DimensionError otherwise).  ``v``
-    is untouched and ``dv`` is lost.  The passes |dv|, its log, v and v**2
-    are each summed per parameter, and the sums added up as Python floats
-    in layout order.  Up to CHUNK / 4 coordinates, where calls cost more
-    than work, the passes fill the rows of one scratch array and share the
-    sum calls; beyond that, each runs in place in ``dv``.
-    """
-    check_layout(v, "variance")
-    check_layout(dv, "variance change", v.shapes)
-    count = v.flat.size
-    if 4 * count <= CHUNK:
-        changes, logs, v_copy, squares = work = np.empty((4, count))
-        np.abs(dv.flat, out=changes)
-        np.log(np.maximum(changes, GEOMETRIC_FLOOR, out=logs), out=logs)
-        np.copyto(v_copy, v.flat)
-        np.square(v.flat, out=squares)
-        total_abs, total_log, l1, sq = _layer_sums(work, v.bounds)
-    else:
-        work = dv.flat
-        np.abs(work, out=work)
-        total_abs, = _layer_sums(work[None], v.bounds)
-        np.log(np.maximum(work, GEOMETRIC_FLOOR, out=work), out=work)
-        total_log, = _layer_sums(work[None], v.bounds)
-        l1, = _layer_sums(v.flat[None], v.bounds)  # Adam's v is +0 or more everywhere
-        np.square(v.flat, out=work)
-        sq, = _layer_sums(work[None], v.bounds)
-    return total_abs / count, math.exp(total_log / count), l1, math.sqrt(sq)
-
-
-def _layer_sums(work: np.ndarray, bounds) -> list[float]:
-    """Per row of ``work``, its (start, stop) segments' sums, added up as Python floats in order.
-
-    ``np.add.reduce(work[:, start:stop], axis=1)`` gives each row's segment
-    the bits of its own ``.sum()``.
-    """
-    per_segment = [np.add.reduce(work[:, start:stop], axis=1).tolist() for start, stop in bounds]
-    return [sum(row, 0.0) for row in zip(*per_segment)]
 
 
 # ---------------------------------------------------------------------------
@@ -158,38 +105,28 @@ class StepRecord:
     switched_at: int | None = None
 
 
-def _add_exact(partials: list, x: float) -> bool:
-    """Add ``x`` to the exact sum that ``partials`` holds; False if that sum overflowed.
+_UNITS_PER_ONE = 1 << 1074  # 2**-1074 is the smallest subnormal
 
-    ``partials`` are Shewchuk's non-overlapping floats, smallest first, whose
-    exact sum is the running total, as inside ``math.fsum``.
-    """
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-    return math.isfinite(x)
+
+def _units(x: float) -> int:
+    """``x`` exactly, in units of 2**-1074; ValueError or OverflowError if not finite."""
+    numerator, denominator = x.as_integer_ratio()  # denominator = 2**k, k <= 1074
+    return numerator << (1075 - denominator.bit_length())
 
 
 class _WindowDetector:
     """The autoswitch: the mean of the last mixing_window(beta2) samples below eps.
 
     ``last_mean`` is ``math.fsum(window) / len(window)`` to the bit.  The
-    window's exact sum is kept as partials that each step subtracts the evicted
-    sample from and adds the new one to, and ``math.fsum`` of them is correctly
-    rounded, like that of the window.  A non-finite sample, or a running sum
-    that overflows, raises NumericalError; samples from training are never
-    negative, so theirs overflows only with the window's.  The detector fires
-    only once the window is full, so a short sample cannot fire spuriously.
-    With ``clip`` = (T_min, T_max) the budget cap fires at T_max whatever the
-    window, and the epsilon path also needs t > T_min.
+    window's exact sum is one integer in units of 2**-1074, the smallest
+    subnormal, of which every finite float is a whole number; each step adds
+    the new sample's units and subtracts the evicted one's, and the integer's
+    true division is correctly rounded, like ``math.fsum``.  A non-finite
+    sample, or a window sum past the float range, raises NumericalError.
+    The detector fires only once the window is full, so a short sample
+    cannot fire spuriously.  With ``clip`` = (T_min, T_max) the budget cap
+    fires at T_max whatever the window, and the epsilon path also needs
+    t > T_min.
     """
 
     def __init__(self, criterion: SwitchCriterion, beta2: float, eps: float):
@@ -198,17 +135,19 @@ class _WindowDetector:
         self.eps = eps
         self.clip = criterion.clip
         self.last_mean: float | None = None
-        self._partials: list = []  # the window's exact sum
+        self._total = 0  # the window's exact sum, in units of 2**-1074
 
     def observe(self, record: StepRecord) -> bool:
         window = self.window
-        if len(window) == window.maxlen:
-            _add_exact(self._partials, -window[0])
         sample = getattr(record, self.field)
-        window.append(sample)
-        if not (math.isfinite(sample) and _add_exact(self._partials, sample)):
-            raise NumericalError(f"non-finite window sum of {self.field} at step {record.step}")
-        self.last_mean = math.fsum(self._partials) / len(window)
+        try:
+            if len(window) == window.maxlen:
+                self._total -= _units(window[0])
+            window.append(sample)
+            self._total += _units(sample)
+            self.last_mean = self._total / _UNITS_PER_ONE / len(window)
+        except (ValueError, OverflowError):
+            raise NumericalError(f"non-finite window sum of {self.field} at step {record.step}") from None
         below = len(window) == window.maxlen and self.last_mean < self.eps
         if self.clip is None:
             return below

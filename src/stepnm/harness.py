@@ -44,7 +44,7 @@ def _take(section: dict, name: str, required=(), optional=()) -> dict:
     allowed = set(required) | set(optional)
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigError(f"unknown key(s) in {name!r}: {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) in {name!r}: {sorted(unknown, key=str)}")
     missing = set(required) - set(section)
     if missing:
         raise ConfigError(f"missing key(s) in {name!r}: {sorted(missing)}")
@@ -285,11 +285,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     recipe = Recipe(r["kind"], _number(r.get("lam", 0.0), "recipe.lam"),
                     None if r["kind"] == "dense" else ablation.decay)
 
+    output_dir = "runs" if doc.get("output_dir") is None else doc["output_dir"]
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
     return ExperimentConfig(
         model=spec, data=data, hyper=hyper, plan=plan, recipe=recipe, criterion=criterion,
         total_steps=total_steps,
         seeds=_each(_int, doc["seeds"], "seeds"),
-        output_dir=str(doc.get("output_dir", "runs")),
+        output_dir=output_dir,
         ablation=ablation,
     )
 

@@ -26,11 +26,14 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .autoswitch import StepRecord, SwitchCriterion, make_detector, variance_stats
+from .autoswitch import StepRecord, SwitchCriterion, make_detector
 from .errors import ConfigError, NumericalError
 from .masks import CHUNK, DecaySchedule, NMRatio, compute_nm_mask, mask_sparsity
 
 LRSchedule = Callable[[int], float]
+
+# keeps zero coordinates inside the log domain for the geometric option
+GEOMETRIC_FLOOR = 1e-30
 
 RECIPE_KINDS = ("dense", "ste", "srste", "step", "step_updated_variance")
 TWO_PHASE_KINDS = ("step", "step_updated_variance")
@@ -178,6 +181,52 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     return state, params
 
 
+def variance_stats(v: models.ParamBuffer, dv: models.ParamBuffer) -> tuple[float, float, float, float]:
+    """Per-step variance statistics over every parameter: (z, z_geom, v_l1, v_l2).
+
+    ``dv`` holds the per-coordinate change v_t - v_{t-1} that led to ``v``,
+    as ``adam_step`` leaves it in the gradient buffer.  z is the mean of
+    |dv|; z_geom is the geometric mean of |dv|, floored at a tiny constant
+    so zero changes stay defined; v_l1 and v_l2 are the norms of ``v``.
+    Both are ParamBuffers of one layout (DimensionError otherwise).  ``v``
+    is untouched and ``dv`` is lost.  The passes |dv|, its log, v and v**2
+    are each summed per parameter, and the sums added up as Python floats
+    in layout order.  Up to CHUNK / 4 coordinates, where calls cost more
+    than work, the passes fill the rows of one scratch array and share the
+    sum calls; beyond that, each runs in place in ``dv``.
+    """
+    models.check_layout(v, "variance")
+    models.check_layout(dv, "variance change", v.shapes)
+    count = v.flat.size
+    if 4 * count <= CHUNK:
+        changes, logs, v_copy, squares = work = np.empty((4, count))
+        np.abs(dv.flat, out=changes)
+        np.log(np.maximum(changes, GEOMETRIC_FLOOR, out=logs), out=logs)
+        np.copyto(v_copy, v.flat)
+        np.square(v.flat, out=squares)
+        total_abs, total_log, l1, sq = _layer_sums(work, v.bounds)
+    else:
+        work = dv.flat
+        np.abs(work, out=work)
+        total_abs, = _layer_sums(work[None], v.bounds)
+        np.log(np.maximum(work, GEOMETRIC_FLOOR, out=work), out=work)
+        total_log, = _layer_sums(work[None], v.bounds)
+        l1, = _layer_sums(v.flat[None], v.bounds)  # Adam's v is +0 or more everywhere
+        np.square(v.flat, out=work)
+        sq, = _layer_sums(work[None], v.bounds)
+    return total_abs / count, math.exp(total_log / count), l1, math.sqrt(sq)
+
+
+def _layer_sums(work: np.ndarray, bounds) -> list[float]:
+    """Per row of ``work``, its (start, stop) segments' sums, added up as Python floats in order.
+
+    ``np.add.reduce(work[:, start:stop], axis=1)`` gives each row's segment
+    the bits of its own ``.sum()``.
+    """
+    per_segment = [np.add.reduce(work[:, start:stop], axis=1).tolist() for start, stop in bounds]
+    return [sum(row, 0.0) for row in zip(*per_segment)]
+
+
 def _masked_point(params: models.ParamBuffer, ratios: dict[str, NMRatio],
                   point: models.ParamBuffer, keep_masks: bool) -> dict[str, np.ndarray]:
     """Write the params, the listed layers times their N:M masks, into ``point``.
@@ -271,6 +320,8 @@ def _effective_ratios(plan: dict[str, NMRatio], decay: DecaySchedule | None,
     return plan if decay is None else dict.fromkeys(plan, decay.ratio_at(step))
 
 
+# every overflowing or invalid figure of a run ends in NumericalError, so numpy stays quiet
+@np.errstate(over="ignore", invalid="ignore")
 def recipe_train(
     spec: models.ModelSpec,
     dataset: models.Dataset,

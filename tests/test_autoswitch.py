@@ -1,5 +1,6 @@
 import collections
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,17 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import buffer, step_record
 from stepnm.autoswitch import (
-    GEOMETRIC_FLOOR,
     SAMPLER_OPTIONS,
     SwitchCriterion,
     avg_change_metric_from_diffs,
     evaluate_offline,
     make_detector,
     mixing_window,
-    variance_stats,
 )
 from stepnm.errors import ConfigError, NumericalError, RangeError
 from stepnm.harness import config_from_dict
+from stepnm.optim import GEOMETRIC_FLOOR, variance_stats
 
 
 class TestMixingWindow:
@@ -95,9 +95,12 @@ def assert_exact_mean(detector):
 
 # beta2 -> window: 0.0 -> 1, 2/3 -> 3, 0.9 -> 10, 0.99 -> 100
 WINDOW_BETA2 = (0.0, 2.0 / 3.0, 0.9, 0.99)
+DBL_MAX = sys.float_info.max
 _tiny_to_huge = st.floats(min_value=1e-300, max_value=1e300)
+_subnormal = st.floats(min_value=5e-324, max_value=2.2e-308)  # pins the sum's 2**-1074 unit
 _samples = st.one_of(
     _tiny_to_huge, _tiny_to_huge.map(lambda x: -x), st.sampled_from([0.0, -0.0]),
+    _subnormal, _subnormal.map(lambda x: -x),
     st.sampled_from([1e-8, 0.1, 3.0, 7e299, 2e-300]),  # repeats
 )
 
@@ -133,6 +136,8 @@ class TestExactWindowMean:
         [math.inf, -math.inf, 1.0, 2.0, 3.0, 4.0],
         # a window sum past the float range
         [1e308, 1e308, 1.0, 2.0, -1e308, -1e308, 3.0, 4.0, 5.0],
+        # windows summing to within half an ulp of DBL_MAX, then to exactly half an ulp past it
+        [DBL_MAX, 2.0**969, -1.0, -DBL_MAX, DBL_MAX, 2.0**969, 2.0**969, 1.0],
     ])
     def test_non_finite_sample_or_overflowing_sum_raises(self, zs):
         det = autoswitch(beta2=2.0 / 3.0)  # window 3

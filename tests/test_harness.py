@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 import weakref
 from pathlib import Path
 
@@ -59,6 +60,18 @@ class TestConfigParsing:
     def test_unknown_top_level_key(self, tmp_path):
         path, _ = make_config(tmp_path, optimiser={"lr": 0.1})
         with pytest.raises(ConfigError, match="optimiser"):
+            harness.load_config(path)
+
+    def test_empty_output_dir_means_runs(self, tmp_path):
+        path, _ = make_config(tmp_path)
+        path.write_text(path.read_text().replace("output_dir: runs", "output_dir:"))
+        assert harness.load_config(path).output_dir == "runs"
+
+    @pytest.mark.parametrize("value", ["[a, b]", "5", "{a: b}"])
+    def test_non_string_output_dir(self, tmp_path, value):
+        path, _ = make_config(tmp_path)
+        path.write_text(path.read_text().replace("output_dir: runs", f"output_dir: {value}"))
+        with pytest.raises(ConfigError, match="^output_dir must be a string"):
             harness.load_config(path)
 
     def test_unknown_nested_key(self, tmp_path):
@@ -825,10 +838,12 @@ class TestCSVDataConfig:
             recipe={"kind": "dense"}, sparsity=None, switch=None, total_steps=20, seeds=[1, 2])
         out = tmp_path / "out"
         monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
-        with pytest.raises(SystemExit) as exit_info:
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as exit_info:
+            warnings.simplefilter("always")
             cli_entry()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert exit_info.value.code == 2
-        assert capsys.readouterr().err.endswith("error: non-finite loss at step 1\n")
+        assert capsys.readouterr().err == "error: non-finite loss at step 1\n"
         assert not out.exists()
 
     def test_huge_classifier_features_stop_naming_v_l2(self, tmp_path):
@@ -840,8 +855,11 @@ class TestCSVDataConfig:
                "data": {"kind": "csv", "path": str(csv_path)}, "optimizer": {"lr": 1e-3},
                "recipe": {"kind": "dense"}, "sparsity": None, "switch": None, "seeds": [1],
                "total_steps": 20}
-        with pytest.raises(NumericalError, match=r"^non-finite v_l2 at step 1$"):
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(NumericalError, match=r"^non-finite v_l2 at step 1$"):
+            warnings.simplefilter("always")
             harness.run(harness.config_from_dict(doc), output_dir=tmp_path / "out")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "out").exists()
 
     def test_run_from_csv(self, tmp_path):
@@ -891,6 +909,21 @@ class TestTypedInputErrors:
         path, _ = make_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(key)):
             harness.load_config(path)
+
+    @pytest.mark.parametrize("overrides,extra,message", [
+        ({"data": None}, "data: {kind: blobs, 1: 2, zz: 3}\n", "unknown key(s) in 'data': [1, 'zz']"),
+        ({}, "~: 1\nzz: 2\n", "unknown key(s) in 'config': [None, 'zz']"),
+    ])
+    def test_mixed_type_unknown_keys_exit_2(self, tmp_path, monkeypatch, capsys,
+                                            overrides, extra, message):
+        path, _ = make_config(tmp_path, **overrides)
+        path.write_text(path.read_text() + extra)
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path),
+                                         "--out", str(tmp_path / "out")])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("ratio", [1e308, -0.5, 0.0, 1.5])
     def test_step_ratio_outside_unit_interval(self, tmp_path, ratio):

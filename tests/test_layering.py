@@ -1,0 +1,38 @@
+"""The package's import layering, read from the source: no module imports one above it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import stepnm
+
+PACKAGE = Path(stepnm.__file__).parent
+
+
+def stepnm_imports(module: str) -> set[str]:
+    """The stepnm modules that ``module``'s source imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if not node.level:
+                if source != "stepnm" and not source.startswith("stepnm."):
+                    continue
+                source = source[len("stepnm."):]
+            found.update([source.split(".")[0]] if source else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("stepnm."))
+    return found
+
+
+@pytest.mark.parametrize("module", ["models", "masks", "theory", "autoswitch"])
+def test_lower_modules_import_only_errors(module):
+    assert stepnm_imports(module) <= {"errors"}
+
+
+def test_optim_imports_neither_harness_nor_cli():
+    assert stepnm_imports("optim").isdisjoint({"harness", "cli"})
+    # the reader sees imports at all, so the empty sets above are not vacuous
+    assert stepnm_imports("harness") >= {"autoswitch", "models", "masks", "optim", "errors"}

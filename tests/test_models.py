@@ -6,10 +6,10 @@ import pytest
 
 from conftest import buffer
 from stepnm import models, optim
-from stepnm.autoswitch import variance_stats
 from stepnm.errors import ConfigError, DimensionError, DomainError
 from stepnm.masks import NMRatio
 from stepnm.models import Dataset, ModelSpec
+from stepnm.optim import variance_stats
 
 
 def mlp(sizes=(3, 5, 3), activation="tanh"):

@@ -6,10 +6,11 @@ import pytest
 
 from conftest import buffer
 from stepnm import models, optim
-from stepnm.autoswitch import GEOMETRIC_FLOOR, SwitchCriterion, evaluate_offline, variance_stats
+from stepnm.autoswitch import SwitchCriterion, evaluate_offline
 from stepnm.errors import ConfigError, DimensionError, NumericalError
 from stepnm.masks import DecaySchedule, NMRatio
-from stepnm.optim import AdamHyper, Recipe, adam_step, constant_lr, init_adam_state
+from stepnm.optim import (GEOMETRIC_FLOOR, AdamHyper, Recipe, adam_step, constant_lr,
+                          init_adam_state, variance_stats)
 
 
 def scalar_adam_oracle(w, g_seq, beta1, beta2, eps, gamma):
