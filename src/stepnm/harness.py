@@ -288,6 +288,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     output_dir = "runs" if doc.get("output_dir") is None else doc["output_dir"]
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+    if not output_dir:
+        raise ConfigError("output_dir must not be empty; leave it out for 'runs'")
     return ExperimentConfig(
         model=spec, data=data, hyper=hyper, plan=plan, recipe=recipe, criterion=criterion,
         total_steps=total_steps,

@@ -1,7 +1,8 @@
 """N:M mask computation, the check of an N:M plan and the stagewise decay schedule.
 
 An N:M plan is a dict from parameter names, as in ``models.param_shapes``, to
-NMRatios.  Layers absent from it stay dense; by convention only weights are listed.
+NMRatios.  Layers absent from it stay dense; only 2-D (out, in) weights may be
+listed (``check_plan``).
 
 The mask is a sort-free rank.  Within a group, slot i outranks a later slot
 j when |w_i| >= |w_j| (a later slot needs a strictly larger magnitude), so
@@ -98,10 +99,12 @@ def mask_sparsity(mask) -> float:
 
 
 def check_plan(ratios: dict[str, NMRatio], shapes: dict[str, tuple[int, ...]]) -> None:
-    """ConfigError unless each planned layer is in ``shapes`` with m dividing its last extent."""
+    """ConfigError unless each planned layer is a 2-D weight in ``shapes``, m dividing its last extent."""
     for name, ratio in ratios.items():
         if name not in shapes:
             raise ConfigError(f"sparsity plan references unknown layer {name!r}")
+        if len(shapes[name]) != 2:
+            raise ConfigError(f"sparsity plan lists {name!r}, which is not an (out, in) weight")
         extent = shapes[name][-1]
         if extent % ratio.m != 0:
             raise ConfigError(

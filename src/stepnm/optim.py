@@ -9,8 +9,9 @@ updated-variance variant share the same driver.
 A run holds its parameters, gradients and Adam moments in four ParamBuffers
 (see ``models``): one flat float64 array each, laid out as
 ``models.param_shapes``, with named (out, in) views.  Each step writes the
-gradients into their buffer and ``adam_step`` updates the others in place,
-CHUNK coordinates at a time.  The model, the update and the STE gradient
+gradients into their buffer, where a masked step first forms its masked
+weights (``ste_loss_and_grad``), and ``adam_step`` updates the others in
+place, CHUNK coordinates at a time.  The model, the update and the STE gradient
 take ParamBuffers only; anything else is a DimensionError, never a copy.
 
 ``recipe_train`` checks its dataset's targets once, before the first step,
@@ -228,55 +229,45 @@ def _layer_sums(work: np.ndarray, bounds) -> list[float]:
 
 
 def _masked_point(params: models.ParamBuffer, ratios: dict[str, NMRatio],
-                  point: models.ParamBuffer, keep_masks: bool) -> dict[str, np.ndarray]:
-    """Write the params, the listed layers times their N:M masks, into ``point``.
-
-    A mask is formed in ``point`` unless ``keep_masks``; returns the kept masks.
-    """
-    masks = {}  # mask * w has the bits of w * mask
+                  point: models.ParamBuffer) -> None:
+    """Write the params, the listed layers times their N:M masks, into ``point``."""
     for name, w in params.items():
         target = point[name]
-        if name not in ratios:
-            target[...] = w
-        elif keep_masks:
-            masks[name] = mask = compute_nm_mask(w, ratios[name])
-            np.multiply(mask, w, out=target)
-        else:
+        if name in ratios:
             compute_nm_mask(w, ratios[name], out=target)
-            target *= w
-    return masks
+            target *= w  # mask * w has the bits of w * mask
+        else:
+            target[...] = w
 
 
 def ste_loss_and_grad(spec, params: models.ParamBuffer, ratios: dict[str, NMRatio], batch,
-                      lam: float = 0.0, out: models.ParamBuffer | None = None,
-                      point: models.ParamBuffer | None = None):
-    """Straight-through loss and gradient at the masked point; returns (grads, masks, loss).
+                      lam: float = 0.0, out: models.ParamBuffer | None = None):
+    """Straight-through loss and gradient at the masked point; returns (loss, grads).
 
     ``ratios`` is an N:M plan (see ``masks``).  The forward pass sees
     mask * weights for every listed layer; the returned gradients are
     exactly the gradients at that masked point, applied to all coordinates.
     With lam > 0 (SR-STE) they also get lam * (1 - mask) * weights on the
-    listed layers.  The gradients go into ``out`` when it is given, as in
-    ``models.loss_and_grad``, and the masked point into ``point``, or a new
-    buffer; ``out`` may be ``point``.  Both ``params`` and ``point`` are
-    ParamBuffers laid out as ``models.param_shapes(spec)`` (DimensionError
-    otherwise).  With ``point`` and lam == 0, ``masks`` is empty.
+    listed layers.  The masked point is formed in ``out``, or a new buffer,
+    and the gradients then overwrite it there.  Both ``params`` and ``out``
+    are ParamBuffers laid out as ``models.param_shapes(spec)``
+    (DimensionError otherwise).
     """
     layout = models.param_shapes(spec)
     models.check_layout(params, "parameters", layout)
-    keep_masks = point is None or lam > 0.0
-    point = models.ParamBuffer(layout) if point is None else point
-    models.check_layout(point, "masked point", layout)
-    masks = _masked_point(params, ratios, point, keep_masks)
-    loss, grads = models.loss_and_grad(spec, point, batch, out=out)
-    if lam > 0.0:
-        for name, mask in masks.items():
-            # lam * (1 - mask) * w, added in place
-            penalty = np.subtract(1.0, mask)
-            penalty *= lam
-            penalty *= params[name]
-            grads[name] += penalty
-    return grads, masks, loss
+    out = models.ParamBuffer(layout) if out is None else out
+    models.check_layout(out, "gradient buffer", layout)
+    _masked_point(params, ratios, out)
+    # SR-STE reads its pruned slots off the masked point before the gradients
+    # overwrite it.  A zero there is a pruned slot or a kept +-0 weight, whose
+    # lam * +-0 has the bits of 0 * +-0, so every bit is lam * (1 - mask) * w's
+    pruned = {name: out[name] == 0.0 for name in ratios} if lam > 0.0 else {}
+    loss, grads = models.loss_and_grad(spec, out, batch, out=out)
+    for name, slots in pruned.items():
+        penalty = np.multiply(slots, lam)
+        penalty *= params[name]
+        grads[name] += penalty
+    return loss, grads
 
 
 @dataclass(frozen=True)
@@ -374,9 +365,7 @@ def recipe_train(
 
         if in_masked_phase and plan:
             ratios = _effective_ratios(plan, recipe.decay, t)
-            # only the loss is kept: the step's masks go at once
-            loss = ste_loss_and_grad(spec, params, ratios, batch, lam=recipe.lam,
-                                     out=grads, point=grads)[2]
+            loss, grads = ste_loss_and_grad(spec, params, ratios, batch, lam=recipe.lam, out=grads)
         else:
             loss, grads = models.loss_and_grad(spec, params, batch, out=grads)
 
@@ -410,7 +399,7 @@ def recipe_train(
     # the Adam state is not needed from here on; grads takes the final masked weights
     state = None
     final_ratios = _effective_ratios(plan, recipe.decay, total_steps) if plan else {}
-    _masked_point(params, final_ratios, grads, keep_masks=False)
+    _masked_point(params, final_ratios, grads)
     full = dataset.full_batch()
     sparse_eval_loss = models.forward_loss(spec, grads, full)
     dense_eval_loss = models.forward_loss(spec, params, full)

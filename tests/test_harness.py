@@ -74,6 +74,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^output_dir must be a string"):
             harness.load_config(path)
 
+    def test_empty_string_output_dir(self, tmp_path):
+        # Path('') is the current directory, so an empty output_dir would mix
+        # a run's files into whatever is there
+        path, _ = make_config(tmp_path)
+        path.write_text(path.read_text().replace("output_dir: runs", "output_dir: ''"))
+        with pytest.raises(ConfigError, match="^output_dir must not be empty"):
+            harness.load_config(path)
+
     def test_unknown_nested_key(self, tmp_path):
         path, _ = make_config(tmp_path, recipe={"kind": "step", "lambda_": 0.1})
         with pytest.raises(ConfigError, match="lambda_"):
@@ -87,6 +95,11 @@ class TestConfigParsing:
     def test_unknown_plan_layer_fails_before_compute(self, tmp_path):
         path, _ = make_config(tmp_path, sparsity={"fc9.weight": {"n": 1, "m": 4}})
         with pytest.raises(ConfigError, match="fc9.weight"):
+            harness.load_config(path)
+
+    def test_planned_bias_fails_before_compute(self, tmp_path):
+        path, _ = make_config(tmp_path, sparsity={"fc1.bias": {"n": 1, "m": 2}})
+        with pytest.raises(ConfigError, match="fc1.bias"):
             harness.load_config(path)
 
     def test_bad_divisibility_fails_before_compute(self, tmp_path):

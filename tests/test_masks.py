@@ -273,6 +273,10 @@ class TestCheckPlan:
         with pytest.raises(ConfigError):
             check_plan({"fc1.weight": NMRatio(1, 4)}, {"fc1.weight": (4, 6)})
 
+    def test_bias_is_not_a_weight(self):
+        with pytest.raises(ConfigError, match="'fc1.bias', which is not an"):
+            check_plan({"fc1.bias": NMRatio(1, 2)}, {"fc1.weight": (2, 8), "fc1.bias": (2,)})
+
 
 class TestDecaySchedule:
     def test_stages(self):

@@ -325,16 +325,16 @@ class TestGrad:
 
     @pytest.mark.parametrize("spec", ALIASING_SPECS, ids=["relu", "tanh", "linear"])
     def test_ste_gradients_may_overwrite_their_masked_point(self, spec):
-        # out=point: the trainer's one work buffer holds the masked weights,
-        # then the gradients taken at them, with and without the SR-STE penalty
+        # the trainer's one work buffer holds the masked weights, then the
+        # gradients taken at them, with and without the SR-STE penalty
         params = models.init_params(spec, 8)
         batch = random_batch(spec, 16, 9)
         ratios = {name: NMRatio(1, 2) for name in params if name.endswith(".weight")}
         for lam in (0.0, 0.01):
-            fresh, _, loss = optim.ste_loss_and_grad(spec, params, ratios, batch, lam=lam)
+            loss, fresh = optim.ste_loss_and_grad(spec, params, ratios, batch, lam=lam)
             buf = models.ParamBuffer(params.shapes)
-            grads, _, loss_in_place = optim.ste_loss_and_grad(spec, params, ratios, batch, lam=lam,
-                                                              out=buf, point=buf)
+            loss_in_place, grads = optim.ste_loss_and_grad(spec, params, ratios, batch, lam=lam,
+                                                           out=buf)
             assert grads is buf and loss_in_place == loss
             assert buf.flat.tobytes() == fresh.flat.tobytes()
 

@@ -8,7 +8,7 @@ from conftest import buffer
 from stepnm import models, optim
 from stepnm.autoswitch import SwitchCriterion, evaluate_offline
 from stepnm.errors import ConfigError, DimensionError, NumericalError
-from stepnm.masks import DecaySchedule, NMRatio
+from stepnm.masks import DecaySchedule, NMRatio, compute_nm_mask
 from stepnm.optim import (GEOMETRIC_FLOOR, AdamHyper, Recipe, adam_step, constant_lr,
                           init_adam_state, variance_stats)
 
@@ -284,8 +284,9 @@ class TestGradientTransforms:
         params = buffer(**{"fc1.weight": np.array([[1.0, 2.0]]), "fc1.bias": np.array([0.0])})
         plan = {"fc1.weight": NMRatio(1, 2)}
         batch = (np.array([[3.0, 4.0]]), np.array([[7.0]]))
-        grads, masks_used = optim.ste_loss_and_grad(spec, params, plan, batch)[:2]
-        np.testing.assert_array_equal(masks_used["fc1.weight"], [[0.0, 1.0]])
+        _, grads = optim.ste_loss_and_grad(spec, params, plan, batch)
+        np.testing.assert_array_equal(compute_nm_mask(params["fc1.weight"], plan["fc1.weight"]),
+                                      [[0.0, 1.0]])
         np.testing.assert_allclose(grads["fc1.weight"], [[3.0, 4.0]], atol=1e-12)
 
     def test_srste_adds_regularizer_on_pruned(self):
@@ -294,15 +295,15 @@ class TestGradientTransforms:
         params = buffer(**{"fc1.weight": np.array([[1.0, 2.0]]), "fc1.bias": np.array([0.0])})
         plan = {"fc1.weight": NMRatio(1, 2)}
         batch = (np.array([[3.0, 4.0]]), np.array([[7.0]]))
-        grads, _, _ = optim.ste_loss_and_grad(spec, params, plan, batch, lam=0.01)
+        _, grads = optim.ste_loss_and_grad(spec, params, plan, batch, lam=0.01)
         np.testing.assert_allclose(grads["fc1.weight"], [[3.01, 4.0]], atol=1e-12)
 
     def test_srste_zero_lam_equals_ste(self):
         spec, ds, plan = blob_setup()
         params = models.init_params(spec, 1)
         batch = next(models.batch_iterator(ds, 2))
-        g1, _ = optim.ste_loss_and_grad(spec, params, plan, batch)[:2]
-        g2, _, _ = optim.ste_loss_and_grad(spec, params, plan, batch, lam=0.0)
+        _, g1 = optim.ste_loss_and_grad(spec, params, plan, batch)
+        _, g2 = optim.ste_loss_and_grad(spec, params, plan, batch, lam=0.0)
         for k in g1:
             np.testing.assert_array_equal(g1[k], g2[k])
 
@@ -311,15 +312,13 @@ class TestGradientTransforms:
         params = models.init_params(spec, 1)
         batch = next(models.batch_iterator(ds, 2))
         plan = {"fc2.weight": NMRatio(4, 4)}  # keep everything
-        g1, masks_used = optim.ste_loss_and_grad(spec, params, plan, batch)[:2]
+        _, g1 = optim.ste_loss_and_grad(spec, params, plan, batch)
         g2 = models.loss_and_grad(spec, params, batch)[1]
-        assert np.all(masks_used["fc2.weight"] == 1.0)
+        assert np.all(compute_nm_mask(params["fc2.weight"], plan["fc2.weight"]) == 1.0)
         for k in g1:
             np.testing.assert_array_equal(g1[k], g2[k])
 
     def test_masked_forward_loss_matches_apply_mask(self):
-        from stepnm.masks import compute_nm_mask
-
         spec, ds, plan = blob_setup()
         params = models.init_params(spec, 3)
         batch = next(models.batch_iterator(ds, 4))
@@ -327,32 +326,62 @@ class TestGradientTransforms:
         masked = params.copy()
         masked["fc2.weight"][...] = params["fc2.weight"] * mask
         expected = models.forward_loss(spec, masked, batch)
-        grads, masks_used = optim.ste_loss_and_grad(spec, params, plan, batch)[:2]
-        np.testing.assert_array_equal(masks_used["fc2.weight"], mask)
+        ste_loss, grads = optim.ste_loss_and_grad(spec, params, plan, batch)
         # the trainer logs the masked loss; recompute it the same way here
-        loss, _ = models.loss_and_grad(spec, masked, batch)
-        assert loss == expected
+        loss, at_masked = models.loss_and_grad(spec, masked, batch)
+        assert loss == expected == ste_loss
+        assert grads.flat.tobytes() == at_masked.flat.tobytes()
 
     def test_masked_point_buffer_gives_the_same_bits(self):
-        # the per-run buffer holds mask * w; the masks are kept only for SR-STE
+        # an out= buffer, whatever it held, gives the fresh call's bits
         spec, ds, plan = blob_setup()
         params = models.init_params(spec, 3)
         batch = next(models.batch_iterator(ds, 4))
-        point = models.ParamBuffer(params.shapes)
+        buf = models.ParamBuffer(params.shapes)
         for lam in (0.0, 0.01):
-            fresh, masks, loss = optim.ste_loss_and_grad(spec, params, plan, batch, lam=lam)
-            point.flat[...] = np.nan
-            grads, kept, loss_point = optim.ste_loss_and_grad(spec, params, plan, batch, lam=lam,
-                                                             point=point)
-            assert loss_point == loss and grads.flat.tobytes() == fresh.flat.tobytes()
-            assert list(kept) == ([] if lam == 0.0 else ["fc2.weight"])
-            masked = params["fc2.weight"] * masks["fc2.weight"]
-            assert point["fc2.weight"].tobytes() == masked.tobytes()
-            assert point["fc1.weight"].tobytes() == params["fc1.weight"].tobytes()
+            loss, fresh = optim.ste_loss_and_grad(spec, params, plan, batch, lam=lam)
+            buf.flat[...] = np.nan
+            loss_buf, grads = optim.ste_loss_and_grad(spec, params, plan, batch, lam=lam, out=buf)
+            assert grads is buf and loss_buf == loss
+            assert grads.flat.tobytes() == fresh.flat.tobytes()
         other = models.ParamBuffer(models.param_shapes(models.ModelSpec("mlp_classifier", (2, 8, 2))))
-        for bad in (dict(point), other):
-            with pytest.raises(DimensionError):
-                optim.ste_loss_and_grad(spec, params, plan, batch, point=bad)
+        for bad in (dict(buf), other):
+            with pytest.raises(DimensionError, match="gradient buffer"):
+                optim.ste_loss_and_grad(spec, params, plan, batch, out=bad)
+
+    @pytest.mark.parametrize("signed_zero_grads", [False, True])
+    def test_srste_penalty_has_the_bits_of_the_plain_expression(self, signed_zero_grads,
+                                                                monkeypatch):
+        # g_at_masked_point + lam * (1 - mask) * w, bit for bit.  The weights
+        # hold +0.0, -0.0 and tied magnitudes; input column 2 is all zero, so
+        # its gradient entries are zeros, which the matmul makes +0.0 and
+        # which signed_zero_grads turns into -0.0, the one gradient that
+        # shows the sign of a zero penalty
+        if signed_zero_grads:
+            real = models.loss_and_grad
+
+            def loss_and_grad(*args, **kwargs):
+                loss, grads = real(*args, **kwargs)
+                g = grads["fc1.weight"]
+                g[g == 0.0] = -0.0
+                return loss, grads
+            monkeypatch.setattr(models, "loss_and_grad", loss_and_grad)
+        spec = models.ModelSpec("linear_regression", (4, 3))
+        w = np.array([[0.0, -0.0, -1.5, 1.0], [-0.0, 2.0, -0.0, 0.0], [1.5, -1.5, 0.5, -0.5]])
+        params = buffer(**{"fc1.weight": w, "fc1.bias": np.zeros(3)})
+        plan = {"fc1.weight": NMRatio(1, 2)}
+        inputs = np.array([[1.0, 2.0, 0.0, 3.0], [0.5, 1.0, 0.0, 2.0]])
+        batch = (inputs, np.full((2, 3), 10.0))
+        lam = 0.01
+        mask = compute_nm_mask(w, plan["fc1.weight"])
+        masked = params.copy()
+        masked["fc1.weight"][...] = mask * w
+        _, expected = models.loss_and_grad(spec, masked, batch)
+        expected["fc1.weight"][...] += lam * (1.0 - mask) * w
+        _, grads = optim.ste_loss_and_grad(spec, params, plan, batch, lam=lam)
+        zeros = grads["fc1.weight"][:, 2]
+        assert (zeros == 0.0).all() and np.signbit(zeros).any() == signed_zero_grads
+        assert grads.flat.tobytes() == expected.flat.tobytes()
 
     def test_negative_lam_rejected(self):
         with pytest.raises(ConfigError):
@@ -667,7 +696,7 @@ class TestNonFiniteFigures:
 class TestTrainingMemory:
     @pytest.mark.parametrize("kind, bound", [
         ("step", 4.5), ("dense", 4.5), ("step_updated_variance", 4.5), ("ste", 4.5),
-        ("srste", 6.5)])
+        ("srste", 5.5)])
     def test_allocation_peak_in_flat_buffers(self, kind, bound, monkeypatch):
         # Four P-sized buffers in every phase: params, grads, m and v.  grads
         # holds a masked step's masked weights, then every step's gradient,
@@ -675,8 +704,9 @@ class TestTrainingMemory:
         # statistics use as their work buffer.  From the switch on, step's v
         # holds sqrt(v* + eps).  Final evaluation, after m and v are freed: 2,
         # params and grads (the final masked weights), then 3 with the final
-        # masks.  srste's masked steps also hold that step's masks, which its
-        # penalty reads (about 1), and one layer's penalty (0.87 for fc2).
+        # masks.  srste's masked steps also hold one bool per masked weight,
+        # the pruned slots its penalty reads (about 1/8), and one layer's
+        # penalty (0.87 for fc2).
         # The chunk-sized scratch of the Adam update and the mask, and the
         # activations, share the last 0.5
         spec = models.ModelSpec("mlp_classifier", (64, 512, 512, 10))
@@ -690,6 +720,10 @@ class TestTrainingMemory:
         real_init = models.ParamBuffer.__init__
         monkeypatch.setattr(models.ParamBuffer, "__init__",
                             lambda buf, *a, **k: made.append(1) or real_init(buf, *a, **k))
+        new_masks = []  # a mask made without out= is a new float64 array
+        real_mask = optim.compute_nm_mask
+        monkeypatch.setattr(optim, "compute_nm_mask",
+                            lambda w, r, out=None: new_masks.append(out is None) or real_mask(w, r, out))
         tracemalloc.start()
         try:
             run = optim.recipe_train(spec, ds, default_hyper(), plan, recipe, switch, 8, 0)
@@ -698,6 +732,7 @@ class TestTrainingMemory:
             tracemalloc.stop()
         assert run.switched_at == (3 if switch else None)
         assert len(made) == 4  # params, grads, m and v
+        assert sum(new_masks) == len(plan)  # TrainResult.final_masks only
         assert peak <= bound * 8 * coords, f"peak {peak / (8 * coords):.2f} x 8P bytes"
 
 
