@@ -120,7 +120,8 @@ def validate_theorem_cmd(stream, bound_g, dim, level, p, sigma, beta2, t0, t, de
 @main.command("fd-check")
 @click.option("--kind", type=click.Choice(models.MODEL_KINDS), default="mlp_classifier", show_default=True)
 @click.option("--layer-sizes", default="3,5,3", show_default=True)
-@click.option("--activation", type=click.Choice(models.ACTIVATIONS), default="tanh", show_default=True)
+@click.option("--activation", type=click.Choice(models.ACTIVATIONS), default=None,
+              show_default="tanh", help="Hidden activation; mlp_classifier only.")
 @click.option("--batch", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--instances", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--h", type=float, default=1e-5, show_default=True)
@@ -128,8 +129,10 @@ def validate_theorem_cmd(stream, bound_g, dim, level, p, sigma, beta2, t0, t, de
 @click.option("--seed", type=int, default=0, show_default=True)
 def fd_check_cmd(kind, layer_sizes, activation, batch, instances, h, tol, seed):
     """Finite-difference check of the gradient engine on random instances."""
+    if activation is not None and kind == "linear_regression":
+        raise click.BadParameter("linear_regression has no activation", param_hint="--activation")
     sizes = harness._each(harness._int, layer_sizes.split(","), "--layer-sizes")
-    spec = models.ModelSpec(kind=kind, layer_sizes=sizes, activation=activation)
+    spec = models.ModelSpec(kind=kind, layer_sizes=sizes, activation=activation or "tanh")
     rng = np.random.default_rng(seed)
     worst = 0.0
     failed = 0

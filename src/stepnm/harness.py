@@ -24,7 +24,7 @@ import yaml
 from . import autoswitch, models
 from .autoswitch import SwitchCriterion, avg_change_metric_from_diffs, evaluate_offline
 from .errors import ConfigError
-from .masks import DecaySchedule, NMRatio, check_plan
+from .masks import DecaySchedule, NMRatio, check_plan, plan_at
 from .optim import (TWO_PHASE_KINDS, AdamHyper, Recipe, TrainResult, constant_lr, cosine_lr,
                     recipe_train)
 
@@ -196,9 +196,7 @@ class ExperimentConfig:
         # trainer takes them as checked.  Every stage of a decay keeps its m.
         shapes = models.param_shapes(self.model)
         check_plan(self.plan, shapes)
-        decay = self.ablation.decay
-        if decay is not None:
-            check_plan(dict.fromkeys(self.plan, decay.ratio_at(0)), shapes)
+        check_plan(plan_at(self.plan, self.ablation.decay, 0), shapes)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:

@@ -1,8 +1,8 @@
-"""N:M mask computation, the check of an N:M plan and the stagewise decay schedule.
+"""N:M mask computation, the check of an N:M plan and the stagewise decay of a plan.
 
 An N:M plan is a dict from parameter names, as in ``models.param_shapes``, to
 NMRatios.  Layers absent from it stay dense; only 2-D (out, in) weights may be
-listed (``check_plan``).
+listed (``check_plan``).  ``plan_at`` gives the plan in force at a step.
 
 The mask is a sort-free rank.  Within a group, slot i outranks a later slot
 j when |w_i| >= |w_j| (a later slot needs a strictly larger magnitude), so
@@ -79,17 +79,6 @@ def compute_nm_mask(weights, ratio: NMRatio, out: np.ndarray | None = None) -> n
     return mask
 
 
-def decayed_n(m: int, s: int) -> int:
-    """Effective n at decay stage s: m-1 at stage 0, then max(1, floor(m / 2**s))."""
-    if m < 2:
-        raise ConfigError(f"decay schedule needs m >= 2, got {m}")
-    if s < 0:
-        raise ConfigError(f"stage index must be >= 0, got {s}")
-    if s == 0:
-        return m - 1
-    return max(1, m // 2**s)
-
-
 def mask_sparsity(mask) -> float:
     """Fraction of zeroed coordinates, exactly 1 - n/m for a well-formed mask."""
     p = np.asarray(mask)
@@ -114,10 +103,10 @@ def check_plan(ratios: dict[str, NMRatio], shapes: dict[str, tuple[int, ...]]) -
 
 @dataclass(frozen=True)
 class DecaySchedule:
-    """Stagewise N:M decay: stage 0 keeps m-1 of m, stage s keeps floor(m / 2**s).
+    """Stagewise N:M decay: stage 0 keeps m-1 of m, stage s keeps max(1, floor(m / 2**s)).
 
     ``stage_boundaries`` are the steps at which the stage index increments, so
-    the effective n is non-increasing over the run.
+    the kept n is non-increasing over the run; ``plan_at`` applies it.
     """
 
     m: int
@@ -131,8 +120,11 @@ class DecaySchedule:
             raise ConfigError("stage boundaries must be strictly increasing positive steps")
         object.__setattr__(self, "stage_boundaries", bounds)
 
-    def stage_at(self, step: int) -> int:
-        return sum(1 for b in self.stage_boundaries if step >= b)
 
-    def ratio_at(self, step: int) -> NMRatio:
-        return NMRatio(decayed_n(self.m, self.stage_at(step)), self.m)
+def plan_at(plan: dict[str, NMRatio], decay: DecaySchedule | None, step: int) -> dict[str, NMRatio]:
+    """The N:M plan in force at ``step``: ``plan`` itself without a decay, else
+    every planned layer at the decay's ratio for the stage ``step`` is in."""
+    if decay is None:
+        return plan
+    m, stage = decay.m, sum(step >= b for b in decay.stage_boundaries)
+    return dict.fromkeys(plan, NMRatio(m - 1 if stage == 0 else max(1, m // 2**stage), m))

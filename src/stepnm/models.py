@@ -336,10 +336,6 @@ class Dataset:
     def n_samples(self) -> int:
         return self.inputs.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.inputs.shape[1]
-
     def full_batch(self) -> tuple[np.ndarray, np.ndarray]:
         return self.inputs, self.targets
 
@@ -398,19 +394,6 @@ def batch_iterator(dataset: Dataset, seed):
             yield dataset.inputs[idx], dataset.targets[idx]
 
 
-def save_csv(dataset: Dataset, path) -> None:
-    """Write the dataset as CSV with a header row; target column(s) come last."""
-    targets = dataset.targets if dataset.targets.ndim == 2 else dataset.targets[:, None]
-    header = [f"x{i}" for i in range(dataset.n_features)] + [
-        f"y{j}" for j in range(targets.shape[1])
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row_x, row_y in zip(dataset.inputs, targets):
-            writer.writerow([repr(float(v)) for v in row_x] + [repr(float(v)) for v in row_y])
-
-
 def open_csv(path):
     """The CSV file at ``path``, open for reading as UTF-8; ConfigError if it cannot be opened."""
     try:
@@ -420,7 +403,7 @@ def open_csv(path):
 
 
 def load_csv(path, n_targets: int = 1, batch_size: int = 32, target_kind: str = "value") -> Dataset:
-    """Read a CSV dataset written by :func:`save_csv` (targets are the last columns).
+    """Read a CSV dataset: a header row, then numeric rows ending in their n_targets target cells.
 
     ``target_kind`` "class" squeezes a single target column to a label vector.
     """

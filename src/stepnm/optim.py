@@ -10,9 +10,10 @@ A run holds its parameters, gradients and Adam moments in four ParamBuffers
 (see ``models``): one flat float64 array each, laid out as
 ``models.param_shapes``, with named (out, in) views.  Each step writes the
 gradients into their buffer, where a masked step first forms its masked
-weights (``ste_loss_and_grad``), and ``adam_step`` updates the others in
-place, CHUNK coordinates at a time.  The model, the update and the STE gradient
-take ParamBuffers only; anything else is a DimensionError, never a copy.
+weights at ``masks.plan_at``'s ratios (``ste_loss_and_grad``), and
+``adam_step`` updates the others in place, CHUNK coordinates at a time.  The
+model, the update and the STE gradient take ParamBuffers only; anything else
+is a DimensionError, never a copy.
 
 ``recipe_train`` checks its dataset's targets once, before the first step,
 and trains on int64 class ids, whose range alone each step then checks.
@@ -29,7 +30,7 @@ import numpy as np
 from . import models
 from .autoswitch import StepRecord, SwitchCriterion, make_detector
 from .errors import ConfigError, NumericalError
-from .masks import CHUNK, DecaySchedule, NMRatio, compute_nm_mask, mask_sparsity
+from .masks import CHUNK, DecaySchedule, NMRatio, compute_nm_mask, mask_sparsity, plan_at
 
 LRSchedule = Callable[[int], float]
 
@@ -306,11 +307,6 @@ class TrainResult:
     layer_sparsity: dict[str, float]
 
 
-def _effective_ratios(plan: dict[str, NMRatio], decay: DecaySchedule | None,
-                      step: int) -> dict[str, NMRatio]:
-    return plan if decay is None else dict.fromkeys(plan, decay.ratio_at(step))
-
-
 # every overflowing or invalid figure of a run ends in NumericalError, so numpy stays quiet
 @np.errstate(over="ignore", invalid="ignore")
 def recipe_train(
@@ -330,9 +326,9 @@ def recipe_train(
     throughout and the trajectory simply reports no switch.  Single-phase
     recipes (dense, ste, srste) ignore the criterion.  The returned weights
     are evaluated both densely and under the final masks, which are made
-    after both evaluations.  ``plan`` is an N:M plan (see ``masks``); it and
-    the recipe's decay are taken as valid for the spec (``masks.check_plan``),
-    and total_steps as >= 1, as ExperimentConfig checks them.
+    after both evaluations.  ``plan`` (see ``masks``) and the recipe's decay,
+    which ``masks.plan_at`` applies, are taken as valid for the spec, as
+    ExperimentConfig checks them; total_steps as >= 1, as config_from_dict does.
     A run holds four ParamBuffers: params, grads, m and v.  ``grads`` holds
     a masked step's masked weights, then every step's gradient, then
     v_t - v_{t-1} for the statistics, and at the end the final masked weights.
@@ -364,7 +360,7 @@ def recipe_train(
         in_masked_phase = masked_from_start or switched_at is not None
 
         if in_masked_phase and plan:
-            ratios = _effective_ratios(plan, recipe.decay, t)
+            ratios = plan_at(plan, recipe.decay, t)
             loss, grads = ste_loss_and_grad(spec, params, ratios, batch, lam=recipe.lam, out=grads)
         else:
             loss, grads = models.loss_and_grad(spec, params, batch, out=grads)
@@ -398,7 +394,7 @@ def recipe_train(
 
     # the Adam state is not needed from here on; grads takes the final masked weights
     state = None
-    final_ratios = _effective_ratios(plan, recipe.decay, total_steps) if plan else {}
+    final_ratios = plan_at(plan, recipe.decay, total_steps)
     _masked_point(params, final_ratios, grads)
     full = dataset.full_batch()
     sparse_eval_loss = models.forward_loss(spec, grads, full)

@@ -13,6 +13,7 @@ import yaml
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from conftest import write_csv
 from stepnm import harness, models, optim, theory
 from stepnm.autoswitch import StepRecord, SwitchCriterion
 from stepnm.masks import DecaySchedule
@@ -153,6 +154,16 @@ class TestRecipeConfig:
         with pytest.raises(ConfigError, match="fc2.weight"):
             harness.load_config(path)
 
+    def test_decay_m_below_two_exits_2(self, tmp_path, monkeypatch, capsys):
+        path, _ = make_config(tmp_path, ablation={"decay": {"m": 1, "stage_boundaries": [60]}})
+        out = tmp_path / "out"
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == "error: decay schedule needs m >= 2, got 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("recipe", optim.TWO_PHASE_KINDS)
     def test_two_phase_recipe_needs_a_switch_at_load(self, tmp_path, monkeypatch, capsys, recipe):
         path, _ = make_config(tmp_path, recipe={"kind": recipe}, switch=None)
@@ -201,7 +212,7 @@ DATA_VALUES = {"n_samples": 64, "n_features": 2, "n_classes": 2, "noise_std": 0.
 
 def _blobs_csv(tmp_path) -> str:
     path = tmp_path / "data.csv"
-    models.save_csv(models.gen_synthetic("blobs", 64, 2, n_classes=2, seed=1), path)
+    write_csv(models.gen_synthetic("blobs", 64, 2, n_classes=2, seed=1), path)
     return str(path)
 
 
@@ -609,6 +620,14 @@ class TestCLI:
         assert result.exit_code == 0, result.output
         assert "worst max_rel_error" in result.output
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_fd_check_rejects_an_activation_for_linear_regression(self, activation):
+        result = CliRunner().invoke(cli_main, ["fd-check", "--kind", "linear_regression",
+                                               "--layer-sizes", "2,1", "--activation", activation])
+        assert result.exit_code == 2
+        assert "--activation" in result.output
+        assert "instance" not in result.output
+
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_fd_check_rejects_bad_tol(self, tol, monkeypatch, capsys):
         monkeypatch.setattr("sys.argv", ["stepnm", "fd-check", "--instances", "1", "--tol", tol])
@@ -843,8 +862,8 @@ class TestCSVDataConfig:
     def test_huge_regression_targets_exit_2_naming_the_loss(self, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(0)
         csv_path = tmp_path / "data.csv"
-        models.save_csv(models.Dataset(rng.standard_normal((64, 3)),
-                                       1e160 * rng.standard_normal((64, 1)), 32), csv_path)
+        write_csv(models.Dataset(rng.standard_normal((64, 3)),
+                                 1e160 * rng.standard_normal((64, 1)), 32), csv_path)
         path, _ = make_config(
             tmp_path, model={"kind": "linear_regression", "layer_sizes": [3, 1]},
             data={"kind": "csv", "path": str(csv_path)}, optimizer={"lr": 1e-3},
@@ -862,8 +881,8 @@ class TestCSVDataConfig:
     def test_huge_classifier_features_stop_naming_v_l2(self, tmp_path):
         rng = np.random.default_rng(0)
         csv_path = tmp_path / "data.csv"
-        models.save_csv(models.Dataset(1e155 * rng.standard_normal((64, 3)),
-                                       rng.integers(0, 2, 64).astype(float), 32), csv_path)
+        write_csv(models.Dataset(1e155 * rng.standard_normal((64, 3)),
+                                 rng.integers(0, 2, 64).astype(float), 32), csv_path)
         doc = {**BASE_CONFIG, "model": {"kind": "mlp_classifier", "layer_sizes": [3, 8, 2]},
                "data": {"kind": "csv", "path": str(csv_path)}, "optimizer": {"lr": 1e-3},
                "recipe": {"kind": "dense"}, "sparsity": None, "switch": None, "seeds": [1],
@@ -878,7 +897,7 @@ class TestCSVDataConfig:
     def test_run_from_csv(self, tmp_path):
         ds = models.gen_synthetic("blobs", 64, 2, n_classes=2, noise_std=0.4, seed=1, batch_size=16)
         csv_path = tmp_path / "data.csv"
-        models.save_csv(ds, csv_path)
+        write_csv(ds, csv_path)
         doc = json.loads(json.dumps(BASE_CONFIG))
         doc.update(
             seeds=[1], total_steps=40,

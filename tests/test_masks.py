@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_trainer
 from stepnm.errors import ConfigError, DimensionError
 from stepnm.masks import (
     CHUNK,
@@ -8,8 +9,8 @@ from stepnm.masks import (
     NMRatio,
     check_plan,
     compute_nm_mask,
-    decayed_n,
     mask_sparsity,
+    plan_at,
 )
 
 
@@ -217,28 +218,61 @@ class TestRankAgainstSortReference:
             compute_nm_mask(w, ratio, out=frozen)
 
 
+PLAN = {"fc1.weight": NMRatio(2, 4), "fc2.weight": NMRatio(1, 8)}
+
+
+def stage_n(m, s):
+    """The n that ``plan_at`` keeps at decay stage s (one stage boundary per step)."""
+    ratios = plan_at(PLAN, DecaySchedule(m, tuple(range(1, s + 1))), s)
+    (ratio,) = set(ratios.values())  # one ratio for every planned layer
+    assert ratio.m == m
+    return ratio.n
+
+
 class TestDecayedN:
+    """The n of each decay stage: m-1 at stage 0, then max(1, m // 2**s)."""
+
     @pytest.mark.parametrize("s,expected", [(0, 7), (1, 4), (2, 2), (3, 1)])
     def test_m8(self, s, expected):
-        assert decayed_n(8, s) == expected
+        assert stage_n(8, s) == expected
 
     @pytest.mark.parametrize("s,expected", [(1, 2), (2, 1)])
     def test_m4(self, s, expected):
-        assert decayed_n(4, s) == expected
+        assert stage_n(4, s) == expected
 
     def test_floored_at_one(self):
-        assert decayed_n(4, 10) == 1
+        assert stage_n(4, 10) == 1
 
     def test_non_increasing(self):
         for m in (2, 4, 8, 16):
-            ns = [decayed_n(m, s) for s in range(8)]
+            ns = [stage_n(m, s) for s in range(8)]
             assert ns == sorted(ns, reverse=True)
 
     def test_invalid(self):
-        with pytest.raises(ConfigError):
-            decayed_n(1, 0)
-        with pytest.raises(ConfigError):
-            decayed_n(4, -1)
+        # no stage index is negative: a step before every boundary, even a negative
+        # one, is stage 0 (DecaySchedule's own m >= 2 check is TestDecaySchedule's)
+        for step in (-1, 0, 4):
+            assert plan_at(PLAN, DecaySchedule(4, (5,)), step) == dict.fromkeys(PLAN, NMRatio(3, 4))
+
+
+class TestPlanAt:
+    @pytest.mark.parametrize("boundaries", [(), (1,), (10, 20, 30)])
+    @pytest.mark.parametrize("m", [2, 4, 8, 16])
+    def test_matches_the_reference_trainer(self, m, boundaries):
+        decay = DecaySchedule(m, boundaries)
+        plan = {name: (r.n, r.m) for name, r in PLAN.items()}
+        for step in range(max(boundaries, default=0) + 3):
+            ratios = plan_at(PLAN, decay, step)
+            assert {name: (r.n, r.m) for name, r in ratios.items()} == \
+                reference_trainer.ratios_at(plan, (m, boundaries), step)
+            # every stage keeps the decay's m, which ExperimentConfig checks at stage 0
+            assert list(ratios) == list(PLAN)
+            assert {r.m for r in ratios.values()} == {m}
+
+    def test_without_a_decay_the_plan_itself(self):
+        assert plan_at(PLAN, None, 0) is PLAN
+        assert plan_at(PLAN, None, 10**6) is PLAN
+        assert plan_at({}, DecaySchedule(4, (1,)), 5) == {}
 
 
 class TestMaskSparsity:
@@ -281,16 +315,18 @@ class TestCheckPlan:
 class TestDecaySchedule:
     def test_stages(self):
         sched = DecaySchedule(8, (100, 200, 300))
-        assert sched.stage_at(1) == 0
-        assert sched.stage_at(99) == 0
-        assert sched.stage_at(100) == 1
-        assert sched.stage_at(250) == 2
-        assert sched.stage_at(1000) == 3
+        for step, n in [(1, 7), (99, 7), (100, 4), (250, 2), (1000, 1)]:
+            assert plan_at(PLAN, sched, step) == dict.fromkeys(PLAN, NMRatio(n, 8))
 
     def test_ratio_at(self):
         sched = DecaySchedule(8, (10,))
-        assert (sched.ratio_at(5).n, sched.ratio_at(5).m) == (7, 8)
-        assert (sched.ratio_at(10).n, sched.ratio_at(10).m) == (4, 8)
+        assert plan_at(PLAN, sched, 5) == dict.fromkeys(PLAN, NMRatio(7, 8))
+        assert plan_at(PLAN, sched, 10) == dict.fromkeys(PLAN, NMRatio(4, 8))
+
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_m_below_two(self, m):
+        with pytest.raises(ConfigError, match=f"decay schedule needs m >= 2, got {m}"):
+            DecaySchedule(m)
 
     def test_bad_boundaries(self):
         with pytest.raises(ConfigError):

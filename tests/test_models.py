@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import buffer
+from conftest import buffer, write_csv
 from stepnm import models, optim
 from stepnm.errors import ConfigError, DimensionError, DomainError
 from stepnm.masks import NMRatio
@@ -512,7 +512,7 @@ class TestCSV:
     def test_round_trip_regression(self, tmp_path):
         ds = models.gen_synthetic("regression", 20, 3, noise_std=0.5, seed=13, batch_size=4)
         path = tmp_path / "data.csv"
-        models.save_csv(ds, path)
+        write_csv(ds, path)
         loaded = models.load_csv(path, n_targets=1, batch_size=4)
         np.testing.assert_array_equal(loaded.inputs, ds.inputs)
         np.testing.assert_array_equal(loaded.targets, ds.targets)
@@ -520,7 +520,7 @@ class TestCSV:
     def test_round_trip_class_labels(self, tmp_path):
         ds = models.gen_synthetic("blobs", 30, 2, n_classes=3, noise_std=0.2, seed=14)
         path = tmp_path / "blobs.csv"
-        models.save_csv(ds, path)
+        write_csv(ds, path)
         loaded = models.load_csv(path, n_targets=1, target_kind="class")
         np.testing.assert_array_equal(loaded.targets, ds.targets)
         assert loaded.targets.ndim == 1
