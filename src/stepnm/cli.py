@@ -1,4 +1,4 @@
-"""Command-line entry points for runs, comparisons, ablations and checks."""
+"""Command-line entry points for runs, comparisons, ablations and the theorem check."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ import json
 import sys
 
 import click
-import numpy as np
 
-from . import harness, models, theory
+from . import harness, theory
 from .errors import ToolkitError
 
 
@@ -114,45 +113,6 @@ def validate_theorem_cmd(stream, bound_g, dim, level, p, sigma, beta2, t0, t, de
             fh.write("\n")
         click.echo(f"report written to {out_dir / 'bound_report.json'}")
     if not report.per_step_bound_ok:
-        sys.exit(1)
-
-
-@main.command("fd-check")
-@click.option("--kind", type=click.Choice(models.MODEL_KINDS), default="mlp_classifier", show_default=True)
-@click.option("--layer-sizes", default="3,5,3", show_default=True)
-@click.option("--activation", type=click.Choice(models.ACTIVATIONS), default=None,
-              show_default="tanh", help="Hidden activation; mlp_classifier only.")
-@click.option("--batch", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--instances", type=click.IntRange(min=1), default=20, show_default=True)
-@click.option("--h", type=float, default=1e-5, show_default=True)
-@click.option("--tol", type=float, default=1e-5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-def fd_check_cmd(kind, layer_sizes, activation, batch, instances, h, tol, seed):
-    """Finite-difference check of the gradient engine on random instances."""
-    if activation is not None and kind == "linear_regression":
-        raise click.BadParameter("linear_regression has no activation", param_hint="--activation")
-    sizes = harness._each(harness._int, layer_sizes.split(","), "--layer-sizes")
-    spec = models.ModelSpec(kind=kind, layer_sizes=sizes, activation=activation or "tanh")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    failed = 0
-    for i in range(instances):
-        params = models.init_params(spec, (seed, i))
-        inputs = rng.standard_normal((batch, sizes[0]))
-        if kind == "mlp_classifier":
-            targets = rng.integers(0, sizes[-1], batch).astype(float)
-        else:
-            targets = rng.standard_normal((batch, sizes[-1]))
-        report = models.finite_difference_check(spec, params, (inputs, targets), h=h, tol=tol)
-        worst = float(np.maximum(worst, report.max_rel_error))  # a NaN error stays
-        status = "ok" if report.passed else "FAIL"
-        click.echo(f"instance {i}: max_rel_error={report.max_rel_error:.3e} {status}")
-        if not report.passed:
-            failed += 1
-            for name, idx, err in report.offenders[:5]:
-                click.echo(f"  offender {name}[{idx}] rel_error={err:.3e}")
-    click.echo(f"worst max_rel_error over {instances} instances: {worst:.3e}")
-    if failed:
         sys.exit(1)
 
 

@@ -1,0 +1,157 @@
+"""Mutation audit of the boundary conventions: every one-line mutant must fail Tier-1.
+
+Run it by hand from anywhere; it takes about six minutes on two cores:
+
+    python tests/mutants.py           # every mutant
+    python tests/mutants.py S3 K1     # only the named ones
+
+pytest does not collect this file, since its name does not start with
+``test_``.  The script copies ``src/``, ``tests/``, ``configs/`` and
+``pyproject.toml`` into a temporary directory and mutates only that copy.
+It first runs Tier-1 on the unmutated copy, which must pass.  Then each
+mutant replaces one fragment of one source line (the fragment must occur
+exactly once in its file) and Tier-1 runs on the copy with ``-x``; a failing
+run kills the mutant, and the first failing test is printed beside it.
+A mutant listed in ``SURVIVES_BY_DESIGN`` must pass, for the reason given
+there.  The exit status is 1 if any other mutant survives, a by-design
+survivor is killed, or a fragment no longer matches its file.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+# name: (file under src/stepnm, fragment, replacement, what the mutant changes)
+MUTANTS = {
+    "K1": ("autoswitch.py", "record.step >= t_max or", "record.step > t_max or",
+           "the clip fires only after T_max"),
+    "K2": ("autoswitch.py", "(below and record.step > t_min)", "(below and record.step >= t_min)",
+           "the eps path may fire at T_min"),
+    "K3": ("autoswitch.py", "(1.0 - beta2) + 1e-9))", "(1.0 - beta2)))",
+           "mixing_window loses its nudge"),
+    "K4": ("autoswitch.py", "deque(maxlen=mixing_window(beta2) + 1)",
+           "deque(maxlen=mixing_window(beta2))", "staleness lags one step less"),
+    "K5": ("autoswitch.py", "abs(record.v_l2 - prev) / prev < self.threshold",
+           "abs(record.v_l2 - prev) / prev <= self.threshold", "relative fires at its threshold"),
+    "K6": ("autoswitch.py", "l1_diffs_by_step[t0 + 1 : t0 + 1002]",
+           "l1_diffs_by_step[t0 : t0 + 1002]", "the metric window starts at t0"),
+    "K7": ("autoswitch.py", "l1_diffs_by_step[t0 + 1 : t0 + 1002]",
+           "l1_diffs_by_step[t0 + 1 : t0 + 1001]", "the metric window ends a step early"),
+    "K8": ("masks.py", "sum(step >= b for b", "sum(step > b for b",
+           "a decay stage starts a step after its boundary"),
+    "K9": ("optim.py", "gamma = hyper.lr_schedule(state.t)", "gamma = hyper.lr_schedule(k)",
+           "step t reads the learning rate at t, not t - 1"),
+    "K10": ("optim.py", "frac = min(max(t, 0), total_steps) / total_steps",
+            "frac = min(max(t, 0), total_steps - 1) / total_steps",
+            "the cosine schedule stops short of 0"),
+    "K11": ("theory.py", "return math.log(0.5) / math.log(beta2)",
+            "return math.log(0.25) / math.log(beta2)", "proof_min_t0 doubles"),
+    "K12": ("optim.py", "record.z_bar = detector.last_mean",
+            "record.z_bar = None if fired else detector.last_mean",
+            "the firing step loses its z_bar"),
+    "S1": ("autoswitch.py", "self.last_mean < self.eps", "self.last_mean <= self.eps",
+           "the autoswitch fires at a mean of exactly eps"),
+    "S2": ("autoswitch.py", "record.v_l1 / lagged > self.threshold",
+           "record.v_l1 / lagged >= self.threshold", "staleness fires at its threshold"),
+    "S3": ("harness.py", "return max(1, int(math.floor(ratio * total_steps)))",
+           "return max(1, int(math.ceil(ratio * total_steps)))", "a ratio's step rounds up"),
+    "S4": ("harness.py",
+           "return int(math.floor(lo * total_steps)), int(math.floor(hi * total_steps))",
+           "return int(round(lo * total_steps)), int(round(hi * total_steps))",
+           "clip steps round to nearest"),
+    "S5": ("harness.py", '"sparse_eval_loss_std": statistics.pstdev(sparse),',
+           '"sparse_eval_loss_std": statistics.stdev(sparse) if len(sparse) > 1 else 0.0,',
+           "the summary takes the sample std"),
+    "S6": ("harness.py", "[r.z * d for r in records]", "[r.z * (d - 1) for r in records]",
+           "compare_switch scales the mean change by d - 1"),
+    "S7": ("optim.py", "final_ratios = plan_at(plan, recipe.decay, total_steps)",
+           "final_ratios = plan_at(plan, recipe.decay, total_steps - 1)",
+           "the final masks read the plan a step early"),
+    "S8": ("theory.py", "np.count_nonzero(per_trial_max >= bound)",
+           "np.count_nonzero(per_trial_max > bound)", "a drift equal to the bound is no violation"),
+    "S9": ("theory.py", "PER_STEP_SLACK = 1e-12", "PER_STEP_SLACK = 1e-3",
+           "the per-step check forgives 1e-3"),
+    "S10": ("theory.py", "if t0 <= statement_min:", "if t0 < statement_min - 1:",
+            "validate_theorem takes a t0 one step too small"),
+    "E1": ("autoswitch.py", "if prev is None or prev <= 0.0:", "if prev is None or prev == 0.0:",
+           "relative skips only a zero norm, not a negative one"),
+}
+
+# name: why the mutant cannot be told apart from the code by any run
+SURVIVES_BY_DESIGN = {
+    "E1": "v_l2 is a Euclidean norm, never negative, so `<= 0.0` and `== 0.0` agree on "
+          "every record a run makes",
+}
+
+TIMEOUT_S = 900  # a mutant that makes Tier-1 hang counts as killed
+
+
+def _tier1(root: Path) -> tuple[bool, str]:
+    """(passed, the first failing test or why it failed) for Tier-1 on ``root``, run with -x."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {TIMEOUT_S} s"
+    if done.returncode == 0:
+        return True, ""
+    first = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", done.stdout, re.MULTILINE)
+    return False, first.group(1) if first else f"pytest exit code {done.returncode}"
+
+
+def _copy_tree(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+    for name in ("src", "tests", "configs"):
+        shutil.copytree(REPO / name, dest / name, ignore=skip)
+    shutil.copy2(REPO / "pyproject.toml", dest / "pyproject.toml")
+
+
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants {unknown}; known: {list(MUTANTS)}", file=sys.stderr)
+        return 2
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="stepnm-mutants-") as tmp:
+        root = Path(tmp)
+        _copy_tree(root)
+        passed, why = _tier1(root)
+        if not passed:
+            print(f"Tier-1 fails on the unmutated copy: {why}", file=sys.stderr)
+            return 1
+        for name in names or MUTANTS:
+            file, fragment, replacement, what = MUTANTS[name]
+            path = root / "src" / "stepnm" / file
+            source = path.read_text()
+            if source.count(fragment) != 1:
+                print(f"{name:<4} STALE     {file}: {fragment!r} occurs {source.count(fragment)} times")
+                failures += 1
+                continue
+            path.write_text(source.replace(fragment, replacement))
+            try:
+                passed, why = _tier1(root)
+            finally:
+                path.write_text(source)
+            expected = name in SURVIVES_BY_DESIGN
+            if passed:
+                verdict = "survived (by design)" if expected else "SURVIVED"
+            else:
+                verdict = "KILLED (expected to survive)" if expected else "killed"
+            failures += passed != expected
+            print(f"{name:<4} {verdict:<9} {file}: {what}" + (f"  [{why}]" if why else ""),
+                  flush=True)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

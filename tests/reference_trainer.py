@@ -3,12 +3,17 @@
 It holds parameters, gradients and Adam moments as plain dicts of per-layer
 arrays, updates them with the plain numpy expressions, and imports nothing
 from stepnm, so a fault in the trainer cannot hide by appearing on both
-sides of a comparison.  ``train`` covers MLP classifiers, the five recipes,
-the four switch criteria and the stagewise N:M decay.
+sides of a comparison.  ``train`` covers MLP classifiers and linear
+regression, the five recipes, the four switch criteria and the stagewise N:M
+decay.
 
 Conventions the trainer picks, none of them checked against the paper's
 algorithm (PAPER.md gives none):
 
+* A classifier scores its logits by the mean softmax cross-entropy.  A
+  regression model is one affine layer scored by half the squared error,
+  summed over its outputs and averaged over the batch:
+  0.5 * sum((x W^T + b - y)**2) / n, with float targets y of shape (n, outputs).
 * Step t draws the t-th batch, takes the gradient, and makes one Adam update
   with the learning rate at t - 1, the steps completed before it.
 * Bias correction counts the gradients taken so far, k = t, and eps sits
@@ -66,34 +71,45 @@ def init_params(sizes, seed) -> dict:
     return params
 
 
-def batches(inputs, labels, batch_size, seed):
+def batches(inputs, targets, batch_size, seed):
     rng = np.random.default_rng((seed, 1))
     n = len(inputs)
     while True:
         order = rng.permutation(n)
         for i in range(n // batch_size):
             idx = order[i * batch_size:(i + 1) * batch_size]
-            yield inputs[idx], labels[idx]
+            yield inputs[idx], targets[idx]
 
 
-def loss_and_grad(params, activation, inputs, labels, backward=True):
-    """Mean softmax cross-entropy of the MLP, and its gradients when ``backward``."""
+def loss_and_grad(params, activation, inputs, targets, backward=True):
+    """Mean batch loss of the model, and its gradients when ``backward``.
+
+    Integer targets are class ids, scored by softmax cross-entropy; float
+    targets, (n, outputs), by half the squared error.
+    """
     n_layers = len(params) // 2
     hs = [inputs]  # each layer's input
     for i in range(1, n_layers + 1):
         a = hs[-1] @ params[f"fc{i}.weight"].T + params[f"fc{i}.bias"]
         if i < n_layers:
             hs.append(np.maximum(a, 0.0) if activation == "relu" else np.tanh(a))
-    rows = np.arange(len(labels))
-    z = a - a.max(axis=1, keepdims=True)
-    expz = np.exp(z)
-    sumexp = expz.sum(axis=1, keepdims=True)
-    loss = float(-(z[rows, labels] - np.log(sumexp[:, 0])).mean())
-    if not backward:
-        return loss, None
-    g = expz / sumexp
-    g[rows, labels] -= 1.0
-    g = g / len(labels)
+    n = len(targets)
+    if targets.dtype.kind == "f":
+        g = a - targets
+        loss = float(0.5 * np.sum(g * g) / n)
+        if not backward:
+            return loss, None
+    else:
+        rows = np.arange(n)
+        z = a - a.max(axis=1, keepdims=True)
+        expz = np.exp(z)
+        sumexp = expz.sum(axis=1, keepdims=True)
+        loss = float(-(z[rows, targets] - np.log(sumexp[:, 0])).mean())
+        if not backward:
+            return loss, None
+        g = expz / sumexp
+        g[rows, targets] -= 1.0
+    g = g / n
     grads = {}
     for i in range(n_layers, 0, -1):
         h = hs[i - 1]
@@ -158,27 +174,30 @@ def fires(switch: dict, records: list, beta2: float, eps: float):
     return record["step"] >= t_max or (below and record["step"] > t_min), mean
 
 
-def train(sizes, activation, inputs, labels, batch_size, *, recipe, total_steps, seed,
+def train(sizes, activation, inputs, targets, batch_size, *, recipe, total_steps, seed,
           lr=1e-3, cosine=False, beta1=0.9, beta2=0.999, eps=1e-8, lam=0.0, plan=None,
-          decay=None, switch=None) -> dict:
-    """Train an MLP classifier; ``plan`` maps weight names to (n, m), ``decay`` is (m, boundaries).
+          decay=None, switch=None, regression=False) -> dict:
+    """Train an MLP classifier, or with ``regression`` a linear model of ``sizes`` (in, out).
 
+    ``plan`` maps weight names to (n, m), ``decay`` is (m, boundaries).
     ``switch`` is a dict: {"kind": "autoswitch", "option": ..., "clip": (T_min, T_max) or
     None}, {"kind": "relative" or "staleness", "threshold": ...} or {"kind": "fixed",
     "step": ...}.  ``cosine`` decays lr to 0 over total_steps as 0.5 lr (1 + cos(pi t / T)).
     Returns the records (dicts of the trajectory fields), both evaluation
-    losses, switched_at, the final params and the final masks.
+    losses, switched_at, the final params and the final masks, and
+    ``v_l1_changes``, whose entry t - 1 is ||v_t - v_{t-1}||_1.
     """
     plan = plan or {}
-    labels = np.asarray(labels).astype(np.int64)
+    targets = (np.asarray(targets, dtype=np.float64).reshape(len(inputs), -1) if regression
+               else np.asarray(targets).astype(np.int64))
     params = init_params(sizes, seed)
     m = {name: np.zeros_like(p) for name, p in params.items()}
     v = {name: np.zeros_like(p) for name, p in params.items()}
     frozen_denom = None
-    draw = batches(inputs, labels, batch_size, seed)
+    draw = batches(inputs, targets, batch_size, seed)
     masked_from_start = recipe in ("ste", "srste")
     switched_at = None
-    records = []
+    records, v_l1_changes = [], []
     for t in range(1, total_steps + 1):
         x, y = next(draw)
         in_masked_phase = masked_from_start or switched_at is not None
@@ -205,6 +224,7 @@ def train(sizes, activation, inputs, labels, batch_size, *, recipe, total_steps,
                 else:
                     denom = np.sqrt(v[name] + eps)
             params[name] = params[name] - gamma * (m[name] / (1 - beta1**t)) / denom
+        v_l1_changes.append(sum((float(np.abs(d).sum()) for d in dv.values()), 0.0))
 
         z = z_geom = None
         if frozen_denom is None:
@@ -222,9 +242,10 @@ def train(sizes, activation, inputs, labels, batch_size, *, recipe, total_steps,
     point, masks = masked(params, ratios_at(plan, decay, total_steps))
     return {
         "records": records,
-        "sparse_eval_loss": loss_and_grad(point, activation, inputs, labels, backward=False)[0],
-        "dense_eval_loss": loss_and_grad(params, activation, inputs, labels, backward=False)[0],
+        "sparse_eval_loss": loss_and_grad(point, activation, inputs, targets, backward=False)[0],
+        "dense_eval_loss": loss_and_grad(params, activation, inputs, targets, backward=False)[0],
         "switched_at": switched_at,
         "params": params,
         "masks": masks,
+        "v_l1_changes": v_l1_changes,
     }

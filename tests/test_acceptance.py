@@ -12,6 +12,7 @@ from statistics import fmean
 import numpy as np
 
 from conftest import buffer, simulate_vhat, step_record
+from fd_check import finite_difference_check
 from stepnm import harness, models, optim, theory
 from stepnm.autoswitch import SwitchCriterion, make_detector, mixing_window
 from stepnm.masks import NMRatio, compute_nm_mask
@@ -190,7 +191,7 @@ def test_gradient_correctness_fd():
         params = models.init_params(spec, (2025, i))
         inputs = rng.standard_normal((8, 3))
         targets = rng.integers(0, 3, 8).astype(float)
-        report = models.finite_difference_check(spec, params, (inputs, targets), h=1e-5, tol=1e-5)
+        report = finite_difference_check(spec, params, (inputs, targets), h=1e-5, tol=1e-5)
         worst = max(worst, report.max_rel_error)
         all_pass &= report.passed
     _report("gradient correctness (20 tanh MLPs)", all_pass, f"worst rel error {worst:.2e}")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import buffer, step_record
 from stepnm.autoswitch import (
+    DEFAULT_THRESHOLDS,
     SAMPLER_OPTIONS,
     SwitchCriterion,
     avg_change_metric_from_diffs,
@@ -167,6 +168,15 @@ class TestAutoswitchDecide:
     def test_above_eps_does_not_fire(self):
         assert not feed(autoswitch(), [1.0] * 10, step=50)
 
+    def test_a_full_window_whose_mean_is_exactly_eps_does_not_fire(self):
+        # beta2 = 0.75 gives a window of 4, and these dyadic samples sum exactly to 4 * eps
+        eps = 2.0**-4
+        det = make_detector(SwitchCriterion(kind="autoswitch"), beta2=0.75, eps=eps)
+        assert not feed(det, [2.0**-3, 0.0, 2.0**-4, 2.0**-4], step=50)
+        assert len(det.window) == 4 and det.last_mean == eps
+        det = make_detector(SwitchCriterion(kind="autoswitch"), beta2=0.75, eps=eps)
+        assert feed(det, [2.0**-3, 0.0, 2.0**-4, 2.0**-4 - 2.0**-30], step=50)
+
     def test_partial_window_is_suppressed(self):
         assert not feed(autoswitch(), [0.0], step=1)
 
@@ -229,6 +239,10 @@ class TestBaselineCriteria:
 
     def test_staleness_does_not_fire_when_decayed(self):
         assert not staleness_fires(0.5, 1.0)
+
+    def test_staleness_does_not_fire_at_the_threshold(self):
+        assert 0.96 / 1.0 == DEFAULT_THRESHOLDS["staleness"]
+        assert not staleness_fires(0.96, 1.0)
 
     def test_staleness_equal_norms_fire(self):
         assert staleness_fires(2.5, 2.5)

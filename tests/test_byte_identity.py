@@ -3,11 +3,12 @@
 Each case trains once and hashes two things: the trajectory JSONL that
 ``harness.write_trajectory`` writes (every per-step loss, variance norm and
 switch sample, plus the final evaluation record), and the final parameters'
-bytes in ``models.param_shapes`` order.  A change to the training loop that
-moves any bit of a run fails here.  The wide case must also read the same
-digests with OpenBLAS on one thread and on two.  The theorem validator's
-cases hash its report, as the ``validate-theorem`` command writes it, for
-each stream kind.
+bytes in ``models.param_shapes`` order.  The small cases train an MLP
+classifier on blobs, and one trains a linear regression on the ``regression``
+data kind.  A change to the training loop that moves any bit of a run fails
+here.  The wide case must also read the same digests with OpenBLAS on one
+thread and on two.  The theorem validator's cases hash its report, as the
+``validate-theorem`` command writes it, for each stream kind.
 
 The digests were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, 64-bit ints, DYNAMIC_ARCH, Haswell kernels), x86-64,
@@ -89,6 +90,9 @@ DIGESTS = {
     "step_updated_variance+decay": (
         "b2e21af09d606ae35ac3c98d58702c19310b6c6cd267d873f240238865eb9cd6",
         "e76ab13bc4caa7515bc0a4233597e8db3d7b1751c64d84b7aabcbd394fc5f8ef"),
+    "regression": (
+        "20763e5e48283b76ae69a1449165b89ffbb090892b1a3747374a9812c1e4aca4",
+        "aa6af7104e57c402482d9988a48adac4efeb9c2190d6c9a66dce59346b7765e5"),
     "wide": (
         "7fb3138a7205fa5e49c557b555366d10af11cd8e72700a9ef3a7208c400d1a50",
         "36924b717dc8244fc7d64f8837dc2a0a7f7ee6da50c1b10b00827d426131a456"),
@@ -115,6 +119,16 @@ def test_small_mlp_runs(name, tmp_path):
     if criterion is not None:
         assert run.switched_at is not None
     assert _digests(spec, run, tmp_path) == DIGESTS[name]
+
+
+def test_regression_run(tmp_path):
+    spec = models.ModelSpec("linear_regression", (8, 1))
+    ds = models.gen_synthetic("regression", 256, 8, noise_std=0.1, seed=0, batch_size=32)
+    hyper = AdamHyper(lr_schedule=constant_lr(5e-3))
+    run = optim.recipe_train(spec, ds, hyper, {"fc1.weight": NMRatio(2, 4)}, Recipe("step"),
+                             FIXED, SMALL_STEPS, seed=3)
+    assert run.switched_at == 150
+    assert _digests(spec, run, tmp_path) == DIGESTS["regression"]
 
 
 def _wide_run_digests(tmp_path):

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import re
+import statistics
 import warnings
 import weakref
 from pathlib import Path
@@ -123,6 +124,18 @@ class TestConfigParsing:
         path, _ = make_config(tmp_path, switch={"kind": "fixed", "step_ratio": 0.25})
         config = harness.load_config(path)
         assert config.criterion.step == 30
+
+    def test_a_step_ratio_floors_to_its_step(self, tmp_path):
+        # 0.3 of 1001 steps is 300.3
+        path, _ = make_config(tmp_path, total_steps=1001,
+                              switch={"kind": "fixed", "step_ratio": 0.3})
+        assert harness.load_config(path).criterion.step == 300
+
+    def test_clip_ratios_floor_to_their_steps(self, tmp_path):
+        # 0.1 and 0.55 of 1001 steps are 100.1 and 550.55
+        clip = {"t_min_ratio": 0.1, "t_max_ratio": 0.55}
+        path, _ = make_config(tmp_path, total_steps=1001, switch={"kind": "autoswitch", "clip": clip})
+        assert harness.load_config(path).criterion.clip == (100, 550)
 
 
 class TestRecipeConfig:
@@ -477,6 +490,17 @@ class TestRun:
             text = (tmp_path / "out" / f"trajectory_seed{seed}.jsonl").read_text()
             assert len([json.loads(line, parse_constant=refuse) for line in text.splitlines()]) == 41
 
+    def test_summary_stds_are_population_stds(self, tmp_path):
+        path, _ = make_config(tmp_path, total_steps=40)  # seeds 1 and 2
+        harness.run(harness.load_config(path), output_dir=tmp_path / "out")
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        finals = [json.loads((tmp_path / "out" / f"trajectory_seed{seed}.jsonl")
+                             .read_text().splitlines()[-1]) for seed in (1, 2)]
+        for figure in ("sparse_eval_loss", "dense_eval_loss"):
+            values = [final[figure] for final in finals]
+            assert values[0] != values[1]
+            assert summary[f"{figure}_std"] == statistics.pstdev(values)
+
     def test_summary_written(self, tmp_path):
         path, _ = make_config(tmp_path, seeds=[1])
         config = harness.load_config(path)
@@ -599,6 +623,15 @@ class TestCLI:
         assert (tmp_path / "out" / "trajectory_seed7.jsonl").exists()
         assert not (tmp_path / "out" / "trajectory_seed1.jsonl").exists()
 
+    def test_the_four_commands(self):
+        result = CliRunner().invoke(cli_main, ["--help"])
+        assert result.exit_code == 0
+        assert sorted(cli_main.commands) == ["ablate", "compare-switch", "run", "validate-theorem"]
+        for command in cli_main.commands:
+            assert command in result.output
+        result = CliRunner().invoke(cli_main, ["fd-check"])
+        assert result.exit_code == 2 and "No such command 'fd-check'" in result.output
+
     def test_validate_theorem_command(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(cli_main, [
@@ -610,33 +643,6 @@ class TestCLI:
         report = json.loads((tmp_path / "rep" / "bound_report.json").read_text())
         assert report["per_step_bound_ok"] is True
         assert report["trials"] == 50
-
-    def test_fd_check_command(self):
-        runner = CliRunner()
-        result = runner.invoke(cli_main, [
-            "fd-check", "--kind", "mlp_classifier", "--layer-sizes", "3,4,2",
-            "--activation", "tanh", "--instances", "2", "--batch", "4",
-        ])
-        assert result.exit_code == 0, result.output
-        assert "worst max_rel_error" in result.output
-
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_fd_check_rejects_an_activation_for_linear_regression(self, activation):
-        result = CliRunner().invoke(cli_main, ["fd-check", "--kind", "linear_regression",
-                                               "--layer-sizes", "2,1", "--activation", activation])
-        assert result.exit_code == 2
-        assert "--activation" in result.output
-        assert "instance" not in result.output
-
-    @pytest.mark.parametrize("tol", ["-1", "nan"])
-    def test_fd_check_rejects_bad_tol(self, tol, monkeypatch, capsys):
-        monkeypatch.setattr("sys.argv", ["stepnm", "fd-check", "--instances", "1", "--tol", tol])
-        with pytest.raises(SystemExit) as exit_info:
-            cli_entry()
-        assert exit_info.value.code == 2
-        captured = capsys.readouterr()
-        assert "tol" in captured.err
-        assert "instance" not in captured.out
 
     @pytest.mark.parametrize("args", [
         ["--g", "inf"], ["--g", "nan"], ["--stream", "trunc_gauss_sq", "--sigma", "nan"],
@@ -688,22 +694,6 @@ class TestCLI:
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "thm" / "bound_report.json").read_text())
         assert report["trials"] == 1 and report["per_step_bound_ok"] is True
-
-    @pytest.mark.parametrize("flag", ["--batch", "--instances"])
-    def test_fd_check_rejects_zero_counts(self, flag):
-        result = CliRunner().invoke(cli_main, ["fd-check", flag, "0"])
-        assert result.exit_code == 2
-        assert flag in result.output
-        assert "ok" not in result.output
-
-    def test_fd_check_rejects_non_integer_layer_sizes(self, monkeypatch, capsys):
-        result = CliRunner().invoke(cli_main, ["fd-check", "--layer-sizes", "a,b"])
-        assert isinstance(result.exception, ConfigError)
-        monkeypatch.setattr("sys.argv", ["stepnm", "fd-check", "--layer-sizes", "a,b"])
-        with pytest.raises(SystemExit) as exit_info:
-            cli_entry()
-        assert exit_info.value.code == 2
-        assert "--layer-sizes[0]" in capsys.readouterr().err
 
     def test_ablate_command(self, tmp_path):
         doc = json.loads(json.dumps(BASE_CONFIG))
@@ -818,16 +808,6 @@ class TestCLI:
         assert exit_info.value.code == 2
         assert f"error: cannot read config {path}" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_fd_check_fails_on_a_non_finite_difference(self):
-        # h = 1e300 overflows the loss: every central difference is inf - inf
-        with np.errstate(over="ignore"):
-            result = CliRunner().invoke(cli_main, ["fd-check", "--kind", "linear_regression",
-                                                   "--layer-sizes", "2,1", "--instances", "1",
-                                                   "--h", "1e300"])
-        assert result.exit_code == 1
-        assert "instance 0: max_rel_error=nan FAIL" in result.output
-        assert "worst max_rel_error over 1 instances: nan" in result.output
 
     def test_compare_switch_needs_a_criterion(self, tmp_path, monkeypatch):
         path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None)

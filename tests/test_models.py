@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import buffer, write_csv
+from fd_check import finite_difference_check
 from stepnm import models, optim
 from stepnm.errors import ConfigError, DimensionError, DomainError
 from stepnm.masks import NMRatio
@@ -214,7 +215,7 @@ class TestParamBuffer:
         lambda spec, params, batch: models.loss_and_grad(spec, params, batch),
         lambda spec, params, batch: optim.ste_loss_and_grad(
             spec, params, {"fc1.weight": NMRatio(1, 3)}, batch),
-        lambda spec, params, batch: models.finite_difference_check(spec, params, batch),
+        lambda spec, params, batch: finite_difference_check(spec, params, batch),
     ], ids=["forward_loss", "loss_and_grad", "ste_loss_and_grad", "finite_difference_check"])
     def test_model_passes_take_only_buffers_of_the_spec_layout(self, call):
         # the values are right; a dict of them is refused, and so is another layout
@@ -463,7 +464,7 @@ class TestFiniteDifference:
     def test_linear_passes(self):
         spec = ModelSpec("linear_regression", (3, 2))
         params = models.init_params(spec, 5)
-        report = models.finite_difference_check(spec, params, random_batch(spec, 6, 6))
+        report = finite_difference_check(spec, params, random_batch(spec, 6, 6))
         assert report.passed
         assert report.max_rel_error <= 1e-5
         assert report.offenders == ()
@@ -471,20 +472,20 @@ class TestFiniteDifference:
     def test_mlp_tanh_passes(self):
         spec = mlp((3, 5, 3), activation="tanh")
         params = models.init_params(spec, 7)
-        report = models.finite_difference_check(spec, params, random_batch(spec, 8, 8))
+        report = finite_difference_check(spec, params, random_batch(spec, 8, 8))
         assert report.passed
 
     def test_zero_tolerance_always_fails(self):
         spec = mlp((3, 5, 3), activation="tanh")
         params = models.init_params(spec, 9)
-        report = models.finite_difference_check(spec, params, random_batch(spec, 8, 10), tol=0.0)
+        report = finite_difference_check(spec, params, random_batch(spec, 8, 10), tol=0.0)
         assert not report.passed
         assert len(report.offenders) > 0
 
     def test_relu_kink_reported_not_crashing(self):
         spec = mlp((2, 3, 2), activation="relu")
         params = models.init_params(spec, 11)
-        report = models.finite_difference_check(spec, params, random_batch(spec, 4, 12), h=1e-5)
+        report = finite_difference_check(spec, params, random_batch(spec, 4, 12), h=1e-5)
         # relu instances may or may not sit near a kink; the report just lists offenders
         assert isinstance(report.passed, bool)
         assert report.max_rel_error >= 0.0
@@ -494,8 +495,7 @@ class TestFiniteDifference:
         spec = ModelSpec("linear_regression", (2, 1))
         params = models.init_params(spec, 0)
         with np.errstate(over="ignore"):
-            report = models.finite_difference_check(spec, params, random_batch(spec, 8, 0),
-                                                    h=1e300)
+            report = finite_difference_check(spec, params, random_batch(spec, 8, 0), h=1e300)
         assert math.isnan(report.max_rel_error) and not report.passed
         assert [(name, idx) for name, idx, _ in report.offenders] == [
             ("fc1.weight", 0), ("fc1.weight", 1), ("fc1.bias", 0)]
@@ -505,7 +505,7 @@ class TestFiniteDifference:
         params = models.init_params(spec, 0)
         for h in (0.0, float("nan"), float("inf")):
             with pytest.raises(DomainError):
-                models.finite_difference_check(spec, params, random_batch(spec, 4, 0), h=h)
+                finite_difference_check(spec, params, random_batch(spec, 4, 0), h=h)
 
 
 class TestCSV:

@@ -4,14 +4,18 @@ Every record field, both evaluation losses, the switch step, and the final
 parameters and masks must be equal.  The matrix covers the five recipes,
 the four switch criteria and the stagewise decay on a relu and a tanh MLP,
 with beta2 = 0.99 so that the 100-sample windows fill early, plus a few
-steps of the benchmark's wide model.
+steps of the benchmark's wide model and linear regression with one output
+and with several.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 import reference_trainer
-from stepnm import models, optim
-from stepnm.autoswitch import SwitchCriterion, mixing_window
+from stepnm import harness, models, optim
+from stepnm.autoswitch import SwitchCriterion, avg_change_metric_from_diffs, mixing_window
 from stepnm.masks import DecaySchedule, NMRatio
 from stepnm.optim import AdamHyper, Recipe, constant_lr, cosine_lr
 
@@ -38,12 +42,25 @@ CASES = {
 }
 
 
+def _regression_data(n_in, n_out, batch_size):
+    """256 draws of a hidden linear map from n_in inputs to n_out outputs, plus noise."""
+    rng = np.random.default_rng(0)
+    inputs = rng.standard_normal((256, n_in))
+    targets = inputs @ rng.standard_normal((n_in, n_out)) + 0.1 * rng.standard_normal((256, n_out))
+    return models.Dataset(inputs, targets, batch_size)
+
+
 def _train_both(sizes, activation, plan, recipe, lam, decay, switch, cosine, *, steps, eps=1e-8,
-                beta2=0.99, lr=5e-3, batch_size=32, seed=1):
-    """(recipe_train's result, the reference's) for one run on blobs data."""
-    ds = models.gen_synthetic("blobs", 256, sizes[0], n_classes=sizes[-1],
-                              noise_std=0.6, seed=0, batch_size=batch_size)
-    spec = models.ModelSpec("mlp_classifier", sizes, activation)
+                beta2=0.99, lr=5e-3, batch_size=32, seed=1, regression=False):
+    """(recipe_train's result, the reference's) for one run on blobs data, or with
+    ``regression`` a linear model of ``sizes`` on drawn regression data."""
+    if regression:
+        ds = _regression_data(*sizes, batch_size)
+        spec = models.ModelSpec("linear_regression", sizes)
+    else:
+        ds = models.gen_synthetic("blobs", 256, sizes[0], n_classes=sizes[-1],
+                                  noise_std=0.6, seed=0, batch_size=batch_size)
+        spec = models.ModelSpec("mlp_classifier", sizes, activation)
     hyper = AdamHyper(beta2=beta2, eps=eps,
                       lr_schedule=cosine_lr(lr, steps) if cosine else constant_lr(lr))
     criterion = None if switch is None else SwitchCriterion(
@@ -55,7 +72,7 @@ def _train_both(sizes, activation, plan, recipe, lam, decay, switch, cosine, *, 
     reference = reference_trainer.train(
         sizes, activation, ds.inputs, ds.targets, ds.batch_size, recipe=recipe,
         total_steps=steps, seed=seed, lr=lr, cosine=cosine, beta2=beta2, eps=eps, lam=lam,
-        plan=plan, decay=decay, switch=switch)
+        plan=plan, decay=decay, switch=switch, regression=regression)
     return result, reference
 
 
@@ -103,3 +120,50 @@ def test_wide_model_matches_the_reference():
                                     batch_size=128)
     _assert_bitwise_equal(result, reference)
     assert result.switched_at == 2
+
+
+def test_final_masks_take_the_plan_at_the_last_step():
+    """A decay boundary at total_steps: the plan is 2:4 at step 159 and 1:4 at step 160."""
+    sizes, activation, plan = MODELS["tanh 8-32-16-4"]
+    result, reference = _train_both(sizes, activation, plan, "ste", 0.0, (4, (60, STEPS)), None,
+                                    False, steps=STEPS)
+    _assert_bitwise_equal(result, reference)
+    for name, mask in result.final_masks.items():
+        assert (mask.reshape(-1, 4).sum(axis=1) == 1.0).all(), name
+
+
+def test_compare_switch_metric_is_the_reference_variance_change():
+    """A seed's metric is 1e-3 times the sum of ||v_t - v_{t-1}||_1 over the 1001 steps after t0.
+
+    compare_switch rebuilds each change from its record's mean change z; the
+    reference sums |v_t - v_{t-1}| over its own v, so the two agree to rounding.
+    """
+    sizes, activation, _ = MODELS["relu 2-16-2"]
+    steps, t0 = 1101, 100
+    doc = {"model": {"kind": "mlp_classifier", "layer_sizes": list(sizes), "activation": activation},
+           "data": {"kind": "blobs", "n_samples": 256, "n_features": sizes[0],
+                    "n_classes": sizes[-1], "noise_std": 0.6, "seed": 0, "batch_size": 32},
+           "optimizer": {"lr": 5e-3, "beta2": 0.99}, "recipe": {"kind": "dense"},
+           "total_steps": steps, "seeds": [1]}
+    config = harness.config_from_dict(doc)
+    [row] = harness.compare_switch(config, [SwitchCriterion(kind="fixed", step=t0)])
+    assert row["t0"] == t0
+    ds = config.data.build(config.model.kind)
+    reference = reference_trainer.train(sizes, activation, ds.inputs, ds.targets, ds.batch_size,
+                                        recipe="dense", total_steps=steps, seed=1, lr=5e-3,
+                                        beta2=0.99)
+    expected = avg_change_metric_from_diffs([0.0] + reference["v_l1_changes"], t0)
+    assert math.isclose(row["avg_change_metric"], expected, rel_tol=1e-12)
+
+
+REGRESSION_MODELS = {"linear 8-1": (8, 1), "linear 8-3": (8, 3)}
+REGRESSION_CASES = {"dense": CASES["dense"], "ste": ("ste", 0.0, None, None, False),
+                    "step/fixed": CASES["step/fixed"]}
+
+
+@pytest.mark.parametrize("case", REGRESSION_CASES)
+@pytest.mark.parametrize("model", REGRESSION_MODELS)
+def test_linear_regression_matches_the_reference(model, case):
+    result, reference = _train_both(REGRESSION_MODELS[model], None, {"fc1.weight": (2, 4)},
+                                    *REGRESSION_CASES[case], steps=STEPS, regression=True)
+    _assert_bitwise_equal(result, reference)

@@ -4,10 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import test_byte_identity
 from conftest import simulate_vhat
 from stepnm import theory
+from stepnm.cli import main as cli_main
 from stepnm.errors import ConfigError, DimensionError, DomainError, RangeError
 from stepnm.theory import StationaryStream, azuma_bound, min_precondition_step
 
@@ -239,6 +241,37 @@ class TestValidateTheorem:
         stream = StationaryStream(kind="bernoulli", bound=1.0, seed=0)
         with pytest.raises(ConfigError, match="1228"):
             theory.validate_theorem(stream, 0.999, t0=1000, t=5000, delta=0.01, trials=10)
+
+    def test_t0_must_be_above_the_statement_minimum(self):
+        # at beta2 = 0.999 the statement needs t0 > 1227.33
+        stream = StationaryStream(kind="bernoulli", bound=1.0, seed=0)
+        with pytest.raises(ConfigError, match=r"t0=1227 is too small.*minimal integer 1228"):
+            theory.validate_theorem(stream, 0.999, t0=1227, t=1240, delta=0.01, trials=1)
+        report = theory.validate_theorem(stream, 0.999, t0=1228, t=1240, delta=0.01, trials=1)
+        assert report.t0 == 1228
+
+    def test_a_drift_that_reaches_the_bound_is_a_violation(self, monkeypatch):
+        stream = StationaryStream(kind="bernoulli", bound=1.0, dim=2, seed=4)
+        first = theory.validate_theorem(stream, 0.9, t0=20, t=80, delta=0.05, trials=8)
+        assert first.violations == 0
+        monkeypatch.setattr(theory, "azuma_bound", lambda *a: first.max_observed_deviation)
+        report = theory.validate_theorem(stream, 0.9, t0=20, t=80, delta=0.05, trials=8)
+        assert report.bound_value == report.max_observed_deviation == first.max_observed_deviation
+        assert report.violations >= 1
+
+    def test_a_per_step_move_above_the_bound_fails_the_report_and_the_command(self, monkeypatch):
+        stream = StationaryStream(kind="bernoulli", bound=1.0, seed=4)
+        first = theory.validate_theorem(stream, 0.9, t0=20, t=80, delta=0.05, trials=8)
+        assert first.per_step_bound_ok
+        bound = first.max_per_step_deviation - 1e-9
+        monkeypatch.setattr(theory, "per_step_bound", lambda *a: bound)
+        report = theory.validate_theorem(stream, 0.9, t0=20, t=80, delta=0.05, trials=8)
+        assert report.per_step_bound_value == bound and not report.per_step_bound_ok
+        result = CliRunner().invoke(cli_main, [
+            "validate-theorem", "--beta2", "0.9", "--t0", "20", "--t", "80", "--delta", "0.05",
+            "--trials", "8", "--seed", "4"])
+        assert result.exit_code == 1
+        assert "per_step_bound_ok: False" in result.output
 
     def test_reports_both_t0_conditions(self):
         stream = StationaryStream(kind="bernoulli", bound=1.0, seed=0)
