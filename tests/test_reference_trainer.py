@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_trainer
 from stepnm import harness, models, optim
@@ -167,3 +168,167 @@ def test_linear_regression_matches_the_reference(model, case):
     result, reference = _train_both(REGRESSION_MODELS[model], None, {"fc1.weight": (2, 4)},
                                     *REGRESSION_CASES[case], steps=STEPS, regression=True)
     _assert_bitwise_equal(result, reference)
+
+
+# ---------------------------------------------------------------------------
+# the config layer: one drawn document, read by config_from_dict and by a plain reader
+# ---------------------------------------------------------------------------
+
+
+def _plain_data(data: dict):
+    """The inputs, targets and batch size that a ``data`` section describes, drawn with the
+    plain numpy expressions: blobs around 3 N(0, 1) centres, one per class, labelled in turn,
+    or a hidden linear map from N(0, 1) inputs to one target, plus noise when it is positive."""
+    n, features, noise = data["n_samples"], data["n_features"], data.get("noise_std", 0.1)
+    rng = np.random.default_rng(data.get("seed", 0))
+    if data["kind"] == "blobs":
+        labels = np.arange(n) % data["n_classes"]
+        centres = 3.0 * rng.standard_normal((data["n_classes"], features))
+        inputs = centres[labels] + noise * rng.standard_normal((n, features))
+        targets = labels
+    else:
+        inputs = rng.standard_normal((n, features))
+        targets = inputs @ rng.standard_normal((features, 1))
+        if noise > 0:
+            targets = targets + noise * rng.standard_normal((n, 1))
+    return inputs, targets, min(data.get("batch_size", 32), n)
+
+
+def _plain_switch(switch, total_steps: int):
+    """The reference trainer's switch settings for a ``switch`` section, defaults filled in.
+
+    A ratio's step is floor(ratio * total_steps), at least 1; a clip's steps are
+    the plain floors of its two ratios.
+    """
+    if switch is None:
+        return None
+    settings = dict(switch)
+    kind = settings["kind"]
+    if kind == "autoswitch":
+        settings.setdefault("option", "arithmetic")
+        clip = settings.get("clip")
+        if clip is not None:
+            settings["clip"] = (math.floor(clip["t_min_ratio"] * total_steps),
+                                math.floor(clip["t_max_ratio"] * total_steps))
+    elif kind in ("relative", "staleness"):
+        settings.setdefault("threshold", {"relative": 0.5, "staleness": 0.96}[kind])
+    elif "step_ratio" in settings:
+        settings["step"] = max(1, math.floor(settings.pop("step_ratio") * total_steps))
+    return settings
+
+
+def _plain_runs(doc: dict) -> list:
+    """The reference result of every run that ``doc`` asks of ``run`` and, when it gives
+    ``ablation.precondition_ratios``, of ``ablate --kind precondition_length``: cell by
+    cell, each over every seed.  A ratio's cell is ``step`` switched at its ratio's step,
+    floor(ratio * total_steps) and at least 1, with the plan and no decay."""
+    total_steps, model, optimizer = doc["total_steps"], doc["model"], doc["optimizer"]
+    inputs, targets, batch_size = _plain_data(doc["data"])
+    ablation = doc.get("ablation") or {}
+    decay = ablation.get("decay")
+    if decay is not None:
+        decay = (decay["m"], tuple(decay.get("stage_boundaries", ())))
+    recipe = doc["recipe"]
+    cells = [(recipe["kind"], recipe.get("lam", 0.0), None if recipe["kind"] == "dense" else decay,
+              _plain_switch(doc.get("switch"), total_steps))]
+    cells += [("step", 0.0, None, {"kind": "fixed", "step": max(1, math.floor(ratio * total_steps))})
+              for ratio in ablation.get("precondition_ratios", ())]
+    return [reference_trainer.train(
+        model["layer_sizes"], model.get("activation", "relu"), inputs, targets, batch_size,
+        recipe=kind, total_steps=total_steps, seed=seed, lr=optimizer.get("lr", 1e-3),
+        cosine=optimizer.get("lr_schedule") == "cosine", beta1=optimizer.get("beta1", 0.9),
+        beta2=optimizer.get("beta2", 0.999), eps=optimizer.get("eps", 1e-8), lam=lam,
+        plan={name: (r["n"], r["m"]) for name, r in (doc.get("sparsity") or {}).items()},
+        decay=cell_decay, switch=switch, regression=model["kind"] == "linear_regression")
+        for kind, lam, cell_decay, switch in cells for seed in doc["seeds"]]
+
+
+def _maybe(draw, section: dict, key: str, values) -> None:
+    """Give ``section[key]`` one of ``values``, or leave the key out for its default."""
+    if draw(st.booleans()):
+        section[key] = draw(st.sampled_from(values))
+
+
+@st.composite
+def config_documents(draw, recipe: str):
+    """A small valid config for ``recipe``: every switch kind, decay on and off, at most 60
+    steps, and a plan on at least one weight, for a classifier on blobs or a linear model
+    on regression data."""
+    m = draw(st.sampled_from([2, 4, 8]))
+    if draw(st.booleans()):
+        sizes = [m * draw(st.integers(1, 2)), 1]
+        model = {"kind": "linear_regression", "layer_sizes": sizes}
+        data = {"kind": "regression"}
+    else:
+        hidden = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+        sizes = [m * draw(st.integers(1, 2)), *(m * h for h in hidden), draw(st.integers(2, 3))]
+        model = {"kind": "mlp_classifier", "layer_sizes": sizes}
+        _maybe(draw, model, "activation", ["relu", "tanh"])
+        data = {"kind": "blobs", "n_classes": sizes[-1]}
+    data.update(n_samples=draw(st.sampled_from([40, 64])), n_features=sizes[0])
+    for key, values in (("noise_std", [0.0, 0.5]), ("seed", [0, 3]), ("batch_size", [8, 16])):
+        _maybe(draw, data, key, values)
+    total_steps = draw(st.integers(8, 60))
+    optimizer = {"beta2": draw(st.sampled_from([0.9, 0.99]))}
+    for key, values in (("lr", [1e-3, 5e-3]), ("lr_schedule", ["constant", "cosine"]),
+                        ("beta1", [0.8]), ("eps", [1e-5])):
+        _maybe(draw, optimizer, key, values)
+    weights = [f"fc{i}.weight" for i in range(1, len(sizes))]
+    planned = draw(st.lists(st.sampled_from(weights), min_size=1, unique=True))
+    sparsity = {name: {"n": draw(st.integers(1, m)), "m": m} for name in weights if name in planned}
+    doc = {"model": model, "data": data, "optimizer": optimizer, "sparsity": sparsity,
+           "recipe": {"kind": recipe}, "total_steps": total_steps,
+           "seeds": draw(st.lists(st.integers(0, 5), min_size=1, max_size=2, unique=True))}
+    if recipe == "srste":
+        _maybe(draw, doc["recipe"], "lam", [0.0, 2e-4])
+    if recipe in optim.TWO_PHASE_KINDS or draw(st.booleans()):
+        switch = {"kind": draw(st.sampled_from(["fixed", "autoswitch", "relative", "staleness"]))}
+        if switch["kind"] == "autoswitch":
+            _maybe(draw, switch, "option", ["arithmetic", "geometric"])
+            clip = draw(st.sampled_from([None, (0.0, 0.55), (0.1, 0.7), (0.3, 1.0)]))
+            if clip is not None:  # each pair's floors are ordered from 8 steps on
+                switch["clip"] = {"t_min_ratio": clip[0], "t_max_ratio": clip[1]}
+        elif switch["kind"] == "fixed":
+            if draw(st.booleans()):
+                switch["step"] = draw(st.integers(1, total_steps))
+            else:
+                switch["step_ratio"] = draw(st.sampled_from([0.05, 0.3, 0.55, 0.7, 1.0]))
+        else:
+            _maybe(draw, switch, "threshold", [0.3, 0.9])
+        doc["switch"] = switch
+    ablation = {}
+    if draw(st.booleans()):
+        boundaries = draw(st.lists(st.integers(1, total_steps), unique=True, max_size=2))
+        ablation["decay"] = {"m": m, "stage_boundaries": sorted(boundaries)}
+    _maybe(draw, ablation, "precondition_ratios", [[0.3], [0.05, 0.7]])
+    if ablation:
+        doc["ablation"] = ablation
+    return doc
+
+
+@pytest.mark.parametrize("recipe", optim.RECIPE_KINDS)
+@settings(deadline=None, max_examples=10, derandomize=True, database=None)
+@given(data=st.data())
+def test_config_layer_matches_the_plain_reading(recipe, data):
+    """config_from_dict, then the runs of ``run`` and ``ablate --kind precondition_length``
+    through harness._train_runs, against ``_plain_runs`` on the same document, bit for bit."""
+    doc = data.draw(config_documents(recipe), label="doc")
+    config = harness.config_from_dict(doc)
+    results = []
+
+    def keeping(*args):
+        results.append(optim.recipe_train(*args))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "recipe_train", keeping)
+        runs = list(harness._train_runs(config, [("run", config.recipe, config.criterion)]))
+        if config.ablation.precondition_ratios:
+            harness.ablation("precondition_length", config)
+    references = _plain_runs(doc)
+    assert len(results) == len(references) == len(doc["seeds"]) * (
+        1 + len(config.ablation.precondition_ratios))
+    for (_, seed, _, records), result in zip(runs, results):
+        assert records is result.records
+    for result, reference in zip(results, references):
+        _assert_bitwise_equal(result, reference)
