@@ -14,7 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ConfigError, NumericalError, RangeError
+from .errors import ConfigError, NumericalError, RangeError, check_kind
 
 SAMPLER_OPTIONS = ("arithmetic", "geometric")
 # the switch keys each criterion kind reads; a config may give a fixed step as a step_ratio
@@ -56,11 +56,8 @@ class SwitchCriterion:
     step: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in CRITERION_KEYS:
-            raise ConfigError(f"unknown switch criterion kind {self.kind!r}")
-        for key in ("option", "threshold", "clip", "step"):
-            if getattr(self, key) is not None and key not in CRITERION_KEYS[self.kind]:
-                raise ConfigError(f"switch kind {self.kind!r} does not read {[key]}")
+        check_kind("switch", self.kind, CRITERION_KEYS,
+                   [k for k in ("option", "threshold", "clip", "step") if getattr(self, k) is not None])
         if self.kind == "autoswitch" and self.option is None:
             object.__setattr__(self, "option", "arithmetic")
         if self.option is not None and self.option not in SAMPLER_OPTIONS:
@@ -74,9 +71,8 @@ class SwitchCriterion:
             if not 0 <= t_min < t_max:
                 raise ConfigError(f"clipping needs 0 <= T_min < T_max, got {self.clip}")
             object.__setattr__(self, "clip", (t_min, t_max))
-        if self.kind == "fixed":
-            if self.step is None or self.step < 1:
-                raise ConfigError("fixed criterion needs a positive step")
+        if self.kind == "fixed" and (self.step is None or self.step < 1):
+            raise ConfigError("fixed criterion needs a positive step")
 
     def label(self) -> str:
         if self.kind == "autoswitch":

@@ -119,7 +119,7 @@ def validate_theorem_cmd(stream, bound_g, dim, level, p, sigma, beta2, t0, t, de
 def entry():
     try:
         main()
-    except ToolkitError as exc:
+    except (ToolkitError, MemoryError) as exc:  # MemoryError: a config too large to allocate
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 

@@ -23,3 +23,12 @@ class NumericalError(ToolkitError, ArithmeticError):
 
 class RangeError(ToolkitError, ValueError):
     """An index or window falls outside the available data."""
+
+
+def check_kind(what: str, kind, reads: dict, given=()) -> None:
+    """ConfigError unless the string ``kind`` is in ``reads`` and reads every key ``given``."""
+    if not isinstance(kind, str) or kind not in reads:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    unread = set(given) - set(reads[kind])
+    if unread:
+        raise ConfigError(f"{what} kind {kind!r} does not read {sorted(unread, key=str)}")

@@ -23,7 +23,7 @@ import yaml
 
 from . import autoswitch, models
 from .autoswitch import SwitchCriterion, avg_change_metric_from_diffs, evaluate_offline
-from .errors import ConfigError
+from .errors import ConfigError, check_kind
 from .masks import DecaySchedule, NMRatio, check_plan, plan_at
 from .optim import (TWO_PHASE_KINDS, AdamHyper, Recipe, TrainResult, constant_lr, cosine_lr,
                     recipe_train)
@@ -52,11 +52,9 @@ def _take(section: dict, name: str, required=(), optional=()) -> dict:
 
 
 def _take_kind(section, name: str, reads: dict, required=("kind",)) -> dict:
-    """``_take``, rejecting keys that ``reads`` does not list for the kind, if it lists the kind."""
-    kind = _take(section, name, required, optional=set().union(*reads.values()))["kind"]
-    unread = isinstance(kind, str) and set(section) - {*required, *reads.get(kind, section)}
-    if unread:
-        raise ConfigError(f"{name} kind {kind!r} does not read {sorted(unread)}")
+    """``_take``, then ``check_kind`` of the section's kind and of its keys but ``required``."""
+    _take(section, name, required, optional=set().union(*reads.values()))
+    check_kind(name, section["kind"], reads, set(section) - set(required))
     return section
 
 
@@ -205,8 +203,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 required=("model", "data", "optimizer", "recipe", "total_steps", "seeds"),
                 optional=("sparsity", "switch", "output_dir", "ablation"))
 
-    m = _take_kind(doc["model"], "model", required=("kind", "layer_sizes"),
-                   reads={"linear_regression": (), "mlp_classifier": ("activation",)})
+    m = _take_kind(doc["model"], "model", models.MODEL_KEYS, required=("kind", "layer_sizes"))
     spec = models.ModelSpec(
         kind=m["kind"], layer_sizes=_each(_int, m["layer_sizes"], "model.layer_sizes"),
         activation=m.get("activation", "relu"),

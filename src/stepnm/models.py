@@ -24,9 +24,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import ConfigError, DimensionError, DomainError, check_kind
 
-MODEL_KINDS = ("linear_regression", "mlp_classifier")
+# the model keys each model kind reads beside layer_sizes
+MODEL_KEYS = {"linear_regression": (), "mlp_classifier": ("activation",)}
 ACTIVATIONS = ("relu", "tanh")
 DATA_KINDS = ("regression", "blobs")
 
@@ -45,8 +46,7 @@ class ModelSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {self.kind!r}")
+        check_kind("model", self.kind, MODEL_KEYS)
         sizes = tuple(int(s) for s in self.layer_sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ConfigError(f"layer_sizes needs >= 2 positive extents, got {sizes}")
@@ -301,7 +301,7 @@ def check_synthetic(kind: str, n_samples: int, n_classes: int, noise_std: float,
     ``prefix`` goes before each argument name in the message, e.g. "data.".
     """
     if kind not in DATA_KINDS:
-        raise ConfigError(f"unknown data kind {kind!r}")
+        raise ConfigError(f"{prefix}kind must be a synthetic kind {list(DATA_KINDS)}, got {kind!r}")
     if n_samples < 1:
         raise ConfigError(f"{prefix}n_samples must be >= 1, got {n_samples}")
     if kind == "blobs" and n_classes < 2:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError, RangeError
+from .errors import ConfigError, DimensionError, DomainError, RangeError, check_kind
 
 STREAM_PARAMS = {"constant": ("level",), "uniform": (), "bernoulli": ("p",),
                  "trunc_gauss_sq": ("sigma",)}  # the parameters each kind reads
@@ -104,11 +104,8 @@ class StationaryStream:
     sigma: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in STREAM_PARAMS:
-            raise ConfigError(f"unknown stream kind {self.kind!r}")
-        for key in ("level", "p", "sigma"):
-            if getattr(self, key) is not None and key not in STREAM_PARAMS[self.kind]:
-                raise ConfigError(f"stream kind {self.kind!r} does not read {[key]}")
+        check_kind("stream", self.kind, STREAM_PARAMS,
+                   [key for key in ("level", "p", "sigma") if getattr(self, key) is not None])
         if self.kind == "bernoulli" and self.p is None:
             object.__setattr__(self, "p", 0.5)
         if not 0.0 < self.bound < math.inf:

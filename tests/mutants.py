@@ -81,6 +81,13 @@ MUTANTS = {
            "the per-step check forgives 1e-3"),
     "S10": ("theory.py", "if t0 <= statement_min:", "if t0 < statement_min - 1:",
             "validate_theorem takes a t0 one step too small"),
+    "C1": ("errors.py", "if not isinstance(kind, str) or kind not in reads:",
+           "if kind not in reads:", "an unhashable kind raises TypeError, not ConfigError"),
+    "C2": ("errors.py", "unread = set(given) - set(reads[kind])",
+           "unread = set(given) - set().union(*reads.values())",
+           "a kind reads every key that any kind of its section reads"),
+    "C3": ("errors.py", "sorted(unread, key=str)", "sorted(unread)",
+           "unread keys of mixed types cannot be sorted"),
     "E1": ("autoswitch.py", "if prev is None or prev <= 0.0:", "if prev is None or prev == 0.0:",
            "relative skips only a zero norm, not a negative one"),
 }

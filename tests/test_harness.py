@@ -15,12 +15,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from conftest import write_csv
-from stepnm import harness, models, optim, theory
+from stepnm import autoswitch, harness, models, optim, theory
 from stepnm.autoswitch import StepRecord, SwitchCriterion
 from stepnm.masks import DecaySchedule
 from stepnm.cli import entry as cli_entry
 from stepnm.cli import main as cli_main
-from stepnm.errors import ConfigError, NumericalError, ToolkitError
+from stepnm.errors import ConfigError, NumericalError, ToolkitError, check_kind
 
 BASE_CONFIG = {
     "model": {"kind": "mlp_classifier", "layer_sizes": [2, 16, 2], "activation": "relu"},
@@ -263,12 +263,27 @@ class TestKeysByKind:
                                      if (kind, key) not in UNREAD_DATA_KEYS}}
             assert harness.config_from_dict({**BASE_CONFIG, "data": data}).data.kind == kind
 
-    @pytest.mark.parametrize("section", ["switch", "data"])
+    @pytest.mark.parametrize("section", ["switch", "data", "model", "stream"])
     @pytest.mark.parametrize("kind", [[], {}, None, 3, "oracle"])
     def test_a_bad_kind_fails_as_the_kind(self, section, kind):
-        doc = {**BASE_CONFIG, section: {"kind": kind}}
-        with pytest.raises(ConfigError, match=r"unknown (switch criterion|data) kind"):
-            harness.config_from_dict(doc)
+        """A kind that no table lists, or that is not a string, hashable or not, is unknown.
+
+        ``stream`` is the theorem validator's stream, which no config section builds.
+        """
+        with pytest.raises(ConfigError, match=rf"^unknown {section} kind {re.escape(repr(kind))}$"):
+            if section == "stream":
+                theory.StationaryStream(kind=kind, bound=1.0)
+            else:
+                sizes = {"layer_sizes": [2, 16, 2]} if section == "model" else {}
+                harness.config_from_dict({**BASE_CONFIG, section: {"kind": kind, **sizes}})
+
+    def test_unread_keys_are_listed_sorted_as_text(self):
+        switch = {"kind": "fixed", "step": 3, "threshold": 0.5, "option": "arithmetic"}
+        with pytest.raises(ConfigError,
+                           match=r"^switch kind 'fixed' does not read \['option', 'threshold'\]$"):
+            harness.config_from_dict({**BASE_CONFIG, "switch": switch})
+        with pytest.raises(ConfigError, match=r"^switch kind 'fixed' does not read \[1, 'a'\]$"):
+            check_kind("switch", "fixed", autoswitch.CRITERION_KEYS, ["step", "a", 1])
 
     def test_activation_only_on_the_classifier(self, tmp_path, monkeypatch, capsys):
         model = {"kind": "linear_regression", "layer_sizes": [2, 1], "activation": "tanh"}
@@ -807,6 +822,29 @@ class TestCLI:
             cli_entry()
         assert exit_info.value.code == 2
         assert f"error: cannot read config {path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    # each size is far above the 128 TiB user address space, so numpy refuses it
+    # before touching memory, whatever the overcommit setting
+    @pytest.mark.parametrize("section, size", [
+        ({"model": {"kind": "mlp_classifier", "layer_sizes": [2, 10**13, 2]}}, "364. TiB"),
+        ({"data": {**BASE_CONFIG["data"], "n_samples": 10**15}}, "7.11 PiB"),
+    ], ids=["layer_sizes", "n_samples"])
+    @pytest.mark.parametrize("command", [
+        ["run"], ["ablate", "--kind", "fixed_vs_updated_variance"], ["compare-switch"],
+    ], ids=["run", "ablate", "compare-switch"])
+    def test_config_too_large_to_allocate_exits_2(self, tmp_path, monkeypatch, capsys, command,
+                                                  section, size):
+        path, _ = make_config(tmp_path, **section)
+        out = tmp_path / "out"
+        monkeypatch.setattr("sys.argv", ["stepnm", *command, "--config", str(path),
+                                         "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: Unable to allocate {size} for an array")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
     def test_compare_switch_needs_a_criterion(self, tmp_path, monkeypatch):

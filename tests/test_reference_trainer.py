@@ -202,19 +202,19 @@ def _plain_switch(switch, total_steps: int):
     """
     if switch is None:
         return None
-    settings = dict(switch)
-    kind = settings["kind"]
+    plain = dict(switch)
+    kind = plain["kind"]
     if kind == "autoswitch":
-        settings.setdefault("option", "arithmetic")
-        clip = settings.get("clip")
+        plain.setdefault("option", "arithmetic")
+        clip = plain.get("clip")
         if clip is not None:
-            settings["clip"] = (math.floor(clip["t_min_ratio"] * total_steps),
-                                math.floor(clip["t_max_ratio"] * total_steps))
+            plain["clip"] = (math.floor(clip["t_min_ratio"] * total_steps),
+                             math.floor(clip["t_max_ratio"] * total_steps))
     elif kind in ("relative", "staleness"):
-        settings.setdefault("threshold", {"relative": 0.5, "staleness": 0.96}[kind])
-    elif "step_ratio" in settings:
-        settings["step"] = max(1, math.floor(settings.pop("step_ratio") * total_steps))
-    return settings
+        plain.setdefault("threshold", {"relative": 0.5, "staleness": 0.96}[kind])
+    elif "step_ratio" in plain:
+        plain["step"] = max(1, math.floor(plain.pop("step_ratio") * total_steps))
+    return plain
 
 
 def _plain_runs(doc: dict) -> list:
@@ -328,7 +328,8 @@ def test_config_layer_matches_the_plain_reading(recipe, data):
     references = _plain_runs(doc)
     assert len(results) == len(references) == len(doc["seeds"]) * (
         1 + len(config.ablation.precondition_ratios))
-    for (_, seed, _, records), result in zip(runs, results):
+    for (_, _, figures, records), result in zip(runs, results):  # what _train_runs hands on
+        assert figures == (result.sparse_eval_loss, result.dense_eval_loss, result.switched_at)
         assert records is result.records
     for result, reference in zip(results, references):
         _assert_bitwise_equal(result, reference)
