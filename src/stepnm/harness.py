@@ -16,6 +16,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,7 @@ from . import autoswitch, models
 from .autoswitch import SwitchCriterion, avg_change_metric_from_diffs, evaluate_offline
 from .errors import ConfigError, check_kind
 from .masks import DecaySchedule, NMRatio, check_plan, plan_at
-from .optim import (TWO_PHASE_KINDS, AdamHyper, Recipe, TrainResult, constant_lr, cosine_lr,
-                    recipe_train)
+from .optim import TWO_PHASE_KINDS, AdamHyper, Recipe, TrainResult, recipe_train
 
 ABLATION_KINDS = ("precondition_length", "fixed_vs_updated_variance", "decaying_mask")
 
@@ -68,6 +68,8 @@ def _number(value, key: str) -> float:
         raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
         number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
     if not math.isfinite(number):
@@ -95,9 +97,17 @@ def _each(convert, value, key: str) -> tuple:
     return tuple(convert(item, f"{key}[{i}]") for i, item in enumerate(value))
 
 
-def _optional(convert, section: dict, key: str, name: str):
-    value = section.get(key)
-    return None if value is None else convert(value, f"{name}.{key}")
+def _given(section: dict, name: str, convert: dict) -> dict:
+    """The keys ``section`` gives, in its order, each through its ``convert`` entry, if any."""
+    return {key: convert[key](value, f"{name}.{key}") if key in convert else value
+            for key, value in section.items()}
+
+
+# how config_from_dict reads each data key but the kind
+DATA_CONVERT = {"path": lambda value, key: None if value is None else str(value),
+                "noise_std": _number,
+                **dict.fromkeys(("n_samples", "n_features", "n_classes", "seed", "batch_size",
+                                 "n_targets"), _int)}
 
 
 @dataclass(frozen=True)
@@ -159,6 +169,14 @@ def _clip_steps(ratios: tuple[float, float], total_steps: int) -> tuple[int, int
     return int(math.floor(lo * total_steps)), int(math.floor(hi * total_steps))
 
 
+def _decay(value, key: str) -> DecaySchedule | None:
+    """The decay schedule an ``ablation.decay`` section describes, if any."""
+    if value is None:
+        return None
+    d = _take(value, key, required=("m",), optional=("stage_boundaries",))
+    return DecaySchedule(**_given(d, key, {"m": _int, "stage_boundaries": partial(_each, _int)}))
+
+
 @dataclass(frozen=True)
 class AblationConfig:
     precondition_ratios: tuple[float, ...] = ()
@@ -167,7 +185,8 @@ class AblationConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """What ``config_from_dict`` built; ``hyper`` and ``criterion`` hold its ``total_steps``."""
+    """What ``config_from_dict`` built, as plain data: two loads of one document compare equal.
+    ``hyper`` and ``criterion`` hold its ``total_steps``."""
 
     model: models.ModelSpec
     data: DataConfig
@@ -198,21 +217,16 @@ class ExperimentConfig:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """The checked config that ``doc`` describes; ``switch`` and ``data`` take their kind's keys."""
+    """The checked config that ``doc`` describes; ``switch`` and ``data`` take their kind's
+    keys, and a key left out takes its dataclass's default."""
     doc = _take(doc, "config",
                 required=("model", "data", "optimizer", "recipe", "total_steps", "seeds"),
                 optional=("sparsity", "switch", "output_dir", "ablation"))
 
     m = _take_kind(doc["model"], "model", models.MODEL_KEYS, required=("kind", "layer_sizes"))
-    spec = models.ModelSpec(
-        kind=m["kind"], layer_sizes=_each(_int, m["layer_sizes"], "model.layer_sizes"),
-        activation=m.get("activation", "relu"),
-    )
+    spec = models.ModelSpec(**_given(m, "model", {"layer_sizes": partial(_each, _int)}))
 
-    d = _take_kind(doc["data"], "data", DATA_KEYS)
-    data = DataConfig(**{
-        key: _coerce_data(key, value) for key, value in d.items()
-    })
+    data = DataConfig(**_given(_take_kind(doc["data"], "data", DATA_KEYS), "data", DATA_CONVERT))
 
     total_steps = _int(doc["total_steps"], "total_steps")
     if total_steps < 1:
@@ -220,17 +234,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     o = _take(doc["optimizer"], "optimizer", required=(),
               optional=("beta1", "beta2", "eps", "lr", "lr_schedule"))
-    lr = _number(o.get("lr", 1e-3), "optimizer.lr")
-    lr_schedule = o.get("lr_schedule", "constant")
-    if lr_schedule == "constant":
-        schedule = constant_lr(lr)
-    elif lr_schedule == "cosine":
-        schedule = cosine_lr(lr, total_steps)
-    else:
+    o = _given(o, "optimizer", dict.fromkeys(("beta1", "beta2", "eps", "lr"), _number))
+    lr_schedule = o.pop("lr_schedule", "constant")
+    if lr_schedule not in ("constant", "cosine"):
         raise ConfigError(f"unknown lr schedule {lr_schedule!r}")
-    hyper = AdamHyper(lr_schedule=schedule, **{
-        key: _number(o[key], f"optimizer.{key}") for key in ("beta1", "beta2", "eps") if key in o
-    })
+    hyper = AdamHyper(**o, cosine_steps=total_steps if lr_schedule == "cosine" else None)
 
     plan = {}
     sparsity = doc.get("sparsity") or {}
@@ -244,41 +252,30 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     criterion = None
     if doc.get("switch") is not None:
         s = _take_kind(doc["switch"], "switch", autoswitch.CRITERION_KEYS)
-        clip = None
-        if s.get("clip") is not None:
+        # an empty switch key is one left out
+        s = _given({key: value for key, value in s.items() if value is not None}, "switch",
+                   {"step": _int, "step_ratio": _number, "threshold": _number})
+        if "clip" in s:
             c = _take(s["clip"], "switch.clip", required=("t_min_ratio", "t_max_ratio"))
-            clip = _clip_steps((_number(c["t_min_ratio"], "switch.clip.t_min_ratio"),
-                                _number(c["t_max_ratio"], "switch.clip.t_max_ratio")), total_steps)
-        step = _optional(_int, s, "step", "switch")
-        step_ratio = _optional(_number, s, "step_ratio", "switch")
-        if step_ratio is not None:
-            if step is not None:
+            s["clip"] = _clip_steps((_number(c["t_min_ratio"], "switch.clip.t_min_ratio"),
+                                     _number(c["t_max_ratio"], "switch.clip.t_max_ratio")),
+                                    total_steps)
+        if "step_ratio" in s:
+            if "step" in s:
                 raise ConfigError("give either step or step_ratio, not both")
-            step = _ratio_step(step_ratio, total_steps, "switch.step_ratio")
-        criterion = SwitchCriterion(
-            kind=s["kind"], option=s.get("option"),
-            threshold=_optional(_number, s, "threshold", "switch"), clip=clip, step=step,
-        )
+            s["step"] = _ratio_step(s.pop("step_ratio"), total_steps, "switch.step_ratio")
+        criterion = SwitchCriterion(**s)
 
     ablation = AblationConfig()
     if doc.get("ablation") is not None:
         a = _take(doc["ablation"], "ablation", required=(),
                   optional=("precondition_ratios", "decay"))
-        decay = None
-        if a.get("decay") is not None:
-            dd = _take(a["decay"], "ablation.decay", required=("m",), optional=("stage_boundaries",))
-            decay = DecaySchedule(_int(dd["m"], "ablation.decay.m"),
-                                  _each(_int, dd.get("stage_boundaries", ()),
-                                        "ablation.decay.stage_boundaries"))
-        ablation = AblationConfig(
-            precondition_ratios=_each(_number, a.get("precondition_ratios", ()),
-                                         "ablation.precondition_ratios"),
-            decay=decay,
-        )
+        ablation = AblationConfig(**_given(a, "ablation", {
+            "decay": _decay, "precondition_ratios": partial(_each, _number)}))
 
     r = _take(doc["recipe"], "recipe", required=("kind",), optional=("lam",))
-    recipe = Recipe(r["kind"], _number(r.get("lam", 0.0), "recipe.lam"),
-                    None if r["kind"] == "dense" else ablation.decay)
+    recipe = Recipe(**_given(r, "recipe", {"lam": _number}),
+                    decay=None if r["kind"] == "dense" else ablation.decay)
 
     output_dir = "runs" if doc.get("output_dir") is None else doc["output_dir"]
     if not isinstance(output_dir, str):
@@ -292,16 +289,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         output_dir=output_dir,
         ablation=ablation,
     )
-
-
-def _coerce_data(key: str, value):
-    if key == "kind":
-        return value
-    if key == "path":
-        return None if value is None else str(value)
-    if key == "noise_std":
-        return _number(value, "data.noise_std")
-    return _int(value, f"data.{key}")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -357,7 +357,8 @@ def open_csv(path):
 
 
 def load_csv(path, n_targets: int = 1, batch_size: int = 32, target_kind: str = "value") -> Dataset:
-    """Read a CSV dataset: a header row, then numeric rows ending in their n_targets target cells.
+    """Read a CSV dataset: a header row, then rows of finite numbers ending in their n_targets
+    target cells; a ragged row or a non-numeric or non-finite cell is a ConfigError naming its line.
 
     ``target_kind`` "class" squeezes a single target column to a label vector.
     """
@@ -383,6 +384,8 @@ def load_csv(path, n_targets: int = 1, batch_size: int = 32, target_kind: str = 
                     rows.append([float(v) for v in row])
                 except ValueError:
                     raise ConfigError(f"CSV {path} line {reader.line_num}: non-numeric cell") from None
+                if not all(map(math.isfinite, rows[-1])):  # float() reads nan and inf
+                    raise ConfigError(f"CSV {path} line {reader.line_num}: non-finite cell")
     except UnicodeDecodeError:
         raise ConfigError(f"cannot read CSV {path}: it is not UTF-8 text") from None
     if not rows:

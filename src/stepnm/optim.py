@@ -15,6 +15,8 @@ weights at ``masks.plan_at``'s ratios (``ste_loss_and_grad``), and
 model, the update and the STE gradient take ParamBuffers only; anything else
 is a DimensionError, never a copy.
 
+``AdamHyper`` is plain data; ``lr_at`` reads its constant or cosine learning rate at a step.
+
 ``recipe_train`` checks its dataset's targets once, before the first step,
 and trains on int64 class ids, whose range alone each step then checks.
 """
@@ -22,8 +24,7 @@ and trains on int64 class ids, whose range alone each step then checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +33,6 @@ from .autoswitch import StepRecord, SwitchCriterion, make_detector
 from .errors import ConfigError, NumericalError
 from .masks import CHUNK, DecaySchedule, NMRatio, compute_nm_mask, mask_sparsity, plan_at
 
-LRSchedule = Callable[[int], float]
-
 # keeps zero coordinates inside the log domain for the geometric option
 GEOMETRIC_FLOOR = 1e-30
 
@@ -41,39 +40,36 @@ RECIPE_KINDS = ("dense", "ste", "srste", "step", "step_updated_variance")
 TWO_PHASE_KINDS = ("step", "step_updated_variance")
 
 
-def constant_lr(gamma: float) -> LRSchedule:
-    if gamma <= 0:
-        raise ConfigError("learning rate must be positive")
-    return lambda t: gamma
-
-
-def cosine_lr(gamma: float, total_steps: int) -> LRSchedule:
-    """Cosine decay from gamma to 0 over total_steps (>= 1)."""
-    if gamma <= 0:
-        raise ConfigError("cosine schedule needs gamma > 0")
-
-    def schedule(t: int) -> float:
-        frac = min(max(t, 0), total_steps) / total_steps
-        return 0.5 * gamma * (1.0 + math.cos(math.pi * frac))
-    return schedule
-
-
 @dataclass(frozen=True)
 class AdamHyper:
-    """Adam hyperparameters; the learning-rate schedule maps step index to gamma."""
+    """Adam hyperparameters.  The learning rate is ``lr`` throughout, or, with
+    ``cosine_steps``, decays along a cosine from ``lr`` to 0 at that step (see ``lr_at``)."""
 
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    lr_schedule: LRSchedule = field(default_factory=lambda: constant_lr(1e-3))
+    lr: float = 1e-3
+    cosine_steps: int | None = None
 
     def __post_init__(self):
+        if self.lr <= 0:
+            raise ConfigError("learning rate must be positive" if self.cosine_steps is None
+                              else "cosine schedule needs gamma > 0")
+        if self.cosine_steps is not None and self.cosine_steps < 1:
+            raise ConfigError(f"cosine_steps must be >= 1, got {self.cosine_steps}")
         if not 0.0 <= self.beta1 < 1.0:
             raise ConfigError(f"beta1 must be in [0, 1), got {self.beta1}")
         if not 0.0 <= self.beta2 < 1.0:
             raise ConfigError(f"beta2 must be in [0, 1), got {self.beta2}")
         if self.eps <= 0.0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
+
+    def lr_at(self, t: int) -> float:
+        """The learning rate after ``t`` steps; a cosine holds 0 from ``cosine_steps`` on."""
+        if self.cosine_steps is None:
+            return self.lr
+        frac = min(max(t, 0), self.cosine_steps) / self.cosine_steps
+        return 0.5 * self.lr * (1.0 + math.cos(math.pi * frac))
 
 
 @dataclass
@@ -142,7 +138,7 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     models.check_layout(params, "parameters", shapes)
     models.check_layout(grads, "gradients", shapes)
     _check_grads(grads, k)
-    gamma = hyper.lr_schedule(state.t)
+    gamma = hyper.lr_at(state.t)
     b1, b2 = hyper.beta1, hyper.beta2
     m_corr = 1.0 - b1**k
     v_corr = 1.0 - b2**k if bias_correct_v else 1.0  # v / 1.0 is exact

@@ -47,10 +47,10 @@ MUTANTS = {
            "l1_diffs_by_step[t0 + 1 : t0 + 1001]", "the metric window ends a step early"),
     "K8": ("masks.py", "sum(step >= b for b", "sum(step > b for b",
            "a decay stage starts a step after its boundary"),
-    "K9": ("optim.py", "gamma = hyper.lr_schedule(state.t)", "gamma = hyper.lr_schedule(k)",
+    "K9": ("optim.py", "gamma = hyper.lr_at(state.t)", "gamma = hyper.lr_at(k)",
            "step t reads the learning rate at t, not t - 1"),
-    "K10": ("optim.py", "frac = min(max(t, 0), total_steps) / total_steps",
-            "frac = min(max(t, 0), total_steps - 1) / total_steps",
+    "K10": ("optim.py", "frac = min(max(t, 0), self.cosine_steps) / self.cosine_steps",
+            "frac = min(max(t, 0), self.cosine_steps - 1) / self.cosine_steps",
             "the cosine schedule stops short of 0"),
     "K11": ("theory.py", "return math.log(0.5) / math.log(beta2)",
             "return math.log(0.25) / math.log(beta2)", "proof_min_t0 doubles"),

@@ -16,7 +16,7 @@ from fd_check import finite_difference_check
 from stepnm import harness, models, optim, theory
 from stepnm.autoswitch import SwitchCriterion, make_detector, mixing_window
 from stepnm.masks import NMRatio, compute_nm_mask
-from stepnm.optim import AdamHyper, Recipe, adam_step, constant_lr, init_adam_state
+from stepnm.optim import AdamHyper, Recipe, adam_step, init_adam_state
 from stepnm.theory import StationaryStream
 
 
@@ -64,7 +64,7 @@ def test_mask_structure_exhaustive():
 
 def test_adam_single_step_oracle():
     """Hand-computed step to 1e-12; 100 random cases against a scalar oracle."""
-    hyper = AdamHyper(lr_schedule=constant_lr(1e-3))
+    hyper = AdamHyper(lr=1e-3)
     params = buffer(w=np.array([0.5]))
     state = init_adam_state(params)
     state, params = adam_step(state, hyper, params, buffer(w=np.array([2.0])))
@@ -79,7 +79,7 @@ def test_adam_single_step_oracle():
         b2 = float(rng.uniform(0.9, 0.9999))
         eps = float(rng.uniform(1e-9, 1e-6))
         gamma = float(rng.uniform(1e-4, 1e-2))
-        case_hyper = AdamHyper(beta1=b1, beta2=b2, eps=eps, lr_schedule=constant_lr(gamma))
+        case_hyper = AdamHyper(beta1=b1, beta2=b2, eps=eps, lr=gamma)
         p = buffer(w=np.array([w0]))
         s = init_adam_state(p)
         s, p = adam_step(s, case_hyper, p, buffer(w=np.array([g])))
@@ -97,7 +97,7 @@ def test_phase_one_bitwise_equivalence(train_with_snapshots):
     """Forced switch at 500: identical to plain Adam through step 500, bitwise."""
     spec, ds = _blob_mlp()
     plan = {"fc2.weight": NMRatio(1, 4)}
-    hyper = AdamHyper(lr_schedule=constant_lr(5e-3))
+    hyper = AdamHyper(lr=5e-3)
     crit = SwitchCriterion(kind="fixed", step=500)
     step_run, step_snaps = train_with_snapshots(
         {500}, spec, ds, hyper, plan, Recipe("step"), crit, 800, seed=42
@@ -124,7 +124,7 @@ def test_frozen_variance_exact(train_with_snapshots):
     """
     spec, ds = _blob_mlp()
     plan = {"fc2.weight": NMRatio(1, 4)}
-    hyper = AdamHyper(lr_schedule=constant_lr(5e-3))
+    hyper = AdamHyper(lr=5e-3)
     worst = 0.0
     runs = 0
     for seed, crit in [
@@ -241,7 +241,7 @@ def test_recipe_gap_direction_soft():
     """
     spec, ds = _blob_mlp(hidden=32, noise=0.6, activation="tanh")
     plan = {"fc2.weight": NMRatio(1, 4)}
-    hyper = AdamHyper(lr_schedule=constant_lr(5e-3))
+    hyper = AdamHyper(lr=5e-3)
     total = 2000
     crit = SwitchCriterion(kind="autoswitch", clip=(int(0.1 * total), int(0.5 * total)))
     means = {}

@@ -32,7 +32,7 @@ import stepnm
 from stepnm import harness, models, optim, theory
 from stepnm.autoswitch import SwitchCriterion
 from stepnm.masks import DecaySchedule, NMRatio
-from stepnm.optim import AdamHyper, Recipe, constant_lr
+from stepnm.optim import AdamHyper, Recipe
 
 SMALL_STEPS = 300
 FIXED = SwitchCriterion(kind="fixed", step=150)
@@ -114,7 +114,7 @@ def test_small_mlp_runs(name, tmp_path):
     spec = models.ModelSpec("mlp_classifier", (2, 16, 2))
     ds = models.gen_synthetic("blobs", 256, 2, n_classes=2, noise_std=0.6, seed=0, batch_size=32)
     plan = {"fc2.weight": NMRatio(1, 4)}
-    hyper = AdamHyper(beta2=beta2, lr_schedule=constant_lr(5e-3))
+    hyper = AdamHyper(beta2=beta2, lr=5e-3)
     run = optim.recipe_train(spec, ds, hyper, plan, recipe, criterion, SMALL_STEPS, seed=3)
     if criterion is not None:
         assert run.switched_at is not None
@@ -124,7 +124,7 @@ def test_small_mlp_runs(name, tmp_path):
 def test_regression_run(tmp_path):
     spec = models.ModelSpec("linear_regression", (8, 1))
     ds = models.gen_synthetic("regression", 256, 8, noise_std=0.1, seed=0, batch_size=32)
-    hyper = AdamHyper(lr_schedule=constant_lr(5e-3))
+    hyper = AdamHyper(lr=5e-3)
     run = optim.recipe_train(spec, ds, hyper, {"fc1.weight": NMRatio(2, 4)}, Recipe("step"),
                              FIXED, SMALL_STEPS, seed=3)
     assert run.switched_at == 150
@@ -136,7 +136,7 @@ def _wide_run_digests(tmp_path):
     spec = models.ModelSpec("mlp_classifier", (64, 128, 128, 10))
     ds = models.gen_synthetic("blobs", 512, 64, n_classes=10, noise_std=1.0, seed=4, batch_size=64)
     plan = {f"fc{i}.weight": NMRatio(2, 4) for i in (1, 2, 3)}
-    hyper = AdamHyper(lr_schedule=constant_lr(1e-3))
+    hyper = AdamHyper(lr=1e-3)
     run = optim.recipe_train(spec, ds, hyper, plan, Recipe("step"),
                              SwitchCriterion(kind="fixed", step=5), 10, seed=7)
     assert run.switched_at == 5

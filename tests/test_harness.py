@@ -197,10 +197,11 @@ class TestRecipeConfig:
         assert config.criterion.clip == (12, 60)
         assert config.recipe == optim.Recipe("step", decay=DecaySchedule(4, (60,)))
         assert config.ablation == harness.AblationConfig(decay=DecaySchedule(4, (60,)))
-        cosine = optim.cosine_lr(0.005, 120)
+        assert config.hyper == optim.AdamHyper(lr=0.005, cosine_steps=120)
         for t in (0, 1, 37, 60, 119, 120, 500):
-            assert config.hyper.lr_schedule(t).hex() == cosine(t).hex()
-        assert config.hyper.lr_schedule(60) != config.hyper.lr_schedule(0)  # it is the cosine
+            cosine = 0.5 * 0.005 * (1.0 + math.cos(math.pi * (min(t, 120) / 120)))
+            assert config.hyper.lr_at(t).hex() == cosine.hex()
+        assert config.hyper.lr_at(60) != config.hyper.lr_at(0)  # it is the cosine
 
 
 # the (kind, key) pairs a switch or data section may not hold: each kind reads only
@@ -332,9 +333,27 @@ class TestOptimizerNumbers:
         path.write_text(json.dumps(doc))
         assert '"eps": 1e-08' in path.read_text()
         config = harness.load_config(path)
-        assert config.hyper.eps == 1e-8 and config.hyper.lr_schedule(0) == 5e-3
+        assert config.hyper.eps == 1e-8 and config.hyper.lr_at(0) == 5e-3
         harness.run(config, output_dir=tmp_path / "out")
         assert (tmp_path / "out" / "trajectory_seed1.jsonl").exists()
+
+    @pytest.mark.parametrize("slot", [("optimizer", "lr"), ("data", "noise_std"),
+                                      ("switch", "clip", "t_max_ratio")])
+    def test_int_beyond_the_float_range_exits_2(self, tmp_path, monkeypatch, capsys, slot):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        section = doc
+        for key in slot[:-1]:
+            section = section[key]
+        section[slot[-1]] = 10**400
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert "1" + "0" * 400 in path.read_text()  # a YAML int, which float() cannot take
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path),
+                                         "--out", str(tmp_path / "out")])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"error: {'.'.join(slot)} must be finite, got {10**400}\n"
 
     def test_non_numeric_lr_is_config_error(self, tmp_path):
         path, _ = make_config(tmp_path, optimizer={"lr": "big"})
@@ -930,6 +949,13 @@ class TestCSVDataConfig:
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+@pytest.mark.parametrize("name", ["demo.yaml", "compare_switch.yaml"])
+def test_shipped_config_loads_as_plain_data(name):
+    config = harness.load_config(CONFIGS / name)
+    assert config == harness.load_config(CONFIGS / name)
+    assert "<function" not in repr(config)
+
+
 class TestShippedCompareSwitchConfig:
     def test_every_criterion_gets_a_metric(self, tmp_path):
         config = dataclasses.replace(harness.load_config(CONFIGS / "compare_switch.yaml"),
@@ -1000,6 +1026,15 @@ class TestTypedInputErrors:
         with pytest.raises(ConfigError, match=message):
             models.load_csv(path, n_targets=1)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_cell_names_its_line(self, tmp_path, cell):
+        rows = [f"{i * 0.1},{i * 0.2},{i % 2}" for i in range(40)]
+        rows[39] = f"{cell},1.0,0"  # line 41: the header is line 1
+        path = tmp_path / "data.csv"
+        path.write_text("x0,x1,y0\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'CSV {path} line 41: non-finite cell')}$"):
+            models.load_csv(path, n_targets=1, target_kind="class")
+
     @pytest.mark.parametrize("case", ["layer_sizes", "seeds", "ragged_csv", "text_csv",
                                       "non_utf8_csv"])
     def test_cli_exits_2(self, tmp_path, monkeypatch, capsys, case):
@@ -1040,7 +1075,8 @@ class TestTypedInputErrors:
 # arbitrary YAML-like values to drop into any slot of a valid config
 _yaml_values = st.recursive(
     st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats(allow_nan=True)
-    | st.sampled_from([0, -1, 0.5, 1.5, 1e308, -1e308, 2**64, "1e-08"]) | st.text(max_size=6),
+    | st.sampled_from([0, -1, 0.5, 1.5, 1e308, -1e308, 2**64, 10**400, "1e-08"])
+    | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
 )

@@ -9,8 +9,8 @@ from stepnm import models, optim
 from stepnm.autoswitch import SwitchCriterion, evaluate_offline
 from stepnm.errors import ConfigError, DimensionError, NumericalError
 from stepnm.masks import DecaySchedule, NMRatio, compute_nm_mask
-from stepnm.optim import (GEOMETRIC_FLOOR, AdamHyper, Recipe, adam_step, constant_lr,
-                          init_adam_state, variance_stats)
+from stepnm.optim import (GEOMETRIC_FLOOR, AdamHyper, Recipe, adam_step, init_adam_state,
+                          variance_stats)
 
 
 def scalar_adam_oracle(w, g_seq, beta1, beta2, eps, gamma):
@@ -26,7 +26,7 @@ def scalar_adam_oracle(w, g_seq, beta1, beta2, eps, gamma):
 
 
 def default_hyper(lr=1e-3):
-    return AdamHyper(lr_schedule=constant_lr(lr))
+    return AdamHyper(lr=lr)
 
 
 def blob_setup(hidden=16, noise=0.6, seed=0, batch=32):
@@ -120,7 +120,7 @@ class TestAdamStep:
         # the update writes into fresh buffers in place; every bit must match
         # the plain numpy expression, and grads must hold v_new - v_old
         rng = np.random.default_rng(11)
-        hyper = AdamHyper(beta1=0.85, beta2=0.995, eps=1e-7, lr_schedule=constant_lr(3e-3))
+        hyper = AdamHyper(beta1=0.85, beta2=0.995, eps=1e-7, lr=3e-3)
         shapes = {"a": (64, 32), "b": (7,), "c": (1, 1)}
         params = buffer(**{k: rng.standard_normal(s) for k, s in shapes.items()})
         state = init_adam_state(params)
@@ -147,7 +147,7 @@ class TestAdamStep:
         # the two masked-phase denominators: sqrt(v* + eps) with v frozen
         # (step), and the raw running v (step_updated_variance)
         rng = np.random.default_rng(12)
-        hyper = AdamHyper(lr_schedule=constant_lr(2e-3))
+        hyper = AdamHyper(lr=2e-3)
         params = {"a": rng.standard_normal((16, 8)), "b": rng.standard_normal(8)}
         m0 = {n: rng.standard_normal(w.shape) * 1e-2 for n, w in params.items()}
         v0 = {n: rng.random(w.shape) * 1e-3 for n, w in params.items()}
@@ -177,7 +177,7 @@ class TestAdamStep:
         chunk = optim.CHUNK
         shapes = {"a": (3, 1000), "b": (chunk,), "c": (2 * chunk + 17 - 3000,)}
         rng = np.random.default_rng(14)
-        hyper = AdamHyper(beta1=0.8, beta2=0.99, eps=1e-7, lr_schedule=constant_lr(2e-3))
+        hyper = AdamHyper(beta1=0.8, beta2=0.99, eps=1e-7, lr=2e-3)
         params = {n: rng.standard_normal(s) for n, s in shapes.items()}
         grads = {n: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3, s) for n, s in shapes.items()}
         m0 = {n: rng.standard_normal(s) * 1e-2 for n, s in shapes.items()}
@@ -613,7 +613,7 @@ class TestTwoPhaseTraining:
     def test_offline_replay_of_the_records_finds_the_online_switch(self, criterion):
         # the detector observes the very StepRecords that the run returns
         spec, ds, plan = blob_setup()
-        hyper = AdamHyper(beta2=0.9, lr_schedule=constant_lr(5e-3))  # window / lag of 10
+        hyper = AdamHyper(beta2=0.9, lr=5e-3)  # window / lag of 10
         run = optim.recipe_train(spec, ds, hyper, plan, Recipe("step"), criterion, 120, seed=5)
         assert run.switched_at is not None
         assert evaluate_offline(criterion, run.records, hyper.beta2, hyper.eps) == run.switched_at
@@ -738,17 +738,19 @@ class TestTrainingMemory:
 
 class TestLRSchedules:
     def test_constant(self):
-        sched = constant_lr(0.01)
-        assert sched(0) == sched(999) == 0.01
+        hyper = AdamHyper(lr=0.01)
+        assert hyper.lr_at(0) == hyper.lr_at(999) == 0.01
 
     def test_cosine_endpoints(self):
-        sched = optim.cosine_lr(0.01, 100)
-        assert math.isclose(sched(0), 0.01)
-        assert math.isclose(sched(100), 0.0, abs_tol=1e-18)
-        assert sched(25) > sched(75)
+        hyper = AdamHyper(lr=0.01, cosine_steps=100)
+        assert math.isclose(hyper.lr_at(0), 0.01)
+        assert math.isclose(hyper.lr_at(100), 0.0, abs_tol=1e-18)
+        assert hyper.lr_at(25) > hyper.lr_at(75)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            constant_lr(0.0)
+            AdamHyper(lr=0.0)
         with pytest.raises(ConfigError):
-            optim.cosine_lr(0.0, 10)
+            AdamHyper(lr=0.0, cosine_steps=10)
+        with pytest.raises(ConfigError):
+            AdamHyper(lr=0.01, cosine_steps=0)

@@ -18,7 +18,7 @@ import reference_trainer
 from stepnm import harness, models, optim
 from stepnm.autoswitch import SwitchCriterion, avg_change_metric_from_diffs, mixing_window
 from stepnm.masks import DecaySchedule, NMRatio
-from stepnm.optim import AdamHyper, Recipe, constant_lr, cosine_lr
+from stepnm.optim import AdamHyper, Recipe
 
 STEPS = 160
 DECAY = (4, (60, 120))
@@ -62,8 +62,7 @@ def _train_both(sizes, activation, plan, recipe, lam, decay, switch, cosine, *, 
         ds = models.gen_synthetic("blobs", 256, sizes[0], n_classes=sizes[-1],
                                   noise_std=0.6, seed=0, batch_size=batch_size)
         spec = models.ModelSpec("mlp_classifier", sizes, activation)
-    hyper = AdamHyper(beta2=beta2, eps=eps,
-                      lr_schedule=cosine_lr(lr, steps) if cosine else constant_lr(lr))
+    hyper = AdamHyper(beta2=beta2, eps=eps, lr=lr, cosine_steps=steps if cosine else None)
     criterion = None if switch is None else SwitchCriterion(
         **{key: value for key, value in switch.items() if value is not None})
     result = optim.recipe_train(
