@@ -3,8 +3,9 @@ comparison/ablation drivers.
 
 Configs are YAML (or JSON) documents with nested sections; unknown keys, and
 keys that a section's kind does not read, are hard errors so typos fail
-before any compute.  ``config_from_dict`` checks each section once
-and builds the objects the trainer takes, which the ExperimentConfig holds.
+before any compute.  ``config_from_dict`` checks each section once and
+builds the objects the trainer takes, which the ExperimentConfig holds; the
+data section becomes a ``models.DataConfig``, which also builds the dataset.
 Each run writes one JSONL trajectory per seed plus a flat summary document;
 all outputs are byte-reproducible for a fixed (config, seed).
 """
@@ -26,16 +27,14 @@ from . import autoswitch, models
 from .autoswitch import SwitchCriterion, avg_change_metric_from_diffs, evaluate_offline
 from .errors import ConfigError, check_kind
 from .masks import DecaySchedule, NMRatio, check_plan, plan_at
+from .models import DataConfig
 from .optim import TWO_PHASE_KINDS, AdamHyper, Recipe, TrainResult, recipe_train
 
 ABLATION_KINDS = ("precondition_length", "fixed_vs_updated_variance", "decaying_mask")
 
 DEFAULT_CLIP_RATIOS = (0.1, 0.5)
 
-# the data keys each data kind reads
-DATA_KEYS = {"blobs": ("n_samples", "n_features", "n_classes", "noise_std", "seed", "batch_size"),
-             "regression": ("n_samples", "n_features", "noise_std", "seed", "batch_size"),
-             "csv": ("path", "n_targets", "batch_size")}
+INT_LIMIT = 2**63  # numpy's index range: a larger integer fails in numpy, not as ConfigError
 
 
 def _take(section: dict, name: str, required=(), optional=()) -> dict:
@@ -87,6 +86,8 @@ def _int(value, key: str) -> int:
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
     if isinstance(value, float) and number != value:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if number >= INT_LIMIT:
+        raise ConfigError(f"{key} must be below 2**63, got {value!r}")
     return number
 
 
@@ -110,50 +111,15 @@ DATA_CONVERT = {"path": lambda value, key: None if value is None else str(value)
                                  "n_targets"), _int)}
 
 
-@dataclass(frozen=True)
-class DataConfig:
-    kind: str  # regression | blobs | csv
-    n_samples: int = 256
-    n_features: int = 2
-    n_classes: int = 2
-    noise_std: float = 0.1
-    seed: int = 0
-    batch_size: int = 32
-    path: str | None = None
-    n_targets: int = 1
-
-    def __post_init__(self):
-        if self.kind == "csv":
-            if not self.path:
-                raise ConfigError("csv data needs a path")
-            models.open_csv(self.path).close()  # fail at load, before any output is made
-        else:
-            models.check_synthetic(self.kind, self.n_samples, self.n_classes, self.noise_std,
-                                   prefix="data.")
-        for key in ("n_features", "n_classes", "batch_size", "n_targets"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"data.{key} must be >= 1, got {getattr(self, key)}")
-        if self.seed < 0:
-            raise ConfigError(f"data.seed must be >= 0, got {self.seed}")
-
-    def build(self, model_kind: str) -> models.Dataset:
-        if self.kind == "csv":
-            target_kind = "class" if model_kind == "mlp_classifier" else "value"
-            return models.load_csv(
-                self.path, n_targets=self.n_targets,
-                batch_size=self.batch_size, target_kind=target_kind,
-            )
-        return models.gen_synthetic(
-            self.kind, self.n_samples, self.n_features,
-            n_classes=self.n_classes, noise_std=self.noise_std,
-            seed=self.seed, batch_size=self.batch_size,
-        )
-
-
-def _ratio_step(ratio: float, total_steps: int, key: str) -> int:
-    """The step a ``ratio`` in (0, 1] of the budget falls on, at least 1; ``key`` names it."""
+def _in_budget(ratio: float, key: str) -> float:
+    """``ratio``, a share of the step budget, if it is in (0, 1]; ``key`` names it."""
     if not 0.0 < ratio <= 1.0:
         raise ConfigError(f"{key} must be in (0, 1], got {ratio}")
+    return ratio
+
+
+def _ratio_step(ratio: float, total_steps: int) -> int:
+    """The step a share ``ratio`` of the budget falls on, at least 1."""
     return max(1, int(math.floor(ratio * total_steps)))
 
 
@@ -182,6 +148,10 @@ class AblationConfig:
     precondition_ratios: tuple[float, ...] = ()
     decay: DecaySchedule | None = None
 
+    def __post_init__(self):
+        for ratio in self.precondition_ratios:
+            _in_budget(ratio, "ablation.precondition_ratios")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -204,6 +174,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative integers")
+        if max(self.seeds) >= INT_LIMIT:
+            raise ConfigError(f"seeds must be below 2**63, got {max(self.seeds)}")
         repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
         if repeated:
             raise ConfigError(f"seed {repeated[0]} is given more than once")
@@ -226,7 +198,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     m = _take_kind(doc["model"], "model", models.MODEL_KEYS, required=("kind", "layer_sizes"))
     spec = models.ModelSpec(**_given(m, "model", {"layer_sizes": partial(_each, _int)}))
 
-    data = DataConfig(**_given(_take_kind(doc["data"], "data", DATA_KEYS), "data", DATA_CONVERT))
+    data = DataConfig(**_given(_take_kind(doc["data"], "data", models.DATA_KEYS), "data", DATA_CONVERT))
 
     total_steps = _int(doc["total_steps"], "total_steps")
     if total_steps < 1:
@@ -263,7 +235,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if "step_ratio" in s:
             if "step" in s:
                 raise ConfigError("give either step or step_ratio, not both")
-            s["step"] = _ratio_step(s.pop("step_ratio"), total_steps, "switch.step_ratio")
+            s["step"] = _ratio_step(_in_budget(s.pop("step_ratio"), "switch.step_ratio"), total_steps)
         criterion = SwitchCriterion(**s)
 
     ablation = AblationConfig()
@@ -284,11 +256,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError("output_dir must not be empty; leave it out for 'runs'")
     return ExperimentConfig(
         model=spec, data=data, hyper=hyper, plan=plan, recipe=recipe, criterion=criterion,
-        total_steps=total_steps,
-        seeds=_each(_int, doc["seeds"], "seeds"),
-        output_dir=output_dir,
-        ablation=ablation,
-    )
+        total_steps=total_steps, seeds=_each(_int, doc["seeds"], "seeds"), output_dir=output_dir,
+        ablation=ablation)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -470,7 +439,7 @@ def ablation(kind: str, config: ExperimentConfig, output_dir=None) -> list[dict]
         if not ratios:
             raise ConfigError("precondition_length needs ablation.precondition_ratios")
         for ratio in ratios:
-            t0 = _ratio_step(ratio, config.total_steps, "ablation.precondition_ratios")
+            t0 = _ratio_step(ratio, config.total_steps)
             cells.append((f"ratio={ratio}", Recipe("step"), SwitchCriterion(kind="fixed", step=t0)))
     elif kind == "fixed_vs_updated_variance":
         criterion = config.criterion
@@ -500,5 +469,4 @@ def _write_rows_csv(path, rows, columns) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(columns))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

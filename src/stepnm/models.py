@@ -12,6 +12,8 @@ one test that a buffer has a given layout; nothing converts a dict.
 ``forward_loss`` and ``loss_and_grad`` check every call against the spec:
 batch shapes, class ids, and the parameters' layout (built once per spec and
 shared).
+
+``DataConfig`` owns a dataset: it checks each data field once, and ``build`` draws or reads it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,10 @@ from .errors import ConfigError, DimensionError, DomainError, check_kind
 # the model keys each model kind reads beside layer_sizes
 MODEL_KEYS = {"linear_regression": (), "mlp_classifier": ("activation",)}
 ACTIVATIONS = ("relu", "tanh")
-DATA_KINDS = ("regression", "blobs")
+# the data keys each data kind reads
+DATA_KEYS = {"blobs": ("n_samples", "n_features", "n_classes", "noise_std", "seed", "batch_size"),
+             "regression": ("n_samples", "n_features", "noise_std", "seed", "batch_size"),
+             "csv": ("path", "n_targets", "batch_size")}
 
 
 # ---------------------------------------------------------------------------
@@ -294,48 +299,6 @@ class Dataset:
         return self.inputs, self.targets
 
 
-def check_synthetic(kind: str, n_samples: int, n_classes: int, noise_std: float,
-                    prefix: str = "") -> None:
-    """Raise ConfigError unless gen_synthetic can draw data from these arguments.
-
-    ``prefix`` goes before each argument name in the message, e.g. "data.".
-    """
-    if kind not in DATA_KINDS:
-        raise ConfigError(f"{prefix}kind must be a synthetic kind {list(DATA_KINDS)}, got {kind!r}")
-    if n_samples < 1:
-        raise ConfigError(f"{prefix}n_samples must be >= 1, got {n_samples}")
-    if kind == "blobs" and n_classes < 2:
-        raise ConfigError(f"{prefix}n_classes must be >= 2 for blobs, got {n_classes}")
-    if noise_std < 0:
-        raise ConfigError(f"{prefix}noise_std must be >= 0, got {noise_std}")
-
-
-def gen_synthetic(
-    kind: str,
-    n_samples: int,
-    n_features: int,
-    n_classes: int = 2,
-    noise_std: float = 0.0,
-    seed: int = 0,
-    batch_size: int = 32,
-) -> Dataset:
-    """Deterministic synthetic data: Gaussian blobs or a hidden linear map."""
-    check_synthetic(kind, n_samples, n_classes, noise_std)
-    rng = np.random.default_rng(seed)
-    if kind == "blobs":
-        centers = 3.0 * rng.standard_normal((n_classes, n_features))
-        labels = np.arange(n_samples) % n_classes
-        inputs = centers[labels] + noise_std * rng.standard_normal((n_samples, n_features))
-        targets = labels.astype(np.float64)
-    else:
-        inputs = rng.standard_normal((n_samples, n_features))
-        hidden = rng.standard_normal((n_features, 1))
-        targets = inputs @ hidden
-        if noise_std > 0:
-            targets = targets + noise_std * rng.standard_normal(targets.shape)
-    return Dataset(inputs=inputs, targets=targets, batch_size=min(batch_size, n_samples))
-
-
 def batch_iterator(dataset: Dataset, seed):
     """Endless seeded epoch shuffles; tail samples that do not fill a batch are dropped."""
     rng = np.random.default_rng(seed)
@@ -348,7 +311,7 @@ def batch_iterator(dataset: Dataset, seed):
             yield dataset.inputs[idx], dataset.targets[idx]
 
 
-def open_csv(path):
+def _open_csv(path):
     """The CSV file at ``path``, open for reading as UTF-8; ConfigError if it cannot be opened."""
     try:
         return open(path, newline="", encoding="utf-8")
@@ -356,30 +319,19 @@ def open_csv(path):
         raise ConfigError(f"cannot read CSV {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def load_csv(path, n_targets: int = 1, batch_size: int = 32, target_kind: str = "value") -> Dataset:
-    """Read a CSV dataset: a header row, then rows of finite numbers ending in their n_targets
-    target cells; a ragged row or a non-numeric or non-finite cell is a ConfigError naming its line.
-
-    ``target_kind`` "class" squeezes a single target column to a label vector.
-    """
-    if n_targets < 1:
-        raise ConfigError("n_targets must be >= 1")
-    if target_kind not in ("value", "class"):
-        raise ConfigError(f"unknown target kind {target_kind!r}")
+def _read_csv(path, n_targets: int) -> tuple[np.ndarray, np.ndarray]:
+    """The feature and target columns of a CSV; a bad row is a ConfigError naming its line."""
     try:
-        with open_csv(path) as fh:
+        with _open_csv(path) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or len(header) <= n_targets:
                 raise ConfigError(f"CSV {path} needs a header and at least one feature column")
             rows = []
-            for row in reader:
-                if not row:
-                    continue
+            for row in filter(None, reader):  # a blank line reads as an empty row
                 if len(row) != len(header):
-                    raise ConfigError(
-                        f"CSV {path} line {reader.line_num}: {len(row)} cells, header has {len(header)}"
-                    )
+                    raise ConfigError(f"CSV {path} line {reader.line_num}: "
+                                      f"{len(row)} cells, header has {len(header)}")
                 try:
                     rows.append([float(v) for v in row])
                 except ValueError:
@@ -391,9 +343,61 @@ def load_csv(path, n_targets: int = 1, batch_size: int = 32, target_kind: str = 
     if not rows:
         raise ConfigError(f"CSV {path} has no data rows")
     data = np.asarray(rows, dtype=np.float64)
-    inputs, targets = data[:, :-n_targets], data[:, -n_targets:]
-    if target_kind == "class":
-        if n_targets != 1:
-            raise ConfigError("class targets use exactly one column")
-        targets = targets[:, 0]
-    return Dataset(inputs=inputs, targets=targets, batch_size=min(batch_size, len(rows)))
+    return data[:, :-n_targets], data[:, -n_targets:]
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """Gaussian blobs, a hidden linear map or a CSV file, checked here and made by ``build``."""
+
+    kind: str  # regression | blobs | csv
+    n_samples: int = 256
+    n_features: int = 2
+    n_classes: int = 2
+    noise_std: float = 0.1
+    seed: int = 0
+    batch_size: int = 32
+    path: str | None = None
+    n_targets: int = 1
+
+    def __post_init__(self):
+        check_kind("data", self.kind, DATA_KEYS)
+        if self.kind == "csv":
+            if not self.path:
+                raise ConfigError("csv data needs a path")
+            _open_csv(self.path).close()  # fail at load, before any output is made
+        else:
+            if self.n_samples < 1:
+                raise ConfigError(f"data.n_samples must be >= 1, got {self.n_samples}")
+            if self.kind == "blobs" and self.n_classes < 2:
+                raise ConfigError(f"data.n_classes must be >= 2 for blobs, got {self.n_classes}")
+            if self.noise_std < 0:
+                raise ConfigError(f"data.noise_std must be >= 0, got {self.noise_std}")
+        for key in ("n_features", "n_classes", "batch_size", "n_targets"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"data.{key} must be >= 1, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"data.seed must be >= 0, got {self.seed}")
+
+    def build(self, model_kind: str) -> Dataset:
+        """The dataset, drawn from ``seed`` or read from the CSV; a classifier's are labels."""
+        if self.kind == "csv":
+            inputs, targets = _read_csv(self.path, self.n_targets)
+            if model_kind == "mlp_classifier":
+                if self.n_targets != 1:
+                    raise ConfigError("class targets use exactly one column")
+                targets = targets[:, 0]
+        else:
+            rng = np.random.default_rng(self.seed)
+            shape, noise = (self.n_samples, self.n_features), self.noise_std
+            if self.kind == "blobs":
+                centers = 3.0 * rng.standard_normal((self.n_classes, self.n_features))
+                labels = np.arange(self.n_samples) % self.n_classes
+                inputs = centers[labels] + noise * rng.standard_normal(shape)
+                targets = labels.astype(np.float64)
+            else:  # a hidden linear map
+                inputs = rng.standard_normal(shape)
+                targets = inputs @ rng.standard_normal((self.n_features, 1))
+                if noise > 0:
+                    targets = targets + noise * rng.standard_normal(targets.shape)
+        return Dataset(inputs, targets, batch_size=min(self.batch_size, len(inputs)))

@@ -88,6 +88,10 @@ MUTANTS = {
            "a kind reads every key that any kind of its section reads"),
     "C3": ("errors.py", "sorted(unread, key=str)", "sorted(unread)",
            "unread keys of mixed types cannot be sorted"),
+    "D1": ("models.py", 'self.kind == "blobs" and self.n_classes < 2',
+           'self.kind == "blobs" and self.n_classes < 1', "blobs may have a single class"),
+    "D2": ("models.py", "len(header) <= n_targets", "len(header) < n_targets",
+           "a CSV header may hold only target columns"),
     "E1": ("autoswitch.py", "if prev is None or prev <= 0.0:", "if prev is None or prev == 0.0:",
            "relative skips only a zero norm, not a negative one"),
 }

@@ -28,9 +28,9 @@ def _report(name, ok, detail=""):
 
 def _blob_mlp(hidden=16, noise=0.6, activation="relu"):
     spec = models.ModelSpec("mlp_classifier", (2, hidden, 2), activation=activation)
-    ds = models.gen_synthetic(
+    ds = models.DataConfig(
         "blobs", 256, 2, n_classes=2, noise_std=noise, seed=0, batch_size=32
-    )
+    ).build("mlp_classifier")
     return spec, ds
 
 

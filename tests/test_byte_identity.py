@@ -112,7 +112,8 @@ def _digests(spec, run, tmp_path):
 def test_small_mlp_runs(name, tmp_path):
     recipe, criterion, beta2 = SMALL_CASES[name]
     spec = models.ModelSpec("mlp_classifier", (2, 16, 2))
-    ds = models.gen_synthetic("blobs", 256, 2, n_classes=2, noise_std=0.6, seed=0, batch_size=32)
+    ds = models.DataConfig("blobs", 256, 2, n_classes=2, noise_std=0.6, seed=0,
+                           batch_size=32).build("mlp_classifier")
     plan = {"fc2.weight": NMRatio(1, 4)}
     hyper = AdamHyper(beta2=beta2, lr=5e-3)
     run = optim.recipe_train(spec, ds, hyper, plan, recipe, criterion, SMALL_STEPS, seed=3)
@@ -123,7 +124,8 @@ def test_small_mlp_runs(name, tmp_path):
 
 def test_regression_run(tmp_path):
     spec = models.ModelSpec("linear_regression", (8, 1))
-    ds = models.gen_synthetic("regression", 256, 8, noise_std=0.1, seed=0, batch_size=32)
+    ds = models.DataConfig("regression", 256, 8, noise_std=0.1, seed=0,
+                           batch_size=32).build("linear_regression")
     hyper = AdamHyper(lr=5e-3)
     run = optim.recipe_train(spec, ds, hyper, {"fc1.weight": NMRatio(2, 4)}, Recipe("step"),
                              FIXED, SMALL_STEPS, seed=3)
@@ -134,7 +136,8 @@ def test_regression_run(tmp_path):
 def _wide_run_digests(tmp_path):
     # large enough that every matmul goes through BLAS kernels
     spec = models.ModelSpec("mlp_classifier", (64, 128, 128, 10))
-    ds = models.gen_synthetic("blobs", 512, 64, n_classes=10, noise_std=1.0, seed=4, batch_size=64)
+    ds = models.DataConfig("blobs", 512, 64, n_classes=10, noise_std=1.0, seed=4,
+                           batch_size=64).build("mlp_classifier")
     plan = {f"fc{i}.weight": NMRatio(2, 4) for i in (1, 2, 3)}
     hyper = AdamHyper(lr=1e-3)
     run = optim.recipe_train(spec, ds, hyper, plan, Recipe("step"),

@@ -226,8 +226,44 @@ DATA_VALUES = {"n_samples": 64, "n_features": 2, "n_classes": 2, "noise_std": 0.
 
 def _blobs_csv(tmp_path) -> str:
     path = tmp_path / "data.csv"
-    write_csv(models.gen_synthetic("blobs", 64, 2, n_classes=2, seed=1), path)
+    data = models.DataConfig("blobs", 64, 2, n_classes=2, noise_std=0.0, seed=1)
+    write_csv(data.build("mlp_classifier"), path)
     return str(path)
+
+
+# a bad value of each data field, and its message; "<csv>" stands for a readable CSV file
+# and "<missing>" for a file that is not there
+BAD_DATA = [
+    ({"kind": "spiral"}, "unknown data kind 'spiral'"),
+    ({"kind": "csv"}, "csv data needs a path"),
+    ({"kind": "csv", "path": "<missing>"}, "cannot read CSV <missing>: No such file or directory"),
+    ({"kind": "blobs", "n_samples": 0}, "data.n_samples must be >= 1, got 0"),
+    ({"kind": "regression", "n_samples": -3}, "data.n_samples must be >= 1, got -3"),
+    ({"kind": "blobs", "n_classes": 1}, "data.n_classes must be >= 2 for blobs, got 1"),
+    ({"kind": "regression", "noise_std": -0.5}, "data.noise_std must be >= 0, got -0.5"),
+    ({"kind": "blobs", "n_features": 0}, "data.n_features must be >= 1, got 0"),
+    ({"kind": "regression", "batch_size": 0}, "data.batch_size must be >= 1, got 0"),
+    ({"kind": "csv", "path": "<csv>", "n_targets": 0}, "data.n_targets must be >= 1, got 0"),
+    ({"kind": "blobs", "seed": -1}, "data.seed must be >= 0, got -1"),
+]
+
+
+class TestDataConfig:
+    def test_harness_reads_the_class_models_defines(self):
+        assert harness.DataConfig is models.DataConfig
+        for gone in ("gen_synthetic", "load_csv", "check_synthetic", "open_csv", "DATA_KINDS"):
+            assert not hasattr(models, gone)
+
+    @pytest.mark.parametrize("fields,message", BAD_DATA, ids=[m for _, m in BAD_DATA])
+    def test_made_directly_or_loaded_a_bad_field_gives_one_message(self, tmp_path, fields,
+                                                                   message):
+        files = {"<csv>": _blobs_csv(tmp_path), "<missing>": str(tmp_path / "missing.csv")}
+        fields = {key: files.get(value, value) for key, value in fields.items()}
+        message = re.escape(message.replace("<missing>", files["<missing>"]))
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            models.DataConfig(**fields)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            harness.config_from_dict({**BASE_CONFIG, "data": fields})
 
 
 class TestKeysByKind:
@@ -300,7 +336,7 @@ class TestKeysByKind:
         path, _ = make_config(tmp_path, model={**model, "activation": "relu"}, data=data,
                               sparsity=None)
         out = tmp_path / "out"
-        monkeypatch.setattr(models, "gen_synthetic", lambda *a, **k: pytest.fail("data was built"))
+        monkeypatch.setattr(models.DataConfig, "build", lambda *a, **k: pytest.fail("data was built"))
         monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
         with pytest.raises(SystemExit) as exit_info:
             cli_entry()
@@ -314,7 +350,7 @@ class TestKeysByKind:
                   "clip": {"t_min_ratio": 0.1, "t_max_ratio": 0.5}}
         path, _ = make_config(tmp_path, switch=switch)
         out = tmp_path / "out"
-        monkeypatch.setattr(models, "gen_synthetic", lambda *a, **k: pytest.fail("data was built"))
+        monkeypatch.setattr(models.DataConfig, "build", lambda *a, **k: pytest.fail("data was built"))
         monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
         with pytest.raises(SystemExit) as exit_info:
             cli_entry()
@@ -354,6 +390,38 @@ class TestOptimizerNumbers:
             cli_entry()
         assert exit_info.value.code == 2
         assert capsys.readouterr().err == f"error: {'.'.join(slot)} must be finite, got {10**400}\n"
+
+    @pytest.mark.parametrize("slot,flags,message", [
+        (("total_steps",), [], f"total_steps must be below 2**63, got {10**400}"),
+        (("seeds",), [], f"seeds[0] must be below 2**63, got {10**400}"),
+        (("data", "n_samples"), [], f"data.n_samples must be below 2**63, got {10**400}"),
+        ((), ["--seed", str(10**300)], f"seeds must be below 2**63, got {10**300}"),
+    ], ids=["total_steps", "seeds", "n_samples", "seed_flag"])
+    def test_int_beyond_the_index_range_exits_2_before_any_data(self, tmp_path, monkeypatch,
+                                                                 capsys, slot, flags, message):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        if slot:
+            section = doc
+            for key in slot[:-1]:
+                section = section[key]
+            section[slot[-1]] = [10**400] if slot == ("seeds",) else 10**400
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        monkeypatch.setattr(models.DataConfig, "build", lambda *a, **k: pytest.fail("data was built"))
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out),
+                                         *flags])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_the_largest_integer_is_below_2_to_the_63(self):
+        assert harness._int(2**63 - 1, "k") == 2**63 - 1
+        for value in (2**63, float(2**63), str(2**63)):
+            with pytest.raises(ConfigError, match=r"^k must be below 2\*\*63, got "):
+                harness._int(value, "k")
 
     def test_non_numeric_lr_is_config_error(self, tmp_path):
         path, _ = make_config(tmp_path, optimizer={"lr": "big"})
@@ -636,6 +704,26 @@ class TestAblation:
         config = harness.config_from_dict(json.loads(json.dumps(BASE_CONFIG)))
         with pytest.raises(ConfigError, match="precondition_ratios"):
             harness.ablation("precondition_length", config)
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["ablate", "--kind", "fixed_vs_updated_variance"],
+        ["ablate", "--kind", "precondition_length"], ["compare-switch"],
+    ], ids=["run", "ablate_variance", "ablate_length", "compare-switch"])
+    def test_ratio_outside_unit_interval_fails_every_command_at_load(
+            self, tmp_path, monkeypatch, capsys, command):
+        path, _ = make_config(tmp_path, ablation={"precondition_ratios": [1.5, -2]})
+        message = "ablation.precondition_ratios must be in (0, 1], got 1.5"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            harness.load_config(path)
+        out = tmp_path / "out"
+        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
+        monkeypatch.setattr("sys.argv", ["stepnm", *command, "--config", str(path),
+                                         "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestCLI:
@@ -932,7 +1020,8 @@ class TestCSVDataConfig:
         assert not (tmp_path / "out").exists()
 
     def test_run_from_csv(self, tmp_path):
-        ds = models.gen_synthetic("blobs", 64, 2, n_classes=2, noise_std=0.4, seed=1, batch_size=16)
+        ds = models.DataConfig("blobs", 64, 2, n_classes=2, noise_std=0.4, seed=1,
+                               batch_size=16).build("mlp_classifier")
         csv_path = tmp_path / "data.csv"
         write_csv(ds, csv_path)
         doc = json.loads(json.dumps(BASE_CONFIG))
@@ -1024,7 +1113,7 @@ class TestTypedInputErrors:
         path = tmp_path / "data.csv"
         path.write_text(body)
         with pytest.raises(ConfigError, match=message):
-            models.load_csv(path, n_targets=1)
+            models.DataConfig("csv", path=str(path)).build("linear_regression")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_csv_cell_names_its_line(self, tmp_path, cell):
@@ -1033,7 +1122,7 @@ class TestTypedInputErrors:
         path = tmp_path / "data.csv"
         path.write_text("x0,x1,y0\n" + "\n".join(rows) + "\n")
         with pytest.raises(ConfigError, match=f"^{re.escape(f'CSV {path} line 41: non-finite cell')}$"):
-            models.load_csv(path, n_targets=1, target_kind="class")
+            models.DataConfig("csv", path=str(path)).build("mlp_classifier")
 
     @pytest.mark.parametrize("case", ["layer_sizes", "seeds", "ragged_csv", "text_csv",
                                       "non_utf8_csv"])

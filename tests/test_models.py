@@ -73,24 +73,24 @@ class TestModelSpec:
 
 class TestSynthetic:
     def test_blobs_deterministic(self):
-        a = models.gen_synthetic("blobs", 100, 2, n_classes=2, noise_std=0.1, seed=7)
-        b = models.gen_synthetic("blobs", 100, 2, n_classes=2, noise_std=0.1, seed=7)
+        a, b = (models.DataConfig("blobs", 100, 2, n_classes=2, noise_std=0.1,
+                                  seed=7).build("mlp_classifier") for _ in range(2))
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.targets, b.targets)
 
     def test_regression_zero_noise_is_exact_linear_map(self):
-        ds = models.gen_synthetic("regression", 50, 3, noise_std=0.0, seed=5)
+        ds = models.DataConfig("regression", 50, 3, noise_std=0.0, seed=5).build("linear_regression")
         # rank-3 inputs determine the hidden map exactly
         hidden, *_ = np.linalg.lstsq(ds.inputs, ds.targets, rcond=None)
         np.testing.assert_allclose(ds.inputs @ hidden, ds.targets, atol=1e-10)
 
     def test_blobs_needs_two_classes(self):
         with pytest.raises(ConfigError):
-            models.gen_synthetic("blobs", 10, 2, n_classes=1)
+            models.DataConfig("blobs", 10, 2, n_classes=1)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            models.gen_synthetic("spiral", 10, 2)
+            models.DataConfig("spiral", 10, 2)
 
     def test_dataset_invariants(self):
         with pytest.raises(ConfigError):
@@ -243,7 +243,7 @@ class TestGrad:
         np.testing.assert_allclose(grads["fc1.bias"], residual.sum(axis=0) / 3.0, atol=1e-12)
 
     def test_stationary_point_of_noiseless_regression(self):
-        ds = models.gen_synthetic("regression", 40, 3, noise_std=0.0, seed=11)
+        ds = models.DataConfig("regression", 40, 3, noise_std=0.0, seed=11).build("linear_regression")
         hidden, *_ = np.linalg.lstsq(ds.inputs, ds.targets, rcond=None)
         spec = ModelSpec("linear_regression", (3, 1))
         params = buffer(**{"fc1.weight": hidden.T, "fc1.bias": np.zeros(1)})
@@ -510,36 +510,46 @@ class TestFiniteDifference:
 
 class TestCSV:
     def test_round_trip_regression(self, tmp_path):
-        ds = models.gen_synthetic("regression", 20, 3, noise_std=0.5, seed=13, batch_size=4)
+        ds = models.DataConfig("regression", 20, 3, noise_std=0.5, seed=13,
+                               batch_size=4).build("linear_regression")
         path = tmp_path / "data.csv"
         write_csv(ds, path)
-        loaded = models.load_csv(path, n_targets=1, batch_size=4)
+        loaded = models.DataConfig("csv", path=str(path), batch_size=4).build("linear_regression")
         np.testing.assert_array_equal(loaded.inputs, ds.inputs)
         np.testing.assert_array_equal(loaded.targets, ds.targets)
 
     def test_round_trip_class_labels(self, tmp_path):
-        ds = models.gen_synthetic("blobs", 30, 2, n_classes=3, noise_std=0.2, seed=14)
+        ds = models.DataConfig("blobs", 30, 2, n_classes=3, noise_std=0.2, seed=14).build("mlp_classifier")
         path = tmp_path / "blobs.csv"
         write_csv(ds, path)
-        loaded = models.load_csv(path, n_targets=1, target_kind="class")
+        loaded = models.DataConfig("csv", path=str(path)).build("mlp_classifier")
         np.testing.assert_array_equal(loaded.targets, ds.targets)
         assert loaded.targets.ndim == 1
 
     def test_unreadable_file(self, tmp_path):
         for path in (tmp_path / "missing.csv", tmp_path):
             with pytest.raises(ConfigError, match="cannot read CSV"):
-                models.load_csv(path)
+                models.DataConfig("csv", path=str(path))
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(ConfigError):
-            models.load_csv(path)
+            models.DataConfig("csv", path=str(path)).build("linear_regression")
+
+    @pytest.mark.parametrize("n_targets", [1, 2])
+    def test_a_header_of_only_targets_has_no_features(self, tmp_path, n_targets):
+        path = tmp_path / "targets.csv"
+        path.write_text("y0,y1\n1.0,2.0\n3.0,4.0\n" if n_targets == 2 else "y0\n1.0\n2.0\n")
+        data = models.DataConfig("csv", path=str(path), n_targets=n_targets)
+        with pytest.raises(ConfigError, match="needs a header and at least one feature column"):
+            data.build("linear_regression")
 
 
 class TestBatchIterator:
     def test_deterministic(self):
-        ds = models.gen_synthetic("blobs", 64, 2, seed=0, batch_size=16)
+        ds = models.DataConfig("blobs", 64, 2, noise_std=0.0, seed=0,
+                               batch_size=16).build("mlp_classifier")
         a = models.batch_iterator(ds, 42)
         b = models.batch_iterator(ds, 42)
         for _ in range(10):
@@ -549,7 +559,8 @@ class TestBatchIterator:
             np.testing.assert_array_equal(ya, yb)
 
     def test_epoch_covers_all_samples(self):
-        ds = models.gen_synthetic("blobs", 64, 2, seed=0, batch_size=16)
+        ds = models.DataConfig("blobs", 64, 2, noise_std=0.0, seed=0,
+                               batch_size=16).build("mlp_classifier")
         it = models.batch_iterator(ds, 1)
         seen = np.concatenate([next(it)[0] for _ in range(4)])
         assert seen.shape == (64, 2)

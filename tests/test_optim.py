@@ -31,7 +31,8 @@ def default_hyper(lr=1e-3):
 
 def blob_setup(hidden=16, noise=0.6, seed=0, batch=32):
     spec = models.ModelSpec("mlp_classifier", (2, hidden, 2), activation="relu")
-    ds = models.gen_synthetic("blobs", 256, 2, n_classes=2, noise_std=noise, seed=seed, batch_size=batch)
+    ds = models.DataConfig("blobs", 256, 2, n_classes=2, noise_std=noise, seed=seed,
+                           batch_size=batch).build("mlp_classifier")
     plan = {"fc2.weight": NMRatio(1, 4)}
     return spec, ds, plan
 
@@ -710,8 +711,8 @@ class TestTrainingMemory:
         # The chunk-sized scratch of the Adam update and the mask, and the
         # activations, share the last 0.5
         spec = models.ModelSpec("mlp_classifier", (64, 512, 512, 10))
-        ds = models.gen_synthetic("blobs", 256, 64, n_classes=10, noise_std=1.0, seed=0,
-                                  batch_size=32)
+        ds = models.DataConfig("blobs", 256, 64, n_classes=10, noise_std=1.0, seed=0,
+                               batch_size=32).build("mlp_classifier")
         plan = {f"fc{i}.weight": NMRatio(2, 4) for i in (1, 2, 3)}
         switch = SwitchCriterion("fixed", step=3) if kind in optim.TWO_PHASE_KINDS else None
         recipe = Recipe(kind, lam=2e-4 if kind == "srste" else 0.0)

@@ -59,8 +59,8 @@ def _train_both(sizes, activation, plan, recipe, lam, decay, switch, cosine, *, 
         ds = _regression_data(*sizes, batch_size)
         spec = models.ModelSpec("linear_regression", sizes)
     else:
-        ds = models.gen_synthetic("blobs", 256, sizes[0], n_classes=sizes[-1],
-                                  noise_std=0.6, seed=0, batch_size=batch_size)
+        ds = models.DataConfig("blobs", 256, sizes[0], n_classes=sizes[-1], noise_std=0.6,
+                               seed=0, batch_size=batch_size).build("mlp_classifier")
         spec = models.ModelSpec("mlp_classifier", sizes, activation)
     hyper = AdamHyper(beta2=beta2, eps=eps, lr=lr, cosine_steps=steps if cosine else None)
     criterion = None if switch is None else SwitchCriterion(
