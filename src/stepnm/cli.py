@@ -1,22 +1,15 @@
-"""Command-line entry points for runs, comparisons, ablations and the theorem check."""
+"""Command-line entry points for runs, comparisons, ablations and the theorem check;
+``--seed`` and ``--out`` edit the config document before it is read (``harness.load_config``)."""
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 
 import click
 
 from . import harness, theory
 from .errors import ToolkitError
-
-
-def _load(config_path, seeds, out):
-    config = harness.load_config(config_path)
-    if seeds:
-        config = dataclasses.replace(config, seeds=tuple(seeds))
-    return config, (out if out else config.output_dir)
 
 
 @click.group()
@@ -32,15 +25,15 @@ def main():
 @click.option("--jobs", type=click.IntRange(1, 1), default=1, hidden=True, expose_value=False)
 def run_cmd(config_path, seeds, out):
     """Train every seed of a config and write trajectories plus a summary."""
-    config, out_dir = _load(config_path, seeds, out)
-    summary = harness.run(config, output_dir=out_dir)
+    config = harness.load_config(config_path, seeds=seeds, output_dir=out)
+    summary = harness.run(config)
     click.echo(f"seeds: {summary['seeds']}")
     click.echo(f"sparse eval loss: {summary['sparse_eval_loss_mean']:.6f} "
                f"+/- {summary['sparse_eval_loss_std']:.6f}")
     click.echo(f"dense eval loss:  {summary['dense_eval_loss_mean']:.6f} "
                f"+/- {summary['dense_eval_loss_std']:.6f}")
     click.echo(f"switched at: {summary['switched_at']}")
-    click.echo(f"outputs in {out_dir}")
+    click.echo(f"outputs in {config.output_dir}")
 
 
 @main.command("compare-switch")
@@ -50,7 +43,7 @@ def run_cmd(config_path, seeds, out):
               help="Comma-separated criterion kinds to score.")
 def compare_switch_cmd(config_path, out, criteria):
     """Profile dense runs and score switch criteria by later variance change."""
-    config, out_dir = _load(config_path, (), out)
+    config = harness.load_config(config_path, output_dir=out)
     wanted = [c.strip() for c in criteria.split(",") if c.strip()]
     if not wanted:
         raise click.BadParameter("name at least one criterion", param_hint="--criteria")
@@ -60,7 +53,7 @@ def compare_switch_cmd(config_path, out, criteria):
         if kind not in defaults:
             raise click.BadParameter(f"unknown criterion {kind!r}")
         chosen.append(defaults[kind])
-    rows = harness.compare_switch(config, chosen, output_dir=out_dir)
+    rows = harness.compare_switch(config, chosen, output_dir=config.output_dir)
     for row in rows:
         metric = "n/a" if row["avg_change_metric"] is None else f"{row['avg_change_metric']:.6e}"
         click.echo(f"seed={row['seed']} {row['criterion']:<28} t0={row['t0']} "
@@ -73,8 +66,8 @@ def compare_switch_cmd(config_path, out, criteria):
 @click.option("--out", type=click.Path(), default=None)
 def ablate_cmd(config_path, kind, out):
     """Run one ablation matrix over the config's seeds."""
-    config, out_dir = _load(config_path, (), out)
-    rows = harness.ablation(kind, config, output_dir=out_dir)
+    config = harness.load_config(config_path, output_dir=out)
+    rows = harness.ablation(kind, config, output_dir=config.output_dir)
     for row in rows:
         click.echo(f"{row['cell']:<24} seed={row['seed']} "
                    f"sparse={row['sparse_eval_loss']:.6f} dense={row['dense_eval_loss']:.6f} "
@@ -107,11 +100,7 @@ def validate_theorem_cmd(stream, bound_g, dim, level, p, sigma, beta2, t0, t, de
     for key, value in flat.items():
         click.echo(f"{key}: {value}")
     if out:
-        out_dir = harness.make_output_dir(out)
-        with open(out_dir / "bound_report.json", "w") as fh:
-            json.dump(flat, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        click.echo(f"report written to {out_dir / 'bound_report.json'}")
+        click.echo(f"report written to {harness.write_json(out, 'bound_report.json', flat)}")
     if not report.per_step_bound_ok:
         sys.exit(1)
 

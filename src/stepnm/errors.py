@@ -28,7 +28,13 @@ class RangeError(ToolkitError, ValueError):
 def check_kind(what: str, kind, reads: dict, given=()) -> None:
     """ConfigError unless the string ``kind`` is in ``reads`` and reads every key ``given``."""
     if not isinstance(kind, str) or kind not in reads:
-        raise ConfigError(f"unknown {what} kind {kind!r}")
+        raise ConfigError(f"unknown {what} kind {shown(kind)}")
     unread = set(given) - set(reads[kind])
     if unread:
         raise ConfigError(f"{what} kind {kind!r} does not read {sorted(unread, key=str)}")
+
+
+def shown(value) -> str:
+    """``repr(value)``, but an int of over 4000 digits (Python prints none over 4300) by its size."""
+    big = isinstance(value, int) and value.bit_length() > 13300
+    return f"an integer of {value.bit_length()} bits" if big else repr(value)

@@ -6,8 +6,9 @@ keys that a section's kind does not read, are hard errors so typos fail
 before any compute.  ``config_from_dict`` checks each section once and
 builds the objects the trainer takes, which the ExperimentConfig holds; the
 data section becomes a ``models.DataConfig``, which also builds the dataset.
-Each run writes one JSONL trajectory per seed plus a flat summary document;
-all outputs are byte-reproducible for a fixed (config, seed).
+``load_config`` writes a caller's seeds and output directory into the document
+before it is read.  Each run writes a JSONL trajectory per seed and a summary
+(``write_json``); all outputs are byte-reproducible for a fixed (config, seed).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import yaml
 
 from . import autoswitch, models
 from .autoswitch import SwitchCriterion, avg_change_metric_from_diffs, evaluate_offline
-from .errors import ConfigError, check_kind
+from .errors import ConfigError, check_kind, shown
 from .masks import DecaySchedule, NMRatio, check_plan, plan_at
 from .models import DataConfig
 from .optim import TWO_PHASE_KINDS, AdamHyper, Recipe, TrainResult, recipe_train
@@ -63,38 +64,36 @@ def _number(value, key: str) -> float:
     YAML 1.1 reads exponent floats without a dot, such as ``1e-08`` from
     ``json.dumps``, as strings; they are accepted here.
     """
-    if isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an int beyond the float range
         number = math.inf
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     if not math.isfinite(number):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
+        raise ConfigError(f"{key} must be finite, got {shown(value)}")
     return number
 
 
 def _int(value, key: str) -> int:
     """An integer from an int, an integral float or an integer string."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-    if isinstance(value, float) and number != value:
+        number = None
+    if number is None or isinstance(value, bool) or isinstance(value, float) and number != value:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     if number >= INT_LIMIT:
-        raise ConfigError(f"{key} must be below 2**63, got {value!r}")
+        raise ConfigError(f"{key} must be below 2**63, got {shown(value)}")
     return number
 
 
 def _each(convert, value, key: str) -> tuple:
     """``convert`` applied to every item of a list."""
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
+        raise ConfigError(f"{key} must be a list, got {shown(value)}")
     return tuple(convert(item, f"{key}[{i}]") for i, item in enumerate(value))
 
 
@@ -174,8 +173,6 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative integers")
-        if max(self.seeds) >= INT_LIMIT:
-            raise ConfigError(f"seeds must be below 2**63, got {max(self.seeds)}")
         repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
         if repeated:
             raise ConfigError(f"seed {repeated[0]} is given more than once")
@@ -251,7 +248,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     output_dir = "runs" if doc.get("output_dir") is None else doc["output_dir"]
     if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+        raise ConfigError(f"output_dir must be a string, got {shown(output_dir)}")
     if not output_dir:
         raise ConfigError("output_dir must not be empty; leave it out for 'runs'")
     return ExperimentConfig(
@@ -260,10 +257,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         ablation=ablation)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seeds=(), output_dir=None) -> ExperimentConfig:
     """The config in the YAML (or JSON) file at ``path``, checked and built.
 
-    A file that cannot be opened, decoded as UTF-8 or parsed raises ConfigError.
+    ``seeds`` (if any) and ``output_dir`` (if given) first replace the document's own, whose
+    ``seeds`` must be there.  A file that cannot be opened, decoded as UTF-8 or parsed raises ConfigError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -273,6 +271,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {reason}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a mapping document")
+    if seeds and "seeds" in doc:
+        doc["seeds"] = list(seeds)
+    if output_dir:
+        doc["output_dir"] = str(output_dir)
     return config_from_dict(doc)
 
 
@@ -301,7 +303,10 @@ def write_trajectory(path, result: TrainResult) -> None:
 def check_output_dir(path) -> None:
     """ConfigError if ``path``, or its nearest existing ancestor, is not a directory; makes nothing."""
     out = Path(path)
-    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    try:
+        existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    except OSError as exc:  # such as a name too long to look up
+        raise ConfigError(f"cannot write to output directory {out}: {exc.strerror or exc}") from None
     if existing is not None and not existing.is_dir():
         raise ConfigError(f"cannot write to output directory {out}: {existing} is not a directory")
 
@@ -314,6 +319,13 @@ def make_output_dir(path) -> Path:
     except OSError as exc:
         raise ConfigError(f"cannot write to output directory {out}: {exc.strerror or exc}") from None
     return out
+
+
+def write_json(directory, name: str, doc: dict) -> Path:
+    """Write ``doc`` as indented, key-sorted JSON to ``directory/name``, made first; return the path."""
+    path = make_output_dir(directory) / name
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def _train_runs(config: ExperimentConfig, cells, trajectories=None):
@@ -361,9 +373,7 @@ def run(config: ExperimentConfig, output_dir=None) -> dict:
         "switched_at": list(switched),
         "trajectory_files": [str(out / f"trajectory_seed{seed}.jsonl") for seed in config.seeds],
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out, "summary.json", summary)
     return summary
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError, RangeError, check_kind
+from .errors import ConfigError, DimensionError, DomainError, RangeError, check_kind, shown
 
 STREAM_PARAMS = {"constant": ("level",), "uniform": (), "bernoulli": ("p",),
                  "trunc_gauss_sq": ("sigma",)}  # the parameters each kind reads
@@ -63,6 +63,8 @@ def azuma_bound(bound_g: float, beta2: float, t: int, t0: int, delta: float) -> 
     _check_beta2(beta2)
     if t0 < 1 or t <= t0:
         raise RangeError(f"need t > t0 >= 1, got t={t}, t0={t0}")
+    if t >= 2**63:  # t - t0 must convert to a float; 2**63, the config integers' bound, is well inside
+        raise RangeError(f"t must be below 2**63, got {shown(t)}")
     if not 0.0 < delta <= 2.0:
         raise DomainError(f"delta must be in (0, 2], got {delta}")
     return math.sqrt(4.0 * bound_g**2 * (1.0 - beta2) ** 2 * (t - t0) * math.log(2.0 / delta))

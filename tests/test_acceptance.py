@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Every tolerance is pinned here; the recipe-gap criterion is soft and
-reports its outcome without gating the suite.
+lines.  Every tolerance is pinned here; the recipe-gap criterion gates on
+paired seeds and reports the ordering of its seed means without gating it.
 """
 
 import math
@@ -10,6 +10,7 @@ import time
 from statistics import fmean
 
 import numpy as np
+import pytest
 
 from conftest import buffer, simulate_vhat, step_record
 from fd_check import finite_difference_check
@@ -198,23 +199,31 @@ def test_gradient_correctness_fd():
     assert all_pass
 
 
-def test_switch_quality_ordering():
+@pytest.mark.parametrize("beta2", [0.999, 0.99])
+def test_switch_quality_ordering(beta2):
     """5-seed dense profiles: the clipped autoswitch's t0 beats both baselines.
 
-    The clip decides the autoswitch row, not the window: the windowed mean
-    stays above eps up to T_max, so every seed switches at T_max = 1300,
-    against steps 2-4 for ``relative`` and step 1001 for ``staleness``.
+    At beta2 = 0.999 the clip decides the autoswitch row, not the window: the
+    windowed mean stays above eps up to T_max, so every seed switches at
+    T_max = 1300, against steps 2-4 for ``relative`` and step 1001 for
+    ``staleness``.  At beta2 = 0.99 (a window of 100 steps) the window decides:
+    every seed switches below T_max (at 832-959 when this was written), and
+    scores 400x to 4600x lower than both baselines.  The metric window stays
+    1001 steps at both beta2, which is ten windows at 0.99; which window the
+    metric should use at other beta2 is not settled here.
     """
     doc = {
         "model": {"kind": "mlp_classifier", "layer_sizes": [2, 16, 2], "activation": "relu"},
         "data": {"kind": "blobs", "n_samples": 256, "n_features": 2, "n_classes": 2,
                  "noise_std": 0.25, "seed": 0, "batch_size": 32},
-        "optimizer": {"lr": 0.005, "beta2": 0.999},
+        "optimizer": {"lr": 0.005, "beta2": beta2},
         "recipe": {"kind": "dense"},
         "total_steps": 2600,
         "seeds": [1, 2, 3, 4, 5],
     }
     config = harness.config_from_dict(doc)
+    t_max = harness.default_comparison_criteria(config.total_steps)[0].clip[1]
+    assert t_max == 1300
     rows = harness.compare_switch(config)
     by_seed = {}
     for row in rows:
@@ -226,54 +235,67 @@ def test_switch_quality_ordering():
         rel = entry["relative"]["avg_change_metric"]
         stale = entry["staleness"]["avg_change_metric"]
         seed_ok = auto is not None and auto <= rel and auto <= stale
+        if beta2 == 0.99:  # the window, not the clip, decides
+            seed_ok &= entry["autoswitch"]["t0"] < t_max
         ok &= seed_ok
-        details.append(f"seed{seed}: auto={auto:.2e} rel={rel:.2e} stale={stale:.2e}")
-    _report("switch-quality ordering (5 seeds)", ok, "; ".join(details))
+        details.append(f"seed{seed}: t0={entry['autoswitch']['t0']} auto={auto:.2e} "
+                       f"rel={rel:.2e} stale={stale:.2e}")
+    _report(f"switch-quality ordering (5 seeds, beta2={beta2})", ok, "; ".join(details))
     assert ok
 
 
-def test_recipe_gap_direction_soft():
-    """Soft criterion: seed-mean sparse loss ordering STEP <= SRSTE(best) <= STE.
+def test_recipe_gap_direction():
+    """Paired seeds: STEP's sparse loss is at or below each baseline's on at least 4 of 5 seeds,
+    and in the seed mean.
 
-    Reported, not gating: at desk scale the recipes land close together, so
-    the ordering is printed with its numbers either way.  The run matrix
-    itself must complete with finite losses and valid switch points.
+    The baselines are STEP with its variance updated in the masked phase, SR-STE at two
+    lambdas, and STE.  Runs are byte-reproducible, so the gate cannot be flaky, but it is no
+    significance test: the smallest per-seed margin was 9e-5 (seed 5, against SR-STE at
+    lambda 2e-4 and against STE) when this was written.  The ordering of the seed means,
+    STEP <= SRSTE(best) <= STE, is printed with its numbers either way.
     """
     spec, ds = _blob_mlp(hidden=32, noise=0.6, activation="tanh")
     plan = {"fc2.weight": NMRatio(1, 4)}
     hyper = AdamHyper(lr=5e-3)
     total = 2000
     crit = SwitchCriterion(kind="autoswitch", clip=(int(0.1 * total), int(0.5 * total)))
-    means = {}
+    losses = {}
     for label, kind, lam in [
         ("step", "step", 0.0),
+        ("step_updated_variance", "step_updated_variance", 0.0),
         ("srste_0.01", "srste", 0.01),
         ("srste_0.0002", "srste", 0.0002),
         ("ste", "ste", 0.0),
     ]:
-        losses = []
+        two_phase = kind in optim.TWO_PHASE_KINDS
+        losses[label] = []
         for seed in (1, 2, 3, 4, 5):
             run = optim.recipe_train(
                 spec, ds, hyper, plan, Recipe(kind, lam=lam),
-                crit if kind == "step" else None, total, seed,
+                crit if two_phase else None, total, seed,
             )
             assert math.isfinite(run.sparse_eval_loss)
-            if kind == "step":
+            if two_phase:
                 assert run.switched_at is not None
                 assert 0.1 * total < run.switched_at <= 0.5 * total
-            losses.append(run.sparse_eval_loss)
-        means[label] = fmean(losses)
+            losses[label].append(run.sparse_eval_loss)
+    means = {label: fmean(values) for label, values in losses.items()}
     step = means["step"]
     srste = min(means["srste_0.01"], means["srste_0.0002"])
     ste = means["ste"]
     ordered = step <= srste <= ste
     detail = (
-        f"STEP={step:.4f} SRSTE(0.01)={means['srste_0.01']:.4f} "
+        f"STEP={step:.4f} STEP(updated v)={means['step_updated_variance']:.4f} "
+        f"SRSTE(0.01)={means['srste_0.01']:.4f} "
         f"SRSTE(2e-4)={means['srste_0.0002']:.4f} STE={ste:.4f} "
-        f"ordering={'holds' if ordered else 'not met (soft, reported only)'}"
+        f"ordering={'holds' if ordered else 'not met (reported only)'}"
     )
-    _report("recipe-gap direction (soft)", True, detail)
-    # soft criterion: the matrix must complete; the ordering is documented above
+    wins = {label: sum(a <= b for a, b in zip(losses["step"], values))
+            for label, values in losses.items() if label != "step"}
+    ok = all(wins[label] >= 4 and step <= means[label] for label in wins)
+    _report("recipe-gap direction (paired seeds)", ok,
+            detail + " seeds STEP wins: " + " ".join(f"{k}={v}/5" for k, v in wins.items()))
+    assert ok, losses
 
 
 def test_autoswitch_mechanics():

@@ -345,6 +345,13 @@ class TestSwitchCriterionValidation:
         with pytest.raises(ConfigError, match=rf"switch kind '{kind}' does not read \['{field}'\]"):
             SwitchCriterion(kind=kind, **settings, **{field: value})
 
+    @pytest.mark.parametrize("kind", ["relative", "staleness"])
+    @pytest.mark.parametrize("threshold", [0.0, -0.5])
+    def test_threshold_must_be_positive(self, kind, threshold):
+        # through a config the same check exits 2: test_harness.py::TestEveryBadInputExits2
+        with pytest.raises(ConfigError, match="^criterion threshold must be positive$"):
+            SwitchCriterion(kind=kind, threshold=threshold)
+
     def test_autoswitch_option_defaults_to_arithmetic(self):
         assert SwitchCriterion(kind="autoswitch").option == "arithmetic"
         assert SwitchCriterion(kind="relative").option is None

@@ -20,7 +20,7 @@ from stepnm.autoswitch import StepRecord, SwitchCriterion
 from stepnm.masks import DecaySchedule
 from stepnm.cli import entry as cli_entry
 from stepnm.cli import main as cli_main
-from stepnm.errors import ConfigError, NumericalError, ToolkitError, check_kind
+from stepnm.errors import ConfigError, NumericalError, ToolkitError, check_kind, shown
 
 BASE_CONFIG = {
     "model": {"kind": "mlp_classifier", "layer_sizes": [2, 16, 2], "activation": "relu"},
@@ -395,7 +395,7 @@ class TestOptimizerNumbers:
         (("total_steps",), [], f"total_steps must be below 2**63, got {10**400}"),
         (("seeds",), [], f"seeds[0] must be below 2**63, got {10**400}"),
         (("data", "n_samples"), [], f"data.n_samples must be below 2**63, got {10**400}"),
-        ((), ["--seed", str(10**300)], f"seeds must be below 2**63, got {10**300}"),
+        ((), ["--seed", str(10**300)], f"seeds[0] must be below 2**63, got {10**300}"),
     ], ids=["total_steps", "seeds", "n_samples", "seed_flag"])
     def test_int_beyond_the_index_range_exits_2_before_any_data(self, tmp_path, monkeypatch,
                                                                  capsys, slot, flags, message):
@@ -423,6 +423,32 @@ class TestOptimizerNumbers:
             with pytest.raises(ConfigError, match=r"^k must be below 2\*\*63, got "):
                 harness._int(value, "k")
 
+    # Python prints no int of more than 4300 digits; 10**5000 has 16610 bits
+    @pytest.mark.parametrize("slot, value, message", [
+        (("total_steps",), 10**5000, "total_steps must be below 2**63, got an integer of 16610 bits"),
+        (("optimizer", "lr"), 10**5000, "optimizer.lr must be finite, got an integer of 16610 bits"),
+        (("seeds",), [10**5000], "seeds[0] must be below 2**63, got an integer of 16610 bits"),
+        (("data", "n_samples"), 10**5000,
+         "data.n_samples must be below 2**63, got an integer of 16610 bits"),
+        (("seeds",), 10**5000, "seeds must be a list, got an integer of 16610 bits"),
+        (("output_dir",), 10**5000, "output_dir must be a string, got an integer of 16610 bits"),
+        (("model", "kind"), 10**5000, "unknown model kind an integer of 16610 bits"),
+    ], ids=["total_steps", "lr", "seeds", "n_samples", "seeds_not_a_list", "output_dir",
+            "model_kind"])
+    def test_an_int_too_long_to_print_is_named_by_its_size(self, slot, value, message):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        section = doc
+        for key in slot[:-1]:
+            section = section[key]
+        section[slot[-1]] = value
+        with pytest.raises(ConfigError) as info:
+            harness.config_from_dict(doc)
+        assert str(info.value) == message
+
+    def test_only_an_int_too_long_to_print_is_named_by_its_size(self):
+        assert shown(10**4000) == str(10**4000) and shown([1, "a"]) == "[1, 'a']"
+        assert shown(10**4300) == "an integer of 14285 bits"
+
     def test_non_numeric_lr_is_config_error(self, tmp_path):
         path, _ = make_config(tmp_path, optimizer={"lr": "big"})
         with pytest.raises(ConfigError, match="optimizer.lr"):
@@ -436,6 +462,96 @@ class TestOptimizerNumbers:
             cli_entry()
         assert exit_info.value.code == 2
         assert "optimizer.lr" in capsys.readouterr().err
+
+
+class TestLoadConfigOverrides:
+    """``--seed`` and ``--out`` edit the document before ``config_from_dict`` reads it."""
+
+    def test_the_config_run_trains_holds_the_flags(self, tmp_path, monkeypatch):
+        path, doc = make_config(tmp_path, total_steps=8, switch={"kind": "fixed", "step": 4})
+        out = str(tmp_path / "X")
+        seen = []
+        real_run = harness.run
+        monkeypatch.setattr(harness, "run", lambda config, **k: seen.append(config) or real_run(config, **k))
+        result = CliRunner().invoke(cli_main, ["run", "--config", str(path), "--seed", "4",
+                                               "--seed", "9", "--out", out])
+        assert result.exit_code == 0, result.output
+        (config,) = seen
+        assert config.seeds == (4, 9) and config.output_dir == out
+        assert config == harness.config_from_dict({**doc, "seeds": [4, 9], "output_dir": out})
+        assert sorted(p.name for p in Path(out).iterdir()) == [
+            "summary.json", "trajectory_seed4.jsonl", "trajectory_seed9.jsonl"]
+        assert result.output.endswith(f"outputs in {out}\n")
+
+    @pytest.mark.parametrize("command, function", [
+        (["compare-switch"], "compare_switch"),
+        (["ablate", "--kind", "fixed_vs_updated_variance"], "ablation"),
+    ])
+    def test_out_is_the_output_dir_of_the_config_each_command_runs(self, tmp_path, monkeypatch,
+                                                                   command, function):
+        path, _ = make_config(tmp_path)
+        seen = []
+        monkeypatch.setattr(harness, function, lambda *a, **k: seen.append((a, k)) or [])
+        out = str(tmp_path / "X")
+        result = CliRunner().invoke(cli_main, [*command, "--config", str(path), "--out", out])
+        assert result.exit_code == 0, result.output
+        ((args, kwargs),) = seen
+        config = [a for a in args if isinstance(a, harness.ExperimentConfig)][0]
+        assert config.output_dir == kwargs["output_dir"] == out
+        result = CliRunner().invoke(cli_main, [*command, "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        assert seen[1][1]["output_dir"] == "runs"  # the document's own
+
+    def test_seed_flag_needs_the_documents_seeds_entry(self, tmp_path, monkeypatch, capsys):
+        path, _ = make_config(tmp_path, seeds=None)
+        message = "missing key(s) in 'config': ['seeds']"
+        with pytest.raises(ConfigError) as info:
+            harness.load_config(path, seeds=(4,))
+        assert str(info.value) == message
+        out = tmp_path / "out"
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--seed", "4",
+                                         "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_seed_flag_replaces_a_malformed_entry(self, tmp_path):
+        path, _ = make_config(tmp_path, seeds="three")
+        with pytest.raises(ConfigError, match="^seeds must be a list, got 'three'$"):
+            harness.load_config(path)
+        assert harness.load_config(path, seeds=(3,)).seeds == (3,)
+
+    @pytest.mark.parametrize("seeds", [(-1,), (2**63,), (5, 5), (2**63 - 1, 0)])
+    def test_a_flag_seed_reads_like_a_document_seed(self, tmp_path, seeds):
+        path, doc = make_config(tmp_path)
+
+        def outcome(load):
+            try:
+                return load().seeds
+            except ConfigError as exc:
+                return str(exc)
+
+        from_flag = outcome(lambda: harness.load_config(path, seeds=seeds))
+        assert from_flag == outcome(lambda: harness.config_from_dict({**doc, "seeds": list(seeds)}))
+        if seeds == (2**63 - 1, 0):  # the one good list loads
+            assert from_flag == seeds
+
+    def test_no_flags_leave_the_document_as_it_is(self, tmp_path):
+        path, doc = make_config(tmp_path)
+        assert harness.load_config(path, seeds=(), output_dir=None) == harness.config_from_dict(doc)
+        assert harness.load_config(path, output_dir=tmp_path / "o").output_dir == str(tmp_path / "o")
+
+
+def test_write_json_makes_the_directory_and_writes_sorted_indented_json(tmp_path):
+    directory = tmp_path / "a" / "b"
+    path = harness.write_json(directory, "doc.json", {"b": [1, 2.5], "a": {"y": None, "x": "s"}})
+    assert path == directory / "doc.json"
+    assert path.read_bytes() == (b'{\n  "a": {\n    "x": "s",\n    "y": null\n  },\n'
+                                 b'  "b": [\n    1,\n    2.5\n  ]\n}\n')
+    with pytest.raises(ConfigError, match="^cannot write to output directory"):
+        harness.write_json(path / "under_a_file", "doc.json", {})
 
 
 class TestRun:
@@ -961,6 +1077,91 @@ class TestCLI:
                                                "--criteria", ",", "--out", str(tmp_path / "cmp")])
         assert result.exit_code == 2
         assert "--criteria" in result.output
+        assert not (tmp_path / "cmp").exists()
+
+
+class TestEveryBadInputExits2:
+    """Inputs that reach a ``raise`` no other test reaches: the type, the message and exit 2."""
+
+    @pytest.mark.parametrize("overrides, seeds, message", [
+        ({"optimizer": {"lr": True}}, (), "optimizer.lr must be a number, got True"),
+        ({"total_steps": True}, (), "total_steps must be an integer, got True"),
+        ({}, (-1,), "seeds must be non-negative integers"),
+        ({"optimizer": {"lr_schedule": "linear"}}, (), "unknown lr schedule 'linear'"),
+        ({"switch": {"kind": "fixed", "step": 10, "step_ratio": 0.5}}, (),
+         "give either step or step_ratio, not both"),
+        ({"switch": {"kind": "relative", "threshold": 0}}, (), "criterion threshold must be positive"),
+        (None, (), "config {path} must be a mapping document"),
+    ], ids=["bool_number", "bool_integer", "negative_seed_flag", "lr_schedule", "step_and_ratio",
+            "zero_threshold", "not_a_mapping"])
+    def test_at_load(self, tmp_path, monkeypatch, capsys, overrides, seeds, message):
+        if overrides is None:
+            path = tmp_path / "config.yaml"
+            path.write_text("- 1\n- 2\n")
+        else:
+            path, _ = make_config(tmp_path, **overrides)
+        message = message.format(path=path)
+        with pytest.raises(ConfigError) as info:
+            harness.load_config(path, seeds=seeds)
+        assert str(info.value) == message
+        out = tmp_path / "out"
+        monkeypatch.setattr(models.DataConfig, "build", lambda *a, **k: pytest.fail("data was built"))
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out),
+                                         *(f"--seed={seed}" for seed in seeds)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, overrides, message", [
+        ("fixed_vs_updated_variance", {"recipe": {"kind": "dense"}, "switch": None},
+         "fixed_vs_updated_variance needs a switch criterion"),
+        ("decaying_mask", {}, "decaying_mask needs ablation.decay"),
+        ("decaying_mask", {"recipe": {"kind": "dense"}, "switch": None,
+                           "ablation": {"decay": {"m": 4, "stage_boundaries": [10]}}},
+         "decaying_mask needs a switch criterion for the dense-phase variant"),
+    ], ids=["fixed_vs_updated_without_switch", "decaying_without_decay",
+            "decaying_without_switch"])
+    def test_an_ablation_without_its_switch_or_decay(self, tmp_path, monkeypatch, capsys, kind,
+                                                     overrides, message):
+        path, _ = make_config(tmp_path, **overrides)
+        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ConfigError) as info:
+            harness.ablation(kind, harness.load_config(path))
+        assert str(info.value) == message
+        out = tmp_path / "out"
+        monkeypatch.setattr("sys.argv", ["stepnm", "ablate", "--kind", kind, "--config", str(path),
+                                         "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_an_output_directory_name_too_long(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / ("x" * 300)  # a path component longer than 255 bytes
+        message = f"cannot write to output directory {out}: File name too long"
+        with pytest.raises(ConfigError) as info:
+            harness.make_output_dir(out)
+        assert str(info.value) == message
+        path, _ = make_config(tmp_path, seeds=[1], total_steps=4, switch={"kind": "fixed", "step": 2})
+        # the name is refused before any training, not by mkdir after the first seed
+        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_an_unknown_criterion_exits_2_before_training(self, tmp_path, monkeypatch):
+        path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None)
+        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
+        result = CliRunner().invoke(cli_main, ["compare-switch", "--config", str(path),
+                                               "--criteria", "relative,foo",
+                                               "--out", str(tmp_path / "cmp")])
+        assert result.exit_code == 2
+        assert result.output.endswith("Error: Invalid value: unknown criterion 'foo'\n")
         assert not (tmp_path / "cmp").exists()
 
 

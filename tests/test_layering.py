@@ -36,3 +36,16 @@ def test_optim_imports_neither_harness_nor_cli():
     assert stepnm_imports("optim").isdisjoint({"harness", "cli"})
     # the reader sees imports at all, so the empty sets above are not vacuous
     assert stepnm_imports("harness") >= {"autoswitch", "models", "masks", "optim", "errors"}
+
+
+def test_cli_writes_no_file_and_edits_no_loaded_config():
+    """harness writes every file and reads the flags into the config, so cli opens no file,
+    imports no json and rebuilds no loaded config with ``dataclasses.replace``."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert "json" not in imported and not called & {"open", "replace"}
+    assert {"load_config", "write_json", "echo"} <= called  # the reader sees calls at all

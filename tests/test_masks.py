@@ -288,6 +288,11 @@ class TestMaskSparsity:
         mask = compute_nm_mask(np.arange(8.0), NMRatio(4, 4))
         assert mask_sparsity(mask) == 0.0
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 4)])
+    def test_an_empty_mask_is_a_dimension_error(self, shape):
+        with pytest.raises(DimensionError, match="^empty mask$"):
+            mask_sparsity(np.zeros(shape))
+
     def test_exact_fraction_for_generated_masks(self):
         rng = np.random.default_rng(3)
         for n, m in [(1, 4), (2, 4), (3, 8), (5, 8)]:

@@ -6,7 +6,9 @@ import pytest
 
 from conftest import buffer, write_csv
 from fd_check import finite_difference_check
+from test_harness import make_config
 from stepnm import models, optim
+from stepnm.cli import entry as cli_entry
 from stepnm.errors import ConfigError, DimensionError, DomainError
 from stepnm.masks import NMRatio
 from stepnm.models import Dataset, ModelSpec
@@ -544,6 +546,37 @@ class TestCSV:
         data = models.DataConfig("csv", path=str(path), n_targets=n_targets)
         with pytest.raises(ConfigError, match="needs a header and at least one feature column"):
             data.build("linear_regression")
+
+
+@pytest.mark.parametrize("body, n_targets, message", [
+    ("x0,x1,y0\n", 1, "CSV {path} has no data rows"),
+    ("x0,x1,y0,y1\n1.0,2.0,0,1\n", 2, "class targets use exactly one column"),
+], ids=["header_only", "classifier_two_targets"])
+def test_a_csv_the_classifier_cannot_read_exits_2(tmp_path, monkeypatch, capsys, body, n_targets,
+                                                  message):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text(body)
+    message = message.format(path=csv_path)
+    data = models.DataConfig("csv", path=str(csv_path), n_targets=n_targets, batch_size=1)
+    with pytest.raises(ConfigError) as info:
+        data.build("mlp_classifier")
+    assert str(info.value) == message
+    path, _ = make_config(tmp_path, data={"kind": "csv", "path": str(csv_path),
+                                          "n_targets": n_targets, "batch_size": 1})
+    out = tmp_path / "out"
+    monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
+    with pytest.raises(SystemExit) as exit_info:
+        cli_entry()
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("inputs", [np.zeros(4), np.zeros((4, 2, 1))], ids=["1d", "3d"])
+def test_dataset_inputs_must_be_2d(inputs):
+    with pytest.raises(DimensionError) as info:
+        Dataset(inputs, np.zeros(4), batch_size=1)
+    assert str(info.value) == f"inputs must be 2-d, got shape {inputs.shape}"
 
 
 class TestBatchIterator:

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 import test_byte_identity
 from conftest import simulate_vhat
 from stepnm import theory
+from stepnm.cli import entry as cli_entry
 from stepnm.cli import main as cli_main
 from stepnm.errors import ConfigError, DimensionError, DomainError, RangeError
 from stepnm.theory import StationaryStream, azuma_bound, min_precondition_step
@@ -39,6 +40,15 @@ class TestAzumaBound:
             azuma_bound(0.0, 0.999, 200, 100, 0.01)
         with pytest.raises(DomainError):
             azuma_bound(1.0, 0.999, 200, 100, 3.0)
+
+
+    def test_t_must_be_below_2_to_the_63(self):
+        # past it t - t0 may not convert to a float; 2**63 - 1 still gives a bound
+        assert math.isfinite(azuma_bound(1.0, 0.999, t=2**63 - 1, t0=1, delta=0.01))
+        with pytest.raises(RangeError, match=rf"^t must be below 2\*\*63, got {2**63}$"):
+            azuma_bound(1.0, 0.999, t=2**63, t0=1, delta=0.01)
+        with pytest.raises(RangeError, match=r"^t must be below 2\*\*63, got an integer of 16610 bits$"):
+            azuma_bound(1.0, 0.999, t=10**5000, t0=1, delta=0.01)
 
 
 class TestMinPreconditionStep:
@@ -415,3 +425,28 @@ class TestDrawBudget:
         finally:
             tracemalloc.stop()
         assert buffer <= peak <= buffer + 2**20
+
+
+VALIDATE_DEFAULTS = {"beta2": 0.999, "t0": 2000, "t": 12000, "delta": 0.01, "trials": 500}
+
+
+@pytest.mark.parametrize("flag, value, error, message", [
+    ("beta2", 1.5, DomainError, "beta2 must be in (0, 1), got 1.5"),
+    ("dim", 0, ConfigError, "stream dimension must be >= 1"),
+    ("seed", -1, ConfigError, "stream seed must be a non-negative integer"),
+    ("trials", 0, ConfigError, "trials must be >= 1"),
+    ("t", 10**400, RangeError, f"t must be below 2**63, got {10**400}"),
+], ids=["beta2", "dim", "seed", "trials", "t"])
+def test_a_bad_flag_fails_before_any_draw_and_exits_2(monkeypatch, capsys, flag, value, error,
+                                                      message):
+    monkeypatch.setattr(StationaryStream, "draw", lambda *a, **k: pytest.fail("drew"))
+    stream = {flag: value} if flag in ("dim", "seed") else {}
+    with pytest.raises(error) as info:
+        theory.validate_theorem(StationaryStream("bernoulli", 1.0, **stream),
+                                **{**VALIDATE_DEFAULTS, **({} if stream else {flag: value})})
+    assert str(info.value) == message
+    monkeypatch.setattr("sys.argv", ["stepnm", "validate-theorem", f"--{flag}={value}"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli_entry()
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
