@@ -53,7 +53,7 @@ def compare_switch_cmd(config_path, out, criteria):
         if kind not in defaults:
             raise click.BadParameter(f"unknown criterion {kind!r}")
         chosen.append(defaults[kind])
-    rows = harness.compare_switch(config, chosen, output_dir=config.output_dir)
+    rows = harness.compare_switch(config, chosen)
     for row in rows:
         metric = "n/a" if row["avg_change_metric"] is None else f"{row['avg_change_metric']:.6e}"
         click.echo(f"seed={row['seed']} {row['criterion']:<28} t0={row['t0']} "
@@ -67,7 +67,7 @@ def compare_switch_cmd(config_path, out, criteria):
 def ablate_cmd(config_path, kind, out):
     """Run one ablation matrix over the config's seeds."""
     config = harness.load_config(config_path, output_dir=out)
-    rows = harness.ablation(kind, config, output_dir=config.output_dir)
+    rows = harness.ablation(kind, config)
     for row in rows:
         click.echo(f"{row['cell']:<24} seed={row['seed']} "
                    f"sparse={row['sparse_eval_loss']:.6f} dense={row['dense_eval_loss']:.6f} "
@@ -93,13 +93,13 @@ def validate_theorem_cmd(stream, bound_g, dim, level, p, sigma, beta2, t0, t, de
     """Monte Carlo check of the variance-drift concentration bound."""
     s = theory.StationaryStream(kind=stream, bound=bound_g, dim=dim, seed=seed,
                                 level=level, p=p, sigma=sigma)
-    if out:
+    if out is not None:
         harness.check_output_dir(out)
     report = theory.validate_theorem(s, beta2, t0, t, delta, trials)
     flat = dataclasses.asdict(report)
     for key, value in flat.items():
         click.echo(f"{key}: {value}")
-    if out:
+    if out is not None:
         click.echo(f"report written to {harness.write_json(out, 'bound_report.json', flat)}")
     if not report.per_step_bound_ok:
         sys.exit(1)

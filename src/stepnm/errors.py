@@ -31,7 +31,13 @@ def check_kind(what: str, kind, reads: dict, given=()) -> None:
         raise ConfigError(f"unknown {what} kind {shown(kind)}")
     unread = set(given) - set(reads[kind])
     if unread:
-        raise ConfigError(f"{what} kind {kind!r} does not read {sorted(unread, key=str)}")
+        raise ConfigError(f"{what} kind {kind!r} does not read {listed(unread)}")
+
+
+def listed(keys) -> str:
+    """``str(sorted(keys, key=str))``, each key ``shown``: an int too long to print is named by its size."""
+    keys = sorted(keys, key=lambda key: shown(key) if isinstance(key, int) else str(key))
+    return f"[{', '.join(map(shown, keys))}]"
 
 
 def shown(value) -> str:

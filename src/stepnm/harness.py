@@ -7,8 +7,9 @@ before any compute.  ``config_from_dict`` checks each section once and
 builds the objects the trainer takes, which the ExperimentConfig holds; the
 data section becomes a ``models.DataConfig``, which also builds the dataset.
 ``load_config`` writes a caller's seeds and output directory into the document
-before it is read.  Each run writes a JSONL trajectory per seed and a summary
-(``write_json``); all outputs are byte-reproducible for a fixed (config, seed).
+before it is read.  The drivers write only into the config's ``output_dir``,
+which ``_train_runs`` checks before any compute: JSONL trajectories and a summary
+(``write_json``), or a CSV.  All outputs are byte-reproducible for a fixed (config, seed).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import yaml
 
 from . import autoswitch, models
 from .autoswitch import SwitchCriterion, avg_change_metric_from_diffs, evaluate_offline
-from .errors import ConfigError, check_kind, shown
+from .errors import ConfigError, check_kind, listed, shown
 from .masks import DecaySchedule, NMRatio, check_plan, plan_at
 from .models import DataConfig
 from .optim import TWO_PHASE_KINDS, AdamHyper, Recipe, TrainResult, recipe_train
@@ -41,10 +42,9 @@ INT_LIMIT = 2**63  # numpy's index range: a larger integer fails in numpy, not a
 def _take(section: dict, name: str, required=(), optional=()) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"section {name!r} must be a mapping")
-    allowed = set(required) | set(optional)
-    unknown = set(section) - allowed
+    unknown = set(section) - set(required) - set(optional)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {name!r}: {sorted(unknown, key=str)}")
+        raise ConfigError(f"unknown key(s) in {name!r}: {listed(unknown)}")
     missing = set(required) - set(section)
     if missing:
         raise ConfigError(f"missing key(s) in {name!r}: {sorted(missing)}")
@@ -273,7 +273,7 @@ def load_config(path, seeds=(), output_dir=None) -> ExperimentConfig:
         raise ConfigError(f"config {path} must be a mapping document")
     if seeds and "seeds" in doc:
         doc["seeds"] = list(seeds)
-    if output_dir:
+    if output_dir is not None:
         doc["output_dir"] = str(output_dir)
     return config_from_dict(doc)
 
@@ -301,7 +301,9 @@ def write_trajectory(path, result: TrainResult) -> None:
 
 
 def check_output_dir(path) -> None:
-    """ConfigError if ``path``, or its nearest existing ancestor, is not a directory; makes nothing."""
+    """ConfigError unless ``path`` is not empty and it, or its nearest existing ancestor, is a directory."""
+    if not str(path):  # Path('') is the current directory
+        raise ConfigError("output directory must not be empty")
     out = Path(path)
     try:
         existing = next((p for p in (out, *out.parents) if p.exists()), None)
@@ -328,40 +330,40 @@ def write_json(directory, name: str, doc: dict) -> Path:
     return path
 
 
-def _train_runs(config: ExperimentConfig, cells, trajectories=None):
+def _train_runs(config: ExperimentConfig, cells, trajectories=False):
     """Train every seed of every (label, recipe, criterion) cell, in order, on one dataset.
 
-    The dataset is built once, here.  Yields (label, seed, figures, records)
-    for each run, with figures (sparse_eval_loss, dense_eval_loss,
-    switched_at); the run's TrainResult is dropped before it is yielded, so no
-    two are alive at once.  With ``trajectories``, a directory, each run's
-    trajectory is written there as soon as it has trained, as
+    ``config.output_dir`` is checked first, and then the dataset is built
+    once, here.  Yields (label, seed, figures, records) for each run, with
+    figures (sparse_eval_loss, dense_eval_loss, switched_at); the run's
+    TrainResult is dropped before it is yielded, so no two are alive at once.
+    With ``trajectories``, each run's trajectory is written into
+    ``config.output_dir`` as soon as it has trained, as
     ``trajectory_seed<k>.jsonl``; the directory is made only then.
     """
+    check_output_dir(config.output_dir)
     dataset = config.data.build(config.model.kind)
     for label, recipe, criterion in cells:
         for seed in config.seeds:
             result = recipe_train(config.model, dataset, config.hyper, config.plan, recipe,
                                   criterion, config.total_steps, seed)
-            if trajectories is not None:
-                path = make_output_dir(trajectories) / f"trajectory_seed{seed}.jsonl"
-                write_trajectory(path, result)
+            if trajectories:
+                write_trajectory(make_output_dir(config.output_dir) / f"trajectory_seed{seed}.jsonl", result)
             figures = (result.sparse_eval_loss, result.dense_eval_loss, result.switched_at)
             records = result.records
             del result
             yield label, seed, figures, records
 
 
-def run(config: ExperimentConfig, output_dir=None) -> dict:
+def run(config: ExperimentConfig) -> dict:
     """Train every seed of the config in turn; write trajectories and a summary, and return it.
 
     Every seed trains on the one dataset the command builds.  Each seed's
     trajectory is written as soon as it has trained, and only the figures of
     the summary are kept from it.
     """
-    out = Path(output_dir if output_dir is not None else config.output_dir)
-    check_output_dir(out)
-    runs = _train_runs(config, [("run", config.recipe, config.criterion)], out)
+    out = Path(config.output_dir)
+    runs = _train_runs(config, [("run", config.recipe, config.criterion)], trajectories=True)
     sparse, dense, switched = zip(*(figures for _, _, figures, _ in runs))
     summary = {
         "n_seeds": len(config.seeds),
@@ -390,23 +392,16 @@ def default_comparison_criteria(total_steps: int) -> list[SwitchCriterion]:
     ]
 
 
-def compare_switch(
-    config: ExperimentConfig,
-    criteria: list[SwitchCriterion] | None = None,
-    output_dir=None,
-) -> list[dict]:
+def compare_switch(config: ExperimentConfig, criteria: list[SwitchCriterion]) -> list[dict]:
     """Profile dense runs and score each criterion's switch point offline.
 
     One dense profile per seed, all on the one dataset the command builds;
     every criterion is replayed over the recorded statistics and scored by
     the average variance change over the following 1001 steps (lower is
-    better).  Criteria that never fire get a no-switch row.
+    better).  Criteria that never fire get a no-switch row.  The rows are
+    returned and written to ``compare_switch.csv`` in ``config.output_dir``.
     """
-    if output_dir is not None:
-        check_output_dir(output_dir)
-    if criteria is None:
-        criteria = default_comparison_criteria(config.total_steps)
-    elif not criteria:
+    if not criteria:
         raise ConfigError("compare_switch needs at least one criterion")
     d = sum(int(np.prod(shape)) for shape in models.param_shapes(config.model).values())
     rows = []
@@ -419,9 +414,8 @@ def compare_switch(
             rows.append({"seed": seed, "criterion": criterion.label(), "t0": t0,
                          "avg_change_metric": metric,
                          "note": "no-switch" if t0 is None else ""})
-    if output_dir is not None:
-        _write_rows_csv(make_output_dir(output_dir) / "compare_switch.csv", rows,
-                        ("seed", "criterion", "t0", "avg_change_metric", "note"))
+    _write_rows_csv(make_output_dir(config.output_dir) / "compare_switch.csv", rows,
+                    ("seed", "criterion", "t0", "avg_change_metric", "note"))
     return rows
 
 
@@ -430,16 +424,15 @@ def compare_switch(
 # ---------------------------------------------------------------------------
 
 
-def ablation(kind: str, config: ExperimentConfig, output_dir=None) -> list[dict]:
+def ablation(kind: str, config: ExperimentConfig) -> list[dict]:
     """Run one ablation matrix over the config's seeds, every cell on one dataset.
 
     precondition_length forces switch points at the configured ratios of the
     budget; fixed_vs_updated_variance contrasts frozen and running variance in
     the masked phase; decaying_mask contrasts the stagewise-decay recipe with
-    and without its dense warmup.  The cells train in turn, each over every seed.
+    and without its dense warmup.  The cells train in turn, each over every seed, and
+    the rows are returned and written to ``ablation_<kind>.csv`` in ``config.output_dir``.
     """
-    if output_dir is not None:
-        check_output_dir(output_dir)
     if kind not in ABLATION_KINDS:
         raise ConfigError(f"unknown ablation kind {kind!r}")
     cells: list[tuple[str, Recipe, SwitchCriterion | None]] = []
@@ -470,8 +463,7 @@ def ablation(kind: str, config: ExperimentConfig, output_dir=None) -> list[dict]
     columns = ("cell", "seed", "sparse_eval_loss", "dense_eval_loss", "switched_at")
     rows = [dict(zip(columns, (label, seed) + figures))
             for label, seed, figures, _ in _train_runs(config, cells)]
-    if output_dir is not None:
-        _write_rows_csv(make_output_dir(output_dir) / f"ablation_{kind}.csv", rows, columns)
+    _write_rows_csv(make_output_dir(config.output_dir) / f"ablation_{kind}.csv", rows, columns)
     return rows
 
 

@@ -1,6 +1,6 @@
 """Mutation audit of the boundary conventions: every one-line mutant must fail Tier-1.
 
-Run it by hand from anywhere; it takes about six minutes on two cores:
+Run it by hand from anywhere; it takes about fifteen minutes on two cores:
 
     python tests/mutants.py           # every mutant
     python tests/mutants.py S3 K1     # only the named ones
@@ -86,12 +86,58 @@ MUTANTS = {
     "C2": ("errors.py", "unread = set(given) - set(reads[kind])",
            "unread = set(given) - set().union(*reads.values())",
            "a kind reads every key that any kind of its section reads"),
-    "C3": ("errors.py", "sorted(unread, key=str)", "sorted(unread)",
-           "unread keys of mixed types cannot be sorted"),
+    "C3": ("errors.py",
+           "sorted(keys, key=lambda key: shown(key) if isinstance(key, int) else str(key))",
+           "sorted(keys)", "listed keys of mixed types cannot be sorted"),
     "D1": ("models.py", 'self.kind == "blobs" and self.n_classes < 2',
            'self.kind == "blobs" and self.n_classes < 1', "blobs may have a single class"),
     "D2": ("models.py", "len(header) <= n_targets", "len(header) < n_targets",
            "a CSV header may hold only target columns"),
+    "R1": ("optim.py", "if not 0.0 <= self.beta2 < 1.0:", "if not 0.0 < self.beta2 < 1.0:",
+           "Adam refuses a beta2 of 0"),
+    "R2": ("optim.py", "if not 0.0 <= self.beta2 < 1.0:", "if not 0.0 <= self.beta2 <= 1.0:",
+           "Adam takes a beta2 of 1"),
+    "R3": ("optim.py", "if not 0.0 <= self.beta1 < 1.0:", "if not 0.0 < self.beta1 < 1.0:",
+           "Adam refuses a beta1 of 0"),
+    "R4": ("optim.py", "self.cosine_steps < 1:", "self.cosine_steps <= 1:",
+           "a cosine schedule of one step is refused"),
+    "R5": ("theory.py", "if not 0.0 < beta2 < 1.0:", "if not 0.0 <= beta2 < 1.0:",
+           "the theorem takes a beta2 of 0"),
+    "R6": ("theory.py", "if not 0.0 < beta2 < 1.0:", "if not 0.0 < beta2 <= 1.0:",
+           "the theorem takes a beta2 of 1"),
+    "R7": ("theory.py", "if not 0.0 < delta <= 2.0:", "if not 0.0 <= delta <= 2.0:",
+           "azuma_bound takes a delta of 0"),
+    "R8": ("theory.py", "not 0.0 <= self.level <= self.bound", "not 0.0 < self.level <= self.bound",
+           "a constant stream refuses the level 0"),
+    "R9": ("theory.py", "not 0.0 <= self.level <= self.bound", "not 0.0 <= self.level < self.bound",
+           "a constant stream refuses the level G"),
+    "R10": ("theory.py", "not 0.0 <= self.p <= 1.0", "not 0.0 < self.p <= 1.0",
+            "a bernoulli stream refuses p = 0"),
+    "R11": ("theory.py", "not 0.0 <= self.p <= 1.0", "not 0.0 <= self.p < 1.0",
+            "a bernoulli stream refuses p = 1"),
+    "R12": ("theory.py", "not 0.0 < self.sigma < math.inf", "not 0.0 <= self.sigma < math.inf",
+            "a squared Gaussian takes a sigma of 0"),
+    "R13": ("theory.py", "per_step_bound_ok=max_step_dev <= step_bound + PER_STEP_SLACK",
+            "per_step_bound_ok=max_step_dev < step_bound + PER_STEP_SLACK",
+            "a move equal to the per-step bound plus its slack fails"),
+    "R14": ("autoswitch.py", "if not 0 <= t_min < t_max:", "if not 0 <= t_min <= t_max:",
+            "a clip may have T_min = T_max"),
+    "R15": ("autoswitch.py", "if t0 < 0:", "if t0 <= 0:", "the metric refuses a switch at step 0"),
+    "R16": ("autoswitch.py", "if len(l1_diffs_by_step) <= t0 + 1001:",
+            "if len(l1_diffs_by_step) < t0 + 1001:",
+            "a profile one step short is scored on a 1000-step window"),
+    "R17": ("harness.py", "if total_steps < 1:", "if total_steps <= 1:",
+            "a budget of one step is refused"),
+    "R18": ("models.py", "if self.n_samples < 1:", "if self.n_samples <= 1:",
+            "a dataset of one sample is refused"),
+    "B1": ("harness.py", "    if output_dir is not None:\n        doc[",
+           "    if output_dir:\n        doc[",
+           "an empty --out is ignored, and the document's output_dir is used"),
+    "B2": ("errors.py", "key=lambda key: shown(key) if isinstance(key, int) else str(key)",
+           "key=str",
+           "an int key too long to print fails the listing with a bare ValueError"),
+    "B3": ("harness.py", "if not str(path):", "if False:",
+           "validate-theorem --out '' writes no report and exits 0"),
     "E1": ("autoswitch.py", "if prev is None or prev <= 0.0:", "if prev is None or prev == 0.0:",
            "relative skips only a zero norm, not a negative one"),
 }

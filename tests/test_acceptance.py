@@ -200,7 +200,7 @@ def test_gradient_correctness_fd():
 
 
 @pytest.mark.parametrize("beta2", [0.999, 0.99])
-def test_switch_quality_ordering(beta2):
+def test_switch_quality_ordering(beta2, tmp_path):
     """5-seed dense profiles: the clipped autoswitch's t0 beats both baselines.
 
     At beta2 = 0.999 the clip decides the autoswitch row, not the window: the
@@ -220,11 +220,12 @@ def test_switch_quality_ordering(beta2):
         "recipe": {"kind": "dense"},
         "total_steps": 2600,
         "seeds": [1, 2, 3, 4, 5],
+        "output_dir": str(tmp_path),
     }
     config = harness.config_from_dict(doc)
     t_max = harness.default_comparison_criteria(config.total_steps)[0].clip[1]
     assert t_max == 1300
-    rows = harness.compare_switch(config)
+    rows = harness.compare_switch(config, harness.default_comparison_criteria(config.total_steps))
     by_seed = {}
     for row in rows:
         by_seed.setdefault(row["seed"], {})[row["criterion"].split("[")[0]] = row

@@ -332,6 +332,10 @@ class TestSwitchCriterionValidation:
         with pytest.raises(ConfigError):
             SwitchCriterion(kind="autoswitch", clip=(500, 100))
 
+    def test_a_clip_with_t_min_equal_to_t_max_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^clipping needs 0 <= T_min < T_max, got \(5, 5\)$"):
+            SwitchCriterion(kind="autoswitch", clip=(5, 5))
+
     # the fields each kind does not read, with a value that is valid for the kinds that do
     @pytest.mark.parametrize("kind,field,value", [
         ("autoswitch", "threshold", 0.5), ("autoswitch", "step", 7),
@@ -404,6 +408,16 @@ class TestAvgChangeMetric:
                             for t in range(100, 1101))
         metric = avg_change_metric_from_diffs(_l1_diffs(v_by_step), t0=100)
         assert math.isclose(metric, direct, rel_tol=1e-12)
+
+    def test_a_switch_at_step_0_is_scored(self):
+        # the window is the changes of steps 1 to 1001
+        assert avg_change_metric_from_diffs([5.0] + [2.0] * 1001 + [7.0], t0=0) == 1e-3 * 2002
+
+    def test_a_profile_one_step_short_raises(self):
+        # a switch at step 3 needs the changes up to step 1004, entries 0 to 1004
+        assert avg_change_metric_from_diffs([1.0] * 1005, t0=3) == 1e-3 * 1001
+        with pytest.raises(RangeError, match=r"needs per-step changes up to step 1004, have 1003$"):
+            avg_change_metric_from_diffs([1.0] * 1004, t0=3)
 
     def test_diffs_variant_too_short(self):
         with pytest.raises(RangeError):

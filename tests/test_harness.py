@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import inspect
 import json
@@ -363,14 +364,14 @@ class TestKeysByKind:
 class TestOptimizerNumbers:
     def test_json_dumps_exponent_floats_load_and_run(self, tmp_path):
         doc = json.loads(json.dumps(BASE_CONFIG))
-        doc.update(seeds=[1], total_steps=30,
+        doc.update(seeds=[1], total_steps=30, output_dir=str(tmp_path / "out"),
                    optimizer={"lr": 5e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08})
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         assert '"eps": 1e-08' in path.read_text()
         config = harness.load_config(path)
         assert config.hyper.eps == 1e-8 and config.hyper.lr_at(0) == 5e-3
-        harness.run(config, output_dir=tmp_path / "out")
+        harness.run(config)
         assert (tmp_path / "out" / "trajectory_seed1.jsonl").exists()
 
     @pytest.mark.parametrize("slot", [("optimizer", "lr"), ("data", "noise_std"),
@@ -449,6 +450,17 @@ class TestOptimizerNumbers:
         assert shown(10**4000) == str(10**4000) and shown([1, "a"]) == "[1, 'a']"
         assert shown(10**4300) == "an integer of 14285 bits"
 
+    @pytest.mark.parametrize("section", ["config", "model"])
+    def test_a_key_too_long_to_print_is_named_by_its_size(self, section):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        (doc if section == "config" else doc[section])[10**5000] = 1
+        with pytest.raises(ConfigError) as info:
+            harness.config_from_dict(doc)
+        assert str(info.value) == f"unknown key(s) in '{section}': [an integer of 16610 bits]"
+        with pytest.raises(ConfigError) as info:
+            check_kind("stream", "a", {"a": ()}, ["zz", 10**5000])
+        assert str(info.value) == "stream kind 'a' does not read [an integer of 16610 bits, 'zz']"
+
     def test_non_numeric_lr_is_config_error(self, tmp_path):
         path, _ = make_config(tmp_path, optimizer={"lr": "big"})
         with pytest.raises(ConfigError, match="optimizer.lr"):
@@ -472,7 +484,7 @@ class TestLoadConfigOverrides:
         out = str(tmp_path / "X")
         seen = []
         real_run = harness.run
-        monkeypatch.setattr(harness, "run", lambda config, **k: seen.append(config) or real_run(config, **k))
+        monkeypatch.setattr(harness, "run", lambda config: seen.append(config) or real_run(config))
         result = CliRunner().invoke(cli_main, ["run", "--config", str(path), "--seed", "4",
                                                "--seed", "9", "--out", out])
         assert result.exit_code == 0, result.output
@@ -497,10 +509,11 @@ class TestLoadConfigOverrides:
         assert result.exit_code == 0, result.output
         ((args, kwargs),) = seen
         config = [a for a in args if isinstance(a, harness.ExperimentConfig)][0]
-        assert config.output_dir == kwargs["output_dir"] == out
+        assert config.output_dir == out and not kwargs  # the config is the one place it is named
         result = CliRunner().invoke(cli_main, [*command, "--config", str(path)])
         assert result.exit_code == 0, result.output
-        assert seen[1][1]["output_dir"] == "runs"  # the document's own
+        config = [a for a in seen[1][0] if isinstance(a, harness.ExperimentConfig)][0]
+        assert config.output_dir == "runs"  # the document's own
 
     def test_seed_flag_needs_the_documents_seeds_entry(self, tmp_path, monkeypatch, capsys):
         path, _ = make_config(tmp_path, seeds=None)
@@ -558,16 +571,16 @@ class TestRun:
     def test_byte_identical_reruns(self, tmp_path):
         path, _ = make_config(tmp_path, seeds=[1])
         config = harness.load_config(path)
-        harness.run(config, output_dir=tmp_path / "a")
-        harness.run(config, output_dir=tmp_path / "b")
+        harness.run(dataclasses.replace(config, output_dir=str(tmp_path / "a")))
+        harness.run(dataclasses.replace(config, output_dir=str(tmp_path / "b")))
         a = (tmp_path / "a" / "trajectory_seed1.jsonl").read_bytes()
         b = (tmp_path / "b" / "trajectory_seed1.jsonl").read_bytes()
         assert a == b
 
     def test_trajectory_lines_self_describing(self, tmp_path):
-        path, _ = make_config(tmp_path, seeds=[1])
+        path, _ = make_config(tmp_path, seeds=[1], output_dir=str(tmp_path / "out"))
         config = harness.load_config(path)
-        harness.run(config, output_dir=tmp_path / "out")
+        harness.run(config)
         lines = (tmp_path / "out" / "trajectory_seed1.jsonl").read_text().strip().split("\n")
         step_keys = {"kind", "step", "phase", "loss", "v_l1", "v_l2", "z", "z_geom",
                      "z_bar", "switched_at"}
@@ -586,25 +599,26 @@ class TestRun:
         assert len(switches) <= 1
 
     def test_step_line_keys_are_kind_then_the_record_fields_in_order(self, tmp_path):
-        path, _ = make_config(tmp_path, seeds=[1], total_steps=30)
-        harness.run(harness.load_config(path), output_dir=tmp_path / "out")
+        path, _ = make_config(tmp_path, seeds=[1], total_steps=30, output_dir=str(tmp_path / "out"))
+        harness.run(harness.load_config(path))
         with open(tmp_path / "out" / "trajectory_seed1.jsonl") as fh:
             first = json.loads(fh.readline())
         assert list(first) == ["kind"] + [f.name for f in dataclasses.fields(StepRecord)]
 
     def test_clipped_switch_lands_in_budget_window(self, tmp_path):
-        path, _ = make_config(tmp_path, seeds=[1, 2])
+        path, _ = make_config(tmp_path, seeds=[1, 2], output_dir=str(tmp_path / "out"))
         config = harness.load_config(path)
-        summary = harness.run(config, output_dir=tmp_path / "out")
+        summary = harness.run(config)
         t = config.total_steps
         for t0 in summary["switched_at"]:
             assert t0 is not None
             assert 0.1 * t < t0 <= 0.5 * t
 
     def test_dense_recipe_records(self, tmp_path):
-        path, _ = make_config(tmp_path, seeds=[3], recipe={"kind": "dense"}, switch=None)
+        path, _ = make_config(tmp_path, seeds=[3], recipe={"kind": "dense"}, switch=None,
+                              output_dir=str(tmp_path / "out"))
         config = harness.load_config(path)
-        harness.run(config, output_dir=tmp_path / "out")
+        harness.run(config)
         lines = (tmp_path / "out" / "trajectory_seed3.jsonl").read_text().strip().split("\n")
         records = [json.loads(line) for line in lines][:-1]
         assert all(r["phase"] == "precondition" for r in records)
@@ -624,16 +638,18 @@ class TestRun:
         monkeypatch.setattr(harness, "recipe_train", spy)
         path, _ = make_config(tmp_path, seeds=[1, 2, 3], total_steps=30,
                               switch={"kind": "fixed", "step": 10},
-                              ablation={"precondition_ratios": [0.2, 0.5]})
+                              ablation={"precondition_ratios": [0.2, 0.5]},
+                              output_dir=str(tmp_path / "out"))
         config = harness.load_config(path)
-        summary = harness.run(config, output_dir=tmp_path / "out")
+        summary = harness.run(config)
         assert len(alive) == 3 and summary["switched_at"] == [10, 10, 10]
         rows = harness.ablation("precondition_length", config)
         assert len(alive) == 3 + 6 and [row["switched_at"] for row in rows] == [6] * 3 + [15] * 3
         assert all(ref() is None for ref in alive)
 
     def test_task_writes_the_trajectory_and_returns_only_figures(self, tmp_path, monkeypatch):
-        path, _ = make_config(tmp_path, seeds=[1], total_steps=30)
+        written = tmp_path / "not" / "yet"
+        path, _ = make_config(tmp_path, seeds=[1], total_steps=30, output_dir=str(written))
         config = harness.load_config(path)
 
         def train(recipe, criterion):
@@ -643,7 +659,6 @@ class TestRun:
         result = train(config.recipe, config.criterion)
         harness.write_trajectory(tmp_path / "expected.jsonl", result)
         dense = train(optim.Recipe("dense"), None)
-        written = tmp_path / "not" / "yet"
         real = harness.recipe_train
 
         def spy(*args, **kwargs):
@@ -652,7 +667,7 @@ class TestRun:
 
         monkeypatch.setattr(harness, "recipe_train", spy)
         cells = [("step", config.recipe, config.criterion), ("dense", optim.Recipe("dense"), None)]
-        (label, seed, figures, records), = harness._train_runs(config, cells[:1], written)
+        (label, seed, figures, records), = harness._train_runs(config, cells[:1], trajectories=True)
         assert (label, seed, records) == ("step", 1, result.records)
         assert figures == (result.sparse_eval_loss, result.dense_eval_loss, result.switched_at)
         made = written / "trajectory_seed1.jsonl"
@@ -673,11 +688,11 @@ class TestRun:
 
         monkeypatch.setattr(harness.DataConfig, "build", spy)
         path, _ = make_config(tmp_path, seeds=[1, 2, 3], total_steps=40,
-                              switch={"kind": "fixed", "step": 10})
+                              switch={"kind": "fixed", "step": 10}, output_dir=str(tmp_path / "out"))
         config = harness.load_config(path)
         two_seeds = dataclasses.replace(config, seeds=(1, 2))
         commands = [
-            lambda: harness.run(config, output_dir=tmp_path / "out"),
+            lambda: harness.run(config),
             lambda: harness.ablation("fixed_vs_updated_variance", two_seeds),
             # a window of 1000 never fills in 40 steps: no switch, so no metric window
             lambda: harness.compare_switch(two_seeds, [SwitchCriterion(kind="autoswitch")]),
@@ -698,8 +713,8 @@ class TestRun:
         def refuse(constant):
             raise AssertionError(f"{constant} is not JSON")
 
-        path, _ = make_config(tmp_path, seeds=seeds, total_steps=40)
-        harness.run(harness.load_config(path), output_dir=tmp_path / "out")
+        path, _ = make_config(tmp_path, seeds=seeds, total_steps=40, output_dir=str(tmp_path / "out"))
+        harness.run(harness.load_config(path))
         summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
                              parse_constant=refuse)
         if len(seeds) == 1:
@@ -709,8 +724,8 @@ class TestRun:
             assert len([json.loads(line, parse_constant=refuse) for line in text.splitlines()]) == 41
 
     def test_summary_stds_are_population_stds(self, tmp_path):
-        path, _ = make_config(tmp_path, total_steps=40)  # seeds 1 and 2
-        harness.run(harness.load_config(path), output_dir=tmp_path / "out")
+        path, _ = make_config(tmp_path, total_steps=40, output_dir=str(tmp_path / "out"))  # seeds 1, 2
+        harness.run(harness.load_config(path))
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         finals = [json.loads((tmp_path / "out" / f"trajectory_seed{seed}.jsonl")
                              .read_text().splitlines()[-1]) for seed in (1, 2)]
@@ -719,10 +734,19 @@ class TestRun:
             assert values[0] != values[1]
             assert summary[f"{figure}_std"] == statistics.pstdev(values)
 
-    def test_summary_written(self, tmp_path):
-        path, _ = make_config(tmp_path, seeds=[1])
+    def test_a_budget_of_one_step_loads_and_trains(self, tmp_path):
+        path, _ = make_config(tmp_path, seeds=[1], total_steps=1, recipe={"kind": "dense"},
+                              switch=None, output_dir=str(tmp_path / "out"))
         config = harness.load_config(path)
-        harness.run(config, output_dir=tmp_path / "out")
+        assert config.total_steps == 1
+        harness.run(config)
+        lines = (tmp_path / "out" / "trajectory_seed1.jsonl").read_text().splitlines()
+        assert [json.loads(line)["kind"] for line in lines] == ["step", "final"]
+
+    def test_summary_written(self, tmp_path):
+        path, _ = make_config(tmp_path, seeds=[1], output_dir=str(tmp_path / "out"))
+        config = harness.load_config(path)
+        harness.run(config)
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["n_seeds"] == 1
         assert "sparse_eval_loss_mean" in summary
@@ -731,12 +755,10 @@ class TestRun:
 class TestCompareSwitch:
     def test_rows_shape_and_no_switch(self, tmp_path):
         path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None,
-                              total_steps=40)
+                              total_steps=40, output_dir=str(tmp_path / "cmp"))
         config = harness.load_config(path)
         # an autoswitch window of 1000 can never fill in 40 steps: no-switch row
-        rows = harness.compare_switch(
-            config, [SwitchCriterion(kind="autoswitch")], output_dir=tmp_path / "cmp"
-        )
+        rows = harness.compare_switch(config, [SwitchCriterion(kind="autoswitch")])
         assert len(rows) == 1
         assert rows[0]["t0"] is None
         assert rows[0]["note"] == "no-switch"
@@ -744,7 +766,7 @@ class TestCompareSwitch:
 
     def test_metric_window_must_fit(self, tmp_path):
         path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None,
-                              total_steps=60)
+                              total_steps=60, output_dir=str(tmp_path / "cmp"))
         config = harness.load_config(path)
         from stepnm.errors import RangeError
 
@@ -752,16 +774,18 @@ class TestCompareSwitch:
             harness.compare_switch(config, [SwitchCriterion(kind="relative")])
 
     def test_empty_criteria_rejected_before_training(self, tmp_path, monkeypatch):
-        path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None)
+        path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None,
+                              output_dir=str(tmp_path / "cmp"))
         config = harness.load_config(path)
         monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
         with pytest.raises(ConfigError, match="at least one criterion"):
-            harness.compare_switch(config, [], output_dir=tmp_path / "cmp")
+            harness.compare_switch(config, [])
         assert not (tmp_path / "cmp").exists()
 
     def test_criteria_list_length_matches_rows(self, tmp_path):
         path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None,
-                              total_steps=1200, optimizer={"lr": 0.005, "beta2": 0.99})
+                              total_steps=1200, optimizer={"lr": 0.005, "beta2": 0.99},
+                              output_dir=str(tmp_path / "cmp"))
         config = harness.load_config(path)
         criteria = [SwitchCriterion(kind="relative"), SwitchCriterion(kind="staleness")]
         rows = harness.compare_switch(config, criteria)
@@ -775,15 +799,15 @@ class TestCompareSwitch:
 class TestAblation:
     def test_precondition_length_cells(self, tmp_path):
         config = harness.config_from_dict({**json.loads(json.dumps(BASE_CONFIG)),
-                                           "seeds": [1],
+                                           "seeds": [1], "output_dir": str(tmp_path / "abl"),
                                            "ablation": {"precondition_ratios": [0.25, 1.0]}})
-        rows = harness.ablation("precondition_length", config, output_dir=tmp_path / "abl")
+        rows = harness.ablation("precondition_length", config)
         assert [r["cell"] for r in rows] == ["ratio=0.25", "ratio=1.0"]
         assert (tmp_path / "abl" / "ablation_precondition_length.csv").exists()
 
     def test_ratio_one_equals_dense_plus_final_mask(self, tmp_path):
         doc = json.loads(json.dumps(BASE_CONFIG))
-        doc.update(seeds=[5], ablation={"precondition_ratios": [1.0]})
+        doc.update(seeds=[5], ablation={"precondition_ratios": [1.0]}, output_dir=str(tmp_path))
         config = harness.config_from_dict(doc)
         rows = harness.ablation("precondition_length", config)
         dense = optim.recipe_train(config.model, config.data.build(config.model.kind),
@@ -792,17 +816,17 @@ class TestAblation:
         assert rows[0]["sparse_eval_loss"] == dense.sparse_eval_loss
         assert rows[0]["dense_eval_loss"] == dense.dense_eval_loss
 
-    def test_fixed_vs_updated_cells(self):
+    def test_fixed_vs_updated_cells(self, tmp_path):
         doc = json.loads(json.dumps(BASE_CONFIG))
-        doc.update(seeds=[1], switch={"kind": "fixed", "step": 40})
+        doc.update(seeds=[1], switch={"kind": "fixed", "step": 40}, output_dir=str(tmp_path))
         config = harness.config_from_dict(doc)
         rows = harness.ablation("fixed_vs_updated_variance", config)
         assert [r["cell"] for r in rows] == ["fixed_variance", "updated_variance"]
         assert all(r["switched_at"] == 40 for r in rows)
 
-    def test_decaying_mask_cells(self):
+    def test_decaying_mask_cells(self, tmp_path):
         doc = json.loads(json.dumps(BASE_CONFIG))
-        doc.update(seeds=[1], switch={"kind": "fixed", "step": 30},
+        doc.update(seeds=[1], switch={"kind": "fixed", "step": 30}, output_dir=str(tmp_path),
                    ablation={"decay": {"m": 4, "stage_boundaries": [60]}})
         config = harness.config_from_dict(doc)
         rows = harness.ablation("decaying_mask", config)
@@ -840,6 +864,89 @@ class TestAblation:
         assert exit_info.value.code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+class TestOutputDirectory:
+    """Each driver writes into ``config.output_dir`` alone, checked before any compute."""
+
+    DRIVERS = {
+        "run": harness.run,
+        "compare_switch": lambda config: harness.compare_switch(
+            config, [SwitchCriterion(kind="autoswitch")]),  # no switch in 8 steps, so no metric
+        "ablation": lambda config: harness.ablation("fixed_vs_updated_variance", config),
+    }
+
+    def test_the_drivers_take_no_directory_and_compare_switch_no_default_criteria(self):
+        for driver in (harness.run, harness.compare_switch, harness.ablation):
+            assert "output_dir" not in inspect.signature(driver).parameters
+        criteria = inspect.signature(harness.compare_switch).parameters["criteria"]
+        assert criteria.default is inspect.Parameter.empty
+
+    @pytest.mark.parametrize("driver, written", [
+        ("run", ["summary.json", "trajectory_seed1.jsonl"]),
+        ("compare_switch", ["compare_switch.csv"]),
+        ("ablation", ["ablation_fixed_vs_updated_variance.csv"]),
+    ])
+    def test_each_driver_writes_into_the_configs_output_dir(self, tmp_path, monkeypatch, driver,
+                                                            written):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "a" / "b"
+        path, _ = make_config(tmp_path, seeds=[1], total_steps=8,
+                              switch={"kind": "fixed", "step": 4}, output_dir=str(out))
+        rows = self.DRIVERS[driver](harness.load_config(path))
+        assert sorted(p.name for p in out.iterdir()) == written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "config.yaml"]
+        if driver != "run":
+            with open(out / written[0], newline="") as fh:
+                assert list(csv.DictReader(fh)) == [
+                    {key: "" if value is None else str(value) for key, value in row.items()}
+                    for row in rows]
+
+    @pytest.mark.parametrize("driver", list(DRIVERS))
+    def test_a_directory_blocked_by_a_file_fails_before_any_training(self, tmp_path, monkeypatch,
+                                                                     driver):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        path, _ = make_config(tmp_path, seeds=[1], total_steps=8,
+                              switch={"kind": "fixed", "step": 4}, output_dir=str(taken / "out"))
+        config = harness.load_config(path)
+        calls = []
+        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: calls.append("recipe_train"))
+        monkeypatch.setattr(harness.DataConfig, "build", lambda *a, **k: calls.append("build"))
+        message = f"cannot write to output directory {taken / 'out'}: {taken} is not a directory"
+        with pytest.raises(ConfigError) as info:
+            self.DRIVERS[driver](config)
+        assert str(info.value) == message
+        assert calls == []
+        assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command, message", [
+        (["run"], "output_dir must not be empty; leave it out for 'runs'"),
+        (["compare-switch"], "output_dir must not be empty; leave it out for 'runs'"),
+        (["ablate", "--kind", "fixed_vs_updated_variance"],
+         "output_dir must not be empty; leave it out for 'runs'"),
+        (["validate-theorem"], "output directory must not be empty"),
+    ], ids=["run", "compare-switch", "ablate", "validate-theorem"])
+    def test_an_empty_out_exits_2_before_any_step_or_draw(self, tmp_path, monkeypatch, capsys,
+                                                          command, message):
+        # Path('') is the current directory: an empty --out would write there
+        path, _ = make_config(tmp_path)
+        if command[0] != "validate-theorem":
+            command = command + ["--config", str(path)]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(models.DataConfig, "build", lambda *a, **k: pytest.fail("data was built"))
+        monkeypatch.setattr(theory.StationaryStream, "draw", lambda *a, **k: pytest.fail("drew"))
+        monkeypatch.setattr("sys.argv", ["stepnm", *command, "--out", ""])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            if command[0] == "validate-theorem":
+                harness.check_output_dir("")
+            else:
+                harness.load_config(path, output_dir="")
 
 
 class TestCLI:
@@ -1212,11 +1319,11 @@ class TestCSVDataConfig:
         doc = {**BASE_CONFIG, "model": {"kind": "mlp_classifier", "layer_sizes": [3, 8, 2]},
                "data": {"kind": "csv", "path": str(csv_path)}, "optimizer": {"lr": 1e-3},
                "recipe": {"kind": "dense"}, "sparsity": None, "switch": None, "seeds": [1],
-               "total_steps": 20}
+               "total_steps": 20, "output_dir": str(tmp_path / "out")}
         with warnings.catch_warnings(record=True) as caught, \
                 pytest.raises(NumericalError, match=r"^non-finite v_l2 at step 1$"):
             warnings.simplefilter("always")
-            harness.run(harness.config_from_dict(doc), output_dir=tmp_path / "out")
+            harness.run(harness.config_from_dict(doc))
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "out").exists()
 
@@ -1229,10 +1336,10 @@ class TestCSVDataConfig:
         doc.update(
             seeds=[1], total_steps=40,
             data={"kind": "csv", "path": str(csv_path), "batch_size": 16},
-            switch={"kind": "fixed", "step": 20},
+            switch={"kind": "fixed", "step": 20}, output_dir=str(tmp_path / "out"),
         )
         config = harness.config_from_dict(doc)
-        summary = harness.run(config, output_dir=tmp_path / "out")
+        summary = harness.run(config)
         assert summary["switched_at"] == [20]
 
 
@@ -1249,9 +1356,9 @@ def test_shipped_config_loads_as_plain_data(name):
 class TestShippedCompareSwitchConfig:
     def test_every_criterion_gets_a_metric(self, tmp_path):
         config = dataclasses.replace(harness.load_config(CONFIGS / "compare_switch.yaml"),
-                                     seeds=(1,))
-        rows = harness.compare_switch(config, output_dir=tmp_path / "cmp")
+                                     seeds=(1,), output_dir=str(tmp_path / "cmp"))
         criteria = harness.default_comparison_criteria(config.total_steps)
+        rows = harness.compare_switch(config, criteria)
         assert [r["criterion"] for r in rows] == [c.label() for c in criteria]
         assert all(r["t0"] is not None and r["avg_change_metric"] is not None for r in rows)
 
@@ -1279,6 +1386,9 @@ class TestTypedInputErrors:
     @pytest.mark.parametrize("overrides,extra,message", [
         ({"data": None}, "data: {kind: blobs, 1: 2, zz: 3}\n", "unknown key(s) in 'data': [1, 'zz']"),
         ({}, "~: 1\nzz: 2\n", "unknown key(s) in 'config': [None, 'zz']"),
+        # sorted by str, and each key by its repr
+        ({}, "zz: 1\n5: 2\n\"a'b\": 3\n~: 4\n'10': 5\n",
+         "unknown key(s) in 'config': ['10', 5, None, \"a'b\", 'zz']"),
     ])
     def test_mixed_type_unknown_keys_exit_2(self, tmp_path, monkeypatch, capsys,
                                             overrides, extra, message):
@@ -1459,8 +1569,8 @@ class TestBenchmarkHooks:
                             (harness, "write_trajectory"), (harness, "recipe_train")]:
             spy(owner, name)
         path, _ = make_config(tmp_path, seeds=[1], total_steps=4,
-                              switch={"kind": "fixed", "step": 2})
-        harness.run(harness.load_config(path), output_dir=tmp_path / "out")
+                              switch={"kind": "fixed", "step": 2}, output_dir=str(tmp_path / "out"))
+        harness.run(harness.load_config(path))
         assert set(calls) == {"batch_iterator", "loss_and_grad", "forward_loss", "compute_nm_mask",
                               "adam_step", "make_detector", "write_trajectory", "recipe_train"}
         assert calls.count("adam_step") == 4  # one update call per step, in both phases

@@ -86,6 +86,12 @@ class TestSynthetic:
         hidden, *_ = np.linalg.lstsq(ds.inputs, ds.targets, rcond=None)
         np.testing.assert_allclose(ds.inputs @ hidden, ds.targets, atol=1e-10)
 
+    @pytest.mark.parametrize("kind, model", [("regression", "linear_regression"),
+                                             ("blobs", "mlp_classifier")])
+    def test_a_single_sample(self, kind, model):
+        ds = models.DataConfig(kind, 1, 2, seed=3, batch_size=1).build(model)
+        assert ds.inputs.shape == (1, 2) and ds.n_samples == ds.batch_size == 1
+
     def test_blobs_needs_two_classes(self):
         with pytest.raises(ConfigError):
             models.DataConfig("blobs", 10, 2, n_classes=1)

@@ -276,6 +276,15 @@ class TestAdamStep:
         with pytest.raises(ConfigError):
             AdamHyper(eps=0.0)
 
+    @pytest.mark.parametrize("key", ["beta1", "beta2"])
+    def test_a_decay_rate_of_zero_is_allowed(self, key):
+        # [0, 1): a rate of 0 keeps only the latest gradient (beta1) or its square (beta2)
+        assert getattr(AdamHyper(**{key: 0.0}), key) == 0.0
+
+    def test_a_beta2_of_one_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^beta2 must be in \[0, 1\), got 1.0$"):
+            AdamHyper(beta2=1.0)
+
 
 class TestGradientTransforms:
     def test_ste_dense_gradient_at_masked_point(self):
@@ -755,3 +764,7 @@ class TestLRSchedules:
             AdamHyper(lr=0.0, cosine_steps=10)
         with pytest.raises(ConfigError):
             AdamHyper(lr=0.01, cosine_steps=0)
+
+    def test_a_cosine_of_one_step(self):
+        hyper = AdamHyper(lr=0.01, cosine_steps=1)
+        assert hyper.lr_at(0) == 0.01 and hyper.lr_at(1) == hyper.lr_at(5) == 0.0

@@ -8,6 +8,7 @@ steps of the benchmark's wide model and linear regression with one output
 and with several.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -132,7 +133,7 @@ def test_final_masks_take_the_plan_at_the_last_step():
         assert (mask.reshape(-1, 4).sum(axis=1) == 1.0).all(), name
 
 
-def test_compare_switch_metric_is_the_reference_variance_change():
+def test_compare_switch_metric_is_the_reference_variance_change(tmp_path):
     """A seed's metric is 1e-3 times the sum of ||v_t - v_{t-1}||_1 over the 1001 steps after t0.
 
     compare_switch rebuilds each change from its record's mean change z; the
@@ -144,7 +145,7 @@ def test_compare_switch_metric_is_the_reference_variance_change():
            "data": {"kind": "blobs", "n_samples": 256, "n_features": sizes[0],
                     "n_classes": sizes[-1], "noise_std": 0.6, "seed": 0, "batch_size": 32},
            "optimizer": {"lr": 5e-3, "beta2": 0.99}, "recipe": {"kind": "dense"},
-           "total_steps": steps, "seeds": [1]}
+           "total_steps": steps, "seeds": [1], "output_dir": str(tmp_path)}
     config = harness.config_from_dict(doc)
     [row] = harness.compare_switch(config, [SwitchCriterion(kind="fixed", step=t0)])
     assert row["t0"] == t0
@@ -308,7 +309,7 @@ def config_documents(draw, recipe: str):
 @pytest.mark.parametrize("recipe", optim.RECIPE_KINDS)
 @settings(deadline=None, max_examples=10, derandomize=True, database=None)
 @given(data=st.data())
-def test_config_layer_matches_the_plain_reading(recipe, data):
+def test_config_layer_matches_the_plain_reading(recipe, data, tmp_path_factory):
     """config_from_dict, then the runs of ``run`` and ``ablate --kind precondition_length``
     through harness._train_runs, against ``_plain_runs`` on the same document, bit for bit."""
     doc = data.draw(config_documents(recipe), label="doc")
@@ -323,7 +324,8 @@ def test_config_layer_matches_the_plain_reading(recipe, data):
         patch.setattr(harness, "recipe_train", keeping)
         runs = list(harness._train_runs(config, [("run", config.recipe, config.criterion)]))
         if config.ablation.precondition_ratios:
-            harness.ablation("precondition_length", config)
+            out = str(tmp_path_factory.mktemp("ablation"))
+            harness.ablation("precondition_length", dataclasses.replace(config, output_dir=out))
     references = _plain_runs(doc)
     assert len(results) == len(references) == len(doc["seeds"]) * (
         1 + len(config.ablation.precondition_ratios))

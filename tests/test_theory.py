@@ -41,6 +41,18 @@ class TestAzumaBound:
         with pytest.raises(DomainError):
             azuma_bound(1.0, 0.999, 200, 100, 3.0)
 
+    def test_delta_zero_is_refused(self):
+        with pytest.raises(DomainError, match=r"^delta must be in \(0, 2\], got 0.0$"):
+            azuma_bound(1.0, 0.999, 200, 100, 0.0)
+
+    @pytest.mark.parametrize("beta2", [0.0, 1.0])
+    def test_beta2_must_lie_strictly_inside_0_1(self, beta2):
+        for check in (lambda: azuma_bound(1.0, beta2, 200, 100, 0.01),
+                      lambda: min_precondition_step(beta2),
+                      lambda: theory.proof_min_precondition_step(beta2)):
+            with pytest.raises(DomainError, match=rf"^beta2 must be in \(0, 1\), got {beta2}$"):
+                check()
+
 
     def test_t_must_be_below_2_to_the_63(self):
         # past it t - t0 may not convert to a float; 2**63 - 1 still gives a bound
@@ -106,6 +118,20 @@ class TestStationaryStream:
                 with pytest.raises(ConfigError,
                                    match=rf"^stream kind '{kind}' does not read \['{key}'\]$"):
                     StationaryStream(kind=kind, bound=1.0, **{key: value})
+
+    @pytest.mark.parametrize("level", [0.0, 1.5])
+    def test_a_constant_level_may_be_0_or_g(self, level):
+        stream = StationaryStream(kind="constant", bound=1.5, level=level, dim=2)
+        assert (stream.draw(fresh_rngs(0), 3) == level).all()
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_a_bernoulli_p_may_be_0_or_1(self, p):
+        stream = StationaryStream(kind="bernoulli", bound=1.5, p=p, dim=2)
+        assert (stream.draw(fresh_rngs(0), 50) == 1.5 * p).all()
+
+    def test_a_sigma_of_zero_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^sigma must be positive and finite, got 0.0$"):
+            StationaryStream(kind="trunc_gauss_sq", bound=1.0, sigma=0.0)
 
     def test_p_is_unset_but_for_bernoulli(self):
         assert StationaryStream(kind="bernoulli", bound=1.0).p == 0.5
@@ -282,6 +308,16 @@ class TestValidateTheorem:
             "--trials", "8", "--seed", "4"])
         assert result.exit_code == 1
         assert "per_step_bound_ok: False" in result.output
+
+    def test_a_per_step_move_equal_to_the_bound_plus_its_slack_passes(self, monkeypatch):
+        stream = StationaryStream(kind="bernoulli", bound=1.0, seed=4)
+        first = theory.validate_theorem(stream, 0.9, t0=20, t=80, delta=0.05, trials=8)
+        bound = first.max_per_step_deviation - theory.PER_STEP_SLACK
+        assert bound + theory.PER_STEP_SLACK == first.max_per_step_deviation  # exact in floats
+        monkeypatch.setattr(theory, "per_step_bound", lambda *a: bound)
+        report = theory.validate_theorem(stream, 0.9, t0=20, t=80, delta=0.05, trials=8)
+        assert report.max_per_step_deviation == first.max_per_step_deviation
+        assert report.per_step_bound_value == bound and report.per_step_bound_ok
 
     def test_reports_both_t0_conditions(self):
         stream = StationaryStream(kind="bernoulli", bound=1.0, seed=0)
