@@ -222,9 +222,9 @@ def avg_change_metric_from_diffs(l1_diffs_by_step, t0: int) -> float:
     """Scaled total l1 variance change over the 1001 steps following t0.
 
     Entry t of ``l1_diffs_by_step`` is ||v_t - v_{t-1}||_1 (entry 0 is
-    unused).  The sum runs over the changes from v_t0 to v_{t0 + 1001}, as
-    the comparison is defined, so it covers 1001 one-step differences against
-    the 1e-3 scale.
+    unused).  The sum runs over the 1001 one-step changes from v_t0 to
+    v_{t0 + 1001}, against the 1e-3 scale, whatever beta2: at beta2 = 0.99
+    that is ten detector windows.
     """
     if t0 < 0:
         raise RangeError("t0 must be >= 0")

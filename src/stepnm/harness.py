@@ -30,7 +30,7 @@ from .autoswitch import SwitchCriterion, avg_change_metric_from_diffs, evaluate_
 from .errors import ConfigError, check_kind, listed, shown
 from .masks import DecaySchedule, NMRatio, check_plan, plan_at
 from .models import DataConfig
-from .optim import TWO_PHASE_KINDS, AdamHyper, Recipe, TrainResult, recipe_train
+from .optim import RECIPE_KINDS, AdamHyper, Recipe, TrainResult, recipe_train
 
 ABLATION_KINDS = ("precondition_length", "fixed_vs_updated_variance", "decaying_mask")
 
@@ -176,7 +176,7 @@ class ExperimentConfig:
         repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
         if repeated:
             raise ConfigError(f"seed {repeated[0]} is given more than once")
-        if self.recipe.kind in TWO_PHASE_KINDS and self.criterion is None:
+        if RECIPE_KINDS[self.recipe.kind][1] is not None and self.criterion is None:
             raise ConfigError(f"recipe {self.recipe.kind!r} needs a switch section")
         # fail on unknown layers and bad group sizes before any compute; the
         # trainer takes them as checked.  Every stage of a decay keeps its m.
@@ -400,9 +400,12 @@ def compare_switch(config: ExperimentConfig, criteria: list[SwitchCriterion]) ->
     the average variance change over the following 1001 steps (lower is
     better).  Criteria that never fire get a no-switch row.  The rows are
     returned and written to ``compare_switch.csv`` in ``config.output_dir``.
+    A budget below 1002 steps, too short to score even a switch at step 1, fails before training.
     """
     if not criteria:
         raise ConfigError("compare_switch needs at least one criterion")
+    if config.total_steps < 1002:
+        avg_change_metric_from_diffs([0.0] * (config.total_steps + 1), 1)  # raises RangeError
     d = sum(int(np.prod(shape)) for shape in models.param_shapes(config.model).values())
     rows = []
     for _, seed, _, records in _train_runs(config, [("dense", Recipe("dense"), None)]):

@@ -88,18 +88,18 @@ class ParamBuffer(dict):
     in that order; ``bounds`` holds each one's (start, stop) in ``flat``.
     Writing through a view (``buffer[name] += x`` too) writes ``flat`` and
     the reverse.  Rebinding or removing an entry raises TypeError, since a
-    new array would not be part of ``flat``.  ``copy`` copies the data into
-    a new buffer; ``dict(buffer)`` is a plain dict of the views.
+    new array would not be part of ``flat``, and so does ``copy``, which
+    would share the views; ``dict(buffer)`` is a plain dict of the views.
     """
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray | None = None):
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
         self.shapes = shapes
         self.bounds = []
         stop = 0
         for shape in shapes.values():
             start, stop = stop, stop + math.prod(shape)
             self.bounds.append((start, stop))
-        self.flat = np.zeros(stop) if flat is None else flat
+        self.flat = np.zeros(stop)
         super().__init__((name, self.flat[start:stop].reshape(shape))
                          for (name, shape), (start, stop) in zip(shapes.items(), self.bounds))
 
@@ -107,14 +107,11 @@ class ParamBuffer(dict):
         raise TypeError("a ParamBuffer's entries are views of its flat array; "
                         "write through them (buffer[name][...] = x) instead")
 
-    __delitem__ = __ior__ = update = pop = popitem = clear = setdefault = _fixed
+    __delitem__ = __ior__ = update = pop = popitem = clear = setdefault = copy = _fixed
 
     def __setitem__(self, name, value):
         if name not in self or self[name] is not value:  # += stores the same view back
             self._fixed()
-
-    def copy(self) -> "ParamBuffer":
-        return ParamBuffer(self.shapes, self.flat.copy())
 
 
 def check_layout(buffer, what: str, shapes=None) -> None:
@@ -398,6 +395,5 @@ class DataConfig:
             else:  # a hidden linear map
                 inputs = rng.standard_normal(shape)
                 targets = inputs @ rng.standard_normal((self.n_features, 1))
-                if noise > 0:
-                    targets = targets + noise * rng.standard_normal(targets.shape)
+                targets = targets + noise * rng.standard_normal(targets.shape)
         return Dataset(inputs, targets, batch_size=min(self.batch_size, len(inputs)))

@@ -30,14 +30,16 @@ import numpy as np
 
 from . import models
 from .autoswitch import StepRecord, SwitchCriterion, make_detector
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_kind
 from .masks import CHUNK, DecaySchedule, NMRatio, compute_nm_mask, mask_sparsity, plan_at
 
 # keeps zero coordinates inside the log domain for the geometric option
 GEOMETRIC_FLOOR = 1e-30
 
-RECIPE_KINDS = ("dense", "ste", "srste", "step", "step_updated_variance")
-TWO_PHASE_KINDS = ("step", "step_updated_variance")
+# what each recipe kind does: whether it masks from step 1, and the AdamState.mode
+# its switch sets (None: the kind takes no switch)
+RECIPE_KINDS = {"dense": (False, None), "ste": (True, None), "srste": (True, None),
+                "step": (False, "frozen"), "step_updated_variance": (False, "raw")}
 
 
 @dataclass(frozen=True)
@@ -74,16 +76,18 @@ class AdamHyper:
 
 @dataclass
 class AdamState:
-    """Moment accumulators and the completed-step counter.
+    """Moment accumulators, the completed-step counter and the denominator's mode.
 
     ``m`` and ``v`` are ParamBuffers of one layout (DimensionError
-    otherwise), which ``adam_step`` updates in place.  Once ``step`` freezes
-    v, ``v`` holds sqrt(v* + eps).
+    otherwise), which ``adam_step`` updates in place.  ``mode`` is
+    "corrected", "raw" or "frozen" (see ``adam_step``); in "frozen", ``v``
+    holds sqrt(v* + eps).
     """
 
     m: models.ParamBuffer
     v: models.ParamBuffer
     t: int = 0
+    mode: str = "corrected"
 
     def __post_init__(self):
         models.check_layout(self.m, "first moment")
@@ -109,7 +113,7 @@ def _check_figures(step: int, **figures) -> None:
 
 
 def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
-              grads: models.ParamBuffer, freeze_v: bool = False, bias_correct_v: bool = True):
+              grads: models.ParamBuffer):
     """One Adam update over the whole flat buffer, in place; returns (state, params).
 
     ``params``, ``state.m``, a running ``state.v`` and the step counter are
@@ -123,12 +127,12 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
 
     Bias correction divides by 1 - beta**k where k counts the gradients
     accumulated so far, so the first step divides by 1 - beta (never zero).
-    Epsilon sits inside the square root.  The denominator is one of three:
+    Epsilon sits inside the square root.  ``state.mode`` picks the denominator:
 
-    * sqrt(v / (1 - beta2**k) + eps) with the running v (the dense update);
-    * sqrt(v + eps) with the raw running v when ``bias_correct_v`` is False
-      (the masked phase of step_updated_variance);
-    * ``state.v`` as it stands with ``freeze_v`` (step): sqrt(v* / 1.0 + eps),
+    * "corrected": sqrt(v / (1 - beta2**k) + eps) with the running v (the dense update);
+    * "raw": sqrt(v + eps) with the raw running v (the masked phase of
+      step_updated_variance);
+    * "frozen": ``state.v`` as it stands (step): sqrt(v* / 1.0 + eps),
       written once at the switch by ``recipe_train`` and never again, with
       the raw v* (not bias-corrected) and eps inside the root.  Neither
       convention was checked against the paper's algorithm: PAPER.md holds none.
@@ -141,10 +145,10 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     gamma = hyper.lr_at(state.t)
     b1, b2 = hyper.beta1, hyper.beta2
     m_corr = 1.0 - b1**k
-    v_corr = 1.0 - b2**k if bias_correct_v else 1.0  # v / 1.0 is exact
+    v_corr = 1.0 - b2**k if state.mode == "corrected" else 1.0  # v / 1.0 is exact
     size = params.flat.size
     temp = np.empty(min(size, CHUNK))
-    if not freeze_v:
+    if state.mode != "frozen":
         temp_denom = np.empty(min(size, CHUNK))
 
     for start in range(0, size, CHUNK):
@@ -155,7 +159,7 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
         m *= b1
         np.multiply(g, 1.0 - b1, out=scratch)
         m += scratch
-        if freeze_v:
+        if state.mode == "frozen":
             denom = state.v.flat[chunk]
         else:
             # v_new = b2 * v + (1 - b2) * g * g; the spent g takes v_new - v,
@@ -276,8 +280,7 @@ class Recipe:
     decay: DecaySchedule | None = None
 
     def __post_init__(self):
-        if self.kind not in RECIPE_KINDS:
-            raise ConfigError(f"unknown recipe kind {self.kind!r}")
+        check_kind("recipe", self.kind, RECIPE_KINDS)
         if self.lam < 0:
             raise ConfigError("lam must be >= 0")
         if self.lam > 0 and self.kind != "srste":
@@ -317,11 +320,10 @@ def recipe_train(
 ) -> TrainResult:
     """Train for total_steps with the given recipe; fully deterministic per seed.
 
-    Two-phase recipes consult the switch criterion after every dense step and
-    freeze the variance when it fires; if it never fires the run stays dense
-    throughout and the trajectory simply reports no switch.  Single-phase
-    recipes (dense, ste, srste) ignore the criterion.  The returned weights
-    are evaluated both densely and under the final masks, which are made
+    A recipe whose RECIPE_KINDS entry names a switch mode consults the
+    criterion after every dense step and sets that mode when it fires; a run
+    whose criterion never fires stays dense.  Other recipes ignore it.  The
+    returned weights are evaluated densely and under the final masks, made
     after both evaluations.  ``plan`` (see ``masks``) and the recipe's decay,
     which ``masks.plan_at`` applies, are taken as valid for the spec, as
     ExperimentConfig checks them; total_steps as >= 1, as config_from_dict does.
@@ -330,8 +332,8 @@ def recipe_train(
     v_t - v_{t-1} for the statistics, and at the end the final masked weights.
     A non-finite gradient, loss or statistic raises NumericalError naming it and the step.
     """
-    two_phase = recipe.kind in TWO_PHASE_KINDS
-    if two_phase and switch is None:
+    masked_from_start, switch_mode = RECIPE_KINDS[recipe.kind]
+    if switch_mode is not None and switch is None:
         raise ConfigError(f"recipe {recipe.kind!r} needs a switch criterion")
     # the targets are checked once, before any step; class ids become int64,
     # which each step's batch then carries
@@ -344,11 +346,8 @@ def recipe_train(
     grads = models.ParamBuffer(params.shapes)
     state = init_adam_state(params)
     batches = models.batch_iterator(dataset, (seed, 1))
-    detector = make_detector(switch, hyper.beta2, hyper.eps) if two_phase else None
-
-    masked_from_start = recipe.kind in ("ste", "srste")
+    detector = make_detector(switch, hyper.beta2, hyper.eps) if switch_mode is not None else None
     switched_at: int | None = None
-    frozen = False  # whether step has frozen v
     records: list[StepRecord] = []
 
     for t in range(1, total_steps + 1):
@@ -361,12 +360,10 @@ def recipe_train(
         else:
             loss, grads = models.loss_and_grad(spec, params, batch, out=grads)
 
-        # after the switch the masked phase divides by the raw variance
-        state, params = adam_step(state, hyper, params, grads, freeze_v=frozen,
-                                  bias_correct_v=switched_at is None)
+        state, params = adam_step(state, hyper, params, grads)
 
         z = z_geom = None
-        if not frozen:
+        if state.mode != "frozen":
             # a frozen variance keeps the statistics of the step that froze it;
             # adam_step left v_t - v_{t-1} in grads, which the statistics overwrite
             z, z_geom, v_l1, v_l2 = variance_stats(state.v, grads)
@@ -380,11 +377,11 @@ def recipe_train(
             record.z_bar = detector.last_mean
             if fired:
                 switched_at = record.switched_at = t
-                # step freezes v and turns it, in its own buffer and once, into
-                # the denominator sqrt(v* / 1.0 + eps) (v* / 1.0 is exact); the
-                # running v of step_updated_variance moves on
-                frozen = recipe.kind == "step"
-                if frozen:
+                # a frozen v turns, in its own buffer and once, into the
+                # denominator sqrt(v* / 1.0 + eps) (v* / 1.0 is exact); a raw
+                # running v moves on
+                state.mode = switch_mode
+                if switch_mode == "frozen":
                     state.v.flat += hyper.eps
                     np.sqrt(state.v.flat, out=state.v.flat)
 

@@ -1,6 +1,8 @@
 """Shared test helpers: parameter buffers, CSV datasets, step records, a reference accumulator
 and mid-run snapshots of training."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,13 @@ def buffer(**arrays) -> models.ParamBuffer:
     out = models.ParamBuffer({name: np.shape(a) for name, a in arrays.items()})
     for name, a in arrays.items():
         out[name][...] = a
+    return out
+
+
+def copied(params: models.ParamBuffer) -> models.ParamBuffer:
+    """A new ParamBuffer laid out as ``params``, holding a copy of its data."""
+    out = models.ParamBuffer(params.shapes)
+    out.flat[...] = params.flat
     return out
 
 
@@ -67,8 +76,8 @@ def train_with_snapshots(monkeypatch):
         def recording(*step_args, **step_kwargs):
             state, params = real(*step_args, **step_kwargs)
             if state.t in steps:
-                taken[state.t] = (params.copy(),
-                                  optim.AdamState(state.m.copy(), state.v.copy(), state.t))
+                taken[state.t] = (copied(params),
+                                  dataclasses.replace(state, m=copied(state.m), v=copied(state.v)))
             return state, params
 
         monkeypatch.setattr(optim, "adam_step", recording)

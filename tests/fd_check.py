@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from conftest import copied
 from stepnm.errors import DomainError
 from stepnm.models import ModelSpec, ParamBuffer, forward_loss, loss_and_grad
 
@@ -41,7 +42,7 @@ def finite_difference_check(
     if not 0.0 <= tol < np.inf:
         raise DomainError(f"tolerance tol must be non-negative and finite, got {tol}")
     analytic = loss_and_grad(spec, params, batch)[1]
-    probe = params.copy()
+    probe = copied(params)
     errors: list[tuple[str, int, float]] = []
     for name, (start, stop) in zip(params, params.bounds):
         for i in range(start, stop):

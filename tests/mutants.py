@@ -138,6 +138,14 @@ MUTANTS = {
            "an int key too long to print fails the listing with a bare ValueError"),
     "B3": ("harness.py", "if not str(path):", "if False:",
            "validate-theorem --out '' writes no report and exits 0"),
+    "B4": ("harness.py", "config.total_steps < 1002", "config.total_steps < 1001",
+           "compare-switch trains a 1001-step profile that no switch can be scored on"),
+    "T1": ("optim.py", '"step": (False, "frozen")', '"step": (False, "raw")',
+           "step's switch keeps a raw running v instead of freezing it"),
+    "T2": ("optim.py", '"ste": (True, None)', '"ste": (False, None)',
+           "ste trains dense instead of masking from step 1"),
+    "T3": ("optim.py", 'if state.mode == "corrected" else 1.0', 'if state.mode != "corrected" else 1.0',
+           "the corrected and raw denominators trade places"),
     "E1": ("autoswitch.py", "if prev is None or prev <= 0.0:", "if prev is None or prev == 0.0:",
            "relative skips only a zero norm, not a negative one"),
 }

@@ -268,7 +268,7 @@ def test_recipe_gap_direction():
         ("srste_0.0002", "srste", 0.0002),
         ("ste", "ste", 0.0),
     ]:
-        two_phase = kind in optim.TWO_PHASE_KINDS
+        two_phase = optim.RECIPE_KINDS[kind][1] is not None
         losses[label] = []
         for seed in (1, 2, 3, 4, 5):
             run = optim.recipe_train(

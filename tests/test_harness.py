@@ -21,7 +21,8 @@ from stepnm.autoswitch import StepRecord, SwitchCriterion
 from stepnm.masks import DecaySchedule
 from stepnm.cli import entry as cli_entry
 from stepnm.cli import main as cli_main
-from stepnm.errors import ConfigError, NumericalError, ToolkitError, check_kind, shown
+from stepnm.errors import (ConfigError, NumericalError, RangeError, ToolkitError, check_kind,
+                           shown)
 
 BASE_CONFIG = {
     "model": {"kind": "mlp_classifier", "layer_sizes": [2, 16, 2], "activation": "relu"},
@@ -178,7 +179,7 @@ class TestRecipeConfig:
         assert capsys.readouterr().err == "error: decay schedule needs m >= 2, got 1\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("recipe", optim.TWO_PHASE_KINDS)
+    @pytest.mark.parametrize("recipe", [kind for kind, (_, mode) in optim.RECIPE_KINDS.items() if mode])
     def test_two_phase_recipe_needs_a_switch_at_load(self, tmp_path, monkeypatch, capsys, recipe):
         path, _ = make_config(tmp_path, recipe={"kind": recipe}, switch=None)
         with pytest.raises(ConfigError, match=f"recipe '{recipe}' needs a switch section"):
@@ -691,11 +692,15 @@ class TestRun:
                               switch={"kind": "fixed", "step": 10}, output_dir=str(tmp_path / "out"))
         config = harness.load_config(path)
         two_seeds = dataclasses.replace(config, seeds=(1, 2))
+        # compare-switch scores no switch below 1002 steps; at beta2 = 0.9995 a
+        # window of 2000 never fills in 1002 steps: no switch, so no metric window
+        path, _ = make_config(tmp_path, seeds=[1, 2], total_steps=1002,
+                              optimizer={"lr": 0.005, "beta2": 0.9995}, output_dir=str(tmp_path / "cmp"))
+        profile = harness.load_config(path)
         commands = [
             lambda: harness.run(config),
             lambda: harness.ablation("fixed_vs_updated_variance", two_seeds),
-            # a window of 1000 never fills in 40 steps: no switch, so no metric window
-            lambda: harness.compare_switch(two_seeds, [SwitchCriterion(kind="autoswitch")]),
+            lambda: harness.compare_switch(profile, [SwitchCriterion(kind="autoswitch")]),
         ]
         for command in commands:
             built.clear()
@@ -755,21 +760,36 @@ class TestRun:
 class TestCompareSwitch:
     def test_rows_shape_and_no_switch(self, tmp_path):
         path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None,
-                              total_steps=40, output_dir=str(tmp_path / "cmp"))
+                              total_steps=1002, optimizer={"lr": 0.005, "beta2": 0.9995},
+                              output_dir=str(tmp_path / "cmp"))
         config = harness.load_config(path)
-        # an autoswitch window of 1000 can never fill in 40 steps: no-switch row
-        rows = harness.compare_switch(config, [SwitchCriterion(kind="autoswitch")])
-        assert len(rows) == 1
+        # an autoswitch window of 2000 can never fill in 1002 steps: no-switch
+        # row; a switch at step 1 is scored on exactly the 1001 steps after it
+        rows = harness.compare_switch(config, [SwitchCriterion(kind="autoswitch"),
+                                               SwitchCriterion(kind="fixed", step=1)])
+        assert len(rows) == 2
         assert rows[0]["t0"] is None
         assert rows[0]["note"] == "no-switch"
+        assert rows[1]["t0"] == 1 and rows[1]["avg_change_metric"] > 0.0
         assert (tmp_path / "cmp" / "compare_switch.csv").exists()
+
+    def test_a_budget_too_short_for_any_switch_fails_before_training(self, tmp_path, monkeypatch):
+        path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None,
+                              total_steps=1001, output_dir=str(tmp_path / "cmp"))
+        config = harness.load_config(path)
+        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
+        message = ("profile too short for the metric window: a switch at step 1 needs "
+                   "per-step changes up to step 1002, have 1001")
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            harness.compare_switch(config, [SwitchCriterion(kind="autoswitch")])
+        assert not (tmp_path / "cmp").exists()
+        with pytest.raises(ConfigError, match="at least one criterion"):  # that check comes first
+            harness.compare_switch(config, [])
 
     def test_metric_window_must_fit(self, tmp_path):
         path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None,
                               total_steps=60, output_dir=str(tmp_path / "cmp"))
         config = harness.load_config(path)
-        from stepnm.errors import RangeError
-
         with pytest.raises(RangeError, match="profile too short"):
             harness.compare_switch(config, [SwitchCriterion(kind="relative")])
 
@@ -872,9 +892,11 @@ class TestOutputDirectory:
     DRIVERS = {
         "run": harness.run,
         "compare_switch": lambda config: harness.compare_switch(
-            config, [SwitchCriterion(kind="autoswitch")]),  # no switch in 8 steps, so no metric
+            config, [SwitchCriterion(kind="fixed", step=1)]),
         "ablation": lambda config: harness.ablation("fixed_vs_updated_variance", config),
     }
+    # compare_switch scores no switch below 1002 steps
+    STEPS = {"run": 8, "compare_switch": 1002, "ablation": 8}
 
     def test_the_drivers_take_no_directory_and_compare_switch_no_default_criteria(self):
         for driver in (harness.run, harness.compare_switch, harness.ablation):
@@ -891,7 +913,7 @@ class TestOutputDirectory:
                                                             written):
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "a" / "b"
-        path, _ = make_config(tmp_path, seeds=[1], total_steps=8,
+        path, _ = make_config(tmp_path, seeds=[1], total_steps=self.STEPS[driver],
                               switch={"kind": "fixed", "step": 4}, output_dir=str(out))
         rows = self.DRIVERS[driver](harness.load_config(path))
         assert sorted(p.name for p in out.iterdir()) == written
@@ -907,7 +929,7 @@ class TestOutputDirectory:
                                                                      driver):
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")
-        path, _ = make_config(tmp_path, seeds=[1], total_steps=8,
+        path, _ = make_config(tmp_path, seeds=[1], total_steps=self.STEPS[driver],
                               switch={"kind": "fixed", "step": 4}, output_dir=str(taken / "out"))
         config = harness.load_config(path)
         calls = []
@@ -1165,7 +1187,8 @@ class TestCLI:
     ], ids=["run", "ablate", "compare-switch"])
     def test_config_too_large_to_allocate_exits_2(self, tmp_path, monkeypatch, capsys, command,
                                                   section, size):
-        path, _ = make_config(tmp_path, **section)
+        # 1002 steps: compare-switch refuses a shorter budget before it allocates
+        path, _ = make_config(tmp_path, total_steps=1002, **section)
         out = tmp_path / "out"
         monkeypatch.setattr("sys.argv", ["stepnm", *command, "--config", str(path),
                                          "--out", str(out)])
@@ -1199,8 +1222,10 @@ class TestEveryBadInputExits2:
          "give either step or step_ratio, not both"),
         ({"switch": {"kind": "relative", "threshold": 0}}, (), "criterion threshold must be positive"),
         (None, (), "config {path} must be a mapping document"),
+        ({"recipe": {"kind": []}}, (), "unknown recipe kind []"),
+        ({"recipe": {"kind": {}}}, (), "unknown recipe kind {{}}"),
     ], ids=["bool_number", "bool_integer", "negative_seed_flag", "lr_schedule", "step_and_ratio",
-            "zero_threshold", "not_a_mapping"])
+            "zero_threshold", "not_a_mapping", "list_recipe_kind", "mapping_recipe_kind"])
     def test_at_load(self, tmp_path, monkeypatch, capsys, overrides, seeds, message):
         if overrides is None:
             path = tmp_path / "config.yaml"

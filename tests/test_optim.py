@@ -1,10 +1,15 @@
+import ast
+import dataclasses
+import inspect
 import math
+import re
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import buffer
+from conftest import buffer, copied
 from stepnm import models, optim
 from stepnm.autoswitch import SwitchCriterion, evaluate_offline
 from stepnm.errors import ConfigError, DimensionError, NumericalError
@@ -110,7 +115,8 @@ class TestAdamStep:
         assert state.m is m and m["w"][0] == (1.0 - 0.9) * 2.0
         # the new v is written over the previous one, in its own buffer
         assert state.v is v and v["w"][0] == (1.0 - 0.999) * 2.0 * 2.0
-        assert vars(state).keys() == {"m", "v", "t"}  # no spare buffer
+        assert vars(state).keys() == {"m", "v", "t", "mode"}  # no spare buffer
+        assert state.mode == "corrected"
         v_flat = v.flat
         _, again = adam_step(state, hyper, params, buffer(w=np.array([2.0])))
         assert again is params
@@ -144,9 +150,11 @@ class TestAdamStep:
                 assert grads[n].tobytes() == (v - old_v[n]).tobytes()
             state, params = new_state, new_params
 
-    def test_masked_phase_bitwise_equal_to_plain_expressions(self):
-        # the two masked-phase denominators: sqrt(v* + eps) with v frozen
-        # (step), and the raw running v (step_updated_variance)
+    @pytest.mark.parametrize("mode", ["corrected", "raw", "frozen"])
+    def test_each_mode_bitwise_equal_to_plain_expressions(self, mode):
+        # the three denominators: the bias-corrected running v (dense), the
+        # raw running v (step_updated_variance) and sqrt(v* + eps) with v
+        # frozen (step)
         rng = np.random.default_rng(12)
         hyper = AdamHyper(lr=2e-3)
         params = {"a": rng.standard_normal((16, 8)), "b": rng.standard_normal(8)}
@@ -154,23 +162,25 @@ class TestAdamStep:
         v0 = {n: rng.random(w.shape) * 1e-3 for n, w in params.items()}
         grads = {n: rng.standard_normal(w.shape) for n, w in params.items()}
         frozen = {n: np.sqrt(v + 1e-8) for n, v in v0.items()}
-        for freeze in (True, False):
-            # the update writes the state and the parameters in place, so each
-            # denominator starts from buffers of its own, and expects from copies;
-            # a frozen v already holds its denominator, which must stay untouched
-            state = optim.AdamState(m=buffer(**m0), v=buffer(**(frozen if freeze else v0)), t=9)
-            old_p, old_m, old_v = [{n: a.copy() for n, a in d.items()}
-                                   for d in (params, state.m, state.v)]
-            new_state, new_params = adam_step(state, hyper, buffer(**params), buffer(**grads),
-                                              freeze_v=freeze, bias_correct_v=False)
-            for n, w in old_p.items():
-                g = grads[n]
-                m = 0.9 * old_m[n] + (1.0 - 0.9) * g
-                v = old_v[n] if freeze else 0.999 * old_v[n] + (1.0 - 0.999) * g * g
-                p = w - 2e-3 * (m / (1.0 - 0.9**10)) / np.sqrt((v0[n] if freeze else v) + 1e-8)
-                assert new_state.m[n].tobytes() == m.tobytes()
-                assert new_state.v[n].tobytes() == v.tobytes()
-                assert new_params[n].tobytes() == p.tobytes()
+        freeze = mode == "frozen"
+        # the update writes the state and the parameters in place, so expect
+        # from copies; a frozen v already holds its denominator, which must
+        # stay untouched
+        state = optim.AdamState(m=buffer(**m0), v=buffer(**(frozen if freeze else v0)), t=9,
+                                mode=mode)
+        old_p, old_m, old_v = [{n: a.copy() for n, a in d.items()}
+                               for d in (params, state.m, state.v)]
+        new_state, new_params = adam_step(state, hyper, buffer(**params), buffer(**grads))
+        assert new_state.mode == mode  # the update never changes the mode
+        for n, w in old_p.items():
+            g = grads[n]
+            m = 0.9 * old_m[n] + (1.0 - 0.9) * g
+            v = old_v[n] if freeze else 0.999 * old_v[n] + (1.0 - 0.999) * g * g
+            d = v0[n] if freeze else v / (1.0 - 0.999**10) if mode == "corrected" else v
+            p = w - 2e-3 * (m / (1.0 - 0.9**10)) / np.sqrt(d + 1e-8)
+            assert new_state.m[n].tobytes() == m.tobytes()
+            assert new_state.v[n].tobytes() == v.tobytes()
+            assert new_params[n].tobytes() == p.tobytes()
 
     def test_multi_chunk_update_bitwise_equal_to_plain_expressions(self):
         # 3 * CHUNK + 17 coordinates: "b" straddles the first chunk boundary
@@ -185,20 +195,19 @@ class TestAdamStep:
         v0 = {n: rng.random(s) * 1e-3 for n, s in shapes.items()}
         frozen = {n: np.sqrt(v + 1e-7) for n, v in v0.items()}
         k = 5
-        for freeze, corrected in ((False, True), (False, False), (True, True)):
+        for mode in ("corrected", "raw", "frozen"):
             # a frozen v holds its denominator, sqrt(v0 + eps), and is left untouched
-            v_in = frozen if freeze else v0
-            state = optim.AdamState(m=buffer(**m0), v=buffer(**v_in), t=k - 1)
-            new_state, new_params = adam_step(state, hyper, buffer(**params), buffer(**grads),
-                                              freeze_v=freeze, bias_correct_v=corrected)
+            v_in = frozen if mode == "frozen" else v0
+            state = optim.AdamState(m=buffer(**m0), v=buffer(**v_in), t=k - 1, mode=mode)
+            new_state, new_params = adam_step(state, hyper, buffer(**params), buffer(**grads))
             for n, w in params.items():
                 g = grads[n]
                 m = 0.8 * m0[n] + (1.0 - 0.8) * g
-                if freeze:  # a frozen v is never bias-corrected
+                if mode == "frozen":  # a frozen v is never bias-corrected
                     v = d = frozen[n]
                 else:
                     v = 0.99 * v0[n] + (1.0 - 0.99) * g * g
-                    d = np.sqrt((v / (1.0 - 0.99**k) if corrected else v) + 1e-7)
+                    d = np.sqrt((v / (1.0 - 0.99**k) if mode == "corrected" else v) + 1e-7)
                 p = w - 2e-3 * (m / (1.0 - 0.8**k)) / d
                 assert new_state.m[n].tobytes() == m.tobytes()
                 assert new_state.v[n].tobytes() == v.tobytes()
@@ -210,16 +219,16 @@ class TestAdamStep:
         # otherwise overwrite with v_new - v_old
         chunk = optim.CHUNK
         shapes = {"a": (3, 1000), "b": (chunk,), "c": (2 * chunk + 17 - 3000,)}
-        for freeze_v in (False, True):
+        for mode in ("corrected", "raw", "frozen"):
             params = buffer(**{n: np.ones(s) for n, s in shapes.items()})
             grads = buffer(**{n: np.full(s, 0.5) for n, s in shapes.items()})
             state = optim.AdamState(m=buffer(**{n: np.full(s, 0.1) for n, s in shapes.items()}),
                                     v=buffer(**{n: np.full(s, 0.2) for n, s in shapes.items()}),
-                                    t=3)
+                                    t=3, mode=mode)
             grads.flat[-1] = np.inf
             before = [b.flat.tobytes() for b in (params, state.m, state.v, grads)]
             with pytest.raises(NumericalError, match=r"gradient for 'c' at step 4$"):
-                adam_step(state, default_hyper(), params, grads, freeze_v=freeze_v)
+                adam_step(state, default_hyper(), params, grads)
             assert [b.flat.tobytes() for b in (params, state.m, state.v, grads)] == before
             assert state.t == 3
 
@@ -236,7 +245,7 @@ class TestAdamStep:
             dv = buffer(**{n: np.subtract(v[n], prev[n]) for n in v})
             v = buffer(**v)
             # the reference figures come from a copy of v and from prev: dv is work space
-            v_before = v.copy()
+            v_before = copied(v)
             z, z_geom, l1, l2 = variance_stats(v, dv)
             deltas = [np.abs(v_before[n] - prev[n]) for n in v]
             count = sum(d.size for d in deltas)
@@ -333,7 +342,7 @@ class TestGradientTransforms:
         params = models.init_params(spec, 3)
         batch = next(models.batch_iterator(ds, 4))
         mask = compute_nm_mask(params["fc2.weight"], NMRatio(1, 4))
-        masked = params.copy()
+        masked = copied(params)
         masked["fc2.weight"][...] = params["fc2.weight"] * mask
         expected = models.forward_loss(spec, masked, batch)
         ste_loss, grads = optim.ste_loss_and_grad(spec, params, plan, batch)
@@ -384,7 +393,7 @@ class TestGradientTransforms:
         batch = (inputs, np.full((2, 3), 10.0))
         lam = 0.01
         mask = compute_nm_mask(w, plan["fc1.weight"])
-        masked = params.copy()
+        masked = copied(params)
         masked["fc1.weight"][...] = mask * w
         _, expected = models.loss_and_grad(spec, masked, batch)
         expected["fc1.weight"][...] += lam * (1.0 - mask) * w
@@ -399,9 +408,23 @@ class TestGradientTransforms:
 
 
 class TestRecipeValidation:
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            Recipe("sgd")
+    @pytest.mark.parametrize("kind", ["sgd", [], {}, None])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ConfigError, match=f"^unknown recipe kind {re.escape(repr(kind))}$"):
+            Recipe(kind)
+
+    def test_one_table_one_mode(self):
+        # RECIPE_KINDS says what a recipe does; the Adam update reads its mode
+        # from the state alone, and recipe_train names no recipe kind
+        assert list(inspect.signature(adam_step).parameters) == ["state", "hyper", "params", "grads"]
+        assert [f.name for f in dataclasses.fields(optim.AdamState)] == ["m", "v", "t", "mode"]
+        assert not hasattr(optim, "TWO_PHASE_KINDS")
+        assert {kind: mode for kind, (_, mode) in optim.RECIPE_KINDS.items() if mode} == {
+            "step": "frozen", "step_updated_variance": "raw"}
+        assert [kind for kind, (masked, _) in optim.RECIPE_KINDS.items() if masked] == ["ste", "srste"]
+        tree = ast.parse(textwrap.dedent(inspect.getsource(optim.recipe_train)))
+        strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        assert not strings & {"ste", "srste", "step", "step_updated_variance"}
 
     def test_lam_only_for_srste(self):
         with pytest.raises(ConfigError):
@@ -418,6 +441,24 @@ class TestRecipeValidation:
 
 
 class TestTwoPhaseTraining:
+    @pytest.mark.parametrize("kind, after", [
+        ("dense", "corrected"), ("ste", "corrected"), ("srste", "corrected"),
+        ("step", "frozen"), ("step_updated_variance", "raw")])
+    def test_adam_mode_sequence(self, monkeypatch, kind, after):
+        # every update reads the state's mode: corrected up to the switch at
+        # step 3, then the mode the recipe's switch sets
+        spec, ds, plan = blob_setup()
+        real, modes = optim.adam_step, []
+        monkeypatch.setattr(optim, "adam_step",
+                            lambda state, *args: modes.append(state.mode) or real(state, *args))
+        two_phase = optim.RECIPE_KINDS[kind][1] is not None
+        switch = SwitchCriterion("fixed", step=3) if two_phase else None
+        run = optim.recipe_train(spec, ds, default_hyper(), plan, Recipe(kind), switch, 6, 0)
+        assert modes == ["corrected"] * 3 + [after] * 3
+        masked_from = {"dense": 7, "ste": 1, "srste": 1}.get(kind, 4)  # 7: never
+        assert [r.phase == "mask_learning" for r in run.records] == [
+            t >= masked_from for t in range(1, 7)]
+
     def test_phase_one_bitwise_equals_dense(self, train_with_snapshots):
         spec, ds, plan = blob_setup()
         hyper = default_hyper(5e-3)
@@ -470,7 +511,7 @@ class TestTwoPhaseTraining:
         v_star = snapshots[t0][1].v  # copied inside adam_step, before the switch
         for k in (t0 + 1, t0 + 2):
             params, state = snapshots[k - 1]
-            masked = params.copy()
+            masked = copied(params)
             masked["fc2.weight"][...] = params["fc2.weight"] * compute_nm_mask(
                 params["fc2.weight"], NMRatio(1, 4))
             _, grads = models.loss_and_grad(spec, masked, next(batches))
@@ -500,7 +541,7 @@ class TestTwoPhaseTraining:
             next(batches)
         for k in (t0 + 1, t0 + 2):
             params, state = snapshots[k - 1]
-            masked = params.copy()
+            masked = copied(params)
             masked["fc2.weight"][...] = params["fc2.weight"] * compute_nm_mask(
                 params["fc2.weight"], NMRatio(1, 4))
             _, grads = models.loss_and_grad(spec, masked, next(batches))
@@ -723,7 +764,7 @@ class TestTrainingMemory:
         ds = models.DataConfig("blobs", 256, 64, n_classes=10, noise_std=1.0, seed=0,
                                batch_size=32).build("mlp_classifier")
         plan = {f"fc{i}.weight": NMRatio(2, 4) for i in (1, 2, 3)}
-        switch = SwitchCriterion("fixed", step=3) if kind in optim.TWO_PHASE_KINDS else None
+        switch = SwitchCriterion("fixed", step=3) if optim.RECIPE_KINDS[kind][1] else None
         recipe = Recipe(kind, lam=2e-4 if kind == "srste" else 0.0)
         coords = sum(math.prod(s) for s in models.param_shapes(spec).values())
         made = []

@@ -281,7 +281,7 @@ def config_documents(draw, recipe: str):
            "seeds": draw(st.lists(st.integers(0, 5), min_size=1, max_size=2, unique=True))}
     if recipe == "srste":
         _maybe(draw, doc["recipe"], "lam", [0.0, 2e-4])
-    if recipe in optim.TWO_PHASE_KINDS or draw(st.booleans()):
+    if optim.RECIPE_KINDS[recipe][1] or draw(st.booleans()):
         switch = {"kind": draw(st.sampled_from(["fixed", "autoswitch", "relative", "staleness"]))}
         if switch["kind"] == "autoswitch":
             _maybe(draw, switch, "option", ["arithmetic", "geometric"])
