@@ -30,7 +30,7 @@ from .autoswitch import SwitchCriterion, avg_change_metric_from_diffs, evaluate_
 from .errors import ConfigError, check_kind, listed, shown
 from .masks import DecaySchedule, NMRatio, check_plan, plan_at
 from .models import DataConfig
-from .optim import RECIPE_KINDS, AdamHyper, Recipe, TrainResult, recipe_train
+from .optim import AdamHyper, Recipe, TrainResult, recipe_train
 
 ABLATION_KINDS = ("precondition_length", "fixed_vs_updated_variance", "decaying_mask")
 
@@ -155,14 +155,13 @@ class AblationConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """What ``config_from_dict`` built, as plain data: two loads of one document compare equal.
-    ``hyper`` and ``criterion`` hold its ``total_steps``."""
+    ``hyper`` and ``recipe.switch`` hold its ``total_steps``."""
 
     model: models.ModelSpec
     data: DataConfig
     hyper: AdamHyper
     plan: dict[str, NMRatio]
     recipe: Recipe
-    criterion: SwitchCriterion | None
     total_steps: int
     seeds: tuple[int, ...]
     output_dir: str
@@ -176,8 +175,6 @@ class ExperimentConfig:
         repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
         if repeated:
             raise ConfigError(f"seed {repeated[0]} is given more than once")
-        if RECIPE_KINDS[self.recipe.kind][1] is not None and self.criterion is None:
-            raise ConfigError(f"recipe {self.recipe.kind!r} needs a switch section")
         # fail on unknown layers and bad group sizes before any compute; the
         # trainer takes them as checked.  Every stage of a decay keeps its m.
         shapes = models.param_shapes(self.model)
@@ -187,7 +184,7 @@ class ExperimentConfig:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """The checked config that ``doc`` describes; ``switch`` and ``data`` take their kind's
-    keys, and a key left out takes its dataclass's default."""
+    keys, a key left out takes its dataclass's default, and a recipe of any kind holds the switch."""
     doc = _take(doc, "config",
                 required=("model", "data", "optimizer", "recipe", "total_steps", "seeds"),
                 optional=("sparsity", "switch", "output_dir", "ablation"))
@@ -244,7 +241,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     r = _take(doc["recipe"], "recipe", required=("kind",), optional=("lam",))
     recipe = Recipe(**_given(r, "recipe", {"lam": _number}),
-                    decay=None if r["kind"] == "dense" else ablation.decay)
+                    decay=None if r["kind"] == "dense" else ablation.decay, switch=criterion)
 
     output_dir = "runs" if doc.get("output_dir") is None else doc["output_dir"]
     if not isinstance(output_dir, str):
@@ -252,7 +249,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if not output_dir:
         raise ConfigError("output_dir must not be empty; leave it out for 'runs'")
     return ExperimentConfig(
-        model=spec, data=data, hyper=hyper, plan=plan, recipe=recipe, criterion=criterion,
+        model=spec, data=data, hyper=hyper, plan=plan, recipe=recipe,
         total_steps=total_steps, seeds=_each(_int, doc["seeds"], "seeds"), output_dir=output_dir,
         ablation=ablation)
 
@@ -331,7 +328,7 @@ def write_json(directory, name: str, doc: dict) -> Path:
 
 
 def _train_runs(config: ExperimentConfig, cells, trajectories=False):
-    """Train every seed of every (label, recipe, criterion) cell, in order, on one dataset.
+    """Train every seed of every (label, recipe) cell, in order, on one dataset.
 
     ``config.output_dir`` is checked first, and then the dataset is built
     once, here.  Yields (label, seed, figures, records) for each run, with
@@ -343,10 +340,10 @@ def _train_runs(config: ExperimentConfig, cells, trajectories=False):
     """
     check_output_dir(config.output_dir)
     dataset = config.data.build(config.model.kind)
-    for label, recipe, criterion in cells:
+    for label, recipe in cells:
         for seed in config.seeds:
             result = recipe_train(config.model, dataset, config.hyper, config.plan, recipe,
-                                  criterion, config.total_steps, seed)
+                                  config.total_steps, seed)
             if trajectories:
                 write_trajectory(make_output_dir(config.output_dir) / f"trajectory_seed{seed}.jsonl", result)
             figures = (result.sparse_eval_loss, result.dense_eval_loss, result.switched_at)
@@ -363,7 +360,7 @@ def run(config: ExperimentConfig) -> dict:
     the summary are kept from it.
     """
     out = Path(config.output_dir)
-    runs = _train_runs(config, [("run", config.recipe, config.criterion)], trajectories=True)
+    runs = _train_runs(config, [("run", config.recipe)], trajectories=True)
     sparse, dense, switched = zip(*(figures for _, _, figures, _ in runs))
     summary = {
         "n_seeds": len(config.seeds),
@@ -408,7 +405,7 @@ def compare_switch(config: ExperimentConfig, criteria: list[SwitchCriterion]) ->
         avg_change_metric_from_diffs([0.0] * (config.total_steps + 1), 1)  # raises RangeError
     d = sum(int(np.prod(shape)) for shape in models.param_shapes(config.model).values())
     rows = []
-    for _, seed, _, records in _train_runs(config, [("dense", Recipe("dense"), None)]):
+    for _, seed, _, records in _train_runs(config, [("dense", Recipe("dense"))]):
         # entry t is ||v_t - v_{t-1}||_1, reconstructed from the mean-change sample
         diffs = [0.0] + [r.z * d for r in records]
         for criterion in criteria:
@@ -438,7 +435,8 @@ def ablation(kind: str, config: ExperimentConfig) -> list[dict]:
     """
     if kind not in ABLATION_KINDS:
         raise ConfigError(f"unknown ablation kind {kind!r}")
-    cells: list[tuple[str, Recipe, SwitchCriterion | None]] = []
+    cells: list[tuple[str, Recipe]] = []
+    switch = config.recipe.switch
 
     if kind == "precondition_length":
         ratios = config.ablation.precondition_ratios
@@ -446,22 +444,16 @@ def ablation(kind: str, config: ExperimentConfig) -> list[dict]:
             raise ConfigError("precondition_length needs ablation.precondition_ratios")
         for ratio in ratios:
             t0 = _ratio_step(ratio, config.total_steps)
-            cells.append((f"ratio={ratio}", Recipe("step"), SwitchCriterion(kind="fixed", step=t0)))
+            cells.append((f"ratio={ratio}", Recipe("step", switch=SwitchCriterion(kind="fixed", step=t0))))
     elif kind == "fixed_vs_updated_variance":
-        criterion = config.criterion
-        if criterion is None:
-            raise ConfigError("fixed_vs_updated_variance needs a switch criterion")
-        cells.append(("fixed_variance", Recipe("step"), criterion))
-        cells.append(("updated_variance", Recipe("step_updated_variance"), criterion))
+        cells.append(("fixed_variance", Recipe("step", switch=switch)))
+        cells.append(("updated_variance", Recipe("step_updated_variance", switch=switch)))
     else:
         decay = config.ablation.decay
         if decay is None:
             raise ConfigError("decaying_mask needs ablation.decay")
-        criterion = config.criterion
-        if criterion is None:
-            raise ConfigError("decaying_mask needs a switch criterion for the dense-phase variant")
-        cells.append(("with_dense_phase", Recipe("step_updated_variance", decay=decay), criterion))
-        cells.append(("without_dense_phase", Recipe("ste", decay=decay), None))
+        cells.append(("with_dense_phase", Recipe("step_updated_variance", decay=decay, switch=switch)))
+        cells.append(("without_dense_phase", Recipe("ste", decay=decay)))
 
     columns = ("cell", "seed", "sparse_eval_loss", "dense_eval_loss", "switched_at")
     rows = [dict(zip(columns, (label, seed) + figures))

@@ -127,7 +127,8 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
 
     Bias correction divides by 1 - beta**k where k counts the gradients
     accumulated so far, so the first step divides by 1 - beta (never zero).
-    Epsilon sits inside the square root.  ``state.mode`` picks the denominator:
+    Epsilon sits inside the square root.  ``state.mode`` picks the denominator
+    (any other mode raises ConfigError before a buffer is written):
 
     * "corrected": sqrt(v / (1 - beta2**k) + eps) with the running v (the dense update);
     * "raw": sqrt(v + eps) with the raw running v (the masked phase of
@@ -137,6 +138,8 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
       the raw v* (not bias-corrected) and eps inside the root.  Neither
       convention was checked against the paper's algorithm: PAPER.md holds none.
     """
+    if state.mode not in ("corrected", "raw", "frozen"):
+        raise ConfigError(f"unknown Adam mode {state.mode!r}")
     k = state.t + 1
     shapes = state.m.shapes
     models.check_layout(params, "parameters", shapes)
@@ -273,11 +276,12 @@ def ste_loss_and_grad(spec, params: models.ParamBuffer, ratios: dict[str, NMRati
 
 @dataclass(frozen=True)
 class Recipe:
-    """Training recipe: gradient rule plus optional stagewise ratio decay."""
+    """Training recipe: gradient rule, optional stagewise ratio decay and a two-phase kind's switch."""
 
     kind: str
     lam: float = 0.0
     decay: DecaySchedule | None = None
+    switch: SwitchCriterion | None = None
 
     def __post_init__(self):
         check_kind("recipe", self.kind, RECIPE_KINDS)
@@ -287,6 +291,8 @@ class Recipe:
             raise ConfigError("lam only applies to the srste recipe")
         if self.decay is not None and self.kind == "dense":
             raise ConfigError("the dense recipe cannot take a decay schedule")
+        if RECIPE_KINDS[self.kind][1] is not None and self.switch is None:
+            raise ConfigError(f"recipe {self.kind!r} needs a switch section")
 
 
 @dataclass
@@ -314,15 +320,14 @@ def recipe_train(
     hyper: AdamHyper,
     plan: dict[str, NMRatio],
     recipe: Recipe,
-    switch: SwitchCriterion | None,
     total_steps: int,
     seed: int,
 ) -> TrainResult:
     """Train for total_steps with the given recipe; fully deterministic per seed.
 
-    A recipe whose RECIPE_KINDS entry names a switch mode consults the
-    criterion after every dense step and sets that mode when it fires; a run
-    whose criterion never fires stays dense.  Other recipes ignore it.  The
+    A recipe whose RECIPE_KINDS entry names a switch mode consults its
+    switch after every dense step and sets that mode when it fires; a run
+    whose switch never fires stays dense.  Other recipes ignore it.  The
     returned weights are evaluated densely and under the final masks, made
     after both evaluations.  ``plan`` (see ``masks``) and the recipe's decay,
     which ``masks.plan_at`` applies, are taken as valid for the spec, as
@@ -333,8 +338,6 @@ def recipe_train(
     A non-finite gradient, loss or statistic raises NumericalError naming it and the step.
     """
     masked_from_start, switch_mode = RECIPE_KINDS[recipe.kind]
-    if switch_mode is not None and switch is None:
-        raise ConfigError(f"recipe {recipe.kind!r} needs a switch criterion")
     # the targets are checked once, before any step; class ids become int64,
     # which each step's batch then carries
     dataset = models.Dataset(
@@ -346,7 +349,7 @@ def recipe_train(
     grads = models.ParamBuffer(params.shapes)
     state = init_adam_state(params)
     batches = models.batch_iterator(dataset, (seed, 1))
-    detector = make_detector(switch, hyper.beta2, hyper.eps) if switch_mode is not None else None
+    detector = make_detector(recipe.switch, hyper.beta2, hyper.eps) if switch_mode is not None else None
     switched_at: int | None = None
     records: list[StepRecord] = []
 

@@ -1,6 +1,6 @@
 """Mutation audit of the boundary conventions: every one-line mutant must fail Tier-1.
 
-Run it by hand from anywhere; it takes about fifteen minutes on two cores:
+Run it by hand from anywhere; it takes about eighteen minutes on two cores:
 
     python tests/mutants.py           # every mutant
     python tests/mutants.py S3 K1     # only the named ones
@@ -146,14 +146,30 @@ MUTANTS = {
            "ste trains dense instead of masking from step 1"),
     "T3": ("optim.py", 'if state.mode == "corrected" else 1.0', 'if state.mode != "corrected" else 1.0',
            "the corrected and raw denominators trade places"),
+    "T4": ("optim.py", "if RECIPE_KINDS[self.kind][1] is not None and self.switch is None:",
+           'if self.kind == "step" and self.switch is None:',
+           "step_updated_variance is built without its switch"),
+    "T5": ("optim.py", 'if state.mode not in ("corrected", "raw", "frozen"):', "if False:",
+           "adam_step runs an unknown mode as raw"),
     "E1": ("autoswitch.py", "if prev is None or prev <= 0.0:", "if prev is None or prev == 0.0:",
            "relative skips only a zero norm, not a negative one"),
+    "E2": ("theory.py", "if t0 <= statement_min:", "if t0 < statement_min:",
+           "validate_theorem takes a t0 equal to the statement's minimum"),
+    "E3": ("optim.py", "if 4 * count <= CHUNK:", "if 4 * count < CHUNK:",
+           "variance_stats takes its in-place path at exactly CHUNK / 4 coordinates"),
+    "E4": ("models.py", "if i > 0 else None", "if i >= 0 else None",
+           "the backward pass also forms the input batch's gradient"),
 }
 
 # name: why the mutant cannot be told apart from the code by any run
 SURVIVES_BY_DESIGN = {
     "E1": "v_l2 is a Euclidean norm, never negative, so `<= 0.0` and `== 0.0` agree on "
           "every record a run makes",
+    "E2": "the statement's minimum log(0.5) / log(beta2) is not an integer at any beta2 a test "
+          "uses, so no integer t0 equals it",
+    "E3": "the two paths differ only at exactly 8192 coordinates, where both give the same bits",
+    "E4": "the input batch's gradient is formed and then dropped: it costs work and changes no "
+          "output",
 }
 
 TIMEOUT_S = 900  # a mutant that makes Tier-1 hang counts as killed

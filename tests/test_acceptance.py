@@ -101,10 +101,10 @@ def test_phase_one_bitwise_equivalence(train_with_snapshots):
     hyper = AdamHyper(lr=5e-3)
     crit = SwitchCriterion(kind="fixed", step=500)
     step_run, step_snaps = train_with_snapshots(
-        {500}, spec, ds, hyper, plan, Recipe("step"), crit, 800, seed=42
+        {500}, spec, ds, hyper, plan, Recipe("step", switch=crit), 800, seed=42
     )
     dense_run, dense_snaps = train_with_snapshots(
-        {500}, spec, ds, hyper, plan, Recipe("dense"), None, 800, seed=42
+        {500}, spec, ds, hyper, plan, Recipe("dense"), 800, seed=42
     )
     p1, s1 = step_snaps[500]
     p2, s2 = dense_snaps[500]
@@ -135,7 +135,7 @@ def test_frozen_variance_exact(train_with_snapshots):
     ]:
         # a copy after every step, since the autoswitch picks its own
         run, snapshots = train_with_snapshots(range(1, 601), spec, ds, hyper, plan,
-                                              Recipe("step"), crit, 600, seed=seed)
+                                              Recipe("step", switch=crit), 600, seed=seed)
         assert run.switched_at is not None and run.switched_at < 600
         _, at_switch = snapshots[run.switched_at]
         frozen = {k: np.sqrt(v_star + hyper.eps) for k, v_star in at_switch.v.items()}
@@ -271,10 +271,8 @@ def test_recipe_gap_direction():
         two_phase = optim.RECIPE_KINDS[kind][1] is not None
         losses[label] = []
         for seed in (1, 2, 3, 4, 5):
-            run = optim.recipe_train(
-                spec, ds, hyper, plan, Recipe(kind, lam=lam),
-                crit if two_phase else None, total, seed,
-            )
+            run = optim.recipe_train(spec, ds, hyper, plan, Recipe(kind, lam=lam, switch=crit),
+                                     total, seed)
             assert math.isfinite(run.sparse_eval_loss)
             if two_phase:
                 assert run.switched_at is not None

@@ -38,21 +38,21 @@ SMALL_STEPS = 300
 FIXED = SwitchCriterion(kind="fixed", step=150)
 DECAY = DecaySchedule(4, (100, 200))
 
-# name: (recipe, switch criterion, beta2)
+# name: (recipe, beta2)
 SMALL_CASES = {
-    "dense": (Recipe("dense"), None, 0.999),
-    "ste": (Recipe("ste"), None, 0.999),
-    "srste": (Recipe("srste", lam=2e-3), None, 0.999),
-    "step": (Recipe("step"), FIXED, 0.999),
-    "step_updated_variance": (Recipe("step_updated_variance"), FIXED, 0.999),
-    "ste+decay": (Recipe("ste", decay=DECAY), None, 0.999),
-    "step_updated_variance+decay": (Recipe("step_updated_variance", decay=DECAY), FIXED, 0.999),
+    "dense": (Recipe("dense"), 0.999),
+    "ste": (Recipe("ste"), 0.999),
+    "srste": (Recipe("srste", lam=2e-3), 0.999),
+    "step": (Recipe("step", switch=FIXED), 0.999),
+    "step_updated_variance": (Recipe("step_updated_variance", switch=FIXED), 0.999),
+    "ste+decay": (Recipe("ste", decay=DECAY), 0.999),
+    "step_updated_variance+decay": (Recipe("step_updated_variance", decay=DECAY, switch=FIXED), 0.999),
     # beta2 = 0.99 gives 100-step windows, so every criterion fires inside the run
     "step/autoswitch+clip": (
-        Recipe("step"), SwitchCriterion(kind="autoswitch", clip=(50, 150)), 0.99),
-    "step/relative": (Recipe("step"), SwitchCriterion(kind="relative"), 0.99),
-    "step/staleness": (Recipe("step"), SwitchCriterion(kind="staleness"), 0.99),
-    "step/fixed": (Recipe("step"), SwitchCriterion(kind="fixed", step=120), 0.99),
+        Recipe("step", switch=SwitchCriterion(kind="autoswitch", clip=(50, 150))), 0.99),
+    "step/relative": (Recipe("step", switch=SwitchCriterion(kind="relative")), 0.99),
+    "step/staleness": (Recipe("step", switch=SwitchCriterion(kind="staleness")), 0.99),
+    "step/fixed": (Recipe("step", switch=SwitchCriterion(kind="fixed", step=120)), 0.99),
 }
 
 # name: (trajectory sha256, final params sha256)
@@ -110,14 +110,14 @@ def _digests(spec, run, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(SMALL_CASES))
 def test_small_mlp_runs(name, tmp_path):
-    recipe, criterion, beta2 = SMALL_CASES[name]
+    recipe, beta2 = SMALL_CASES[name]
     spec = models.ModelSpec("mlp_classifier", (2, 16, 2))
     ds = models.DataConfig("blobs", 256, 2, n_classes=2, noise_std=0.6, seed=0,
                            batch_size=32).build("mlp_classifier")
     plan = {"fc2.weight": NMRatio(1, 4)}
     hyper = AdamHyper(beta2=beta2, lr=5e-3)
-    run = optim.recipe_train(spec, ds, hyper, plan, recipe, criterion, SMALL_STEPS, seed=3)
-    if criterion is not None:
+    run = optim.recipe_train(spec, ds, hyper, plan, recipe, SMALL_STEPS, seed=3)
+    if recipe.switch is not None:
         assert run.switched_at is not None
     assert _digests(spec, run, tmp_path) == DIGESTS[name]
 
@@ -127,8 +127,8 @@ def test_regression_run(tmp_path):
     ds = models.DataConfig("regression", 256, 8, noise_std=0.1, seed=0,
                            batch_size=32).build("linear_regression")
     hyper = AdamHyper(lr=5e-3)
-    run = optim.recipe_train(spec, ds, hyper, {"fc1.weight": NMRatio(2, 4)}, Recipe("step"),
-                             FIXED, SMALL_STEPS, seed=3)
+    run = optim.recipe_train(spec, ds, hyper, {"fc1.weight": NMRatio(2, 4)},
+                             Recipe("step", switch=FIXED), SMALL_STEPS, seed=3)
     assert run.switched_at == 150
     assert _digests(spec, run, tmp_path) == DIGESTS["regression"]
 
@@ -140,8 +140,8 @@ def _wide_run_digests(tmp_path):
                            batch_size=64).build("mlp_classifier")
     plan = {f"fc{i}.weight": NMRatio(2, 4) for i in (1, 2, 3)}
     hyper = AdamHyper(lr=1e-3)
-    run = optim.recipe_train(spec, ds, hyper, plan, Recipe("step"),
-                             SwitchCriterion(kind="fixed", step=5), 10, seed=7)
+    run = optim.recipe_train(spec, ds, hyper, plan,
+                             Recipe("step", switch=SwitchCriterion(kind="fixed", step=5)), 10, seed=7)
     assert run.switched_at == 5
     return _digests(spec, run, tmp_path)
 

@@ -38,6 +38,8 @@ BASE_CONFIG = {
     "seeds": [1, 2],
     "output_dir": "runs",
 }
+# BASE_CONFIG's switch: the clip ratios 0.1 and 0.5 of 120 steps
+BASE_SWITCH = SwitchCriterion(kind="autoswitch", clip=(12, 60))
 
 
 def make_config(tmp_path, **overrides):
@@ -59,7 +61,7 @@ class TestConfigParsing:
         assert config.total_steps == 120
         assert config.seeds == (1, 2)
         assert config.plan["fc2.weight"].m == 4
-        assert config.criterion.clip == (12, 60)  # the clip ratios 0.1 and 0.5 of 120 steps
+        assert config.recipe.switch.clip == (12, 60)  # the clip ratios 0.1 and 0.5 of 120 steps
 
     def test_unknown_top_level_key(self, tmp_path):
         path, _ = make_config(tmp_path, optimiser={"lr": 0.1})
@@ -125,29 +127,31 @@ class TestConfigParsing:
     def test_switch_step_ratio(self, tmp_path):
         path, _ = make_config(tmp_path, switch={"kind": "fixed", "step_ratio": 0.25})
         config = harness.load_config(path)
-        assert config.criterion.step == 30
+        assert config.recipe.switch.step == 30
 
     def test_a_step_ratio_floors_to_its_step(self, tmp_path):
         # 0.3 of 1001 steps is 300.3
         path, _ = make_config(tmp_path, total_steps=1001,
                               switch={"kind": "fixed", "step_ratio": 0.3})
-        assert harness.load_config(path).criterion.step == 300
+        assert harness.load_config(path).recipe.switch.step == 300
 
     def test_clip_ratios_floor_to_their_steps(self, tmp_path):
         # 0.1 and 0.55 of 1001 steps are 100.1 and 550.55
         clip = {"t_min_ratio": 0.1, "t_max_ratio": 0.55}
         path, _ = make_config(tmp_path, total_steps=1001, switch={"kind": "autoswitch", "clip": clip})
-        assert harness.load_config(path).criterion.clip == (100, 550)
+        assert harness.load_config(path).recipe.switch.clip == (100, 550)
 
 
 class TestRecipeConfig:
     def test_recipe_built_at_load(self, tmp_path):
         decay = {"decay": {"m": 4, "stage_boundaries": [60]}}
         path, _ = make_config(tmp_path, ablation=decay)
-        assert harness.load_config(path).recipe == optim.Recipe("step", decay=DecaySchedule(4, (60,)))
+        assert harness.load_config(path).recipe == optim.Recipe("step", decay=DecaySchedule(4, (60,)),
+                                                                switch=BASE_SWITCH)
+        # every kind holds the config's switch, which only the two-phase kinds read
         path, _ = make_config(tmp_path, recipe={"kind": "dense"}, ablation=decay)
-        assert harness.load_config(path).recipe == optim.Recipe("dense")
-        path, _ = make_config(tmp_path, recipe={"kind": "srste", "lam": 0.01})
+        assert harness.load_config(path).recipe == optim.Recipe("dense", switch=BASE_SWITCH)
+        path, _ = make_config(tmp_path, recipe={"kind": "srste", "lam": 0.01}, switch=None)
         assert harness.load_config(path).recipe == optim.Recipe("srste", lam=0.01)
 
     @pytest.mark.parametrize("recipe", [{"kind": "srste", "lam": -0.1}, {"kind": "ste", "lam": 0.1}])
@@ -192,12 +196,27 @@ class TestRecipeConfig:
         assert "needs a switch section" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds", [[], [-1], [3, 3], "three"])
+    def test_a_missing_switch_is_named_before_bad_seeds(self, tmp_path, seeds):
+        # the recipe is built, and checks its switch, before the seeds are read
+        path, _ = make_config(tmp_path, seeds=seeds, switch=None)
+        with pytest.raises(ConfigError, match="^recipe 'step' needs a switch section$"):
+            harness.load_config(path)
+        path, _ = make_config(tmp_path, seeds=seeds)
+        with pytest.raises(ConfigError, match="^seed"):
+            harness.load_config(path)
+
+    def test_the_recipe_alone_holds_the_switch(self):
+        assert [f.name for f in dataclasses.fields(harness.ExperimentConfig)] == [
+            "model", "data", "hyper", "plan", "recipe", "total_steps", "seeds", "output_dir",
+            "ablation"]
+
     def test_loaded_config_holds_the_validated_objects(self, tmp_path):
         path, _ = make_config(tmp_path, optimizer={"lr": 0.005, "lr_schedule": "cosine"},
                               ablation={"decay": {"m": 4, "stage_boundaries": [60]}})
         config = harness.load_config(path)
-        assert config.criterion.clip == (12, 60)
-        assert config.recipe == optim.Recipe("step", decay=DecaySchedule(4, (60,)))
+        assert config.recipe.switch.clip == (12, 60)
+        assert config.recipe == optim.Recipe("step", decay=DecaySchedule(4, (60,)), switch=BASE_SWITCH)
         assert config.ablation == harness.AblationConfig(decay=DecaySchedule(4, (60,)))
         assert config.hyper == optim.AdamHyper(lr=0.005, cosine_steps=120)
         for t in (0, 1, 37, 60, 119, 120, 500):
@@ -295,7 +314,7 @@ class TestKeysByKind:
                                        if (kind, key) not in UNREAD_SWITCH_KEYS}}
             if kind == "fixed":  # step and step_ratio are two ways to say one thing
                 del switch["step_ratio"]
-            assert harness.config_from_dict({**BASE_CONFIG, "switch": switch}).criterion.kind == kind
+            assert harness.config_from_dict({**BASE_CONFIG, "switch": switch}).recipe.switch.kind == kind
         values = {**DATA_VALUES, "batch_size": 16, "path": _blobs_csv(tmp_path)}
         for kind in ("blobs", "regression", "csv"):
             data = {"kind": kind, **{key: value for key, value in values.items()
@@ -653,13 +672,13 @@ class TestRun:
         path, _ = make_config(tmp_path, seeds=[1], total_steps=30, output_dir=str(written))
         config = harness.load_config(path)
 
-        def train(recipe, criterion):
+        def train(recipe):
             return optim.recipe_train(config.model, config.data.build(config.model.kind),
-                                      config.hyper, config.plan, recipe, criterion, 30, 1)
+                                      config.hyper, config.plan, recipe, 30, 1)
 
-        result = train(config.recipe, config.criterion)
+        result = train(config.recipe)
         harness.write_trajectory(tmp_path / "expected.jsonl", result)
-        dense = train(optim.Recipe("dense"), None)
+        dense = train(optim.Recipe("dense"))
         real = harness.recipe_train
 
         def spy(*args, **kwargs):
@@ -667,7 +686,7 @@ class TestRun:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "recipe_train", spy)
-        cells = [("step", config.recipe, config.criterion), ("dense", optim.Recipe("dense"), None)]
+        cells = [("step", config.recipe), ("dense", optim.Recipe("dense"))]
         (label, seed, figures, records), = harness._train_runs(config, cells[:1], trajectories=True)
         assert (label, seed, records) == ("step", 1, result.records)
         assert figures == (result.sparse_eval_loss, result.dense_eval_loss, result.switched_at)
@@ -831,7 +850,7 @@ class TestAblation:
         config = harness.config_from_dict(doc)
         rows = harness.ablation("precondition_length", config)
         dense = optim.recipe_train(config.model, config.data.build(config.model.kind),
-                                   config.hyper, config.plan, optim.Recipe("dense"), None,
+                                   config.hyper, config.plan, optim.Recipe("dense"),
                                    config.total_steps, 5)
         assert rows[0]["sparse_eval_loss"] == dense.sparse_eval_loss
         assert rows[0]["dense_eval_loss"] == dense.dense_eval_loss
@@ -1247,18 +1266,21 @@ class TestEveryBadInputExits2:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, overrides, message", [
+        # the two-phase cells take the config's switch, and their Recipe refuses to be built
+        # without one, naming its kind
         ("fixed_vs_updated_variance", {"recipe": {"kind": "dense"}, "switch": None},
-         "fixed_vs_updated_variance needs a switch criterion"),
+         "recipe 'step' needs a switch section"),
         ("decaying_mask", {}, "decaying_mask needs ablation.decay"),
         ("decaying_mask", {"recipe": {"kind": "dense"}, "switch": None,
                            "ablation": {"decay": {"m": 4, "stage_boundaries": [10]}}},
-         "decaying_mask needs a switch criterion for the dense-phase variant"),
+         "recipe 'step_updated_variance' needs a switch section"),
     ], ids=["fixed_vs_updated_without_switch", "decaying_without_decay",
             "decaying_without_switch"])
     def test_an_ablation_without_its_switch_or_decay(self, tmp_path, monkeypatch, capsys, kind,
                                                      overrides, message):
         path, _ = make_config(tmp_path, **overrides)
-        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
+        trained = []
+        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: trained.append(a))
         with pytest.raises(ConfigError) as info:
             harness.ablation(kind, harness.load_config(path))
         assert str(info.value) == message
@@ -1269,7 +1291,7 @@ class TestEveryBadInputExits2:
             cli_entry()
         assert exit_info.value.code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
+        assert trained == [] and not out.exists()
 
     def test_an_output_directory_name_too_long(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / ("x" * 300)  # a path component longer than 255 bytes
@@ -1550,8 +1572,8 @@ class TestConfigFuzz:
             return
         try:
             dataset = data.build(config.model.kind)
-            optim.recipe_train(config.model, dataset, config.hyper, config.plan, config.recipe,
-                               config.criterion, 3, config.seeds[0])
+            optim.recipe_train(config.model, dataset, config.hyper, config.plan, config.recipe, 3,
+                               config.seeds[0])
         except ToolkitError:
             pass
 

@@ -49,3 +49,21 @@ def test_cli_writes_no_file_and_edits_no_loaded_config():
               and isinstance(node.func, (ast.Name, ast.Attribute))}
     assert "json" not in imported and not called & {"open", "replace"}
     assert {"load_config", "write_json", "echo"} <= called  # the reader sees calls at all
+
+
+def test_only_optim_reads_the_recipe_table():
+    """RECIPE_KINDS says what each recipe kind does; a Recipe checks itself against it, so
+    no other module names it, as a name, an attribute or an import."""
+    def names(module: str) -> set[str]:
+        found = set()
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.update(alias.name.split(".")[-1] for alias in node.names)
+        return found
+
+    readers = {path.stem for path in PACKAGE.glob("*.py") if "RECIPE_KINDS" in names(path.stem)}
+    assert readers == {"optim"}

@@ -232,6 +232,19 @@ class TestAdamStep:
             assert [b.flat.tobytes() for b in (params, state.m, state.v, grads)] == before
             assert state.t == 3
 
+    @pytest.mark.parametrize("mode", ["Frozen", "", None, "step"])
+    def test_an_unknown_mode_moves_nothing(self, mode):
+        # only "corrected", "raw" and "frozen" pick a denominator; any other
+        # mode is refused before a buffer is written
+        params, grads = buffer(w=np.array([1.0, -0.5])), buffer(w=np.array([3.0, 0.25]))
+        state = optim.AdamState(m=buffer(w=np.array([0.1, 0.2])), v=buffer(w=np.array([0.3, 0.4])),
+                                t=7, mode=mode)
+        before = [b.flat.tobytes() for b in (params, state.m, state.v, grads)]
+        with pytest.raises(ConfigError, match=f"^unknown Adam mode {re.escape(repr(mode))}$"):
+            adam_step(state, AdamHyper(lr=0.1), params, grads)
+        assert [b.flat.tobytes() for b in (params, state.m, state.v, grads)] == before
+        assert state.t == 7
+
     def test_variance_statistics_bitwise(self):
         rng = np.random.default_rng(13)
         # "c" is long enough for numpy's pairwise summation to split it; with
@@ -415,8 +428,12 @@ class TestRecipeValidation:
 
     def test_one_table_one_mode(self):
         # RECIPE_KINDS says what a recipe does; the Adam update reads its mode
-        # from the state alone, and recipe_train names no recipe kind
+        # from the state alone, and recipe_train names no recipe kind and takes
+        # no switch but the recipe's
         assert list(inspect.signature(adam_step).parameters) == ["state", "hyper", "params", "grads"]
+        assert [f.name for f in dataclasses.fields(Recipe)] == ["kind", "lam", "decay", "switch"]
+        assert list(inspect.signature(optim.recipe_train).parameters) == [
+            "spec", "dataset", "hyper", "plan", "recipe", "total_steps", "seed"]
         assert [f.name for f in dataclasses.fields(optim.AdamState)] == ["m", "v", "t", "mode"]
         assert not hasattr(optim, "TWO_PHASE_KINDS")
         assert {kind: mode for kind, (_, mode) in optim.RECIPE_KINDS.items() if mode} == {
@@ -435,9 +452,24 @@ class TestRecipeValidation:
             Recipe("dense", decay=DecaySchedule(4))
 
     def test_two_phase_needs_switch(self):
+        for kind in ("step", "step_updated_variance"):
+            with pytest.raises(ConfigError, match=f"^recipe '{kind}' needs a switch section$"):
+                Recipe(kind)
+            assert Recipe(kind, switch=SwitchCriterion("fixed", step=3)).switch.step == 3
+
+    @pytest.mark.parametrize("kind", ["dense", "ste", "srste"])
+    def test_single_phase_kinds_ignore_a_switch(self, kind):
         spec, ds, plan = blob_setup()
-        with pytest.raises(ConfigError):
-            optim.recipe_train(spec, ds, default_hyper(), plan, Recipe("step"), None, 10, 0)
+        lam = 2e-4 if kind == "srste" else 0.0
+        switch = SwitchCriterion("fixed", step=5)
+        hyper = default_hyper(5e-3)
+        a = optim.recipe_train(spec, ds, hyper, plan, Recipe(kind, lam, switch=switch), 20, 3)
+        b = optim.recipe_train(spec, ds, hyper, plan, Recipe(kind, lam), 20, 3)
+        assert a.switched_at is None
+        assert repr([vars(r) for r in a.records]) == repr([vars(r) for r in b.records])
+        assert a.params.flat.tobytes() == b.params.flat.tobytes()
+        assert a.final_masks.keys() == b.final_masks.keys()
+        assert all(a.final_masks[k].tobytes() == b.final_masks[k].tobytes() for k in a.final_masks)
 
 
 class TestTwoPhaseTraining:
@@ -451,9 +483,9 @@ class TestTwoPhaseTraining:
         real, modes = optim.adam_step, []
         monkeypatch.setattr(optim, "adam_step",
                             lambda state, *args: modes.append(state.mode) or real(state, *args))
-        two_phase = optim.RECIPE_KINDS[kind][1] is not None
-        switch = SwitchCriterion("fixed", step=3) if two_phase else None
-        run = optim.recipe_train(spec, ds, default_hyper(), plan, Recipe(kind), switch, 6, 0)
+        # every kind is given the switch; only the two-phase kinds read it
+        run = optim.recipe_train(spec, ds, default_hyper(), plan,
+                                 Recipe(kind, switch=SwitchCriterion("fixed", step=3)), 6, 0)
         assert modes == ["corrected"] * 3 + [after] * 3
         masked_from = {"dense": 7, "ste": 1, "srste": 1}.get(kind, 4)  # 7: never
         assert [r.phase == "mask_learning" for r in run.records] == [
@@ -464,10 +496,10 @@ class TestTwoPhaseTraining:
         hyper = default_hyper(5e-3)
         crit = SwitchCriterion(kind="fixed", step=50)
         step_run, step_snaps = train_with_snapshots(
-            {50}, spec, ds, hyper, plan, Recipe("step"), crit, 80, seed=1
+            {50}, spec, ds, hyper, plan, Recipe("step", switch=crit), 80, seed=1
         )
         dense_run, dense_snaps = train_with_snapshots(
-            {50}, spec, ds, hyper, plan, Recipe("dense"), None, 80, seed=1
+            {50}, spec, ds, hyper, plan, Recipe("dense"), 80, seed=1
         )
         p1, s1 = step_snaps[50]
         p2, s2 = dense_snaps[50]
@@ -484,7 +516,7 @@ class TestTwoPhaseTraining:
         spec, ds, plan = blob_setup()
         crit = SwitchCriterion(kind="fixed", step=30)
         run, snapshots = train_with_snapshots(range(30, 91), spec, ds, default_hyper(5e-3), plan,
-                                              Recipe("step"), crit, 90, 2)
+                                              Recipe("step", switch=crit), 90, 2)
         assert run.switched_at == 30
         _, at_switch = snapshots[30]
         for t in range(31, 91):
@@ -504,7 +536,7 @@ class TestTwoPhaseTraining:
         lr, t0, seed = 5e-3, 40, 5
         crit = SwitchCriterion(kind="fixed", step=t0)
         run, snapshots = train_with_snapshots({t0, t0 + 1, t0 + 2}, spec, ds, default_hyper(lr),
-                                              plan, Recipe("step"), crit, t0 + 2, seed=seed)
+                                              plan, Recipe("step", switch=crit), t0 + 2, seed=seed)
         batches = models.batch_iterator(ds, (seed, 1))  # the trainer's batch stream
         for _ in range(t0):
             next(batches)
@@ -534,8 +566,8 @@ class TestTwoPhaseTraining:
         lr, t0, seed = 5e-3, 40, 5
         crit = SwitchCriterion(kind="fixed", step=t0)
         run, snapshots = train_with_snapshots({t0, t0 + 1, t0 + 2}, spec, ds, default_hyper(lr),
-                                              plan, Recipe("step_updated_variance"), crit, t0 + 2,
-                                              seed=seed)
+                                              plan, Recipe("step_updated_variance", switch=crit),
+                                              t0 + 2, seed=seed)
         batches = models.batch_iterator(ds, (seed, 1))  # the trainer's batch stream
         for _ in range(t0):
             next(batches)
@@ -560,8 +592,8 @@ class TestTwoPhaseTraining:
         spec, ds, plan = blob_setup()
         hyper = default_hyper(5e-3)
         crit = SwitchCriterion(kind="fixed", step=60)
-        a = optim.recipe_train(spec, ds, hyper, plan, Recipe("step"), crit, 60, seed=3)
-        b = optim.recipe_train(spec, ds, hyper, plan, Recipe("dense"), None, 60, seed=3)
+        a = optim.recipe_train(spec, ds, hyper, plan, Recipe("step", switch=crit), 60, seed=3)
+        b = optim.recipe_train(spec, ds, hyper, plan, Recipe("dense"), 60, seed=3)
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
         assert a.final_masks.keys() == b.final_masks.keys()
@@ -573,7 +605,7 @@ class TestTwoPhaseTraining:
         spec, ds, plan = blob_setup()
         # forced switch beyond the budget can never fire inside the run
         crit = SwitchCriterion(kind="fixed", step=10_000)
-        run = optim.recipe_train(spec, ds, default_hyper(5e-3), plan, Recipe("step"), crit, 40, 4)
+        run = optim.recipe_train(spec, ds, default_hyper(5e-3), plan, Recipe("step", switch=crit), 40, 4)
         assert run.switched_at is None
         assert all(r.phase == "precondition" for r in run.records)
         assert run.final_masks  # final mask still applied for sparse eval
@@ -582,9 +614,9 @@ class TestTwoPhaseTraining:
         spec, ds, plan = blob_setup()
         hyper = default_hyper(5e-3)
         crit = SwitchCriterion(kind="fixed", step=20)
-        _, a = train_with_snapshots({20, 21}, spec, ds, hyper, plan, Recipe("step"), crit, 40, 5)
+        _, a = train_with_snapshots({20, 21}, spec, ds, hyper, plan, Recipe("step", switch=crit), 40, 5)
         _, b = train_with_snapshots({20, 21}, spec, ds, hyper, plan,
-                                    Recipe("step_updated_variance"), crit, 40, 5)
+                                    Recipe("step_updated_variance", switch=crit), 40, 5)
         _, sa20 = a[20]
         _, sb20 = b[20]
         for k in sa20.v:
@@ -596,8 +628,8 @@ class TestTwoPhaseTraining:
     def test_srste_lam_zero_trajectory_equals_ste(self):
         spec, ds, plan = blob_setup()
         hyper = default_hyper(5e-3)
-        a = optim.recipe_train(spec, ds, hyper, plan, Recipe("ste"), None, 50, seed=6)
-        b = optim.recipe_train(spec, ds, hyper, plan, Recipe("srste", lam=0.0), None, 50, seed=6)
+        a = optim.recipe_train(spec, ds, hyper, plan, Recipe("ste"), 50, seed=6)
+        b = optim.recipe_train(spec, ds, hyper, plan, Recipe("srste", lam=0.0), 50, seed=6)
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
         assert [r.loss for r in a.records] == [r.loss for r in b.records]
@@ -610,7 +642,7 @@ class TestTwoPhaseTraining:
                             lambda *a, **k: steps.append(1) or real_grad(*a, **k))
         monkeypatch.setattr(optim, "compute_nm_mask",
                             lambda w, r, out=None: calls.append(len(steps)) or real_mask(w, r, out))
-        run = optim.recipe_train(spec, ds, default_hyper(), plan, Recipe("dense"), None, 30, seed=7)
+        run = optim.recipe_train(spec, ds, default_hyper(), plan, Recipe("dense"), 30, seed=7)
         # after the last step only: the final masked weights, then the kept final mask
         assert calls == [30, 30]
         assert all(r.phase == "precondition" for r in run.records)
@@ -622,9 +654,9 @@ class TestTwoPhaseTraining:
         hyper = default_hyper(5e-3)
         plan_34 = {"fc2.weight": NMRatio(3, 4)}
         decayed = optim.recipe_train(
-            spec, ds, hyper, plan_34, Recipe("ste", decay=DecaySchedule(4)), None, 50, seed=8
+            spec, ds, hyper, plan_34, Recipe("ste", decay=DecaySchedule(4)), 50, seed=8
         )
-        constant = optim.recipe_train(spec, ds, hyper, plan_34, Recipe("ste"), None, 50, seed=8)
+        constant = optim.recipe_train(spec, ds, hyper, plan_34, Recipe("ste"), 50, seed=8)
         for k in decayed.params:
             np.testing.assert_array_equal(decayed.params[k], constant.params[k])
 
@@ -632,7 +664,7 @@ class TestTwoPhaseTraining:
         spec, ds, plan = blob_setup()
         sched = DecaySchedule(4, (20,))
         run = optim.recipe_train(
-            spec, ds, default_hyper(5e-3), plan, Recipe("ste", decay=sched), None, 40, seed=9
+            spec, ds, default_hyper(5e-3), plan, Recipe("ste", decay=sched), 40, seed=9
         )
         # final stage is 2:4 regardless of the plan's 1:4
         assert run.layer_sparsity == {"fc2.weight": 0.5}
@@ -647,8 +679,8 @@ class TestTwoPhaseTraining:
             return real(spec, targets, rows)
 
         monkeypatch.setattr(models, "check_targets", spy)
-        optim.recipe_train(spec, ds, default_hyper(), plan, Recipe("step"),
-                           SwitchCriterion(kind="fixed", step=20), 40, seed=0)
+        optim.recipe_train(spec, ds, default_hyper(), plan,
+                           Recipe("step", switch=SwitchCriterion(kind="fixed", step=20)), 40, seed=0)
         # the dataset's float ids are checked and made int64 once, at entry;
         # every step and both evaluations then read int64 ids, which need
         # only their range checked
@@ -665,15 +697,15 @@ class TestTwoPhaseTraining:
         # the detector observes the very StepRecords that the run returns
         spec, ds, plan = blob_setup()
         hyper = AdamHyper(beta2=0.9, lr=5e-3)  # window / lag of 10
-        run = optim.recipe_train(spec, ds, hyper, plan, Recipe("step"), criterion, 120, seed=5)
+        run = optim.recipe_train(spec, ds, hyper, plan, Recipe("step", switch=criterion), 120, seed=5)
         assert run.switched_at is not None
         assert evaluate_offline(criterion, run.records, hyper.beta2, hyper.eps) == run.switched_at
 
     def test_reproducible_across_calls(self):
         spec, ds, plan = blob_setup()
         crit = SwitchCriterion(kind="fixed", step=25)
-        a = optim.recipe_train(spec, ds, default_hyper(5e-3), plan, Recipe("step"), crit, 50, 10)
-        b = optim.recipe_train(spec, ds, default_hyper(5e-3), plan, Recipe("step"), crit, 50, 10)
+        a = optim.recipe_train(spec, ds, default_hyper(5e-3), plan, Recipe("step", switch=crit), 50, 10)
+        b = optim.recipe_train(spec, ds, default_hyper(5e-3), plan, Recipe("step", switch=crit), 50, 10)
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
         assert [r.loss for r in a.records] == [r.loss for r in b.records]
@@ -689,7 +721,7 @@ class TestNonFiniteFigures:
         ds = models.Dataset(1e10 * rng.standard_normal((64, 3)),
                             1e300 * rng.standard_normal((64, 1)), 32)
         with pytest.raises(NumericalError, match=r"^non-finite gradient for 'fc1.weight' at step 1$"):
-            optim.recipe_train(spec, ds, default_hyper(), {}, Recipe("dense"), None, 20, 1)
+            optim.recipe_train(spec, ds, default_hyper(), {}, Recipe("dense"), 20, 1)
 
     @pytest.mark.parametrize("figure", ["loss", "z", "z_geom", "v_l1", "v_l2"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -723,8 +755,8 @@ class TestNonFiniteFigures:
         monkeypatch.setattr(optim, "make_detector", make_detector)
         spec, ds, plan = blob_setup()
         with pytest.raises(NumericalError, match=rf"^non-finite {figure} at step 3$"):
-            optim.recipe_train(spec, ds, default_hyper(), plan, Recipe("step"),
-                               SwitchCriterion(kind="autoswitch"), 10, 0)
+            optim.recipe_train(spec, ds, default_hyper(), plan,
+                               Recipe("step", switch=SwitchCriterion(kind="autoswitch")), 10, 0)
         assert observed == [1, 2]
 
     @pytest.mark.parametrize("figure", ["sparse_eval_loss", "dense_eval_loss"])
@@ -740,7 +772,7 @@ class TestNonFiniteFigures:
         monkeypatch.setattr(models, "forward_loss", forward_loss)
         spec, ds, plan = blob_setup()
         with pytest.raises(NumericalError, match=rf"^non-finite {figure} at step 12$"):
-            optim.recipe_train(spec, ds, default_hyper(), plan, Recipe("dense"), None, 12, 0)
+            optim.recipe_train(spec, ds, default_hyper(), plan, Recipe("dense"), 12, 0)
         assert len(losses) == 2
 
 
@@ -765,7 +797,7 @@ class TestTrainingMemory:
                                batch_size=32).build("mlp_classifier")
         plan = {f"fc{i}.weight": NMRatio(2, 4) for i in (1, 2, 3)}
         switch = SwitchCriterion("fixed", step=3) if optim.RECIPE_KINDS[kind][1] else None
-        recipe = Recipe(kind, lam=2e-4 if kind == "srste" else 0.0)
+        recipe = Recipe(kind, lam=2e-4 if kind == "srste" else 0.0, switch=switch)
         coords = sum(math.prod(s) for s in models.param_shapes(spec).values())
         made = []
         real_init = models.ParamBuffer.__init__
@@ -777,7 +809,7 @@ class TestTrainingMemory:
                             lambda w, r, out=None: new_masks.append(out is None) or real_mask(w, r, out))
         tracemalloc.start()
         try:
-            run = optim.recipe_train(spec, ds, default_hyper(), plan, recipe, switch, 8, 0)
+            run = optim.recipe_train(spec, ds, default_hyper(), plan, recipe, 8, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

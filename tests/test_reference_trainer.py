@@ -68,8 +68,8 @@ def _train_both(sizes, activation, plan, recipe, lam, decay, switch, cosine, *, 
         **{key: value for key, value in switch.items() if value is not None})
     result = optim.recipe_train(
         spec, ds, hyper, {name: NMRatio(*ratio) for name, ratio in plan.items()},
-        Recipe(recipe, lam, None if decay is None else DecaySchedule(*decay)),
-        criterion, steps, seed)
+        Recipe(recipe, lam, None if decay is None else DecaySchedule(*decay), criterion),
+        steps, seed)
     reference = reference_trainer.train(
         sizes, activation, ds.inputs, ds.targets, ds.batch_size, recipe=recipe,
         total_steps=steps, seed=seed, lr=lr, cosine=cosine, beta2=beta2, eps=eps, lam=lam,
@@ -322,7 +322,7 @@ def test_config_layer_matches_the_plain_reading(recipe, data, tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "recipe_train", keeping)
-        runs = list(harness._train_runs(config, [("run", config.recipe, config.criterion)]))
+        runs = list(harness._train_runs(config, [("run", config.recipe)]))
         if config.ablation.precondition_ratios:
             out = str(tmp_path_factory.mktemp("ablation"))
             harness.ablation("precondition_length", dataclasses.replace(config, output_dir=out))
