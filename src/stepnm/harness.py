@@ -34,6 +34,8 @@ from .optim import AdamHyper, Recipe, TrainResult, recipe_train
 
 ABLATION_KINDS = ("precondition_length", "fixed_vs_updated_variance", "decaying_mask")
 
+# compare-switch's default criterion kinds, in order, and the clip ratios of its autoswitch
+COMPARISON_KINDS = ("autoswitch", "relative", "staleness")
 DEFAULT_CLIP_RATIOS = (0.1, 0.5)
 
 INT_LIMIT = 2**63  # numpy's index range: a larger integer fails in numpy, not as ConfigError
@@ -381,12 +383,12 @@ def run(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def default_comparison_criteria(total_steps: int) -> list[SwitchCriterion]:
-    return [
-        SwitchCriterion(kind="autoswitch", clip=_clip_steps(DEFAULT_CLIP_RATIOS, total_steps)),
-        SwitchCriterion(kind="relative"),
-        SwitchCriterion(kind="staleness"),
-    ]
+def default_comparison_criteria(total_steps: int, kinds=COMPARISON_KINDS) -> list[SwitchCriterion]:
+    """The default criterion of each kind in ``kinds``, in order; ConfigError for an unknown kind."""
+    for kind in kinds:
+        check_kind("criterion", kind, dict.fromkeys(COMPARISON_KINDS, ()))
+    clip = _clip_steps(DEFAULT_CLIP_RATIOS, total_steps)
+    return [SwitchCriterion(kind=kind, clip=clip if kind == "autoswitch" else None) for kind in kinds]
 
 
 def compare_switch(config: ExperimentConfig, criteria: list[SwitchCriterion]) -> list[dict]:
@@ -433,8 +435,7 @@ def ablation(kind: str, config: ExperimentConfig) -> list[dict]:
     and without its dense warmup.  The cells train in turn, each over every seed, and
     the rows are returned and written to ``ablation_<kind>.csv`` in ``config.output_dir``.
     """
-    if kind not in ABLATION_KINDS:
-        raise ConfigError(f"unknown ablation kind {kind!r}")
+    check_kind("ablation", kind, dict.fromkeys(ABLATION_KINDS, ()))
     cells: list[tuple[str, Recipe]] = []
     switch = config.recipe.switch
 

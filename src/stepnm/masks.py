@@ -4,14 +4,16 @@ An N:M plan is a dict from parameter names, as in ``models.param_shapes``, to
 NMRatios.  Layers absent from it stay dense; only 2-D (out, in) weights may be
 listed (``check_plan``).  ``plan_at`` gives the plan in force at a step.
 
-The mask is a sort-free rank.  Within a group, slot i outranks a later slot
-j when |w_i| >= |w_j| (a later slot needs a strictly larger magnitude), so
-ties go to the lower index.  A slot is kept when fewer than n slots outrank
-it.  The magnitudes are laid out slot-major, (m, groups), a CHUNK of
+The mask is a rank.  Within a group, slot i outranks a later slot j when
+|w_i| >= |w_j| (a later slot needs a strictly larger magnitude), so ties go
+to the lower index.  A slot is kept when fewer than n slots outrank it.  NaN
+magnitudes are mapped below zero first, which reproduces numpy's stable
+argsort order (NaN last) exactly.  Up to SMALL weights, each group is ranked
+by two stable argsorts, a few numpy calls in all.  Above it, the rank is
+sort-free: the magnitudes are laid out slot-major, (m, groups), a CHUNK of
 coordinates at a time, so each compare of slot i against the slots after it
-runs over contiguous rows: m - 1 vectorised compares per chunk.  NaN magnitudes
-are mapped below zero first, which reproduces numpy's stable argsort order
-(NaN last) exactly.
+runs over contiguous rows: m - 1 vectorised compares per chunk, which beats
+sorting on large tensors but costs about 30 numpy calls per call.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 
 CHUNK = 2**15  # coordinates per pass of a chunked elementwise chain: masks, the Adam update
+SMALL = 1024  # up to this many weights, two argsorts beat the rank's ~30 numpy calls of overhead
 
 
 @dataclass(frozen=True)
@@ -58,23 +61,29 @@ def compute_nm_mask(weights, ratio: NMRatio, out: np.ndarray | None = None) -> n
             f"mask output must be a writable C-contiguous float64 array of shape {w.shape}")
     m = ratio.m
     groups, step = w.size // m, max(1, CHUNK // m)  # step: groups per chunk
-    count = np.min_scalar_type(m)
-    mags, ranks = np.empty((m, min(groups, step))), np.empty((m, min(groups, step)), dtype=count)
     mask = np.empty(w.shape) if out is None else out
-    for start in range(0, groups, step):
-        block = w.reshape(groups, m)[start:start + step]
-        # slot-major magnitudes: row i holds slot i of every group, contiguously
-        chunk, outranked = mags[:, :len(block)], ranks[:, :len(block)]
-        np.abs(block.T, out=chunk)
-        np.fmax(chunk, -1.0, out=chunk)  # NaN -> -1, below every magnitude
-        # outranked[j] counts the slots that outrank slot j; it starts by assuming
-        # every later slot does and corrects that as each slot is compared
-        outranked[...] = np.arange(m - 1, -1, -1, dtype=count)[:, None]
-        for i in range(m - 1):
-            wins = np.greater_equal(chunk[i], chunk[i + 1:])
-            outranked[i + 1:] += wins
-            outranked[i] -= wins.sum(axis=0, dtype=count)
-        np.less(outranked.T, ratio.n, out=mask.reshape(groups, m)[start:start + step])
+    if w.size <= SMALL:
+        # a group's stable order on -|w| (NaN as -1), inverted, is each slot's rank; the
+        # inverting sort meets no ties, and its stable kind measured faster than the default
+        order = np.argsort(-np.fmax(np.abs(w.reshape(groups, m)), -1.0), axis=1, kind="stable")
+        np.less(np.argsort(order, axis=1, kind="stable"), ratio.n, out=mask.reshape(groups, m))
+    else:
+        count = np.min_scalar_type(m)
+        mags, ranks = np.empty((m, min(groups, step))), np.empty((m, min(groups, step)), dtype=count)
+        for start in range(0, groups, step):
+            block = w.reshape(groups, m)[start:start + step]
+            # slot-major magnitudes: row i holds slot i of every group, contiguously
+            chunk, outranked = mags[:, :len(block)], ranks[:, :len(block)]
+            np.abs(block.T, out=chunk)
+            np.fmax(chunk, -1.0, out=chunk)  # NaN -> -1, below every magnitude
+            # outranked[j] counts the slots that outrank slot j; it starts by assuming
+            # every later slot does and corrects that as each slot is compared
+            outranked[...] = np.arange(m - 1, -1, -1, dtype=count)[:, None]
+            for i in range(m - 1):
+                wins = np.greater_equal(chunk[i], chunk[i + 1:])
+                outranked[i + 1:] += wins
+                outranked[i] -= wins.sum(axis=0, dtype=count)
+            np.less(outranked.T, ratio.n, out=mask.reshape(groups, m)[start:start + step])
     mask.flags.writeable = out is not None
     return mask
 

@@ -1,6 +1,6 @@
 """Mutation audit of the boundary conventions: every one-line mutant must fail Tier-1.
 
-Run it by hand from anywhere; it takes about eighteen minutes on two cores:
+Run it by hand from anywhere; it takes about nineteen minutes on two cores:
 
     python tests/mutants.py           # every mutant
     python tests/mutants.py S3 K1     # only the named ones
@@ -151,6 +151,12 @@ MUTANTS = {
            "step_updated_variance is built without its switch"),
     "T5": ("optim.py", 'if state.mode not in ("corrected", "raw", "frozen"):', "if False:",
            "adam_step runs an unknown mode as raw"),
+    "F1": ("harness.py", '    check_kind("ablation", kind, dict.fromkeys(ABLATION_KINDS, ()))', "    pass",
+           "ablation runs an unknown kind as decaying_mask"),
+    "F2": ("harness.py", '        check_kind("criterion", kind, dict.fromkeys(COMPARISON_KINDS, ()))',
+           "        pass", "an unknown criterion name reaches SwitchCriterion, or names a fixed switch"),
+    "M1": ("masks.py", '-1.0), axis=1, kind="stable")', "-1.0), axis=1)",
+           "the small-tensor path orders tied magnitudes by an unstable sort"),
     "E1": ("autoswitch.py", "if prev is None or prev <= 0.0:", "if prev is None or prev == 0.0:",
            "relative skips only a zero norm, not a negative one"),
     "E2": ("theory.py", "if t0 <= statement_min:", "if t0 < statement_min:",
@@ -159,6 +165,10 @@ MUTANTS = {
            "variance_stats takes its in-place path at exactly CHUNK / 4 coordinates"),
     "E4": ("models.py", "if i > 0 else None", "if i >= 0 else None",
            "the backward pass also forms the input batch's gradient"),
+    "E5": ("masks.py", "if w.size <= SMALL:", "if w.size < SMALL:",
+           "a tensor of exactly SMALL weights takes the rank, not the argsorts"),
+    "E6": ("masks.py", 'np.argsort(order, axis=1, kind="stable")', "np.argsort(order, axis=1)",
+           "the small-tensor path inverts its order by an unstable sort"),
 }
 
 # name: why the mutant cannot be told apart from the code by any run
@@ -170,6 +180,9 @@ SURVIVES_BY_DESIGN = {
     "E3": "the two paths differ only at exactly 8192 coordinates, where both give the same bits",
     "E4": "the input batch's gradient is formed and then dropped: it costs work and changes no "
           "output",
+    "E5": "both paths give the same bits, at SMALL weights as at any size",
+    "E6": "the second argsort sorts a permutation of 0..m-1, whose order no sort kind can change; "
+          "the stable kind is kept because it measured faster there",
 }
 
 TIMEOUT_S = 900  # a mutant that makes Tier-1 hang counts as killed

@@ -54,6 +54,21 @@ def make_config(tmp_path, **overrides):
     return path, doc
 
 
+def exits_2_before_any_work(monkeypatch, capsys, argv, message, out):
+    """``stepnm *argv --out out`` exits 2 with the stderr ``error: <message>``, before it builds
+    data, trains, runs the Monte Carlo or makes ``out``."""
+    calls = []
+    monkeypatch.setattr(models.DataConfig, "build", lambda *a, **k: calls.append("build"))
+    monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: calls.append("recipe_train"))
+    monkeypatch.setattr(theory, "validate_theorem", lambda *a, **k: calls.append("validate_theorem"))
+    monkeypatch.setattr("sys.argv", ["stepnm", *argv, "--out", str(out)])
+    with pytest.raises(SystemExit) as exit_info:
+        cli_entry()
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == [] and not out.exists()
+
+
 class TestConfigParsing:
     def test_load_round_trip(self, tmp_path):
         path, _ = make_config(tmp_path)
@@ -812,6 +827,17 @@ class TestCompareSwitch:
         with pytest.raises(RangeError, match="profile too short"):
             harness.compare_switch(config, [SwitchCriterion(kind="relative")])
 
+    def test_default_criteria_by_kind_in_order(self):
+        clipped = SwitchCriterion(kind="autoswitch", clip=(260, 1300))
+        relative, staleness = SwitchCriterion(kind="relative"), SwitchCriterion(kind="staleness")
+        assert harness.default_comparison_criteria(2600) == [clipped, relative, staleness]
+        assert harness.default_comparison_criteria(2600, ("staleness", "autoswitch")) == [
+            staleness, clipped]
+        assert harness.default_comparison_criteria(2600, ()) == []
+        for kinds in (("foo",), ("relative", "foo"), ("fixed",)):
+            with pytest.raises(ConfigError, match=f"^unknown criterion kind '{kinds[-1]}'$"):
+                harness.default_comparison_criteria(2600, kinds)
+
     def test_empty_criteria_rejected_before_training(self, tmp_path, monkeypatch):
         path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None,
                               output_dir=str(tmp_path / "cmp"))
@@ -1219,14 +1245,26 @@ class TestCLI:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
-    def test_compare_switch_needs_a_criterion(self, tmp_path, monkeypatch):
-        path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None)
-        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
-        result = CliRunner().invoke(cli_main, ["compare-switch", "--config", str(path),
-                                               "--criteria", ",", "--out", str(tmp_path / "cmp")])
-        assert result.exit_code == 2
-        assert "--criteria" in result.output
-        assert not (tmp_path / "cmp").exists()
+    @pytest.mark.parametrize("criteria", [",", " "], ids=["comma", "blank"])
+    def test_compare_switch_needs_a_criterion(self, tmp_path, monkeypatch, capsys, criteria):
+        # the flag names no kind, so compare_switch gets an empty list and refuses it
+        path, _ = make_config(tmp_path, seeds=[1], total_steps=1002, recipe={"kind": "dense"},
+                              switch=None)
+        exits_2_before_any_work(monkeypatch, capsys,
+                                ["compare-switch", "--config", str(path), "--criteria", criteria],
+                                "compare_switch needs at least one criterion", tmp_path / "cmp")
+
+    def test_help_names_every_kind_and_the_default_criteria(self):
+        """The kinds a flag takes are help text, from the tables the library checks them against."""
+        for command, names in [
+            ("ablate", ["precondition_length", "fixed_vs_updated_variance", "decaying_mask"]),
+            ("validate-theorem", ["constant", "uniform", "bernoulli", "trunc_gauss_sq"]),
+            ("compare-switch", ["[default: autoswitch,relative,staleness]"]),
+        ]:
+            result = CliRunner().invoke(cli_main, [command, "--help"])
+            assert result.exit_code == 0
+            text = " ".join(result.output.split())
+            assert all(name in text for name in names), (command, text)
 
 
 class TestEveryBadInputExits2:
@@ -1308,15 +1346,50 @@ class TestEveryBadInputExits2:
         assert exit_info.value.code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_an_unknown_criterion_exits_2_before_training(self, tmp_path, monkeypatch):
-        path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None)
-        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
-        result = CliRunner().invoke(cli_main, ["compare-switch", "--config", str(path),
-                                               "--criteria", "relative,foo",
-                                               "--out", str(tmp_path / "cmp")])
-        assert result.exit_code == 2
-        assert result.output.endswith("Error: Invalid value: unknown criterion 'foo'\n")
-        assert not (tmp_path / "cmp").exists()
+    def test_an_unknown_criterion_exits_2_before_training(self, tmp_path, monkeypatch, capsys):
+        path, _ = make_config(tmp_path, seeds=[1], total_steps=1002, recipe={"kind": "dense"},
+                              switch=None)
+        with pytest.raises(ConfigError) as info:
+            harness.default_comparison_criteria(1002, ["relative", "foo"])
+        assert str(info.value) == "unknown criterion kind 'foo'"
+        exits_2_before_any_work(monkeypatch, capsys,
+                                ["compare-switch", "--config", str(path), "--criteria", "relative,foo"],
+                                "unknown criterion kind 'foo'", tmp_path / "cmp")
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["compare-switch"], ["ablate", "--kind", "fixed_vs_updated_variance"],
+    ], ids=["run", "compare-switch", "ablate"])
+    @pytest.mark.parametrize("made, reason", [(False, "No such file or directory"),
+                                              (True, "Is a directory")], ids=["missing", "directory"])
+    def test_a_config_flag_that_names_no_file(self, tmp_path, monkeypatch, capsys, command, made,
+                                              reason):
+        # load_config reads --config; the command line does not check that the path exists
+        path = tmp_path / "config.yaml"
+        if made:
+            path.mkdir()
+        message = f"cannot read config {path}: {reason}"
+        with pytest.raises(ConfigError) as info:
+            harness.load_config(path)
+        assert str(info.value) == message
+        exits_2_before_any_work(monkeypatch, capsys, [*command, "--config", str(path)], message,
+                                tmp_path / "out")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ablate", "--kind", "bogus"], "unknown ablation kind 'bogus'"),
+        (["validate-theorem", "--stream", "bogus"], "unknown stream kind 'bogus'"),
+    ], ids=["ablation_kind", "stream_kind"])
+    def test_an_unknown_kind_flag(self, tmp_path, monkeypatch, capsys, argv, message):
+        # the kind is checked by the library, through check_kind, and by nothing in the CLI
+        path, _ = make_config(tmp_path, seeds=[1], switch={"kind": "fixed", "step": 4})
+        with pytest.raises(ConfigError) as info:
+            if argv[0] == "ablate":
+                harness.ablation("bogus", harness.load_config(path))
+            else:
+                theory.StationaryStream(kind="bogus", bound=1.0)
+        assert str(info.value) == message
+        if argv[0] == "ablate":
+            argv = argv + ["--config", str(path)]
+        exits_2_before_any_work(monkeypatch, capsys, argv, message, tmp_path / "out")
 
 
 class TestCSVDataConfig:

@@ -1,6 +1,7 @@
 """The package's import layering, read from the source: no module imports one above it."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,30 @@ def test_only_optim_reads_the_recipe_table():
 
     readers = {path.stem for path in PACKAGE.glob("*.py") if "RECIPE_KINDS" in names(path.stem)}
     assert readers == {"optim"}
+
+
+def test_cli_checks_no_value_itself():
+    """The library checks every flag value, once: cli.py raises nothing, raises no click
+    BadParameter, and asks click for no Choice and no path that must exist."""
+    nodes = list(ast.walk(ast.parse((PACKAGE / "cli.py").read_text())))
+    assert not any(isinstance(node, ast.Raise) for node in nodes)
+    names = ({node.id for node in nodes if isinstance(node, ast.Name)}
+             | {node.attr for node in nodes if isinstance(node, ast.Attribute)})
+    assert not names & {"BadParameter", "Choice"}
+    keywords = {node.arg for node in nodes if isinstance(node, ast.keyword)}
+    assert "exists" not in keywords
+    assert {"Path", "option"} <= names and "help" in keywords  # the reader sees names at all
+
+
+def test_only_check_kind_raises_an_unknown_kind():
+    """errors.check_kind is the one place in src/ that raises "unknown <what> kind": a config
+    section, a flag and a driver's own table of kinds all hand their kind to it."""
+    raisers = set()
+    for path in PACKAGE.glob("*.py"):
+        source = path.read_text()
+        for function in ast.walk(ast.parse(source)):
+            if isinstance(function, ast.FunctionDef):
+                raisers.update(f"{path.stem}.{function.name}" for node in ast.walk(function)
+                               if isinstance(node, ast.Raise)
+                               and re.search(r"unknown\b.*\bkind\b", ast.get_source_segment(source, node)))
+    assert raisers == {"errors.check_kind"}

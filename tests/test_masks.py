@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import reference_trainer
+from stepnm import masks
 from stepnm.errors import ConfigError, DimensionError
 from stepnm.masks import (
     CHUNK,
+    SMALL,
     DecaySchedule,
     NMRatio,
     check_plan,
@@ -187,6 +189,33 @@ class TestRankAgainstSortReference:
             out = np.full(w.shape, np.nan)
             compute_nm_mask(w, ratio, out=out)
             assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("m", [2, 4, 8, 16])
+    def test_both_paths_around_the_threshold(self, monkeypatch, m, offset):
+        # SMALL + offset * m weights: up to SMALL the mask comes from two stable argsorts,
+        # above it from the slot-major rank; each path is forced in turn by moving SMALL
+        size = SMALL + offset * m
+        rng = np.random.default_rng(size)
+        w = np.round(rng.standard_normal((size // m, m)), 0)  # few distinct magnitudes: many ties
+        w[rng.random(w.shape) < 0.1] = np.nan
+        w[rng.random(w.shape) < 0.05] = np.inf
+        w[rng.random(w.shape) < 0.05] = -np.inf
+        w[rng.random(w.shape) < 0.1] = -0.0
+        w[0] = 0.5 * (-1.0) ** np.arange(m)  # an all-equal group
+        w[1] = np.where(np.arange(m) % 2, -0.0, 0.0)
+        w[2] = np.nan
+        for n in range(1, m + 1):
+            ratio = NMRatio(n, m)
+            expected = sort_reference(w, ratio).tobytes()
+            for small in (SMALL, size - 1, size):  # as shipped, the rank, the argsorts
+                monkeypatch.setattr(masks, "SMALL", small)
+                mask = compute_nm_mask(w, ratio)
+                assert mask.tobytes() == expected, (n, small)
+                assert mask.dtype == np.float64 and not mask.flags.writeable
+                out = np.full(w.shape, np.nan)
+                assert compute_nm_mask(w, ratio, out=out) is out and out.flags.writeable
+                assert out.tobytes() == expected, (n, small)
 
     def test_output_is_fresh_read_only_float64(self):
         w = np.arange(32.0).reshape(8, 4)[:, ::-1]  # non-contiguous input
