@@ -25,11 +25,15 @@ class RangeError(ToolkitError, ValueError):
     """An index or window falls outside the available data."""
 
 
-def check_kind(what: str, kind, reads: dict, given=()) -> None:
-    """ConfigError unless the string ``kind`` is in ``reads`` and reads every key ``given``."""
+def check_kind(what: str, kind, reads, given=()) -> None:
+    """ConfigError unless the string ``kind`` is in ``reads`` and reads every key ``given``.
+
+    ``reads`` maps each kind to the keys it reads; it is indexed only when
+    keys are ``given``, so without them a plain tuple of the kinds serves.
+    """
     if not isinstance(kind, str) or kind not in reads:
         raise ConfigError(f"unknown {what} kind {shown(kind)}")
-    unread = set(given) - set(reads[kind])
+    unread = set(given) - set(reads[kind]) if given else ()
     if unread:
         raise ConfigError(f"{what} kind {kind!r} does not read {listed(unread)}")
 

@@ -106,10 +106,8 @@ def _given(section: dict, name: str, convert: dict) -> dict:
 
 
 # how config_from_dict reads each data key but the kind
-DATA_CONVERT = {"path": lambda value, key: None if value is None else str(value),
-                "noise_std": _number,
-                **dict.fromkeys(("n_samples", "n_features", "n_classes", "seed", "batch_size",
-                                 "n_targets"), _int)}
+DATA_CONVERT = {"noise_std": _number,
+                **dict.fromkeys(("n_samples", "n_features", "n_classes", "seed", "batch_size"), _int)}
 
 
 def _in_budget(ratio: float, key: str) -> float:
@@ -285,11 +283,22 @@ def load_config(path, seeds=(), output_dir=None) -> ExperimentConfig:
 def write_trajectory(path, result: TrainResult) -> None:
     """One self-describing JSON record per step, then a final evaluation record.
 
-    A step line holds "kind" and then the StepRecord's fields, in order.
+    A step line holds "kind" and then the StepRecord's fields, in order.  It
+    is the bytes of ``json.dumps({"kind": "step", **vars(r)})``, written from
+    one template: a float as ``float.__repr__``, which ``json`` uses (an
+    np.float64's own repr is not), and None as null.  The trainer checks
+    every figure finite, and its phase names need no escaping.
     """
+    def num(x):
+        return "null" if x is None else float.__repr__(x)
+
     with open(path, "w") as fh:
         for r in result.records:
-            fh.write(json.dumps({"kind": "step", **vars(r)}) + "\n")
+            fh.write(f'{{"kind": "step", "step": {r.step}, "phase": "{r.phase}", '
+                     f'"loss": {float.__repr__(r.loss)}, "v_l1": {float.__repr__(r.v_l1)}, '
+                     f'"v_l2": {float.__repr__(r.v_l2)}, "z": {num(r.z)}, '
+                     f'"z_geom": {num(r.z_geom)}, "z_bar": {num(r.z_bar)}, '
+                     f'"switched_at": {"null" if r.switched_at is None else r.switched_at}}}\n')
         fh.write(json.dumps({
             "kind": "final",
             "sparse_eval_loss": result.sparse_eval_loss,
@@ -341,7 +350,7 @@ def _train_runs(config: ExperimentConfig, cells, trajectories=False):
     ``trajectory_seed<k>.jsonl``; the directory is made only then.
     """
     check_output_dir(config.output_dir)
-    dataset = config.data.build(config.model.kind)
+    dataset = config.data.build()
     for label, recipe in cells:
         for seed in config.seeds:
             result = recipe_train(config.model, dataset, config.hyper, config.plan, recipe,
@@ -386,7 +395,7 @@ def run(config: ExperimentConfig) -> dict:
 def default_comparison_criteria(total_steps: int, kinds=COMPARISON_KINDS) -> list[SwitchCriterion]:
     """The default criterion of each kind in ``kinds``, in order; ConfigError for an unknown kind."""
     for kind in kinds:
-        check_kind("criterion", kind, dict.fromkeys(COMPARISON_KINDS, ()))
+        check_kind("criterion", kind, COMPARISON_KINDS)
     clip = _clip_steps(DEFAULT_CLIP_RATIOS, total_steps)
     return [SwitchCriterion(kind=kind, clip=clip if kind == "autoswitch" else None) for kind in kinds]
 
@@ -435,7 +444,7 @@ def ablation(kind: str, config: ExperimentConfig) -> list[dict]:
     and without its dense warmup.  The cells train in turn, each over every seed, and
     the rows are returned and written to ``ablation_<kind>.csv`` in ``config.output_dir``.
     """
-    check_kind("ablation", kind, dict.fromkeys(ABLATION_KINDS, ()))
+    check_kind("ablation", kind, ABLATION_KINDS)
     cells: list[tuple[str, Recipe]] = []
     switch = config.recipe.switch
 

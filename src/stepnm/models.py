@@ -1,24 +1,22 @@
-"""Linear regression and MLP classifiers with an explicit forward/backward pass.
+"""An MLP classifier with an explicit forward/backward pass, and its blobs data.
 
-One pass serves both model kinds: affine layers with relu/tanh between them,
-then softmax cross-entropy or half squared error; the backward pass walks the
-layers in reverse.  Weights are stored (out_features, in_features) so that
-N:M groups along the innermost axis run over each output's reduction
-dimension.  Parameters, their gradients and the optimizer moments are
-ParamBuffers: one flat float64 array each, whose named views are the
-per-layer arrays.  ``loss_and_grad`` fills one, and ``check_layout`` is the
-one test that a buffer has a given layout; nothing converts a dict.
+Affine layers with relu/tanh between them, then softmax cross-entropy; the
+backward pass walks the layers in reverse.  Weights are stored (out_features,
+in_features) so that N:M groups along the innermost axis run over each
+output's reduction dimension.  Parameters, their gradients and the optimizer
+moments are ParamBuffers: one flat float64 array each, whose named views are
+the per-layer arrays.  ``loss_and_grad`` fills one, and ``check_layout`` is
+the one test that a buffer has a given layout; nothing converts a dict.
 
 ``forward_loss`` and ``loss_and_grad`` check every call against the spec:
 batch shapes, class ids, and the parameters' layout (built once per spec and
 shared).
 
-``DataConfig`` owns a dataset: it checks each data field once, and ``build`` draws or reads it.
+``DataConfig`` owns a dataset: it checks each data field once, and ``build`` draws it.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -29,12 +27,10 @@ import numpy as np
 from .errors import ConfigError, DimensionError, DomainError, check_kind
 
 # the model keys each model kind reads beside layer_sizes
-MODEL_KEYS = {"linear_regression": (), "mlp_classifier": ("activation",)}
+MODEL_KEYS = {"mlp_classifier": ("activation",)}
 ACTIVATIONS = ("relu", "tanh")
 # the data keys each data kind reads
-DATA_KEYS = {"blobs": ("n_samples", "n_features", "n_classes", "noise_std", "seed", "batch_size"),
-             "regression": ("n_samples", "n_features", "noise_std", "seed", "batch_size"),
-             "csv": ("path", "n_targets", "batch_size")}
+DATA_KEYS = {"blobs": ("n_samples", "n_features", "n_classes", "noise_std", "seed", "batch_size")}
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +51,6 @@ class ModelSpec:
         sizes = tuple(int(s) for s in self.layer_sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ConfigError(f"layer_sizes needs >= 2 positive extents, got {sizes}")
-        if self.kind == "linear_regression" and len(sizes) != 2:
-            raise ConfigError("linear_regression takes exactly [in, out] layer sizes")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "layer_sizes", sizes)
@@ -137,41 +131,30 @@ def init_params(spec: ModelSpec, seed) -> ParamBuffer:
 
 
 def check_targets(spec: ModelSpec, targets, rows: int) -> np.ndarray:
-    """``rows`` targets checked against ``spec``, in the form the loss reads them.
+    """``rows`` class ids checked against ``spec``, as the int64 vector the loss reads.
 
-    A classifier's targets are a [rows] vector of integral class ids in
-    [0, n_classes), returned as int64; an int64 vector needs no integrality
-    test and is returned as it is.  Regression targets are returned as
-    float64 [rows, n_outputs], a vector taken as one column.  Raises
-    DimensionError for a misshapen target or an id out of range, and
-    DomainError for an id that is not integral.
+    The targets must be a [rows] vector of integral class ids in
+    [0, n_classes); an int64 vector needs no integrality test and is
+    returned as it is.  Raises DimensionError for a misshapen target or an
+    id out of range, and DomainError for an id that is not integral.
     """
-    if spec.kind == "mlp_classifier":
-        labels = np.asarray(targets)
-        if labels.shape != (rows,):
-            raise DimensionError("classifier targets must be a [batch] vector of class ids")
-        if labels.dtype != np.int64:
-            # NaN fails this compare; +-inf fails the range check below
-            fractional = np.floor(labels) != labels
-            if fractional.any():
-                raise DomainError(
-                    f"classifier targets must be integral class ids, got {labels[fractional][0]}"
-                )
-        n_classes = spec.layer_sizes[-1]
-        low, high = labels.min(initial=0), labels.max(initial=0)
-        if low < 0 or high >= n_classes:
-            raise DimensionError(
-                f"class id {low if low < 0 else high} outside the output range [0, {n_classes})"
+    labels = np.asarray(targets)
+    if labels.shape != (rows,):
+        raise DimensionError("classifier targets must be a [batch] vector of class ids")
+    if labels.dtype != np.int64:
+        # NaN fails this compare; +-inf fails the range check below
+        fractional = np.floor(labels) != labels
+        if fractional.any():
+            raise DomainError(
+                f"classifier targets must be integral class ids, got {labels[fractional][0]}"
             )
-        return labels.astype(np.int64, copy=False)
-    t = np.asarray(targets, dtype=np.float64)
-    if t.ndim == 1:
-        t = t[:, None]
-    if t.shape != (rows, spec.layer_sizes[-1]):
+    n_classes = spec.layer_sizes[-1]
+    low, high = labels.min(initial=0), labels.max(initial=0)
+    if low < 0 or high >= n_classes:
         raise DimensionError(
-            f"regression targets must be [batch, {spec.layer_sizes[-1]}], got {t.shape}"
+            f"class id {low if low < 0 else high} outside the output range [0, {n_classes})"
         )
-    return t
+    return labels.astype(np.int64, copy=False)
 
 
 def _pass(spec: ModelSpec, params: ParamBuffer, batch, backward: bool,
@@ -209,25 +192,21 @@ def _pass(spec: ModelSpec, params: ParamBuffer, batch, backward: bool,
                 layer_inputs.clear()
             layer_inputs.append(np.maximum(pred, 0.0, out=pred) if spec.activation == "relu"
                                 else np.tanh(pred, out=pred))
-    if spec.kind == "mlp_classifier":
-        z = pred
-        z -= pred.max(axis=1, keepdims=True)
-        expz = np.exp(z)
-        sumexp = expz.sum(axis=1, keepdims=True)
-        # row r's target logit, indexed in the flat (n * C) logits
-        at = np.arange(0, z.size, z.shape[1])
-        at += targets
-        # sum / n is the bits of mean()
-        loss = -(z.ravel().take(at) - np.log(sumexp[:, 0])).sum() / n
-        if backward:
-            g = expz
-            g /= sumexp
-            g.ravel()[at] -= 1.0
-    else:
-        g = pred - targets
-        loss = 0.5 * np.sum(g * g) / n
+    # the ufuncs' reduce is what the ndarray methods (max, sum) call, without their wrapper
+    z = pred
+    z -= np.maximum.reduce(pred, axis=1, keepdims=True)
+    expz = np.exp(z)
+    sumexp = np.add.reduce(expz, axis=1, keepdims=True)
+    # row r's target logit, indexed in the flat (n * C) logits
+    at = np.arange(0, z.size, z.shape[1])
+    at += targets
+    # sum / n is the bits of mean()
+    loss = -np.add.reduce(z.ravel().take(at) - np.log(sumexp[:, 0])) / n
     if not backward:
         return float(loss), None
+    g = expz
+    g /= sumexp
+    g.ravel()[at] -= 1.0
     g /= n
     out = ParamBuffer(shapes) if out is None else out
     check_layout(out, "gradient buffer", shapes)
@@ -236,7 +215,7 @@ def _pass(spec: ModelSpec, params: ParamBuffer, batch, backward: bool,
         h = layer_inputs[i]
         g_in = g @ arrays[2 * i] if i > 0 else None  # read W before dW overwrites it
         np.matmul(g.T, h, out=grads[2 * i])
-        g.sum(axis=0, out=grads[2 * i + 1])
+        np.add.reduce(g, axis=0, out=grads[2 * i + 1])
         if i > 0:
             # the relu subgradient at exactly 0 is +0.0
             g = np.where(h > 0.0, g_in, 0.0) if spec.activation == "relu" else g_in * (1.0 - h * h)
@@ -244,7 +223,7 @@ def _pass(spec: ModelSpec, params: ParamBuffer, batch, backward: bool,
 
 
 def forward_loss(spec: ModelSpec, params: ParamBuffer, batch) -> float:
-    """Mean loss over the batch: softmax cross-entropy or half squared error."""
+    """Mean softmax cross-entropy over the batch."""
     return _pass(spec, params, batch, backward=False)[0]
 
 
@@ -308,92 +287,37 @@ def batch_iterator(dataset: Dataset, seed):
             yield dataset.inputs[idx], dataset.targets[idx]
 
 
-def _open_csv(path):
-    """The CSV file at ``path``, open for reading as UTF-8; ConfigError if it cannot be opened."""
-    try:
-        return open(path, newline="", encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise ConfigError(f"cannot read CSV {path}: {getattr(exc, 'strerror', None) or exc}") from None
-
-
-def _read_csv(path, n_targets: int) -> tuple[np.ndarray, np.ndarray]:
-    """The feature and target columns of a CSV; a bad row is a ConfigError naming its line."""
-    try:
-        with _open_csv(path) as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or len(header) <= n_targets:
-                raise ConfigError(f"CSV {path} needs a header and at least one feature column")
-            rows = []
-            for row in filter(None, reader):  # a blank line reads as an empty row
-                if len(row) != len(header):
-                    raise ConfigError(f"CSV {path} line {reader.line_num}: "
-                                      f"{len(row)} cells, header has {len(header)}")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    raise ConfigError(f"CSV {path} line {reader.line_num}: non-numeric cell") from None
-                if not all(map(math.isfinite, rows[-1])):  # float() reads nan and inf
-                    raise ConfigError(f"CSV {path} line {reader.line_num}: non-finite cell")
-    except UnicodeDecodeError:
-        raise ConfigError(f"cannot read CSV {path}: it is not UTF-8 text") from None
-    if not rows:
-        raise ConfigError(f"CSV {path} has no data rows")
-    data = np.asarray(rows, dtype=np.float64)
-    return data[:, :-n_targets], data[:, -n_targets:]
-
-
 @dataclass(frozen=True)
 class DataConfig:
-    """Gaussian blobs, a hidden linear map or a CSV file, checked here and made by ``build``."""
+    """Gaussian blobs, one per class, checked here and drawn by ``build``."""
 
-    kind: str  # regression | blobs | csv
+    kind: str  # blobs
     n_samples: int = 256
     n_features: int = 2
     n_classes: int = 2
     noise_std: float = 0.1
     seed: int = 0
     batch_size: int = 32
-    path: str | None = None
-    n_targets: int = 1
 
     def __post_init__(self):
         check_kind("data", self.kind, DATA_KEYS)
-        if self.kind == "csv":
-            if not self.path:
-                raise ConfigError("csv data needs a path")
-            _open_csv(self.path).close()  # fail at load, before any output is made
-        else:
-            if self.n_samples < 1:
-                raise ConfigError(f"data.n_samples must be >= 1, got {self.n_samples}")
-            if self.kind == "blobs" and self.n_classes < 2:
-                raise ConfigError(f"data.n_classes must be >= 2 for blobs, got {self.n_classes}")
-            if self.noise_std < 0:
-                raise ConfigError(f"data.noise_std must be >= 0, got {self.noise_std}")
-        for key in ("n_features", "n_classes", "batch_size", "n_targets"):
+        if self.n_samples < 1:
+            raise ConfigError(f"data.n_samples must be >= 1, got {self.n_samples}")
+        if self.n_classes < 2:
+            raise ConfigError(f"data.n_classes must be >= 2 for blobs, got {self.n_classes}")
+        if self.noise_std < 0:
+            raise ConfigError(f"data.noise_std must be >= 0, got {self.noise_std}")
+        for key in ("n_features", "batch_size"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"data.{key} must be >= 1, got {getattr(self, key)}")
         if self.seed < 0:
             raise ConfigError(f"data.seed must be >= 0, got {self.seed}")
 
-    def build(self, model_kind: str) -> Dataset:
-        """The dataset, drawn from ``seed`` or read from the CSV; a classifier's are labels."""
-        if self.kind == "csv":
-            inputs, targets = _read_csv(self.path, self.n_targets)
-            if model_kind == "mlp_classifier":
-                if self.n_targets != 1:
-                    raise ConfigError("class targets use exactly one column")
-                targets = targets[:, 0]
-        else:
-            rng = np.random.default_rng(self.seed)
-            shape, noise = (self.n_samples, self.n_features), self.noise_std
-            if self.kind == "blobs":
-                centers = 3.0 * rng.standard_normal((self.n_classes, self.n_features))
-                labels = np.arange(self.n_samples) % self.n_classes
-                inputs = centers[labels] + noise * rng.standard_normal(shape)
-                targets = labels.astype(np.float64)
-            else:  # a hidden linear map
-                inputs = rng.standard_normal(shape)
-                targets = inputs @ rng.standard_normal((self.n_features, 1))
-                targets = targets + noise * rng.standard_normal(targets.shape)
-        return Dataset(inputs, targets, batch_size=min(self.batch_size, len(inputs)))
+    def build(self) -> Dataset:
+        """The dataset drawn from ``seed``: 3 N(0, 1) centres, samples labelled by class in turn."""
+        rng = np.random.default_rng(self.seed)
+        shape = (self.n_samples, self.n_features)
+        centers = 3.0 * rng.standard_normal((self.n_classes, self.n_features))
+        labels = np.arange(self.n_samples) % self.n_classes
+        inputs = centers[labels] + self.noise_std * rng.standard_normal(shape)
+        return Dataset(inputs, labels.astype(np.float64), batch_size=min(self.batch_size, self.n_samples))

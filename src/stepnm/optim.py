@@ -101,7 +101,7 @@ def init_adam_state(params: models.ParamBuffer) -> AdamState:
 
 
 def _check_grads(grads: models.ParamBuffer, step: int) -> None:
-    if not np.isfinite(grads.flat).all():
+    if not np.logical_and.reduce(np.isfinite(grads.flat)):  # the ufunc that ndarray.all calls
         name = next(name for name, g in grads.items() if not np.isfinite(g).all())
         raise NumericalError(f"non-finite gradient for {name!r} at step {step}")
 

@@ -1,5 +1,5 @@
-"""Shared test helpers: parameter buffers, CSV datasets, step records, a reference accumulator
-and mid-run snapshots of training."""
+"""Shared test helpers: parameter buffers, step records, a reference accumulator and mid-run
+snapshots of training."""
 
 import dataclasses
 
@@ -24,15 +24,6 @@ def copied(params: models.ParamBuffer) -> models.ParamBuffer:
     out = models.ParamBuffer(params.shapes)
     out.flat[...] = params.flat
     return out
-
-
-def write_csv(dataset: models.Dataset, path) -> None:
-    """Write ``dataset`` as CSV, a header row and then inputs and targets; ``%.17g`` is exact."""
-    targets = dataset.targets.reshape(dataset.n_samples, -1)
-    header = [f"x{i}" for i in range(dataset.inputs.shape[1])] + [
-        f"y{j}" for j in range(targets.shape[1])]
-    np.savetxt(path, np.hstack([dataset.inputs, targets]), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
 
 
 def step_record(step, z, z_geom, v_l1, v_l2) -> StepRecord:

@@ -3,17 +3,13 @@
 It holds parameters, gradients and Adam moments as plain dicts of per-layer
 arrays, updates them with the plain numpy expressions, and imports nothing
 from stepnm, so a fault in the trainer cannot hide by appearing on both
-sides of a comparison.  ``train`` covers MLP classifiers and linear
-regression, the five recipes, the four switch criteria and the stagewise N:M
-decay.
+sides of a comparison.  ``train`` covers MLP classifiers, the five
+recipes, the four switch criteria and the stagewise N:M decay.
 
 Conventions the trainer picks, none of them checked against the paper's
 algorithm (PAPER.md gives none):
 
-* A classifier scores its logits by the mean softmax cross-entropy.  A
-  regression model is one affine layer scored by half the squared error,
-  summed over its outputs and averaged over the batch:
-  0.5 * sum((x W^T + b - y)**2) / n, with float targets y of shape (n, outputs).
+* A classifier scores its logits by the mean softmax cross-entropy.
 * Step t draws the t-th batch, takes the gradient, and makes one Adam update
   with the learning rate at t - 1, the steps completed before it.
 * Bias correction counts the gradients taken so far, k = t, and eps sits
@@ -82,11 +78,8 @@ def batches(inputs, targets, batch_size, seed):
 
 
 def loss_and_grad(params, activation, inputs, targets, backward=True):
-    """Mean batch loss of the model, and its gradients when ``backward``.
-
-    Integer targets are class ids, scored by softmax cross-entropy; float
-    targets, (n, outputs), by half the squared error.
-    """
+    """Mean softmax cross-entropy of the model over integer class ids, and its
+    gradients when ``backward``."""
     n_layers = len(params) // 2
     hs = [inputs]  # each layer's input
     for i in range(1, n_layers + 1):
@@ -94,21 +87,15 @@ def loss_and_grad(params, activation, inputs, targets, backward=True):
         if i < n_layers:
             hs.append(np.maximum(a, 0.0) if activation == "relu" else np.tanh(a))
     n = len(targets)
-    if targets.dtype.kind == "f":
-        g = a - targets
-        loss = float(0.5 * np.sum(g * g) / n)
-        if not backward:
-            return loss, None
-    else:
-        rows = np.arange(n)
-        z = a - a.max(axis=1, keepdims=True)
-        expz = np.exp(z)
-        sumexp = expz.sum(axis=1, keepdims=True)
-        loss = float(-(z[rows, targets] - np.log(sumexp[:, 0])).mean())
-        if not backward:
-            return loss, None
-        g = expz / sumexp
-        g[rows, targets] -= 1.0
+    rows = np.arange(n)
+    z = a - a.max(axis=1, keepdims=True)
+    expz = np.exp(z)
+    sumexp = expz.sum(axis=1, keepdims=True)
+    loss = float(-(z[rows, targets] - np.log(sumexp[:, 0])).mean())
+    if not backward:
+        return loss, None
+    g = expz / sumexp
+    g[rows, targets] -= 1.0
     g = g / n
     grads = {}
     for i in range(n_layers, 0, -1):
@@ -176,8 +163,8 @@ def fires(switch: dict, records: list, beta2: float, eps: float):
 
 def train(sizes, activation, inputs, targets, batch_size, *, recipe, total_steps, seed,
           lr=1e-3, cosine=False, beta1=0.9, beta2=0.999, eps=1e-8, lam=0.0, plan=None,
-          decay=None, switch=None, regression=False) -> dict:
-    """Train an MLP classifier, or with ``regression`` a linear model of ``sizes`` (in, out).
+          decay=None, switch=None) -> dict:
+    """Train an MLP classifier of ``sizes`` on class ids ``targets``.
 
     ``plan`` maps weight names to (n, m), ``decay`` is (m, boundaries).
     ``switch`` is a dict: {"kind": "autoswitch", "option": ..., "clip": (T_min, T_max) or
@@ -188,8 +175,7 @@ def train(sizes, activation, inputs, targets, batch_size, *, recipe, total_steps
     ``v_l1_changes``, whose entry t - 1 is ||v_t - v_{t-1}||_1.
     """
     plan = plan or {}
-    targets = (np.asarray(targets, dtype=np.float64).reshape(len(inputs), -1) if regression
-               else np.asarray(targets).astype(np.int64))
+    targets = np.asarray(targets).astype(np.int64)
     params = init_params(sizes, seed)
     m = {name: np.zeros_like(p) for name, p in params.items()}
     v = {name: np.zeros_like(p) for name, p in params.items()}

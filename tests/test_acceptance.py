@@ -31,7 +31,7 @@ def _blob_mlp(hidden=16, noise=0.6, activation="relu"):
     spec = models.ModelSpec("mlp_classifier", (2, hidden, 2), activation=activation)
     ds = models.DataConfig(
         "blobs", 256, 2, n_classes=2, noise_std=noise, seed=0, batch_size=32
-    ).build("mlp_classifier")
+    ).build()
     return spec, ds
 
 

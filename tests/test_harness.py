@@ -15,7 +15,6 @@ import yaml
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from conftest import write_csv
 from stepnm import autoswitch, harness, models, optim, theory
 from stepnm.autoswitch import StepRecord, SwitchCriterion
 from stepnm.masks import DecaySchedule
@@ -134,11 +133,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="seeds"):
             harness.load_config(path)
 
-    def test_csv_data_needs_path(self, tmp_path):
-        path, _ = make_config(tmp_path, data={"kind": "csv"})
-        with pytest.raises(ConfigError, match="path"):
-            harness.load_config(path)
-
     def test_switch_step_ratio(self, tmp_path):
         path, _ = make_config(tmp_path, switch={"kind": "fixed", "step_ratio": 0.25})
         config = harness.load_config(path)
@@ -240,46 +234,29 @@ class TestRecipeConfig:
         assert config.hyper.lr_at(60) != config.hyper.lr_at(0)  # it is the cosine
 
 
-# the (kind, key) pairs a switch or data section may not hold: each kind reads only
-# some of its section's keys
+# the (kind, key) pairs a switch section may not hold: each kind reads only some of its
+# section's keys
 UNREAD_SWITCH_KEYS = [
     ("autoswitch", "threshold"), ("autoswitch", "step"), ("autoswitch", "step_ratio"),
     *[(kind, key) for kind in ("relative", "staleness")
       for key in ("option", "clip", "step", "step_ratio")],
     ("fixed", "option"), ("fixed", "threshold"), ("fixed", "clip"),
 ]
-UNREAD_DATA_KEYS = [
-    ("blobs", "path"), ("blobs", "n_targets"),
-    ("regression", "n_classes"), ("regression", "path"), ("regression", "n_targets"),
-    *[("csv", key) for key in ("n_samples", "n_features", "n_classes", "noise_std", "seed")],
-]
 # a value for each key that the kinds reading it accept
 SWITCH_VALUES = {"option": "arithmetic", "threshold": 0.5, "step": 30, "step_ratio": 0.25,
                  "clip": {"t_min_ratio": 0.1, "t_max_ratio": 0.5}}
 DATA_VALUES = {"n_samples": 64, "n_features": 2, "n_classes": 2, "noise_std": 0.1, "seed": 0,
-               "n_targets": 1}
+               "batch_size": 16}
 
-
-def _blobs_csv(tmp_path) -> str:
-    path = tmp_path / "data.csv"
-    data = models.DataConfig("blobs", 64, 2, n_classes=2, noise_std=0.0, seed=1)
-    write_csv(data.build("mlp_classifier"), path)
-    return str(path)
-
-
-# a bad value of each data field, and its message; "<csv>" stands for a readable CSV file
-# and "<missing>" for a file that is not there
+# a bad value of each data field, and its message
 BAD_DATA = [
     ({"kind": "spiral"}, "unknown data kind 'spiral'"),
-    ({"kind": "csv"}, "csv data needs a path"),
-    ({"kind": "csv", "path": "<missing>"}, "cannot read CSV <missing>: No such file or directory"),
     ({"kind": "blobs", "n_samples": 0}, "data.n_samples must be >= 1, got 0"),
-    ({"kind": "regression", "n_samples": -3}, "data.n_samples must be >= 1, got -3"),
+    ({"kind": "blobs", "n_samples": -3}, "data.n_samples must be >= 1, got -3"),
     ({"kind": "blobs", "n_classes": 1}, "data.n_classes must be >= 2 for blobs, got 1"),
-    ({"kind": "regression", "noise_std": -0.5}, "data.noise_std must be >= 0, got -0.5"),
+    ({"kind": "blobs", "noise_std": -0.5}, "data.noise_std must be >= 0, got -0.5"),
     ({"kind": "blobs", "n_features": 0}, "data.n_features must be >= 1, got 0"),
-    ({"kind": "regression", "batch_size": 0}, "data.batch_size must be >= 1, got 0"),
-    ({"kind": "csv", "path": "<csv>", "n_targets": 0}, "data.n_targets must be >= 1, got 0"),
+    ({"kind": "blobs", "batch_size": 0}, "data.batch_size must be >= 1, got 0"),
     ({"kind": "blobs", "seed": -1}, "data.seed must be >= 0, got -1"),
 ]
 
@@ -287,15 +264,13 @@ BAD_DATA = [
 class TestDataConfig:
     def test_harness_reads_the_class_models_defines(self):
         assert harness.DataConfig is models.DataConfig
-        for gone in ("gen_synthetic", "load_csv", "check_synthetic", "open_csv", "DATA_KINDS"):
+        for gone in ("gen_synthetic", "load_csv", "check_synthetic", "open_csv", "DATA_KINDS",
+                     "_open_csv", "_read_csv"):
             assert not hasattr(models, gone)
 
     @pytest.mark.parametrize("fields,message", BAD_DATA, ids=[m for _, m in BAD_DATA])
-    def test_made_directly_or_loaded_a_bad_field_gives_one_message(self, tmp_path, fields,
-                                                                   message):
-        files = {"<csv>": _blobs_csv(tmp_path), "<missing>": str(tmp_path / "missing.csv")}
-        fields = {key: files.get(value, value) for key, value in fields.items()}
-        message = re.escape(message.replace("<missing>", files["<missing>"]))
+    def test_made_directly_or_loaded_a_bad_field_gives_one_message(self, fields, message):
+        message = re.escape(message)
         with pytest.raises(ConfigError, match=f"^{message}$"):
             models.DataConfig(**fields)
         with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -312,29 +287,16 @@ class TestKeysByKind:
         with pytest.raises(ConfigError, match=rf"switch kind '{kind}' does not read \['{key}'\]"):
             harness.config_from_dict(doc)
 
-    @pytest.mark.parametrize("kind,key", UNREAD_DATA_KEYS)
-    def test_data_key_its_kind_does_not_read(self, tmp_path, kind, key):
-        data = {"kind": kind, key: _blobs_csv(tmp_path) if key == "path" else DATA_VALUES[key]}
-        if kind == "csv":
-            data["path"] = _blobs_csv(tmp_path)
-        doc = {**BASE_CONFIG, "data": data}
-        with pytest.raises(ConfigError, match=rf"data kind '{kind}' does not read \['{key}'\]"):
-            harness.config_from_dict(doc)
-
-    def test_each_kind_loads_the_keys_it_reads(self, tmp_path):
+    def test_each_kind_loads_the_keys_it_reads(self):
         assert len(UNREAD_SWITCH_KEYS) == len(set(UNREAD_SWITCH_KEYS)) == 14
-        assert len(UNREAD_DATA_KEYS) == len(set(UNREAD_DATA_KEYS)) == 10
         for kind in ("autoswitch", "relative", "staleness", "fixed"):
             switch = {"kind": kind, **{key: value for key, value in SWITCH_VALUES.items()
                                        if (kind, key) not in UNREAD_SWITCH_KEYS}}
             if kind == "fixed":  # step and step_ratio are two ways to say one thing
                 del switch["step_ratio"]
             assert harness.config_from_dict({**BASE_CONFIG, "switch": switch}).recipe.switch.kind == kind
-        values = {**DATA_VALUES, "batch_size": 16, "path": _blobs_csv(tmp_path)}
-        for kind in ("blobs", "regression", "csv"):
-            data = {"kind": kind, **{key: value for key, value in values.items()
-                                     if (kind, key) not in UNREAD_DATA_KEYS}}
-            assert harness.config_from_dict({**BASE_CONFIG, "data": data}).data.kind == kind
+        data = {"kind": "blobs", **DATA_VALUES}
+        assert harness.config_from_dict({**BASE_CONFIG, "data": data}).data == models.DataConfig(**data)
 
     @pytest.mark.parametrize("section", ["switch", "data", "model", "stream"])
     @pytest.mark.parametrize("kind", [[], {}, None, 3, "oracle"])
@@ -357,29 +319,6 @@ class TestKeysByKind:
             harness.config_from_dict({**BASE_CONFIG, "switch": switch})
         with pytest.raises(ConfigError, match=r"^switch kind 'fixed' does not read \[1, 'a'\]$"):
             check_kind("switch", "fixed", autoswitch.CRITERION_KEYS, ["step", "a", 1])
-
-    def test_activation_only_on_the_classifier(self, tmp_path, monkeypatch, capsys):
-        model = {"kind": "linear_regression", "layer_sizes": [2, 1], "activation": "tanh"}
-        data = {"kind": "regression", "n_samples": 64, "n_features": 2}
-        with pytest.raises(ConfigError,
-                           match=r"^model kind 'linear_regression' does not read \['activation'\]$"):
-            harness.config_from_dict({**BASE_CONFIG, "model": model, "data": data})
-        del model["activation"]
-        doc = {**BASE_CONFIG, "model": model, "data": data, "sparsity": None}
-        assert harness.config_from_dict(doc).model.kind == "linear_regression"
-        classifier = {"kind": "mlp_classifier", "layer_sizes": [2, 16, 2]}
-        assert harness.config_from_dict({**BASE_CONFIG, "model": classifier}).model.activation == "relu"
-        path, _ = make_config(tmp_path, model={**model, "activation": "relu"}, data=data,
-                              sparsity=None)
-        out = tmp_path / "out"
-        monkeypatch.setattr(models.DataConfig, "build", lambda *a, **k: pytest.fail("data was built"))
-        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
-        with pytest.raises(SystemExit) as exit_info:
-            cli_entry()
-        assert exit_info.value.code == 2
-        assert capsys.readouterr().err == (
-            "error: model kind 'linear_regression' does not read ['activation']\n")
-        assert not out.exists()
 
     def test_cli_exits_2_before_any_data_or_output(self, tmp_path, monkeypatch, capsys):
         switch = {"kind": "autoswitch", "threshold": 1.0,
@@ -612,6 +551,25 @@ class TestRun:
         b = (tmp_path / "b" / "trajectory_seed1.jsonl").read_bytes()
         assert a == b
 
+    def test_step_lines_are_the_bytes_of_json_dumps(self, tmp_path):
+        # the template writes each figure as json does: float.__repr__, also for an
+        # np.float64, whose own repr is np.float64(...), and None as null
+        records = [
+            StepRecord(1, "precondition", 0.5, -0.0, 5e-324, None, None),
+            StepRecord(2, "precondition", np.float64(1 / 3), 1e16, 2.0, 5e-324, -0.0, z_bar=None),
+            StepRecord(3, "mask_learning", 1e16, np.float64(1e-300), 1e300, 1e16, 0.1,
+                       z_bar=np.float64(-0.0), switched_at=3),
+        ]
+        result = optim.TrainResult(params=None, final_masks={}, switched_at=3, records=records,
+                                   sparse_eval_loss=0.25, dense_eval_loss=0.125,
+                                   layer_sparsity={"fc2.weight": 0.75})
+        path = tmp_path / "trajectory.jsonl"
+        harness.write_trajectory(path, result)
+        final = {"kind": "final", "sparse_eval_loss": 0.25, "dense_eval_loss": 0.125,
+                 "mask_sparsity": {"fc2.weight": 0.75}, "switched_at": 3}
+        assert path.read_text() == "".join(
+            json.dumps(line) + "\n" for line in [*({"kind": "step", **vars(r)} for r in records), final])
+
     def test_trajectory_lines_self_describing(self, tmp_path):
         path, _ = make_config(tmp_path, seeds=[1], output_dir=str(tmp_path / "out"))
         config = harness.load_config(path)
@@ -688,7 +646,7 @@ class TestRun:
         config = harness.load_config(path)
 
         def train(recipe):
-            return optim.recipe_train(config.model, config.data.build(config.model.kind),
+            return optim.recipe_train(config.model, config.data.build(),
                                       config.hyper, config.plan, recipe, 30, 1)
 
         result = train(config.recipe)
@@ -717,8 +675,8 @@ class TestRun:
         built = []
         real = harness.DataConfig.build
 
-        def spy(data, model_kind):
-            built.append(real(data, model_kind))
+        def spy(data):
+            built.append(real(data))
             return built[-1]
 
         monkeypatch.setattr(harness.DataConfig, "build", spy)
@@ -741,7 +699,7 @@ class TestRun:
             command()
             assert len(built) == 1
             # every run read the arrays the command built, and none wrote to them
-            fresh = real(config.data, config.model.kind)
+            fresh = real(config.data)
             for name in ("inputs", "targets"):
                 used, expected = getattr(built[0], name), getattr(fresh, name)
                 assert used.dtype == expected.dtype and used.shape == expected.shape
@@ -875,7 +833,7 @@ class TestAblation:
         doc.update(seeds=[5], ablation={"precondition_ratios": [1.0]}, output_dir=str(tmp_path))
         config = harness.config_from_dict(doc)
         rows = harness.ablation("precondition_length", config)
-        dense = optim.recipe_train(config.model, config.data.build(config.model.kind),
+        dense = optim.recipe_train(config.model, config.data.build(),
                                    config.hyper, config.plan, optim.Recipe("dense"),
                                    config.total_steps, 5)
         assert rows[0]["sparse_eval_loss"] == dense.sparse_eval_loss
@@ -1281,8 +1239,22 @@ class TestEveryBadInputExits2:
         (None, (), "config {path} must be a mapping document"),
         ({"recipe": {"kind": []}}, (), "unknown recipe kind []"),
         ({"recipe": {"kind": {}}}, (), "unknown recipe kind {{}}"),
+        # a dense run without a switch: nothing but the budget's own check can refuse it
+        ({"total_steps": 0, "recipe": {"kind": "dense"}, "switch": None}, (),
+         "total_steps must be >= 1"),
+        ({"total_steps": -5, "recipe": {"kind": "dense"}, "switch": None}, (),
+         "total_steps must be >= 1"),
+        # the classifier on blobs is the one model and data kind
+        ({"model": {"kind": "linear_regression", "layer_sizes": [2, 1]}, "sparsity": None}, (),
+         "unknown model kind 'linear_regression'"),
+        ({"data": {"kind": "regression"}}, (), "unknown data kind 'regression'"),
+        ({"data": {"kind": "csv"}}, (), "unknown data kind 'csv'"),
+        ({"data": {"kind": "blobs", "path": "data.csv", "n_targets": 1}}, (),
+         "unknown key(s) in 'data': ['n_targets', 'path']"),
     ], ids=["bool_number", "bool_integer", "negative_seed_flag", "lr_schedule", "step_and_ratio",
-            "zero_threshold", "not_a_mapping", "list_recipe_kind", "mapping_recipe_kind"])
+            "zero_threshold", "not_a_mapping", "list_recipe_kind", "mapping_recipe_kind",
+            "zero_total_steps", "negative_total_steps", "linear_regression_model_kind",
+            "regression_data_kind", "csv_data_kind", "csv_data_keys"])
     def test_at_load(self, tmp_path, monkeypatch, capsys, overrides, seeds, message):
         if overrides is None:
             path = tmp_path / "config.yaml"
@@ -1309,11 +1281,13 @@ class TestEveryBadInputExits2:
         ("fixed_vs_updated_variance", {"recipe": {"kind": "dense"}, "switch": None},
          "recipe 'step' needs a switch section"),
         ("decaying_mask", {}, "decaying_mask needs ablation.decay"),
+        # an empty decay is one left out: the config loads with no decay
+        ("decaying_mask", {"ablation": {"decay": None}}, "decaying_mask needs ablation.decay"),
         ("decaying_mask", {"recipe": {"kind": "dense"}, "switch": None,
                            "ablation": {"decay": {"m": 4, "stage_boundaries": [10]}}},
          "recipe 'step_updated_variance' needs a switch section"),
     ], ids=["fixed_vs_updated_without_switch", "decaying_without_decay",
-            "decaying_without_switch"])
+            "decaying_with_null_decay", "decaying_without_switch"])
     def test_an_ablation_without_its_switch_or_decay(self, tmp_path, monkeypatch, capsys, kind,
                                                      overrides, message):
         path, _ = make_config(tmp_path, **overrides)
@@ -1392,75 +1366,30 @@ class TestEveryBadInputExits2:
         exits_2_before_any_work(monkeypatch, capsys, argv, message, tmp_path / "out")
 
 
-class TestCSVDataConfig:
-    @pytest.mark.parametrize("label,message", [
-        ("2.5", "classifier targets must be integral class ids, got 2.5"),
-        ("7", "class id 7.0 outside the output range [0, 2)"),
-    ])
-    def test_bad_class_id_exits_2_before_any_step(self, tmp_path, monkeypatch, capsys,
-                                                  label, message):
-        csv_path = tmp_path / "data.csv"
-        csv_path.write_text("x0,x1,y0\n1.0,2.0,0\n3.0,1.0,1\n0.5,0.5," + label + "\n")
-        path, _ = make_config(tmp_path, data={"kind": "csv", "path": str(csv_path),
-                                              "batch_size": 1})
-        monkeypatch.setattr(models, "batch_iterator", lambda *a: pytest.fail("a step ran"))
-        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path),
-                                         "--out", str(tmp_path / "out")])
-        with pytest.raises(SystemExit) as exit_info:
-            cli_entry()
-        assert exit_info.value.code == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "out").exists()
-
-    def test_huge_regression_targets_exit_2_naming_the_loss(self, tmp_path, monkeypatch, capsys):
-        rng = np.random.default_rng(0)
-        csv_path = tmp_path / "data.csv"
-        write_csv(models.Dataset(rng.standard_normal((64, 3)),
-                                 1e160 * rng.standard_normal((64, 1)), 32), csv_path)
-        path, _ = make_config(
-            tmp_path, model={"kind": "linear_regression", "layer_sizes": [3, 1]},
-            data={"kind": "csv", "path": str(csv_path)}, optimizer={"lr": 1e-3},
-            recipe={"kind": "dense"}, sparsity=None, switch=None, total_steps=20, seeds=[1, 2])
-        out = tmp_path / "out"
-        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
-        with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as exit_info:
-            warnings.simplefilter("always")
-            cli_entry()
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert exit_info.value.code == 2
-        assert capsys.readouterr().err == "error: non-finite loss at step 1\n"
-        assert not out.exists()
-
-    def test_huge_classifier_features_stop_naming_v_l2(self, tmp_path):
-        rng = np.random.default_rng(0)
-        csv_path = tmp_path / "data.csv"
-        write_csv(models.Dataset(1e155 * rng.standard_normal((64, 3)),
-                                 rng.integers(0, 2, 64).astype(float), 32), csv_path)
-        doc = {**BASE_CONFIG, "model": {"kind": "mlp_classifier", "layer_sizes": [3, 8, 2]},
-               "data": {"kind": "csv", "path": str(csv_path)}, "optimizer": {"lr": 1e-3},
-               "recipe": {"kind": "dense"}, "sparsity": None, "switch": None, "seeds": [1],
-               "total_steps": 20, "output_dir": str(tmp_path / "out")}
-        with warnings.catch_warnings(record=True) as caught, \
-                pytest.raises(NumericalError, match=r"^non-finite v_l2 at step 1$"):
-            warnings.simplefilter("always")
-            harness.run(harness.config_from_dict(doc))
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert not (tmp_path / "out").exists()
-
-    def test_run_from_csv(self, tmp_path):
-        ds = models.DataConfig("blobs", 64, 2, n_classes=2, noise_std=0.4, seed=1,
-                               batch_size=16).build("mlp_classifier")
-        csv_path = tmp_path / "data.csv"
-        write_csv(ds, csv_path)
-        doc = json.loads(json.dumps(BASE_CONFIG))
-        doc.update(
-            seeds=[1], total_steps=40,
-            data={"kind": "csv", "path": str(csv_path), "batch_size": 16},
-            switch={"kind": "fixed", "step": 20}, output_dir=str(tmp_path / "out"),
-        )
-        config = harness.config_from_dict(doc)
-        summary = harness.run(config)
-        assert summary["switched_at"] == [20]
+def test_huge_classifier_features_stop_naming_v_l2(tmp_path, monkeypatch, capsys):
+    # features near 1e155 square to inf in v; the run stops at step 1, quietly,
+    # before any output, and the command exits 2 naming the figure
+    rng = np.random.default_rng(0)
+    dataset = models.Dataset(1e155 * rng.standard_normal((64, 3)),
+                             rng.integers(0, 2, 64).astype(float), 32)
+    monkeypatch.setattr(models.DataConfig, "build", lambda data: dataset)
+    out = tmp_path / "out"
+    path, doc = make_config(
+        tmp_path, model={"kind": "mlp_classifier", "layer_sizes": [3, 8, 2]},
+        data={"kind": "blobs", "n_features": 3}, optimizer={"lr": 1e-3}, recipe={"kind": "dense"},
+        sparsity=None, switch=None, seeds=[1, 2], total_steps=20, output_dir=str(out))
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.raises(NumericalError, match=r"^non-finite v_l2 at step 1$"):
+        warnings.simplefilter("always")
+        harness.run(harness.config_from_dict(doc))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+    monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path)])
+    with pytest.raises(SystemExit) as exit_info:
+        cli_entry()
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "error: non-finite v_l2 at step 1\n"
+    assert not out.exists()
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -1536,60 +1465,19 @@ class TestTypedInputErrors:
         with pytest.raises(ConfigError, match=f"switch.clip.{key}"):
             harness.load_config(path)
 
-    @pytest.mark.parametrize("body,message", [
-        ("x0,x1,y0\n1.0,2.0,0\n3.0,0\n", "line 3"),
-        ("x0,x1,y0\n1.0,2.0,0\n3.0,abc,1\n", "non-numeric"),
-    ])
-    def test_csv_error(self, tmp_path, body, message):
-        path = tmp_path / "data.csv"
-        path.write_text(body)
-        with pytest.raises(ConfigError, match=message):
-            models.DataConfig("csv", path=str(path)).build("linear_regression")
-
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-    def test_non_finite_csv_cell_names_its_line(self, tmp_path, cell):
-        rows = [f"{i * 0.1},{i * 0.2},{i % 2}" for i in range(40)]
-        rows[39] = f"{cell},1.0,0"  # line 41: the header is line 1
-        path = tmp_path / "data.csv"
-        path.write_text("x0,x1,y0\n" + "\n".join(rows) + "\n")
-        with pytest.raises(ConfigError, match=f"^{re.escape(f'CSV {path} line 41: non-finite cell')}$"):
-            models.DataConfig("csv", path=str(path)).build("mlp_classifier")
-
-    @pytest.mark.parametrize("case", ["layer_sizes", "seeds", "ragged_csv", "text_csv",
-                                      "non_utf8_csv"])
+    @pytest.mark.parametrize("case", ["layer_sizes", "seeds"])
     def test_cli_exits_2(self, tmp_path, monkeypatch, capsys, case):
-        csv_path = tmp_path / "data.csv"
-        last = {"ragged_csv": b"3.0,0\n", "non_utf8_csv": b"3.0,\xff,1\n"}.get(case, b"3.0,abc,1\n")
-        csv_path.write_bytes(b"x0,x1,y0\n1.0,2.0,0\n" + last)
         overrides = {
             "layer_sizes": {"model": {"kind": "mlp_classifier", "layer_sizes": "ab"}},
             "seeds": {"seeds": 5},
-        }.get(case, {"data": {"kind": "csv", "path": str(csv_path), "batch_size": 1}})
+        }[case]
         path, _ = make_config(tmp_path, **overrides)
         monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path),
                                          "--out", str(tmp_path / "out")])
         with pytest.raises(SystemExit) as exit_info:
             cli_entry()
         assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        if case == "non_utf8_csv":
-            assert err.startswith(f"error: cannot read CSV {csv_path}: it is not UTF-8 text")
-
-
-    @pytest.mark.parametrize("where", ["missing", "directory"])
-    def test_unreadable_csv_exits_2_before_any_output(self, tmp_path, monkeypatch, capsys, where):
-        csv_path = tmp_path / "missing.csv" if where == "missing" else tmp_path
-        path, _ = make_config(tmp_path, data={"kind": "csv", "path": str(csv_path)})
-        with pytest.raises(ConfigError, match="cannot read CSV"):
-            harness.load_config(path)
-        out = tmp_path / "out"
-        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
-        with pytest.raises(SystemExit) as exit_info:
-            cli_entry()
-        assert exit_info.value.code == 2
-        assert capsys.readouterr().err.startswith("error: cannot read CSV")
-        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 # arbitrary YAML-like values to drop into any slot of a valid config
@@ -1644,7 +1532,7 @@ class TestConfigFuzz:
                data.n_classes * data.n_features) > _FUZZ_TRAIN_CAP:
             return
         try:
-            dataset = data.build(config.model.kind)
+            dataset = data.build()
             optim.recipe_train(config.model, dataset, config.hyper, config.plan, config.recipe, 3,
                                config.seeds[0])
         except ToolkitError:

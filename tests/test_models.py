@@ -4,11 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from conftest import buffer, copied, write_csv
+from conftest import buffer, copied
 from fd_check import finite_difference_check
-from test_harness import make_config
 from stepnm import models, optim
-from stepnm.cli import entry as cli_entry
 from stepnm.errors import ConfigError, DimensionError, DomainError
 from stepnm.masks import NMRatio
 from stepnm.models import Dataset, ModelSpec
@@ -22,21 +20,17 @@ def mlp(sizes=(3, 5, 3), activation="tanh"):
 def random_batch(spec, batch, seed):
     rng = np.random.default_rng(seed)
     inputs = rng.standard_normal((batch, spec.layer_sizes[0]))
-    if spec.kind == "mlp_classifier":
-        targets = rng.integers(0, spec.layer_sizes[-1], batch).astype(float)
-    else:
-        targets = rng.standard_normal((batch, spec.layer_sizes[-1]))
-    return inputs, targets
+    return inputs, rng.integers(0, spec.layer_sizes[-1], batch).astype(float)
 
 
-# three-layer MLPs, whose inner layers pass a gradient through their weights, and a single layer
-ALIASING_SPECS = [mlp((6, 8, 8, 4), "relu"), mlp((6, 8, 8, 4), "tanh"),
-                  ModelSpec("linear_regression", (6, 2))]
+# three-layer MLPs, whose inner layers pass a gradient through their weights, and a single
+# linear layer
+ALIASING_SPECS = [mlp((6, 8, 8, 4), "relu"), mlp((6, 8, 8, 4), "tanh"), mlp((6, 2))]
 
 
 class TestModelSpec:
     def test_valid(self):
-        ModelSpec("linear_regression", (4, 1))
+        ModelSpec("mlp_classifier", (4, 2))
         mlp()
 
     def test_bad_kind(self):
@@ -48,10 +42,6 @@ class TestModelSpec:
             ModelSpec("mlp_classifier", (4,))
         with pytest.raises(ConfigError):
             ModelSpec("mlp_classifier", (4, 0, 2))
-
-    def test_linear_is_single_layer(self):
-        with pytest.raises(ConfigError):
-            ModelSpec("linear_regression", (4, 8, 1))
 
     def test_param_shapes(self):
         shapes = models.param_shapes(mlp((2, 16, 2)))
@@ -76,20 +66,12 @@ class TestModelSpec:
 class TestSynthetic:
     def test_blobs_deterministic(self):
         a, b = (models.DataConfig("blobs", 100, 2, n_classes=2, noise_std=0.1,
-                                  seed=7).build("mlp_classifier") for _ in range(2))
+                                  seed=7).build() for _ in range(2))
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.targets, b.targets)
 
-    def test_regression_zero_noise_is_exact_linear_map(self):
-        ds = models.DataConfig("regression", 50, 3, noise_std=0.0, seed=5).build("linear_regression")
-        # rank-3 inputs determine the hidden map exactly
-        hidden, *_ = np.linalg.lstsq(ds.inputs, ds.targets, rcond=None)
-        np.testing.assert_allclose(ds.inputs @ hidden, ds.targets, atol=1e-10)
-
-    @pytest.mark.parametrize("kind, model", [("regression", "linear_regression"),
-                                             ("blobs", "mlp_classifier")])
-    def test_a_single_sample(self, kind, model):
-        ds = models.DataConfig(kind, 1, 2, seed=3, batch_size=1).build(model)
+    def test_a_single_sample(self):
+        ds = models.DataConfig("blobs", 1, 2, seed=3, batch_size=1).build()
         assert ds.inputs.shape == (1, 2) and ds.n_samples == ds.batch_size == 1
 
     def test_blobs_needs_two_classes(self):
@@ -108,12 +90,6 @@ class TestSynthetic:
 
 
 class TestForwardLoss:
-    def test_zero_params_zero_targets(self):
-        spec = ModelSpec("linear_regression", (2, 1))
-        params = buffer(**{"fc1.weight": np.zeros((1, 2)), "fc1.bias": np.zeros(1)})
-        batch = (np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros((2, 1)))
-        assert models.forward_loss(spec, params, batch) == 0.0
-
     def test_uniform_logits_give_log_c(self):
         spec = mlp((2, 4, 3))
         params = models.init_params(spec, 0)
@@ -234,27 +210,6 @@ class TestParamBuffer:
 
 
 class TestGrad:
-    def test_linear_closed_form_3x2(self):
-        # f = ||X W^T + b - y||^2 / (2 n)  =>  dW = ((X W^T + b - y)^T X) / n
-        spec = ModelSpec("linear_regression", (2, 1))
-        X = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]])
-        y = np.array([[1.0], [-2.0], [0.0]])
-        W = np.array([[0.3, -0.7]])
-        b = np.array([0.1])
-        params = buffer(**{"fc1.weight": W, "fc1.bias": b})
-        grads = models.loss_and_grad(spec, params, (X, y))[1]
-        residual = X @ W.T + b - y
-        np.testing.assert_allclose(grads["fc1.weight"], residual.T @ X / 3.0, atol=1e-12)
-        np.testing.assert_allclose(grads["fc1.bias"], residual.sum(axis=0) / 3.0, atol=1e-12)
-
-    def test_stationary_point_of_noiseless_regression(self):
-        ds = models.DataConfig("regression", 40, 3, noise_std=0.0, seed=11).build("linear_regression")
-        hidden, *_ = np.linalg.lstsq(ds.inputs, ds.targets, rcond=None)
-        spec = ModelSpec("linear_regression", (3, 1))
-        params = buffer(**{"fc1.weight": hidden.T, "fc1.bias": np.zeros(1)})
-        grads = models.loss_and_grad(spec, params, ds.full_batch())[1]
-        assert max(np.max(np.abs(g)) for g in grads.values()) < 1e-10
-
     def test_deterministic(self):
         spec = mlp()
         params = models.init_params(spec, 3)
@@ -300,10 +255,6 @@ class TestGrad:
             models.check_targets(spec, np.array([0.0, 7.0, 1.0]), 3)
         with pytest.raises(DimensionError, match="vector of class ids"):
             models.check_targets(spec, labels, 4)
-        reg = ModelSpec("linear_regression", (3, 1))
-        assert models.check_targets(reg, np.arange(3), 3).shape == (3, 1)
-        with pytest.raises(DimensionError, match="regression targets"):
-            models.check_targets(reg, np.zeros((3, 2)), 3)
 
     @pytest.mark.parametrize("sizes", [(3, 5, 3), (64, 128, 128, 10)])
     def test_out_buffer_gets_the_same_bits(self, sizes):
@@ -391,16 +342,11 @@ def reference_loss_and_grad(spec, params, inputs, targets):
             if i < n_layers - 1:
                 acts.append(np.maximum(pre, 0.0) if spec.activation == "relu" else np.tanh(pre))
         out = pres[-1]
-        if spec.kind == "mlp_classifier":
-            top = out.max()
-            log_norm = top + math.log(np.exp(out - top).sum())
-            total += log_norm - out[int(y)]
-            delta = np.exp(out - log_norm)
-            delta[int(y)] -= 1.0
-        else:
-            residual = out - np.atleast_1d(y)
-            total += 0.5 * float(residual @ residual)
-            delta = residual
+        top = out.max()
+        log_norm = top + math.log(np.exp(out - top).sum())
+        total += log_norm - out[int(y)]
+        delta = np.exp(out - log_norm)
+        delta[int(y)] -= 1.0
         for i in reversed(range(n_layers)):
             grads[f"fc{i + 1}.weight"] += np.outer(delta, acts[i]) / n
             grads[f"fc{i + 1}.bias"] += delta / n
@@ -414,11 +360,10 @@ def reference_loss_and_grad(spec, params, inputs, targets):
 
 
 def reference_cases():
-    """(spec, params, batch) over activations, model kinds and 0-3 hidden layers."""
+    """(spec, params, batch) over activations and 0-3 hidden layers."""
     rng = np.random.default_rng(31)
     cases = []
     for activation in ("relu", "tanh"):
-        cases.append(ModelSpec("linear_regression", (4, 3), activation=activation))
         for hidden in ((), (5,), (6, 4), (5, 7, 3)):
             cases.append(ModelSpec("mlp_classifier", (4, *hidden, 3), activation=activation))
     out = []
@@ -467,7 +412,7 @@ class TestReferenceGradient:
 
 class TestFiniteDifference:
     def test_linear_passes(self):
-        spec = ModelSpec("linear_regression", (3, 2))
+        spec = mlp((3, 2))
         params = models.init_params(spec, 5)
         report = finite_difference_check(spec, params, random_batch(spec, 6, 6))
         assert report.passed
@@ -496,14 +441,17 @@ class TestFiniteDifference:
         assert report.max_rel_error >= 0.0
 
     def test_non_finite_difference_fails(self):
-        # h = 1e300 overflows every loss to inf; each difference is inf - inf
-        spec = ModelSpec("linear_regression", (2, 1))
+        # h = 1e300 against inputs near 1e10 overflows the logits of every
+        # weight step to +-inf, so each weight's difference is NaN; a bias
+        # step's logits stay finite, but its difference is far off too
+        spec = mlp((2, 2))
         params = models.init_params(spec, 0)
-        with np.errstate(over="ignore"):
-            report = finite_difference_check(spec, params, random_batch(spec, 8, 0), h=1e300)
+        inputs, targets = random_batch(spec, 8, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = finite_difference_check(spec, params, (1e10 * inputs, targets), h=1e300)
         assert math.isnan(report.max_rel_error) and not report.passed
-        assert [(name, idx) for name, idx, _ in report.offenders] == [
-            ("fc1.weight", 0), ("fc1.weight", 1), ("fc1.bias", 0)]
+        assert [(name, idx, math.isnan(rel)) for name, idx, rel in report.offenders] == [
+            ("fc1.weight", i, True) for i in range(4)] + [("fc1.bias", i, False) for i in range(2)]
 
     def test_bad_h(self):
         spec = mlp()
@@ -511,68 +459,6 @@ class TestFiniteDifference:
         for h in (0.0, float("nan"), float("inf")):
             with pytest.raises(DomainError):
                 finite_difference_check(spec, params, random_batch(spec, 4, 0), h=h)
-
-
-class TestCSV:
-    def test_round_trip_regression(self, tmp_path):
-        ds = models.DataConfig("regression", 20, 3, noise_std=0.5, seed=13,
-                               batch_size=4).build("linear_regression")
-        path = tmp_path / "data.csv"
-        write_csv(ds, path)
-        loaded = models.DataConfig("csv", path=str(path), batch_size=4).build("linear_regression")
-        np.testing.assert_array_equal(loaded.inputs, ds.inputs)
-        np.testing.assert_array_equal(loaded.targets, ds.targets)
-
-    def test_round_trip_class_labels(self, tmp_path):
-        ds = models.DataConfig("blobs", 30, 2, n_classes=3, noise_std=0.2, seed=14).build("mlp_classifier")
-        path = tmp_path / "blobs.csv"
-        write_csv(ds, path)
-        loaded = models.DataConfig("csv", path=str(path)).build("mlp_classifier")
-        np.testing.assert_array_equal(loaded.targets, ds.targets)
-        assert loaded.targets.ndim == 1
-
-    def test_unreadable_file(self, tmp_path):
-        for path in (tmp_path / "missing.csv", tmp_path):
-            with pytest.raises(ConfigError, match="cannot read CSV"):
-                models.DataConfig("csv", path=str(path))
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ConfigError):
-            models.DataConfig("csv", path=str(path)).build("linear_regression")
-
-    @pytest.mark.parametrize("n_targets", [1, 2])
-    def test_a_header_of_only_targets_has_no_features(self, tmp_path, n_targets):
-        path = tmp_path / "targets.csv"
-        path.write_text("y0,y1\n1.0,2.0\n3.0,4.0\n" if n_targets == 2 else "y0\n1.0\n2.0\n")
-        data = models.DataConfig("csv", path=str(path), n_targets=n_targets)
-        with pytest.raises(ConfigError, match="needs a header and at least one feature column"):
-            data.build("linear_regression")
-
-
-@pytest.mark.parametrize("body, n_targets, message", [
-    ("x0,x1,y0\n", 1, "CSV {path} has no data rows"),
-    ("x0,x1,y0,y1\n1.0,2.0,0,1\n", 2, "class targets use exactly one column"),
-], ids=["header_only", "classifier_two_targets"])
-def test_a_csv_the_classifier_cannot_read_exits_2(tmp_path, monkeypatch, capsys, body, n_targets,
-                                                  message):
-    csv_path = tmp_path / "data.csv"
-    csv_path.write_text(body)
-    message = message.format(path=csv_path)
-    data = models.DataConfig("csv", path=str(csv_path), n_targets=n_targets, batch_size=1)
-    with pytest.raises(ConfigError) as info:
-        data.build("mlp_classifier")
-    assert str(info.value) == message
-    path, _ = make_config(tmp_path, data={"kind": "csv", "path": str(csv_path),
-                                          "n_targets": n_targets, "batch_size": 1})
-    out = tmp_path / "out"
-    monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
-    with pytest.raises(SystemExit) as exit_info:
-        cli_entry()
-    assert exit_info.value.code == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("inputs", [np.zeros(4), np.zeros((4, 2, 1))], ids=["1d", "3d"])
@@ -585,7 +471,7 @@ def test_dataset_inputs_must_be_2d(inputs):
 class TestBatchIterator:
     def test_deterministic(self):
         ds = models.DataConfig("blobs", 64, 2, noise_std=0.0, seed=0,
-                               batch_size=16).build("mlp_classifier")
+                               batch_size=16).build()
         a = models.batch_iterator(ds, 42)
         b = models.batch_iterator(ds, 42)
         for _ in range(10):
@@ -596,7 +482,7 @@ class TestBatchIterator:
 
     def test_epoch_covers_all_samples(self):
         ds = models.DataConfig("blobs", 64, 2, noise_std=0.0, seed=0,
-                               batch_size=16).build("mlp_classifier")
+                               batch_size=16).build()
         it = models.batch_iterator(ds, 1)
         seen = np.concatenate([next(it)[0] for _ in range(4)])
         assert seen.shape == (64, 2)

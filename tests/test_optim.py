@@ -37,7 +37,7 @@ def default_hyper(lr=1e-3):
 def blob_setup(hidden=16, noise=0.6, seed=0, batch=32):
     spec = models.ModelSpec("mlp_classifier", (2, hidden, 2), activation="relu")
     ds = models.DataConfig("blobs", 256, 2, n_classes=2, noise_std=noise, seed=seed,
-                           batch_size=batch).build("mlp_classifier")
+                           batch_size=batch).build()
     plan = {"fc2.weight": NMRatio(1, 4)}
     return spec, ds, plan
 
@@ -310,25 +310,32 @@ class TestAdamStep:
 
 class TestGradientTransforms:
     def test_ste_dense_gradient_at_masked_point(self):
-        # w = [1, 2] keeps the larger entry, masked point u = [0, 2],
-        # prediction u.x = 8, target 7 leaves residual 1, so g = x = [3, 4]
-        spec = models.ModelSpec("linear_regression", (2, 1))
-        params = buffer(**{"fc1.weight": np.array([[1.0, 2.0]]), "fc1.bias": np.array([0.0])})
+        # a one-layer classifier: each row of w keeps its larger entry, so the
+        # masked point is u = [[0, 2], [2, 0]]; x = [3, 4] and the bias give
+        # logits u x + b = [8, 8], softmax [0.5, 0.5], and for class 0
+        # g = [-0.5, 0.5], so dW = outer(g, x), on every coordinate
+        spec = models.ModelSpec("mlp_classifier", (2, 2))
+        params = buffer(**{"fc1.weight": np.array([[1.0, 2.0], [2.0, 1.0]]),
+                           "fc1.bias": np.array([0.0, 2.0])})
         plan = {"fc1.weight": NMRatio(1, 2)}
-        batch = (np.array([[3.0, 4.0]]), np.array([[7.0]]))
-        _, grads = optim.ste_loss_and_grad(spec, params, plan, batch)
+        batch = (np.array([[3.0, 4.0]]), np.array([0]))
+        loss, grads = optim.ste_loss_and_grad(spec, params, plan, batch)
         np.testing.assert_array_equal(compute_nm_mask(params["fc1.weight"], plan["fc1.weight"]),
-                                      [[0.0, 1.0]])
-        np.testing.assert_allclose(grads["fc1.weight"], [[3.0, 4.0]], atol=1e-12)
+                                      [[0.0, 1.0], [1.0, 0.0]])
+        assert math.isclose(loss, math.log(2.0), rel_tol=1e-15)
+        np.testing.assert_allclose(grads["fc1.weight"], [[-1.5, -2.0], [1.5, 2.0]], atol=1e-12)
+        np.testing.assert_allclose(grads["fc1.bias"], [-0.5, 0.5], atol=1e-12)
 
     def test_srste_adds_regularizer_on_pruned(self):
-        # same setup; pruned coordinate is w[0] = 1, so lam adds 0.01 * 1 there
-        spec = models.ModelSpec("linear_regression", (2, 1))
-        params = buffer(**{"fc1.weight": np.array([[1.0, 2.0]]), "fc1.bias": np.array([0.0])})
+        # same setup; the pruned coordinates are w[0, 0] = w[1, 1] = 1, so lam
+        # adds 0.01 * 1 there
+        spec = models.ModelSpec("mlp_classifier", (2, 2))
+        params = buffer(**{"fc1.weight": np.array([[1.0, 2.0], [2.0, 1.0]]),
+                           "fc1.bias": np.array([0.0, 2.0])})
         plan = {"fc1.weight": NMRatio(1, 2)}
-        batch = (np.array([[3.0, 4.0]]), np.array([[7.0]]))
+        batch = (np.array([[3.0, 4.0]]), np.array([0]))
         _, grads = optim.ste_loss_and_grad(spec, params, plan, batch, lam=0.01)
-        np.testing.assert_allclose(grads["fc1.weight"], [[3.01, 4.0]], atol=1e-12)
+        np.testing.assert_allclose(grads["fc1.weight"], [[-1.49, -2.0], [1.5, 2.01]], atol=1e-12)
 
     def test_srste_zero_lam_equals_ste(self):
         spec, ds, plan = blob_setup()
@@ -398,12 +405,12 @@ class TestGradientTransforms:
                 g[g == 0.0] = -0.0
                 return loss, grads
             monkeypatch.setattr(models, "loss_and_grad", loss_and_grad)
-        spec = models.ModelSpec("linear_regression", (4, 3))
+        spec = models.ModelSpec("mlp_classifier", (4, 3))
         w = np.array([[0.0, -0.0, -1.5, 1.0], [-0.0, 2.0, -0.0, 0.0], [1.5, -1.5, 0.5, -0.5]])
         params = buffer(**{"fc1.weight": w, "fc1.bias": np.zeros(3)})
         plan = {"fc1.weight": NMRatio(1, 2)}
         inputs = np.array([[1.0, 2.0, 0.0, 3.0], [0.5, 1.0, 0.0, 2.0]])
-        batch = (inputs, np.full((2, 3), 10.0))
+        batch = (inputs, np.array([0, 2]))
         lam = 0.01
         mask = compute_nm_mask(w, plan["fc1.weight"])
         masked = copied(params)
@@ -715,11 +722,13 @@ class TestNonFiniteFigures:
     """A non-finite loss, statistic or evaluation loss stops the run at the step that made it."""
 
     def test_the_gradient_check_comes_first(self):
-        # the loss and the gradient both overflow at step 1; the gradient is named
+        # an infinite input feature makes every logit infinite or NaN, so the loss
+        # and the gradient are both NaN at step 1; the gradient is named
         rng = np.random.default_rng(0)
-        spec = models.ModelSpec("linear_regression", (3, 1))
-        ds = models.Dataset(1e10 * rng.standard_normal((64, 3)),
-                            1e300 * rng.standard_normal((64, 1)), 32)
+        spec = models.ModelSpec("mlp_classifier", (3, 2))
+        inputs = rng.standard_normal((64, 3))
+        inputs[:, 0] = np.inf
+        ds = models.Dataset(inputs, rng.integers(0, 2, 64), 32)
         with pytest.raises(NumericalError, match=r"^non-finite gradient for 'fc1.weight' at step 1$"):
             optim.recipe_train(spec, ds, default_hyper(), {}, Recipe("dense"), 20, 1)
 
@@ -794,7 +803,7 @@ class TestTrainingMemory:
         # activations, share the last 0.5
         spec = models.ModelSpec("mlp_classifier", (64, 512, 512, 10))
         ds = models.DataConfig("blobs", 256, 64, n_classes=10, noise_std=1.0, seed=0,
-                               batch_size=32).build("mlp_classifier")
+                               batch_size=32).build()
         plan = {f"fc{i}.weight": NMRatio(2, 4) for i in (1, 2, 3)}
         switch = SwitchCriterion("fixed", step=3) if optim.RECIPE_KINDS[kind][1] else None
         recipe = Recipe(kind, lam=2e-4 if kind == "srste" else 0.0, switch=switch)

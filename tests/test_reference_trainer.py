@@ -4,8 +4,7 @@ Every record field, both evaluation losses, the switch step, and the final
 parameters and masks must be equal.  The matrix covers the five recipes,
 the four switch criteria and the stagewise decay on a relu and a tanh MLP,
 with beta2 = 0.99 so that the 100-sample windows fill early, plus a few
-steps of the benchmark's wide model and linear regression with one output
-and with several.
+steps of the benchmark's wide model.
 """
 
 import dataclasses
@@ -44,25 +43,12 @@ CASES = {
 }
 
 
-def _regression_data(n_in, n_out, batch_size):
-    """256 draws of a hidden linear map from n_in inputs to n_out outputs, plus noise."""
-    rng = np.random.default_rng(0)
-    inputs = rng.standard_normal((256, n_in))
-    targets = inputs @ rng.standard_normal((n_in, n_out)) + 0.1 * rng.standard_normal((256, n_out))
-    return models.Dataset(inputs, targets, batch_size)
-
-
 def _train_both(sizes, activation, plan, recipe, lam, decay, switch, cosine, *, steps, eps=1e-8,
-                beta2=0.99, lr=5e-3, batch_size=32, seed=1, regression=False):
-    """(recipe_train's result, the reference's) for one run on blobs data, or with
-    ``regression`` a linear model of ``sizes`` on drawn regression data."""
-    if regression:
-        ds = _regression_data(*sizes, batch_size)
-        spec = models.ModelSpec("linear_regression", sizes)
-    else:
-        ds = models.DataConfig("blobs", 256, sizes[0], n_classes=sizes[-1], noise_std=0.6,
-                               seed=0, batch_size=batch_size).build("mlp_classifier")
-        spec = models.ModelSpec("mlp_classifier", sizes, activation)
+                beta2=0.99, lr=5e-3, batch_size=32, seed=1):
+    """(recipe_train's result, the reference's) for one run on blobs data."""
+    ds = models.DataConfig("blobs", 256, sizes[0], n_classes=sizes[-1], noise_std=0.6,
+                           seed=0, batch_size=batch_size).build()
+    spec = models.ModelSpec("mlp_classifier", sizes, activation)
     hyper = AdamHyper(beta2=beta2, eps=eps, lr=lr, cosine_steps=steps if cosine else None)
     criterion = None if switch is None else SwitchCriterion(
         **{key: value for key, value in switch.items() if value is not None})
@@ -73,7 +59,7 @@ def _train_both(sizes, activation, plan, recipe, lam, decay, switch, cosine, *, 
     reference = reference_trainer.train(
         sizes, activation, ds.inputs, ds.targets, ds.batch_size, recipe=recipe,
         total_steps=steps, seed=seed, lr=lr, cosine=cosine, beta2=beta2, eps=eps, lam=lam,
-        plan=plan, decay=decay, switch=switch, regression=regression)
+        plan=plan, decay=decay, switch=switch)
     return result, reference
 
 
@@ -149,25 +135,12 @@ def test_compare_switch_metric_is_the_reference_variance_change(tmp_path):
     config = harness.config_from_dict(doc)
     [row] = harness.compare_switch(config, [SwitchCriterion(kind="fixed", step=t0)])
     assert row["t0"] == t0
-    ds = config.data.build(config.model.kind)
+    ds = config.data.build()
     reference = reference_trainer.train(sizes, activation, ds.inputs, ds.targets, ds.batch_size,
                                         recipe="dense", total_steps=steps, seed=1, lr=5e-3,
                                         beta2=0.99)
     expected = avg_change_metric_from_diffs([0.0] + reference["v_l1_changes"], t0)
     assert math.isclose(row["avg_change_metric"], expected, rel_tol=1e-12)
-
-
-REGRESSION_MODELS = {"linear 8-1": (8, 1), "linear 8-3": (8, 3)}
-REGRESSION_CASES = {"dense": CASES["dense"], "ste": ("ste", 0.0, None, None, False),
-                    "step/fixed": CASES["step/fixed"]}
-
-
-@pytest.mark.parametrize("case", REGRESSION_CASES)
-@pytest.mark.parametrize("model", REGRESSION_MODELS)
-def test_linear_regression_matches_the_reference(model, case):
-    result, reference = _train_both(REGRESSION_MODELS[model], None, {"fc1.weight": (2, 4)},
-                                    *REGRESSION_CASES[case], steps=STEPS, regression=True)
-    _assert_bitwise_equal(result, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +150,13 @@ def test_linear_regression_matches_the_reference(model, case):
 
 def _plain_data(data: dict):
     """The inputs, targets and batch size that a ``data`` section describes, drawn with the
-    plain numpy expressions: blobs around 3 N(0, 1) centres, one per class, labelled in turn,
-    or a hidden linear map from N(0, 1) inputs to one target, plus noise when it is positive."""
+    plain numpy expressions: blobs around 3 N(0, 1) centres, one per class, labelled in turn."""
     n, features, noise = data["n_samples"], data["n_features"], data.get("noise_std", 0.1)
     rng = np.random.default_rng(data.get("seed", 0))
-    if data["kind"] == "blobs":
-        labels = np.arange(n) % data["n_classes"]
-        centres = 3.0 * rng.standard_normal((data["n_classes"], features))
-        inputs = centres[labels] + noise * rng.standard_normal((n, features))
-        targets = labels
-    else:
-        inputs = rng.standard_normal((n, features))
-        targets = inputs @ rng.standard_normal((features, 1))
-        if noise > 0:
-            targets = targets + noise * rng.standard_normal((n, 1))
-    return inputs, targets, min(data.get("batch_size", 32), n)
+    labels = np.arange(n) % data["n_classes"]
+    centres = 3.0 * rng.standard_normal((data["n_classes"], features))
+    inputs = centres[labels] + noise * rng.standard_normal((n, features))
+    return inputs, labels, min(data.get("batch_size", 32), n)
 
 
 def _plain_switch(switch, total_steps: int):
@@ -239,7 +204,7 @@ def _plain_runs(doc: dict) -> list:
         cosine=optimizer.get("lr_schedule") == "cosine", beta1=optimizer.get("beta1", 0.9),
         beta2=optimizer.get("beta2", 0.999), eps=optimizer.get("eps", 1e-8), lam=lam,
         plan={name: (r["n"], r["m"]) for name, r in (doc.get("sparsity") or {}).items()},
-        decay=cell_decay, switch=switch, regression=model["kind"] == "linear_regression")
+        decay=cell_decay, switch=switch)
         for kind, lam, cell_decay, switch in cells for seed in doc["seeds"]]
 
 
@@ -252,20 +217,15 @@ def _maybe(draw, section: dict, key: str, values) -> None:
 @st.composite
 def config_documents(draw, recipe: str):
     """A small valid config for ``recipe``: every switch kind, decay on and off, at most 60
-    steps, and a plan on at least one weight, for a classifier on blobs or a linear model
-    on regression data."""
+    steps, and a plan on at least one weight, for a classifier of one to three layers on
+    blobs."""
     m = draw(st.sampled_from([2, 4, 8]))
-    if draw(st.booleans()):
-        sizes = [m * draw(st.integers(1, 2)), 1]
-        model = {"kind": "linear_regression", "layer_sizes": sizes}
-        data = {"kind": "regression"}
-    else:
-        hidden = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
-        sizes = [m * draw(st.integers(1, 2)), *(m * h for h in hidden), draw(st.integers(2, 3))]
-        model = {"kind": "mlp_classifier", "layer_sizes": sizes}
-        _maybe(draw, model, "activation", ["relu", "tanh"])
-        data = {"kind": "blobs", "n_classes": sizes[-1]}
-    data.update(n_samples=draw(st.sampled_from([40, 64])), n_features=sizes[0])
+    hidden = draw(st.lists(st.integers(1, 2), max_size=2))
+    sizes = [m * draw(st.integers(1, 2)), *(m * h for h in hidden), draw(st.integers(2, 3))]
+    model = {"kind": "mlp_classifier", "layer_sizes": sizes}
+    _maybe(draw, model, "activation", ["relu", "tanh"])
+    data = {"kind": "blobs", "n_classes": sizes[-1],
+            "n_samples": draw(st.sampled_from([40, 64])), "n_features": sizes[0]}
     for key, values in (("noise_std", [0.0, 0.5]), ("seed", [0, 3]), ("batch_size", [8, 16])):
         _maybe(draw, data, key, values)
     total_steps = draw(st.integers(8, 60))
