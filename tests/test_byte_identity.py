@@ -4,7 +4,7 @@ Each case trains once and hashes two things: the trajectory JSONL that
 ``harness.write_trajectory`` writes (every per-step loss, variance norm and
 switch sample, plus the final evaluation record), and the final parameters'
 bytes in ``models.param_shapes`` order.  The training cases train an MLP
-classifier on blobs.  A change to the training loop that moves any bit of a
+classifier on blobs, one of them a single affine layer.  A change to the training loop that moves any bit of a
 run fails here.  The wide case must also read the same digests with OpenBLAS
 on one thread and on two.  The theorem validator's cases hash its report, as the
 ``validate-theorem`` command writes it, for each stream kind.
@@ -89,6 +89,9 @@ DIGESTS = {
     "step_updated_variance+decay": (
         "b2e21af09d606ae35ac3c98d58702c19310b6c6cd267d873f240238865eb9cd6",
         "e76ab13bc4caa7515bc0a4233597e8db3d7b1751c64d84b7aabcbd394fc5f8ef"),
+    "one-layer": (
+        "d9365c395d474b485956a64221b01698122d55c1dbdd77fc36adf047e367d513",
+        "acf8783f9a80f3aa5bd495a549271230ace7bbd2208791dce225ccc3f877b0be"),
     "wide": (
         "7fb3138a7205fa5e49c557b555366d10af11cd8e72700a9ef3a7208c400d1a50",
         "36924b717dc8244fc7d64f8837dc2a0a7f7ee6da50c1b10b00827d426131a456"),
@@ -116,6 +119,17 @@ def test_small_mlp_runs(name, tmp_path):
     if recipe.switch is not None:
         assert run.switched_at is not None
     assert _digests(spec, run, tmp_path) == DIGESTS[name]
+
+
+def test_one_layer_run(tmp_path):
+    # a single affine layer under softmax, its one weight planned 2:4
+    spec = models.ModelSpec("mlp_classifier", (4, 3))
+    ds = models.DataConfig("blobs", 256, 4, n_classes=3, noise_std=0.6, seed=0,
+                           batch_size=32).build()
+    run = optim.recipe_train(spec, ds, AdamHyper(lr=5e-3), {"fc1.weight": NMRatio(2, 4)},
+                             Recipe("step", switch=FIXED), SMALL_STEPS, seed=3)
+    assert run.switched_at == 150
+    assert _digests(spec, run, tmp_path) == DIGESTS["one-layer"]
 
 
 def _wide_run_digests(tmp_path):

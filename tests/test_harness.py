@@ -247,6 +247,14 @@ SWITCH_VALUES = {"option": "arithmetic", "threshold": 0.5, "step": 30, "step_rat
                  "clip": {"t_min_ratio": 0.1, "t_max_ratio": 0.5}}
 DATA_VALUES = {"n_samples": 64, "n_features": 2, "n_classes": 2, "noise_std": 0.1, "seed": 0,
                "batch_size": 16}
+# another value of each data key, and of each model and optimizer key (BASE_CONFIG's or
+# the default)
+CHANGED_DATA_VALUES = {"n_samples": 48, "n_features": 3, "n_classes": 3, "noise_std": 0.5,
+                       "seed": 1, "batch_size": 8}
+CHANGED_RUN_VALUES = {("model", "layer_sizes"): [2, 8, 2], ("model", "activation"): "tanh",
+                      ("optimizer", "lr"): 0.002, ("optimizer", "beta1"): 0.8,
+                      ("optimizer", "beta2"): 0.99, ("optimizer", "eps"): 1e-5,
+                      ("optimizer", "lr_schedule"): "cosine"}
 
 # a bad value of each data field, and its message
 BAD_DATA = [
@@ -297,6 +305,34 @@ class TestKeysByKind:
             assert harness.config_from_dict({**BASE_CONFIG, "switch": switch}).recipe.switch.kind == kind
         data = {"kind": "blobs", **DATA_VALUES}
         assert harness.config_from_dict({**BASE_CONFIG, "data": data}).data == models.DataConfig(**data)
+
+    @pytest.mark.parametrize("key", CHANGED_DATA_VALUES)
+    def test_each_data_key_reaches_the_dataset(self, key):
+        """A data key that loads but that ``build`` ignored would go unnoticed: each one,
+        changed alone, changes the dataset drawn."""
+        def drawn(data):
+            doc = {**BASE_CONFIG, "data": data, "sparsity": None,
+                   "model": {"kind": "mlp_classifier",
+                             "layer_sizes": [data["n_features"], 16, data["n_classes"]]}}
+            ds = harness.config_from_dict(doc).data.build()
+            return ds.inputs.shape, ds.inputs.tobytes(), ds.targets.tobytes(), ds.batch_size
+
+        data = {"kind": "blobs", **DATA_VALUES}
+        assert drawn({**data, key: CHANGED_DATA_VALUES[key]}) != drawn(data)
+
+    @pytest.mark.parametrize("section, key", CHANGED_RUN_VALUES,
+                             ids=[f"{section}.{key}" for section, key in CHANGED_RUN_VALUES])
+    def test_each_model_and_optimizer_key_reaches_the_run(self, tmp_path, section, key):
+        """Each model and optimizer key, changed alone, changes what ``run`` trains."""
+        def trained(doc):
+            config = harness.config_from_dict({**doc, "total_steps": 20, "seeds": [1],
+                                               "output_dir": str(tmp_path / "out")})
+            [(_, _, figures, records)] = harness._train_runs(config, [("run", config.recipe)])
+            return repr((figures, [vars(record) for record in records]))
+
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc[section][key] = CHANGED_RUN_VALUES[section, key]
+        assert trained(BASE_CONFIG) == trained(BASE_CONFIG) != trained(doc)
 
     @pytest.mark.parametrize("section", ["switch", "data", "model", "stream"])
     @pytest.mark.parametrize("kind", [[], {}, None, 3, "oracle"])
@@ -1251,10 +1287,17 @@ class TestEveryBadInputExits2:
         ({"data": {"kind": "csv"}}, (), "unknown data kind 'csv'"),
         ({"data": {"kind": "blobs", "path": "data.csv", "n_targets": 1}}, (),
          "unknown key(s) in 'data': ['n_targets', 'path']"),
+        ({"model": {"kind": "mlp_classifier", "layer_sizes": [2, 16, 2], "activation": "sigmoid"}},
+         (), "unknown activation 'sigmoid'"),
+        ({"model": {"kind": "mlp_classifier", "layer_sizes": [2]}, "sparsity": None}, (),
+         "layer_sizes needs >= 2 positive extents, got (2,)"),
+        ({"model": {"kind": "mlp_classifier", "layer_sizes": [2, 0, 2]}}, (),
+         "layer_sizes needs >= 2 positive extents, got (2, 0, 2)"),
     ], ids=["bool_number", "bool_integer", "negative_seed_flag", "lr_schedule", "step_and_ratio",
             "zero_threshold", "not_a_mapping", "list_recipe_kind", "mapping_recipe_kind",
             "zero_total_steps", "negative_total_steps", "linear_regression_model_kind",
-            "regression_data_kind", "csv_data_kind", "csv_data_keys"])
+            "regression_data_kind", "csv_data_kind", "csv_data_keys", "unknown_activation",
+            "one_layer_size", "zero_layer_size"])
     def test_at_load(self, tmp_path, monkeypatch, capsys, overrides, seeds, message):
         if overrides is None:
             path = tmp_path / "config.yaml"
@@ -1412,21 +1455,26 @@ class TestShippedCompareSwitchConfig:
         assert all(r["t0"] is not None and r["avg_change_metric"] is not None for r in rows)
 
 
+# a value of the wrong type or range in one slot, and the key its message names
+TYPED_ERRORS = {
+    "layer_sizes": ({"model": {"kind": "mlp_classifier", "layer_sizes": "ab"}}, "model.layer_sizes"),
+    "layer_size_entry": ({"model": {"kind": "mlp_classifier", "layer_sizes": [2, "x", 2]}},
+                         "model.layer_sizes"),
+    "seeds": ({"seeds": 5}, "seeds"),
+    "seed_entry": ({"seeds": [1, 2.5]}, "seeds"),
+    "total_steps": ({"total_steps": "many"}, "total_steps"),
+    "sparsity": ({"sparsity": ["fc2.weight"]}, "sparsity"),
+    "sparsity_n": ({"sparsity": {"fc2.weight": {"n": "one", "m": 4}}}, "sparsity.fc2.weight.n"),
+    "recipe_lam": ({"recipe": {"kind": "srste", "lam": "x"}}, "recipe.lam"),
+    "switch_step": ({"switch": {"kind": "fixed", "step": "soon"}}, "switch.step"),
+    "switch_threshold": ({"switch": {"kind": "relative", "threshold": "low"}}, "switch.threshold"),
+    "data_n_samples": ({"data": {"kind": "blobs", "n_samples": -4}}, "data.n_samples"),
+    "data_batch_size": ({"data": {"kind": "blobs", "batch_size": "big"}}, "data.batch_size"),
+}
+
+
 class TestTypedInputErrors:
-    @pytest.mark.parametrize("overrides,key", [
-        ({"model": {"kind": "mlp_classifier", "layer_sizes": "ab"}}, "model.layer_sizes"),
-        ({"model": {"kind": "mlp_classifier", "layer_sizes": [2, "x", 2]}}, "model.layer_sizes"),
-        ({"seeds": 5}, "seeds"),
-        ({"seeds": [1, 2.5]}, "seeds"),
-        ({"total_steps": "many"}, "total_steps"),
-        ({"sparsity": ["fc2.weight"]}, "sparsity"),
-        ({"sparsity": {"fc2.weight": {"n": "one", "m": 4}}}, "sparsity.fc2.weight.n"),
-        ({"recipe": {"kind": "srste", "lam": "x"}}, "recipe.lam"),
-        ({"switch": {"kind": "fixed", "step": "soon"}}, "switch.step"),
-        ({"switch": {"kind": "relative", "threshold": "low"}}, "switch.threshold"),
-        ({"data": {"kind": "blobs", "n_samples": -4}}, "data.n_samples"),
-        ({"data": {"kind": "blobs", "batch_size": "big"}}, "data.batch_size"),
-    ])
+    @pytest.mark.parametrize("overrides,key", list(TYPED_ERRORS.values()))
     def test_config_error(self, tmp_path, overrides, key):
         path, _ = make_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(key)):
@@ -1465,19 +1513,19 @@ class TestTypedInputErrors:
         with pytest.raises(ConfigError, match=f"switch.clip.{key}"):
             harness.load_config(path)
 
-    @pytest.mark.parametrize("case", ["layer_sizes", "seeds"])
+    @pytest.mark.parametrize("case", TYPED_ERRORS)
     def test_cli_exits_2(self, tmp_path, monkeypatch, capsys, case):
-        overrides = {
-            "layer_sizes": {"model": {"kind": "mlp_classifier", "layer_sizes": "ab"}},
-            "seeds": {"seeds": 5},
-        }[case]
+        overrides, key = TYPED_ERRORS[case]
         path, _ = make_config(tmp_path, **overrides)
-        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path),
-                                         "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        monkeypatch.setattr(models.DataConfig, "build", lambda *a, **k: pytest.fail("data was built"))
+        monkeypatch.setattr("sys.argv", ["stepnm", "run", "--config", str(path), "--out", str(out)])
         with pytest.raises(SystemExit) as exit_info:
             cli_entry()
         assert exit_info.value.code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 # arbitrary YAML-like values to drop into any slot of a valid config

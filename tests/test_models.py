@@ -43,6 +43,11 @@ class TestModelSpec:
         with pytest.raises(ConfigError):
             ModelSpec("mlp_classifier", (4, 0, 2))
 
+    @pytest.mark.parametrize("activation", ["sigmoid", "RELU", ""])
+    def test_unknown_activation(self, activation):
+        with pytest.raises(ConfigError, match=f"^unknown activation {re.escape(repr(activation))}$"):
+            ModelSpec("mlp_classifier", (4, 3, 2), activation)
+
     def test_param_shapes(self):
         shapes = models.param_shapes(mlp((2, 16, 2)))
         assert shapes == {
@@ -74,6 +79,21 @@ class TestSynthetic:
         ds = models.DataConfig("blobs", 1, 2, seed=3, batch_size=1).build()
         assert ds.inputs.shape == (1, 2) and ds.n_samples == ds.batch_size == 1
 
+    def test_zero_noise_puts_every_sample_on_its_class_centre(self):
+        # labels take the classes in turn; each class's samples are one point,
+        # and the three centres are distinct
+        ds = models.DataConfig("blobs", 10, 4, n_classes=3, noise_std=0.0, seed=2,
+                               batch_size=4).build()
+        assert ds.targets.tolist() == [i % 3 for i in range(10)]
+        for label in range(3):
+            rows = ds.inputs[ds.targets == label]
+            assert (rows == rows[0]).all()
+        assert len({tuple(row) for row in ds.inputs}) == 3
+
+    def test_a_batch_size_above_n_samples_becomes_one_full_batch(self):
+        ds = models.DataConfig("blobs", 5, 2, batch_size=32).build()
+        assert ds.batch_size == ds.n_samples == 5
+
     def test_blobs_needs_two_classes(self):
         with pytest.raises(ConfigError):
             models.DataConfig("blobs", 10, 2, n_classes=1)
@@ -81,6 +101,13 @@ class TestSynthetic:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             models.DataConfig("spiral", 10, 2)
+
+    def test_dataset_keeps_int64_class_ids_and_makes_other_targets_float64(self):
+        ids = np.array([0, 1, 1, 0], dtype=np.int64)
+        assert Dataset(np.zeros((4, 2)), ids, batch_size=2).targets is ids
+        for targets in (np.array([0, 1, 1, 0], dtype=np.int32), [0.0, 1.0, 1.0, 0.0]):
+            converted = Dataset(np.zeros((4, 2)), targets, batch_size=2).targets
+            assert converted.dtype == np.float64 and converted.tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_dataset_invariants(self):
         with pytest.raises(ConfigError):
@@ -256,6 +283,28 @@ class TestGrad:
         with pytest.raises(DimensionError, match="vector of class ids"):
             models.check_targets(spec, labels, 4)
 
+    def test_one_layer_closed_form_at_zero(self):
+        # zero parameters give a uniform softmax [0.5, 0.5], so the loss is
+        # log 2 and g = (softmax - onehot) / n = +-0.25; dW = g.T @ x, db = 0
+        spec = mlp((3, 2))
+        params = models.ParamBuffer(models.param_shapes(spec))
+        inputs = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        loss, grads = models.loss_and_grad(spec, params, (inputs, np.array([0, 1])))
+        assert loss == math.log(2)
+        np.testing.assert_array_equal(grads["fc1.weight"], [[0.75, 0.75, 0.75], [-0.75, -0.75, -0.75]])
+        np.testing.assert_array_equal(grads["fc1.bias"], [0.0, 0.0])
+
+    @pytest.mark.parametrize("spec", ALIASING_SPECS, ids=["relu", "tanh", "linear"])
+    def test_head_gradients_sum_to_zero_over_classes(self, spec):
+        # each row of softmax - onehot sums to 0, so the head's bias gradient
+        # does, and so does every column of its weight gradient
+        params = models.init_params(spec, 4)
+        grads = models.loss_and_grad(spec, params, random_batch(spec, 16, 5))[1]
+        head = f"fc{spec.n_layers}"
+        assert abs(grads[f"{head}.bias"].sum()) < 1e-15
+        np.testing.assert_allclose(grads[f"{head}.weight"].sum(axis=0), 0.0, atol=1e-15)
+        assert np.abs(grads[f"{head}.weight"]).max() > 1e-3
+
     @pytest.mark.parametrize("sizes", [(3, 5, 3), (64, 128, 128, 10)])
     def test_out_buffer_gets_the_same_bits(self, sizes):
         spec = mlp(sizes)
@@ -360,11 +409,11 @@ def reference_loss_and_grad(spec, params, inputs, targets):
 
 
 def reference_cases():
-    """(spec, params, batch) over activations and 0-3 hidden layers."""
+    """(spec, params, batch) over activations and 0-3 hidden layers, one a bottleneck of width 1."""
     rng = np.random.default_rng(31)
     cases = []
     for activation in ("relu", "tanh"):
-        for hidden in ((), (5,), (6, 4), (5, 7, 3)):
+        for hidden in ((), (1,), (5,), (6, 4), (5, 7, 3)):
             cases.append(ModelSpec("mlp_classifier", (4, *hidden, 3), activation=activation))
     out = []
     for spec in cases:
@@ -479,6 +528,19 @@ class TestBatchIterator:
             xb, yb = next(b)
             np.testing.assert_array_equal(xa, xb)
             np.testing.assert_array_equal(ya, yb)
+
+    def test_a_tail_that_does_not_fill_a_batch_is_dropped(self):
+        # 10 samples in batches of 4: two batches an epoch, each epoch a fresh
+        # permutation whose last two samples go unused
+        ds = models.DataConfig("blobs", 10, 3, noise_std=1.0, seed=0, batch_size=4).build()
+        it = models.batch_iterator(ds, 5)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            order = rng.permutation(10)
+            for i in range(2):
+                inputs, targets = next(it)
+                np.testing.assert_array_equal(inputs, ds.inputs[order[4 * i:4 * i + 4]])
+                np.testing.assert_array_equal(targets, ds.targets[order[4 * i:4 * i + 4]])
 
     def test_epoch_covers_all_samples(self):
         ds = models.DataConfig("blobs", 64, 2, noise_std=0.0, seed=0,

@@ -2,7 +2,8 @@
 
 Every record field, both evaluation losses, the switch step, and the final
 parameters and masks must be equal.  The matrix covers the five recipes,
-the four switch criteria and the stagewise decay on a relu and a tanh MLP,
+the four switch criteria and the stagewise decay on a relu and a tanh MLP
+and on a one-layer classifier,
 with beta2 = 0.99 so that the 100-sample windows fill early, plus a few
 steps of the benchmark's wide model.
 """
@@ -26,6 +27,8 @@ MODELS = {
     "relu 2-16-2": ((2, 16, 2), "relu", {"fc2.weight": (1, 4)}),
     "tanh 8-32-16-4": ((8, 32, 16, 4), "tanh",
                        {"fc1.weight": (2, 4), "fc2.weight": (1, 4), "fc3.weight": (2, 4)}),
+    # one affine layer: the head is the only, and the planned, layer
+    "linear 8-3": ((8, 3), "relu", {"fc1.weight": (2, 4)}),
 }
 # name: (recipe, lam, decay, switch settings, cosine lr)
 CASES = {
