@@ -175,6 +175,10 @@ class ExperimentConfig:
         repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
         if repeated:
             raise ConfigError(f"seed {repeated[0]} is given more than once")
+        sizes, data = self.model.layer_sizes, self.data
+        if (sizes[0], sizes[-1]) != (data.n_features, data.n_classes):
+            raise ConfigError(f"model.layer_sizes must run from data.n_features {data.n_features} "
+                              f"to data.n_classes {data.n_classes}, got {sizes}")
         # fail on unknown layers and bad group sizes before any compute; the
         # trainer takes them as checked.  Every stage of a decay keeps its m.
         shapes = models.param_shapes(self.model)

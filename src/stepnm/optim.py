@@ -17,8 +17,11 @@ is a DimensionError, never a copy.
 
 ``AdamHyper`` is plain data; ``lr_at`` reads its constant or cosine learning rate at a step.
 
-``recipe_train`` checks its dataset's targets once, before the first step,
-and trains on int64 class ids, whose range alone each step then checks.
+A ``Run`` owns a run's buffers and state: it checks its dataset's targets
+once, before the first step, and trains on int64 class ids, whose range
+alone each step then checks.  ``Run.step`` checks each step's figures, and
+``Run.finish`` frees m and v before the evaluations.  ``recipe_train`` is
+its driver.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     * "raw": sqrt(v + eps) with the raw running v (the masked phase of
       step_updated_variance);
     * "frozen": ``state.v`` as it stands (step): sqrt(v* / 1.0 + eps),
-      written once at the switch by ``recipe_train`` and never again, with
+      written once at the switch by ``Run.step`` and never again, with
       the raw v* (not bias-corrected) and eps inside the root.  Neither
       convention was checked against the paper's algorithm: PAPER.md holds none.
     """
@@ -312,98 +315,105 @@ class TrainResult:
     layer_sparsity: dict[str, float]
 
 
-# every overflowing or invalid figure of a run ends in NumericalError, so numpy stays quiet
-@np.errstate(over="ignore", invalid="ignore")
-def recipe_train(
-    spec: models.ModelSpec,
-    dataset: models.Dataset,
-    hyper: AdamHyper,
-    plan: dict[str, NMRatio],
-    recipe: Recipe,
-    total_steps: int,
-    seed: int,
-) -> TrainResult:
-    """Train for total_steps with the given recipe; fully deterministic per seed.
+class Run:
+    """One training run with the given recipe, a step per ``step()``; fully deterministic per seed.
 
-    A recipe whose RECIPE_KINDS entry names a switch mode consults its
-    switch after every dense step and sets that mode when it fires; a run
-    whose switch never fires stays dense.  Other recipes ignore it.  The
-    returned weights are evaluated densely and under the final masks, made
-    after both evaluations.  ``plan`` (see ``masks``) and the recipe's decay,
-    which ``masks.plan_at`` applies, are taken as valid for the spec, as
-    ExperimentConfig checks them; total_steps as >= 1, as config_from_dict does.
+    The constructor checks the dataset's targets once, before any step, and
+    builds the run's state.  A recipe whose RECIPE_KINDS entry names a switch
+    mode consults its switch after every dense step and sets that mode when
+    it fires; a run whose switch never fires stays dense.  Other recipes
+    ignore it.  ``finish()`` frees m and v, then evaluates the weights
+    densely and under the final masks, made after both evaluations.  ``plan``
+    (see ``masks``) and the recipe's decay, which ``masks.plan_at`` applies,
+    are taken as valid for the spec, as ExperimentConfig checks them.
     A run holds four ParamBuffers: params, grads, m and v.  ``grads`` holds
     a masked step's masked weights, then every step's gradient, then
     v_t - v_{t-1} for the statistics, and at the end the final masked weights.
-    A non-finite gradient, loss or statistic raises NumericalError naming it and the step.
+    A non-finite gradient, loss or statistic raises NumericalError naming it
+    and the step; ``records`` then holds the steps before it.  A caller that
+    steps a Run and wants numpy quiet wraps its loop in ``np.errstate`` as
+    ``recipe_train`` does.
     """
-    masked_from_start, switch_mode = RECIPE_KINDS[recipe.kind]
-    # the targets are checked once, before any step; class ids become int64,
-    # which each step's batch then carries
-    dataset = models.Dataset(
-        dataset.inputs, models.check_targets(spec, dataset.targets, dataset.n_samples),
-        dataset.batch_size,
-    )
 
-    params = models.init_params(spec, (seed, 0))
-    grads = models.ParamBuffer(params.shapes)
-    state = init_adam_state(params)
-    batches = models.batch_iterator(dataset, (seed, 1))
-    detector = make_detector(recipe.switch, hyper.beta2, hyper.eps) if switch_mode is not None else None
-    switched_at: int | None = None
-    records: list[StepRecord] = []
+    def __init__(self, spec: models.ModelSpec, dataset: models.Dataset, hyper: AdamHyper,
+                 plan: dict[str, NMRatio], recipe: Recipe, seed: int):
+        self.spec, self.hyper, self.plan, self.recipe = spec, hyper, plan, recipe
+        self.masked_from_start, self.switch_mode = RECIPE_KINDS[recipe.kind]
+        # class ids become int64, which each step's batch then carries
+        targets = models.check_targets(spec, dataset.targets, dataset.n_samples)
+        self.dataset = models.Dataset(dataset.inputs, targets, dataset.batch_size)
+        self.params = models.init_params(spec, (seed, 0))
+        self.grads = models.ParamBuffer(self.params.shapes)
+        self.state: AdamState | None = init_adam_state(self.params)
+        self.batches = models.batch_iterator(self.dataset, (seed, 1))
+        self.detector = (make_detector(recipe.switch, hyper.beta2, hyper.eps)
+                         if self.switch_mode is not None else None)
+        self.switched_at: int | None = None
+        self.records: list[StepRecord] = []
 
-    for t in range(1, total_steps + 1):
-        batch = next(batches)
-        in_masked_phase = masked_from_start or switched_at is not None
-
-        if in_masked_phase and plan:
-            ratios = plan_at(plan, recipe.decay, t)
-            loss, grads = ste_loss_and_grad(spec, params, ratios, batch, lam=recipe.lam, out=grads)
+    def step(self) -> StepRecord:
+        """Run the next step; returns its record, which ``records`` also keeps."""
+        t = self.state.t + 1  # adam_step counts the steps done
+        batch = next(self.batches)
+        in_masked_phase = self.masked_from_start or self.switched_at is not None
+        if in_masked_phase and self.plan:
+            ratios = plan_at(self.plan, self.recipe.decay, t)
+            loss, self.grads = ste_loss_and_grad(self.spec, self.params, ratios, batch,
+                                                 lam=self.recipe.lam, out=self.grads)
         else:
-            loss, grads = models.loss_and_grad(spec, params, batch, out=grads)
-
-        state, params = adam_step(state, hyper, params, grads)
+            loss, self.grads = models.loss_and_grad(self.spec, self.params, batch, out=self.grads)
+        self.state, self.params = adam_step(self.state, self.hyper, self.params, self.grads)
+        state = self.state
 
         z = z_geom = None
         if state.mode != "frozen":
-            # a frozen variance keeps the statistics of the step that froze it;
             # adam_step left v_t - v_{t-1} in grads, which the statistics overwrite
-            z, z_geom, v_l1, v_l2 = variance_stats(state.v, grads)
+            z, z_geom, v_l1, v_l2 = variance_stats(state.v, self.grads)
+        else:  # a frozen variance keeps the norms of the step that froze it
+            v_l1, v_l2 = self.records[-1].v_l1, self.records[-1].v_l2
         _check_figures(t, loss=loss, z=z, z_geom=z_geom, v_l1=v_l1, v_l2=v_l2)
 
         record = StepRecord(t, "mask_learning" if in_masked_phase else "precondition", loss,
                             v_l1, v_l2, z, z_geom)
-        records.append(record)
-        if detector is not None and switched_at is None:
+        self.records.append(record)
+        detector = self.detector
+        if detector is not None and self.switched_at is None:
             fired = detector.observe(record)
             record.z_bar = detector.last_mean
             if fired:
-                switched_at = record.switched_at = t
+                self.switched_at = record.switched_at = t
                 # a frozen v turns, in its own buffer and once, into the
                 # denominator sqrt(v* / 1.0 + eps) (v* / 1.0 is exact); a raw
                 # running v moves on
-                state.mode = switch_mode
-                if switch_mode == "frozen":
-                    state.v.flat += hyper.eps
+                state.mode = self.switch_mode
+                if self.switch_mode == "frozen":
+                    state.v.flat += self.hyper.eps
                     np.sqrt(state.v.flat, out=state.v.flat)
+        return record
 
-    # the Adam state is not needed from here on; grads takes the final masked weights
-    state = None
-    final_ratios = plan_at(plan, recipe.decay, total_steps)
-    _masked_point(params, final_ratios, grads)
-    full = dataset.full_batch()
-    sparse_eval_loss = models.forward_loss(spec, grads, full)
-    dense_eval_loss = models.forward_loss(spec, params, full)
-    _check_figures(total_steps, sparse_eval_loss=sparse_eval_loss, dense_eval_loss=dense_eval_loss)
-    final_masks = {name: compute_nm_mask(w, final_ratios[name])
-                   for name, w in params.items() if name in final_ratios}
-    return TrainResult(
-        params=params,
-        final_masks=final_masks,
-        switched_at=switched_at,
-        records=records,
-        sparse_eval_loss=sparse_eval_loss,
-        dense_eval_loss=dense_eval_loss,
-        layer_sparsity={name: mask_sparsity(mask) for name, mask in final_masks.items()},
-    )
+    def finish(self) -> TrainResult:
+        """Free m and v, then make the final masks and both evaluations; returns the TrainResult."""
+        total_steps, params, grads = len(self.records), self.params, self.grads
+        self.state = None  # frees m and v; grads takes the final masked weights
+        final_ratios = plan_at(self.plan, self.recipe.decay, total_steps)
+        _masked_point(params, final_ratios, grads)
+        full = self.dataset.full_batch()
+        sparse_eval_loss = models.forward_loss(self.spec, grads, full)
+        dense_eval_loss = models.forward_loss(self.spec, params, full)
+        _check_figures(total_steps, sparse_eval_loss=sparse_eval_loss, dense_eval_loss=dense_eval_loss)
+        final_masks = {name: compute_nm_mask(w, final_ratios[name])
+                       for name, w in params.items() if name in final_ratios}
+        sparsity = {name: mask_sparsity(mask) for name, mask in final_masks.items()}
+        return TrainResult(params, final_masks, self.switched_at, self.records, sparse_eval_loss,
+                           dense_eval_loss, sparsity)
+
+
+# every overflowing or invalid figure of a run ends in NumericalError, so numpy stays quiet
+@np.errstate(over="ignore", invalid="ignore")
+def recipe_train(spec: models.ModelSpec, dataset: models.Dataset, hyper: AdamHyper,
+                 plan: dict[str, NMRatio], recipe: Recipe, total_steps: int, seed: int) -> TrainResult:
+    """A ``Run`` stepped total_steps times, taken as >= 1, as config_from_dict checks it."""
+    run = Run(spec, dataset, hyper, plan, recipe, seed)
+    for _ in range(total_steps):
+        run.step()
+    return run.finish()

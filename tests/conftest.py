@@ -51,27 +51,25 @@ def simulate_vhat(stream, beta2, steps, seed=None):
 
 
 @pytest.fixture
-def train_with_snapshots(monkeypatch):
+def train_with_snapshots():
     """recipe_train that also returns {t: (params, state)} after each step t asked for.
 
-    recipe_train looks ``optim.adam_step`` up once per step, so a wrapper
-    there sees every update.  ``adam_step`` updates the parameter and moment
-    buffers in place, and the run goes on writing them, so each snapshot
-    holds copies.
+    It steps an ``optim.Run`` as ``recipe_train`` does, under the same
+    ``np.errstate``, and copies ``run.params`` and ``run.state`` after each
+    step asked for: the run goes on writing its buffers in place.  At a
+    frozen switch, the step's state already holds sqrt(v* + eps).
     """
-    real = optim.adam_step
 
-    def train(steps, *args, **kwargs):
+    def train(steps, spec, dataset, hyper, plan, recipe, total_steps, seed):
         taken = {}
-
-        def recording(*step_args, **step_kwargs):
-            state, params = real(*step_args, **step_kwargs)
-            if state.t in steps:
-                taken[state.t] = (copied(params),
-                                  dataclasses.replace(state, m=copied(state.m), v=copied(state.v)))
-            return state, params
-
-        monkeypatch.setattr(optim, "adam_step", recording)
-        return optim.recipe_train(*args, **kwargs), taken
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = optim.Run(spec, dataset, hyper, plan, recipe, seed)
+            for t in range(1, total_steps + 1):
+                run.step()
+                if t in steps:
+                    state = run.state
+                    taken[t] = (copied(run.params),
+                                dataclasses.replace(state, m=copied(state.m), v=copied(state.v)))
+            return run.finish(), taken
 
     return train

@@ -72,8 +72,8 @@ MUTANTS = {
            "the summary takes the sample std"),
     "S6": ("harness.py", "[r.z * d for r in records]", "[r.z * (d - 1) for r in records]",
            "compare_switch scales the mean change by d - 1"),
-    "S7": ("optim.py", "final_ratios = plan_at(plan, recipe.decay, total_steps)",
-           "final_ratios = plan_at(plan, recipe.decay, total_steps - 1)",
+    "S7": ("optim.py", "final_ratios = plan_at(self.plan, self.recipe.decay, total_steps)",
+           "final_ratios = plan_at(self.plan, self.recipe.decay, total_steps - 1)",
            "the final masks read the plan a step early"),
     "S8": ("theory.py", "np.count_nonzero(per_trial_max >= bound)",
            "np.count_nonzero(per_trial_max > bound)", "a drift equal to the bound is no violation"),

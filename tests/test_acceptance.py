@@ -95,7 +95,11 @@ def test_adam_single_step_oracle():
 
 
 def test_phase_one_bitwise_equivalence(train_with_snapshots):
-    """Forced switch at 500: identical to plain Adam through step 500, bitwise."""
+    """Forced switch at 500: identical to plain Adam through step 500, bitwise.
+
+    The switch step's snapshot is taken after the switch, so step's v there
+    is already dense Adam's v* turned into sqrt(v* + eps).
+    """
     spec, ds = _blob_mlp()
     plan = {"fc2.weight": NMRatio(1, 4)}
     hyper = AdamHyper(lr=5e-3)
@@ -110,7 +114,7 @@ def test_phase_one_bitwise_equivalence(train_with_snapshots):
     p2, s2 = dense_snaps[500]
     bitwise = all(np.array_equal(p1[k], p2[k]) for k in p1)
     bitwise &= all(np.array_equal(s1.m[k], s2.m[k]) for k in s1.m)
-    bitwise &= all(np.array_equal(s1.v[k], s2.v[k]) for k in s1.v)
+    bitwise &= all(np.array_equal(s1.v[k], np.sqrt(s2.v[k] + hyper.eps)) for k in s1.v)
     losses = all(a.loss == b.loss for a, b in zip(step_run.records[:500], dense_run.records[:500]))
     ok = bitwise and losses and step_run.switched_at == 500
     _report("phase-one bitwise equivalence (t0=500)", ok)
@@ -120,8 +124,9 @@ def test_phase_one_bitwise_equivalence(train_with_snapshots):
 def test_frozen_variance_exact(train_with_snapshots):
     """Across two-phase runs, max over mask-learning steps of ||v_t - sqrt(v* + eps)||_inf == 0.
 
-    At the switch, step writes sqrt(v* + eps) over v* in v's own buffer; the
-    snapshot of the switch step is copied inside adam_step, before that, so it holds v*.
+    At the switch, step writes sqrt(v* + eps) over v* in v's own buffer, so
+    the snapshots hold it from the switch step on.  v* is dense Adam's v at
+    that step, which step matches bit for bit up to it.
     """
     spec, ds = _blob_mlp()
     plan = {"fc2.weight": NMRatio(1, 4)}
@@ -137,9 +142,10 @@ def test_frozen_variance_exact(train_with_snapshots):
         run, snapshots = train_with_snapshots(range(1, 601), spec, ds, hyper, plan,
                                               Recipe("step", switch=crit), 600, seed=seed)
         assert run.switched_at is not None and run.switched_at < 600
-        _, at_switch = snapshots[run.switched_at]
-        frozen = {k: np.sqrt(v_star + hyper.eps) for k, v_star in at_switch.v.items()}
-        for t in range(run.switched_at + 1, 601):
+        _, dense = train_with_snapshots({run.switched_at}, spec, ds, hyper, plan, Recipe("dense"),
+                                        run.switched_at, seed=seed)
+        frozen = {k: np.sqrt(v_star + hyper.eps) for k, v_star in dense[run.switched_at][1].v.items()}
+        for t in range(run.switched_at, 601):
             _, later = snapshots[t]
             for k, denom in frozen.items():
                 worst = max(worst, float(np.max(np.abs(later.v[k] - denom))))

@@ -1293,11 +1293,19 @@ class TestEveryBadInputExits2:
          "layer_sizes needs >= 2 positive extents, got (2,)"),
         ({"model": {"kind": "mlp_classifier", "layer_sizes": [2, 0, 2]}}, (),
          "layer_sizes needs >= 2 positive extents, got (2, 0, 2)"),
+        # the model's two ends must match the data it trains on
+        ({"model": {"kind": "mlp_classifier", "layer_sizes": [3, 16, 2]}}, (),
+         "model.layer_sizes must run from data.n_features 2 to data.n_classes 2, got (3, 16, 2)"),
+        ({"model": {"kind": "mlp_classifier", "layer_sizes": [2, 16, 3]}}, (),
+         "model.layer_sizes must run from data.n_features 2 to data.n_classes 2, got (2, 16, 3)"),
+        ({"data": {"kind": "blobs", "n_features": 2, "n_classes": 3}}, (),
+         "model.layer_sizes must run from data.n_features 2 to data.n_classes 3, got (2, 16, 2)"),
     ], ids=["bool_number", "bool_integer", "negative_seed_flag", "lr_schedule", "step_and_ratio",
             "zero_threshold", "not_a_mapping", "list_recipe_kind", "mapping_recipe_kind",
             "zero_total_steps", "negative_total_steps", "linear_regression_model_kind",
             "regression_data_kind", "csv_data_kind", "csv_data_keys", "unknown_activation",
-            "one_layer_size", "zero_layer_size"])
+            "one_layer_size", "zero_layer_size", "inputs_not_n_features", "outputs_above_n_classes",
+            "outputs_below_n_classes"])
     def test_at_load(self, tmp_path, monkeypatch, capsys, overrides, seeds, message):
         if overrides is None:
             path = tmp_path / "config.yaml"

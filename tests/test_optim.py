@@ -446,9 +446,12 @@ class TestRecipeValidation:
         assert {kind: mode for kind, (_, mode) in optim.RECIPE_KINDS.items() if mode} == {
             "step": "frozen", "step_updated_variance": "raw"}
         assert [kind for kind, (masked, _) in optim.RECIPE_KINDS.items() if masked] == ["ste", "srste"]
-        tree = ast.parse(textwrap.dedent(inspect.getsource(optim.recipe_train)))
-        strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
-        assert not strings & {"ste", "srste", "step", "step_updated_variance"}
+        assert list(inspect.signature(optim.Run).parameters) == [
+            "spec", "dataset", "hyper", "plan", "recipe", "seed"]
+        for trainer in (optim.Run, optim.recipe_train):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(trainer)))
+            strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+            assert not strings & {"ste", "srste", "step", "step_updated_variance"}
 
     def test_lam_only_for_srste(self):
         with pytest.raises(ConfigError):
@@ -503,32 +506,34 @@ class TestTwoPhaseTraining:
         hyper = default_hyper(5e-3)
         crit = SwitchCriterion(kind="fixed", step=50)
         step_run, step_snaps = train_with_snapshots(
-            {50}, spec, ds, hyper, plan, Recipe("step", switch=crit), 80, seed=1
+            {49, 50}, spec, ds, hyper, plan, Recipe("step", switch=crit), 80, seed=1
         )
         dense_run, dense_snaps = train_with_snapshots(
-            {50}, spec, ds, hyper, plan, Recipe("dense"), 80, seed=1
+            {49, 50}, spec, ds, hyper, plan, Recipe("dense"), 80, seed=1
         )
-        p1, s1 = step_snaps[50]
-        p2, s2 = dense_snaps[50]
-        for k in p1:
-            np.testing.assert_array_equal(p1[k], p2[k])
-            np.testing.assert_array_equal(s1.m[k], s2.m[k])
-            np.testing.assert_array_equal(s1.v[k], s2.v[k])
+        for t in (49, 50):
+            p1, s1 = step_snaps[t]
+            p2, s2 = dense_snaps[t]
+            for k in p1:
+                np.testing.assert_array_equal(p1[k], p2[k])
+                np.testing.assert_array_equal(s1.m[k], s2.m[k])
+                # the switch step ends with v* turned into sqrt(v* + eps)
+                np.testing.assert_array_equal(s1.v[k], s2.v[k] if t == 49 else np.sqrt(s2.v[k] + 1e-8))
         for a, b in zip(step_run.records[:50], dense_run.records[:50]):
             assert a.loss == b.loss
 
     def test_frozen_variance_exact(self, train_with_snapshots):
-        # at the switch v* becomes sqrt(v* + eps) in v's own buffer; the
-        # snapshot of step 30 is copied inside adam_step, before that
+        # at the switch v* becomes sqrt(v* + eps) in v's own buffer, and stays
+        # so; v* is dense Adam's v at step 30, which step's matches up to it
         spec, ds, plan = blob_setup()
         crit = SwitchCriterion(kind="fixed", step=30)
         run, snapshots = train_with_snapshots(range(30, 91), spec, ds, default_hyper(5e-3), plan,
                                               Recipe("step", switch=crit), 90, 2)
+        _, dense = train_with_snapshots({30}, spec, ds, default_hyper(5e-3), plan, Recipe("dense"), 30, 2)
         assert run.switched_at == 30
-        _, at_switch = snapshots[30]
-        for t in range(31, 91):
+        for t in range(30, 91):
             _, later = snapshots[t]
-            for k, v_star in at_switch.v.items():
+            for k, v_star in dense[30][1].v.items():
                 assert float(np.max(np.abs(later.v[k] - np.sqrt(v_star + 1e-8)))) == 0.0
         phase2 = [r for r in run.records if r.phase == "mask_learning"]
         assert len(phase2) == 60
@@ -547,7 +552,8 @@ class TestTwoPhaseTraining:
         batches = models.batch_iterator(ds, (seed, 1))  # the trainer's batch stream
         for _ in range(t0):
             next(batches)
-        v_star = snapshots[t0][1].v  # copied inside adam_step, before the switch
+        _, dense = train_with_snapshots({t0}, spec, ds, default_hyper(lr), plan, Recipe("dense"), t0, seed)
+        v_star = dense[t0][1].v  # step's v up to the switch, which then turns it into sqrt(v* + eps)
         for k in (t0 + 1, t0 + 2):
             params, state = snapshots[k - 1]
             masked = copied(params)
@@ -624,13 +630,14 @@ class TestTwoPhaseTraining:
         _, a = train_with_snapshots({20, 21}, spec, ds, hyper, plan, Recipe("step", switch=crit), 40, 5)
         _, b = train_with_snapshots({20, 21}, spec, ds, hyper, plan,
                                     Recipe("step_updated_variance", switch=crit), 40, 5)
-        _, sa20 = a[20]
-        _, sb20 = b[20]
+        (pa20, sa20), (pb20, sb20) = a[20], b[20]
         for k in sa20.v:
-            np.testing.assert_array_equal(sa20.v[k], sb20.v[k])
-        _, sa21 = a[21]
-        _, sb21 = b[21]
-        assert any(not np.array_equal(sa21.v[k], sb21.v[k]) for k in sa21.v)
+            np.testing.assert_array_equal(pa20[k], pb20[k])
+            np.testing.assert_array_equal(sa20.m[k], sb20.m[k])
+            # one v*: step's switch turned it into sqrt(v* + eps), the other's keeps running
+            np.testing.assert_array_equal(sa20.v[k], np.sqrt(sb20.v[k] + 1e-8))
+        (pa21, _), (pb21, _) = a[21], b[21]
+        assert any(not np.array_equal(pa21[k], pb21[k]) for k in pa21)
 
     def test_srste_lam_zero_trajectory_equals_ste(self):
         spec, ds, plan = blob_setup()
@@ -686,6 +693,9 @@ class TestTwoPhaseTraining:
             return real(spec, targets, rows)
 
         monkeypatch.setattr(models, "check_targets", spy)
+        optim.Run(spec, ds, default_hyper(), plan, Recipe("dense"), seed=0)
+        assert seen == [(np.float64, ds.n_samples)]  # a Run built directly checks once too
+        seen.clear()
         optim.recipe_train(spec, ds, default_hyper(), plan,
                            Recipe("step", switch=SwitchCriterion(kind="fixed", step=20)), 40, seed=0)
         # the dataset's float ids are checked and made int64 once, at entry;
@@ -716,6 +726,66 @@ class TestTwoPhaseTraining:
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
         assert [r.loss for r in a.records] == [r.loss for r in b.records]
+
+
+RUN_CASES = [(kind, decay) for kind in optim.RECIPE_KINDS for decay in (None, DecaySchedule(4, (4, 9)))
+             if not (kind == "dense" and decay)]
+
+
+class TestRun:
+    """``optim.Run`` stepped by hand: the run that ``recipe_train`` drives, bit for bit."""
+
+    @pytest.mark.parametrize("k", [3, 6, 12])  # before, at and past the switch and the stages
+    @pytest.mark.parametrize("kind, decay", RUN_CASES,
+                             ids=[f"{kind}-{'decay' if decay else 'constant'}" for kind, decay in RUN_CASES])
+    def test_k_steps_then_finish_is_recipe_train(self, kind, decay, k):
+        spec, ds, plan = blob_setup()
+        hyper = default_hyper(5e-3)
+        recipe = Recipe(kind, lam=2e-4 if kind == "srste" else 0.0, decay=decay,
+                        switch=SwitchCriterion("fixed", step=6))
+        run = optim.Run(spec, ds, hyper, plan, recipe, 3)
+        stepped = [run.step() for _ in range(k)]
+        assert [id(r) for r in run.records] == [id(r) for r in stepped]
+        got = run.finish()
+        assert run.state is None  # m and v are freed
+        want = optim.recipe_train(spec, ds, hyper, plan, recipe, k, 3)
+        assert got.switched_at == want.switched_at == (
+            6 if optim.RECIPE_KINDS[kind][1] and k >= 6 else None)
+        assert repr([vars(r) for r in got.records]) == repr([vars(r) for r in want.records])
+        assert got.params.flat.tobytes() == want.params.flat.tobytes()
+        assert got.final_masks.keys() == want.final_masks.keys() == plan.keys()
+        assert all(got.final_masks[n].tobytes() == want.final_masks[n].tobytes() for n in plan)
+        assert repr((got.sparse_eval_loss, got.dense_eval_loss, got.layer_sparsity)) == repr(
+            (want.sparse_eval_loss, want.dense_eval_loss, want.layer_sparsity))
+
+    @pytest.mark.parametrize("figure", ["gradient", "loss", "v_l2"])
+    def test_a_failed_step_names_itself_and_keeps_the_steps_before(self, figure, monkeypatch):
+        # the gradient fails inside adam_step, before it writes; the others after it
+        real_loss, real_stats = models.loss_and_grad, optim.variance_stats
+        calls = []
+
+        def loss_and_grad(*args, **kwargs):
+            calls.append(1)
+            loss, grads = real_loss(*args, **kwargs)
+            if len(calls) == 3 and figure == "gradient":
+                grads["fc1.weight"][0, 0] = math.nan
+            return (math.inf if len(calls) == 3 and figure == "loss" else loss), grads
+
+        def stats(*args):
+            figures = real_stats(*args)
+            return figures[:3] + (math.nan,) if len(calls) == 3 and figure == "v_l2" else figures
+
+        monkeypatch.setattr(models, "loss_and_grad", loss_and_grad)
+        monkeypatch.setattr(optim, "variance_stats", stats)
+        spec, ds, plan = blob_setup()
+        run = optim.Run(spec, ds, default_hyper(), plan,
+                        Recipe("step", switch=SwitchCriterion("autoswitch")), 0)
+        before = [run.step(), run.step()]
+        name = "gradient for 'fc1.weight'" if figure == "gradient" else figure
+        with pytest.raises(NumericalError, match=rf"^non-finite {name} at step 3$"):
+            run.step()
+        assert [id(r) for r in run.records] == [id(r) for r in before]
+        assert [r.step for r in run.records] == [1, 2]
 
 
 class TestNonFiniteFigures:
