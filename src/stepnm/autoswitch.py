@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from .errors import ConfigError, NumericalError, RangeError, check_kind
 
 SAMPLER_OPTIONS = ("arithmetic", "geometric")
-# the switch keys each criterion kind reads; a config may give a fixed step as a step_ratio
+# the switch keys each criterion kind reads
 CRITERION_KEYS = {"autoswitch": ("option", "clip"), "relative": ("threshold",),
-                  "staleness": ("threshold",), "fixed": ("step", "step_ratio")}
+                  "staleness": ("threshold",), "fixed": ("step",)}
 
 DEFAULT_THRESHOLDS = {"relative": 0.5, "staleness": 0.96}
 

@@ -110,13 +110,6 @@ DATA_CONVERT = {"noise_std": _number,
                 **dict.fromkeys(("n_samples", "n_features", "n_classes", "seed", "batch_size"), _int)}
 
 
-def _in_budget(ratio: float, key: str) -> float:
-    """``ratio``, a share of the step budget, if it is in (0, 1]; ``key`` names it."""
-    if not 0.0 < ratio <= 1.0:
-        raise ConfigError(f"{key} must be in (0, 1], got {ratio}")
-    return ratio
-
-
 def _ratio_step(ratio: float, total_steps: int) -> int:
     """The step a share ``ratio`` of the budget falls on, at least 1."""
     return max(1, int(math.floor(ratio * total_steps)))
@@ -148,14 +141,15 @@ class AblationConfig:
     decay: DecaySchedule | None = None
 
     def __post_init__(self):
-        for ratio in self.precondition_ratios:
-            _in_budget(ratio, "ablation.precondition_ratios")
+        for ratio in self.precondition_ratios:  # each a share of the step budget
+            if not 0.0 < ratio <= 1.0:
+                raise ConfigError(f"ablation.precondition_ratios must be in (0, 1], got {ratio}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """What ``config_from_dict`` built, as plain data: two loads of one document compare equal.
-    ``hyper`` and ``recipe.switch`` hold its ``total_steps``."""
+    A clip in ``recipe.switch`` holds the steps that ``total_steps`` puts its ratios on."""
 
     model: models.ModelSpec
     data: DataConfig
@@ -206,9 +200,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
               optional=("beta1", "beta2", "eps", "lr", "lr_schedule"))
     o = _given(o, "optimizer", dict.fromkeys(("beta1", "beta2", "eps", "lr"), _number))
     lr_schedule = o.pop("lr_schedule", "constant")
-    if lr_schedule not in ("constant", "cosine"):
+    if lr_schedule != "constant":
         raise ConfigError(f"unknown lr schedule {lr_schedule!r}")
-    hyper = AdamHyper(**o, cosine_steps=total_steps if lr_schedule == "cosine" else None)
+    hyper = AdamHyper(**o)
 
     plan = {}
     sparsity = doc.get("sparsity") or {}
@@ -224,16 +218,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         s = _take_kind(doc["switch"], "switch", autoswitch.CRITERION_KEYS)
         # an empty switch key is one left out
         s = _given({key: value for key, value in s.items() if value is not None}, "switch",
-                   {"step": _int, "step_ratio": _number, "threshold": _number})
+                   {"step": _int, "threshold": _number})
         if "clip" in s:
             c = _take(s["clip"], "switch.clip", required=("t_min_ratio", "t_max_ratio"))
             s["clip"] = _clip_steps((_number(c["t_min_ratio"], "switch.clip.t_min_ratio"),
                                      _number(c["t_max_ratio"], "switch.clip.t_max_ratio")),
                                     total_steps)
-        if "step_ratio" in s:
-            if "step" in s:
-                raise ConfigError("give either step or step_ratio, not both")
-            s["step"] = _ratio_step(_in_budget(s.pop("step_ratio"), "switch.step_ratio"), total_steps)
         criterion = SwitchCriterion(**s)
 
     ablation = AblationConfig()

@@ -15,7 +15,7 @@ weights at ``masks.plan_at``'s ratios (``ste_loss_and_grad``), and
 model, the update and the STE gradient take ParamBuffers only; anything else
 is a DimensionError, never a copy.
 
-``AdamHyper`` is plain data; ``lr_at`` reads its constant or cosine learning rate at a step.
+``AdamHyper`` is plain data, with one learning rate for every step.
 
 A ``Run`` owns a run's buffers and state: it checks its dataset's targets
 once, before the first step, and trains on int64 class ids, whose range
@@ -47,34 +47,22 @@ RECIPE_KINDS = {"dense": (False, None), "ste": (True, None), "srste": (True, Non
 
 @dataclass(frozen=True)
 class AdamHyper:
-    """Adam hyperparameters.  The learning rate is ``lr`` throughout, or, with
-    ``cosine_steps``, decays along a cosine from ``lr`` to 0 at that step (see ``lr_at``)."""
+    """Adam hyperparameters.  The learning rate is ``lr`` at every step."""
 
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     lr: float = 1e-3
-    cosine_steps: int | None = None
 
     def __post_init__(self):
         if self.lr <= 0:
-            raise ConfigError("learning rate must be positive" if self.cosine_steps is None
-                              else "cosine schedule needs gamma > 0")
-        if self.cosine_steps is not None and self.cosine_steps < 1:
-            raise ConfigError(f"cosine_steps must be >= 1, got {self.cosine_steps}")
+            raise ConfigError("learning rate must be positive")
         if not 0.0 <= self.beta1 < 1.0:
             raise ConfigError(f"beta1 must be in [0, 1), got {self.beta1}")
         if not 0.0 <= self.beta2 < 1.0:
             raise ConfigError(f"beta2 must be in [0, 1), got {self.beta2}")
         if self.eps <= 0.0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
-
-    def lr_at(self, t: int) -> float:
-        """The learning rate after ``t`` steps; a cosine holds 0 from ``cosine_steps`` on."""
-        if self.cosine_steps is None:
-            return self.lr
-        frac = min(max(t, 0), self.cosine_steps) / self.cosine_steps
-        return 0.5 * self.lr * (1.0 + math.cos(math.pi * frac))
 
 
 @dataclass
@@ -148,7 +136,7 @@ def adam_step(state: AdamState, hyper: AdamHyper, params: models.ParamBuffer,
     models.check_layout(params, "parameters", shapes)
     models.check_layout(grads, "gradients", shapes)
     _check_grads(grads, k)
-    gamma = hyper.lr_at(state.t)
+    gamma = hyper.lr
     b1, b2 = hyper.beta1, hyper.beta2
     m_corr = 1.0 - b1**k
     v_corr = 1.0 - b2**k if state.mode == "corrected" else 1.0  # v / 1.0 is exact

@@ -162,14 +162,14 @@ def fires(switch: dict, records: list, beta2: float, eps: float):
 
 
 def train(sizes, activation, inputs, targets, batch_size, *, recipe, total_steps, seed,
-          lr=1e-3, cosine=False, beta1=0.9, beta2=0.999, eps=1e-8, lam=0.0, plan=None,
+          lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, lam=0.0, plan=None,
           decay=None, switch=None) -> dict:
     """Train an MLP classifier of ``sizes`` on class ids ``targets``.
 
     ``plan`` maps weight names to (n, m), ``decay`` is (m, boundaries).
     ``switch`` is a dict: {"kind": "autoswitch", "option": ..., "clip": (T_min, T_max) or
     None}, {"kind": "relative" or "staleness", "threshold": ...} or {"kind": "fixed",
-    "step": ...}.  ``cosine`` decays lr to 0 over total_steps as 0.5 lr (1 + cos(pi t / T)).
+    "step": ...}.  The learning rate is ``lr`` at every step.
     Returns the records (dicts of the trajectory fields), both evaluation
     losses, switched_at, the final params and the final masks, and
     ``v_l1_changes``, whose entry t - 1 is ||v_t - v_{t-1}||_1.
@@ -196,7 +196,6 @@ def train(sizes, activation, inputs, targets, batch_size, *, recipe, total_steps
         else:
             loss, grads = loss_and_grad(params, activation, x, y)
 
-        gamma = 0.5 * lr * (1.0 + math.cos(math.pi * ((t - 1) / total_steps))) if cosine else lr
         dv = {}
         for name, g in grads.items():
             m[name] = beta1 * m[name] + (1 - beta1) * g
@@ -209,7 +208,7 @@ def train(sizes, activation, inputs, targets, batch_size, *, recipe, total_steps
                     denom = np.sqrt(v[name] / (1 - beta2**t) + eps)
                 else:
                     denom = np.sqrt(v[name] + eps)
-            params[name] = params[name] - gamma * (m[name] / (1 - beta1**t)) / denom
+            params[name] = params[name] - lr * (m[name] / (1 - beta1**t)) / denom
         v_l1_changes.append(sum((float(np.abs(d).sum()) for d in dv.values()), 0.0))
 
         z = z_geom = None

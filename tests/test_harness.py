@@ -133,17 +133,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="seeds"):
             harness.load_config(path)
 
-    def test_switch_step_ratio(self, tmp_path):
-        path, _ = make_config(tmp_path, switch={"kind": "fixed", "step_ratio": 0.25})
-        config = harness.load_config(path)
-        assert config.recipe.switch.step == 30
-
-    def test_a_step_ratio_floors_to_its_step(self, tmp_path):
-        # 0.3 of 1001 steps is 300.3
-        path, _ = make_config(tmp_path, total_steps=1001,
-                              switch={"kind": "fixed", "step_ratio": 0.3})
-        assert harness.load_config(path).recipe.switch.step == 300
-
     def test_clip_ratios_floor_to_their_steps(self, tmp_path):
         # 0.1 and 0.55 of 1001 steps are 100.1 and 550.55
         clip = {"t_min_ratio": 0.1, "t_max_ratio": 0.55}
@@ -221,29 +210,24 @@ class TestRecipeConfig:
             "ablation"]
 
     def test_loaded_config_holds_the_validated_objects(self, tmp_path):
-        path, _ = make_config(tmp_path, optimizer={"lr": 0.005, "lr_schedule": "cosine"},
+        path, _ = make_config(tmp_path, optimizer={"lr": 0.005, "lr_schedule": "constant"},
                               ablation={"decay": {"m": 4, "stage_boundaries": [60]}})
         config = harness.load_config(path)
         assert config.recipe.switch.clip == (12, 60)
         assert config.recipe == optim.Recipe("step", decay=DecaySchedule(4, (60,)), switch=BASE_SWITCH)
         assert config.ablation == harness.AblationConfig(decay=DecaySchedule(4, (60,)))
-        assert config.hyper == optim.AdamHyper(lr=0.005, cosine_steps=120)
-        for t in (0, 1, 37, 60, 119, 120, 500):
-            cosine = 0.5 * 0.005 * (1.0 + math.cos(math.pi * (min(t, 120) / 120)))
-            assert config.hyper.lr_at(t).hex() == cosine.hex()
-        assert config.hyper.lr_at(60) != config.hyper.lr_at(0)  # it is the cosine
+        assert config.hyper == optim.AdamHyper(lr=0.005)
 
 
 # the (kind, key) pairs a switch section may not hold: each kind reads only some of its
 # section's keys
 UNREAD_SWITCH_KEYS = [
-    ("autoswitch", "threshold"), ("autoswitch", "step"), ("autoswitch", "step_ratio"),
-    *[(kind, key) for kind in ("relative", "staleness")
-      for key in ("option", "clip", "step", "step_ratio")],
+    ("autoswitch", "threshold"), ("autoswitch", "step"),
+    *[(kind, key) for kind in ("relative", "staleness") for key in ("option", "clip", "step")],
     ("fixed", "option"), ("fixed", "threshold"), ("fixed", "clip"),
 ]
 # a value for each key that the kinds reading it accept
-SWITCH_VALUES = {"option": "arithmetic", "threshold": 0.5, "step": 30, "step_ratio": 0.25,
+SWITCH_VALUES = {"option": "arithmetic", "threshold": 0.5, "step": 30,
                  "clip": {"t_min_ratio": 0.1, "t_max_ratio": 0.5}}
 DATA_VALUES = {"n_samples": 64, "n_features": 2, "n_classes": 2, "noise_std": 0.1, "seed": 0,
                "batch_size": 16}
@@ -253,8 +237,7 @@ CHANGED_DATA_VALUES = {"n_samples": 48, "n_features": 3, "n_classes": 3, "noise_
                        "seed": 1, "batch_size": 8}
 CHANGED_RUN_VALUES = {("model", "layer_sizes"): [2, 8, 2], ("model", "activation"): "tanh",
                       ("optimizer", "lr"): 0.002, ("optimizer", "beta1"): 0.8,
-                      ("optimizer", "beta2"): 0.99, ("optimizer", "eps"): 1e-5,
-                      ("optimizer", "lr_schedule"): "cosine"}
+                      ("optimizer", "beta2"): 0.99, ("optimizer", "eps"): 1e-5}
 
 # a bad value of each data field, and its message
 BAD_DATA = [
@@ -296,12 +279,10 @@ class TestKeysByKind:
             harness.config_from_dict(doc)
 
     def test_each_kind_loads_the_keys_it_reads(self):
-        assert len(UNREAD_SWITCH_KEYS) == len(set(UNREAD_SWITCH_KEYS)) == 14
+        assert len(UNREAD_SWITCH_KEYS) == len(set(UNREAD_SWITCH_KEYS)) == 11
         for kind in ("autoswitch", "relative", "staleness", "fixed"):
             switch = {"kind": kind, **{key: value for key, value in SWITCH_VALUES.items()
                                        if (kind, key) not in UNREAD_SWITCH_KEYS}}
-            if kind == "fixed":  # step and step_ratio are two ways to say one thing
-                del switch["step_ratio"]
             assert harness.config_from_dict({**BASE_CONFIG, "switch": switch}).recipe.switch.kind == kind
         data = {"kind": "blobs", **DATA_VALUES}
         assert harness.config_from_dict({**BASE_CONFIG, "data": data}).data == models.DataConfig(**data)
@@ -380,7 +361,7 @@ class TestOptimizerNumbers:
         path.write_text(json.dumps(doc))
         assert '"eps": 1e-08' in path.read_text()
         config = harness.load_config(path)
-        assert config.hyper.eps == 1e-8 and config.hyper.lr_at(0) == 5e-3
+        assert config.hyper.eps == 1e-8 and config.hyper.lr == 5e-3
         harness.run(config)
         assert (tmp_path / "out" / "trajectory_seed1.jsonl").exists()
 
@@ -864,6 +845,19 @@ class TestAblation:
         assert [r["cell"] for r in rows] == ["ratio=0.25", "ratio=1.0"]
         assert (tmp_path / "abl" / "ablation_precondition_length.csv").exists()
 
+    def test_a_precondition_ratio_floors_to_its_step(self, tmp_path, monkeypatch):
+        # 0.3 of 1001 steps is 300.3; 1e-4 of them is 0.1001, which is raised to step 1
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc.update(total_steps=1001, output_dir=str(tmp_path),
+                   ablation={"precondition_ratios": [0.3, 1e-4]})
+        config = harness.config_from_dict(doc)
+        cells = []  # the cells that ablation hands to _train_runs; none trains here
+        monkeypatch.setattr(harness, "_train_runs", lambda _, given: iter(cells.extend(given) or ()))
+        harness.ablation("precondition_length", config)
+        assert [(label, recipe.switch) for label, recipe in cells] == [
+            ("ratio=0.3", SwitchCriterion(kind="fixed", step=300)),
+            ("ratio=0.0001", SwitchCriterion(kind="fixed", step=1))]
+
     def test_ratio_one_equals_dense_plus_final_mask(self, tmp_path):
         doc = json.loads(json.dumps(BASE_CONFIG))
         doc.update(seeds=[5], ablation={"precondition_ratios": [1.0]}, output_dir=str(tmp_path))
@@ -1269,8 +1263,10 @@ class TestEveryBadInputExits2:
         ({"total_steps": True}, (), "total_steps must be an integer, got True"),
         ({}, (-1,), "seeds must be non-negative integers"),
         ({"optimizer": {"lr_schedule": "linear"}}, (), "unknown lr schedule 'linear'"),
+        # one learning rate for every step, and a fixed switch given as its step
+        ({"optimizer": {"lr_schedule": "cosine"}}, (), "unknown lr schedule 'cosine'"),
         ({"switch": {"kind": "fixed", "step": 10, "step_ratio": 0.5}}, (),
-         "give either step or step_ratio, not both"),
+         "unknown key(s) in 'switch': ['step_ratio']"),
         ({"switch": {"kind": "relative", "threshold": 0}}, (), "criterion threshold must be positive"),
         (None, (), "config {path} must be a mapping document"),
         ({"recipe": {"kind": []}}, (), "unknown recipe kind []"),
@@ -1300,7 +1296,8 @@ class TestEveryBadInputExits2:
          "model.layer_sizes must run from data.n_features 2 to data.n_classes 2, got (2, 16, 3)"),
         ({"data": {"kind": "blobs", "n_features": 2, "n_classes": 3}}, (),
          "model.layer_sizes must run from data.n_features 2 to data.n_classes 3, got (2, 16, 2)"),
-    ], ids=["bool_number", "bool_integer", "negative_seed_flag", "lr_schedule", "step_and_ratio",
+    ], ids=["bool_number", "bool_integer", "negative_seed_flag", "lr_schedule",
+            "lr_schedule_cosine", "switch_step_ratio",
             "zero_threshold", "not_a_mapping", "list_recipe_kind", "mapping_recipe_kind",
             "zero_total_steps", "negative_total_steps", "linear_regression_model_kind",
             "regression_data_kind", "csv_data_kind", "csv_data_keys", "unknown_activation",
@@ -1507,9 +1504,9 @@ class TestTypedInputErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("ratio", [1e308, -0.5, 0.0, 1.5])
-    def test_step_ratio_outside_unit_interval(self, tmp_path, ratio):
-        path, _ = make_config(tmp_path, switch={"kind": "fixed", "step_ratio": ratio})
-        with pytest.raises(ConfigError, match="switch.step_ratio"):
+    def test_precondition_ratio_outside_unit_interval(self, tmp_path, ratio):
+        path, _ = make_config(tmp_path, ablation={"precondition_ratios": [0.5, ratio]})
+        with pytest.raises(ConfigError, match=rf"^ablation.precondition_ratios must be in \(0, 1\], got "):
             harness.load_config(path)
 
     @pytest.mark.parametrize("key,ratio", [

@@ -1,7 +1,11 @@
 """The package's import layering, read from the source: no module imports one above it."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +30,31 @@ def stepnm_imports(module: str) -> set[str]:
             found.update(alias.name.split(".")[1] for alias in node.names
                          if alias.name.startswith("stepnm."))
     return found
+
+
+def test_the_package_file_imports_nothing():
+    """``stepnm/__init__.py`` holds its docstring and ``__version__`` and no import statement,
+    so that importing one module loads only what that module imports."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(tree))
+    assert ast.get_docstring(tree) and "__version__" in {
+        target.id for node in tree.body if isinstance(node, ast.Assign) for target in node.targets}
+
+
+@pytest.mark.parametrize("statement, modules", [
+    ("import stepnm", set()),
+    ("from stepnm import theory", {"errors", "theory"}),
+], ids=["package", "theory"])
+def test_an_import_loads_only_what_it_names(statement, modules):
+    """In a fresh process, the package loads no module of its own, and ``theory`` loads
+    ``errors`` alone: neither ``harness`` nor PyYAML."""
+    code = f"import json, sys; {statement}; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert {name[len("stepnm."):] for name in loaded if name.startswith("stepnm.")} == modules
+    assert "stepnm" in loaded and "yaml" not in loaded
 
 
 @pytest.mark.parametrize("module", ["models", "masks", "theory", "autoswitch"])

@@ -900,23 +900,17 @@ class TestTrainingMemory:
 
 class TestLRSchedules:
     def test_constant(self):
-        hyper = AdamHyper(lr=0.01)
-        assert hyper.lr_at(0) == hyper.lr_at(999) == 0.01
-
-    def test_cosine_endpoints(self):
-        hyper = AdamHyper(lr=0.01, cosine_steps=100)
-        assert math.isclose(hyper.lr_at(0), 0.01)
-        assert math.isclose(hyper.lr_at(100), 0.0, abs_tol=1e-18)
-        assert hyper.lr_at(25) > hyper.lr_at(75)
+        """The learning rate is lr at every step, the thousandth as the first."""
+        assert [f.name for f in dataclasses.fields(AdamHyper)] == ["beta1", "beta2", "eps", "lr"]
+        assert not hasattr(AdamHyper, "lr_at")
+        params = buffer(w=np.array([0.5]))
+        state = init_adam_state(params)
+        state.t, state.mode = 999, "frozen"
+        state.v["w"][0] = 2.0  # a frozen denominator
+        state, params = adam_step(state, AdamHyper(lr=0.01), params, buffer(w=np.array([1.0])))
+        assert params["w"][0] == 0.5 - ((1.0 - 0.9) / (1.0 - 0.9**1000) * 0.01) / 2.0
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            AdamHyper(lr=0.0)
-        with pytest.raises(ConfigError):
-            AdamHyper(lr=0.0, cosine_steps=10)
-        with pytest.raises(ConfigError):
-            AdamHyper(lr=0.01, cosine_steps=0)
-
-    def test_a_cosine_of_one_step(self):
-        hyper = AdamHyper(lr=0.01, cosine_steps=1)
-        assert hyper.lr_at(0) == 0.01 and hyper.lr_at(1) == hyper.lr_at(5) == 0.0
+        for lr in (0.0, -0.01):
+            with pytest.raises(ConfigError, match="^learning rate must be positive$"):
+                AdamHyper(lr=lr)

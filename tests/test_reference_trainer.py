@@ -30,29 +30,29 @@ MODELS = {
     # one affine layer: the head is the only, and the planned, layer
     "linear 8-3": ((8, 3), "relu", {"fc1.weight": (2, 4)}),
 }
-# name: (recipe, lam, decay, switch settings, cosine lr)
+# name: (recipe, lam, decay, switch settings)
 CASES = {
-    "dense": ("dense", 0.0, None, None, False),
-    "ste+decay": ("ste", 0.0, DECAY, None, False),
-    "srste": ("srste", 2e-4, None, None, False),
-    "step/fixed": ("step", 0.0, None, {"kind": "fixed", "step": 80}, False),
+    "dense": ("dense", 0.0, None, None),
+    "ste+decay": ("ste", 0.0, DECAY, None),
+    "srste": ("srste", 2e-4, None, None),
+    "step/fixed": ("step", 0.0, None, {"kind": "fixed", "step": 80}),
     "step/autoswitch+clip": ("step", 0.0, None,
-                             {"kind": "autoswitch", "option": "arithmetic", "clip": (40, 120)}, False),
-    "step/relative": ("step", 0.0, None, {"kind": "relative", "threshold": 0.5}, False),
-    "step/staleness+decay": ("step", 0.0, DECAY, {"kind": "staleness", "threshold": 0.96}, False),
-    "step_updated_variance/autoswitch+decay+cosine": (
+                             {"kind": "autoswitch", "option": "arithmetic", "clip": (40, 120)}),
+    "step/relative": ("step", 0.0, None, {"kind": "relative", "threshold": 0.5}),
+    "step/staleness+decay": ("step", 0.0, DECAY, {"kind": "staleness", "threshold": 0.96}),
+    "step_updated_variance/autoswitch+decay": (
         "step_updated_variance", 0.0, DECAY,
-        {"kind": "autoswitch", "option": "geometric", "clip": (40, 140)}, True),
+        {"kind": "autoswitch", "option": "geometric", "clip": (40, 140)}),
 }
 
 
-def _train_both(sizes, activation, plan, recipe, lam, decay, switch, cosine, *, steps, eps=1e-8,
+def _train_both(sizes, activation, plan, recipe, lam, decay, switch, *, steps, eps=1e-8,
                 beta2=0.99, lr=5e-3, batch_size=32, seed=1):
     """(recipe_train's result, the reference's) for one run on blobs data."""
     ds = models.DataConfig("blobs", 256, sizes[0], n_classes=sizes[-1], noise_std=0.6,
                            seed=0, batch_size=batch_size).build()
     spec = models.ModelSpec("mlp_classifier", sizes, activation)
-    hyper = AdamHyper(beta2=beta2, eps=eps, lr=lr, cosine_steps=steps if cosine else None)
+    hyper = AdamHyper(beta2=beta2, eps=eps, lr=lr)
     criterion = None if switch is None else SwitchCriterion(
         **{key: value for key, value in switch.items() if value is not None})
     result = optim.recipe_train(
@@ -61,7 +61,7 @@ def _train_both(sizes, activation, plan, recipe, lam, decay, switch, cosine, *, 
         steps, seed)
     reference = reference_trainer.train(
         sizes, activation, ds.inputs, ds.targets, ds.batch_size, recipe=recipe,
-        total_steps=steps, seed=seed, lr=lr, cosine=cosine, beta2=beta2, eps=eps, lam=lam,
+        total_steps=steps, seed=seed, lr=lr, beta2=beta2, eps=eps, lam=lam,
         plan=plan, decay=decay, switch=switch)
     return result, reference
 
@@ -94,7 +94,7 @@ def test_autoswitch_fires_by_its_window_before_the_clip():
     sizes, activation, plan = MODELS["relu 2-16-2"]
     t_max = 150
     switch = {"kind": "autoswitch", "option": "arithmetic", "clip": (20, t_max)}
-    result, reference = _train_both(sizes, activation, plan, "step", 0.0, None, switch, False,
+    result, reference = _train_both(sizes, activation, plan, "step", 0.0, None, switch,
                                     steps=STEPS, eps=1e-5)
     _assert_bitwise_equal(result, reference)
     t0 = result.switched_at
@@ -106,7 +106,7 @@ def test_wide_model_matches_the_reference():
     """The benchmark's wide shape, 2:4 on every weight, for a few steps around a fixed switch."""
     plan = {f"fc{i}.weight": (2, 4) for i in (1, 2, 3)}
     result, reference = _train_both((256, 1024, 1024, 10), "relu", plan, "step", 0.0, None,
-                                    {"kind": "fixed", "step": 2}, False, steps=3, lr=1e-4,
+                                    {"kind": "fixed", "step": 2}, steps=3, lr=1e-4,
                                     batch_size=128)
     _assert_bitwise_equal(result, reference)
     assert result.switched_at == 2
@@ -116,7 +116,7 @@ def test_final_masks_take_the_plan_at_the_last_step():
     """A decay boundary at total_steps: the plan is 2:4 at step 159 and 1:4 at step 160."""
     sizes, activation, plan = MODELS["tanh 8-32-16-4"]
     result, reference = _train_both(sizes, activation, plan, "ste", 0.0, (4, (60, STEPS)), None,
-                                    False, steps=STEPS)
+                                    steps=STEPS)
     _assert_bitwise_equal(result, reference)
     for name, mask in result.final_masks.items():
         assert (mask.reshape(-1, 4).sum(axis=1) == 1.0).all(), name
@@ -165,8 +165,7 @@ def _plain_data(data: dict):
 def _plain_switch(switch, total_steps: int):
     """The reference trainer's switch settings for a ``switch`` section, defaults filled in.
 
-    A ratio's step is floor(ratio * total_steps), at least 1; a clip's steps are
-    the plain floors of its two ratios.
+    A clip's steps are the plain floors of its two ratios.
     """
     if switch is None:
         return None
@@ -180,8 +179,6 @@ def _plain_switch(switch, total_steps: int):
                              math.floor(clip["t_max_ratio"] * total_steps))
     elif kind in ("relative", "staleness"):
         plain.setdefault("threshold", {"relative": 0.5, "staleness": 0.96}[kind])
-    elif "step_ratio" in plain:
-        plain["step"] = max(1, math.floor(plain.pop("step_ratio") * total_steps))
     return plain
 
 
@@ -204,7 +201,7 @@ def _plain_runs(doc: dict) -> list:
     return [reference_trainer.train(
         model["layer_sizes"], model.get("activation", "relu"), inputs, targets, batch_size,
         recipe=kind, total_steps=total_steps, seed=seed, lr=optimizer.get("lr", 1e-3),
-        cosine=optimizer.get("lr_schedule") == "cosine", beta1=optimizer.get("beta1", 0.9),
+        beta1=optimizer.get("beta1", 0.9),
         beta2=optimizer.get("beta2", 0.999), eps=optimizer.get("eps", 1e-8), lam=lam,
         plan={name: (r["n"], r["m"]) for name, r in (doc.get("sparsity") or {}).items()},
         decay=cell_decay, switch=switch)
@@ -233,7 +230,7 @@ def config_documents(draw, recipe: str):
         _maybe(draw, data, key, values)
     total_steps = draw(st.integers(8, 60))
     optimizer = {"beta2": draw(st.sampled_from([0.9, 0.99]))}
-    for key, values in (("lr", [1e-3, 5e-3]), ("lr_schedule", ["constant", "cosine"]),
+    for key, values in (("lr", [1e-3, 5e-3]), ("lr_schedule", ["constant"]),
                         ("beta1", [0.8]), ("eps", [1e-5])):
         _maybe(draw, optimizer, key, values)
     weights = [f"fc{i}.weight" for i in range(1, len(sizes))]
@@ -252,10 +249,7 @@ def config_documents(draw, recipe: str):
             if clip is not None:  # each pair's floors are ordered from 8 steps on
                 switch["clip"] = {"t_min_ratio": clip[0], "t_max_ratio": clip[1]}
         elif switch["kind"] == "fixed":
-            if draw(st.booleans()):
-                switch["step"] = draw(st.integers(1, total_steps))
-            else:
-                switch["step_ratio"] = draw(st.sampled_from([0.05, 0.3, 0.55, 0.7, 1.0]))
+            switch["step"] = draw(st.integers(1, total_steps))
         else:
             _maybe(draw, switch, "threshold", [0.3, 0.9])
         doc["switch"] = switch
