@@ -287,6 +287,21 @@ class TestKeysByKind:
         data = {"kind": "blobs", **DATA_VALUES}
         assert harness.config_from_dict({**BASE_CONFIG, "data": data}).data == models.DataConfig(**data)
 
+    @pytest.mark.parametrize("kind", ["autoswitch", "relative", "staleness", "fixed"])
+    def test_step_ratio_is_unknown_to_every_kind(self, kind):
+        """No kind reads ``step_ratio``, so each fails it as an unknown key, not as a key
+        that its own kind does not read."""
+        switch = {"kind": kind, "step_ratio": 0.5, **({"step": 30} if kind == "fixed" else {})}
+        with pytest.raises(ConfigError, match=r"^unknown key\(s\) in 'switch': \['step_ratio'\]$"):
+            harness.config_from_dict({**BASE_CONFIG, "switch": switch})
+
+    def test_the_constant_lr_schedule_is_the_default(self):
+        """``lr_schedule: constant``, the one schedule, loads the config that leaving the
+        key out loads."""
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["optimizer"]["lr_schedule"] = "constant"
+        assert harness.config_from_dict(doc) == harness.config_from_dict(BASE_CONFIG)
+
     @pytest.mark.parametrize("key", CHANGED_DATA_VALUES)
     def test_each_data_key_reaches_the_dataset(self, key):
         """A data key that loads but that ``build`` ignored would go unnoticed: each one,
