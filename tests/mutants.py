@@ -1,6 +1,6 @@
 """Mutation audit of the boundary conventions: every one-line mutant must fail Tier-1.
 
-Run it by hand from anywhere; it takes about eighteen minutes on two cores:
+Run it by hand from anywhere; it takes about seventeen minutes on two cores:
 
     python tests/mutants.py           # every mutant
     python tests/mutants.py S3 K1     # only the named ones
@@ -148,6 +148,13 @@ MUTANTS = {
     "F2": ("harness.py", '        check_kind("criterion", kind, COMPARISON_KINDS)', "        pass", "an unknown criterion name reaches SwitchCriterion, or names a fixed switch"),
     "F3": ("harness.py", 'if lr_schedule != "constant":', "if False:",
            "any lr schedule name loads, and trains at the constant learning rate"),
+    "X1": ("cli.py", "sys.exit(2)", "sys.exit(1)", "a refused input exits 1, as a failed bound does"),
+    "X2": ("cli.py", "(ToolkitError, MemoryError)", "ToolkitError",
+           "a config too large to allocate ends in a traceback"),
+    "X3": ("harness.py", "check_output_dir(config.output_dir)", "None",
+           "the drivers build data and train before they learn that --out cannot be a directory"),
+    "X4": ("cli.py", "harness.check_output_dir(out)", "None",
+           "validate-theorem runs the Monte Carlo before it learns that --out cannot be a directory"),
     "M1": ("masks.py", '-1.0), axis=1, kind="stable")', "-1.0), axis=1)",
            "the small-tensor path orders tied magnitudes by an unstable sort"),
     "E1": ("autoswitch.py", "if prev is None or prev <= 0.0:", "if prev is None or prev == 0.0:",

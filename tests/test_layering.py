@@ -124,3 +124,32 @@ def test_only_check_kind_raises_an_unknown_kind():
                                if isinstance(node, ast.Raise)
                                and re.search(r"unknown\b.*\bkind\b", ast.get_source_segment(source, node)))
     assert raisers == {"errors.check_kind"}
+
+
+def test_only_the_bad_input_table_calls_the_cli_entry():
+    """A newly refused input is a row of ``TestEveryBadInputExits2``: in tests/, only its
+    checker and the two tests refused once work has started call ``stepnm.cli.entry``, by
+    its imported name or as an attribute of the ``cli`` module."""
+    callers = set()
+    for path in Path(__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names, modules = set(), {"stepnm.cli"}  # what entry, and the cli module, are bound to
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    full = (f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom)
+                            else alias.name)
+                    if full == "stepnm.cli.entry":
+                        names.add(alias.asname or alias.name)
+                    elif full == "stepnm.cli":
+                        modules.add(alias.asname or alias.name)
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Call) and (
+                        isinstance(node.func, ast.Name) and node.func.id in names
+                        or isinstance(node.func, ast.Attribute) and node.func.attr == "entry"
+                        and ast.unparse(node.func.value) in modules)
+                    for node in ast.walk(function)):
+                callers.add(function.name)
+    assert callers == {"test_exits_2_before_any_work", "test_huge_classifier_features_stop_naming_v_l2",
+                       "test_config_too_large_to_allocate_exits_2"}
