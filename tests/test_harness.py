@@ -1105,6 +1105,39 @@ BAD_INPUTS = {
                                {"data": {"kind": "blobs", "n_samples": -4}}),
     "batch_size_not_an_integer": Bad(["run"], "data.batch_size must be an integer, got 'big'",
                                      {"data": {"kind": "blobs", "batch_size": "big"}}),
+    # a value in range for its type that its owner refuses
+    "no_seeds": Bad(["run"], "seeds must be non-empty", {"seeds": []}),
+    "missing_total_steps": Bad(["run"], "missing key(s) in 'config': ['total_steps']",
+                               {"total_steps": None}),
+    "one_class": Bad(["run"], "data.n_classes must be >= 2 for blobs, got 1", {
+        "model": {"kind": "mlp_classifier", "layer_sizes": [2, 16, 1]},
+        "data": {"kind": "blobs", "n_classes": 1}, "sparsity": None}),
+    "negative_noise_std": Bad(["run"], "data.noise_std must be >= 0, got -0.5",
+                              {"data": {"kind": "blobs", "noise_std": -0.5}}),
+    "negative_data_seed": Bad(["run"], "data.seed must be >= 0, got -1",
+                              {"data": {"kind": "blobs", "seed": -1}}),
+    "zero_lr": Bad(["run"], "learning rate must be positive", {"optimizer": {"lr": 0}}),
+    "beta2_one": Bad(["run"], "beta2 must be in [0, 1), got 1.0", {"optimizer": {"beta2": 1.0}}),
+    "negative_lam": Bad(["run"], "lam must be >= 0", {"recipe": {"kind": "srste", "lam": -1}}),
+    "lam_outside_srste": Bad(["run"], "lam only applies to the srste recipe",
+                             {"recipe": {"kind": "step", "lam": 0.1}}),
+    "unknown_sparsity_layer": Bad(["run"], "sparsity plan references unknown layer 'fc9.weight'",
+                                  {"sparsity": {"fc9.weight": {"n": 1, "m": 4}}}),
+    "sparsity_on_a_bias": Bad(["run"], "sparsity plan lists 'fc2.bias', which is not an (out, in) "
+                              "weight", {"sparsity": {"fc2.bias": {"n": 1, "m": 2}}}),
+    "m_not_dividing_extent": Bad(["run"], "layer 'fc2.weight': innermost extent 16 not divisible "
+                                 "by m=3", {"sparsity": {"fc2.weight": {"n": 1, "m": 3}}}),
+    "n_above_m": Bad(["run"], "need 1 <= n <= m, got 5:4",
+                     {"sparsity": {"fc2.weight": {"n": 5, "m": 4}}}),
+    "stage_boundaries_not_increasing": Bad(
+        ["run"], "stage boundaries must be strictly increasing positive steps",
+        {"ablation": {"decay": {"m": 4, "stage_boundaries": [60, 30]}}}),
+    "unknown_sampler_option": Bad(["run"], "unknown sampler option 'bogus'",
+                                  {"switch": {**BASE_CONFIG["switch"], "option": "bogus"}}),
+    "clip_min_not_below_max": Bad(["run"], "clipping needs 0 <= T_min < T_max, got (60, 12)", {
+        "switch": {"kind": "autoswitch", "clip": {"t_min_ratio": 0.5, "t_max_ratio": 0.1}}}),
+    "fixed_step_zero": Bad(["run"], "fixed criterion needs a positive step",
+                           {"switch": {"kind": "fixed", "step": 0}}),
     # YAML ints that float() cannot take, or that numpy cannot index with
     "lr_beyond_float": Bad(["run"], f"optimizer.lr must be finite, got {BIG}",
                            {"optimizer": {**BASE_CONFIG["optimizer"], "lr": BIG}}),
@@ -1152,6 +1185,9 @@ BAD_INPUTS = {
         "ablation": {"decay": {"m": 4, "stage_boundaries": [10]}}}, call="driver"),
     "ablation_kind": Bad(["ablate", "--kind", "bogus"], "unknown ablation kind 'bogus'", FIXED,
                          call="driver"),
+    "precondition_length_without_ratios": Bad(
+        ["ablate", "--kind", "precondition_length"],
+        "precondition_length needs ablation.precondition_ratios", FIXED, call="driver"),
     "unknown_criterion": Bad(["compare-switch", "--criteria", "relative,foo"],
                              "unknown criterion kind 'foo'", PROFILE, call="driver"),
     # --criteria names no kind, so compare_switch gets an empty list and refuses it
@@ -1181,6 +1217,10 @@ BAD_INPUTS = {
         f"stream kind '{stream}' does not read ['{option}']", call="stream")
        for stream, option in [("uniform", "level"), ("constant", "p"), ("bernoulli", "sigma"),
                               ("trunc_gauss_sq", "p")]},
+    "level_above_g": Bad(["validate-theorem", "--stream", "constant", "--level", "2"],
+                         "constant level must lie in [0, G]", call="stream"),
+    "p_above_one": Bad(["validate-theorem", "--p", "1.5"], "bernoulli probability must lie in [0, 1]",
+                       call="stream"),
     "dim_zero": Bad(["validate-theorem", "--dim=0"], "stream dimension must be >= 1", call="stream"),
     "negative_stream_seed": Bad(["validate-theorem", "--seed=-1"],
                                 "stream seed must be a non-negative integer", call="stream"),
@@ -1188,6 +1228,14 @@ BAD_INPUTS = {
                            call="validate_theorem", error=DomainError),
     "zero_trials": Bad(["validate-theorem", "--trials=0"], "trials must be >= 1",
                        call="validate_theorem"),
+    "t0_too_small": Bad(["validate-theorem", "--beta2", "0.9", "--t0", "2"],
+                        "t0=2 is too small: the bound needs t0 > 11.65 (minimal integer 12)",
+                        call="validate_theorem"),
+    "t_not_above_t0": Bad(["validate-theorem", "--beta2", "0.9", "--t0", "50", "--t", "50"],
+                          "need t > t0 >= 1, got t=50, t0=50", call="validate_theorem",
+                          error=RangeError),
+    "delta_above_two": Bad(["validate-theorem", "--delta", "3"], "delta must be in (0, 2], got 3.0",
+                           call="validate_theorem", error=DomainError),
     "t_beyond_index": Bad(["validate-theorem", f"--t={BIG}"], f"t must be below 2**63, got {BIG}",
                           call="validate_theorem", error=RangeError),
     # one step of one trial at dim 262145 is 2 MiB + 8 bytes
