@@ -205,7 +205,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     hyper = AdamHyper(**o)
 
     plan = {}
-    sparsity = doc.get("sparsity") or {}
+    sparsity = {} if doc.get("sparsity") is None else doc["sparsity"]
     if not isinstance(sparsity, dict):
         raise ConfigError("section 'sparsity' must be a mapping")
     for layer, ratio in sparsity.items():

@@ -17,7 +17,6 @@ from stepnm.autoswitch import (
     mixing_window,
 )
 from stepnm.errors import ConfigError, NumericalError, RangeError
-from stepnm.harness import config_from_dict
 from stepnm.optim import GEOMETRIC_FLOOR, variance_stats
 
 
@@ -187,15 +186,6 @@ class TestAutoswitchDecide:
     def test_lower_clamp_blocks_early_fire(self):
         assert not feed(autoswitch(clip=(100, 500)), [0.0] * 10, step=100)
         assert feed(autoswitch(clip=(100, 500)), [0.0] * 10, step=101)
-
-    def test_bad_clip(self):
-        # a reversed clip from a config is refused before any detector exists
-        doc = {"model": {"kind": "mlp_classifier", "layer_sizes": [2, 4, 2]},
-               "data": {"kind": "blobs"}, "optimizer": {}, "recipe": {"kind": "step"},
-               "switch": {"kind": "autoswitch", "clip": {"t_min_ratio": 0.5, "t_max_ratio": 0.1}},
-               "total_steps": 1000, "seeds": [0]}
-        with pytest.raises(ConfigError, match="clipping"):
-            config_from_dict(doc)
 
     @settings(deadline=None, max_examples=60)
     @given(

@@ -63,65 +63,10 @@ class TestConfigParsing:
         assert config.plan["fc2.weight"].m == 4
         assert config.recipe.switch.clip == (12, 60)  # the clip ratios 0.1 and 0.5 of 120 steps
 
-    def test_unknown_top_level_key(self, tmp_path):
-        path, _ = make_config(tmp_path, optimiser={"lr": 0.1})
-        with pytest.raises(ConfigError, match="optimiser"):
-            harness.load_config(path)
-
     def test_empty_output_dir_means_runs(self, tmp_path):
         path, _ = make_config(tmp_path)
         path.write_text(path.read_text().replace("output_dir: runs", "output_dir:"))
         assert harness.load_config(path).output_dir == "runs"
-
-    @pytest.mark.parametrize("value", ["[a, b]", "5", "{a: b}"])
-    def test_non_string_output_dir(self, tmp_path, value):
-        path, _ = make_config(tmp_path)
-        path.write_text(path.read_text().replace("output_dir: runs", f"output_dir: {value}"))
-        with pytest.raises(ConfigError, match="^output_dir must be a string"):
-            harness.load_config(path)
-
-    def test_empty_string_output_dir(self, tmp_path, monkeypatch):
-        # Path('') is the current directory, so an empty output_dir would mix a run's files
-        # into whatever is there: the driver refuses it, as it does an empty --out
-        monkeypatch.chdir(tmp_path)
-        path, _ = make_config(tmp_path)
-        path.write_text(path.read_text().replace("output_dir: runs", "output_dir: ''"))
-        config = harness.load_config(path)
-        assert config.output_dir == ""
-        with pytest.raises(ConfigError, match="^output directory must not be empty$"):
-            harness.run(config)
-        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
-
-    def test_unknown_nested_key(self, tmp_path):
-        path, _ = make_config(tmp_path, recipe={"kind": "step", "lambda_": 0.1})
-        with pytest.raises(ConfigError, match="lambda_"):
-            harness.load_config(path)
-
-    def test_unknown_recipe_name(self, tmp_path):
-        path, _ = make_config(tmp_path, recipe={"kind": "sgd"})
-        with pytest.raises(ConfigError, match="sgd"):
-            harness.load_config(path)
-
-    def test_unknown_plan_layer_fails_before_compute(self, tmp_path):
-        path, _ = make_config(tmp_path, sparsity={"fc9.weight": {"n": 1, "m": 4}})
-        with pytest.raises(ConfigError, match="fc9.weight"):
-            harness.load_config(path)
-
-    def test_planned_bias_fails_before_compute(self, tmp_path):
-        path, _ = make_config(tmp_path, sparsity={"fc1.bias": {"n": 1, "m": 2}})
-        with pytest.raises(ConfigError, match="fc1.bias"):
-            harness.load_config(path)
-
-    def test_bad_divisibility_fails_before_compute(self, tmp_path):
-        path, _ = make_config(tmp_path, sparsity={"fc1.weight": {"n": 1, "m": 4}})
-        # fc1.weight is (16, 2): innermost extent 2 is not divisible by 4
-        with pytest.raises(ConfigError, match="fc1.weight"):
-            harness.load_config(path)
-
-    def test_empty_seeds(self, tmp_path):
-        path, _ = make_config(tmp_path, seeds=[])
-        with pytest.raises(ConfigError, match="seeds"):
-            harness.load_config(path)
 
     def test_clip_ratios_floor_to_their_steps(self, tmp_path):
         # 0.1 and 0.55 of 1001 steps are 100.1 and 550.55
@@ -141,35 +86,6 @@ class TestRecipeConfig:
         assert harness.load_config(path).recipe == optim.Recipe("dense", switch=BASE_SWITCH)
         path, _ = make_config(tmp_path, recipe={"kind": "srste", "lam": 0.01}, switch=None)
         assert harness.load_config(path).recipe == optim.Recipe("srste", lam=0.01)
-
-    @pytest.mark.parametrize("recipe", [{"kind": "srste", "lam": -0.1}, {"kind": "ste", "lam": 0.1}])
-    def test_bad_lam_fails_at_load(self, tmp_path, recipe):
-        path, _ = make_config(tmp_path, recipe=recipe)
-        with pytest.raises(ConfigError, match="lam"):
-            harness.load_config(path)
-
-    def test_unknown_data_kind(self, tmp_path):
-        path, _ = make_config(tmp_path, data={"kind": "images"})
-        with pytest.raises(ConfigError, match="images"):
-            harness.load_config(path)
-
-    @pytest.mark.parametrize("recipe", ["step", "dense"])
-    def test_decay_m_must_divide_every_planned_layer_at_load(self, tmp_path, recipe):
-        # fc2.weight is (2, 16): a decay over groups of 3 cannot mask it
-        path, _ = make_config(tmp_path, recipe={"kind": recipe},
-                              ablation={"decay": {"m": 3, "stage_boundaries": [60]}})
-        with pytest.raises(ConfigError, match="fc2.weight"):
-            harness.load_config(path)
-
-    @pytest.mark.parametrize("seeds", [[], [-1], [3, 3], "three"])
-    def test_a_missing_switch_is_named_before_bad_seeds(self, tmp_path, seeds):
-        # the recipe is built, and checks its switch, before the seeds are read
-        path, _ = make_config(tmp_path, seeds=seeds, switch=None)
-        with pytest.raises(ConfigError, match="^recipe 'step' needs a switch section$"):
-            harness.load_config(path)
-        path, _ = make_config(tmp_path, seeds=seeds)
-        with pytest.raises(ConfigError, match="^seed"):
-            harness.load_config(path)
 
     def test_the_recipe_alone_holds_the_switch(self):
         assert [f.name for f in dataclasses.fields(harness.ExperimentConfig)] == [
@@ -206,17 +122,18 @@ CHANGED_RUN_VALUES = {("model", "layer_sizes"): [2, 8, 2], ("model", "activation
                       ("optimizer", "lr"): 0.002, ("optimizer", "beta1"): 0.8,
                       ("optimizer", "beta2"): 0.99, ("optimizer", "eps"): 1e-5}
 
-# a bad value of each data field, and its message
-BAD_DATA = [
-    ({"kind": "spiral"}, "unknown data kind 'spiral'"),
-    ({"kind": "blobs", "n_samples": 0}, "data.n_samples must be >= 1, got 0"),
-    ({"kind": "blobs", "n_samples": -3}, "data.n_samples must be >= 1, got -3"),
-    ({"kind": "blobs", "n_classes": 1}, "data.n_classes must be >= 2 for blobs, got 1"),
-    ({"kind": "blobs", "noise_std": -0.5}, "data.noise_std must be >= 0, got -0.5"),
-    ({"kind": "blobs", "n_features": 0}, "data.n_features must be >= 1, got 0"),
-    ({"kind": "blobs", "batch_size": 0}, "data.batch_size must be >= 1, got 0"),
-    ({"kind": "blobs", "seed": -1}, "data.seed must be >= 0, got -1"),
-]
+# a bad value of each data field, and its message: a BAD_INPUTS row each
+BAD_DATA = {
+    "spiral_data_kind": ({"kind": "spiral"}, "unknown data kind 'spiral'"),
+    "zero_n_samples": ({"kind": "blobs", "n_samples": 0}, "data.n_samples must be >= 1, got 0"),
+    "negative_n_samples": ({"kind": "blobs", "n_samples": -3}, "data.n_samples must be >= 1, got -3"),
+    "n_classes_below_two": ({"kind": "blobs", "n_classes": 1},
+                            "data.n_classes must be >= 2 for blobs, got 1"),
+    "negative_noise_std": ({"kind": "blobs", "noise_std": -0.5}, "data.noise_std must be >= 0, got -0.5"),
+    "zero_n_features": ({"kind": "blobs", "n_features": 0}, "data.n_features must be >= 1, got 0"),
+    "zero_batch_size": ({"kind": "blobs", "batch_size": 0}, "data.batch_size must be >= 1, got 0"),
+    "negative_data_seed": ({"kind": "blobs", "seed": -1}, "data.seed must be >= 0, got -1"),
+}
 
 
 class TestDataConfig:
@@ -226,25 +143,14 @@ class TestDataConfig:
                      "_open_csv", "_read_csv"):
             assert not hasattr(models, gone)
 
-    @pytest.mark.parametrize("fields,message", BAD_DATA, ids=[m for _, m in BAD_DATA])
-    def test_made_directly_or_loaded_a_bad_field_gives_one_message(self, fields, message):
-        message = re.escape(message)
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+    @pytest.mark.parametrize("fields,message", BAD_DATA.values(), ids=list(BAD_DATA))
+    def test_made_directly_a_bad_field_gives_its_rows_message(self, fields, message):
+        """``DataConfig`` refuses each field with the message that its config row gives."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             models.DataConfig(**fields)
-        with pytest.raises(ConfigError, match=f"^{message}$"):
-            harness.config_from_dict({**BASE_CONFIG, "data": fields})
 
 
 class TestKeysByKind:
-    @pytest.mark.parametrize("kind,key", UNREAD_SWITCH_KEYS)
-    def test_switch_key_its_kind_does_not_read(self, kind, key):
-        switch = {"kind": kind, key: SWITCH_VALUES[key]}
-        if kind == "fixed":
-            switch["step"] = 30
-        doc = {**BASE_CONFIG, "switch": switch}
-        with pytest.raises(ConfigError, match=rf"switch kind '{kind}' does not read \['{key}'\]"):
-            harness.config_from_dict(doc)
-
     def test_each_kind_loads_the_keys_it_reads(self):
         assert len(UNREAD_SWITCH_KEYS) == len(set(UNREAD_SWITCH_KEYS)) == 11
         for kind in ("autoswitch", "relative", "staleness", "fixed"):
@@ -253,14 +159,6 @@ class TestKeysByKind:
             assert harness.config_from_dict({**BASE_CONFIG, "switch": switch}).recipe.switch.kind == kind
         data = {"kind": "blobs", **DATA_VALUES}
         assert harness.config_from_dict({**BASE_CONFIG, "data": data}).data == models.DataConfig(**data)
-
-    @pytest.mark.parametrize("kind", ["autoswitch", "relative", "staleness", "fixed"])
-    def test_step_ratio_is_unknown_to_every_kind(self, kind):
-        """No kind reads ``step_ratio``, so each fails it as an unknown key, not as a key
-        that its own kind does not read."""
-        switch = {"kind": kind, "step_ratio": 0.5, **({"step": 30} if kind == "fixed" else {})}
-        with pytest.raises(ConfigError, match=r"^unknown key\(s\) in 'switch': \['step_ratio'\]$"):
-            harness.config_from_dict({**BASE_CONFIG, "switch": switch})
 
     def test_the_constant_lr_schedule_is_the_default(self):
         """``lr_schedule: constant``, the one schedule, loads the config that leaving the
@@ -297,25 +195,17 @@ class TestKeysByKind:
         doc[section][key] = CHANGED_RUN_VALUES[section, key]
         assert trained(BASE_CONFIG) == trained(BASE_CONFIG) != trained(doc)
 
-    @pytest.mark.parametrize("section", ["switch", "data", "model", "stream"])
     @pytest.mark.parametrize("kind", [[], {}, None, 3, "oracle"])
-    def test_a_bad_kind_fails_as_the_kind(self, section, kind):
+    def test_a_bad_kind_fails_as_the_kind(self, kind):
         """A kind that no table lists, or that is not a string, hashable or not, is unknown.
 
-        ``stream`` is the theorem validator's stream, which no config section builds.
+        The theorem validator's stream, which no config section builds, is the library call;
+        a config section's kind is a ``BAD_INPUTS`` row.
         """
-        with pytest.raises(ConfigError, match=rf"^unknown {section} kind {re.escape(repr(kind))}$"):
-            if section == "stream":
-                theory.StationaryStream(kind=kind, bound=1.0)
-            else:
-                sizes = {"layer_sizes": [2, 16, 2]} if section == "model" else {}
-                harness.config_from_dict({**BASE_CONFIG, section: {"kind": kind, **sizes}})
+        with pytest.raises(ConfigError, match=rf"^unknown stream kind {re.escape(repr(kind))}$"):
+            theory.StationaryStream(kind=kind, bound=1.0)
 
     def test_unread_keys_are_listed_sorted_as_text(self):
-        switch = {"kind": "fixed", "step": 3, "threshold": 0.5, "option": "arithmetic"}
-        with pytest.raises(ConfigError,
-                           match=r"^switch kind 'fixed' does not read \['option', 'threshold'\]$"):
-            harness.config_from_dict({**BASE_CONFIG, "switch": switch})
         with pytest.raises(ConfigError, match=r"^switch kind 'fixed' does not read \[1, 'a'\]$"):
             check_kind("switch", "fixed", autoswitch.CRITERION_KEYS, ["step", "a", 1])
 
@@ -376,11 +266,6 @@ class TestOptimizerNumbers:
             check_kind("stream", "a", {"a": ()}, ["zz", 10**5000])
         assert str(info.value) == "stream kind 'a' does not read [an integer of 16610 bits, 'zz']"
 
-    def test_non_numeric_lr_is_config_error(self, tmp_path):
-        path, _ = make_config(tmp_path, optimizer={"lr": "big"})
-        with pytest.raises(ConfigError, match="optimizer.lr"):
-            harness.load_config(path)
-
 
 class TestLoadConfigOverrides:
     """``--seed`` and ``--out`` edit the document before ``config_from_dict`` reads it."""
@@ -422,9 +307,8 @@ class TestLoadConfigOverrides:
         assert config.output_dir == "runs"  # the document's own
 
     def test_seed_flag_replaces_a_malformed_entry(self, tmp_path):
+        # the document alone is refused: the row seeds_as_text
         path, _ = make_config(tmp_path, seeds="three")
-        with pytest.raises(ConfigError, match="^seeds must be a list, got 'three'$"):
-            harness.load_config(path)
         assert harness.load_config(path, seeds=(3,)).seeds == (3,)
 
     @pytest.mark.parametrize("seeds", [(-1,), (2**63,), (5, 5), (2**63 - 1, 0)])
@@ -682,26 +566,6 @@ class TestCompareSwitch:
         assert rows[1]["t0"] == 1 and rows[1]["avg_change_metric"] > 0.0
         assert (tmp_path / "cmp" / "compare_switch.csv").exists()
 
-    def test_a_budget_too_short_for_any_switch_fails_before_training(self, tmp_path, monkeypatch):
-        path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None,
-                              total_steps=1001, output_dir=str(tmp_path / "cmp"))
-        config = harness.load_config(path)
-        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
-        message = ("profile too short for the metric window: a switch at step 1 needs "
-                   "per-step changes up to step 1002, have 1001")
-        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
-            harness.compare_switch(config, [SwitchCriterion(kind="autoswitch")])
-        assert not (tmp_path / "cmp").exists()
-        with pytest.raises(ConfigError, match="at least one criterion"):  # that check comes first
-            harness.compare_switch(config, [])
-
-    def test_metric_window_must_fit(self, tmp_path):
-        path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None,
-                              total_steps=60, output_dir=str(tmp_path / "cmp"))
-        config = harness.load_config(path)
-        with pytest.raises(RangeError, match="profile too short"):
-            harness.compare_switch(config, [SwitchCriterion(kind="relative")])
-
     def test_default_criteria_by_kind_in_order(self):
         clipped = SwitchCriterion(kind="autoswitch", clip=(260, 1300))
         relative, staleness = SwitchCriterion(kind="relative"), SwitchCriterion(kind="staleness")
@@ -712,15 +576,6 @@ class TestCompareSwitch:
         for kinds in (("foo",), ("relative", "foo"), ("fixed",)):
             with pytest.raises(ConfigError, match=f"^unknown criterion kind '{kinds[-1]}'$"):
                 harness.default_comparison_criteria(2600, kinds)
-
-    def test_empty_criteria_rejected_before_training(self, tmp_path, monkeypatch):
-        path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None,
-                              output_dir=str(tmp_path / "cmp"))
-        config = harness.load_config(path)
-        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: pytest.fail("trained"))
-        with pytest.raises(ConfigError, match="at least one criterion"):
-            harness.compare_switch(config, [])
-        assert not (tmp_path / "cmp").exists()
 
     def test_criteria_list_length_matches_rows(self, tmp_path):
         path, _ = make_config(tmp_path, seeds=[1], recipe={"kind": "dense"}, switch=None,
@@ -788,16 +643,6 @@ class TestAblation:
         assert cells["with_dense_phase"]["switched_at"] == 30
         assert cells["without_dense_phase"]["switched_at"] is None
 
-    def test_unknown_kind(self):
-        config = harness.config_from_dict(json.loads(json.dumps(BASE_CONFIG)))
-        with pytest.raises(ConfigError):
-            harness.ablation("weight_decay", config)
-
-    def test_missing_ratios(self):
-        config = harness.config_from_dict(json.loads(json.dumps(BASE_CONFIG)))
-        with pytest.raises(ConfigError, match="precondition_ratios"):
-            harness.ablation("precondition_length", config)
-
 
 class TestOutputDirectory:
     """Each driver writes into ``config.output_dir`` alone, checked before any compute."""
@@ -836,24 +681,6 @@ class TestOutputDirectory:
                 assert list(csv.DictReader(fh)) == [
                     {key: "" if value is None else str(value) for key, value in row.items()}
                     for row in rows]
-
-    @pytest.mark.parametrize("driver", list(DRIVERS))
-    def test_a_directory_blocked_by_a_file_fails_before_any_training(self, tmp_path, monkeypatch,
-                                                                     driver):
-        taken = tmp_path / "taken"
-        taken.write_text("not a directory\n")
-        path, _ = make_config(tmp_path, seeds=[1], total_steps=self.STEPS[driver],
-                              switch={"kind": "fixed", "step": 4}, output_dir=str(taken / "out"))
-        config = harness.load_config(path)
-        calls = []
-        monkeypatch.setattr(harness, "recipe_train", lambda *a, **k: calls.append("recipe_train"))
-        monkeypatch.setattr(harness.DataConfig, "build", lambda *a, **k: calls.append("build"))
-        message = f"cannot write to output directory {taken / 'out'}: {taken} is not a directory"
-        with pytest.raises(ConfigError) as info:
-            self.DRIVERS[driver](config)
-        assert str(info.value) == message
-        assert calls == []
-        assert taken.read_text() == "not a directory\n"
 
 
 class TestCLI:
@@ -989,7 +816,8 @@ class Bad(NamedTuple):
 
     ``config`` is ``make_config``'s overrides, the file's bytes, or "missing" or "directory"
     for a path that names no file; validate-theorem gets no ``--config``.  ``out`` is relative
-    to the test's directory, which holds a file ``taken``; "" is an empty ``--out``.  ``call``
+    to the test's directory, which holds a file ``taken`` and is the working directory; "" is
+    an empty ``--out``, and None passes no ``--out``, so the document's ``output_dir`` holds.  ``call``
     is the library call that refuses the input, with the flags cli.py would pass: "load_config",
     "driver" (the command's driver on the loaded config), "stream", "validate_theorem" or
     "check_output_dir"; it raises ``error``.  ``message`` may name ``{path}`` (the config),
@@ -998,7 +826,7 @@ class Bad(NamedTuple):
     argv: list
     message: str
     config: object = {}
-    out: str = "out"
+    out: str | None = "out"
     call: str = "load_config"
     error: type = ConfigError
 
@@ -1038,11 +866,33 @@ BAD_INPUTS = {
                              {"switch": {"kind": "fixed", "step": 10, "step_ratio": 0.5}}),
     "unread_switch_key": Bad(["run"], "switch kind 'autoswitch' does not read ['threshold']",
                              {"switch": {**BASE_CONFIG["switch"], "threshold": 1.0}}),
+    **{f"switch_{kind}_reads_no_{key}": Bad(
+        ["run"], f"switch kind '{kind}' does not read ['{key}']",
+        {"switch": {"kind": kind, key: SWITCH_VALUES[key], **({"step": 30} if kind == "fixed" else {})}})
+       for kind, key in UNREAD_SWITCH_KEYS},
+    "unread_switch_keys_sorted": Bad(["run"], "switch kind 'fixed' does not read ['option', 'threshold']",
+                                     {"switch": {"kind": "fixed", "step": 3, "threshold": 0.5,
+                                                 "option": "arithmetic"}}),
+    # no kind reads step_ratio, so each fails it as an unknown key
+    **{f"step_ratio-{kind}": Bad(["run"], "unknown key(s) in 'switch': ['step_ratio']", {
+        "switch": {"kind": kind, "step_ratio": 0.5, **({"step": 30} if kind == "fixed" else {})}})
+       for kind in ("autoswitch", "relative", "staleness", "fixed")},
+    "unknown_top_level_key": Bad(["run"], "unknown key(s) in 'config': ['optimiser']",
+                                 {"optimiser": {"lr": 0.1}}),
+    "unknown_recipe_key": Bad(["run"], "unknown key(s) in 'recipe': ['lambda_']",
+                              {"recipe": {"kind": "step", "lambda_": 0.1}}),
     "zero_threshold": Bad(["run"], "criterion threshold must be positive",
                           {"switch": {"kind": "relative", "threshold": 0}}),
     "not_a_mapping": Bad(["run"], "config {path} must be a mapping document", b"- 1\n- 2\n"),
     "list_recipe_kind": Bad(["run"], "unknown recipe kind []", {"recipe": {"kind": []}}),
     "mapping_recipe_kind": Bad(["run"], "unknown recipe kind {{}}", {"recipe": {"kind": {}}}),
+    "sgd_recipe_kind": Bad(["run"], "unknown recipe kind 'sgd'", {"recipe": {"kind": "sgd"}}),
+    # a kind that no table lists, or that is not a string, hashable or not
+    **{f"{section}_kind_{name}": Bad(["run"], f"unknown {section} kind {text}", {section: {
+        "kind": kind, **({"layer_sizes": [2, 16, 2]} if section == "model" else {})}})
+       for section in ("switch", "data", "model")
+       for name, kind, text in [("list", [], "[]"), ("mapping", {}, "{{}}"), ("null", None, "None"),
+                                ("int", 3, "3"), ("oracle", "oracle", "'oracle'")]},
     **{f"{kind}_without_switch": Bad(["run"], f"recipe '{kind}' needs a switch section",
                                      {"recipe": {"kind": kind}, "switch": None})
        for kind, (_, mode) in optim.RECIPE_KINDS.items() if mode},
@@ -1062,6 +912,8 @@ BAD_INPUTS = {
     "regression_data_kind": Bad(["run"], "unknown data kind 'regression'",
                                 {"data": {"kind": "regression"}}),
     "csv_data_kind": Bad(["run"], "unknown data kind 'csv'", {"data": {"kind": "csv"}}),
+    "images_data_kind": Bad(["run"], "unknown data kind 'images'", {"data": {"kind": "images"}}),
+    **{name: Bad(["run"], message, {"data": fields}) for name, (fields, message) in BAD_DATA.items()},
     "csv_data_keys": Bad(["run"], "unknown key(s) in 'data': ['n_targets', 'path']",
                          {"data": {"kind": "blobs", "path": "data.csv", "n_targets": 1}}),
     "unknown_activation": Bad(["run"], "unknown activation 'sigmoid'", {"model": {
@@ -1091,6 +943,9 @@ BAD_INPUTS = {
                                       {"total_steps": "many"}),
     "sparsity_not_a_mapping": Bad(["run"], "section 'sparsity' must be a mapping",
                                   {"sparsity": ["fc2.weight"]}),
+    # only a null sparsity section is the empty plan
+    **{f"sparsity_{name}": Bad(["run"], "section 'sparsity' must be a mapping", {"sparsity": value})
+       for name, value in [("empty_list", []), ("zero", 0), ("false", False), ("empty_string", "")]},
     "sparsity_n_not_an_integer": Bad(["run"], "sparsity.fc2.weight.n must be an integer, got 'one'",
                                      {"sparsity": {"fc2.weight": {"n": "one", "m": 4}}}),
     "lam_not_a_number": Bad(["run"], "recipe.lam must be a number, got 'x'",
@@ -1107,26 +962,44 @@ BAD_INPUTS = {
                                      {"data": {"kind": "blobs", "batch_size": "big"}}),
     # a value in range for its type that its owner refuses
     "no_seeds": Bad(["run"], "seeds must be non-empty", {"seeds": []}),
+    "negative_seeds": Bad(["run"], "seeds must be non-negative integers", {"seeds": [-1]}),
+    "twice_the_same_seed": Bad(["run"], "seed 3 is given more than once", {"seeds": [3, 3]}),
+    "seeds_as_text": Bad(["run"], "seeds must be a list, got 'three'", {"seeds": "three"}),
+    # a config builds its recipe, which checks its switch, before it reads the seeds
+    **{f"switch_named_before_{name}_seeds": Bad(["run"], "recipe 'step' needs a switch section",
+                                                {"seeds": seeds, "switch": None})
+       for name, seeds in [("no", []), ("negative", [-1]), ("repeated", [3, 3]), ("text", "three")]},
     "missing_total_steps": Bad(["run"], "missing key(s) in 'config': ['total_steps']",
                                {"total_steps": None}),
     "one_class": Bad(["run"], "data.n_classes must be >= 2 for blobs, got 1", {
         "model": {"kind": "mlp_classifier", "layer_sizes": [2, 16, 1]},
         "data": {"kind": "blobs", "n_classes": 1}, "sparsity": None}),
-    "negative_noise_std": Bad(["run"], "data.noise_std must be >= 0, got -0.5",
-                              {"data": {"kind": "blobs", "noise_std": -0.5}}),
-    "negative_data_seed": Bad(["run"], "data.seed must be >= 0, got -1",
-                              {"data": {"kind": "blobs", "seed": -1}}),
     "zero_lr": Bad(["run"], "learning rate must be positive", {"optimizer": {"lr": 0}}),
+    "negative_lr": Bad(["run"], "learning rate must be positive", {"optimizer": {"lr": -0.01}}),
     "beta2_one": Bad(["run"], "beta2 must be in [0, 1), got 1.0", {"optimizer": {"beta2": 1.0}}),
     "negative_lam": Bad(["run"], "lam must be >= 0", {"recipe": {"kind": "srste", "lam": -1}}),
+    "small_negative_lam": Bad(["run"], "lam must be >= 0", {"recipe": {"kind": "srste", "lam": -0.1}}),
     "lam_outside_srste": Bad(["run"], "lam only applies to the srste recipe",
                              {"recipe": {"kind": "step", "lam": 0.1}}),
+    "lam_on_ste": Bad(["run"], "lam only applies to the srste recipe",
+                      {"recipe": {"kind": "ste", "lam": 0.1}}),
     "unknown_sparsity_layer": Bad(["run"], "sparsity plan references unknown layer 'fc9.weight'",
                                   {"sparsity": {"fc9.weight": {"n": 1, "m": 4}}}),
     "sparsity_on_a_bias": Bad(["run"], "sparsity plan lists 'fc2.bias', which is not an (out, in) "
                               "weight", {"sparsity": {"fc2.bias": {"n": 1, "m": 2}}}),
+    "sparsity_on_the_first_bias": Bad(["run"], "sparsity plan lists 'fc1.bias', which is not an "
+                                      "(out, in) weight", {"sparsity": {"fc1.bias": {"n": 1, "m": 2}}}),
     "m_not_dividing_extent": Bad(["run"], "layer 'fc2.weight': innermost extent 16 not divisible "
                                  "by m=3", {"sparsity": {"fc2.weight": {"n": 1, "m": 3}}}),
+    # fc1.weight is (16, 2)
+    "m_not_dividing_the_first_extent": Bad(["run"], "layer 'fc1.weight': innermost extent 2 not "
+                                           "divisible by m=4",
+                                           {"sparsity": {"fc1.weight": {"n": 1, "m": 4}}}),
+    # a decay's m must divide every planned layer, whichever recipe the config trains
+    **{f"decay_m_not_dividing_extent-{kind}": Bad(
+        ["run"], "layer 'fc2.weight': innermost extent 16 not divisible by m=3",
+        {"recipe": {"kind": kind}, "ablation": {"decay": {"m": 3, "stage_boundaries": [60]}}})
+       for kind in ("step", "dense")},
     "n_above_m": Bad(["run"], "need 1 <= n <= m, got 5:4",
                      {"sparsity": {"fc2.weight": {"n": 5, "m": 4}}}),
     "stage_boundaries_not_increasing": Bad(
@@ -1136,6 +1009,26 @@ BAD_INPUTS = {
                                   {"switch": {**BASE_CONFIG["switch"], "option": "bogus"}}),
     "clip_min_not_below_max": Bad(["run"], "clipping needs 0 <= T_min < T_max, got (60, 12)", {
         "switch": {"kind": "autoswitch", "clip": {"t_min_ratio": 0.5, "t_max_ratio": 0.1}}}),
+    # the same clip on a document that names only the sections it needs
+    "clip_min_not_below_max_at_1000_steps": Bad(
+        ["run"], "clipping needs 0 <= T_min < T_max, got (500, 100)", {
+            "model": {"kind": "mlp_classifier", "layer_sizes": [2, 4, 2]}, "data": {"kind": "blobs"},
+            "optimizer": {}, "sparsity": None, "output_dir": None, "total_steps": 1000, "seeds": [0],
+            "switch": {"kind": "autoswitch", "clip": {"t_min_ratio": 0.5, "t_max_ratio": 0.1}}},
+        out=None),
+    **{f"clip_{key}_{name}": Bad(["run"], f"switch.clip.{key} must be in [0, 1], got {ratio}", {
+        "switch": {"kind": "autoswitch", "clip": {"t_min_ratio": 0.1, "t_max_ratio": 0.5, key: ratio}}})
+       for key, name, ratio in [("t_min_ratio", "huge", 1e308), ("t_min_ratio", "negative", -0.5),
+                                ("t_max_ratio", "above_one", 1.5),
+                                ("t_max_ratio", "hugely_negative", -1e308)]},
+    **{f"precondition_ratio_{name}": Bad(
+        ["run"], f"ablation.precondition_ratios must be in (0, 1], got {ratio}",
+        {"ablation": {"precondition_ratios": [0.5, ratio]}})
+       for name, ratio in [("huge", 1e308), ("negative", -0.5), ("zero", 0.0), ("above_one", 1.5)]},
+    **{f"output_dir_{name}": Bad(["run"], f"output_dir must be a string, got {text}",
+                                 {"output_dir": value}, out=None)
+       for name, value, text in [("list", ["a", "b"], "['a', 'b']"), ("int", 5, "5"),
+                                 ("mapping", {"a": "b"}, "{{'a': 'b'}}")]},
     "fixed_step_zero": Bad(["run"], "fixed criterion needs a positive step",
                            {"switch": {"kind": "fixed", "step": 0}}),
     # YAML ints that float() cannot take, or that numpy cannot index with
@@ -1185,15 +1078,31 @@ BAD_INPUTS = {
         "ablation": {"decay": {"m": 4, "stage_boundaries": [10]}}}, call="driver"),
     "ablation_kind": Bad(["ablate", "--kind", "bogus"], "unknown ablation kind 'bogus'", FIXED,
                          call="driver"),
+    "weight_decay_ablation_kind": Bad(["ablate", "--kind", "weight_decay"],
+                                      "unknown ablation kind 'weight_decay'", call="driver"),
     "precondition_length_without_ratios": Bad(
         ["ablate", "--kind", "precondition_length"],
         "precondition_length needs ablation.precondition_ratios", FIXED, call="driver"),
+    "autoswitch_precondition_length_without_ratios": Bad(
+        ["ablate", "--kind", "precondition_length"],
+        "precondition_length needs ablation.precondition_ratios", call="driver"),
     "unknown_criterion": Bad(["compare-switch", "--criteria", "relative,foo"],
                              "unknown criterion kind 'foo'", PROFILE, call="driver"),
-    # --criteria names no kind, so compare_switch gets an empty list and refuses it
+    # --criteria names no kind, so compare_switch gets an empty list and refuses it, before it
+    # checks the budget
     **{f"no_criterion-{name}": Bad(["compare-switch", "--criteria", criteria],
-                                   "compare_switch needs at least one criterion", PROFILE, call="driver")
-       for name, criteria in [("comma", ","), ("blank", " ")]},
+                                   "compare_switch needs at least one criterion",
+                                   {**PROFILE, "total_steps": steps}, call="driver")
+       for name, criteria, steps in [("comma", ",", 1002), ("blank", " ", 1002),
+                                     ("comma_at_1001_steps", ",", 1001),
+                                     ("comma_at_120_steps", ",", 120)]},
+    # compare_switch scores a switch at step 1 by the steps up to 1002: a shorter budget is
+    # refused before it trains
+    **{f"profile_too_short-{steps}": Bad(
+        ["compare-switch", "--criteria", criteria], "profile too short for the metric window: a "
+        f"switch at step 1 needs per-step changes up to step 1002, have {steps}",
+        {**PROFILE, "total_steps": steps}, call="driver", error=RangeError)
+       for criteria, steps in [("autoswitch", 1001), ("relative", 60)]},
     # an --out that cannot be a directory, checked before any step or draw: Path('') is the
     # current directory, so an empty --out would write there
     "out_name_too_long": Bad(["run"], "cannot write to output directory {out}: File name too long",
@@ -1203,6 +1112,14 @@ BAD_INPUTS = {
        for command, (argv, config) in DRIVEN.items()
        for name, out, message in [("empty", "", "output directory must not be empty"),
                                   ("a_file", "taken", BLOCKED), ("under_a_file", "taken/out", BLOCKED)]},
+    # the same, as the document's own output_dir, which no --out replaces
+    **{f"output_dir_{name}-{command}": Bad(argv, message, {**config, "output_dir": out_dir}, out=None,
+                                           call="driver")
+       for command, (argv, config) in DRIVEN.items() if command != "validate-theorem"
+       for name, out_dir, message in [
+           ("empty", "", "output directory must not be empty"),
+           ("under_a_file", "taken/out", "cannot write to output directory taken/out: taken is not a "
+                                         "directory")]},
     # validate-theorem's flags, checked by the stream and the validator
     "stream_kind": Bad(["validate-theorem", "--stream", "bogus"], "unknown stream kind 'bogus'",
                        call="stream"),
@@ -1294,9 +1211,9 @@ class TestEveryBadInputExits2:
             path.write_bytes(bad.config)
         elif bad.config == "directory":
             path.mkdir()
-        out = str(tmp_path / bad.out) if bad.out else ""
+        out = str(tmp_path / bad.out) if bad.out else bad.out
         config_flag = [] if bad.argv[0] == "validate-theorem" else ["--config", str(path)]
-        argv = [*bad.argv, *config_flag, "--out", out]
+        argv = [*bad.argv, *config_flag, *([] if out is None else ["--out", out])]
         work = [(models.DataConfig, "build"), (harness, "recipe_train"), (theory.StationaryStream, "draw")]
         if bad.call != "validate_theorem":  # else the validator's own checks are the refusal
             work.append((theory, "validate_theorem"))
@@ -1361,23 +1278,6 @@ class TestShippedCompareSwitchConfig:
         rows = harness.compare_switch(config, criteria)
         assert [r["criterion"] for r in rows] == [c.label() for c in criteria]
         assert all(r["t0"] is not None and r["avg_change_metric"] is not None for r in rows)
-
-
-class TestTypedInputErrors:
-    @pytest.mark.parametrize("ratio", [1e308, -0.5, 0.0, 1.5])
-    def test_precondition_ratio_outside_unit_interval(self, tmp_path, ratio):
-        path, _ = make_config(tmp_path, ablation={"precondition_ratios": [0.5, ratio]})
-        with pytest.raises(ConfigError, match=rf"^ablation.precondition_ratios must be in \(0, 1\], got "):
-            harness.load_config(path)
-
-    @pytest.mark.parametrize("key,ratio", [
-        ("t_min_ratio", 1e308), ("t_min_ratio", -0.5), ("t_max_ratio", 1.5), ("t_max_ratio", -1e308),
-    ])
-    def test_clip_ratio_outside_unit_interval(self, tmp_path, key, ratio):
-        clip = {"t_min_ratio": 0.1, "t_max_ratio": 0.5, key: ratio}
-        path, _ = make_config(tmp_path, switch={"kind": "autoswitch", "clip": clip})
-        with pytest.raises(ConfigError, match=f"switch.clip.{key}"):
-            harness.load_config(path)
 
 
 # arbitrary YAML-like values to drop into any slot of a valid config

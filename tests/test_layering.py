@@ -153,3 +153,56 @@ def test_only_the_bad_input_table_calls_the_cli_entry():
                 callers.add(function.name)
     assert callers == {"test_exits_2_before_any_work", "test_huge_classifier_features_stop_naming_v_l2",
                        "test_config_too_large_to_allocate_exits_2"}
+
+
+# the config layer's calls: a refusal of what they read is a row of BAD_INPUTS
+CONFIG_CALLS = {"load_config", "config_from_dict", "run", "compare_switch", "ablation",
+                "check_output_dir"}
+# the tests that may refuse a config by hand, since no config file or flag can carry the input
+CONFIG_REFUSED_BY_HAND = {
+    "test_harness.py::TestOptimizerNumbers::test_an_int_too_long_to_print_is_named_by_its_size":
+        "PyYAML can neither write nor read an int of over 4300 digits",
+    "test_harness.py::TestOptimizerNumbers::test_a_key_too_long_to_print_is_named_by_its_size":
+        "PyYAML can neither write nor read a key of over 4300 digits",
+    "test_harness.py::test_huge_classifier_features_stop_naming_v_l2":
+        "the run is refused once work has started, and a row must refuse before any",
+}
+
+
+def test_config_refusals_are_bad_input_rows():
+    """A refused config is a row of ``BAD_INPUTS``: outside ``TestEveryBadInputExits2``, no
+    ``with pytest.raises(...)`` block in a test file calls ``load_config``,
+    ``config_from_dict``, a driver or ``check_output_dir``, as an attribute of ``harness`` or
+    by the name it is imported under from ``stepnm.harness``, except the tests listed in
+    ``CONFIG_REFUSED_BY_HAND``.  Other calls of the same names, such as ``subprocess.run``,
+    are not the config layer."""
+    def raises(item: ast.withitem) -> bool:
+        call = item.context_expr
+        return isinstance(call, ast.Call) and ast.unparse(call.func) == "pytest.raises"
+
+    found = set()
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        tree = ast.parse(path.read_text())
+        bare = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "stepnm.harness"
+                for alias in node.names if alias.name in CONFIG_CALLS}
+
+        def config_call(node: ast.AST) -> bool:
+            return isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id in bare
+                or isinstance(node.func, ast.Attribute) and node.func.attr in CONFIG_CALLS
+                and ast.unparse(node.func.value) == "harness")
+
+        def visit(node: ast.AST, scope: tuple) -> None:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                if node.name == "TestEveryBadInputExits2":
+                    return
+                scope = (*scope, node.name)
+            if isinstance(node, ast.With) and any(map(raises, node.items)) and any(
+                    config_call(inner) for statement in node.body for inner in ast.walk(statement)):
+                found.add("::".join((path.name, *scope)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, ())
+    assert found == set(CONFIG_REFUSED_BY_HAND)
